@@ -52,10 +52,10 @@ def default_lambda_grid() -> np.ndarray:
 class BaaState:
     """Mutable optimizer state: current policy r, reverse conditional q, bounds.
 
-    compat_sets maps (step, action prefix, feedback prefix) to the output
-    prefixes consistent with that feedback; q_unreachable flags output blocks
-    with zero probability under (r, p); r_flagged marks policy slices that
-    received no weight in the last policy update.
+    q_unreachable flags output blocks with zero probability under (r, p);
+    r_flagged marks policy slices that received no weight in the last policy
+    update. The policy product of r is cached per policy object (see
+    _policy_product), so assigning a new policy to r invalidates it.
     """
 
     lam: float
@@ -64,12 +64,13 @@ class BaaState:
     iteration: int
     lower_bound: float
     upper_bound: float
-    compat_sets: dict
     space: TrajectorySpace
     kernel: FscKernel
     sys: ActionSystem
     q_unreachable: np.ndarray = field(default=None)
     r_flagged: tuple = ()
+    # (policy, log-product or None, (r_prod, joint, den) or None)
+    _product: Optional[tuple] = field(default=None, init=False, repr=False)
 
     @classmethod
     def initial(cls, kernel: FscKernel, sys: ActionSystem, n: int,
@@ -79,51 +80,63 @@ class BaaState:
         r = CausalPolicy.uniform(n, space.u_size, space.z_size)
         state = cls(
             lam=lam, r=r, q=None, iteration=0,
-            lower_bound=-math.inf, upper_bound=math.inf,
-            compat_sets=space.compat_sets(), space=space,
+            lower_bound=-math.inf, upper_bound=math.inf, space=space,
             kernel=kernel, sys=sys,
         )
-        state.q, state.q_unreachable = _posterior(space, r)
+        state.q, state.q_unreachable = _posterior(state)
         return state
 
 
 def _policy_log_sum(space: TrajectorySpace, r: CausalPolicy) -> np.ndarray:
-    """log2 of the causal conditioning product r(u^N || z^{N-1}) per trajectory."""
-    return space.gather_policy_log2(list(r.tables)).sum(axis=0)
+    """log2 of the causal conditioning product r(u^N || z^{N-1}) per trajectory.
+
+    The factors are added from step N down to step 1, the order in which
+    update_r builds the same sum, so both give identical arrays.
+    """
+    logs = space.gather_policy_log2(list(r.tables))
+    total = logs[-1]
+    for i in range(space.n - 2, -1, -1):
+        total = total + logs[i]
+    return total
 
 
-def _posterior(space: TrajectorySpace, r: CausalPolicy):
-    with np.errstate(invalid="ignore"):
-        r_prod = np.exp2(_policy_log_sum(space, r))
-    joint = r_prod * space.p_full
-    den = joint.sum(axis=0)
+def _policy_product(state: BaaState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r_prod, joint, den) for the state's policy.
+
+    r_prod is r(u^N || z^{N-1}) per trajectory, joint = r_prod p, and den is
+    the output marginal sum_u r p. They are computed once per policy object
+    (policy tables are frozen), starting from the log-product update_r left
+    for the policy it returned, or from the tables for any other policy.
+    """
+    policy, log_sum, product = state._product or (None, None, None)
+    if policy is not state.r:
+        log_sum, product = _policy_log_sum(state.space, state.r), None
+    if product is not None:
+        return product
+    r_prod = np.exp2(log_sum)
+    joint = r_prod * state.space.p_full
+    product = (r_prod, joint, joint.sum(axis=0))
+    state._product = (state.r, None, product)
+    return product
+
+
+def _posterior(state: BaaState):
+    _, joint, den = _policy_product(state)
     unreachable = den <= 0.0
     q = np.empty_like(joint)
     reach = ~unreachable
     q[:, reach] = joint[:, reach] / den[reach]
-    q[:, unreachable] = 1.0 / space.rows
+    q[:, unreachable] = 1.0 / state.space.rows
     return q, unreachable
 
 
-def update_q(state: BaaState, p_full: Optional[np.ndarray] = None) -> np.ndarray:
+def update_q(state: BaaState) -> np.ndarray:
     """Bayes posterior q(u^N | y^N) = r p / sum_u r p for the state's policy.
 
     Output blocks with zero marginal get a uniform slice and are flagged
-    unreachable on the state. The channel law defaults to the state's own.
+    unreachable on the state.
     """
-    space = state.space
-    if p_full is None:
-        q, unreachable = _posterior(space, state.r)
-    else:
-        with np.errstate(invalid="ignore"):
-            r_prod = np.exp2(_policy_log_sum(space, state.r))
-        joint = r_prod * np.asarray(p_full, dtype=float)
-        den = joint.sum(axis=0)
-        unreachable = den <= 0.0
-        q = np.empty_like(joint)
-        q[:, ~unreachable] = joint[:, ~unreachable] / den[~unreachable]
-        q[:, unreachable] = 1.0 / space.rows
-    state.q_unreachable = unreachable
+    q, state.q_unreachable = _posterior(state)
     return q
 
 
@@ -140,31 +153,30 @@ def update_r(state: BaaState, lam: Optional[float] = None) -> CausalPolicy:
     feedback-compatible sum of past channel products; zero-weight terms
     contribute exactly 0 even when the log argument vanishes. Slices that
     receive no weight at all become uniform and are flagged on the state.
+    The log-product of the returned policy is left on the state for the
+    posterior and the bounds.
     """
     if lam is None:
         lam = state.lam
     space = state.space
     n, u = space.n, space.u_size
+    state._product = None  # release the old policy's arrays before the temporaries
     logq = log2_guarded(state.q)
     penalty = lam * space.cost_row  # exponent of 2^(-N lambda Lambda(a^N))
     suffix_log = np.zeros((space.rows, space.cols))
     new_tables: list[np.ndarray] = [None] * n
     flagged: list[np.ndarray] = [None] * n
     for i in range(n, 0, -1):
-        with np.errstate(invalid="ignore"):
-            w_num = space.p_full * np.exp2(suffix_log)
-        denom = space.denom[i - 1]
-        w = np.where(denom > 0.0, w_num / np.where(denom > 0.0, denom, 1.0), 0.0)
+        slots = space.slot_index[i - 1]
+        n_hist = space.n_hist[i - 1]
+        w = space.weight[i - 1] * np.exp2(suffix_log)
         with np.errstate(invalid="ignore"):
             logarg = logq - penalty[:, None] - suffix_log
             contrib = np.where(w > 0.0, w * logarg, 0.0)
-        n_slots = space.n_hist[i - 1] * u
-        acc = np.zeros(n_slots)
-        np.add.at(acc, space.slot_index[i - 1], contrib)
-        wsum = np.zeros(n_slots)
-        np.add.at(wsum, space.slot_index[i - 1], w)
-        logr = acc.reshape(space.n_hist[i - 1], u)
-        got_weight = wsum.reshape(space.n_hist[i - 1], u).sum(axis=1) > 0.0
+        logr = np.bincount(slots.ravel(), weights=contrib.ravel(),
+                           minlength=n_hist * u).reshape(n_hist, u)
+        wsum = np.bincount(slots.ravel(), weights=w.ravel(), minlength=n_hist * u)
+        got_weight = wsum.reshape(n_hist, u).sum(axis=1) > 0.0
         mx = logr.max(axis=1, keepdims=True)
         live = np.isfinite(mx.ravel()) & got_weight
         table = np.empty_like(logr)
@@ -174,10 +186,11 @@ def update_r(state: BaaState, lam: Optional[float] = None) -> CausalPolicy:
         table /= table.sum(axis=1, keepdims=True)
         new_tables[i - 1] = table
         flagged[i - 1] = ~live
-        suffix_log = suffix_log + log2_guarded(table.ravel()[space.slot_index[i - 1]])
+        suffix_log = suffix_log + log2_guarded(table).ravel()[slots]
     policy = CausalPolicy(block_length=n, u_size=u, z_size=space.z_size,
                           tables=tuple(new_tables))
     state.r_flagged = tuple(freeze(f, dtype=bool) for f in flagged)
+    state._product = (policy, suffix_log, None)
     return policy
 
 
@@ -192,9 +205,7 @@ def lower_bound(state: BaaState) -> float:
     I_L = (1/N) sum r p log2(q / r) - lambda E[Lambda] under r p.
     """
     space = state.space
-    with np.errstate(invalid="ignore"):
-        r_prod = np.exp2(_policy_log_sum(space, state.r))
-    joint = r_prod * space.p_full
+    r_prod, joint, _ = _policy_product(state)
     info = weighted_log2_sum(joint, state.q, r_prod)
     return info / space.n - state.lam * _expected_cost(space, joint)
 
@@ -217,9 +228,7 @@ def upper_bound(state: BaaState) -> float:
     """
     space = state.space
     n, u_size, y_size = space.n, space.u_size, space.y_size
-    with np.errstate(invalid="ignore"):
-        r_prod = np.exp2(_policy_log_sum(space, state.r))
-    d = (r_prod * space.p_full).sum(axis=0)
+    _, _, d = _policy_product(state)
     leaf = (
         space.log2_p_full
         - state.lam * space.cost_row[:, None]
@@ -237,10 +246,12 @@ def upper_bound(state: BaaState) -> float:
         )
         w = space.measure_reduced[i - 1][..., None]
         hist = space.hist_reduced[i - 1]
-        scores = np.zeros((space.n_hist[i - 1], u_size))
+        slots = (hist[..., None] * u_size + np.arange(u_size)).ravel()
         with np.errstate(invalid="ignore"):
-            np.add.at(scores, hist, np.where(w > 0.0, w * v, 0.0))
-        best = scores.argmax(axis=1)
+            scored = np.where(w > 0.0, w * v, 0.0)
+        scores = np.bincount(slots, weights=scored.ravel(),
+                             minlength=space.n_hist[i - 1] * u_size)
+        best = scores.reshape(-1, u_size).argmax(axis=1)
         v = np.take_along_axis(v, best[hist][..., None], axis=2)[..., 0]
         v = v.reshape([u_size] * (i - 1) + [y_size] * (i - 1))
     return float(v) / n
@@ -353,10 +364,8 @@ def run_baa(kernel: FscKernel, sys: ActionSystem, n: int, lam: float,
         if iu - il <= eps:
             converged = True
             break
-    space = state.space
-    with np.errstate(invalid="ignore"):
-        joint = np.exp2(_policy_log_sum(space, state.r)) * space.p_full
-    gamma = _expected_cost(space, joint)
+    _, joint, _ = _policy_product(state)
+    gamma = _expected_cost(state.space, joint)
     return TradeoffPoint(
         lam=lam,
         gamma=gamma,
@@ -408,7 +417,6 @@ def sweep_lambda(kernel: FscKernel, sys: ActionSystem, n: int,
     lines = np.array([[p.i_upper + p.lam * g for g in gammas] for p in points])
     envelope = lines.min(axis=0)
     support = np.array([points[int(j)].lam for j in lines.argmin(axis=0)])
-    envelope = np.maximum.accumulate(envelope)  # no-op safety clamp
     return TradeoffCurve(
         block_length=n,
         max_cost=max_cost,

@@ -11,8 +11,8 @@ order with step 1 most significant. This module precomputes, once per
   - the causal channel law per trajectory and its per-step conditionals
     p(y_i | x^i, y^{i-1}) from the state-belief forward recursion,
   - per-history sums of past-product channel probabilities over the
-    feedback-compatible output prefixes (the r-free denominators of the
-    policy update),
+    feedback-compatible output prefixes, and the r-free weights of the
+    policy update, the channel law divided by those sums,
   - reduced per-depth history ids and past-law measures on (u^{i-1}, y^{i-1})
     grids (the class structure of the deviation-policy upper-bound fold),
   - per-row accumulated action costs.
@@ -164,9 +164,10 @@ class TrajectorySpace:
 
         # r-free denominators: for each step i and history (u^{i-1}, z^{i-1}),
         # the sum of P(y^{i-1} || x^{i-1}) over output prefixes compatible
-        # with that feedback history
+        # with that feedback history; weight[i-1][rows, cols] is the channel
+        # law over that sum, 0 where the history has no mass
         self.denom_tables = []
-        self.denom = []
+        self.weight = []
         for i in range(1, n + 1):
             up_count = u ** (i - 1)
             yp_count = self.y_size ** (i - 1)
@@ -186,7 +187,10 @@ class TrajectorySpace:
                     self.prefix[i - 1][x_codes[up], y_codes],
                 )
             self.denom_tables.append(table)
-            self.denom.append(table[self.hist_index[i - 1]])
+            denom = table[self.hist_index[i - 1]]
+            weight = np.zeros_like(self.p_full)
+            np.divide(self.p_full, denom, out=weight, where=denom > 0.0)
+            self.weight.append(weight)
 
         # reduced grids over (u^{i-1}, y^{i-1}): the flat history id of each
         # cell and the past channel law P(y^{i-1} || x^{i-1}) weighting it;
@@ -213,29 +217,5 @@ class TrajectorySpace:
         """log2 of each per-step policy factor along every trajectory; [n, rows, cols]."""
         out = np.empty((self.n, self.rows, self.cols))
         for i in range(self.n):
-            out[i] = log2_guarded(tables[i].ravel()[self.slot_index[i]])
+            out[i] = log2_guarded(tables[i]).ravel()[self.slot_index[i]]
         return out
-
-    def compat_sets(self) -> dict:
-        """Feedback-compatible output prefixes per (step, action prefix, z history).
-
-        Maps (i, a^{i-1} tuple, z^{i-1} tuple) to the tuple of y^{i-1} tuples
-        whose sampled feedback equals that z history.
-        """
-        sets: dict = {}
-        for i in range(1, self.n + 1):
-            a_count = self.a_size ** (i - 1)
-            y_count = self.y_size ** (i - 1)
-            a_dig = self._digits(a_count, self.a_size, i - 1)
-            y_dig = self._digits(y_count, self.y_size, i - 1)
-            for ac in range(a_count):
-                groups: dict = {}
-                for yc in range(y_count):
-                    zs = tuple(
-                        int(self.z_table[a_dig[ac, j], y_dig[yc, j]])
-                        for j in range(i - 1)
-                    )
-                    groups.setdefault(zs, []).append(tuple(int(v) for v in y_dig[yc]))
-                for zs, members in groups.items():
-                    sets[(i, tuple(int(v) for v in a_dig[ac]), zs)] = tuple(members)
-        return sets

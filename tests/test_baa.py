@@ -23,8 +23,10 @@ from sampcap import (
     sweep_lambda,
     update_q,
     update_r,
+    upper_bound,
 )
-from sampcap.baa import BaaState
+from sampcap._num import fsum_array, weighted_log2_sum
+from sampcap.baa import BaaState, _policy_log_sum
 
 from conftest import make_trivial_actions
 
@@ -78,6 +80,66 @@ class TestUpdates:
                                tables=(pinned,))
         update_q(state)
         np.testing.assert_array_equal(state.q_unreachable, [False, True])
+
+
+def iterated_state(kernel, actions, n, lam, iterations):
+    state = BaaState.initial(kernel, actions, n, lam)
+    for _ in range(iterations):
+        state.r = update_r(state)
+        state.q = update_q(state)
+    return state
+
+
+class TestPolicyProductCache:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_cached_values_match_a_fresh_recomputation(
+        self, markovian_kernel, markovian_actions, n
+    ):
+        lam = 0.3
+        state = iterated_state(markovian_kernel, markovian_actions, n, lam, 4)
+        q = update_q(state)
+        il = lower_bound(state)
+        iu = upper_bound(state)
+        # the posterior and lower iterate rebuilt from the policy tables
+        space = state.space
+        r_prod = np.exp2(space.gather_policy_log2(list(state.r.tables)).sum(axis=0))
+        joint = r_prod * space.p_full
+        np.testing.assert_allclose(q, joint / joint.sum(axis=0), rtol=0.0,
+                                   atol=1e-12)
+        cost = fsum_array(joint * space.cost_row[:, None]) / n
+        fresh_il = weighted_log2_sum(joint, q, r_prod) / n - lam * cost
+        assert il == pytest.approx(fresh_il, abs=1e-12)
+        # an equal policy under a new identity misses the cache, so every
+        # value is recomputed from the tables
+        r = state.r
+        state.r = CausalPolicy(block_length=n, u_size=r.u_size,
+                               z_size=r.z_size, tables=r.tables)
+        np.testing.assert_allclose(update_q(state), q, rtol=0.0, atol=1e-12)
+        assert lower_bound(state) == pytest.approx(il, abs=1e-12)
+        assert upper_bound(state) == pytest.approx(iu, abs=1e-12)
+
+    def test_assigning_another_policy_invalidates_the_cache(
+        self, markovian_kernel, markovian_actions
+    ):
+        state = iterated_state(markovian_kernel, markovian_actions, 2, 0.3, 3)
+        fresh = BaaState.initial(markovian_kernel, markovian_actions, 2, 0.3)
+        assert not np.allclose(state.q, fresh.q)
+        state.r = fresh.r
+        state.q = update_q(state)
+        np.testing.assert_array_equal(state.q, fresh.q)
+        assert lower_bound(state) == lower_bound(fresh)
+        assert upper_bound(state) == upper_bound(fresh)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_policy_update_leaves_the_log_product_of_its_policy(
+        self, markovian_kernel, markovian_actions, n
+    ):
+        state = iterated_state(markovian_kernel, markovian_actions, n, 0.3, 3)
+        policy = update_r(state)
+        owner, log_sum, _ = state._product
+        assert owner is policy
+        np.testing.assert_allclose(log_sum, _policy_log_sum(state.space, policy),
+                                   rtol=0.0, atol=1e-12)
 
 
 class TestRunBaa:

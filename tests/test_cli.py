@@ -83,6 +83,21 @@ class TestCapacitySweep:
             assert run["nonconverged_points"] == 0
             assert run["max_final_gap"] <= report["epsilon"]
 
+    def test_markovian_outputs_match_across_thread_counts(self, tmp_path):
+        # points solved concurrently on the pool keep their cached policy
+        # products apart, so the files match a one-thread run byte for byte
+        def mutate(doc):
+            doc["block_lengths"] = [2]
+            doc["algorithm"]["lambda_grid"] = [0.5, 1.0, 10.0]
+
+        path = write_variant(tmp_path, MARKOVIAN_CONFIG_PATH, mutate)
+        out1 = tmp_path / "run1"
+        out2 = tmp_path / "run2"
+        assert cli.cmd_capacity_sweep(path, str(out1), threads=2) == cli.EXIT_OK
+        assert cli.cmd_capacity_sweep(path, str(out2), threads=1) == cli.EXIT_OK
+        for stem in ("sweep_2.csv", "envelope_2.csv"):
+            assert (out1 / stem).read_bytes() == (out2 / stem).read_bytes()
+
     def test_single_lambda_point(self, tmp_path):
         def mutate(doc):
             doc["block_lengths"] = [2]
