@@ -9,7 +9,7 @@ envelope value is within a slack of free sampling.
 
 Example:
     python3 scripts/tradeoff_sweep.py --config configs/markovian.json \
-        --out results/sweep --threads 4
+        --out results/sweep
 """
 
 import argparse
@@ -44,7 +44,7 @@ def main() -> int:
         "--config", default=str(REPO_ROOT / "configs" / "markovian.json")
     )
     parser.add_argument("--out", default="results/sweep")
-    parser.add_argument("--threads", type=int, default=4)
+    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--slack", type=float, default=1e-3,
                         help="saturation slack in bits")
     args = parser.parse_args()

@@ -9,8 +9,6 @@ and cross-checks everything against brute-force oracles at desk scale.
 from ._num import binary_entropy
 from .actions import (
     ActionSystem,
-    StrategyExpansion,
-    expand_decoder_strategies,
     expected_cost,
     sample_feedback,
 )
@@ -81,7 +79,6 @@ __all__ = [
     "SandwichBounds",
     "SingleLetterProblem",
     "StationaryInfo",
-    "StrategyExpansion",
     "TradeoffCurve",
     "TradeoffPoint",
     "TrajectoryDistribution",
@@ -93,7 +90,6 @@ __all__ = [
     "conditional_directed_information",
     "default_lambda_grid",
     "directed_information",
-    "expand_decoder_strategies",
     "expected_cost",
     "f_n_policy_grid",
     "gallager_exponent",

@@ -1,4 +1,4 @@
-"""Actions, feedback sampling, costs, and the decoder-strategy expansion.
+"""Actions, feedback sampling and costs.
 
 The encoder and decoder hold finite action alphabets; a deterministic
 sampling function z = f(a_e, a_d, y) decides what feedback the encoder sees,
@@ -8,16 +8,12 @@ constrains the time-averaged expected action cost
     E[(1/N) sum_i Lambda(A_{e,i}, A_{d,i})] <= Gamma.
 
 Settings where only one side acts use a singleton alphabet for the other
-side. Output-causal decoder actions reduce to strictly causal ones by
-expanding the decoder alphabet to all maps phi: Y -> A_d (one uniform
-Shannon-strategy construction); the induced sampling applies the realized
-action phi[y] and the induced cost charges that realized action.
+side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -27,8 +23,6 @@ from .fsc import Alphabet
 
 if TYPE_CHECKING:  # pragma: no cover
     from .policy import TrajectoryDistribution
-
-EXPANSION_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -71,25 +65,6 @@ class ActionSystem:
         return float(self.cost_table.max())
 
 
-@dataclass(frozen=True)
-class StrategyExpansion:
-    """Decoder strategies phi: Y -> A_d as an expanded strictly-causal alphabet.
-
-    strategies[phi][y] is the realized decoder action; induced_sampling and
-    induced_cost are indexed [a_e][phi][y].
-    """
-
-    expanded_alphabet: Alphabet
-    strategies: np.ndarray
-    induced_sampling: np.ndarray
-    induced_cost: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "strategies", freeze(self.strategies, dtype=int))
-        object.__setattr__(self, "induced_sampling", freeze(self.induced_sampling, dtype=int))
-        object.__setattr__(self, "induced_cost", freeze(self.induced_cost))
-
-
 def sample_feedback(sys: ActionSystem, a_e: int, a_d: int, y: int) -> int:
     """Deterministic feedback symbol z = f(a_e, a_d, y)."""
     if not 0 <= a_e < sys.encoder_actions.size:
@@ -115,35 +90,3 @@ def expected_cost(sys: ActionSystem, joint: "TrajectoryDistribution") -> float:
     row_mass = joint.probs.sum(axis=1)
     return float((row_mass * cost_per_row).sum() / n)
 
-
-def expand_decoder_strategies(sys: ActionSystem, output_alphabet: Alphabet) -> StrategyExpansion:
-    """Enumerate all decoder strategies phi: Y -> A_d in lexicographic order.
-
-    Builds the induced sampling (a_e, phi, y) -> f(a_e, phi[y], y) and the
-    induced cost Lambda(a_e, phi[y]) of the realized action.
-    """
-    y_size = output_alphabet.size
-    ad = sys.decoder_actions.size
-    if sys.output_size != y_size:
-        raise ValueError("sampling_table output axis does not match the output alphabet")
-    total = ad ** y_size
-    if total > EXPANSION_CAP:
-        raise ValueError(
-            f"strategy expansion size {total} exceeds the cap {EXPANSION_CAP}"
-        )
-    strategies = np.array(list(product(range(ad), repeat=y_size)), dtype=int)
-    ae = sys.encoder_actions.size
-    induced_sampling = np.empty((ae, total, y_size), dtype=int)
-    induced_cost = np.empty((ae, total, y_size))
-    ys = np.arange(y_size)
-    for a_e in range(ae):
-        for phi in range(total):
-            realized = strategies[phi]
-            induced_sampling[a_e, phi] = sys.sampling_table[a_e, realized, ys]
-            induced_cost[a_e, phi] = sys.cost_table[a_e, realized]
-    return StrategyExpansion(
-        expanded_alphabet=Alphabet(size=total),
-        strategies=strategies,
-        induced_sampling=induced_sampling,
-        induced_cost=induced_cost,
-    )

@@ -150,7 +150,8 @@ def update_r(state: BaaState, lam: Optional[float] = None) -> CausalPolicy:
                                             / prod_{j>i} r_j ]
 
     with weights w = p(y^N || x^N) prod_{j>i} r_j divided by the
-    feedback-compatible sum of past channel products; zero-weight terms
+    feedback-compatible sum of past channel products; that sum is constant
+    on a slot, so the slot sums are divided by it once. Zero-weight terms
     contribute exactly 0 even when the log argument vanishes. Slices that
     receive no weight at all become uniform and are flagged on the state.
     The log-product of the returned policy is left on the state for the
@@ -159,34 +160,35 @@ def update_r(state: BaaState, lam: Optional[float] = None) -> CausalPolicy:
     if lam is None:
         lam = state.lam
     space = state.space
-    n, u = space.n, space.u_size
+    n, u, y = space.n, space.u_size, space.y_size
     state._product = None  # release the old policy's arrays before the temporaries
-    logq = log2_guarded(state.q)
-    penalty = lam * space.cost_row  # exponent of 2^(-N lambda Lambda(a^N))
+    # log q - N lambda Lambda(a^N), the log argument before the later factors
+    logq_pen = log2_guarded(state.q) - lam * space.cost_row[:, None]
     suffix_log = np.zeros((space.rows, space.cols))
+    suffix_view = suffix_log.reshape(space.view)
     new_tables: list[np.ndarray] = [None] * n
     flagged: list[np.ndarray] = [None] * n
     for i in range(n, 0, -1):
-        slots = space.slot_index[i - 1]
-        n_hist = space.n_hist[i - 1]
-        w = space.weight[i - 1] * np.exp2(suffix_log)
+        w = space.p_full * np.exp2(suffix_log)
         with np.errstate(invalid="ignore"):
-            logarg = logq - penalty[:, None] - suffix_log
-            contrib = np.where(w > 0.0, w * logarg, 0.0)
-        logr = np.bincount(slots.ravel(), weights=contrib.ravel(),
-                           minlength=n_hist * u).reshape(n_hist, u)
-        wsum = np.bincount(slots.ravel(), weights=w.ravel(), minlength=n_hist * u)
-        got_weight = wsum.reshape(n_hist, u).sum(axis=1) > 0.0
+            contrib = np.where(w > 0.0, w * (logq_pen - suffix_log), 0.0)
+        # sum out the axes the step-i slot does not depend on (einsum: numpy's
+        # reduction is several times slower over the short last axis at i = N)
+        fold = (u ** i, u ** (n - i), y ** (i - 1), y ** (n - i + 1))
+        wsum = space.per_slot(np.einsum("ijkl->ik", w.reshape(fold)), i)
+        logr = space.per_slot(np.einsum("ijkl->ik", contrib.reshape(fold)), i)
+        denom = space.denom[i - 1][:, None]
+        np.divide(logr, denom, out=logr, where=denom > 0.0)
+        got_weight = wsum.sum(axis=1) > 0.0
         mx = logr.max(axis=1, keepdims=True)
-        live = np.isfinite(mx.ravel()) & got_weight
-        table = np.empty_like(logr)
+        dead = ~(np.isfinite(mx.ravel()) & got_weight)
         with np.errstate(invalid="ignore"):
-            table[live] = np.exp2(logr[live] - mx[live])
-        table[~live] = 1.0
+            table = np.exp2(logr - mx)
+        table[dead] = 1.0
         table /= table.sum(axis=1, keepdims=True)
         new_tables[i - 1] = table
-        flagged[i - 1] = ~live
-        suffix_log = suffix_log + log2_guarded(table).ravel()[slots]
+        flagged[i - 1] = dead
+        suffix_view += space.spread(log2_guarded(table), i)
     policy = CausalPolicy(block_length=n, u_size=u, z_size=space.z_size,
                           tables=tuple(new_tables))
     state.r_flagged = tuple(freeze(f, dtype=bool) for f in flagged)
@@ -195,8 +197,13 @@ def update_r(state: BaaState, lam: Optional[float] = None) -> CausalPolicy:
 
 
 def _expected_cost(space: TrajectorySpace, joint: np.ndarray) -> float:
-    """Per-step average action cost under a dense joint on the space."""
-    return fsum_array(joint * space.cost_row[:, None]) / space.n
+    """Per-step average action cost under a dense joint on the space.
+
+    Only the nonzero products enter the compensated sum; math.fsum is
+    correctly rounded, so the exact zeros change nothing.
+    """
+    prod = joint * space.cost_row[:, None]
+    return fsum_array(prod[prod != 0.0]) / space.n
 
 
 def lower_bound(state: BaaState) -> float:
@@ -234,25 +241,19 @@ def upper_bound(state: BaaState) -> float:
         - state.lam * space.cost_row[:, None]
         - log2_guarded(d)[None, :]
     )
-    v = leaf.reshape([u_size] * n + [y_size] * n)
+    v = leaf.reshape(space.view)
     for i in range(n, 0, -1):
-        c = space.cond_reduced[i - 1]
+        c = space.cond[i - 1]
         with np.errstate(invalid="ignore"):
             v = np.where(c > 0.0, c * v, 0.0).sum(axis=-1)
         # axes [U]*i + [Y]*(i-1): value-to-go given (u^i, y^{i-1});
         # pick u_i once per history class, weighted by the past law
-        v = np.moveaxis(
-            v.reshape(u_size ** (i - 1), u_size, y_size ** (i - 1)), 1, 2
-        )
-        w = space.measure_reduced[i - 1][..., None]
-        hist = space.hist_reduced[i - 1]
-        slots = (hist[..., None] * u_size + np.arange(u_size)).ravel()
+        v = v.reshape(u_size ** (i - 1), u_size, y_size ** (i - 1))
+        w = space.measure[i - 1][:, None, :]
         with np.errstate(invalid="ignore"):
             scored = np.where(w > 0.0, w * v, 0.0)
-        scores = np.bincount(slots, weights=scored.ravel(),
-                             minlength=space.n_hist[i - 1] * u_size)
-        best = scores.reshape(-1, u_size).argmax(axis=1)
-        v = np.take_along_axis(v, best[hist][..., None], axis=2)[..., 0]
+        best = space.per_slot(scored, i).argmax(axis=1)
+        v = np.take_along_axis(v, best[space.hist[i - 1]][:, None, :], axis=1)
         v = v.reshape([u_size] * (i - 1) + [y_size] * (i - 1))
     return float(v) / n
 
@@ -263,7 +264,6 @@ class TradeoffPoint:
 
     lam: float
     gamma: float
-    c_lambda: float
     i_lower: float
     i_upper: float
     iterations: int
@@ -343,8 +343,8 @@ def run_baa(kernel: FscKernel, sys: ActionSystem, n: int, lam: float,
         raise ValueError("eps must be positive")
     if sys.decoder_actions.size != 1:
         raise ValueError(
-            "the optimizer handles encoder-side actions; expand decoder "
-            "strategies first where that reduction applies"
+            "the optimizer handles encoder-side actions only; represent "
+            "the decoder side with a singleton alphabet"
         )
     state = BaaState.initial(kernel, sys, n, lam)
     history: list[tuple[float, float]] = []
@@ -369,7 +369,6 @@ def run_baa(kernel: FscKernel, sys: ActionSystem, n: int, lam: float,
     return TradeoffPoint(
         lam=lam,
         gamma=gamma,
-        c_lambda=iu,
         i_lower=il,
         i_upper=iu,
         iterations=state.iteration,

@@ -486,7 +486,7 @@ def cmd_capacity_sweep(config_path: str, out_dir: str = ".",
             lines = ["lambda,gamma,c_lambda,i_lower,i_upper,iterations,converged"]
             for p in curve.points:
                 lines.append(
-                    f"{_fmt(p.lam)},{_fmt(p.gamma)},{_fmt(p.c_lambda)},"
+                    f"{_fmt(p.lam)},{_fmt(p.gamma)},{_fmt(p.i_upper)},"
                     f"{_fmt(p.i_lower)},{_fmt(p.i_upper)},{p.iterations},"
                     f"{str(p.converged).lower()}"
                 )

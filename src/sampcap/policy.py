@@ -208,17 +208,19 @@ def build_joint(policy: CausalPolicy, kernel: FscKernel, sys: ActionSystem,
     space = TrajectorySpace(kernel, sys, policy.block_length, s0=s0)
     if policy.u_size != space.u_size or policy.z_size != space.z_size:
         raise ValueError("policy alphabets do not match the kernel/action system")
-    probs = np.ones((space.rows, space.cols))
-    for i in range(space.n):
-        probs *= policy.tables[i].ravel()[space.slot_index[i]]
-        probs *= space.cond[i]
+    n, u, y = space.n, space.u_size, space.y_size
+    probs = np.ones(space.view)
+    for i in range(1, n + 1):
+        probs *= space.spread(policy.tables[i - 1], i)
+        probs *= space.cond[i - 1].reshape([u] * i + [1] * (n - i)
+                                           + [y] * i + [1] * (n - i))
     return TrajectoryDistribution(
-        block_length=space.n,
+        block_length=n,
         x_size=space.x_size,
         a_size=space.a_size,
-        y_size=space.y_size,
+        y_size=y,
         z_size=space.z_size,
-        probs=probs,
+        probs=probs.reshape(space.rows, space.cols),
         z_table=space.z_table,
         s0=s0,
     )

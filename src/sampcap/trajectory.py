@@ -1,22 +1,26 @@
-"""Dense trajectory enumeration tables for block-length-N computations.
+"""Trajectory tables for block-length-N computations.
 
 A trajectory is a pair (u^N, y^N) with u = (x, a) the joint input/action
 symbol. Rows enumerate u^N and columns enumerate y^N, both in mixed-radix
-order with step 1 most significant. This module precomputes, once per
-(kernel, actions, N, start state):
+order with step 1 most significant, so a [rows, cols] array reshapes for
+free to the view [U]*N + [Y]*N with one axis per step.
 
-  - digit and prefix-code arrays for rows and columns,
-  - feedback digits z_i = f(a_i, y_i) and history codes (u^{i-1}, z^{i-1}),
-  - flat slot indices into per-step policy tables Q_i(u_i | u^{i-1}, z^{i-1}),
-  - the causal channel law per trajectory and its per-step conditionals
-    p(y_i | x^i, y^{i-1}) from the state-belief forward recursion,
-  - per-history sums of past-product channel probabilities over the
-    feedback-compatible output prefixes, and the r-free weights of the
-    policy update, the channel law divided by those sums,
-  - reduced per-depth history ids and past-law measures on (u^{i-1}, y^{i-1})
-    grids (the class structure of the deviation-policy upper-bound fold),
-  - per-row accumulated action costs.
+Only the channel law, its log and the per-row action costs are held at full
+[rows, cols] size. Everything per step i lives on the smaller grid it
+depends on, built once per (kernel, actions, N, start state):
 
+  - hist[i-1], measure[i-1] on the (u^{i-1}, y^{i-1}) grid: the feedback
+    history id (u^{i-1}, z^{i-1}) of each cell, z_j = f(a_j, y_j), and the
+    past channel law P(y^{i-1} || x^{i-1}) weighting it,
+  - slot[i-1] on the (u^i, y^{i-1}) grid: the flat slot hist * U + u_i of
+    the per-step policy table Q_i(u_i | u^{i-1}, z^{i-1}) that the cell reads,
+  - denom[i-1] per history: the past law summed over the output prefixes
+    compatible with that history,
+  - cond[i-1] on the (u^i, y^i) grid: the step conditional
+    p(y_i | x^i, y^{i-1}) from the state-belief forward recursion.
+
+spread() reads a per-step table at every trajectory and per_slot() sums
+values into it; every policy gather and scatter goes through these two.
 Everything here is plumbing shared by the policy and optimizer modules; the
 brute-force oracle module deliberately does not use it.
 """
@@ -31,7 +35,7 @@ from .fsc import FscKernel
 
 
 class TrajectorySpace:
-    """Precomputed index and probability tables for dense trajectory work."""
+    """Channel law and per-step history tables for dense trajectory work."""
 
     def __init__(self, kernel: FscKernel, sys: ActionSystem, n: int,
                  s0: int | None = None):
@@ -50,25 +54,44 @@ class TrajectorySpace:
         self.s0 = s0
         self.x_size = kernel.input_size
         self.a_size = sys.encoder_actions.size
-        self.u_size = self.x_size * self.a_size
-        self.y_size = kernel.output_size
+        self.u_size = u = self.x_size * self.a_size
+        self.y_size = y = kernel.output_size
         self.z_size = sys.feedback_alphabet.size
-        self.rows = self.u_size ** n
-        self.cols = self.y_size ** n
+        self.rows = u ** n
+        self.cols = y ** n
+        self.view = (u,) * n + (y,) * n
 
         # u = x * |A| + a
         self.z_table = sys.sampling_table[:, 0, :]  # [a][y] -> z
-        self.action_cost = sys.cost_table[:, 0]     # [a] -> cost
+        action_cost = sys.cost_table[:, 0]          # [a] -> cost
+        a_digits = self._digits(self.rows, u, n) % self.a_size
+        self.cost_row = action_cost[a_digits].sum(axis=1)  # [rows]
 
-        self.u_digits = self._digits(self.rows, self.u_size, n)   # [rows, n]
-        self.x_digits = self.u_digits // self.a_size
-        self.a_digits = self.u_digits % self.a_size
-        self.y_digits = self._digits(self.cols, self.y_size, n)   # [cols, n]
+        prefix = self._channel_prefixes()
+        grids = [self._grid(k, prefix[k]) for k in range(n + 1)]
+        self.p_full = grids[n][1]                           # [rows, cols]
+        self.log2_p_full = log2_guarded(self.p_full)
 
-        self.cost_row = self.action_cost[self.a_digits].sum(axis=1)  # [rows]
-
-        self._build_channel_tables()
-        self._build_history_tables()
+        self.n_hist = [u ** (i - 1) * self.z_size ** (i - 1) for i in range(1, n + 1)]
+        self.hist = [g[0] for g in grids[:n]]
+        self.measure = [g[1] for g in grids[:n]]
+        self.slot = []
+        self.denom = []
+        self.cond = []
+        for i in range(1, n + 1):
+            h, past = self.hist[i - 1], self.measure[i - 1]
+            # stored with singleton axes so a gather broadcasts against the view
+            slot = h[:, None, :] * u + np.arange(u)[:, None]
+            self.slot.append(slot.reshape([u] * i + [1] * (n - i)
+                                          + [y] * (i - 1) + [1] * (n - i + 1)))
+            self.denom.append(np.bincount(h.ravel(), weights=past.ravel(),
+                                          minlength=self.n_hist[i - 1]))
+            # zero where the prefix died
+            num = grids[i][1].reshape(u ** (i - 1), u, y ** (i - 1), y)
+            den = past[:, None, :, None]
+            c = np.zeros_like(num)
+            np.divide(num, den, out=c, where=den > 0.0)
+            self.cond.append(c.reshape([u] * i + [y] * i))
 
     @staticmethod
     def _digits(count: int, base: int, n: int) -> np.ndarray:
@@ -79,16 +102,8 @@ class TrajectorySpace:
             codes //= base
         return out
 
-    @staticmethod
-    def _prefix_codes(digits: np.ndarray, base: int) -> list[np.ndarray]:
-        """codes[i][k] = mixed-radix code of the first i digits of item k."""
-        count = digits.shape[0]
-        codes = [np.zeros(count, dtype=np.int64)]
-        for i in range(digits.shape[1]):
-            codes.append(codes[-1] * base + digits[:, i])
-        return codes
-
-    def _build_channel_tables(self):
+    def _channel_prefixes(self) -> list[np.ndarray]:
+        """prefix[k]: [X^k, Y^k] = P(y^k || x^k, start), k = 0..N."""
         kern = self.kernel.kernel
         s_size = self.kernel.state_size
         if self.s0 is None:
@@ -97,125 +112,47 @@ class TrajectorySpace:
             belief0 = np.zeros(s_size)
             belief0[self.s0] = 1.0
 
-        x, y, n = self.x_size, self.y_size, self.n
-        # beliefs[i]: [X^i, Y^i, S] unnormalized P(y^i, s_i || x^i, start)
+        x, y = self.x_size, self.y_size
+        # beliefs[k]: [X^k, Y^k, S] unnormalized P(y^k, s_k || x^k, start)
         beliefs = [belief0.reshape(1, 1, s_size)]
-        for _ in range(n):
+        for _ in range(self.n):
             nxt = np.einsum("pqs,sxyt->pxqyt", beliefs[-1], kern)
             beliefs.append(nxt.reshape(nxt.shape[0] * x, nxt.shape[2] * y, s_size))
-        # prefix[i]: [X^i, Y^i] = P(y^i || x^i, start)
-        self.prefix = [b.sum(axis=2) for b in beliefs]
+        return [b.sum(axis=2) for b in beliefs]
 
-        xp = self._prefix_codes(self.x_digits, x)   # per row, lengths 0..n
-        yp = self._prefix_codes(self.y_digits, y)   # per col
-        self._x_prefix_codes = xp
-        self._y_prefix_codes = yp
+    def _grid(self, k: int, prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """History ids and channel law on the (u^k, y^k) grid, both [U^k, Y^k].
 
-        self.p_full = self.prefix[n][np.ix_(xp[n], yp[n])]          # [rows, cols]
-        self.log2_p_full = log2_guarded(self.p_full)
+        The id of a cell is code(u^k) * Z^k + code(z^k), the HistoryIndexer
+        encoding of its feedback history.
+        """
+        u_dig = self._digits(self.u_size ** k, self.u_size, k)
+        y_dig = self._digits(self.y_size ** k, self.y_size, k)
+        a_dig = u_dig % self.a_size
+        x_code = np.zeros(len(u_dig), dtype=np.int64)
+        z_code = np.zeros((len(u_dig), len(y_dig)), dtype=np.int64)
+        for j in range(k):
+            x_code = x_code * self.x_size + u_dig[:, j] // self.a_size
+            z_code = z_code * self.z_size + self.z_table[a_dig[:, j, None], y_dig[:, j]]
+        hist = np.arange(len(u_dig))[:, None] * self.z_size ** k + z_code
+        return hist, prefix[x_code]
 
-        # cond[i-1][rows, cols] = p(y_i | x^i, y^{i-1}), zero where the prefix died
-        self.cond = []
-        for i in range(1, n + 1):
-            num = self.prefix[i][np.ix_(xp[i], yp[i])]
-            den = self.prefix[i - 1][np.ix_(xp[i - 1], yp[i - 1])]
-            c = np.zeros_like(num)
-            mask = den > 0.0
-            c[mask] = num[mask] / den[mask]
-            self.cond.append(c)
+    def spread(self, slices: np.ndarray, i: int) -> np.ndarray:
+        """Step-i table [n_hist, U] read at every trajectory, broadcastable to the view."""
+        return slices.ravel()[self.slot[i - 1]]
 
-        # cond_reduced[i-1]: same conditional on the reduced tensor
-        # [U]*i + [Y]*i used by the nested max/expectation fold
-        self.cond_reduced = []
-        for i in range(1, n + 1):
-            u_i = self.u_size ** i
-            y_i = self.y_size ** i
-            u_dig = self._digits(u_i, self.u_size, i)
-            y_dig = self._digits(y_i, self.y_size, i)
-            x_dig = u_dig // self.a_size
-            xc = self._prefix_codes(x_dig, x)
-            yc = self._prefix_codes(y_dig, y)
-            num = self.prefix[i][np.ix_(xc[i], yc[i])]
-            den = self.prefix[i - 1][np.ix_(xc[i - 1], yc[i - 1])]
-            c = np.zeros_like(num)
-            mask = den > 0.0
-            c[mask] = num[mask] / den[mask]
-            self.cond_reduced.append(c.reshape([self.u_size] * i + [self.y_size] * i))
+    def per_slot(self, values: np.ndarray, i: int) -> np.ndarray:
+        """Sums of values over each step-i slot, [n_hist, U].
 
-    def _build_history_tables(self):
-        n, u, z = self.n, self.u_size, self.z_size
-        rows, cols = self.rows, self.cols
-
-        # z digit per (row, col, step) and running z-history codes
-        z_hist = np.zeros((rows, cols), dtype=np.int64)
-        u_pref = self._prefix_codes(self.u_digits, u)
-        self.n_hist = [u ** (i - 1) * z ** (i - 1) for i in range(1, n + 1)]
-        self.hist_index = []   # [rows, cols] flat history code per step
-        self.slot_index = []   # [rows, cols] flat (history, u_i) slot per step
-        for i in range(1, n + 1):
-            h = u_pref[i - 1][:, None] * (z ** (i - 1)) + z_hist
-            self.hist_index.append(h)
-            self.slot_index.append(h * u + self.u_digits[:, i - 1][:, None])
-            if i < n:
-                z_dig = self.z_table[
-                    self.a_digits[:, i - 1][:, None], self.y_digits[:, i - 1][None, :]
-                ]
-                z_hist = z_hist * z + z_dig
-
-        # r-free denominators: for each step i and history (u^{i-1}, z^{i-1}),
-        # the sum of P(y^{i-1} || x^{i-1}) over output prefixes compatible
-        # with that feedback history; weight[i-1][rows, cols] is the channel
-        # law over that sum, 0 where the history has no mass
-        self.denom_tables = []
-        self.weight = []
-        for i in range(1, n + 1):
-            up_count = u ** (i - 1)
-            yp_count = self.y_size ** (i - 1)
-            table = np.zeros(up_count * (z ** (i - 1)))
-            u_dig = self._digits(up_count, u, i - 1)
-            y_dig = self._digits(yp_count, self.y_size, i - 1)
-            a_dig = u_dig % self.a_size
-            x_codes = self._prefix_codes(u_dig // self.a_size, self.x_size)[i - 1]
-            y_codes = self._prefix_codes(y_dig, self.y_size)[i - 1]
-            for up in range(up_count):
-                zc = np.zeros(yp_count, dtype=np.int64)
-                for j in range(i - 1):
-                    zc = zc * z + self.z_table[a_dig[up, j], y_dig[:, j]]
-                np.add.at(
-                    table,
-                    up * (z ** (i - 1)) + zc,
-                    self.prefix[i - 1][x_codes[up], y_codes],
-                )
-            self.denom_tables.append(table)
-            denom = table[self.hist_index[i - 1]]
-            weight = np.zeros_like(self.p_full)
-            np.divide(self.p_full, denom, out=weight, where=denom > 0.0)
-            self.weight.append(weight)
-
-        # reduced grids over (u^{i-1}, y^{i-1}): the flat history id of each
-        # cell and the past channel law P(y^{i-1} || x^{i-1}) weighting it;
-        # cells sharing a history id must share one policy choice, and the
-        # measure aggregates their contributions when that choice is scored
-        self.hist_reduced = []
-        self.measure_reduced = []
-        for i in range(1, n + 1):
-            up_count = u ** (i - 1)
-            yp_count = self.y_size ** (i - 1)
-            u_dig = self._digits(up_count, u, i - 1)
-            y_dig = self._digits(yp_count, self.y_size, i - 1)
-            a_dig = u_dig % self.a_size
-            x_codes = self._prefix_codes(u_dig // self.a_size, self.x_size)[i - 1]
-            y_codes = self._prefix_codes(y_dig, self.y_size)[i - 1]
-            zc = np.zeros((up_count, yp_count), dtype=np.int64)
-            for j in range(i - 1):
-                zc = zc * z + self.z_table[a_dig[:, j][:, None], y_dig[:, j][None, :]]
-            hist = np.arange(up_count, dtype=np.int64)[:, None] * (z ** (i - 1)) + zc
-            self.hist_reduced.append(hist)
-            self.measure_reduced.append(self.prefix[i - 1][np.ix_(x_codes, y_codes)])
+        values are laid out on the (u^i, y^{i-1}) grid of slot[i-1].
+        """
+        return np.bincount(self.slot[i - 1].ravel(), weights=values.ravel(),
+                           minlength=self.n_hist[i - 1] * self.u_size
+                           ).reshape(-1, self.u_size)
 
     def gather_policy_log2(self, tables: list[np.ndarray]) -> np.ndarray:
         """log2 of each per-step policy factor along every trajectory; [n, rows, cols]."""
-        out = np.empty((self.n, self.rows, self.cols))
+        out = np.empty((self.n,) + self.view)
         for i in range(self.n):
-            out[i] = log2_guarded(tables[i]).ravel()[self.slot_index[i]]
-        return out
+            out[i] = self.spread(log2_guarded(tables[i]), i + 1)
+        return out.reshape(self.n, self.rows, self.cols)

@@ -1,4 +1,4 @@
-"""Action systems, feedback sampling, expected costs, strategy expansion."""
+"""Action systems, feedback sampling, expected costs."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from sampcap import (
     CausalPolicy,
     HistoryIndexer,
     build_joint,
-    expand_decoder_strategies,
     expected_cost,
     sample_feedback,
 )
@@ -128,58 +127,3 @@ class TestExpectedCost:
         with pytest.raises(ValueError, match="singleton"):
             expected_cost(two_sided, joint)
 
-
-class TestStrategyExpansion:
-    def test_enumerates_all_maps_lexicographically(self):
-        sys2 = ActionSystem(
-            encoder_actions=Alphabet(1),
-            decoder_actions=Alphabet(2),
-            feedback_alphabet=Alphabet(2),
-            sampling_table=np.zeros((1, 2, 2), dtype=int),
-            cost_table=np.zeros((1, 2)),
-        )
-        expansion = expand_decoder_strategies(sys2, Alphabet(2))
-        assert expansion.expanded_alphabet.size == 4
-        np.testing.assert_array_equal(
-            expansion.strategies, [[0, 0], [0, 1], [1, 0], [1, 1]]
-        )
-
-    def test_induced_tables_apply_the_realized_action(self):
-        table = np.zeros((1, 2, 2), dtype=int)
-        table[0, 1] = [0, 1]  # a_d = 1 reveals the output, a_d = 0 is silent
-        cost = np.array([[0.0, 1.0]])
-        sys2 = ActionSystem(
-            encoder_actions=Alphabet(1),
-            decoder_actions=Alphabet(2),
-            feedback_alphabet=Alphabet(2),
-            sampling_table=table,
-            cost_table=cost,
-        )
-        expansion = expand_decoder_strategies(sys2, Alphabet(2))
-        # strategy (0, 1): stay silent on y = 0, sample on y = 1
-        phi = 1
-        np.testing.assert_array_equal(expansion.strategies[phi], [0, 1])
-        np.testing.assert_array_equal(expansion.induced_sampling[0, phi], [0, 1])
-        np.testing.assert_array_equal(expansion.induced_cost[0, phi], [0.0, 1.0])
-
-    def test_output_alphabet_must_match(self):
-        sys2 = ActionSystem(
-            encoder_actions=Alphabet(1),
-            decoder_actions=Alphabet(2),
-            feedback_alphabet=Alphabet(2),
-            sampling_table=np.zeros((1, 2, 2), dtype=int),
-            cost_table=np.zeros((1, 2)),
-        )
-        with pytest.raises(ValueError, match="output axis"):
-            expand_decoder_strategies(sys2, Alphabet(3))
-
-    def test_expansion_cap(self):
-        big = ActionSystem(
-            encoder_actions=Alphabet(1),
-            decoder_actions=Alphabet(2),
-            feedback_alphabet=Alphabet(2),
-            sampling_table=np.zeros((1, 2, 13), dtype=int),
-            cost_table=np.zeros((1, 2)),
-        )
-        with pytest.raises(ValueError, match="cap"):
-            expand_decoder_strategies(big, Alphabet(13))

@@ -1,6 +1,8 @@
 """Alternating maximization: updates, bound iterates, sweeps, envelopes."""
 
 import math
+from collections import defaultdict
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,15 +12,18 @@ from sampcap import (
     Alphabet,
     CausalPolicy,
     FscKernel,
+    HistoryIndexer,
     TradeoffCurve,
     TradeoffPoint,
     bisect_lambda_for_cost,
     build_joint,
+    causal_channel_prob,
     default_lambda_grid,
     directed_information,
     expected_cost,
     lower_bound,
     run_baa,
+    sample_feedback,
     sandwich_bounds,
     sweep_lambda,
     update_q,
@@ -27,6 +32,7 @@ from sampcap import (
 )
 from sampcap._num import fsum_array, weighted_log2_sum
 from sampcap.baa import BaaState, _policy_log_sum
+from sampcap.trajectory import TrajectorySpace
 
 from conftest import make_trivial_actions
 
@@ -142,6 +148,60 @@ class TestPolicyProductCache:
                                    rtol=0.0, atol=1e-12)
 
 
+class TestTrajectoryLayout:
+    def test_step_tables_follow_the_feedback_histories(self, markovian_kernel,
+                                                       markovian_actions):
+        n = 3
+        space = TrajectorySpace(markovian_kernel, markovian_actions, n)
+        u_size, y_size, a_size = space.u_size, space.y_size, space.a_size
+        joint = build_joint(CausalPolicy.uniform(n, u_size, space.z_size),
+                            markovian_kernel, markovian_actions)
+        indexer = HistoryIndexer(u_size, space.z_size)
+        rng = np.random.default_rng(0)
+        for i in range(1, n + 1):
+            # spread reads table[(u^{i-1}, z^{i-1}), u_i] at every trajectory
+            table = rng.random((space.n_hist[i - 1], u_size))
+            read = np.broadcast_to(space.spread(table, i), space.view)
+            read = read.reshape(space.rows, space.cols)
+            for row in range(space.rows):
+                u = joint.u_digits[row]
+                for col in range(space.cols):
+                    h = indexer.encode(u[:i - 1], joint.z_digits[row, col, :i - 1])
+                    assert read[row, col] == table[h, u[i - 1]]
+            # denom sums the past law over the cells of each history;
+            # per_slot sums (u^i, y^{i-1}) values over each (history, u_i)
+            values = rng.random((u_size ** i, y_size ** (i - 1)))
+            laws = defaultdict(list)
+            slot_sums = np.zeros_like(table)
+            for u_hist in product(range(u_size), repeat=i - 1):
+                for y_code, y_hist in enumerate(product(range(y_size), repeat=i - 1)):
+                    z_hist = [sample_feedback(markovian_actions, uj % a_size, 0, yj)
+                              for uj, yj in zip(u_hist, y_hist)]
+                    h = indexer.encode(u_hist, z_hist)
+                    x_hist = [uj // a_size for uj in u_hist]
+                    laws[h].append(causal_channel_prob(markovian_kernel, x_hist, y_hist)
+                                   if i > 1 else 1.0)
+                    for ui in range(u_size):
+                        u_code = np.ravel_multi_index(u_hist + (ui,), [u_size] * i)
+                        slot_sums[h, ui] += values[u_code, y_code]
+            expected = np.zeros(space.n_hist[i - 1])
+            for h, terms in laws.items():
+                expected[h] = math.fsum(terms)
+            np.testing.assert_allclose(space.denom[i - 1], expected, rtol=0.0,
+                                       atol=1e-14)
+            np.testing.assert_allclose(space.per_slot(values, i), slot_sums,
+                                       rtol=0.0, atol=1e-12)
+
+    def test_tables_fit_in_four_dense_arrays(self, markovian_kernel,
+                                                 markovian_actions):
+        space = TrajectorySpace(markovian_kernel, markovian_actions, 4)
+        arrays = []
+        for value in vars(space).values():
+            arrays.extend(value if isinstance(value, list) else [value])
+        total = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+        assert total <= 4 * space.rows * space.cols * 8
+
+
 class TestRunBaa:
     def test_rejects_two_sided_action_alphabets(self, bsc_kernel):
         two_sided = ActionSystem(
@@ -241,7 +301,7 @@ class TestSweep:
 
     def test_curve_validation_rejects_a_decreasing_envelope(self):
         point = TradeoffPoint(
-            lam=0.0, gamma=0.5, c_lambda=0.3, i_lower=0.3, i_upper=0.3,
+            lam=0.0, gamma=0.5, i_lower=0.3, i_upper=0.3,
             iterations=1, final_gap=0.0, converged=True,
         )
         with pytest.raises(ValueError, match="nondecreasing"):
