@@ -35,7 +35,7 @@ def main() -> int:
                         help="saturation slack in bits")
     args = parser.parse_args()
 
-    code = cmd_bounds(args.config, args.out, 1)
+    code = cmd_bounds(args.config, args.out)
     if code != 0:
         return code
     data = np.genfromtxt(Path(args.out) / "bounds.csv", delimiter=",", names=True)

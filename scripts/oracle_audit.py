@@ -40,7 +40,7 @@ def main() -> int:
     for cfg in args.configs:
         stem = Path(cfg).stem
         target = Path(args.out) / stem
-        code = cmd_oracle_check(cfg, str(target), 1)
+        code = cmd_oracle_check(cfg, str(target))
         report_path = target / "oracle_report.json"
         if not report_path.exists():
             print(f"{stem}: ERROR (exit {code}, no report written)")

@@ -44,12 +44,11 @@ def main() -> int:
         "--config", default=str(REPO_ROOT / "configs" / "markovian.json")
     )
     parser.add_argument("--out", default="results/sweep")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--slack", type=float, default=1e-3,
                         help="saturation slack in bits")
     args = parser.parse_args()
 
-    code = cmd_capacity_sweep(args.config, args.out, args.threads)
+    code = cmd_capacity_sweep(args.config, args.out)
     if code != 0:
         return code
     out_dir = Path(args.out)

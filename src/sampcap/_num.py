@@ -13,7 +13,15 @@ import numpy as np
 
 
 def freeze(a, dtype=float) -> np.ndarray:
-    """Return a read-only float array copy of ``a``."""
+    """Return a read-only float array copy of ``a``.
+
+    An array that already is read-only, owns its memory and has the dtype
+    is returned as is: nothing can write to it without first re-enabling
+    writes on it.
+    """
+    if (isinstance(a, np.ndarray) and not a.flags.writeable
+            and a.flags.owndata and a.dtype == dtype):
+        return a
     arr = np.array(a, dtype=dtype)
     arr.setflags(write=False)
     return arr

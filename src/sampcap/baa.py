@@ -14,9 +14,11 @@ maximizing (1/N) I(X^N -> Y^N) - lambda E[Lambda]. Every iteration yields a
 monotone lower bound I_L and an anytime upper bound I_U (the value of the
 best deterministic causal deviation policy against the current output law,
 found by a backward fold over feedback histories); the gap certifies
-convergence. Sweeping lambda traces the cost-capacity tradeoff; the envelope
-of the sweep's tangent lines bounds the constrained curve from above, and
-shifting it by Lambda_max/N gives the computable lower bound of the sandwich
+convergence. Sweeping lambda traces the cost-capacity tradeoff, solved as one
+chain in ascending lambda, each point started from the previous one's policy;
+the envelope of the sweep's tangent lines bounds the constrained curve from
+above, and shifting it by Lambda_max/N gives the computable lower bound of
+the sandwich
 
     C_N(Gamma - Lambda_max/N) <= C(Gamma) <= C_N(Gamma).
 
@@ -26,13 +28,12 @@ All quantities are in bits; cost is the per-step average (1/N) sum Lambda.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ._num import freeze, fsum_array, log2_guarded, weighted_log2_sum
+from ._num import freeze, fsum_array, log2_guarded
 from .actions import ActionSystem
 from .fsc import FscKernel
 from .policy import CausalPolicy
@@ -41,6 +42,9 @@ from .trajectory import TrajectorySpace
 DEFAULT_EPSILON = 1e-6
 DEFAULT_MAX_ITERS = 10_000
 ENVELOPE_SLACK = 1e-9
+# weight of the uniform policy in a sweep point's warm start: the
+# multiplicative update cannot regrow mass that is exactly zero
+WARM_START_MIX = 1e-4
 
 
 def default_lambda_grid() -> np.ndarray:
@@ -69,15 +73,24 @@ class BaaState:
     sys: ActionSystem
     q_unreachable: np.ndarray = field(default=None)
     r_flagged: tuple = ()
-    # (policy, log-product or None, (r_prod, joint, den) or None)
+    # (policy, log-product, (joint, den) or None)
     _product: Optional[tuple] = field(default=None, init=False, repr=False)
 
     @classmethod
     def initial(cls, kernel: FscKernel, sys: ActionSystem, n: int,
-                lam: float) -> "BaaState":
-        """Uniform policy with its induced Bayes posterior (see update_q)."""
-        space = TrajectorySpace(kernel, sys, n)
-        r = CausalPolicy.uniform(n, space.u_size, space.z_size)
+                lam: float, space: Optional[TrajectorySpace] = None,
+                start: Optional[CausalPolicy] = None) -> "BaaState":
+        """Start policy (uniform by default) with its Bayes posterior.
+
+        A given space must be the block-length-n space of kernel and sys; it
+        is shared, never modified.
+        """
+        if space is None:
+            space = TrajectorySpace(kernel, sys, n)
+        elif space.n != n:
+            raise ValueError(f"space has block length {space.n}, expected {n}")
+        r = start if start is not None else CausalPolicy.uniform(
+            n, space.u_size, space.z_size)
         state = cls(
             lam=lam, r=r, q=None, iteration=0,
             lower_bound=-math.inf, upper_bound=math.inf, space=space,
@@ -101,23 +114,21 @@ def _policy_log_sum(space: TrajectorySpace, r: CausalPolicy) -> np.ndarray:
 
 
 def _policy_product(state: BaaState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(r_prod, joint, den) for the state's policy.
+    """(log_sum, joint, den) for the state's policy.
 
-    r_prod is r(u^N || z^{N-1}) per trajectory, joint = r_prod p, and den is
-    the output marginal sum_u r p. They are computed once per policy object
-    (policy tables are frozen), starting from the log-product update_r left
-    for the policy it returned, or from the tables for any other policy.
+    log_sum is log2 r(u^N || z^{N-1}) per trajectory, joint = r p, and den
+    is the output marginal sum_u r p. They are computed once per policy
+    object (policy tables are frozen), starting from the log-product update_r
+    left for the policy it returned, or from the tables for any other policy.
     """
     policy, log_sum, product = state._product or (None, None, None)
     if policy is not state.r:
         log_sum, product = _policy_log_sum(state.space, state.r), None
-    if product is not None:
-        return product
-    r_prod = np.exp2(log_sum)
-    joint = r_prod * state.space.p_full
-    product = (r_prod, joint, joint.sum(axis=0))
-    state._product = (state.r, None, product)
-    return product
+    if product is None:
+        joint = np.exp2(log_sum) * state.space.p_full
+        product = (joint, joint.sum(axis=0))
+        state._product = (state.r, log_sum, product)
+    return (log_sum, *product)
 
 
 def _posterior(state: BaaState):
@@ -186,6 +197,8 @@ def update_r(state: BaaState, lam: Optional[float] = None) -> CausalPolicy:
             table = np.exp2(logr - mx)
         table[dead] = 1.0
         table /= table.sum(axis=1, keepdims=True)
+        table.setflags(write=False)  # fresh and read-only: the policy keeps it
+        dead.setflags(write=False)
         new_tables[i - 1] = table
         flagged[i - 1] = dead
         suffix_view += space.spread(log2_guarded(table), i)
@@ -209,11 +222,15 @@ def _expected_cost(space: TrajectorySpace, joint: np.ndarray) -> float:
 def lower_bound(state: BaaState) -> float:
     """Monotone Lagrangian lower iterate
 
-    I_L = (1/N) sum r p log2(q / r) - lambda E[Lambda] under r p.
+    I_L = (1/N) sum r p log2(q / r) - lambda E[Lambda] under r p,
+
+    with log2 r taken from the cached log-product.
     """
     space = state.space
-    r_prod, joint, _ = _policy_product(state)
-    info = weighted_log2_sum(joint, state.q, r_prod)
+    log_sum, joint, _ = _policy_product(state)
+    live = joint > 0.0
+    terms = joint[live] * (np.log2(state.q[live]) - log_sum[live])
+    info = math.fsum(terms.tolist())
     return info / space.n - state.lam * _expected_cost(space, joint)
 
 
@@ -260,7 +277,10 @@ def upper_bound(state: BaaState) -> float:
 
 @dataclass(frozen=True)
 class TradeoffPoint:
-    """One Lagrangian sweep point: penalty, measured cost, value, convergence."""
+    """One Lagrangian sweep point: penalty, measured cost, value, convergence.
+
+    policy is the final policy, the warm start of the next sweep point.
+    """
 
     lam: float
     gamma: float
@@ -270,6 +290,8 @@ class TradeoffPoint:
     final_gap: float
     converged: bool
     history: Optional[tuple[tuple[float, float], ...]] = None
+    policy: Optional[CausalPolicy] = field(default=None, repr=False,
+                                           compare=False)
 
 
 @dataclass(frozen=True)
@@ -330,14 +352,18 @@ class SandwichBounds:
 
 def run_baa(kernel: FscKernel, sys: ActionSystem, n: int, lam: float,
             eps: float = DEFAULT_EPSILON, max_iters: int = DEFAULT_MAX_ITERS,
-            record_history: bool = False) -> TradeoffPoint:
+            record_history: bool = False,
+            space: Optional[TrajectorySpace] = None,
+            start: Optional[CausalPolicy] = None) -> TradeoffPoint:
     """Iterate the two updates until the bound gap closes (or iterations run out).
 
-    Starts from a uniform policy with its Bayes posterior, then repeats
-    policy update, posterior update, bound evaluation. Nonconvergence within
-    max_iters is reported on the point, not raised. The value C_N(lambda) is
-    the final upper iterate; the measured cost is the per-step average action
-    cost under the final policy.
+    Starts from the start policy (uniform by default) with its Bayes
+    posterior, then repeats policy update, posterior update, bound
+    evaluation. The updates increase the Lagrangian from any start, so the
+    bounds certify the point whatever the start. A shared space saves its
+    rebuild. Nonconvergence within max_iters is reported on the point, not
+    raised. The value C_N(lambda) is the final upper iterate; the measured
+    cost is the per-step average action cost under the final policy.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -346,7 +372,7 @@ def run_baa(kernel: FscKernel, sys: ActionSystem, n: int, lam: float,
             "the optimizer handles encoder-side actions only; represent "
             "the decoder side with a singleton alphabet"
         )
-    state = BaaState.initial(kernel, sys, n, lam)
+    state = BaaState.initial(kernel, sys, n, lam, space=space, start=start)
     history: list[tuple[float, float]] = []
     converged = False
     il = -math.inf
@@ -375,38 +401,50 @@ def run_baa(kernel: FscKernel, sys: ActionSystem, n: int, lam: float,
         final_gap=iu - il,
         converged=converged,
         history=tuple(history) if record_history else None,
+        policy=state.r,
     )
+
+
+def _warm_start(policy: CausalPolicy) -> CausalPolicy:
+    """A policy mixed with uniform at weight WARM_START_MIX."""
+    keep = 1.0 - WARM_START_MIX
+    tables = tuple(keep * t + WARM_START_MIX / policy.u_size
+                   for t in policy.tables)
+    return CausalPolicy(block_length=policy.block_length, u_size=policy.u_size,
+                        z_size=policy.z_size, tables=tables)
 
 
 def sweep_lambda(kernel: FscKernel, sys: ActionSystem, n: int,
                  lam_grid: Optional[Sequence[float]] = None,
                  eps: float = DEFAULT_EPSILON,
                  max_iters: int = DEFAULT_MAX_ITERS,
-                 threads: int = 1,
                  gamma_points: int = 101,
                  record_history: bool = False) -> TradeoffCurve:
     """Run the optimizer across a lambda grid and rebuild the cost envelope.
 
-    Points run independently (optionally across a thread pool) and are
-    reported sorted by lambda. The envelope is evaluated on a uniform budget
-    grid [0, Lambda_max]; each budget records its supporting lambda (lowest
-    lambda wins ties). Nonconverged points propagate their flags.
+    The points form one chain on one trajectory space, in ascending lambda:
+    each point after the first starts from the previous point's final policy
+    (see _warm_start). Neighbouring optima are close, and approaching each
+    point from the side with more sampling avoids regrowing mass the
+    multiplicative update has nearly emptied. The envelope is evaluated on
+    a uniform budget grid [0, Lambda_max]; each budget records its
+    supporting lambda (lowest lambda wins ties). Nonconverged points
+    propagate their flags.
     """
     if lam_grid is None:
         lam_grid = default_lambda_grid()
     lams = sorted(float(v) for v in lam_grid)
     if not lams or lams[0] < 0.0:
         raise ValueError("lambda grid must be nonempty and nonnegative")
-
-    def solve(lam: float) -> TradeoffPoint:
-        return run_baa(kernel, sys, n, lam, eps=eps, max_iters=max_iters,
-                       record_history=record_history)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = tuple(pool.map(solve, lams))
-    else:
-        points = tuple(solve(lam) for lam in lams)
+    space = TrajectorySpace(kernel, sys, n)
+    points: list[TradeoffPoint] = []
+    for lam in lams:
+        start = _warm_start(points[-1].policy) if points else None
+        points.append(run_baa(kernel, sys, n, lam, eps=eps,
+                              max_iters=max_iters,
+                              record_history=record_history,
+                              space=space, start=start))
+    points = tuple(points)
 
     max_cost = float(sys.cost_table[:, 0].max())
     if max_cost > 0.0:

@@ -69,6 +69,7 @@ GRID_ORACLE_TOL = 5e-3
 R_UPDATE_ORACLE_TOL = 1e-10
 ORACLE_BLOCKS = (1, 2)
 GRID_POINT_BUDGET = 20_000
+NEAR_CAP = 0.9  # share of max_iters from which report.json flags a point
 
 
 @dataclass(frozen=True)
@@ -429,7 +430,7 @@ def _read_config(path: str):
     return config, EXIT_OK, []
 
 
-def cmd_validate(config_path: str, out_dir: str = ".", threads: int = 1) -> int:
+def cmd_validate(config_path: str, out_dir: str = ".") -> int:
     config, code, messages = _read_config(config_path)
     for msg in messages:
         print(msg)
@@ -444,8 +445,7 @@ def _write_lines(path, lines: Sequence[str]) -> None:
             fh.write(line + "\n")
 
 
-def cmd_capacity_sweep(config_path: str, out_dir: str = ".",
-                       threads: int = 1) -> int:
+def cmd_capacity_sweep(config_path: str, out_dir: str = ".") -> int:
     config, code, messages = _read_config(config_path)
     if config is None:
         for msg in messages:
@@ -480,7 +480,7 @@ def cmd_capacity_sweep(config_path: str, out_dir: str = ".",
                 config.kernel, config.actions, n,
                 lam_grid=config.lambda_grid,
                 eps=config.epsilon, max_iters=config.max_iters,
-                threads=threads, gamma_points=config.gamma_points,
+                gamma_points=config.gamma_points,
             )
             elapsed = time.perf_counter() - t0
             lines = ["lambda,gamma,c_lambda,i_lower,i_upper,iterations,converged"]
@@ -504,6 +504,13 @@ def cmd_capacity_sweep(config_path: str, out_dir: str = ".",
                 "runtime_seconds": elapsed,
                 "nonconverged_points": bad,
                 "max_final_gap": max(p.final_gap for p in curve.points),
+                "points": [{
+                    "lam": p.lam,
+                    "iterations": p.iterations,
+                    "final_gap": p.final_gap,
+                    "converged": p.converged,
+                    "near_cap": p.iterations >= NEAR_CAP * config.max_iters,
+                } for p in curve.points],
             })
         with open(os.path.join(out_dir, "report.json"), "w",
                   encoding="utf-8") as fh:
@@ -518,7 +525,7 @@ def cmd_capacity_sweep(config_path: str, out_dir: str = ".",
     return EXIT_OK
 
 
-def cmd_bounds(config_path: str, out_dir: str = ".", threads: int = 1) -> int:
+def cmd_bounds(config_path: str, out_dir: str = ".") -> int:
     config, code, messages = _read_config(config_path)
     if config is None:
         for msg in messages:
@@ -672,8 +679,7 @@ def _oracle_reports(config: ExperimentConfig) -> tuple[list, list]:
     return reports, skips
 
 
-def cmd_oracle_check(config_path: str, out_dir: str = ".",
-                     threads: int = 1) -> int:
+def cmd_oracle_check(config_path: str, out_dir: str = ".") -> int:
     config, code, messages = _read_config(config_path)
     if config is None:
         for msg in messages:
@@ -706,7 +712,7 @@ def cmd_oracle_check(config_path: str, out_dir: str = ".",
     return EXIT_OK if all_passed else EXIT_SEMANTIC
 
 
-def cmd_exponent(config_path: str, out_dir: str = ".", threads: int = 1) -> int:
+def cmd_exponent(config_path: str, out_dir: str = ".") -> int:
     config, code, messages = _read_config(config_path)
     if config is None:
         for msg in messages:
@@ -754,9 +760,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=".")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; has no effect")
     args = parser.parse_args(argv)
-    return commands[args.command](args.config, args.out, args.threads)
+    return commands[args.command](args.config, args.out)
 
 
 if __name__ == "__main__":

@@ -97,14 +97,24 @@ class CausalPolicy:
             want = (self.indexer.n_histories(i), self.u_size)
             if table.shape != want:
                 raise ValueError(f"step {i} table shape {table.shape}, expected {want}")
+        # every table has u_size columns: check all steps' slices at once
+        rows = np.concatenate(self.tables)
+        gaps = np.abs(rows.sum(axis=1) - 1.0)
+        if (rows.min() < 0.0 or rows.max() > 1.0 + POLICY_SLICE_TOL
+                or gaps.max() > POLICY_SLICE_TOL):
+            # report the first failing step: its range first, then its sums
+            bad = ((rows < 0.0) | (rows > 1.0 + POLICY_SLICE_TOL)).any(axis=1)
+            bad |= gaps > POLICY_SLICE_TOL
+            ends = np.cumsum([t.shape[0] for t in self.tables])
+            step = int(np.searchsorted(ends, bad.argmax(), side="right"))
+            table = self.tables[step]
             if np.any(table < 0.0) or np.any(table > 1.0 + POLICY_SLICE_TOL):
-                raise ValueError(f"step {i} table entries must lie in [0, 1]")
-            gaps = np.abs(table.sum(axis=1) - 1.0)
-            if gaps.max() > POLICY_SLICE_TOL:
-                raise ValueError(
-                    f"step {i} slice {int(gaps.argmax())} sums to "
-                    f"{float(table.sum(axis=1)[gaps.argmax()])!r}"
-                )
+                raise ValueError(f"step {step + 1} table entries must lie in [0, 1]")
+            worst = int(gaps[ends[step] - table.shape[0]:ends[step]].argmax())
+            raise ValueError(
+                f"step {step + 1} slice {worst} sums to "
+                f"{float(table.sum(axis=1)[worst])!r}"
+            )
 
     @classmethod
     def uniform(cls, block_length: int, u_size: int, z_size: int) -> "CausalPolicy":

@@ -128,7 +128,7 @@ def bsc_sweeps(bsc_config):
         n: sweep_lambda(
             bsc_config.kernel, bsc_config.actions, n,
             eps=bsc_config.epsilon, max_iters=bsc_config.max_iters,
-            threads=1, record_history=True,
+            record_history=True,
         )
         for n in bsc_config.block_lengths
     }
@@ -141,7 +141,7 @@ def markovian_sweeps(markovian_config):
         n: sweep_lambda(
             markovian_config.kernel, markovian_config.actions, n,
             eps=markovian_config.epsilon, max_iters=markovian_config.max_iters,
-            threads=1, record_history=True,
+            record_history=True,
         )
         for n in markovian_config.block_lengths
     }

@@ -321,6 +321,76 @@ class TestSweep:
             sweep_lambda(bsc_kernel, bsc_actions, 1, lam_grid=[-0.5])
 
 
+
+class TestContinuation:
+    def test_ascending_chain_converges_away_from_the_cap(
+        self, markovian_config
+    ):
+        # solved in descending order from lambda = 10, where sampling is
+        # priced out, lambda = 0.1 at N=3 runs into the iteration cap
+        cfg = markovian_config
+        curve = sweep_lambda(cfg.kernel, cfg.actions, 3,
+                             lam_grid=[10.0, 0.146779926762, 0.0681292069058,
+                                       0.1],
+                             eps=cfg.epsilon, max_iters=cfg.max_iters)
+        assert [p.lam for p in curve.points] == sorted(p.lam for p in curve.points)
+        for point in curve.points:
+            assert point.converged
+            assert point.final_gap <= cfg.epsilon
+            assert point.iterations < 0.9 * cfg.max_iters
+
+    def test_chained_points_match_cold_starts(self, markovian_config):
+        # both upper iterates lie in [C_N(lambda), C_N(lambda) + eps]
+        cfg = markovian_config
+        grid = [0.0, 0.01, 0.1, 1.0]
+        curve = sweep_lambda(cfg.kernel, cfg.actions, 2, lam_grid=grid,
+                             eps=cfg.epsilon, max_iters=cfg.max_iters)
+        for point in curve.points:
+            cold = run_baa(cfg.kernel, cfg.actions, 2, point.lam,
+                           eps=cfg.epsilon, max_iters=cfg.max_iters)
+            assert point.converged and cold.converged
+            assert abs(point.i_upper - cold.i_upper) <= cfg.epsilon
+        # the first point has nothing to start from; later ones save work
+        assert curve.points[0].iterations == run_baa(
+            cfg.kernel, cfg.actions, 2, 0.0, eps=cfg.epsilon,
+            max_iters=cfg.max_iters).iterations
+
+    def test_sweep_builds_one_trajectory_space(self, bsc_kernel, bsc_actions,
+                                               monkeypatch):
+        import sampcap.baa as baa_module
+
+        built = []
+
+        class Counting(TrajectorySpace):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(baa_module, "TrajectorySpace", Counting)
+        curve = sweep_lambda(bsc_kernel, bsc_actions, 2,
+                             lam_grid=[0.0, 0.5, 1.0])
+        assert len(curve.points) == 3
+        assert len(built) == 1
+
+    def test_start_policy_and_space_are_used(self, markovian_kernel,
+                                             markovian_actions):
+        converged = run_baa(markovian_kernel, markovian_actions, 2, 0.5)
+        space = TrajectorySpace(markovian_kernel, markovian_actions, 2)
+        state = BaaState.initial(markovian_kernel, markovian_actions, 2, 0.5,
+                                 space=space, start=converged.policy)
+        assert state.space is space
+        assert state.r is converged.policy
+        # restarting at the optimum closes the bracket at once
+        again = run_baa(markovian_kernel, markovian_actions, 2, 0.5,
+                        space=space, start=converged.policy)
+        assert again.converged
+        assert again.iterations < converged.iterations
+        assert again.i_upper == pytest.approx(converged.i_upper, abs=1e-6)
+        with pytest.raises(ValueError, match="block length"):
+            BaaState.initial(markovian_kernel, markovian_actions, 3, 0.5,
+                             space=space)
+
+
 class TestSandwich:
     def test_lower_never_exceeds_upper(self, markovian_sweeps):
         for n, curve in markovian_sweeps.items():

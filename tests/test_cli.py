@@ -61,13 +61,13 @@ class TestValidate:
 
 
 class TestCapacitySweep:
-    def test_outputs_are_deterministic_across_thread_counts(self, tmp_path):
+    def test_outputs_are_deterministic_across_runs(self, tmp_path):
         out1 = tmp_path / "run1"
         out2 = tmp_path / "run2"
-        assert cli.cmd_capacity_sweep(str(BSC_CONFIG_PATH), str(out1),
-                                      threads=2) == cli.EXIT_OK
-        assert cli.cmd_capacity_sweep(str(BSC_CONFIG_PATH), str(out2),
-                                      threads=1) == cli.EXIT_OK
+        assert cli.cmd_capacity_sweep(str(BSC_CONFIG_PATH),
+                                      str(out1)) == cli.EXIT_OK
+        assert cli.cmd_capacity_sweep(str(BSC_CONFIG_PATH),
+                                      str(out2)) == cli.EXIT_OK
         for n in (1, 2, 3):
             for stem in (f"sweep_{n}.csv", f"envelope_{n}.csv"):
                 assert (out1 / stem).read_bytes() == (out2 / stem).read_bytes()
@@ -82,10 +82,16 @@ class TestCapacitySweep:
         for run in report["runs"]:
             assert run["nonconverged_points"] == 0
             assert run["max_final_gap"] <= report["epsilon"]
+            assert [p["lam"] for p in run["points"]] == pytest.approx(
+                [float(row[0]) for row in rows], rel=1e-11)
+            for point in run["points"]:
+                assert point["converged"] and not point["near_cap"]
+                assert point["final_gap"] <= report["epsilon"]
+                assert 1 <= point["iterations"] < 0.9 * report["max_iters"]
 
-    def test_markovian_outputs_match_across_thread_counts(self, tmp_path):
-        # points solved concurrently on the pool keep their cached policy
-        # products apart, so the files match a one-thread run byte for byte
+    def test_markovian_outputs_match_across_runs(self, tmp_path):
+        # each point starts from the previous point's policy, and the chain
+        # runs in the same order every time, so reruns match byte for byte
         def mutate(doc):
             doc["block_lengths"] = [2]
             doc["algorithm"]["lambda_grid"] = [0.5, 1.0, 10.0]
@@ -93,10 +99,16 @@ class TestCapacitySweep:
         path = write_variant(tmp_path, MARKOVIAN_CONFIG_PATH, mutate)
         out1 = tmp_path / "run1"
         out2 = tmp_path / "run2"
-        assert cli.cmd_capacity_sweep(path, str(out1), threads=2) == cli.EXIT_OK
-        assert cli.cmd_capacity_sweep(path, str(out2), threads=1) == cli.EXIT_OK
+        assert cli.cmd_capacity_sweep(path, str(out1)) == cli.EXIT_OK
+        assert cli.cmd_capacity_sweep(path, str(out2)) == cli.EXIT_OK
         for stem in ("sweep_2.csv", "envelope_2.csv"):
             assert (out1 / stem).read_bytes() == (out2 / stem).read_bytes()
+        _, rows = read_rows(out1 / "sweep_2.csv")
+        with open(out1 / "report.json", encoding="utf-8") as fh:
+            (run,) = json.load(fh)["runs"]
+        assert [p["iterations"] for p in run["points"]] == [
+            int(row[5]) for row in rows
+        ]
 
     def test_single_lambda_point(self, tmp_path):
         def mutate(doc):
