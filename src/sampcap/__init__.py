@@ -9,7 +9,6 @@ and cross-checks everything against brute-force oracles at desk scale.
 from ._num import binary_entropy
 from .actions import (
     ActionSystem,
-    expected_cost,
     sample_feedback,
 )
 from .baa import (
@@ -90,7 +89,6 @@ __all__ = [
     "conditional_directed_information",
     "default_lambda_grid",
     "directed_information",
-    "expected_cost",
     "f_n_policy_grid",
     "gallager_exponent",
     "grid_capacity",

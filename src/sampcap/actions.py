@@ -14,15 +14,11 @@ side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._num import freeze
 from .fsc import Alphabet
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .policy import TrajectoryDistribution
 
 
 @dataclass(frozen=True)
@@ -74,19 +70,3 @@ def sample_feedback(sys: ActionSystem, a_e: int, a_d: int, y: int) -> int:
     if not 0 <= y < sys.output_size:
         raise IndexError("output symbol out of range")
     return int(sys.sampling_table[a_e, a_d, y])
-
-
-def expected_cost(sys: ActionSystem, joint: "TrajectoryDistribution") -> float:
-    """Time-averaged expected action cost (1/N) sum_i E[Lambda] under the joint.
-
-    The joint's action stream is the encoder side; the decoder side must be a
-    singleton (the uniform representation for one-sided settings).
-    """
-    if sys.decoder_actions.size != 1:
-        raise ValueError("expected_cost needs a singleton decoder alphabet")
-    per_action = sys.cost_table[:, 0]
-    n = joint.block_length
-    cost_per_row = per_action[joint.action_digits].sum(axis=1)  # [rows]
-    row_mass = joint.probs.sum(axis=1)
-    return float((row_mass * cost_per_row).sum() / n)
-

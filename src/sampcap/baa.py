@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._num import freeze, fsum_array, log2_guarded
+from ._num import freeze, log2_guarded
 from .actions import ActionSystem
 from .fsc import FscKernel
 from .policy import CausalPolicy
@@ -54,7 +54,7 @@ def default_lambda_grid() -> np.ndarray:
 
 @dataclass
 class BaaState:
-    """Mutable optimizer state: current policy r, reverse conditional q, bounds.
+    """Mutable optimizer state: current policy r and reverse conditional q.
 
     q_unreachable flags output blocks with zero probability under (r, p);
     r_flagged marks policy slices that received no weight in the last policy
@@ -66,8 +66,6 @@ class BaaState:
     r: CausalPolicy
     q: np.ndarray
     iteration: int
-    lower_bound: float
-    upper_bound: float
     space: TrajectorySpace
     kernel: FscKernel
     sys: ActionSystem
@@ -92,25 +90,11 @@ class BaaState:
         r = start if start is not None else CausalPolicy.uniform(
             n, space.u_size, space.z_size)
         state = cls(
-            lam=lam, r=r, q=None, iteration=0,
-            lower_bound=-math.inf, upper_bound=math.inf, space=space,
-            kernel=kernel, sys=sys,
+            lam=lam, r=r, q=None, iteration=0, space=space, kernel=kernel,
+            sys=sys,
         )
         state.q, state.q_unreachable = _posterior(state)
         return state
-
-
-def _policy_log_sum(space: TrajectorySpace, r: CausalPolicy) -> np.ndarray:
-    """log2 of the causal conditioning product r(u^N || z^{N-1}) per trajectory.
-
-    The factors are added from step N down to step 1, the order in which
-    update_r builds the same sum, so both give identical arrays.
-    """
-    logs = space.gather_policy_log2(list(r.tables))
-    total = logs[-1]
-    for i in range(space.n - 2, -1, -1):
-        total = total + logs[i]
-    return total
 
 
 def _policy_product(state: BaaState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -123,9 +107,10 @@ def _policy_product(state: BaaState) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """
     policy, log_sum, product = state._product or (None, None, None)
     if policy is not state.r:
-        log_sum, product = _policy_log_sum(state.space, state.r), None
+        log_sum, product = state.space.policy_log2(state.r.tables), None
     if product is None:
-        joint = np.exp2(log_sum) * state.space.p_full
+        joint = np.exp2(log_sum)
+        joint *= state.space.p_full
         product = (joint, joint.sum(axis=0))
         state._product = (state.r, log_sum, product)
     return (log_sum, *product)
@@ -134,10 +119,8 @@ def _policy_product(state: BaaState) -> tuple[np.ndarray, np.ndarray, np.ndarray
 def _posterior(state: BaaState):
     _, joint, den = _policy_product(state)
     unreachable = den <= 0.0
-    q = np.empty_like(joint)
-    reach = ~unreachable
-    q[:, reach] = joint[:, reach] / den[reach]
-    q[:, unreachable] = 1.0 / state.space.rows
+    q = np.full_like(joint, 1.0 / state.space.rows)
+    np.divide(joint, den, out=q, where=~unreachable)
     return q, unreachable
 
 
@@ -179,10 +162,17 @@ def update_r(state: BaaState, lam: Optional[float] = None) -> CausalPolicy:
     suffix_view = suffix_log.reshape(space.view)
     new_tables: list[np.ndarray] = [None] * n
     flagged: list[np.ndarray] = [None] * n
+    # full-size buffers reused by every step: fresh temporaries of this size
+    # cost page faults each iteration
+    w = np.empty_like(suffix_log)
+    contrib = np.empty_like(suffix_log)
     for i in range(n, 0, -1):
-        w = space.p_full * np.exp2(suffix_log)
+        np.exp2(suffix_log, out=w)
+        w *= space.p_full
         with np.errstate(invalid="ignore"):
-            contrib = np.where(w > 0.0, w * (logq_pen - suffix_log), 0.0)
+            np.subtract(logq_pen, suffix_log, out=contrib)
+            contrib *= w
+        contrib[w <= 0.0] = 0.0
         # sum out the axes the step-i slot does not depend on (einsum: numpy's
         # reduction is several times slower over the short last axis at i = N)
         fold = (u ** i, u ** (n - i), y ** (i - 1), y ** (n - i + 1))
@@ -209,16 +199,6 @@ def update_r(state: BaaState, lam: Optional[float] = None) -> CausalPolicy:
     return policy
 
 
-def _expected_cost(space: TrajectorySpace, joint: np.ndarray) -> float:
-    """Per-step average action cost under a dense joint on the space.
-
-    Only the nonzero products enter the compensated sum; math.fsum is
-    correctly rounded, so the exact zeros change nothing.
-    """
-    prod = joint * space.cost_row[:, None]
-    return fsum_array(prod[prod != 0.0]) / space.n
-
-
 def lower_bound(state: BaaState) -> float:
     """Monotone Lagrangian lower iterate
 
@@ -231,7 +211,7 @@ def lower_bound(state: BaaState) -> float:
     live = joint > 0.0
     terms = joint[live] * (np.log2(state.q[live]) - log_sum[live])
     info = math.fsum(terms.tolist())
-    return info / space.n - state.lam * _expected_cost(space, joint)
+    return info / space.n - state.lam * space.expected_cost(joint)
 
 
 def upper_bound(state: BaaState) -> float:
@@ -253,16 +233,15 @@ def upper_bound(state: BaaState) -> float:
     space = state.space
     n, u_size, y_size = space.n, space.u_size, space.y_size
     _, _, d = _policy_product(state)
-    leaf = (
-        space.log2_p_full
-        - state.lam * space.cost_row[:, None]
-        - log2_guarded(d)[None, :]
-    )
+    leaf = space.log2_p_full - state.lam * space.cost_row[:, None]
+    leaf -= log2_guarded(d)[None, :]
     v = leaf.reshape(space.view)
     for i in range(n, 0, -1):
         c = space.cond[i - 1]
         with np.errstate(invalid="ignore"):
-            v = np.where(c > 0.0, c * v, 0.0).sum(axis=-1)
+            v = c * v
+        v[c <= 0.0] = 0.0
+        v = v.sum(axis=-1)
         # axes [U]*i + [Y]*(i-1): value-to-go given (u^i, y^{i-1});
         # pick u_i once per history class, weighted by the past law
         v = v.reshape(u_size ** (i - 1), u_size, y_size ** (i - 1))
@@ -292,6 +271,19 @@ class TradeoffPoint:
     history: Optional[tuple[tuple[float, float], ...]] = None
     policy: Optional[CausalPolicy] = field(default=None, repr=False,
                                            compare=False)
+
+
+def _tangent_envelope(points: Sequence[TradeoffPoint],
+                      gammas) -> tuple[np.ndarray, np.ndarray]:
+    """Least tangent line min_k (i_upper_k + lam_k * g) at each budget g.
+
+    Returns the minima and the index of the minimizing point per budget;
+    ties go to the first point, the lowest lambda on a sorted sweep.
+    """
+    i_upper = np.array([p.i_upper for p in points])
+    lam = np.array([p.lam for p in points])
+    lines = i_upper[:, None] + lam[:, None] * np.asarray(gammas, dtype=float)
+    return lines.min(axis=0), lines.argmin(axis=0)
 
 
 @dataclass(frozen=True)
@@ -328,7 +320,7 @@ class TradeoffCurve:
 
     def envelope_at(self, gamma: float) -> float:
         """Exact tangent-line envelope value at an arbitrary budget."""
-        return min(p.i_upper + p.lam * gamma for p in self.points)
+        return float(_tangent_envelope(self.points, [gamma])[0][0])
 
 
 @dataclass(frozen=True)
@@ -383,15 +375,13 @@ def run_baa(kernel: FscKernel, sys: ActionSystem, n: int, lam: float,
         state.iteration = k
         il = lower_bound(state)
         iu = upper_bound(state)
-        state.lower_bound = il
-        state.upper_bound = iu
         if record_history:
             history.append((il, iu))
         if iu - il <= eps:
             converged = True
             break
     _, joint, _ = _policy_product(state)
-    gamma = _expected_cost(state.space, joint)
+    gamma = state.space.expected_cost(joint)
     return TradeoffPoint(
         lam=lam,
         gamma=gamma,
@@ -451,9 +441,8 @@ def sweep_lambda(kernel: FscKernel, sys: ActionSystem, n: int,
         gammas = np.linspace(0.0, max_cost, gamma_points)
     else:
         gammas = np.array([0.0])
-    lines = np.array([[p.i_upper + p.lam * g for g in gammas] for p in points])
-    envelope = lines.min(axis=0)
-    support = np.array([points[int(j)].lam for j in lines.argmin(axis=0)])
+    envelope, best = _tangent_envelope(points, gammas)
+    support = np.array([points[k].lam for k in best])
     return TradeoffCurve(
         block_length=n,
         max_cost=max_cost,
@@ -473,13 +462,11 @@ def sandwich_bounds(curve: TradeoffCurve, n: Optional[int] = None) -> SandwichBo
     if n is None:
         n = curve.block_length
     shift = curve.max_cost / n
-    upper = np.array([curve.envelope_at(g) for g in curve.gammas])
-    lower = np.full_like(upper, np.nan)
-    for idx, g in enumerate(curve.gammas):
-        if g >= shift - 1e-12:
-            lower[idx] = curve.envelope_at(g - shift)
-    return SandwichBounds(block_length=n, gammas=curve.gammas, upper=upper,
-                          lower_shifted=lower)
+    lower = np.full_like(curve.envelope, np.nan)
+    above = curve.gammas >= shift - 1e-12
+    lower[above] = _tangent_envelope(curve.points, curve.gammas[above] - shift)[0]
+    return SandwichBounds(block_length=n, gammas=curve.gammas,
+                          upper=curve.envelope, lower_shifted=lower)
 
 
 def bisect_lambda_for_cost(kernel: FscKernel, sys: ActionSystem, n: int,
@@ -492,13 +479,19 @@ def bisect_lambda_for_cost(kernel: FscKernel, sys: ActionSystem, n: int,
     """Bisect on lambda until the measured cost hits a target within cost_tol.
 
     Uses the monotone nonincreasing dependence of the measured cost on
-    lambda. Returns the closest point found if the bracket cannot reach the
-    target.
+    lambda. Every probe runs on one shared trajectory space. Returns the
+    closest point found if the bracket cannot reach the target.
     """
-    lo_point = run_baa(kernel, sys, n, lam_lo, eps=eps, max_iters=max_iters)
+    space = TrajectorySpace(kernel, sys, n)
+
+    def probe(lam: float) -> TradeoffPoint:
+        return run_baa(kernel, sys, n, lam, eps=eps, max_iters=max_iters,
+                       space=space)
+
+    lo_point = probe(lam_lo)
     if abs(lo_point.gamma - gamma_target) <= cost_tol or lo_point.gamma <= gamma_target:
         return lo_point
-    hi_point = run_baa(kernel, sys, n, lam_hi, eps=eps, max_iters=max_iters)
+    hi_point = probe(lam_hi)
     if abs(hi_point.gamma - gamma_target) <= cost_tol:
         return hi_point
     if hi_point.gamma > gamma_target:
@@ -506,7 +499,7 @@ def bisect_lambda_for_cost(kernel: FscKernel, sys: ActionSystem, n: int,
     best = lo_point
     for _ in range(max_steps):
         mid = 0.5 * (lam_lo + lam_hi)
-        point = run_baa(kernel, sys, n, mid, eps=eps, max_iters=max_iters)
+        point = probe(mid)
         if abs(point.gamma - gamma_target) < abs(best.gamma - gamma_target):
             best = point
         if abs(point.gamma - gamma_target) <= cost_tol:

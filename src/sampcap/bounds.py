@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -398,9 +398,7 @@ def gallager_exponent(query: ExponentQuery, kernel: FscKernel,
     space = TrajectorySpace(kernel, sys, query.n, s0=query.s0)
     if query.policy.u_size != space.u_size or query.policy.z_size != space.z_size:
         raise ValueError("policy alphabets do not match the kernel/action system")
-    logs = space.gather_policy_log2(list(query.policy.tables)).sum(axis=0)
-    with np.errstate(invalid="ignore"):
-        r_prod = np.exp2(logs)
+    r_prod = np.exp2(space.policy_log2(query.policy.tables))
     scaled = np.zeros_like(space.p_full)
     mask = space.p_full > 0.0
     scaled[mask] = np.exp2(space.log2_p_full[mask] / (1.0 + query.rho))

@@ -35,7 +35,6 @@ from .baa import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_ITERS,
     default_lambda_grid,
-    run_baa,
     sandwich_bounds,
     sweep_lambda,
     update_q,
@@ -49,7 +48,7 @@ from .bounds import (
     time_sharing_baseline,
     zero_unit_cost_capacity,
 )
-from .fsc import Alphabet, FscKernel, validate_kernel
+from .fsc import Alphabet, FscKernel
 from .oracle import (
     OracleReport,
     grid_capacity,
@@ -215,9 +214,6 @@ def _parse_channel(doc: dict, violations: list[str]) -> Optional[FscKernel]:
         found.append(f"/channel/kernel/{s}/{x}/{y}/{sn}: negative entry")
     if abs(init.sum() - 1.0) > 1e-12 or np.any(init < 0.0):
         found.append("/channel/initial_dist: must be a probability vector")
-    residual = validate_kernel(kernel)
-    if residual and not found:
-        found.extend(f"/channel: {msg}" for msg in residual)
     violations.extend(found)
     return None if found else kernel
 

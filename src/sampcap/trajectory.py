@@ -21,15 +21,17 @@ depends on, built once per (kernel, actions, N, start state):
 
 spread() reads a per-step table at every trajectory and per_slot() sums
 values into it; every policy gather and scatter goes through these two.
-Everything here is plumbing shared by the policy and optimizer modules; the
-brute-force oracle module deliberately does not use it.
+policy_log2() builds the policy log-product and expected_cost() the average
+action cost; nothing else computes either. Everything here is plumbing
+shared by the policy, optimizer and bounds modules; the brute-force oracle
+module deliberately does not use it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._num import log2_guarded
+from ._num import fsum_array, log2_guarded
 from .actions import ActionSystem
 from .fsc import FscKernel
 
@@ -150,9 +152,22 @@ class TrajectorySpace:
                            minlength=self.n_hist[i - 1] * self.u_size
                            ).reshape(-1, self.u_size)
 
-    def gather_policy_log2(self, tables: list[np.ndarray]) -> np.ndarray:
-        """log2 of each per-step policy factor along every trajectory; [n, rows, cols]."""
-        out = np.empty((self.n,) + self.view)
-        for i in range(self.n):
-            out[i] = self.spread(log2_guarded(tables[i]), i + 1)
-        return out.reshape(self.n, self.rows, self.cols)
+    def policy_log2(self, tables: tuple[np.ndarray, ...]) -> np.ndarray:
+        """log2 of the causal conditioning product r(u^N || z^{N-1}); [rows, cols].
+
+        The step factors are added from step N down to step 1, the order in
+        which update_r builds the same sum, so both give identical arrays.
+        """
+        total = np.zeros(self.view)
+        for i in range(self.n, 0, -1):
+            total += self.spread(log2_guarded(tables[i - 1]), i)
+        return total.reshape(self.rows, self.cols)
+
+    def expected_cost(self, joint: np.ndarray) -> float:
+        """Per-step average action cost (1/N) E[sum_i Lambda(a_i)] under a dense joint.
+
+        Only the nonzero products enter the compensated sum; math.fsum is
+        correctly rounded, so the exact zeros change nothing.
+        """
+        prod = joint * self.cost_row[:, None]
+        return fsum_array(prod[prod != 0.0]) / self.n

@@ -9,11 +9,9 @@ from sampcap import (
     CausalPolicy,
     HistoryIndexer,
     build_joint,
-    expected_cost,
     sample_feedback,
 )
-
-from conftest import make_trivial_actions
+from sampcap.trajectory import TrajectorySpace
 
 
 class TestActionSystemValidation:
@@ -90,11 +88,16 @@ class TestSampleFeedback:
             sample_feedback(markovian_actions, 0, 0, 4)
 
 
+def expected_cost(kernel, actions, policy):
+    space = TrajectorySpace(kernel, actions, policy.block_length)
+    return space.expected_cost(build_joint(policy, kernel, actions).probs)
+
+
 class TestExpectedCost:
     def test_uniform_policy_pays_half(self, markovian_kernel, markovian_actions):
         policy = CausalPolicy.uniform(2, 4, 3)
-        joint = build_joint(policy, markovian_kernel, markovian_actions)
-        assert expected_cost(markovian_actions, joint) == pytest.approx(0.5, abs=1e-12)
+        assert expected_cost(markovian_kernel, markovian_actions,
+                             policy) == pytest.approx(0.5, abs=1e-12)
 
     def test_always_sampling_pays_the_full_cost(self, markovian_kernel, markovian_actions):
         # u = (x, a) is coded x * 2 + a, so a = 1 lives on odd u symbols
@@ -106,13 +109,12 @@ class TestExpectedCost:
             t[:, 3] = 0.5
             tables.append(t)
         policy = CausalPolicy(2, 4, 3, tuple(tables))
-        joint = build_joint(policy, markovian_kernel, markovian_actions)
-        assert expected_cost(markovian_actions, joint) == pytest.approx(1.0, abs=1e-12)
+        assert expected_cost(markovian_kernel, markovian_actions,
+                             policy) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_cost_system_pays_nothing(self, bsc_kernel, bsc_actions):
         policy = CausalPolicy.uniform(2, 2, 1)
-        joint = build_joint(policy, bsc_kernel, bsc_actions)
-        assert expected_cost(bsc_actions, joint) == 0.0
+        assert expected_cost(bsc_kernel, bsc_actions, policy) == 0.0
 
     def test_decoder_side_must_be_singleton(self, bsc_kernel):
         two_sided = ActionSystem(
@@ -122,8 +124,6 @@ class TestExpectedCost:
             sampling_table=np.zeros((1, 2, 2), dtype=int),
             cost_table=np.zeros((1, 2)),
         )
-        joint = build_joint(CausalPolicy.uniform(1, 2, 1), bsc_kernel,
-                            make_trivial_actions(2))
         with pytest.raises(ValueError, match="singleton"):
-            expected_cost(two_sided, joint)
+            TrajectorySpace(bsc_kernel, two_sided, 1)
 

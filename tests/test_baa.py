@@ -20,7 +20,6 @@ from sampcap import (
     causal_channel_prob,
     default_lambda_grid,
     directed_information,
-    expected_cost,
     lower_bound,
     run_baa,
     sample_feedback,
@@ -31,7 +30,7 @@ from sampcap import (
     upper_bound,
 )
 from sampcap._num import fsum_array, weighted_log2_sum
-from sampcap.baa import BaaState, _policy_log_sum
+from sampcap.baa import BaaState
 from sampcap.trajectory import TrajectorySpace
 
 from conftest import make_trivial_actions
@@ -108,7 +107,7 @@ class TestPolicyProductCache:
         iu = upper_bound(state)
         # the posterior and lower iterate rebuilt from the policy tables
         space = state.space
-        r_prod = np.exp2(space.gather_policy_log2(list(state.r.tables)).sum(axis=0))
+        r_prod = np.exp2(space.policy_log2(state.r.tables))
         joint = r_prod * space.p_full
         np.testing.assert_allclose(q, joint / joint.sum(axis=0), rtol=0.0,
                                    atol=1e-12)
@@ -144,8 +143,18 @@ class TestPolicyProductCache:
         policy = update_r(state)
         owner, log_sum, _ = state._product
         assert owner is policy
-        np.testing.assert_allclose(log_sum, _policy_log_sum(state.space, policy),
-                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(log_sum,
+                                      state.space.policy_log2(policy.tables))
+
+    def test_log_product_matches_the_linear_domain_joint(
+        self, markovian_kernel, markovian_actions
+    ):
+        # build_joint multiplies the policy and channel factors directly
+        state = iterated_state(markovian_kernel, markovian_actions, 3, 0.3, 3)
+        space = state.space
+        joint = np.exp2(space.policy_log2(state.r.tables)) * space.p_full
+        reference = build_joint(state.r, markovian_kernel, markovian_actions)
+        np.testing.assert_allclose(joint, reference.probs, rtol=0.0, atol=1e-14)
 
 
 class TestTrajectoryLayout:
@@ -225,7 +234,9 @@ class TestRunBaa:
         il = lower_bound(state)
         joint = build_joint(state.r, markovian_kernel, markovian_actions)
         rate = directed_information(joint) / 2.0
-        cost = expected_cost(markovian_actions, joint)
+        # the action cost from the action digits, independent of cost_row
+        per_row = markovian_actions.cost_table[joint.action_digits, 0].sum(axis=1)
+        cost = float(joint.probs.sum(axis=1) @ per_row) / 2.0
         assert il == pytest.approx(rate - lam * cost, abs=1e-9)
 
     def test_fixed_point_is_stable(self, markovian_kernel, markovian_actions):
@@ -355,21 +366,29 @@ class TestContinuation:
             cfg.kernel, cfg.actions, 2, 0.0, eps=cfg.epsilon,
             max_iters=cfg.max_iters).iterations
 
-    def test_sweep_builds_one_trajectory_space(self, bsc_kernel, bsc_actions,
-                                               monkeypatch):
+    @pytest.mark.parametrize("solve", [
+        lambda k, a: sweep_lambda(k, a, 2, lam_grid=[0.0, 0.5, 1.0]),
+        lambda k, a: bisect_lambda_for_cost(k, a, 2, 0.1, cost_tol=0.05),
+    ], ids=["sweep", "bisection"])
+    def test_builds_one_trajectory_space(self, markovian_kernel,
+                                         markovian_actions, monkeypatch, solve):
         import sampcap.baa as baa_module
 
-        built = []
+        built, probes = [], []
 
         class Counting(TrajectorySpace):
             def __init__(self, *args, **kwargs):
                 built.append(args)
                 super().__init__(*args, **kwargs)
 
+        def counting_run_baa(*args, **kwargs):
+            probes.append(args)
+            return run_baa(*args, **kwargs)
+
         monkeypatch.setattr(baa_module, "TrajectorySpace", Counting)
-        curve = sweep_lambda(bsc_kernel, bsc_actions, 2,
-                             lam_grid=[0.0, 0.5, 1.0])
-        assert len(curve.points) == 3
+        monkeypatch.setattr(baa_module, "run_baa", counting_run_baa)
+        solve(markovian_kernel, markovian_actions)
+        assert len(probes) >= 3
         assert len(built) == 1
 
     def test_start_policy_and_space_are_used(self, markovian_kernel,
@@ -413,6 +432,10 @@ class TestSandwich:
         assert sandwich.lower_shifted[-1] == pytest.approx(
             curve.envelope_at(top - shift)
         )
+        # one tangent-line envelope serves the curve, the sandwich and
+        # envelope_at
+        np.testing.assert_array_equal(sandwich.upper, curve.envelope)
+        assert [curve.envelope_at(g) for g in curve.gammas] == curve.envelope.tolist()
 
     def test_zero_cost_sandwich_collapses(self, bsc_sweeps):
         sandwich = sandwich_bounds(bsc_sweeps[1])
