@@ -14,11 +14,12 @@ maximizing (1/N) I(X^N -> Y^N) - lambda E[Lambda]. Every iteration yields a
 monotone lower bound I_L and an anytime upper bound I_U (the value of the
 best deterministic causal deviation policy against the current output law,
 found by a backward fold over feedback histories); the gap certifies
-convergence. Sweeping lambda traces the cost-capacity tradeoff, solved as one
-chain in ascending lambda, each point started from the previous one's policy;
-the envelope of the sweep's tangent lines bounds the constrained curve from
-above, and shifting it by Lambda_max/N gives the computable lower bound of
-the sandwich
+convergence. Each policy update is over-relaxed in the log domain and kept
+only if the lower iterate does not fall (see run_baa). Sweeping lambda
+traces the cost-capacity tradeoff, solved as one chain in ascending lambda,
+each point started from the previous one's policy; the envelope of the
+sweep's tangent lines bounds the constrained curve from above, and shifting
+it by Lambda_max/N gives the computable lower bound of the sandwich
 
     C_N(Gamma - Lambda_max/N) <= C(Gamma) <= C_N(Gamma).
 
@@ -28,6 +29,7 @@ All quantities are in bits; cost is the per-step average (1/N) sum Lambda.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -45,6 +47,13 @@ ENVELOPE_SLACK = 1e-9
 # weight of the uniform policy in a sweep point's warm start: the
 # multiplicative update cannot regrow mass that is exactly zero
 WARM_START_MIX = 1e-4
+# over-relaxation of the policy update (see run_baa): the step size starts
+# at RELAX_START, doubles after an accepted candidate (up to RELAX_MAX) and
+# is divided by RELAX_CUT after a rejected one, never below RELAX_START, so
+# it stays above 1, the plain step
+RELAX_START = 2.0
+RELAX_MAX = 64.0
+RELAX_CUT = 4.0
 
 
 def default_lambda_grid() -> np.ndarray:
@@ -199,6 +208,36 @@ def update_r(state: BaaState, lam: Optional[float] = None) -> CausalPolicy:
     return policy
 
 
+def _over_relax(previous: CausalPolicy, plain: CausalPolicy, relax: float,
+                flagged: tuple) -> CausalPolicy:
+    """Over-relaxed policy step from previous through its plain update.
+
+    Per slice, log r~ = log T + (relax - 1)(log T - log r), normalized, with
+    T the plain update of r. Entries where T is 0 stay 0; where r is 0 the
+    entry takes T's log. Slices the plain update flagged dead keep its
+    uniform slice. Every step's table has u_size columns, so all steps are
+    handled as one stacked array.
+    """
+    new = np.concatenate(plain.tables)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_new = np.log2(new)
+        move = log_new - np.log2(np.concatenate(previous.tables))
+    move[~np.isfinite(move)] = 0.0
+    log_new += (relax - 1.0) * move
+    log_new -= log_new.max(axis=1, keepdims=True)
+    table = np.exp2(log_new)
+    table /= table.sum(axis=1, keepdims=True)
+    dead = np.concatenate(flagged)
+    if dead.any():
+        table[dead] = new[dead]
+    tables, start = [], 0
+    for step in plain.tables:
+        tables.append(table[start:start + step.shape[0]])
+        start += step.shape[0]
+    return CausalPolicy(block_length=plain.block_length, u_size=plain.u_size,
+                        z_size=plain.z_size, tables=tuple(tables))
+
+
 def lower_bound(state: BaaState) -> float:
     """Monotone Lagrangian lower iterate
 
@@ -258,7 +297,9 @@ def upper_bound(state: BaaState) -> float:
 class TradeoffPoint:
     """One Lagrangian sweep point: penalty, measured cost, value, convergence.
 
-    policy is the final policy, the warm start of the next sweep point.
+    rejected_steps counts the over-relaxed candidates that failed the guard
+    (see run_baa) and seconds the wall time of the solve. policy is the
+    final policy, the warm start of the next sweep point.
     """
 
     lam: float
@@ -268,6 +309,8 @@ class TradeoffPoint:
     iterations: int
     final_gap: float
     converged: bool
+    rejected_steps: int = 0
+    seconds: float = field(default=0.0, compare=False)
     history: Optional[tuple[tuple[float, float], ...]] = None
     policy: Optional[CausalPolicy] = field(default=None, repr=False,
                                            compare=False)
@@ -351,11 +394,17 @@ def run_baa(kernel: FscKernel, sys: ActionSystem, n: int, lam: float,
 
     Starts from the start policy (uniform by default) with its Bayes
     posterior, then repeats policy update, posterior update, bound
-    evaluation. The updates increase the Lagrangian from any start, so the
-    bounds certify the point whatever the start. A shared space saves its
-    rebuild. Nonconvergence within max_iters is reported on the point, not
-    raised. The value C_N(lambda) is the final upper iterate; the measured
-    cost is the per-step average action cost under the final policy.
+    evaluation. Each policy update is over-relaxed (_over_relax) with step
+    size relax; the candidate is kept if its lower iterate is at least the
+    previous one, else the iteration falls back to the plain update, which
+    never lowers it. relax doubles after an accepted candidate and is cut
+    after a rejected one (RELAX_* constants). q is always the posterior of
+    the current policy, so I_L is that policy's exact Lagrangian, I_U bounds
+    C_N(lambda) whatever the policy, and I_L is monotone: the bounds certify
+    the point whatever the start. A shared space saves its rebuild.
+    Nonconvergence within max_iters is reported on the point, not raised.
+    The value C_N(lambda) is the final upper iterate; the measured cost is
+    the per-step average action cost under the final policy.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -364,16 +413,32 @@ def run_baa(kernel: FscKernel, sys: ActionSystem, n: int, lam: float,
             "the optimizer handles encoder-side actions only; represent "
             "the decoder side with a singleton alphabet"
         )
+    t0 = time.perf_counter()
     state = BaaState.initial(kernel, sys, n, lam, space=space, start=start)
     history: list[tuple[float, float]] = []
     converged = False
-    il = -math.inf
+    il = lower_bound(state)
     iu = math.inf
+    relax = RELAX_START
+    rejected = 0
     for k in range(1, max_iters + 1):
-        state.r = update_r(state)
+        previous = state.r
+        plain = update_r(state)
+        plain_product = state._product
+        state.r = _over_relax(previous, plain, relax, state.r_flagged)
         state.q = update_q(state)
+        candidate_il = lower_bound(state)
+        if candidate_il >= il:
+            il = candidate_il
+            relax = min(2.0 * relax, RELAX_MAX)
+        else:
+            rejected += 1
+            relax = max(relax / RELAX_CUT, RELAX_START)
+            # the log-product update_r left for the plain policy is still valid
+            state.r, state._product = plain, plain_product
+            state.q = update_q(state)
+            il = lower_bound(state)
         state.iteration = k
-        il = lower_bound(state)
         iu = upper_bound(state)
         if record_history:
             history.append((il, iu))
@@ -390,6 +455,8 @@ def run_baa(kernel: FscKernel, sys: ActionSystem, n: int, lam: float,
         iterations=state.iteration,
         final_gap=iu - il,
         converged=converged,
+        rejected_steps=rejected,
+        seconds=time.perf_counter() - t0,
         history=tuple(history) if record_history else None,
         policy=state.r,
     )
@@ -479,29 +546,37 @@ def bisect_lambda_for_cost(kernel: FscKernel, sys: ActionSystem, n: int,
     """Bisect on lambda until the measured cost hits a target within cost_tol.
 
     Uses the monotone nonincreasing dependence of the measured cost on
-    lambda. Every probe runs on one shared trajectory space. Returns the
-    closest point found if the bracket cannot reach the target.
+    lambda. Every probe runs on one shared trajectory space. Only converged
+    probes are trusted: the first probe that stops at max_iters ends the
+    search, and the closest converged probe is returned (the failed probe
+    itself if it is the first). Returns the closest converged point found if
+    the bracket cannot reach the target.
     """
     space = TrajectorySpace(kernel, sys, n)
+    best: Optional[TradeoffPoint] = None
 
     def probe(lam: float) -> TradeoffPoint:
-        return run_baa(kernel, sys, n, lam, eps=eps, max_iters=max_iters,
-                       space=space)
+        nonlocal best
+        point = run_baa(kernel, sys, n, lam, eps=eps, max_iters=max_iters,
+                        space=space)
+        if point.converged and (best is None or abs(point.gamma - gamma_target)
+                                < abs(best.gamma - gamma_target)):
+            best = point
+        return point
 
     lo_point = probe(lam_lo)
-    if abs(lo_point.gamma - gamma_target) <= cost_tol or lo_point.gamma <= gamma_target:
+    if not lo_point.converged or lo_point.gamma <= gamma_target + cost_tol:
         return lo_point
     hi_point = probe(lam_hi)
-    if abs(hi_point.gamma - gamma_target) <= cost_tol:
-        return hi_point
-    if hi_point.gamma > gamma_target:
-        return hi_point  # even the strongest penalty spends above target
-    best = lo_point
+    if not hi_point.converged:
+        return best
+    if hi_point.gamma >= gamma_target - cost_tol:
+        return hi_point  # on target, or even the strongest penalty spends above it
     for _ in range(max_steps):
         mid = 0.5 * (lam_lo + lam_hi)
         point = probe(mid)
-        if abs(point.gamma - gamma_target) < abs(best.gamma - gamma_target):
-            best = point
+        if not point.converged:
+            return best
         if abs(point.gamma - gamma_target) <= cost_tol:
             return point
         if point.gamma > gamma_target:

@@ -387,15 +387,24 @@ def backward_link_capacity_nocost(prob: SingleLetterProblem,
 
 
 def gallager_exponent(query: ExponentQuery, kernel: FscKernel,
-                      sys: ActionSystem) -> float:
+                      sys: ActionSystem,
+                      space: TrajectorySpace | None = None) -> float:
     """Literal evaluation of the block exponent for a fixed policy and start state.
 
     Inner channel powers are taken in the log domain; the value is exactly 0
-    at rho = 0 (the bracketed sum is then the total probability mass, 1).
+    at rho = 0 (the bracketed sum is then the total probability mass, 1). A
+    given space must be the one of kernel and sys at the query's block length
+    and start state; it saves the rebuild across queries.
     """
     if query.rho == 0.0:
         return 0.0
-    space = TrajectorySpace(kernel, sys, query.n, s0=query.s0)
+    if space is None:
+        space = TrajectorySpace(kernel, sys, query.n, s0=query.s0)
+    elif (space.n, space.s0) != (query.n, query.s0):
+        raise ValueError(
+            f"space has block length {space.n} and start state {space.s0}, "
+            f"expected {query.n} and {query.s0}"
+        )
     if query.policy.u_size != space.u_size or query.policy.z_size != space.z_size:
         raise ValueError("policy alphabets do not match the kernel/action system")
     r_prod = np.exp2(space.policy_log2(query.policy.tables))
@@ -418,12 +427,13 @@ def f_n_policy_grid(kernel: FscKernel, sys: ActionSystem, n: int, rho: float,
     if not policies:
         raise ValueError("need at least one candidate policy")
     s_size = kernel.state_size
+    spaces = [TrajectorySpace(kernel, sys, n, s0=s0) for s0 in range(s_size)]
     best = -math.inf
     for policy in policies:
         worst = min(
             gallager_exponent(ExponentQuery(rho=rho, policy=policy, s0=s0, n=n),
-                              kernel, sys)
-            for s0 in range(s_size)
+                              kernel, sys, space=space)
+            for s0, space in enumerate(spaces)
         )
         best = max(best, worst)
     return best - rho * math.log2(s_size) / n

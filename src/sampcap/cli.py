@@ -57,6 +57,7 @@ from .oracle import (
     literal_r_update,
 )
 from .policy import CausalPolicy, build_joint, directed_information
+from .trajectory import TrajectorySpace
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -69,6 +70,13 @@ R_UPDATE_ORACLE_TOL = 1e-10
 ORACLE_BLOCKS = (1, 2)
 GRID_POINT_BUDGET = 20_000
 NEAR_CAP = 0.9  # share of max_iters from which report.json flags a point
+# pre-flight memory check: a block length N holds about DENSE_ARRAYS
+# float64 arrays of (|X| |A| |Y|)^N entries at once (the channel law and
+# its log, posterior, policy log-product, joint and the policy update's
+# buffers); configs whose estimate exceeds MAX_DENSE_BYTES are rejected
+# (markovian: N = 6 needs 1.1 GiB and passes, N = 7 needs 18 GiB)
+DENSE_ARRAYS = 9
+MAX_DENSE_BYTES = 2 ** 31
 
 
 @dataclass(frozen=True)
@@ -345,6 +353,19 @@ def _parse_exponent(doc: dict, violations: list[str]) -> Optional[ExponentSpec]:
     return ExponentSpec(rho_grid=tuple(float(v) for v in rho), block_length=n)
 
 
+def _check_footprint(kernel: FscKernel, actions: ActionSystem, n: int,
+                     pointer: str, violations: list[str]) -> None:
+    """Reject a block length whose dense tables would exceed MAX_DENSE_BYTES."""
+    per_step = (kernel.input_size * actions.encoder_actions.size
+                * kernel.output_size)
+    need = DENSE_ARRAYS * 8 * per_step ** n
+    if need > MAX_DENSE_BYTES:
+        violations.append(
+            f"{pointer}: block length {n} needs about {need / 2 ** 30:.3g} GiB "
+            f"of dense tables, above the {MAX_DENSE_BYTES / 2 ** 30:g} GiB limit"
+        )
+
+
 def parse_config(doc) -> tuple[Optional[ExperimentConfig], list[str]]:
     """Validate a decoded JSON document; returns (config, violations)."""
     violations: list[str] = []
@@ -390,6 +411,13 @@ def parse_config(doc) -> tuple[Optional[ExperimentConfig], list[str]]:
         violations.append("/algorithm/seed: must be a nonnegative integer")
     single = _parse_single_letter(doc, violations)
     exponent = _parse_exponent(doc, violations)
+    if kernel is not None and actions is not None:
+        for k, n in enumerate(blocks or ()):
+            _check_footprint(kernel, actions, n, f"/block_lengths/{k}",
+                             violations)
+        if exponent is not None:
+            _check_footprint(kernel, actions, exponent.block_length,
+                             "/exponent/block_length", violations)
     if violations:
         return None, violations
     return ExperimentConfig(
@@ -502,7 +530,10 @@ def cmd_capacity_sweep(config_path: str, out_dir: str = ".") -> int:
                 "max_final_gap": max(p.final_gap for p in curve.points),
                 "points": [{
                     "lam": p.lam,
+                    "gamma": p.gamma,
                     "iterations": p.iterations,
+                    "rejected_steps": p.rejected_steps,
+                    "seconds": p.seconds,
                     "final_gap": p.final_gap,
                     "converged": p.converged,
                     "near_cap": p.iterations >= NEAR_CAP * config.max_iters,
@@ -723,11 +754,14 @@ def cmd_exponent(config_path: str, out_dir: str = ".") -> int:
     n = config.exponent.block_length
     u_size = config.kernel.input_size * config.actions.encoder_actions.size
     policy = CausalPolicy.uniform(n, u_size, config.actions.feedback_alphabet.size)
+    spaces = [TrajectorySpace(config.kernel, config.actions, n, s0=s0)
+              for s0 in range(config.kernel.state_size)]
     lines = ["rho,s0,value"]
     for rho in config.exponent.rho_grid:
-        for s0 in range(config.kernel.state_size):
+        for s0, space in enumerate(spaces):
             query = ExponentQuery(rho=rho, policy=policy, s0=s0, n=n)
-            value = gallager_exponent(query, config.kernel, config.actions)
+            value = gallager_exponent(query, config.kernel, config.actions,
+                                      space=space)
             lines.append(f"{_fmt(rho)},{s0},{_fmt(value)}")
     try:
         os.makedirs(out_dir, exist_ok=True)

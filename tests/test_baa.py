@@ -6,6 +6,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sampcap import (
     ActionSystem,
@@ -33,7 +35,7 @@ from sampcap._num import fsum_array, weighted_log2_sum
 from sampcap.baa import BaaState
 from sampcap.trajectory import TrajectorySpace
 
-from conftest import make_trivial_actions
+from conftest import make_random_kernel, make_trivial_actions
 
 
 def z_channel_kernel():
@@ -242,12 +244,13 @@ class TestRunBaa:
     def test_fixed_point_is_stable(self, markovian_kernel, markovian_actions):
         point = run_baa(markovian_kernel, markovian_actions, 2, 0.1)
         assert point.converged
-        # replay to the same fixed point, then one extra sweep moves the
-        # bracket by no more than a few epsilon
-        state = BaaState.initial(markovian_kernel, markovian_actions, 2, 0.1)
-        for _ in range(point.iterations + 1):
-            state.r = update_r(state)
-            state.q = update_q(state)
+        # one plain step from the final policy moves the lower iterate by no
+        # more than a few epsilon
+        state = BaaState.initial(markovian_kernel, markovian_actions, 2, 0.1,
+                                 start=point.policy)
+        assert lower_bound(state) == point.i_lower
+        state.r = update_r(state)
+        state.q = update_q(state)
         il = lower_bound(state)
         assert abs(il - point.i_lower) <= 10.0 * 1e-6
 
@@ -264,6 +267,71 @@ class TestRunBaa:
         assert point.converged
         assert point.gamma == 0.0
         assert point.i_upper == pytest.approx(0.188722, abs=1e-5)
+
+
+def sampling_actions(y_size):
+    """Action 1 costs 1 and feeds the output back; action 0 is free and blind."""
+    table = np.zeros((2, 1, y_size), dtype=int)
+    table[1, 0] = np.arange(1, y_size + 1)
+    return ActionSystem(
+        encoder_actions=Alphabet(2),
+        decoder_actions=Alphabet(1),
+        feedback_alphabet=Alphabet(y_size + 1),
+        sampling_table=table,
+        cost_table=np.array([[0.0], [1.0]]),
+    )
+
+
+def plain_solve(kernel, actions, n, lam, eps, max_iters):
+    """The alternating map without over-relaxation, written out from its layers."""
+    state = BaaState.initial(kernel, actions, n, lam)
+    for _ in range(max_iters):
+        state.r = update_r(state)
+        state.q = update_q(state)
+        il, iu = lower_bound(state), upper_bound(state)
+        if iu - il <= eps:
+            return iu, True
+    return iu, False
+
+
+class TestOverRelaxation:
+    @settings(max_examples=12)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2),
+           sampled=st.booleans(), lam=st.sampled_from([0.0, 0.1, 1.0]))
+    def test_same_value_as_the_plain_map_with_a_certified_history(
+        self, seed, n, sampled, lam
+    ):
+        rng = np.random.default_rng(seed)
+        y_size = int(rng.integers(2, 4))
+        kernel = make_random_kernel(rng, int(rng.integers(1, 3)),
+                                    int(rng.integers(2, 4)), y_size)
+        actions = sampling_actions(y_size) if sampled else make_trivial_actions(y_size)
+        eps = 1e-6
+        plain_upper, plain_converged = plain_solve(kernel, actions, n, lam,
+                                                   eps, 20_000)
+        assume(plain_converged)
+        point = run_baa(kernel, actions, n, lam, eps=eps, record_history=True)
+        assert point.converged
+        # both upper iterates lie in [C_N(lambda), C_N(lambda) + eps]
+        assert abs(point.i_upper - plain_upper) <= eps
+        lows = np.array([h[0] for h in point.history])
+        ups = np.array([h[1] for h in point.history])
+        assert np.all(lows <= ups + 1e-12)
+        assert np.all(np.diff(lows) >= -1e-12)
+        assert 0 <= point.rejected_steps <= point.iterations
+
+    def test_default_grid_needs_a_third_of_the_plain_iterations(
+        self, markovian_sweeps, markovian_config
+    ):
+        # the plain map took 12,466 (N=2) and 12,026 (N=3) iterations
+        limits = {2: 4155, 3: 4008}
+        for n, limit in limits.items():
+            points = markovian_sweeps[n].points
+            assert sum(p.iterations for p in points) <= limit
+            for point in points:
+                assert point.converged
+                assert point.iterations < 0.9 * markovian_config.max_iters
+                assert 0 <= point.rejected_steps <= point.iterations
 
 
 class TestSweep:
@@ -456,6 +524,31 @@ class TestBisect:
             assert point.lam == 0.0
         else:
             assert abs(point.gamma - target) <= tol
+
+
+    def test_stops_at_the_first_probe_that_hits_the_cap(
+        self, markovian_kernel, markovian_actions, monkeypatch
+    ):
+        # below lambda ~ 3e-3 the probes need more than 1,000 iterations;
+        # their measured cost is not certified, so the search must end there
+        import sampcap.baa as baa_module
+
+        probes = []
+
+        def recording_run_baa(*args, **kwargs):
+            probes.append(run_baa(*args, **kwargs))
+            return probes[-1]
+
+        monkeypatch.setattr(baa_module, "run_baa", recording_run_baa)
+        target = 0.3
+        point = bisect_lambda_for_cost(markovian_kernel, markovian_actions, 2,
+                                       target, max_iters=1000)
+        failed = [k for k, probe in enumerate(probes) if not probe.converged]
+        assert failed == [len(probes) - 1]
+        assert point.converged
+        closest = min((p for p in probes if p.converged),
+                      key=lambda p: abs(p.gamma - target))
+        assert point is closest
 
 
 class TestBracketing:

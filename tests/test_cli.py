@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from sampcap import CausalPolicy, binary_entropy, cli
+from sampcap import CausalPolicy, ExponentQuery, binary_entropy, cli, gallager_exponent
+from sampcap.trajectory import TrajectorySpace
 
-from conftest import BSC_CONFIG_PATH, MARKOVIAN_CONFIG_PATH
+from conftest import BSC_CONFIG_PATH, MARKOVIAN_CONFIG_PATH, load_config
 
 INFORMED_CAPACITY = math.log2(5.0) - 2.0
 COMMON_INPUT_CAPACITY = binary_entropy(0.25) - 0.5
@@ -55,6 +56,46 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "parse error at line 1" in out
 
+    def test_oversized_block_length_is_rejected_before_allocation(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def mutate(doc):
+            doc["block_lengths"] = [2, 8]
+
+        path = write_variant(tmp_path, MARKOVIAN_CONFIG_PATH, mutate)
+        assert cli.cmd_validate(path) == cli.EXIT_SEMANTIC
+        out = capsys.readouterr().out
+        assert "/block_lengths/1" in out
+        assert "/block_lengths/0" not in out
+        # a sweep stops at the same check, before any table is built
+        import sampcap.baa
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trajectory space was built")
+
+        monkeypatch.setattr(sampcap.baa, "TrajectorySpace", refuse)
+        assert cli.cmd_capacity_sweep(path, str(tmp_path / "out")) \
+            == cli.EXIT_SEMANTIC
+        assert "/block_lengths/1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_oversized_exponent_block_length_is_rejected(self, tmp_path, capsys):
+        def mutate(doc):
+            doc["exponent"]["block_length"] = 7
+
+        path = write_variant(tmp_path, MARKOVIAN_CONFIG_PATH, mutate)
+        assert cli.cmd_validate(path) == cli.EXIT_SEMANTIC
+        assert "/exponent/block_length" in capsys.readouterr().out
+
+    def test_size_limit_sits_between_six_and_seven(self):
+        # markovian: 16 trajectory symbols per letter, 9 arrays of 8 bytes
+        with open(MARKOVIAN_CONFIG_PATH, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        for blocks, ok in (([2, 3], True), ([6], True), ([7], False)):
+            doc["block_lengths"] = blocks
+            config, violations = cli.parse_config(doc)
+            assert (config is not None) == ok, violations
+
     def test_missing_file(self, tmp_path, capsys):
         assert cli.cmd_validate(str(tmp_path / "nope.json")) == cli.EXIT_IO
         assert "cannot read" in capsys.readouterr().out
@@ -84,10 +125,17 @@ class TestCapacitySweep:
             assert run["max_final_gap"] <= report["epsilon"]
             assert [p["lam"] for p in run["points"]] == pytest.approx(
                 [float(row[0]) for row in rows], rel=1e-11)
-            for point in run["points"]:
+            for point, row in zip(run["points"], rows):
+                assert set(point) == {"lam", "gamma", "iterations",
+                                      "rejected_steps", "seconds", "final_gap",
+                                      "converged", "near_cap"}
                 assert point["converged"] and not point["near_cap"]
                 assert point["final_gap"] <= report["epsilon"]
                 assert 1 <= point["iterations"] < 0.9 * report["max_iters"]
+                assert 0 <= point["rejected_steps"] <= point["iterations"]
+                assert 0.0 <= point["seconds"] <= run["runtime_seconds"]
+                assert point["gamma"] == pytest.approx(float(row[1]), rel=1e-11,
+                                                       abs=1e-300)
 
     def test_markovian_outputs_match_across_runs(self, tmp_path):
         # each point starts from the previous point's policy, and the chain
@@ -252,6 +300,42 @@ class TestExponent:
         # the two start states are mirror images, so the exponents agree
         for (_, v0), (_, v1) in zip(by_state[0], by_state[1]):
             assert abs(v0 - v1) <= 1e-12
+
+    @pytest.mark.parametrize("path", [BSC_CONFIG_PATH, MARKOVIAN_CONFIG_PATH],
+                             ids=["bsc", "markovian"])
+    def test_one_trajectory_space_per_start_state(self, tmp_path, monkeypatch,
+                                                  path):
+        # reference: a fresh space per (rho, s0) query, as gallager_exponent
+        # builds without one
+        config = load_config(path)
+        spec = config.exponent
+        u_size = config.kernel.input_size * config.actions.encoder_actions.size
+        policy = CausalPolicy.uniform(spec.block_length, u_size,
+                                      config.actions.feedback_alphabet.size)
+        lines = ["rho,s0,value"]
+        for rho in spec.rho_grid:
+            for s0 in range(config.kernel.state_size):
+                value = gallager_exponent(
+                    ExponentQuery(rho=rho, policy=policy, s0=s0,
+                                  n=spec.block_length),
+                    config.kernel, config.actions)
+                lines.append(f"{cli._fmt(rho)},{s0},{cli._fmt(value)}")
+        import sampcap.bounds
+
+        built = []
+
+        class Counting(TrajectorySpace):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("s0"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "TrajectorySpace", Counting)
+        monkeypatch.setattr(sampcap.bounds, "TrajectorySpace", Counting)
+        out = tmp_path / "out"
+        assert cli.cmd_exponent(str(path), str(out)) == cli.EXIT_OK
+        assert built == list(range(config.kernel.state_size))
+        assert (out / "exponent.csv").read_text(encoding="utf-8") \
+            == "\n".join(lines) + "\n"
 
     def test_requires_the_exponent_section(self, tmp_path, capsys):
         def mutate(doc):
