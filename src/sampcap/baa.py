@@ -48,12 +48,13 @@ ENVELOPE_SLACK = 1e-9
 # multiplicative update cannot regrow mass that is exactly zero
 WARM_START_MIX = 1e-4
 # over-relaxation of the policy update (see run_baa): the step size starts
-# at RELAX_START, doubles after an accepted candidate (up to RELAX_MAX) and
-# is divided by RELAX_CUT after a rejected one, never below RELAX_START, so
-# it stays above 1, the plain step
+# at RELAX_START, grows by RELAX_GROW after an accepted candidate (up to
+# RELAX_MAX) and is divided by RELAX_CUT after a rejected one, never below
+# RELAX_START, so it stays above 1, the plain step
 RELAX_START = 2.0
+RELAX_GROW = 1.5
 RELAX_MAX = 64.0
-RELAX_CUT = 4.0
+RELAX_CUT = 16.0
 
 
 def default_lambda_grid() -> np.ndarray:
@@ -74,10 +75,7 @@ class BaaState:
     lam: float
     r: CausalPolicy
     q: np.ndarray
-    iteration: int
     space: TrajectorySpace
-    kernel: FscKernel
-    sys: ActionSystem
     q_unreachable: np.ndarray = field(default=None)
     r_flagged: tuple = ()
     # (policy, log-product, (joint, den) or None)
@@ -98,10 +96,7 @@ class BaaState:
             raise ValueError(f"space has block length {space.n}, expected {n}")
         r = start if start is not None else CausalPolicy.uniform(
             n, space.u_size, space.z_size)
-        state = cls(
-            lam=lam, r=r, q=None, iteration=0, space=space, kernel=kernel,
-            sys=sys,
-        )
+        state = cls(lam=lam, r=r, q=None, space=space)
         state.q, state.q_unreachable = _posterior(state)
         return state
 
@@ -397,7 +392,7 @@ def run_baa(kernel: FscKernel, sys: ActionSystem, n: int, lam: float,
     evaluation. Each policy update is over-relaxed (_over_relax) with step
     size relax; the candidate is kept if its lower iterate is at least the
     previous one, else the iteration falls back to the plain update, which
-    never lowers it. relax doubles after an accepted candidate and is cut
+    never lowers it. relax grows after an accepted candidate and is cut
     after a rejected one (RELAX_* constants). q is always the posterior of
     the current policy, so I_L is that policy's exact Lagrangian, I_U bounds
     C_N(lambda) whatever the policy, and I_L is monotone: the bounds certify
@@ -420,8 +415,8 @@ def run_baa(kernel: FscKernel, sys: ActionSystem, n: int, lam: float,
     il = lower_bound(state)
     iu = math.inf
     relax = RELAX_START
-    rejected = 0
-    for k in range(1, max_iters + 1):
+    rejected = iterations = 0
+    for iterations in range(1, max_iters + 1):
         previous = state.r
         plain = update_r(state)
         plain_product = state._product
@@ -430,7 +425,7 @@ def run_baa(kernel: FscKernel, sys: ActionSystem, n: int, lam: float,
         candidate_il = lower_bound(state)
         if candidate_il >= il:
             il = candidate_il
-            relax = min(2.0 * relax, RELAX_MAX)
+            relax = min(RELAX_GROW * relax, RELAX_MAX)
         else:
             rejected += 1
             relax = max(relax / RELAX_CUT, RELAX_START)
@@ -438,7 +433,6 @@ def run_baa(kernel: FscKernel, sys: ActionSystem, n: int, lam: float,
             state.r, state._product = plain, plain_product
             state.q = update_q(state)
             il = lower_bound(state)
-        state.iteration = k
         iu = upper_bound(state)
         if record_history:
             history.append((il, iu))
@@ -452,7 +446,7 @@ def run_baa(kernel: FscKernel, sys: ActionSystem, n: int, lam: float,
         gamma=gamma,
         i_lower=il,
         i_upper=iu,
-        iterations=state.iteration,
+        iterations=iterations,
         final_gap=iu - il,
         converged=converged,
         rejected_steps=rejected,
@@ -503,7 +497,7 @@ def sweep_lambda(kernel: FscKernel, sys: ActionSystem, n: int,
                               space=space, start=start))
     points = tuple(points)
 
-    max_cost = float(sys.cost_table[:, 0].max())
+    max_cost = sys.max_cost
     if max_cost > 0.0:
         gammas = np.linspace(0.0, max_cost, gamma_points)
     else:

@@ -364,7 +364,7 @@ def literal_r_update(state: BaaState, lam: Optional[float] = None) -> CausalPoli
     """
     if lam is None:
         lam = state.lam
-    kernel, sys = state.kernel, state.sys
+    kernel, sys = state.space.kernel, state.space.sys
     n = state.r.block_length
     x_size = kernel.input_size
     a_size = sys.encoder_actions.size

@@ -166,8 +166,8 @@ class TrajectorySpace:
     def expected_cost(self, joint: np.ndarray) -> float:
         """Per-step average action cost (1/N) E[sum_i Lambda(a_i)] under a dense joint.
 
-        Only the nonzero products enter the compensated sum; math.fsum is
-        correctly rounded, so the exact zeros change nothing.
+        The cost depends on the row u^N only, so the joint is summed over
+        its columns first and the compensated sum runs over one product per
+        row.
         """
-        prod = joint * self.cost_row[:, None]
-        return fsum_array(prod[prod != 0.0]) / self.n
+        return fsum_array(joint.sum(axis=1) * self.cost_row) / self.n

@@ -1,5 +1,7 @@
 """Action systems, feedback sampling, expected costs."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from sampcap import (
     sample_feedback,
 )
 from sampcap.trajectory import TrajectorySpace
+
+from conftest import make_random_kernel, make_random_policy
 
 
 class TestActionSystemValidation:
@@ -88,6 +92,33 @@ class TestSampleFeedback:
             sample_feedback(markovian_actions, 0, 0, 4)
 
 
+def priced_sampling_actions(rng, y_size):
+    """Action 1 feeds the output back, action 0 is blind; both at random costs."""
+    table = np.zeros((2, 1, y_size), dtype=int)
+    table[1, 0] = np.arange(1, y_size + 1)
+    return ActionSystem(
+        encoder_actions=Alphabet(2),
+        decoder_actions=Alphabet(1),
+        feedback_alphabet=Alphabet(y_size + 1),
+        sampling_table=table,
+        cost_table=rng.random((2, 1)) * 3.0,
+    )
+
+
+def literal_expected_cost(joint, actions, n, u_size):
+    """(1/N) sum over trajectories of joint * sum_i Lambda(a_i), one term each."""
+    a_size = actions.encoder_actions.size
+    terms = []
+    for row in range(joint.shape[0]):
+        code, cost = row, 0.0
+        for _ in range(n):
+            code, u = divmod(code, u_size)
+            cost += float(actions.cost_table[u % a_size, 0])
+        for col in range(joint.shape[1]):
+            terms.append(float(joint[row, col]) * cost)
+    return math.fsum(terms) / n
+
+
 def expected_cost(kernel, actions, policy):
     space = TrajectorySpace(kernel, actions, policy.block_length)
     return space.expected_cost(build_joint(policy, kernel, actions).probs)
@@ -127,3 +158,31 @@ class TestExpectedCost:
         with pytest.raises(ValueError, match="singleton"):
             TrajectorySpace(bsc_kernel, two_sided, 1)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("channel", ["markovian", "random"])
+    def test_row_sums_match_a_per_trajectory_sum(
+        self, markovian_kernel, markovian_actions, channel, n
+    ):
+        rng = np.random.default_rng(n)
+        if channel == "markovian":
+            kernel, actions = markovian_kernel, markovian_actions
+        else:
+            kernel = make_random_kernel(rng, 2, 2, 3)
+            actions = priced_sampling_actions(rng, 3)
+        space = TrajectorySpace(kernel, actions, n)
+        scale = actions.max_cost
+        assert scale > 0.0
+
+        def agrees(joint):
+            literal = literal_expected_cost(joint, actions, n, space.u_size)
+            return abs(space.expected_cost(joint) - literal) <= 1e-15 * scale
+
+        for _ in range(3):
+            policy = make_random_policy(rng, n, space.u_size, space.z_size)
+            joint = build_joint(policy, kernel, actions).probs
+            assert agrees(joint)
+        # rows that carry no mass at all contribute nothing
+        joint = joint.copy()
+        joint[rng.random(space.rows) < 0.5] = 0.0
+        joint[-1] = 0.0
+        assert agrees(joint)

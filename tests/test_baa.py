@@ -320,14 +320,18 @@ class TestOverRelaxation:
         assert np.all(np.diff(lows) >= -1e-12)
         assert 0 <= point.rejected_steps <= point.iterations
 
-    def test_default_grid_needs_a_third_of_the_plain_iterations(
+    def test_default_grid_needs_a_sixth_of_the_plain_iterations(
         self, markovian_sweeps, markovian_config
     ):
-        # the plain map took 12,466 (N=2) and 12,026 (N=3) iterations
-        limits = {2: 4155, 3: 4008}
+        # the plain map took 12,466 (N=2) and 12,026 (N=3) iterations; the
+        # guarded map takes 1,852 and 1,756, of which 241 and 229 are
+        # rejected candidates
+        limits = {2: 2040, 3: 1930}
         for n, limit in limits.items():
             points = markovian_sweeps[n].points
-            assert sum(p.iterations for p in points) <= limit
+            iterations = sum(p.iterations for p in points)
+            assert iterations <= limit
+            assert sum(p.rejected_steps for p in points) <= 0.2 * iterations
             for point in points:
                 assert point.converged
                 assert point.iterations < 0.9 * markovian_config.max_iters

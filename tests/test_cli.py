@@ -123,6 +123,7 @@ class TestCapacitySweep:
         for run in report["runs"]:
             assert run["nonconverged_points"] == 0
             assert run["max_final_gap"] <= report["epsilon"]
+            assert run["certified"] is True
             assert [p["lam"] for p in run["points"]] == pytest.approx(
                 [float(row[0]) for row in rows], rel=1e-11)
             for point, row in zip(run["points"], rows):
@@ -157,6 +158,38 @@ class TestCapacitySweep:
         assert [p["iterations"] for p in run["points"]] == [
             int(row[5]) for row in rows
         ]
+
+    def test_a_block_near_the_cap_is_not_certified(self, tmp_path, capsys):
+        # an uncertified sweep still writes its outputs and exits 0, with a
+        # warning on stderr
+        def run(max_iters, name):
+            def mutate(doc):
+                doc["block_lengths"] = [2]
+                doc["algorithm"]["lambda_grid"] = [0.001, 10.0]
+                doc["algorithm"]["max_iters"] = max_iters
+
+            path = write_variant(tmp_path, MARKOVIAN_CONFIG_PATH, mutate,
+                                 name=f"{name}.json")
+            out = tmp_path / name
+            assert cli.cmd_capacity_sweep(path, str(out)) == cli.EXIT_OK
+            with open(out / "report.json", encoding="utf-8") as fh:
+                (block,) = json.load(fh)["runs"]
+            return block, capsys.readouterr().err
+
+        full, err = run(10_000, "full")
+        assert full["certified"] is True
+        assert err == ""
+        # too few iterations: the low-lambda point stops unconverged
+        short, err = run(50, "short")
+        assert short["nonconverged_points"] >= 1
+        assert short["certified"] is False
+        assert "not certified" in err
+        # converged, but at the cap: certified needs both
+        capped, err = run(full["points"][0]["iterations"], "capped")
+        assert capped["nonconverged_points"] == 0
+        assert capped["points"][0]["near_cap"]
+        assert capped["certified"] is False
+        assert "not certified" in err
 
     def test_single_lambda_point(self, tmp_path):
         def mutate(doc):
