@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._num import freeze, log2_guarded
+from ._num import freeze, fsum_array, log2_guarded
 from .actions import ActionSystem
 from .fsc import FscKernel
 from .policy import CausalPolicy
@@ -78,7 +78,7 @@ class BaaState:
     space: TrajectorySpace
     q_unreachable: np.ndarray = field(default=None)
     r_flagged: tuple = ()
-    # (policy, log-product, (joint, den) or None)
+    # (policy, joint, den)
     _product: Optional[tuple] = field(default=None, init=False, repr=False)
 
     @classmethod
@@ -97,35 +97,18 @@ class BaaState:
         r = start if start is not None else CausalPolicy.uniform(
             n, space.u_size, space.z_size)
         state = cls(lam=lam, r=r, q=None, space=space)
-        state.q, state.q_unreachable = _posterior(state)
+        state.q = update_q(state)
         return state
 
 
-def _policy_product(state: BaaState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(log_sum, joint, den) for the state's policy.
-
-    log_sum is log2 r(u^N || z^{N-1}) per trajectory, joint = r p, and den
-    is the output marginal sum_u r p. They are computed once per policy
-    object (policy tables are frozen), starting from the log-product update_r
-    left for the policy it returned, or from the tables for any other policy.
-    """
-    policy, log_sum, product = state._product or (None, None, None)
-    if policy is not state.r:
-        log_sum, product = state.space.policy_log2(state.r.tables), None
-    if product is None:
-        joint = np.exp2(log_sum)
+def _policy_product(state: BaaState) -> tuple[np.ndarray, np.ndarray]:
+    """(joint, den) for the state's policy, computed once per policy object:
+    joint = r p from TrajectorySpace.policy_log2, den the output marginal."""
+    if state._product is None or state._product[0] is not state.r:
+        joint = np.exp2(state.space.policy_log2(state.r.tables))
         joint *= state.space.p_full
-        product = (joint, joint.sum(axis=0))
-        state._product = (state.r, log_sum, product)
-    return (log_sum, *product)
-
-
-def _posterior(state: BaaState):
-    _, joint, den = _policy_product(state)
-    unreachable = den <= 0.0
-    q = np.full_like(joint, 1.0 / state.space.rows)
-    np.divide(joint, den, out=q, where=~unreachable)
-    return q, unreachable
+        state._product = (state.r, joint, joint.sum(axis=0))
+    return state._product[1:]
 
 
 def update_q(state: BaaState) -> np.ndarray:
@@ -134,8 +117,54 @@ def update_q(state: BaaState) -> np.ndarray:
     Output blocks with zero marginal get a uniform slice and are flagged
     unreachable on the state.
     """
-    q, state.q_unreachable = _posterior(state)
+    joint, den = _policy_product(state)
+    state.q_unreachable = den <= 0.0
+    q = np.full_like(joint, 1.0 / state.space.rows)
+    np.divide(joint, den, out=q, where=~state.q_unreachable)
     return q
+
+
+def _fold(space: TrajectorySpace, leaf: np.ndarray, pick):
+    """Backward fold of leaf ([rows, cols], overwritten); (F_0, tables, flags).
+
+    From F_N = leaf, step i = N..1 forms G_i = sum_{y_i} cond_i F_i, lets
+    pick(per_slot(measure_i G_i), i) return the step table r_i and its dead
+    flags, and sets F_{i-1} = sum_{u_i} r_i (G_i - log2 r_i); terms with zero
+    cond or r_i count as 0. The weights p prod_{j>i} r_j factor into step
+    conditionals that each sum to 1, so the slot scores are the slot sums of
+    p prod_{j>i} r_j (leaf - sum_{j>i} log2 r_j).
+    """
+    n, u, y = space.n, space.u_size, space.y_size
+    tables, flags = [None] * n, [None] * n
+    f = leaf
+    with np.errstate(divide="ignore", invalid="ignore"):  # covers pick too
+        for i in range(n, 0, -1):
+            c = space.cond[i - 1]
+            f = f.reshape(c.shape)
+            f *= c
+            f[c <= 0.0] = 0.0
+            # axes (u^{i-1}, u_i, y^{i-1}); g is 0 wherever the past law is,
+            # because cond vanishes on dead prefixes
+            g = _reduce_last(np.add, f).reshape(u ** (i - 1), u, y ** (i - 1))
+            table, flags[i - 1] = pick(
+                space.per_slot(space.measure[i - 1][:, None, :] * g, i), i)
+            r = space.spread(table, i).reshape(g.shape)
+            g -= space.spread(np.log2(table), i).reshape(g.shape)
+            g *= r
+            g[r <= 0.0] = 0.0
+            f = g.sum(axis=1)
+            tables[i - 1] = table
+    return f.item(), tables, flags
+
+
+def _reduce_last(op, a: np.ndarray) -> np.ndarray:
+    """op folded over the last axis of a, column by column: numpy's reduction
+    is several times slower over a short one and, below 8 entries, adds in
+    the same order."""
+    out = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        op(out, a[..., j], out=out)
+    return out
 
 
 def update_r(state: BaaState, lam: Optional[float] = None) -> CausalPolicy:
@@ -149,58 +178,34 @@ def update_r(state: BaaState, lam: Optional[float] = None) -> CausalPolicy:
 
     with weights w = p(y^N || x^N) prod_{j>i} r_j divided by the
     feedback-compatible sum of past channel products; that sum is constant
-    on a slot, so the slot sums are divided by it once. Zero-weight terms
-    contribute exactly 0 even when the log argument vanishes. Slices that
-    receive no weight at all become uniform and are flagged on the state.
-    The log-product of the returned policy is left on the state for the
-    posterior and the bounds.
+    on a slot, so the slot sums (_fold's scores) are divided by it once.
+    Zero-weight terms contribute exactly 0 even when the log argument
+    vanishes. Slices that receive no weight at all become uniform and are
+    flagged on the state.
     """
-    if lam is None:
-        lam = state.lam
+    lam = state.lam if lam is None else lam
     space = state.space
-    n, u, y = space.n, space.u_size, space.y_size
-    state._product = None  # release the old policy's arrays before the temporaries
-    # log q - N lambda Lambda(a^N), the log argument before the later factors
-    logq_pen = log2_guarded(state.q) - lam * space.cost_row[:, None]
-    suffix_log = np.zeros((space.rows, space.cols))
-    suffix_view = suffix_log.reshape(space.view)
-    new_tables: list[np.ndarray] = [None] * n
-    flagged: list[np.ndarray] = [None] * n
-    # full-size buffers reused by every step: fresh temporaries of this size
-    # cost page faults each iteration
-    w = np.empty_like(suffix_log)
-    contrib = np.empty_like(suffix_log)
-    for i in range(n, 0, -1):
-        np.exp2(suffix_log, out=w)
-        w *= space.p_full
-        with np.errstate(invalid="ignore"):
-            np.subtract(logq_pen, suffix_log, out=contrib)
-            contrib *= w
-        contrib[w <= 0.0] = 0.0
-        # sum out the axes the step-i slot does not depend on (einsum: numpy's
-        # reduction is several times slower over the short last axis at i = N)
-        fold = (u ** i, u ** (n - i), y ** (i - 1), y ** (n - i + 1))
-        wsum = space.per_slot(np.einsum("ijkl->ik", w.reshape(fold)), i)
-        logr = space.per_slot(np.einsum("ijkl->ik", contrib.reshape(fold)), i)
-        denom = space.denom[i - 1][:, None]
-        np.divide(logr, denom, out=logr, where=denom > 0.0)
-        got_weight = wsum.sum(axis=1) > 0.0
-        mx = logr.max(axis=1, keepdims=True)
-        dead = ~(np.isfinite(mx.ravel()) & got_weight)
-        with np.errstate(invalid="ignore"):
-            table = np.exp2(logr - mx)
+    state._product = None  # release the old policy's arrays before the fold
+    leaf = log2_guarded(state.q)
+    leaf -= lam * space.cost_row[:, None]
+
+    def geometric_mean(scores, i):
+        # a history without past law has denom 0 and scores 0: it turns NaN
+        # here and is flagged dead with the slices whose scores are all -inf
+        scores /= space.denom[i - 1][:, None]
+        mx = _reduce_last(np.maximum, scores)[:, None]
+        dead = ~np.isfinite(mx[:, 0])
+        table = np.exp2(scores - mx)
         table[dead] = 1.0
-        table /= table.sum(axis=1, keepdims=True)
+        table /= _reduce_last(np.add, table)[:, None]
         table.setflags(write=False)  # fresh and read-only: the policy keeps it
         dead.setflags(write=False)
-        new_tables[i - 1] = table
-        flagged[i - 1] = dead
-        suffix_view += space.spread(log2_guarded(table), i)
-    policy = CausalPolicy(block_length=n, u_size=u, z_size=space.z_size,
-                          tables=tuple(new_tables))
-    state.r_flagged = tuple(freeze(f, dtype=bool) for f in flagged)
-    state._product = (policy, suffix_log, None)
-    return policy
+        return table, dead
+
+    _, tables, flags = _fold(space, leaf, geometric_mean)
+    state.r_flagged = tuple(flags)
+    return CausalPolicy(block_length=space.n, u_size=space.u_size,
+                        z_size=space.z_size, tables=tuple(tables))
 
 
 def _over_relax(previous: CausalPolicy, plain: CausalPolicy, relax: float,
@@ -219,9 +224,9 @@ def _over_relax(previous: CausalPolicy, plain: CausalPolicy, relax: float,
         move = log_new - np.log2(np.concatenate(previous.tables))
     move[~np.isfinite(move)] = 0.0
     log_new += (relax - 1.0) * move
-    log_new -= log_new.max(axis=1, keepdims=True)
+    log_new -= _reduce_last(np.maximum, log_new)[:, None]
     table = np.exp2(log_new)
-    table /= table.sum(axis=1, keepdims=True)
+    table /= _reduce_last(np.add, table)[:, None]
     dead = np.concatenate(flagged)
     if dead.any():
         table[dead] = new[dead]
@@ -234,17 +239,19 @@ def _over_relax(previous: CausalPolicy, plain: CausalPolicy, relax: float,
 
 
 def lower_bound(state: BaaState) -> float:
-    """Monotone Lagrangian lower iterate
+    """Monotone Lagrangian lower iterate of the state's policy r
 
-    I_L = (1/N) sum r p log2(q / r) - lambda E[Lambda] under r p,
+    I_L = (1/N) sum r p log2(q / r) - lambda E[Lambda] under r p.
 
-    with log2 r taken from the cached log-product.
+    q is the posterior r p / d, so q / r = p / d wherever r p > 0 and I_L is
+    (1/N) [sum r p log2 p - sum_{d > 0} d log2 d] - lambda E[Lambda], DI/N
+    less the priced cost, summed over the rows of r p log2 p and over d.
     """
     space = state.space
-    log_sum, joint, _ = _policy_product(state)
-    live = joint > 0.0
-    terms = joint[live] * (np.log2(state.q[live]) - log_sum[live])
-    info = math.fsum(terms.tolist())
+    joint, d = _policy_product(state)
+    d = d[d > 0.0]
+    info = (fsum_array(np.einsum("ij,ij->i", joint, space.log2_p_full))
+            - fsum_array(d * np.log2(d)))
     return info / space.n - state.lam * space.expected_cost(joint)
 
 
@@ -255,7 +262,7 @@ def upper_bound(state: BaaState) -> float:
           of E_g[ log2( p(y^N || x^N) 2^(-lambda sum_j Lambda(a_j))
                         / sum_u r p ) ].
 
-    Evaluated backward: expectation over y_i per step, with the max over u_i
+    Evaluated by _fold: expectation over y_i per step, with the max over u_i
     taken once per feedback history (u^{i-1}, z^{i-1}), its candidates scored
     by the past-law-weighted sum over the output prefixes the history cannot
     distinguish. Ties resolve to the lowest u index. The deviation policies
@@ -263,29 +270,17 @@ def upper_bound(state: BaaState) -> float:
     policy the fold value meets the Lagrangian maximum and the bracket
     closes; letting the max adapt to y^{i-1} itself would over-inform the
     deviator and leave a permanent gap wherever sampling is priced out.
+    I_U is +inf if the best map reaches an output with p > 0 = sum_u r p.
     """
     space = state.space
-    n, u_size, y_size = space.n, space.u_size, space.y_size
-    _, _, d = _policy_product(state)
+    _, d = _policy_product(state)
     leaf = space.log2_p_full - state.lam * space.cost_row[:, None]
     leaf -= log2_guarded(d)[None, :]
-    v = leaf.reshape(space.view)
-    for i in range(n, 0, -1):
-        c = space.cond[i - 1]
-        with np.errstate(invalid="ignore"):
-            v = c * v
-        v[c <= 0.0] = 0.0
-        v = v.sum(axis=-1)
-        # axes [U]*i + [Y]*(i-1): value-to-go given (u^i, y^{i-1});
-        # pick u_i once per history class, weighted by the past law
-        v = v.reshape(u_size ** (i - 1), u_size, y_size ** (i - 1))
-        w = space.measure[i - 1][:, None, :]
-        with np.errstate(invalid="ignore"):
-            scored = np.where(w > 0.0, w * v, 0.0)
-        best = space.per_slot(scored, i).argmax(axis=1)
-        v = np.take_along_axis(v, best[space.hist[i - 1]][:, None, :], axis=1)
-        v = v.reshape([u_size] * (i - 1) + [y_size] * (i - 1))
-    return float(v) / n
+
+    def argmax(scores, i):
+        return np.eye(space.u_size)[scores.argmax(axis=1)], None
+
+    return _fold(space, leaf, argmax)[0] / space.n
 
 
 @dataclass(frozen=True)
@@ -293,9 +288,10 @@ class TradeoffPoint:
     """One Lagrangian sweep point: penalty, measured cost, value, convergence.
 
     rejected_steps counts the over-relaxed candidates that failed the guard
-    (see run_baa) and seconds the wall time of the solve. policy is the
-    final policy, the warm start of the next sweep point.
-    """
+    (see run_baa); seconds is the wall time of the solve. dead_slices counts
+    the slices the last update gave no weight, unreachable_outputs the output
+    blocks of zero marginal under policy, the final policy (the next point's
+    warm start)."""
 
     lam: float
     gamma: float
@@ -305,6 +301,8 @@ class TradeoffPoint:
     final_gap: float
     converged: bool
     rejected_steps: int = 0
+    dead_slices: int = 0
+    unreachable_outputs: int = 0
     seconds: float = field(default=0.0, compare=False)
     history: Optional[tuple[tuple[float, float], ...]] = None
     policy: Optional[CausalPolicy] = field(default=None, repr=False,
@@ -419,7 +417,6 @@ def run_baa(kernel: FscKernel, sys: ActionSystem, n: int, lam: float,
     for iterations in range(1, max_iters + 1):
         previous = state.r
         plain = update_r(state)
-        plain_product = state._product
         state.r = _over_relax(previous, plain, relax, state.r_flagged)
         state.q = update_q(state)
         candidate_il = lower_bound(state)
@@ -429,8 +426,7 @@ def run_baa(kernel: FscKernel, sys: ActionSystem, n: int, lam: float,
         else:
             rejected += 1
             relax = max(relax / RELAX_CUT, RELAX_START)
-            # the log-product update_r left for the plain policy is still valid
-            state.r, state._product = plain, plain_product
+            state.r = plain
             state.q = update_q(state)
             il = lower_bound(state)
         iu = upper_bound(state)
@@ -439,7 +435,7 @@ def run_baa(kernel: FscKernel, sys: ActionSystem, n: int, lam: float,
         if iu - il <= eps:
             converged = True
             break
-    _, joint, _ = _policy_product(state)
+    joint, _ = _policy_product(state)
     gamma = state.space.expected_cost(joint)
     return TradeoffPoint(
         lam=lam,
@@ -450,6 +446,8 @@ def run_baa(kernel: FscKernel, sys: ActionSystem, n: int, lam: float,
         final_gap=iu - il,
         converged=converged,
         rejected_steps=rejected,
+        dead_slices=sum(int(f.sum()) for f in state.r_flagged),
+        unreachable_outputs=int(state.q_unreachable.sum()),
         seconds=time.perf_counter() - t0,
         history=tuple(history) if record_history else None,
         policy=state.r,

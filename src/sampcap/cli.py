@@ -527,6 +527,8 @@ def cmd_capacity_sweep(config_path: str, out_dir: str = ".") -> int:
                 "gamma": p.gamma,
                 "iterations": p.iterations,
                 "rejected_steps": p.rejected_steps,
+                "dead_slices": p.dead_slices,
+                "unreachable_outputs": p.unreachable_outputs,
                 "seconds": p.seconds,
                 "final_gap": p.final_gap,
                 "converged": p.converged,

@@ -9,11 +9,11 @@ Only the channel law, its log and the per-row action costs are held at full
 [rows, cols] size. Everything per step i lives on the smaller grid it
 depends on, built once per (kernel, actions, N, start state):
 
-  - hist[i-1], measure[i-1] on the (u^{i-1}, y^{i-1}) grid: the feedback
-    history id (u^{i-1}, z^{i-1}) of each cell, z_j = f(a_j, y_j), and the
-    past channel law P(y^{i-1} || x^{i-1}) weighting it,
+  - measure[i-1] on the (u^{i-1}, y^{i-1}) grid: the past channel law
+    P(y^{i-1} || x^{i-1}) of each cell,
   - slot[i-1] on the (u^i, y^{i-1}) grid: the flat slot hist * U + u_i of
-    the per-step policy table Q_i(u_i | u^{i-1}, z^{i-1}) that the cell reads,
+    the per-step policy table Q_i(u_i | u^{i-1}, z^{i-1}) that the cell
+    reads, hist being the id of its feedback history, z_j = f(a_j, y_j),
   - denom[i-1] per history: the past law summed over the output prefixes
     compatible with that history,
   - cond[i-1] on the (u^i, y^i) grid: the step conditional
@@ -72,16 +72,17 @@ class TrajectorySpace:
         prefix = self._channel_prefixes()
         grids = [self._grid(k, prefix[k]) for k in range(n + 1)]
         self.p_full = grids[n][1]                           # [rows, cols]
-        self.log2_p_full = log2_guarded(self.p_full)
+        # 0, not -inf, where p = 0: readers weight it by r p or mask by p > 0
+        self.log2_p_full = np.log2(self.p_full, out=np.zeros_like(self.p_full),
+                                   where=self.p_full > 0.0)
 
         self.n_hist = [u ** (i - 1) * self.z_size ** (i - 1) for i in range(1, n + 1)]
-        self.hist = [g[0] for g in grids[:n]]
         self.measure = [g[1] for g in grids[:n]]
         self.slot = []
         self.denom = []
         self.cond = []
         for i in range(1, n + 1):
-            h, past = self.hist[i - 1], self.measure[i - 1]
+            h, past = grids[i - 1]
             # stored with singleton axes so a gather broadcasts against the view
             slot = h[:, None, :] * u + np.arange(u)[:, None]
             self.slot.append(slot.reshape([u] * i + [1] * (n - i)
@@ -153,11 +154,7 @@ class TrajectorySpace:
                            ).reshape(-1, self.u_size)
 
     def policy_log2(self, tables: tuple[np.ndarray, ...]) -> np.ndarray:
-        """log2 of the causal conditioning product r(u^N || z^{N-1}); [rows, cols].
-
-        The step factors are added from step N down to step 1, the order in
-        which update_r builds the same sum, so both give identical arrays.
-        """
+        """log2 of the causal conditioning product r(u^N || z^{N-1}); [rows, cols]."""
         total = np.zeros(self.view)
         for i in range(self.n, 0, -1):
             total += self.spread(log2_guarded(tables[i - 1]), i)

@@ -41,9 +41,17 @@ def load_config(path):
     return config
 
 
-def make_random_kernel(rng, s_size, x_size, y_size):
-    """Random valid channel with a random initial state distribution."""
+def make_random_kernel(rng, s_size, x_size, y_size, zero_share=0.0):
+    """Random valid channel with a random initial state distribution.
+
+    With zero_share > 0 about that share of the kernel entries is zeroed;
+    every (state, input) row keeps at least one positive entry.
+    """
     raw = rng.random((s_size, x_size, y_size, s_size))
+    if zero_share > 0.0:
+        raw[rng.random(raw.shape) < zero_share] = 0.0
+        for s, x in zip(*np.nonzero(raw.sum(axis=(2, 3)) == 0.0)):
+            raw[s, x, rng.integers(y_size), rng.integers(s_size)] = 1.0
     raw /= raw.sum(axis=(2, 3), keepdims=True)
     init = rng.random(s_size)
     init /= init.sum()

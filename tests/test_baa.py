@@ -1,6 +1,7 @@
 """Alternating maximization: updates, bound iterates, sweeps, envelopes."""
 
 import math
+import warnings
 from collections import defaultdict
 from itertools import product
 
@@ -35,7 +36,7 @@ from sampcap._num import fsum_array, weighted_log2_sum
 from sampcap.baa import BaaState
 from sampcap.trajectory import TrajectorySpace
 
-from conftest import make_random_kernel, make_trivial_actions
+from conftest import make_random_kernel, make_random_policy, make_trivial_actions
 
 
 def z_channel_kernel():
@@ -138,15 +139,25 @@ class TestPolicyProductCache:
         assert upper_bound(state) == upper_bound(fresh)
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_policy_update_leaves_the_log_product_of_its_policy(
+    def test_updated_policy_posterior_and_lower_iterate_match_its_tables(
         self, markovian_kernel, markovian_actions, n
     ):
-        state = iterated_state(markovian_kernel, markovian_actions, n, 0.3, 3)
+        lam = 0.3
+        state = iterated_state(markovian_kernel, markovian_actions, n, lam, 3)
         policy = update_r(state)
-        owner, log_sum, _ = state._product
-        assert owner is policy
-        np.testing.assert_array_equal(log_sum,
-                                      state.space.policy_log2(policy.tables))
+        state.r = policy
+        q = update_q(state)
+        il = lower_bound(state)
+        assert state._product[0] is policy
+        # rebuilt from the returned tables alone
+        space = state.space
+        r_prod = np.exp2(space.policy_log2(policy.tables))
+        joint = r_prod * space.p_full
+        np.testing.assert_allclose(q, joint / joint.sum(axis=0), rtol=0.0,
+                                   atol=1e-12)
+        cost = fsum_array(joint * space.cost_row[:, None]) / n
+        fresh_il = weighted_log2_sum(joint, q, r_prod) / n - lam * cost
+        assert il == pytest.approx(fresh_il, abs=1e-12)
 
     def test_log_product_matches_the_linear_domain_joint(
         self, markovian_kernel, markovian_actions
@@ -211,6 +222,112 @@ class TestTrajectoryLayout:
             arrays.extend(value if isinstance(value, list) else [value])
         total = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
         assert total <= 4 * space.rows * space.cols * 8
+
+
+def feedback_actions(z_of_y, cost):
+    """One action of the given cost whose feedback is z_of_y[y]."""
+    return ActionSystem(
+        encoder_actions=Alphabet(1),
+        decoder_actions=Alphabet(1),
+        feedback_alphabet=Alphabet(max(z_of_y) + 1),
+        sampling_table=np.array(z_of_y, dtype=int).reshape(1, 1, -1),
+        cost_table=np.array([[cost]]),
+    )
+
+
+def deterministic_kernel():
+    # y = x for x in {0, 1}; the third output y = 2 never occurs
+    arr = np.zeros((1, 2, 3, 1))
+    arr[0, 0, 0, 0] = arr[0, 1, 1, 0] = 1.0
+    return FscKernel(Alphabet(1), Alphabet(2), Alphabet(3), arr, np.array([1.0]))
+
+
+def brute_force_upper(kernel, actions, policy, lam):
+    """max over every deterministic causal map u_i = g(u^{i-1}, z^{i-1}) of
+    E[log2(p 2^(-lam Lambda) / d)] / N, with d the output law of policy.
+
+    Single-action systems only: u = x, and each step costs cost_table[0, 0].
+    """
+    n, u_size = policy.block_length, policy.u_size
+    y_size = kernel.output_size
+    z_of = actions.sampling_table[0, 0]
+    indexer = HistoryIndexer(u_size, policy.z_size)
+    outputs = list(product(range(y_size), repeat=n))
+    d = {}
+    for ys in outputs:
+        total = 0.0
+        for us in product(range(u_size), repeat=n):
+            weight = 1.0
+            for i in range(n):
+                h = indexer.encode(us[:i], [z_of[y] for y in ys[:i]])
+                weight *= policy.tables[i][h, us[i]]
+            total += weight * causal_channel_prob(kernel, us, ys)
+        d[ys] = total
+    penalty = lam * n * actions.cost_table[0, 0]
+    histories = [list(product(product(range(u_size), repeat=i),
+                              product(range(policy.z_size), repeat=i)))
+                 for i in range(n)]
+    best = -math.inf
+    for choice in product(*(product(range(u_size), repeat=len(h))
+                            for h in histories)):
+        maps = [dict(zip(h, c)) for h, c in zip(histories, choice)]
+        value = 0.0
+        for ys in outputs:
+            us = ()
+            for i in range(n):
+                zs = tuple(z_of[y] for y in ys[:i])
+                us += (maps[i][(us, zs)],)
+            p = causal_channel_prob(kernel, us, ys)
+            if p > 0.0:
+                value += p * (math.log2(p) - penalty - math.log2(d[ys])
+                              if d[ys] > 0.0 else math.inf)
+        best = max(best, value / n)
+    return best
+
+
+class TestFold:
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    @pytest.mark.parametrize("channel", range(4))
+    def test_upper_iterate_is_the_best_deterministic_map(self, channel, lam, n):
+        rng = np.random.default_rng(channel)
+        if channel == 0:
+            kernel, z_of_y = deterministic_kernel(), [0, 1, 1]
+        elif channel == 1:
+            kernel, z_of_y = z_channel_kernel(), [0, 1]
+        else:
+            y_size = channel + 1
+            kernel = make_random_kernel(rng, 2, 2, y_size, zero_share=0.5)
+            z_of_y = [y % 2 for y in range(y_size)]
+        assert np.any(kernel.kernel == 0.0)
+        actions = feedback_actions(z_of_y, 0.5)
+        policy = make_random_policy(rng, n, 2, 2)
+        state = BaaState.initial(kernel, actions, n, lam, start=policy)
+        assert upper_bound(state) == pytest.approx(
+            brute_force_upper(kernel, actions, policy, lam), abs=1e-12)
+
+    def test_upper_iterate_is_infinite_where_only_the_policy_kills_an_output(self):
+        kernel, actions = z_channel_kernel(), feedback_actions([0, 1], 0.0)
+        pinned = CausalPolicy(block_length=1, u_size=2, z_size=2,
+                              tables=(np.array([[1.0, 0.0]]),))
+        state = BaaState.initial(kernel, actions, 1, 0.0, start=pinned)
+        # x = 1 reaches y = 1, which the pinned policy never produces
+        assert brute_force_upper(kernel, actions, pinned, 0.0) == math.inf
+        assert upper_bound(state) == math.inf
+
+    def test_unused_output_raises_no_warning(self):
+        # both p and d vanish on y = 2; the upper iterate's leaf is built
+        # without an invalid subtraction
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (1, 2, 3):
+                curve = sweep_lambda(deterministic_kernel(),
+                                     make_trivial_actions(3), n,
+                                     lam_grid=[0.0, 0.1, 1.0])
+                for point in curve.points:
+                    assert point.converged
+                    assert point.i_upper == pytest.approx(1.0, abs=1e-6)
+                    assert point.unreachable_outputs == 3 ** n - 2 ** n
 
 
 class TestRunBaa:

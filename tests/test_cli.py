@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -128,8 +129,9 @@ class TestCapacitySweep:
                 [float(row[0]) for row in rows], rel=1e-11)
             for point, row in zip(run["points"], rows):
                 assert set(point) == {"lam", "gamma", "iterations",
-                                      "rejected_steps", "seconds", "final_gap",
-                                      "converged", "near_cap"}
+                                      "rejected_steps", "dead_slices",
+                                      "unreachable_outputs", "seconds",
+                                      "final_gap", "converged", "near_cap"}
                 assert point["converged"] and not point["near_cap"]
                 assert point["final_gap"] <= report["epsilon"]
                 assert 1 <= point["iterations"] < 0.9 * report["max_iters"]
@@ -210,6 +212,69 @@ class TestCapacitySweep:
         assert converged == "true"
         _, env_rows = read_rows(out / "envelope_2.csv")
         assert len(env_rows) == 11
+
+    @pytest.mark.parametrize("case", ["unused-output", "zero-cost",
+                                      "lambda-zero", "three-actions"])
+    def test_edge_case_config_is_certified_without_warnings(
+        self, tmp_path, capsys, case
+    ):
+        def unused_output(doc):
+            # y = x, and the third output never occurs
+            doc["channel"]["output_size"] = 3
+            doc["channel"]["kernel"] = [[[[1.0], [0.0], [0.0]],
+                                         [[0.0], [1.0], [0.0]]]]
+            doc["actions"]["sampling_table"] = [[[0, 0, 0]]]
+            doc["algorithm"]["lambda_grid"] = [0.0, 0.1, 1.0]
+
+        def zero_cost(doc):
+            doc["actions"]["cost_table"] = [[0.0], [0.0]]
+            doc["block_lengths"] = [2]
+            doc["algorithm"]["lambda_grid"] = [0.0, 1.0, 10.0]
+
+        def lambda_zero(doc):
+            doc["algorithm"]["lambda_grid"] = [0.0]
+
+        def three_actions(doc):
+            # one state, three priced actions; two of them see the output,
+            # which cannot help on a memoryless channel
+            doc["actions"].update(
+                encoder_size=3, feedback_size=3,
+                sampling_table=[[[0, 0]], [[1, 2]], [[1, 2]]],
+                cost_table=[[0.0], [0.5], [1.0]])
+            doc["algorithm"]["lambda_grid"] = [0.0, 0.1, 1.0]
+
+        base, mutate, value = {
+            "unused-output": (BSC_CONFIG_PATH, unused_output, 1.0),
+            "zero-cost": (MARKOVIAN_CONFIG_PATH, zero_cost, INFORMED_CAPACITY),
+            "lambda-zero": (BSC_CONFIG_PATH, lambda_zero,
+                            1.0 - binary_entropy(0.25)),
+            "three-actions": (BSC_CONFIG_PATH, three_actions,
+                              1.0 - binary_entropy(0.25)),
+        }[case]
+
+        def drop_sections(doc):
+            for key in ("single_letter", "exponent"):
+                doc.pop(key)
+            mutate(doc)
+
+        path = write_variant(tmp_path, base, drop_sections)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.cmd_capacity_sweep(path, str(out)) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        with open(out / "report.json", encoding="utf-8") as fh:
+            report = json.load(fh)
+        for run in report["runs"]:
+            assert run["certified"] is True
+            _, rows = read_rows(out / f"sweep_{run['block_length']}.csv")
+            assert len(rows) == len(run["points"])
+            for row, point in zip(rows, run["points"]):
+                assert row[-1] == "true"
+                assert float(row[4]) - float(row[3]) <= report["epsilon"]
+                assert abs(float(row[4]) - value) <= report["epsilon"] + 1e-11
+                if case == "unused-output":
+                    assert point["unreachable_outputs"] > 0
 
     def test_empty_block_lengths_are_rejected(self, tmp_path, capsys):
         def mutate(doc):

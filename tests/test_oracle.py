@@ -11,6 +11,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sampcap import (
     ActionSystem,
@@ -189,6 +191,33 @@ class TestLiteralPolicyUpdate:
         literal = literal_r_update(state)
         main = update_r(state)
         assert literal.block_length == main.block_length
+        for lit_table, main_table in zip(literal.tables, main.tables):
+            assert np.max(np.abs(lit_table - main_table)) <= 1e-10
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2),
+           lam=st.sampled_from([0.0, 0.1, 1.0]))
+    def test_matches_on_sparse_kernels(self, seed, n, lam):
+        # about half the kernel entries are zero, and the sampling table and
+        # costs are random, so dead prefixes and zero posteriors occur
+        rng = np.random.default_rng(seed)
+        y_size = int(rng.integers(2, 5))
+        kernel = make_random_kernel(rng, int(rng.integers(1, 3)),
+                                    int(rng.integers(1, 3)), y_size,
+                                    zero_share=0.5)
+        a_size, z_size = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+        sys = ActionSystem(
+            encoder_actions=Alphabet(a_size),
+            decoder_actions=Alphabet(1),
+            feedback_alphabet=Alphabet(z_size),
+            sampling_table=rng.integers(0, z_size, (a_size, 1, y_size)),
+            cost_table=rng.random((a_size, 1)),
+        )
+        state = BaaState.initial(kernel, sys, n, lam)
+        for _ in range(int(rng.integers(0, 3))):
+            state.r = update_r(state)
+            state.q = update_q(state)
+        literal = literal_r_update(state)
+        main = update_r(state)
         for lit_table, main_table in zip(literal.tables, main.tables):
             assert np.max(np.abs(lit_table - main_table)) <= 1e-10
 
