@@ -139,7 +139,7 @@ class TestPolicyProductCache:
         assert upper_bound(state) == upper_bound(fresh)
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_updated_policy_posterior_and_lower_iterate_match_its_tables(
+    def test_policy_update_leaves_the_log_product_of_its_policy(
         self, markovian_kernel, markovian_actions, n
     ):
         lam = 0.3
