@@ -62,30 +62,31 @@ def default_lambda_grid() -> np.ndarray:
     return np.concatenate([[0.0], np.geomspace(1e-3, 10.0, 25)])
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BaaState:
-    """Mutable optimizer state: current policy r and reverse conditional q.
+    """One iterate of the alternating map: a policy r and what it determines.
 
-    q_unreachable flags output blocks with zero probability under (r, p);
-    r_flagged marks policy slices that received no weight in the last policy
-    update. The policy product of r is cached per policy object (see
-    _policy_product), so assigning a new policy to r invalidates it.
+    update_q builds every iterate (initial goes through it), so q is always
+    r's Bayes posterior r p / d, with d the output marginal sum_u r p, and
+    i_lower and gamma are r's Lagrangian lower iterate and per-step expected
+    action cost. r_flagged marks the policy slices that received no weight
+    in the update that produced r (none for a start policy).
     """
 
+    space: TrajectorySpace
     lam: float
     r: CausalPolicy
     q: np.ndarray
-    space: TrajectorySpace
-    q_unreachable: np.ndarray = field(default=None)
-    r_flagged: tuple = ()
-    # (policy, joint, den)
-    _product: Optional[tuple] = field(default=None, init=False, repr=False)
+    d: np.ndarray
+    i_lower: float
+    gamma: float
+    r_flagged: tuple
 
     @classmethod
     def initial(cls, kernel: FscKernel, sys: ActionSystem, n: int,
                 lam: float, space: Optional[TrajectorySpace] = None,
                 start: Optional[CausalPolicy] = None) -> "BaaState":
-        """Start policy (uniform by default) with its Bayes posterior.
+        """The iterate of the start policy (uniform by default).
 
         A given space must be the block-length-n space of kernel and sys; it
         is shared, never modified.
@@ -96,32 +97,40 @@ class BaaState:
             raise ValueError(f"space has block length {space.n}, expected {n}")
         r = start if start is not None else CausalPolicy.uniform(
             n, space.u_size, space.z_size)
-        state = cls(lam=lam, r=r, q=None, space=space)
-        state.q = update_q(state)
-        return state
+        return update_q(space, lam, r)
+
+    @property
+    def dead_slices(self) -> int:
+        return sum(int(f.sum()) for f in self.r_flagged)
+
+    @property
+    def unreachable_outputs(self) -> int:
+        """Output blocks of zero marginal, where q is a uniform slice."""
+        return int((self.d <= 0.0).sum())
 
 
-def _policy_product(state: BaaState) -> tuple[np.ndarray, np.ndarray]:
-    """(joint, den) for the state's policy, computed once per policy object:
-    joint = r p from TrajectorySpace.policy_log2, den the output marginal."""
-    if state._product is None or state._product[0] is not state.r:
-        joint = np.exp2(state.space.policy_log2(state.r.tables))
-        joint *= state.space.p_full
-        state._product = (state.r, joint, joint.sum(axis=0))
-    return state._product[1:]
+def update_q(space: TrajectorySpace, lam: float, r: CausalPolicy,
+             flagged: tuple = ()) -> BaaState:
+    """The iterate of policy r, flagged being the dead slices of its update.
 
-
-def update_q(state: BaaState) -> np.ndarray:
-    """Bayes posterior q(u^N | y^N) = r p / sum_u r p for the state's policy.
-
-    Output blocks with zero marginal get a uniform slice and are flagged
-    unreachable on the state.
+    Forms the joint r p once, takes its output marginal d, prices I_L
+    (lower_bound) and the expected cost under it, then turns the joint in
+    place into the Bayes posterior q(u^N | y^N) = r p / d. Output blocks
+    with zero marginal get a uniform slice.
     """
-    joint, den = _policy_product(state)
-    state.q_unreachable = den <= 0.0
-    q = np.full_like(joint, 1.0 / state.space.rows)
-    np.divide(joint, den, out=q, where=~state.q_unreachable)
-    return q
+    joint = np.exp2(space.policy_log2(r.tables))
+    joint *= space.p_full
+    d = joint.sum(axis=0)
+    gamma = space.expected_cost(joint)
+    i_lower = lower_bound(space, lam, joint, d, gamma)
+    reachable = d > 0.0
+    np.divide(joint, d, out=joint, where=reachable)
+    if not reachable.all():
+        joint[:, ~reachable] = 1.0 / space.rows
+    joint.setflags(write=False)
+    d.setflags(write=False)
+    return BaaState(space=space, lam=lam, r=r, q=joint, d=d, i_lower=i_lower,
+                    gamma=gamma, r_flagged=flagged)
 
 
 def _fold(space: TrajectorySpace, leaf: np.ndarray, pick):
@@ -167,8 +176,8 @@ def _reduce_last(op, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def update_r(state: BaaState, lam: Optional[float] = None) -> CausalPolicy:
-    """Backward policy update (steps N down to 1) for fixed q.
+def update_r(state: BaaState) -> tuple[CausalPolicy, tuple]:
+    """Backward policy update (steps N down to 1) for the iterate's q.
 
     Step i uses the factors already updated at steps j > i. The new factor is
     the normalized weighted geometric mean
@@ -180,14 +189,12 @@ def update_r(state: BaaState, lam: Optional[float] = None) -> CausalPolicy:
     feedback-compatible sum of past channel products; that sum is constant
     on a slot, so the slot sums (_fold's scores) are divided by it once.
     Zero-weight terms contribute exactly 0 even when the log argument
-    vanishes. Slices that receive no weight at all become uniform and are
-    flagged on the state.
+    vanishes. Slices that receive no weight at all become uniform; returns
+    the new policy and, per step, the flags of those slices.
     """
-    lam = state.lam if lam is None else lam
     space = state.space
-    state._product = None  # release the old policy's arrays before the fold
     leaf = log2_guarded(state.q)
-    leaf -= lam * space.cost_row[:, None]
+    leaf -= state.lam * space.cost_row[:, None]
 
     def geometric_mean(scores, i):
         # a history without past law has denom 0 and scores 0: it turns NaN
@@ -203,9 +210,8 @@ def update_r(state: BaaState, lam: Optional[float] = None) -> CausalPolicy:
         return table, dead
 
     _, tables, flags = _fold(space, leaf, geometric_mean)
-    state.r_flagged = tuple(flags)
     return CausalPolicy(block_length=space.n, u_size=space.u_size,
-                        z_size=space.z_size, tables=tuple(tables))
+                        z_size=space.z_size, tables=tuple(tables)), tuple(flags)
 
 
 def _over_relax(previous: CausalPolicy, plain: CausalPolicy, relax: float,
@@ -238,21 +244,21 @@ def _over_relax(previous: CausalPolicy, plain: CausalPolicy, relax: float,
                         z_size=plain.z_size, tables=tuple(tables))
 
 
-def lower_bound(state: BaaState) -> float:
-    """Monotone Lagrangian lower iterate of the state's policy r
+def lower_bound(space: TrajectorySpace, lam: float, joint: np.ndarray,
+                d: np.ndarray, gamma: float) -> float:
+    """Monotone Lagrangian lower iterate of a policy r, given joint = r p,
+    its output marginal d and its expected cost gamma
 
-    I_L = (1/N) sum r p log2(q / r) - lambda E[Lambda] under r p.
+    I_L = (1/N) sum r p log2(q / r) - lambda gamma.
 
     q is the posterior r p / d, so q / r = p / d wherever r p > 0 and I_L is
-    (1/N) [sum r p log2 p - sum_{d > 0} d log2 d] - lambda E[Lambda], DI/N
-    less the priced cost, summed over the rows of r p log2 p and over d.
+    (1/N) [sum r p log2 p - sum_{d > 0} d log2 d] - lambda gamma, DI/N less
+    the priced cost, summed over the rows of r p log2 p and over d.
     """
-    space = state.space
-    joint, d = _policy_product(state)
     d = d[d > 0.0]
     info = (fsum_array(np.einsum("ij,ij->i", joint, space.log2_p_full))
             - fsum_array(d * np.log2(d)))
-    return info / space.n - state.lam * space.expected_cost(joint)
+    return info / space.n - lam * gamma
 
 
 def upper_bound(state: BaaState) -> float:
@@ -273,9 +279,8 @@ def upper_bound(state: BaaState) -> float:
     I_U is +inf if the best map reaches an output with p > 0 = sum_u r p.
     """
     space = state.space
-    _, d = _policy_product(state)
     leaf = space.log2_p_full - state.lam * space.cost_row[:, None]
-    leaf -= log2_guarded(d)[None, :]
+    leaf -= log2_guarded(state.d)[None, :]
 
     def argmax(scores, i):
         return np.eye(space.u_size)[scores.argmax(axis=1)], None
@@ -337,12 +342,10 @@ class TradeoffCurve:
     points: tuple[TradeoffPoint, ...]
     gammas: np.ndarray
     envelope: np.ndarray
-    support_lambda: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "gammas", freeze(self.gammas))
         object.__setattr__(self, "envelope", freeze(self.envelope))
-        object.__setattr__(self, "support_lambda", freeze(self.support_lambda))
         lams = [p.lam for p in self.points]
         if lams != sorted(lams):
             raise ValueError("points must be sorted by lambda")
@@ -385,14 +388,14 @@ def run_baa(kernel: FscKernel, sys: ActionSystem, n: int, lam: float,
             start: Optional[CausalPolicy] = None) -> TradeoffPoint:
     """Iterate the two updates until the bound gap closes (or iterations run out).
 
-    Starts from the start policy (uniform by default) with its Bayes
-    posterior, then repeats policy update, posterior update, bound
-    evaluation. Each policy update is over-relaxed (_over_relax) with step
-    size relax; the candidate is kept if its lower iterate is at least the
-    previous one, else the iteration falls back to the plain update, which
-    never lowers it. relax grows after an accepted candidate and is cut
-    after a rejected one (RELAX_* constants). q is always the posterior of
-    the current policy, so I_L is that policy's exact Lagrangian, I_U bounds
+    Starts from the iterate of the start policy (uniform by default), then
+    repeats policy update, new iterate (update_q), upper iterate. Each
+    policy update is over-relaxed (_over_relax) with step size relax; the
+    candidate iterate is kept if its lower iterate is at least the current
+    one, else it is dropped for the plain update's, which never lowers it.
+    relax grows after an accepted candidate and is cut after a rejected one
+    (RELAX_* constants). An iterate's q is its policy's posterior by
+    construction, so I_L is that policy's exact Lagrangian, I_U bounds
     C_N(lambda) whatever the policy, and I_L is monotone: the bounds certify
     the point whatever the start. A shared space saves its rebuild.
     Nonconvergence within max_iters is reported on the point, not raised.
@@ -408,46 +411,41 @@ def run_baa(kernel: FscKernel, sys: ActionSystem, n: int, lam: float,
         )
     t0 = time.perf_counter()
     state = BaaState.initial(kernel, sys, n, lam, space=space, start=start)
+    space = state.space
     history: list[tuple[float, float]] = []
     converged = False
-    il = lower_bound(state)
     iu = math.inf
     relax = RELAX_START
     rejected = iterations = 0
     for iterations in range(1, max_iters + 1):
-        previous = state.r
-        plain = update_r(state)
-        state.r = _over_relax(previous, plain, relax, state.r_flagged)
-        state.q = update_q(state)
-        candidate_il = lower_bound(state)
-        if candidate_il >= il:
-            il = candidate_il
+        plain, flags = update_r(state)
+        candidate = update_q(space, lam,
+                             _over_relax(state.r, plain, relax, flags), flags)
+        if candidate.i_lower >= state.i_lower:
+            state = candidate
             relax = min(RELAX_GROW * relax, RELAX_MAX)
         else:
             rejected += 1
             relax = max(relax / RELAX_CUT, RELAX_START)
-            state.r = plain
-            state.q = update_q(state)
-            il = lower_bound(state)
+            del candidate  # release its arrays before the plain iterate's
+            state = update_q(space, lam, plain, flags)
         iu = upper_bound(state)
         if record_history:
-            history.append((il, iu))
-        if iu - il <= eps:
+            history.append((state.i_lower, iu))
+        if iu - state.i_lower <= eps:
             converged = True
             break
-    joint, _ = _policy_product(state)
-    gamma = state.space.expected_cost(joint)
     return TradeoffPoint(
         lam=lam,
-        gamma=gamma,
-        i_lower=il,
+        gamma=state.gamma,
+        i_lower=state.i_lower,
         i_upper=iu,
         iterations=iterations,
-        final_gap=iu - il,
+        final_gap=iu - state.i_lower,
         converged=converged,
         rejected_steps=rejected,
-        dead_slices=sum(int(f.sum()) for f in state.r_flagged),
-        unreachable_outputs=int(state.q_unreachable.sum()),
+        dead_slices=state.dead_slices,
+        unreachable_outputs=state.unreachable_outputs,
         seconds=time.perf_counter() - t0,
         history=tuple(history) if record_history else None,
         policy=state.r,
@@ -476,9 +474,8 @@ def sweep_lambda(kernel: FscKernel, sys: ActionSystem, n: int,
     (see _warm_start). Neighbouring optima are close, and approaching each
     point from the side with more sampling avoids regrowing mass the
     multiplicative update has nearly emptied. The envelope is evaluated on
-    a uniform budget grid [0, Lambda_max]; each budget records its
-    supporting lambda (lowest lambda wins ties). Nonconverged points
-    propagate their flags.
+    a uniform budget grid [0, Lambda_max]. Nonconverged points propagate
+    their flags.
     """
     if lam_grid is None:
         lam_grid = default_lambda_grid()
@@ -500,15 +497,12 @@ def sweep_lambda(kernel: FscKernel, sys: ActionSystem, n: int,
         gammas = np.linspace(0.0, max_cost, gamma_points)
     else:
         gammas = np.array([0.0])
-    envelope, best = _tangent_envelope(points, gammas)
-    support = np.array([points[k].lam for k in best])
     return TradeoffCurve(
         block_length=n,
         max_cost=max_cost,
         points=points,
         gammas=gammas,
-        envelope=envelope,
-        support_lambda=support,
+        envelope=_tangent_envelope(points, gammas)[0],
     )
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import platform
 import sys as _sys
 import time
@@ -72,9 +73,10 @@ GRID_POINT_BUDGET = 20_000
 NEAR_CAP = 0.9  # share of max_iters from which report.json flags a point
 # pre-flight memory check: a block length N holds about DENSE_ARRAYS
 # float64 arrays of (|X| |A| |Y|)^N entries at once (the channel law and
-# its log, posterior, policy log-product, joint and the policy update's
-# buffers); configs whose estimate exceeds MAX_DENSE_BYTES are rejected
-# (markovian: N = 6 needs 1.1 GiB and passes, N = 7 needs 18 GiB)
+# its log, each live iterate's posterior, which is its joint r p divided in
+# place, the policy log-product and the policy update's buffers); configs
+# whose estimate exceeds MAX_DENSE_BYTES are rejected (markovian: N = 6
+# needs 1.1 GiB and passes, N = 7 needs 18 GiB)
 DENSE_ARRAYS = 9
 MAX_DENSE_BYTES = 2 ** 31
 
@@ -454,6 +456,14 @@ def _read_config(path: str):
     return config, EXIT_OK, []
 
 
+def _load_config(path: str):
+    """(config, EXIT_OK), or (None, exit code) with the reasons on stderr."""
+    config, code, messages = _read_config(path)
+    for msg in messages:
+        print(msg, file=_sys.stderr)
+    return config, code
+
+
 def cmd_validate(config_path: str, out_dir: str = ".") -> int:
     config, code, messages = _read_config(config_path)
     for msg in messages:
@@ -470,13 +480,9 @@ def _write_lines(path, lines: Sequence[str]) -> None:
 
 
 def cmd_capacity_sweep(config_path: str, out_dir: str = ".") -> int:
-    config, code, messages = _read_config(config_path)
+    config, code = _load_config(config_path)
     if config is None:
-        for msg in messages:
-            print(msg, file=_sys.stderr)
         return code
-    import os
-
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -559,17 +565,13 @@ def cmd_capacity_sweep(config_path: str, out_dir: str = ".") -> int:
 
 
 def cmd_bounds(config_path: str, out_dir: str = ".") -> int:
-    config, code, messages = _read_config(config_path)
+    config, code = _load_config(config_path)
     if config is None:
-        for msg in messages:
-            print(msg, file=_sys.stderr)
         return code
     if config.single_letter is None:
         print("/single_letter: section required for the bounds command",
               file=_sys.stderr)
         return EXIT_SEMANTIC
-    import os
-
     spec = config.single_letter
     max_cost = float(spec.cost.max())
     enc = spec.problem("encoder", max_cost)
@@ -645,8 +647,7 @@ def _oracle_reports(config: ExperimentConfig) -> tuple[list, list]:
             if policy is None:
                 state = BaaState.initial(kernel, sys_, n, 0.0)
                 for _ in range(5):
-                    state.r = update_r(state)
-                    state.q = update_q(state)
+                    state = update_q(state.space, state.lam, *update_r(state))
                 policy = state.r
             joint = build_joint(policy, kernel, sys_)
             reports.append(OracleReport(
@@ -687,8 +688,7 @@ def _oracle_reports(config: ExperimentConfig) -> tuple[list, list]:
         for lam, iters, label in ((0.5, 0, "initial"), (0.0, 3, "midrun")):
             state = BaaState.initial(kernel, sys_, n, lam)
             for _ in range(iters):
-                state.r = update_r(state)
-                state.q = update_q(state)
+                state = update_q(state.space, state.lam, *update_r(state))
             try:
                 literal = literal_r_update(state)
             except ValueError as exc:
@@ -697,7 +697,7 @@ def _oracle_reports(config: ExperimentConfig) -> tuple[list, list]:
                     "skipped": str(exc),
                 })
                 continue
-            main_policy = update_r(state)
+            main_policy, _ = update_r(state)
             lit_flat = np.concatenate([t.ravel() for t in literal.tables])
             main_flat = np.concatenate([t.ravel() for t in main_policy.tables])
             worst = int(np.argmax(np.abs(lit_flat - main_flat)))
@@ -713,13 +713,9 @@ def _oracle_reports(config: ExperimentConfig) -> tuple[list, list]:
 
 
 def cmd_oracle_check(config_path: str, out_dir: str = ".") -> int:
-    config, code, messages = _read_config(config_path)
+    config, code = _load_config(config_path)
     if config is None:
-        for msg in messages:
-            print(msg, file=_sys.stderr)
         return code
-    import os
-
     reports, skips = _oracle_reports(config)
     all_passed = all(r.passed for r in reports)
     doc = {
@@ -746,17 +742,13 @@ def cmd_oracle_check(config_path: str, out_dir: str = ".") -> int:
 
 
 def cmd_exponent(config_path: str, out_dir: str = ".") -> int:
-    config, code, messages = _read_config(config_path)
+    config, code = _load_config(config_path)
     if config is None:
-        for msg in messages:
-            print(msg, file=_sys.stderr)
         return code
     if config.exponent is None:
         print("/exponent: section required for the exponent command",
               file=_sys.stderr)
         return EXIT_SEMANTIC
-    import os
-
     n = config.exponent.block_length
     u_size = config.kernel.input_size * config.actions.encoder_actions.size
     policy = CausalPolicy.uniform(n, u_size, config.actions.feedback_alphabet.size)

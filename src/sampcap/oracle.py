@@ -348,7 +348,7 @@ def grid_capacity(kernel: FscKernel, sys: ActionSystem, n: int,
     return result
 
 
-def literal_r_update(state: BaaState, lam: Optional[float] = None) -> CausalPolicy:
+def literal_r_update(state: BaaState) -> CausalPolicy:
     """Policy update evaluated as a direct product of powers, no log domain.
 
     Walks steps N down to 1; each slot (u^{i-1}, z^{i-1}, u_i) accumulates
@@ -362,8 +362,7 @@ def literal_r_update(state: BaaState, lam: Optional[float] = None) -> CausalPoli
     here by literal enumeration. Slices with no weight (or that underflow to
     all-zero) become uniform, the same convention the optimized update uses.
     """
-    if lam is None:
-        lam = state.lam
+    lam = state.lam
     kernel, sys = state.space.kernel, state.space.sys
     n = state.r.block_length
     x_size = kernel.input_size

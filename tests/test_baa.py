@@ -1,5 +1,6 @@
 """Alternating maximization: updates, bound iterates, sweeps, envelopes."""
 
+import dataclasses
 import math
 import warnings
 from collections import defaultdict
@@ -23,7 +24,6 @@ from sampcap import (
     causal_channel_prob,
     default_lambda_grid,
     directed_information,
-    lower_bound,
     run_baa,
     sample_feedback,
     sandwich_bounds,
@@ -33,7 +33,7 @@ from sampcap import (
     upper_bound,
 )
 from sampcap._num import fsum_array, weighted_log2_sum
-from sampcap.baa import BaaState
+from sampcap.baa import BaaState, _tangent_envelope
 from sampcap.trajectory import TrajectorySpace
 
 from conftest import make_random_kernel, make_random_policy, make_trivial_actions
@@ -50,8 +50,7 @@ def z_channel_kernel():
 
 class TestUpdates:
     def test_posterior_update_is_bayes(self, bsc_kernel, bsc_actions):
-        state = BaaState.initial(bsc_kernel, bsc_actions, 1, 0.0)
-        q = update_q(state)
+        q = BaaState.initial(bsc_kernel, bsc_actions, 1, 0.0).q
         # uniform prior: q(u | y) = p(y | u) / sum_u p(y | u)
         np.testing.assert_allclose(q.sum(axis=0), 1.0, atol=1e-12)
         np.testing.assert_allclose(q, [[0.75, 0.25], [0.25, 0.75]], atol=1e-12)
@@ -61,7 +60,7 @@ class TestUpdates:
         # r(x) * 2^(sum_y p(y|x) log2 q(x|y)), the classical capacity update
         kernel = z_channel_kernel()
         state = BaaState.initial(kernel, make_trivial_actions(2), 1, 0.0)
-        updated = update_r(state)
+        updated, _ = update_r(state)
         p = kernel.kernel[0, :, :, 0]
         q = p / p.sum(axis=0, keepdims=True)
         with np.errstate(divide="ignore"):
@@ -71,72 +70,71 @@ class TestUpdates:
 
     def test_severe_penalty_empties_the_costly_action(self, markovian_kernel,
                                                       markovian_actions):
-        state = BaaState.initial(markovian_kernel, markovian_actions, 2, 1000.0)
-        for _ in range(20):
-            state.r = update_r(state)
-            state.q = update_q(state)
+        state = iterated_state(markovian_kernel, markovian_actions, 2, 1000.0, 20)
         # u = (x, a) with a = 1 on odd symbols; sampling mass must vanish
         first_step = state.r.tables[0][0]
         assert first_step[1] + first_step[3] <= 1e-9
 
     def test_unreachable_output_blocks_are_flagged(self):
         kernel = z_channel_kernel()
-        state = BaaState.initial(kernel, make_trivial_actions(2), 1, 0.0)
         # pin the policy to x = 0; output y = 1 becomes unreachable
-        pinned = np.array([[1.0, 0.0]])
-        state.r = CausalPolicy(block_length=1, u_size=2, z_size=1,
-                               tables=(pinned,))
-        update_q(state)
-        np.testing.assert_array_equal(state.q_unreachable, [False, True])
+        pinned = CausalPolicy(block_length=1, u_size=2, z_size=1,
+                              tables=(np.array([[1.0, 0.0]]),))
+        state = BaaState.initial(kernel, make_trivial_actions(2), 1, 0.0,
+                                 start=pinned)
+        np.testing.assert_array_equal(state.d <= 0.0, [False, True])
+        assert state.unreachable_outputs == 1
+        np.testing.assert_array_equal(state.q[:, 1], [0.5, 0.5])
+
+
+def step(state):
+    """The plain alternating map: the iterate of the updated policy."""
+    return update_q(state.space, state.lam, *update_r(state))
 
 
 def iterated_state(kernel, actions, n, lam, iterations):
     state = BaaState.initial(kernel, actions, n, lam)
     for _ in range(iterations):
-        state.r = update_r(state)
-        state.q = update_q(state)
+        state = step(state)
     return state
 
 
 class TestPolicyProductCache:
+    """The values an iterate stores against a recomputation from its policy."""
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_cached_values_match_a_fresh_recomputation(
         self, markovian_kernel, markovian_actions, n
     ):
         lam = 0.3
         state = iterated_state(markovian_kernel, markovian_actions, n, lam, 4)
-        q = update_q(state)
-        il = lower_bound(state)
+        q, il = state.q, state.i_lower
         iu = upper_bound(state)
-        # the posterior and lower iterate rebuilt from the policy tables
+        # the posterior, lower iterate and cost rebuilt from the policy tables
         space = state.space
         r_prod = np.exp2(space.policy_log2(state.r.tables))
         joint = r_prod * space.p_full
         np.testing.assert_allclose(q, joint / joint.sum(axis=0), rtol=0.0,
                                    atol=1e-12)
+        np.testing.assert_allclose(state.d, joint.sum(axis=0), rtol=0.0,
+                                   atol=1e-15)
         cost = fsum_array(joint * space.cost_row[:, None]) / n
+        assert state.gamma == pytest.approx(cost, abs=1e-12)
         fresh_il = weighted_log2_sum(joint, q, r_prod) / n - lam * cost
         assert il == pytest.approx(fresh_il, abs=1e-12)
-        # an equal policy under a new identity misses the cache, so every
-        # value is recomputed from the tables
+        # an equal policy under a new identity gives the same iterate
         r = state.r
-        state.r = CausalPolicy(block_length=n, u_size=r.u_size,
-                               z_size=r.z_size, tables=r.tables)
-        np.testing.assert_allclose(update_q(state), q, rtol=0.0, atol=1e-12)
-        assert lower_bound(state) == pytest.approx(il, abs=1e-12)
-        assert upper_bound(state) == pytest.approx(iu, abs=1e-12)
-
-    def test_assigning_another_policy_invalidates_the_cache(
-        self, markovian_kernel, markovian_actions
-    ):
-        state = iterated_state(markovian_kernel, markovian_actions, 2, 0.3, 3)
-        fresh = BaaState.initial(markovian_kernel, markovian_actions, 2, 0.3)
-        assert not np.allclose(state.q, fresh.q)
-        state.r = fresh.r
-        state.q = update_q(state)
-        np.testing.assert_array_equal(state.q, fresh.q)
-        assert lower_bound(state) == lower_bound(fresh)
-        assert upper_bound(state) == upper_bound(fresh)
+        again = update_q(space, lam, CausalPolicy(
+            block_length=n, u_size=r.u_size, z_size=r.z_size, tables=r.tables))
+        np.testing.assert_array_equal(again.q, q)
+        assert again.i_lower == il
+        assert upper_bound(again) == iu
+        # an iterate is a value: its fields cannot be reassigned, and its
+        # arrays cannot be written
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(state, "r", again.r)
+        with pytest.raises(ValueError):
+            state.q[0, 0] = 0.0
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_policy_update_leaves_the_log_product_of_its_policy(
@@ -144,11 +142,10 @@ class TestPolicyProductCache:
     ):
         lam = 0.3
         state = iterated_state(markovian_kernel, markovian_actions, n, lam, 3)
-        policy = update_r(state)
-        state.r = policy
-        q = update_q(state)
-        il = lower_bound(state)
-        assert state._product[0] is policy
+        policy, flags = update_r(state)
+        state = update_q(state.space, lam, policy, flags)
+        q, il = state.q, state.i_lower
+        assert state.r is policy
         # rebuilt from the returned tables alone
         space = state.space
         r_prod = np.exp2(space.policy_log2(policy.tables))
@@ -346,11 +343,8 @@ class TestRunBaa:
         self, markovian_kernel, markovian_actions
     ):
         lam = 0.3
-        state = BaaState.initial(markovian_kernel, markovian_actions, 2, lam)
-        for _ in range(5):
-            state.r = update_r(state)
-            state.q = update_q(state)
-        il = lower_bound(state)
+        state = iterated_state(markovian_kernel, markovian_actions, 2, lam, 5)
+        il = state.i_lower
         joint = build_joint(state.r, markovian_kernel, markovian_actions)
         rate = directed_information(joint) / 2.0
         # the action cost from the action digits, independent of cost_row
@@ -365,11 +359,9 @@ class TestRunBaa:
         # more than a few epsilon
         state = BaaState.initial(markovian_kernel, markovian_actions, 2, 0.1,
                                  start=point.policy)
-        assert lower_bound(state) == point.i_lower
-        state.r = update_r(state)
-        state.q = update_q(state)
-        il = lower_bound(state)
-        assert abs(il - point.i_lower) <= 10.0 * 1e-6
+        assert state.i_lower == point.i_lower
+        assert state.gamma == point.gamma
+        assert abs(step(state).i_lower - point.i_lower) <= 10.0 * 1e-6
 
     def test_priced_sampling_regression(self, markovian_kernel, markovian_actions):
         # midrange penalty on the two-state channel: the bracket must close
@@ -403,10 +395,9 @@ def plain_solve(kernel, actions, n, lam, eps, max_iters):
     """The alternating map without over-relaxation, written out from its layers."""
     state = BaaState.initial(kernel, actions, n, lam)
     for _ in range(max_iters):
-        state.r = update_r(state)
-        state.q = update_q(state)
-        il, iu = lower_bound(state), upper_bound(state)
-        if iu - il <= eps:
+        state = step(state)
+        iu = upper_bound(state)
+        if iu - state.i_lower <= eps:
             return iu, True
     return iu, False
 
@@ -492,7 +483,9 @@ class TestSweep:
             assert curve.envelope_at(curve.max_cost) == pytest.approx(
                 free.i_upper, abs=1e-9
             )
-            assert curve.support_lambda[-1] == 0.0
+            # the lowest line at the top budget is the lambda = 0 point's
+            _, best = _tangent_envelope(curve.points, [curve.max_cost])
+            assert best[0] == 0
 
     def test_zero_cost_system_has_a_single_budget(self, bsc_sweeps):
         for curve in bsc_sweeps.values():
@@ -511,7 +504,6 @@ class TestSweep:
                 points=(point,),
                 gammas=np.array([0.0, 0.5, 1.0]),
                 envelope=np.array([0.3, 0.2, 0.1]),
-                support_lambda=np.zeros(3),
             )
 
     def test_grid_must_be_nonempty_and_nonnegative(self, bsc_kernel, bsc_actions):

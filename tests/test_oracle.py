@@ -186,10 +186,9 @@ class TestLiteralPolicyUpdate:
         sys = request.getfixturevalue(f"{pair}_actions")
         state = BaaState.initial(kernel, sys, n, lam)
         for _ in range(iters):
-            state.q = update_q(state)
-            state.r = update_r(state)
+            state = update_q(state.space, lam, *update_r(state))
         literal = literal_r_update(state)
-        main = update_r(state)
+        main, _ = update_r(state)
         assert literal.block_length == main.block_length
         for lit_table, main_table in zip(literal.tables, main.tables):
             assert np.max(np.abs(lit_table - main_table)) <= 1e-10
@@ -214,10 +213,9 @@ class TestLiteralPolicyUpdate:
         )
         state = BaaState.initial(kernel, sys, n, lam)
         for _ in range(int(rng.integers(0, 3))):
-            state.r = update_r(state)
-            state.q = update_q(state)
+            state = update_q(state.space, lam, *update_r(state))
         literal = literal_r_update(state)
-        main = update_r(state)
+        main, _ = update_r(state)
         for lit_table, main_table in zip(literal.tables, main.tables):
             assert np.max(np.abs(lit_table - main_table)) <= 1e-10
 
