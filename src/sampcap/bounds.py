@@ -42,6 +42,7 @@ from .trajectory import TrajectorySpace
 DIST_TOL = 1e-12
 ASCENT_TOL = 1e-10
 ASCENT_MAX_ITER = 50_000
+ASCENT_CHUNK = 2_048  # instances per ascent batch, each stacked once per start
 DEFAULT_RESOLUTION = 101
 DEFAULT_RESTARTS = 5
 MAX_DEFAULT_FREE_DIMS = 3
@@ -149,29 +150,30 @@ def _ascend_inputs(pi: np.ndarray, w: np.ndarray, mix: np.ndarray,
     """Projected-gradient ascent on the concave input-slice objective.
 
     Batched over instances; per-instance adaptive step with accept/shrink.
-    Every operation is row-independent, so converged instances drop out of
-    the working batch; their trajectories are unchanged by the compaction.
+    Each iteration prices one candidate per instance, and the gradient that
+    comes with its value is kept for the next step when the candidate is
+    accepted. Every operation is row-independent, so converged instances
+    drop out of the working batch; their trajectories are unchanged by the
+    compaction, and by whatever other rows share the batch.
     Returns (value[b], slices[b, k, x]).
     """
     q = starts.copy()
-    value, _ = _objective_and_grad(pi, w, mix, q)
+    value, grad = _objective_and_grad(pi, w, mix, q)
     step = np.full(q.shape[0], 0.5)
     idx = np.arange(q.shape[0])
     for _ in range(max_iter):
         sub_q = q[idx]
-        sub_mix = mix[idx]
         sub_value = value[idx]
         sub_step = step[idx]
-        _, grad = _objective_and_grad(pi, w, sub_mix, sub_q)
-        cand = project_to_simplex(sub_q + sub_step[:, None, None] * grad)
-        cand_value, _ = _objective_and_grad(pi, w, sub_mix, cand)
+        cand = project_to_simplex(sub_q + sub_step[:, None, None] * grad[idx])
+        cand_value, cand_grad = _objective_and_grad(pi, w, mix[idx], cand)
         accept = cand_value >= sub_value
         gain = np.where(accept, cand_value - sub_value, np.inf)
-        sub_q = np.where(accept[:, None, None], cand, sub_q)
-        sub_value = np.where(accept, cand_value, sub_value)
         sub_step = np.where(accept, sub_step * 1.2, sub_step * 0.5)
-        q[idx] = sub_q
-        value[idx] = sub_value
+        moved = idx[accept]
+        q[moved] = cand[accept]
+        grad[moved] = cand_grad[accept]
+        value[moved] = cand_value[accept]
         step[idx] = sub_step
         done = (accept & (gain <= tol)) | (sub_step < 1e-13)
         idx = idx[~done]
@@ -223,53 +225,63 @@ def _expected_action_cost(prob: SingleLetterProblem, dists: np.ndarray) -> np.nd
 
 
 def _candidate_actions(prob: SingleLetterProblem, resolution: int) -> np.ndarray:
+    """The action-distribution grid, refused before it is built if too large.
+
+    The limit is the grid size of MAX_DEFAULT_FREE_DIMS free dimensions at
+    the default resolution, so a coarser resolution admits more dimensions.
+    """
     a = prob.action_size
+    per_dist = math.comb(resolution + a - 2, a - 1)
     if prob.action_mode == "encoder":
-        free = a - 1
-        if free > MAX_DEFAULT_FREE_DIMS and resolution == DEFAULT_RESOLUTION:
-            raise ValueError(
-                f"{free} free action dimensions need a caller-supplied "
-                "coarser resolution"
-            )
-        return _simplex_grid(a, resolution)
-    s = prob.state_size
-    free = s * (a - 1)
-    if free > MAX_DEFAULT_FREE_DIMS and resolution == DEFAULT_RESOLUTION:
+        free, count = a - 1, per_dist
+    else:
+        free, count = prob.state_size * (a - 1), per_dist ** prob.state_size
+    if count > DEFAULT_RESOLUTION ** MAX_DEFAULT_FREE_DIMS:
         raise ValueError(
             f"{free} free action dimensions need a caller-supplied coarser resolution"
         )
     rows = _simplex_grid(a, resolution)
-    grids = [rows] * s
-    out = np.empty((len(rows) ** s, s, a))
-    for idx, combo in enumerate(product(range(len(rows)), repeat=s)):
-        for st, ri in enumerate(combo):
-            out[idx, st] = grids[st][ri]
-    return out
+    if prob.action_mode == "encoder":
+        return rows
+    s = prob.state_size
+    # one row per state, the last state's row varying fastest
+    combos = np.indices((len(rows),) * s).reshape(s, -1).T
+    return rows[combos]
 
 
 def _optimize_slices(prob: SingleLetterProblem, mix: np.ndarray, n_slices: int,
                      restarts: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Inner maximization for every instance in the mixture batch.
 
-    Runs ascent from a uniform start plus seeded random-simplex starts and
-    keeps the best value per instance (ties keep the earliest start).
+    Ascends from a uniform start plus `restarts` seeded random-simplex
+    starts and keeps the best value per instance (ties keep the earliest
+    start). All starts of a chunk of ASCENT_CHUNK instances go through one
+    ascent, stacked on the row axis; since the ascent is row-independent,
+    each start follows the trajectory it would follow alone.
     """
     b = mix.shape[0]
     x = prob.input_size
+    trials = restarts + 1
     rng = np.random.default_rng(seed)
-    best_value = np.full(b, -np.inf)
+    starts = np.empty((trials, b, n_slices, x))
+    starts[0] = 1.0 / x
+    for trial in range(1, trials):
+        raw = rng.exponential(1.0, size=(b, n_slices, x))
+        starts[trial] = raw / raw.sum(axis=-1, keepdims=True)
+    best_value = np.empty(b)
     best_q = np.empty((b, n_slices, x))
-    for trial in range(restarts + 1):
-        if trial == 0:
-            starts = np.full((b, n_slices, x), 1.0 / x)
-        else:
-            raw = rng.exponential(1.0, size=(b, n_slices, x))
-            starts = raw / raw.sum(axis=-1, keepdims=True)
-        value, q = _ascend_inputs(prob.stationary_dist, prob.per_state_channel,
-                                  mix, starts)
-        better = value > best_value
-        best_q[better] = q[better]
-        best_value = np.where(better, value, best_value)
+    for lo in range(0, b, ASCENT_CHUNK):
+        hi = min(lo + ASCENT_CHUNK, b)
+        value, q = _ascend_inputs(
+            prob.stationary_dist, prob.per_state_channel,
+            np.tile(mix[lo:hi], (trials, 1, 1)),
+            starts[:, lo:hi].reshape(-1, n_slices, x),
+        )
+        value = value.reshape(trials, hi - lo)
+        first_best = np.argmax(value, axis=0)
+        rows = np.arange(hi - lo)
+        best_value[lo:hi] = value[first_best, rows]
+        best_q[lo:hi] = q.reshape(trials, hi - lo, n_slices, x)[first_best, rows]
     return best_value, best_q
 
 

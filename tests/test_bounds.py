@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sampcap import bounds
 from sampcap import (
     CausalPolicy,
     ExponentQuery,
@@ -35,6 +36,77 @@ def single_action_problem(cost, budget):
         budget=budget,
         action_mode="encoder",
     )
+
+
+def random_three_state_problem():
+    """A seeded 3-state encoder problem with two priced actions."""
+    rng = np.random.default_rng(5)
+    return SingleLetterProblem(
+        stationary_dist=rng.dirichlet(np.ones(3)),
+        per_state_channel=rng.dirichlet(np.ones(3), size=(3, 2)),
+        sampling=rng.integers(0, 3, size=(2, 3)),
+        cost=np.array([0.0, 1.0]),
+        budget=1.0,
+        action_mode="encoder",
+    )
+
+
+def free_action_problem(states, actions, mode):
+    """A noiseless problem with the given numbers of states and free actions."""
+    return SingleLetterProblem(
+        stationary_dist=np.full(states, 1.0 / states),
+        per_state_channel=np.tile(np.eye(2), (states, 1, 1)),
+        sampling=np.zeros((actions, states), dtype=int),
+        cost=np.zeros(actions),
+        budget=0.0,
+        action_mode=mode,
+    )
+
+
+def reference_ascent(pi, w, mix, starts, tol=bounds.ASCENT_TOL,
+                     max_iter=bounds.ASCENT_MAX_ITER):
+    """The projected-gradient ascent that prices each iterate's gradient anew."""
+    q = starts.copy()
+    value, _ = bounds._objective_and_grad(pi, w, mix, q)
+    step = np.full(q.shape[0], 0.5)
+    idx = np.arange(q.shape[0])
+    for _ in range(max_iter):
+        sub_q, sub_mix = q[idx], mix[idx]
+        sub_value, sub_step = value[idx], step[idx]
+        _, grad = bounds._objective_and_grad(pi, w, sub_mix, sub_q)
+        cand = bounds.project_to_simplex(sub_q + sub_step[:, None, None] * grad)
+        cand_value, _ = bounds._objective_and_grad(pi, w, sub_mix, cand)
+        accept = cand_value >= sub_value
+        gain = np.where(accept, cand_value - sub_value, np.inf)
+        q[idx] = np.where(accept[:, None, None], cand, sub_q)
+        value[idx] = np.where(accept, cand_value, sub_value)
+        step[idx] = sub_step = np.where(accept, sub_step * 1.2, sub_step * 0.5)
+        idx = idx[~((accept & (gain <= tol)) | (sub_step < 1e-13))]
+        if idx.size == 0:
+            break
+    return value, q
+
+
+def per_trial_slices(prob, mix, n_slices, restarts, seed):
+    """One reference ascent per start, in start order; a strictly better
+    value wins."""
+    b = mix.shape[0]
+    x = prob.input_size
+    rng = np.random.default_rng(seed)
+    best_value = np.full(b, -np.inf)
+    best_q = np.empty((b, n_slices, x))
+    for trial in range(restarts + 1):
+        if trial == 0:
+            starts = np.full((b, n_slices, x), 1.0 / x)
+        else:
+            raw = rng.exponential(1.0, size=(b, n_slices, x))
+            starts = raw / raw.sum(axis=-1, keepdims=True)
+        value, q = reference_ascent(prob.stationary_dist,
+                                    prob.per_state_channel, mix, starts)
+        better = value > best_value
+        best_q[better] = q[better]
+        best_value = np.where(better, value, best_value)
+    return best_value, best_q
 
 
 class TestSingleLetterLower:
@@ -86,6 +158,98 @@ class TestSingleLetterLower:
                                         seed=0)
         assert info["mode"] == "decoder"
         assert dec >= enc - 1e-6
+
+
+class TestCandidateGrid:
+    @pytest.mark.parametrize("states, actions, mode, free", [
+        (1, 5, "encoder", 4),
+        (2, 3, "decoder", 4),
+        (4, 2, "backward_link", 4),
+    ])
+    def test_default_resolution_refuses_four_free_dimensions(
+        self, monkeypatch, states, actions, mode, free
+    ):
+        monkeypatch.setattr(bounds, "_simplex_grid", pytest.fail)
+        prob = free_action_problem(states, actions, mode)
+        with pytest.raises(ValueError, match=f"{free} free action dimensions"):
+            bounds._candidate_actions(prob, bounds.DEFAULT_RESOLUTION)
+
+    def test_non_default_resolution_is_refused_before_the_grid_is_built(
+        self, monkeypatch
+    ):
+        # C(101, 2)^2 = 25.5 M candidates at resolution 100
+        monkeypatch.setattr(bounds, "_simplex_grid", pytest.fail)
+        prob = free_action_problem(2, 3, "decoder")
+        with pytest.raises(ValueError, match="4 free action dimensions"):
+            single_letter_curve(prob, [0.0], resolution=100)
+
+    def test_default_resolution_admits_three_free_dimensions(self):
+        grid = bounds._candidate_actions(free_action_problem(3, 2, "decoder"),
+                                         bounds.DEFAULT_RESOLUTION)
+        assert grid.shape == (bounds.DEFAULT_RESOLUTION ** 3, 3, 2)
+
+    def test_coarse_resolution_admits_four_free_dimensions(self):
+        grid = bounds._candidate_actions(free_action_problem(1, 5, "encoder"), 11)
+        assert grid.shape == (math.comb(14, 4), 5)
+        assert np.allclose(grid.sum(axis=1), 1.0)
+        assert len(np.unique(grid, axis=0)) == len(grid)
+
+
+class TestBatchedRestarts:
+    @pytest.fixture(params=["encoder", "decoder", "random"])
+    def batch(self, request, markovian_single_letter):
+        if request.param == "random":
+            prob = random_three_state_problem()
+        else:
+            prob = markovian_single_letter(request.param, 1.0)
+        mix = bounds._action_mixture(prob, bounds._candidate_actions(prob, 11))
+        return prob, mix
+
+    @pytest.mark.parametrize("chunk", [bounds.ASCENT_CHUNK, 7])
+    def test_one_batch_matches_one_ascent_per_start(self, monkeypatch, batch,
+                                                    chunk):
+        prob, mix = batch
+        assert mix.shape[0] % 7 != 0
+        monkeypatch.setattr(bounds, "ASCENT_CHUNK", chunk)
+        values, slices = bounds._optimize_slices(prob, mix, mix.shape[2], 5, 3)
+        ref_values, ref_slices = per_trial_slices(prob, mix, mix.shape[2], 5, 3)
+        assert np.array_equal(values, ref_values)
+        assert np.array_equal(slices, ref_slices)
+
+    def test_ties_keep_the_earliest_start(self, monkeypatch, batch):
+        prob, mix = batch
+
+        def flat_ascent(pi, w, mix, starts):
+            return np.zeros(len(starts)), starts
+
+        monkeypatch.setattr(bounds, "ASCENT_CHUNK", 7)
+        monkeypatch.setattr(bounds, "_ascend_inputs", flat_ascent)
+        values, slices = bounds._optimize_slices(prob, mix, mix.shape[2], 5, 3)
+        assert np.array_equal(values, np.zeros(len(mix)))
+        assert np.all(slices == 1.0 / prob.input_size)
+
+    def test_one_objective_evaluation_per_iteration(self, monkeypatch, batch):
+        prob, mix = batch
+        calls = {"objective": 0, "iterations": 0}
+        objective = bounds._objective_and_grad
+        project = bounds.project_to_simplex
+
+        def counted_objective(*args):
+            calls["objective"] += 1
+            return objective(*args)
+
+        def counted_project(v):
+            calls["iterations"] += 1
+            return project(v)
+
+        monkeypatch.setattr(bounds, "_objective_and_grad", counted_objective)
+        monkeypatch.setattr(bounds, "project_to_simplex", counted_project)
+        starts = np.full((mix.shape[0], mix.shape[2], prob.input_size),
+                         1.0 / prob.input_size)
+        bounds._ascend_inputs(prob.stationary_dist, prob.per_state_channel, mix,
+                              starts)
+        assert calls["iterations"] > 1
+        assert calls["objective"] == calls["iterations"] + 1
 
 
 class TestEndpointCapacities:
