@@ -32,6 +32,7 @@ from .bounds import (
     backward_link_capacity_nocost,
     f_n_policy_grid,
     gallager_exponent,
+    single_letter_bounds,
     single_letter_curve,
     single_letter_lower,
     time_sharing_baseline,
@@ -102,6 +103,7 @@ __all__ = [
     "run_baa",
     "sample_feedback",
     "sandwich_bounds",
+    "single_letter_bounds",
     "single_letter_curve",
     "single_letter_lower",
     "stationary_distribution",

@@ -65,14 +65,13 @@ def binary_entropy(p: float) -> float:
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of the last axis of ``v`` onto the probability simplex."""
+    """Euclidean projection of the last axis of ``v`` onto the probability simplex.
+
+    With u sorted in descending order, the shift is the largest of the
+    partial-sum thresholds (u_1 + ... + u_j - 1) / j.
+    """
     v = np.asarray(v, dtype=float)
-    n = v.shape[-1]
     u = np.sort(v, axis=-1)[..., ::-1]
     css = np.cumsum(u, axis=-1) - 1.0
-    idx = np.arange(1, n + 1, dtype=float)
-    cond = u - css / idx > 0.0
-    # rho: last index where the condition holds (guaranteed at index 0)
-    rho = n - 1 - np.argmax(cond[..., ::-1], axis=-1)
-    theta = np.take_along_axis(css, rho[..., None], axis=-1) / (rho[..., None] + 1.0)
+    theta = (css / np.arange(1.0, v.shape[-1] + 1.0)).max(axis=-1, keepdims=True)
     return np.maximum(v - theta, 0.0)

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._num import freeze, log2_guarded, project_to_simplex
+from ._num import freeze, project_to_simplex
 from .actions import ActionSystem
 from .fsc import FscKernel
 from .policy import CausalPolicy
@@ -123,24 +123,31 @@ class ExponentQuery:
             raise ValueError("block length must match the policy")
 
 
-def _objective_and_grad(pi: np.ndarray, w: np.ndarray, mix: np.ndarray,
+def _channel_negentropy(w: np.ndarray) -> np.ndarray:
+    """negh[s, x] = sum_y W(y|x,s) log2 W(y|x,s) of the fixed channel, 0 log 0 = 0."""
+    logw = np.log2(w, out=np.zeros(w.shape), where=w > 0.0)
+    return (w * logw).sum(axis=2)
+
+
+def _objective_and_grad(pi: np.ndarray, w: np.ndarray, negh: np.ndarray,
+                        mix: np.ndarray,
                         q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched I(X;Y|S) and its gradient in the input slices.
 
-    mix[b, s, k] weights slice k in state s; q[b, k, x] are the slices.
-    Returns (value[b], grad[b, k, x]).
+    mix[b, s, k] weights slice k in state s; q[b, k, x] are the slices;
+    negh is `_channel_negentropy(w)`. Every product is a separate small
+    matmul per row (value too: one matrix-vector product over the batch
+    rounds differently with the batch size), so a row's result does not
+    depend on the rows that share its batch, nor on zero-weight slices
+    appended to it. Returns (value[b], grad[b, k, x]).
     """
-    p_xs = np.einsum("bsk,bkx->bsx", mix, q)
-    py = np.einsum("bsx,sxy->bsy", p_xs, w)
-    logw = log2_guarded(w)
-    logpy = log2_guarded(np.maximum(py, 1e-300))
+    p_xs = mix @ q
+    py = (p_xs[:, :, None, :] @ w)[:, :, 0, :]
+    logpy = np.log2(np.maximum(py, 1e-300))
     # d[b, s, x] = sum_y W(y|x,s) log2(W / PY); the per-input information density
-    with np.errstate(invalid="ignore"):
-        d = np.einsum("sxy,bsxy->bsx", w, np.where(w[None, :, :, :] > 0.0,
-                                                   logw[None] - logpy[:, :, None, :],
-                                                   0.0))
-    value = np.einsum("s,bsx,bsx->b", pi, p_xs, d)
-    grad = np.einsum("s,bsk,bsx->bkx", pi, mix, d)
+    d = negh - (logpy[:, :, None, :] @ w.transpose(0, 2, 1))[:, :, 0, :]
+    value = ((p_xs * d).sum(axis=2)[:, None, :] @ pi)[:, 0]
+    grad = (pi[:, None] * mix).transpose(0, 2, 1) @ d
     return value, grad
 
 
@@ -153,33 +160,38 @@ def _ascend_inputs(pi: np.ndarray, w: np.ndarray, mix: np.ndarray,
     Each iteration prices one candidate per instance, and the gradient that
     comes with its value is kept for the next step when the candidate is
     accepted. Every operation is row-independent, so converged instances
-    drop out of the working batch; their trajectories are unchanged by the
-    compaction, and by whatever other rows share the batch.
+    leave the working arrays (on the iterations where some instance
+    converges) without changing any other row's trajectory.
     Returns (value[b], slices[b, k, x]).
     """
+    negh = _channel_negentropy(w)
+    rows = np.arange(starts.shape[0])
     q = starts.copy()
-    value, grad = _objective_and_grad(pi, w, mix, q)
-    step = np.full(q.shape[0], 0.5)
-    idx = np.arange(q.shape[0])
+    value, grad = _objective_and_grad(pi, w, negh, mix, q)
+    final_value, final_q = np.empty_like(value), np.empty_like(q)
+    step = np.full(rows.size, 0.5)
     for _ in range(max_iter):
-        sub_q = q[idx]
-        sub_value = value[idx]
-        sub_step = step[idx]
-        cand = project_to_simplex(sub_q + sub_step[:, None, None] * grad[idx])
-        cand_value, cand_grad = _objective_and_grad(pi, w, mix[idx], cand)
-        accept = cand_value >= sub_value
-        gain = np.where(accept, cand_value - sub_value, np.inf)
-        sub_step = np.where(accept, sub_step * 1.2, sub_step * 0.5)
-        moved = idx[accept]
-        q[moved] = cand[accept]
-        grad[moved] = cand_grad[accept]
-        value[moved] = cand_value[accept]
-        step[idx] = sub_step
-        done = (accept & (gain <= tol)) | (sub_step < 1e-13)
-        idx = idx[~done]
-        if idx.size == 0:
-            break
-    return value, q
+        cand = project_to_simplex(q + step[:, None, None] * grad)
+        cand_value, cand_grad = _objective_and_grad(pi, w, negh, mix, cand)
+        accept = cand_value >= value
+        done = accept & (cand_value - value <= tol)
+        step = step * np.where(accept, 1.2, 0.5)
+        done |= step < 1e-13
+        np.copyto(value, cand_value, where=accept)
+        np.copyto(q, cand, where=accept[:, None, None])
+        np.copyto(grad, cand_grad, where=accept[:, None, None])
+        if done.any():
+            final_value[rows[done]] = value[done]
+            final_q[rows[done]] = q[done]
+            keep = ~done
+            rows, mix, q, value, grad, step = (
+                rows[keep], mix[keep], q[keep], value[keep], grad[keep], step[keep]
+            )
+            if rows.size == 0:
+                break
+    final_value[rows] = value
+    final_q[rows] = q
+    return final_value, final_q
 
 
 def _action_mixture(prob: SingleLetterProblem, action_dists: np.ndarray) -> np.ndarray:
@@ -250,7 +262,9 @@ def _candidate_actions(prob: SingleLetterProblem, resolution: int) -> np.ndarray
 
 
 def _optimize_slices(prob: SingleLetterProblem, mix: np.ndarray, n_slices: int,
-                     restarts: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+                     restarts: int, seed: int,
+                     parts: Sequence[tuple[int, int]] | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Inner maximization for every instance in the mixture batch.
 
     Ascends from a uniform start plus `restarts` seeded random-simplex
@@ -258,16 +272,26 @@ def _optimize_slices(prob: SingleLetterProblem, mix: np.ndarray, n_slices: int,
     start). All starts of a chunk of ASCENT_CHUNK instances go through one
     ascent, stacked on the row axis; since the ascent is row-independent,
     each start follows the trajectory it would follow alone.
+
+    `parts` lists the (instances, slices) of the problems stacked in `mix`
+    in order; by default the batch is one problem of `n_slices` slices.
+    Each problem draws its starts from its own generator, seeded with
+    `seed`, over its own slices, exactly as it would alone. The slices a
+    problem lacks up to `n_slices` start uniform and carry zero weight.
     """
     b = mix.shape[0]
     x = prob.input_size
     trials = restarts + 1
-    rng = np.random.default_rng(seed)
-    starts = np.empty((trials, b, n_slices, x))
-    starts[0] = 1.0 / x
-    for trial in range(1, trials):
-        raw = rng.exponential(1.0, size=(b, n_slices, x))
-        starts[trial] = raw / raw.sum(axis=-1, keepdims=True)
+    if parts is None:
+        parts = [(b, n_slices)]
+    starts = np.full((trials, b, n_slices, x), 1.0 / x)
+    lo = 0
+    for rows, k in parts:
+        rng = np.random.default_rng(seed)
+        for trial in range(1, trials):
+            raw = rng.exponential(1.0, size=(rows, k, x))
+            starts[trial, lo:lo + rows, :k] = raw / raw.sum(axis=-1, keepdims=True)
+        lo += rows
     best_value = np.empty(b)
     best_q = np.empty((b, n_slices, x))
     for lo in range(0, b, ASCENT_CHUNK):
@@ -283,6 +307,21 @@ def _optimize_slices(prob: SingleLetterProblem, mix: np.ndarray, n_slices: int,
         best_value[lo:hi] = value[first_best, rows]
         best_q[lo:hi] = q.reshape(trials, hi - lo, n_slices, x)[first_best, rows]
     return best_value, best_q
+
+
+def _optimize_mixtures(prob: SingleLetterProblem, mixes: Sequence[np.ndarray],
+                       restarts: int, seed: int) -> list[np.ndarray]:
+    """Best values of several mixture batches of one channel, from one ascent.
+
+    The batches are padded with zero-weight slices to a common slice count
+    and stacked; each value equals the one its batch would get alone.
+    """
+    width = max(m.shape[2] for m in mixes)
+    mix = np.concatenate([np.pad(m, ((0, 0), (0, 0), (0, width - m.shape[2])))
+                          for m in mixes])
+    parts = [(m.shape[0], m.shape[2]) for m in mixes]
+    values, _ = _optimize_slices(prob, mix, width, restarts, seed, parts)
+    return np.split(values, np.cumsum([rows for rows, _ in parts])[:-1])
 
 
 def single_letter_lower(prob: SingleLetterProblem,
@@ -329,6 +368,35 @@ def single_letter_lower(prob: SingleLetterProblem,
     }
 
 
+def _curve_batch(prob: SingleLetterProblem,
+                 resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """Expected costs and slice mixtures of the whole action-distribution grid."""
+    if resolution < 10:
+        raise ValueError("resolution must be at least 10 grid points per dimension")
+    candidates = _candidate_actions(prob, resolution)
+    return (_expected_action_cost(prob, candidates),
+            _action_mixture(prob, candidates))
+
+
+def _best_feasible(costs: np.ndarray, values: np.ndarray,
+                   gammas: Sequence[float]) -> np.ndarray:
+    """Per budget, the best value among candidates within it (NaN if none)."""
+    out = np.full(len(gammas), np.nan)
+    for i, gamma in enumerate(gammas):
+        feasible = costs <= gamma + FEAS_SLACK
+        if feasible.any():
+            out[i] = values[feasible].max()
+    return out
+
+
+def _endpoint_mixtures(prob: SingleLetterProblem) -> list[np.ndarray]:
+    """Mixtures of the common-input (C(0)) and per-state-input (C(1)) maxima."""
+    s = prob.state_size
+    per_state = np.zeros((1, s, s))
+    per_state[0, np.arange(s), np.arange(s)] = 1.0
+    return [np.ones((1, s, 1)), per_state]
+
+
 def single_letter_curve(prob: SingleLetterProblem, gammas: Sequence[float],
                         resolution: int = DEFAULT_RESOLUTION,
                         restarts: int = DEFAULT_RESTARTS,
@@ -340,40 +408,42 @@ def single_letter_curve(prob: SingleLetterProblem, gammas: Sequence[float],
     keeps its best feasible value. Budgets with no feasible candidate get
     NaN. The problem's own budget field is ignored here.
     """
-    if resolution < 10:
-        raise ValueError("resolution must be at least 10 grid points per dimension")
-    candidates = _candidate_actions(prob, resolution)
-    costs = _expected_action_cost(prob, candidates)
-    mix = _action_mixture(prob, candidates)
+    costs, mix = _curve_batch(prob, resolution)
     values, _ = _optimize_slices(prob, mix, mix.shape[2], restarts, seed)
-    out = np.full(len(gammas), np.nan)
-    for i, gamma in enumerate(gammas):
-        feasible = costs <= gamma + FEAS_SLACK
-        if feasible.any():
-            out[i] = values[feasible].max()
-    return out
-
-
-def _common_input_value(prob: SingleLetterProblem, restarts: int, seed: int) -> float:
-    mix = np.ones((1, prob.state_size, 1))
-    values, _ = _optimize_slices(prob, mix, 1, restarts, seed)
-    return float(values[0])
-
-
-def _per_state_value(prob: SingleLetterProblem, restarts: int, seed: int) -> float:
-    s = prob.state_size
-    mix = np.zeros((1, s, s))
-    mix[0, np.arange(s), np.arange(s)] = 1.0
-    values, _ = _optimize_slices(prob, mix, s, restarts, seed)
-    return float(values[0])
+    return _best_feasible(costs, values, gammas)
 
 
 def zero_unit_cost_capacity(prob: SingleLetterProblem,
                             restarts: int = DEFAULT_RESTARTS,
                             seed: int = 0) -> tuple[float, float]:
     """(C(0), C(1)): common-input and per-state-input maxima of I(X;Y|S)."""
-    return (_common_input_value(prob, restarts, seed),
-            _per_state_value(prob, restarts, seed))
+    c0, c1 = _optimize_mixtures(prob, _endpoint_mixtures(prob), restarts, seed)
+    return float(c0[0]), float(c1[0])
+
+
+def single_letter_bounds(enc: SingleLetterProblem, dec: SingleLetterProblem,
+                         gammas: Sequence[float],
+                         resolution: int = DEFAULT_RESOLUTION,
+                         restarts: int = DEFAULT_RESTARTS, seed: int = 0
+                         ) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """(C(0), C(1), encoder curve, decoder curve) of one setting in one ascent.
+
+    enc and dec are the encoder- and decoder-mode problems of one channel.
+    The values equal those of `zero_unit_cost_capacity(enc)` and
+    `single_letter_curve` of each problem with the same arguments; the
+    four batches only share the ascent's iterations.
+    """
+    if not (np.array_equal(enc.stationary_dist, dec.stationary_dist)
+            and np.array_equal(enc.per_state_channel, dec.per_state_channel)):
+        raise ValueError("encoder and decoder problems must share one channel")
+    enc_costs, enc_mix = _curve_batch(enc, resolution)
+    dec_costs, dec_mix = _curve_batch(dec, resolution)
+    enc_values, dec_values, c0, c1 = _optimize_mixtures(
+        enc, [enc_mix, dec_mix, *_endpoint_mixtures(enc)], restarts, seed
+    )
+    return (float(c0[0]), float(c1[0]),
+            _best_feasible(enc_costs, enc_values, gammas),
+            _best_feasible(dec_costs, dec_values, gammas))
 
 
 def time_sharing_baseline(c0: float, c1: float, gamma: float) -> float:
@@ -395,7 +465,9 @@ def backward_link_capacity_nocost(prob: SingleLetterProblem,
         raise ValueError("problem must be in backward_link mode")
     if prob.action_size < prob.state_size:
         raise ValueError("needs |A| >= |S| so actions can announce the state")
-    return _per_state_value(prob, restarts, seed)
+    per_state = _endpoint_mixtures(prob)[1]
+    values, _ = _optimize_slices(prob, per_state, prob.state_size, restarts, seed)
+    return float(values[0])
 
 
 def gallager_exponent(query: ExponentQuery, kernel: FscKernel,

@@ -45,9 +45,8 @@ from .bounds import (
     ExponentQuery,
     SingleLetterProblem,
     gallager_exponent,
-    single_letter_curve,
+    single_letter_bounds,
     time_sharing_baseline,
-    zero_unit_cost_capacity,
 )
 from .fsc import Alphabet, FscKernel
 from .oracle import (
@@ -578,11 +577,9 @@ def cmd_bounds(config_path: str, out_dir: str = ".") -> int:
     dec = spec.problem("decoder", max_cost)
     gammas = np.linspace(0.0, max_cost if max_cost > 0 else 1.0,
                          config.gamma_points)
-    c0, c1 = zero_unit_cost_capacity(enc, seed=config.seed)
-    enc_curve = single_letter_curve(enc, gammas, resolution=config.resolution,
-                                    seed=config.seed)
-    dec_curve = single_letter_curve(dec, gammas, resolution=config.resolution,
-                                    seed=config.seed)
+    c0, c1, enc_curve, dec_curve = single_letter_bounds(
+        enc, dec, gammas, resolution=config.resolution, seed=config.seed
+    )
     span = max_cost if max_cost > 0 else 1.0
     lines = ["gamma,c_enc_lower,c_dec_lower,time_sharing,c0,c1"]
     warnings = 0

@@ -1,6 +1,8 @@
 """Single-letter lower bounds, time-sharing baseline, block exponents."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from sampcap import (
     gallager_exponent,
     single_letter_curve,
     single_letter_lower,
+    single_letter_bounds,
     time_sharing_baseline,
     zero_unit_cost_capacity,
 )
@@ -66,16 +69,17 @@ def free_action_problem(states, actions, mode):
 def reference_ascent(pi, w, mix, starts, tol=bounds.ASCENT_TOL,
                      max_iter=bounds.ASCENT_MAX_ITER):
     """The projected-gradient ascent that prices each iterate's gradient anew."""
+    negh = bounds._channel_negentropy(w)
     q = starts.copy()
-    value, _ = bounds._objective_and_grad(pi, w, mix, q)
+    value, _ = bounds._objective_and_grad(pi, w, negh, mix, q)
     step = np.full(q.shape[0], 0.5)
     idx = np.arange(q.shape[0])
     for _ in range(max_iter):
         sub_q, sub_mix = q[idx], mix[idx]
         sub_value, sub_step = value[idx], step[idx]
-        _, grad = bounds._objective_and_grad(pi, w, sub_mix, sub_q)
+        _, grad = bounds._objective_and_grad(pi, w, negh, sub_mix, sub_q)
         cand = bounds.project_to_simplex(sub_q + sub_step[:, None, None] * grad)
-        cand_value, _ = bounds._objective_and_grad(pi, w, sub_mix, cand)
+        cand_value, _ = bounds._objective_and_grad(pi, w, negh, sub_mix, cand)
         accept = cand_value >= sub_value
         gain = np.where(accept, cand_value - sub_value, np.inf)
         q[idx] = np.where(accept[:, None, None], cand, sub_q)
@@ -107,6 +111,25 @@ def per_trial_slices(prob, mix, n_slices, restarts, seed):
         best_q[better] = q[better]
         best_value = np.where(better, value, best_value)
     return best_value, best_q
+
+
+def sort_argmax_projection(v):
+    """The simplex projection by the last index whose sorted entry exceeds
+    its partial-sum threshold, the form the threshold maximum replaced."""
+    v = np.asarray(v, dtype=float)
+    n = v.shape[-1]
+    u = np.sort(v, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1) - 1.0
+    idx = np.arange(1, n + 1, dtype=float)
+    cond = u - css / idx > 0.0
+    rho = n - 1 - np.argmax(cond[..., ::-1], axis=-1)
+    theta = np.take_along_axis(css, rho[..., None], axis=-1) / (rho[..., None] + 1.0)
+    return np.maximum(v - theta, 0.0)
+
+
+def padded(mix, extra):
+    """The mixture with `extra` zero-weight slices appended."""
+    return np.pad(mix, ((0, 0), (0, 0), (0, extra)))
 
 
 class TestSingleLetterLower:
@@ -250,6 +273,179 @@ class TestBatchedRestarts:
                               starts)
         assert calls["iterations"] > 1
         assert calls["objective"] == calls["iterations"] + 1
+
+
+class TestSimplexProjection:
+    @staticmethod
+    def rows(rng, n):
+        """Random rows, rows with tied entries, rows with zeros and rows
+        already on the simplex (some with zero entries), n entries each."""
+        normal = rng.normal(size=(2_000, n))
+        tied = normal.copy()
+        tied[:, n // 2:] = tied[:, :1]
+        zeros = rng.exponential(size=(2_000, n)) * (rng.random((2_000, n)) < 0.5)
+        on_simplex = rng.dirichlet(np.ones(n), size=2_000)
+        sparse = on_simplex * (rng.random((2_000, n)) < 0.6)
+        sparse[sparse.sum(axis=1) == 0.0, 0] = 1.0
+        sparse /= sparse.sum(axis=1, keepdims=True)
+        corners = np.eye(n)
+        return np.concatenate([normal, tied, zeros, on_simplex, sparse, corners,
+                               np.zeros((1, n)), np.full((1, n), 1.0 / n)])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+    def test_threshold_maximum_matches_the_sort_argmax_form(self, n):
+        v = self.rows(np.random.default_rng(n), n)
+        out = bounds.project_to_simplex(v)
+        assert np.array_equal(out, sort_argmax_projection(v))
+        assert np.all(out >= 0.0)
+        # v - theta rounds at the scale of the row's entries
+        scale = np.maximum(1.0, np.abs(v).max(axis=-1))
+        assert np.all(np.abs(out.sum(axis=-1) - 1.0) <= 1e-15 * scale * n)
+        unit = scale == 1.0
+        assert unit.sum() >= 4_000
+        assert np.max(np.abs(out[unit].sum(axis=-1) - 1.0)) <= 1e-15
+
+    def test_batched_axes_project_row_by_row(self):
+        v = np.random.default_rng(9).normal(size=(4, 5, 3))
+        out = bounds.project_to_simplex(v)
+        assert np.array_equal(out.reshape(-1, 3),
+                              bounds.project_to_simplex(v.reshape(-1, 3)))
+
+    def test_an_entry_at_the_threshold_projects_to_exact_zero(self):
+        # u_2 equals the threshold of its prefix: in floating point the
+        # sort-argmax form counts it in and leaves a one-ulp residue, the
+        # threshold maximum keeps the prefix threshold and gives exact 0
+        v = np.array([[-2.0 / 3.0, 1.0 / 3.0]])
+        assert np.array_equal(bounds.project_to_simplex(v), [[0.0, 1.0]])
+        old = sort_argmax_projection(v)
+        assert old[0, 0] == pytest.approx(0.0, abs=2.3e-16)
+
+
+class TestOneAscentJob:
+    GAMMAS = np.linspace(0.0, 1.0, 21)
+
+    @pytest.fixture(scope="class", params=["markovian", "random"])
+    def separate(self, request, markovian_single_letter):
+        """Encoder and decoder problems, a resolution, and C(0), C(1) and
+        both curves from one call each (seed 3)."""
+        if request.param == "random":
+            enc = random_three_state_problem()
+            dec, resolution = dataclasses.replace(enc, action_mode="decoder"), 10
+        else:
+            enc = markovian_single_letter("encoder", 1.0)
+            dec, resolution = markovian_single_letter("decoder", 1.0), 11
+        c0, c1 = (bounds._optimize_slices(enc, mix, mix.shape[2], 5, 3)[0][0]
+                  for mix in bounds._endpoint_mixtures(enc))
+        curves = [single_letter_curve(prob, self.GAMMAS, resolution, seed=3)
+                  for prob in (enc, dec)]
+        return enc, dec, resolution, (c0, c1, *curves)
+
+    def test_endpoints_equal_their_separate_ascents(self, separate):
+        enc, _, _, (c0, c1, _, _) = separate
+        assert zero_unit_cost_capacity(enc, seed=3) == (c0, c1)
+
+    @pytest.mark.parametrize("chunk", [bounds.ASCENT_CHUNK, 7])
+    def test_merged_job_equals_the_separate_calls(self, monkeypatch, separate,
+                                                  chunk):
+        enc, dec, resolution, (c0, c1, enc_curve, dec_curve) = separate
+        monkeypatch.setattr(bounds, "ASCENT_CHUNK", chunk)
+        job = single_letter_bounds(enc, dec, self.GAMMAS, resolution, seed=3)
+        assert job[:2] == (c0, c1)
+        assert np.array_equal(job[2], enc_curve, equal_nan=True)
+        assert np.array_equal(job[3], dec_curve, equal_nan=True)
+
+    def test_zero_weight_slices_change_no_value(self, separate):
+        _, dec, resolution, _ = separate
+        _, mix = bounds._curve_batch(dec, resolution)
+        mix = mix[::9]
+        k = mix.shape[2]
+        values, slices = bounds._optimize_slices(dec, mix, k, 5, 3)
+        wide_values, wide_slices = bounds._optimize_slices(
+            dec, padded(mix, 3), k + 3, 5, 3, parts=[(len(mix), k)]
+        )
+        assert np.array_equal(wide_values, values)
+        assert np.array_equal(wide_slices[:, :k], slices)
+
+        pi, w = dec.stationary_dist, dec.per_state_channel
+        negh = bounds._channel_negentropy(w)
+        rng = np.random.default_rng(2)
+        q = rng.dirichlet(np.ones(dec.input_size), size=(len(mix), k + 3))
+        value, grad = bounds._objective_and_grad(pi, w, negh, mix, q[:, :k])
+        wide_value, wide_grad = bounds._objective_and_grad(pi, w, negh,
+                                                           padded(mix, 3), q)
+        assert np.array_equal(wide_value, value)
+        assert np.array_equal(wide_grad[:, :k], grad)
+        assert np.all(wide_grad[:, k:] == 0.0)
+
+    def test_objective_rows_do_not_depend_on_their_batch(self):
+        rng = np.random.default_rng(4)
+        for _ in range(40):
+            s, x, y, k = rng.integers(1, 6, size=4)
+            w = rng.dirichlet(np.ones(y), size=(s, x))
+            pi = rng.dirichlet(np.ones(s))
+            mix = rng.dirichlet(np.ones(k), size=(30, s))
+            q = rng.dirichlet(np.ones(x), size=(30, k))
+            negh = bounds._channel_negentropy(w)
+            value, grad = bounds._objective_and_grad(pi, w, negh, mix, q)
+            for size in (1, 7):
+                for lo in range(0, 30, size):
+                    rows = slice(lo, lo + size)
+                    part_value, part_grad = bounds._objective_and_grad(
+                        pi, w, negh, mix[rows].copy(), q[rows].copy()
+                    )
+                    assert np.array_equal(part_value, value[rows])
+                    assert np.array_equal(part_grad, grad[rows])
+
+    def test_problems_must_share_the_channel(self, markovian_single_letter):
+        enc = markovian_single_letter("encoder", 1.0)
+        other = dataclasses.replace(
+            markovian_single_letter("decoder", 1.0),
+            per_state_channel=np.array([[[0.9, 0.1], [0.5, 0.5]],
+                                        [[0.5, 0.5], [0.0, 1.0]]]),
+        )
+        with pytest.raises(ValueError, match="share one channel"):
+            single_letter_bounds(enc, other, [0.5], 11)
+
+
+class TestChannelConstant:
+    def test_negentropy_of_a_channel_with_zeros(self, markovian_single_letter):
+        w = markovian_single_letter("encoder", 1.0).per_state_channel
+        assert np.any(w == 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            negh = bounds._channel_negentropy(w)
+        assert np.array_equal(negh, [[0.0, -1.0], [-1.0, 0.0]])
+
+    def test_ascent_on_a_channel_with_zeros_raises_no_warning(
+        self, markovian_single_letter
+    ):
+        prob = markovian_single_letter("decoder", 1.0)
+        mix = bounds._action_mixture(prob, bounds._candidate_actions(prob, 11))
+        starts = np.full((len(mix), mix.shape[2], prob.input_size), 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, slices = bounds._ascend_inputs(
+                prob.stationary_dist, prob.per_state_channel, mix, starts
+            )
+        assert np.all(np.isfinite(values)) and np.all(np.isfinite(slices))
+        assert values.max() == pytest.approx(INFORMED_CAPACITY, abs=1e-4)
+
+    def test_unreached_outputs_keep_the_objective_finite(
+        self, markovian_single_letter
+    ):
+        # every slice sends x = 0: state 0 then never emits y = 1 (py = 0)
+        prob = markovian_single_letter("encoder", 1.0)
+        pi, w = prob.stationary_dist, prob.per_state_channel
+        mix = bounds._endpoint_mixtures(prob)[1]
+        q = np.zeros((1, 2, 2))
+        q[:, :, 0] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, grad = bounds._objective_and_grad(
+                pi, w, bounds._channel_negentropy(w), mix, q
+            )
+        assert value[0] == 0.0
+        assert np.all(np.isfinite(grad))
 
 
 class TestEndpointCapacities:
