@@ -27,6 +27,7 @@ identically zero at rho = 0.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -151,27 +152,49 @@ def _objective_and_grad(pi: np.ndarray, w: np.ndarray, negh: np.ndarray,
     return value, grad
 
 
+class AscentCapWarning(UserWarning):
+    """Rows of an input-slice ascent stopped at the iteration cap.
+
+    Those rows met neither the tol rule nor the step floor, so their values
+    may lie below the maximum; `rows` is how many.
+    """
+
+    def __init__(self, rows: int, max_iter: int):
+        super().__init__(f"{rows} ascent rows stopped at the iteration cap "
+                         f"of {max_iter}")
+        self.rows = rows
+
+
 def _ascend_inputs(pi: np.ndarray, w: np.ndarray, mix: np.ndarray,
                    starts: np.ndarray, tol: float = ASCENT_TOL,
                    max_iter: int = ASCENT_MAX_ITER) -> tuple[np.ndarray, np.ndarray]:
     """Projected-gradient ascent on the concave input-slice objective.
 
     Batched over instances; per-instance adaptive step with accept/shrink.
+    Slice k steps along its gradient divided by its weight
+    w_k = sum_s pi(s) mix[s, k], the information density averaged over
+    P(s | k), which the Blahut-Arimoto update exponentiates: the gradient
+    is proportional to w_k, so one step size then fits light and heavy
+    slices alike. A zero-weight slice has a zero gradient and stays put.
     Each iteration prices one candidate per instance, and the gradient that
     comes with its value is kept for the next step when the candidate is
     accepted. Every operation is row-independent, so converged instances
     leave the working arrays (on the iterations where some instance
-    converges) without changing any other row's trajectory.
+    converges) without changing any other row's trajectory. Rows still
+    running after `max_iter` iterations are reported by an
+    `AscentCapWarning`.
     Returns (value[b], slices[b, k, x]).
     """
     negh = _channel_negentropy(w)
+    weight = (pi[:, None] * mix).sum(axis=1)[:, :, None]
+    weight[weight == 0.0] = 1.0
     rows = np.arange(starts.shape[0])
     q = starts.copy()
     value, grad = _objective_and_grad(pi, w, negh, mix, q)
     final_value, final_q = np.empty_like(value), np.empty_like(q)
     step = np.full(rows.size, 0.5)
     for _ in range(max_iter):
-        cand = project_to_simplex(q + step[:, None, None] * grad)
+        cand = project_to_simplex(q + step[:, None, None] * (grad / weight))
         cand_value, cand_grad = _objective_and_grad(pi, w, negh, mix, cand)
         accept = cand_value >= value
         done = accept & (cand_value - value <= tol)
@@ -184,11 +207,14 @@ def _ascend_inputs(pi: np.ndarray, w: np.ndarray, mix: np.ndarray,
             final_value[rows[done]] = value[done]
             final_q[rows[done]] = q[done]
             keep = ~done
-            rows, mix, q, value, grad, step = (
-                rows[keep], mix[keep], q[keep], value[keep], grad[keep], step[keep]
+            rows, mix, weight, q, value, grad, step = (
+                rows[keep], mix[keep], weight[keep], q[keep], value[keep],
+                grad[keep], step[keep]
             )
             if rows.size == 0:
                 break
+    if rows.size:
+        warnings.warn(AscentCapWarning(int(rows.size), max_iter), stacklevel=2)
     final_value[rows] = value
     final_q[rows] = q
     return final_value, final_q

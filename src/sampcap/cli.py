@@ -23,6 +23,7 @@ import os
 import platform
 import sys as _sys
 import time
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -42,6 +43,7 @@ from .baa import (
     update_r,
 )
 from .bounds import (
+    AscentCapWarning,
     ExponentQuery,
     SingleLetterProblem,
     gallager_exponent,
@@ -577,18 +579,27 @@ def cmd_bounds(config_path: str, out_dir: str = ".") -> int:
     dec = spec.problem("decoder", max_cost)
     gammas = np.linspace(0.0, max_cost if max_cost > 0 else 1.0,
                          config.gamma_points)
-    c0, c1, enc_curve, dec_curve = single_letter_bounds(
-        enc, dec, gammas, resolution=config.resolution, seed=config.seed
-    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", AscentCapWarning)
+        c0, c1, enc_curve, dec_curve = single_letter_bounds(
+            enc, dec, gammas, resolution=config.resolution, seed=config.seed
+        )
+    capped = 0
+    for record in caught:
+        if issubclass(record.category, AscentCapWarning):
+            capped += record.message.rows
+        else:
+            warnings.showwarning(record.message, record.category,
+                                 record.filename, record.lineno)
     span = max_cost if max_cost > 0 else 1.0
     lines = ["gamma,c_enc_lower,c_dec_lower,time_sharing,c0,c1"]
-    warnings = 0
+    infeasible = 0
     for i, g in enumerate(gammas):
         ts = time_sharing_baseline(c0, c1, float(g) / span)
         enc_field = _fmt(enc_curve[i]) if np.isfinite(enc_curve[i]) else ""
         dec_field = _fmt(dec_curve[i]) if np.isfinite(dec_curve[i]) else ""
         if not enc_field or not dec_field:
-            warnings += 1
+            infeasible += 1
         lines.append(
             f"{_fmt(g)},{enc_field},{dec_field},{_fmt(ts)},{_fmt(c0)},{_fmt(c1)}"
         )
@@ -598,9 +609,12 @@ def cmd_bounds(config_path: str, out_dir: str = ".") -> int:
     except OSError as exc:
         print(f"write failure: {exc}", file=_sys.stderr)
         return EXIT_IO
-    if warnings:
-        print(f"warning: {warnings} infeasible budget rows emitted empty",
+    if infeasible:
+        print(f"warning: {infeasible} infeasible budget rows emitted empty",
               file=_sys.stderr)
+    if capped:
+        print(f"warning: {capped} input-slice ascents stopped at the iteration "
+              "cap; their values may lie below the maximum", file=_sys.stderr)
     return EXIT_OK
 
 

@@ -68,8 +68,12 @@ def free_action_problem(states, actions, mode):
 
 def reference_ascent(pi, w, mix, starts, tol=bounds.ASCENT_TOL,
                      max_iter=bounds.ASCENT_MAX_ITER):
-    """The projected-gradient ascent that prices each iterate's gradient anew."""
+    """The projected-gradient ascent that prices each iterate's gradient anew
+    and steps each slice along its gradient divided by the slice's weight
+    sum_s pi(s) mix[s, k] (by 1 where that weight is 0)."""
     negh = bounds._channel_negentropy(w)
+    weight = np.einsum("s,bsk->bk", pi, mix)[:, :, None]
+    weight = np.where(weight == 0.0, 1.0, weight)
     q = starts.copy()
     value, _ = bounds._objective_and_grad(pi, w, negh, mix, q)
     step = np.full(q.shape[0], 0.5)
@@ -78,7 +82,9 @@ def reference_ascent(pi, w, mix, starts, tol=bounds.ASCENT_TOL,
         sub_q, sub_mix = q[idx], mix[idx]
         sub_value, sub_step = value[idx], step[idx]
         _, grad = bounds._objective_and_grad(pi, w, negh, sub_mix, sub_q)
-        cand = bounds.project_to_simplex(sub_q + sub_step[:, None, None] * grad)
+        cand = bounds.project_to_simplex(
+            sub_q + sub_step[:, None, None] * (grad / weight[idx])
+        )
         cand_value, _ = bounds._objective_and_grad(pi, w, negh, sub_mix, cand)
         accept = cand_value >= sub_value
         gain = np.where(accept, cand_value - sub_value, np.inf)
@@ -273,6 +279,71 @@ class TestBatchedRestarts:
                               starts)
         assert calls["iterations"] > 1
         assert calls["objective"] == calls["iterations"] + 1
+
+
+class TestScaledStep:
+    """Each slice steps along its gradient divided by its weight."""
+
+    @staticmethod
+    def uniform_ascent(prob, resolution, **kwargs):
+        mix = bounds._action_mixture(prob,
+                                     bounds._candidate_actions(prob, resolution))
+        starts = np.full((len(mix), mix.shape[2], prob.input_size),
+                         1.0 / prob.input_size)
+        return bounds._ascend_inputs(prob.stationary_dist,
+                                     prob.per_state_channel, mix, starts,
+                                     **kwargs)
+
+    def test_coarse_job_needs_few_iterations(self, monkeypatch,
+                                             markovian_single_letter):
+        calls = {"iterations": 0}
+        project = bounds.project_to_simplex
+
+        def counted_project(v):
+            calls["iterations"] += 1
+            return project(v)
+
+        monkeypatch.setattr(bounds, "project_to_simplex", counted_project)
+        single_letter_bounds(markovian_single_letter("encoder", 1.0),
+                             markovian_single_letter("decoder", 1.0),
+                             np.linspace(0.0, 1.0, 11), 11, seed=0)
+        assert 1 < calls["iterations"] <= 150
+
+    @pytest.mark.parametrize("mode, atol", [
+        ("random", 1e-8), ("encoder", 1e-10), ("decoder", 1e-10),
+    ])
+    def test_tol_stop_is_close_to_the_exhaustive_ascent(
+        self, markovian_single_letter, mode, atol
+    ):
+        if mode == "random":
+            prob = random_three_state_problem()
+        else:
+            prob = markovian_single_letter(mode, 1.0)
+        values, _ = self.uniform_ascent(prob, 11)
+        exhaustive, _ = self.uniform_ascent(prob, 11, tol=0.0)
+        assert np.max(np.abs(values - exhaustive)) <= atol
+
+    def test_zero_and_subnormal_weight_slices(self, markovian_single_letter):
+        # slice 1 has weight 0, slice 2 weight 0.5 * 1e-320 (subnormal)
+        prob = markovian_single_letter("encoder", 1.0)
+        mix = np.array([[[1.0, 0.0, 1e-320], [1.0, 0.0, 0.0]]])
+        starts = np.array([[[0.5, 0.5], [0.25, 0.75], [0.9, 0.1]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, slices = bounds._ascend_inputs(
+                prob.stationary_dist, prob.per_state_channel, mix, starts
+            )
+        assert np.all(np.isfinite(values)) and np.all(np.isfinite(slices))
+        assert np.array_equal(slices[0, 1], starts[0, 1])
+        assert np.allclose(slices.sum(axis=-1), 1.0) and np.all(slices >= 0.0)
+
+    def test_rows_stopped_at_the_cap_are_reported(self, markovian_single_letter):
+        prob = markovian_single_letter("decoder", 1.0)
+        with pytest.warns(bounds.AscentCapWarning) as caught:
+            self.uniform_ascent(prob, 11, max_iter=2)
+        assert len(caught) == 1
+        assert 0 < caught[0].message.rows <= 121
+        assert f"{caught[0].message.rows} ascent rows" in str(caught[0].message)
 
 
 class TestSimplexProjection:

@@ -1,14 +1,17 @@
 """End-to-end command line runs: validation, sweeps, bounds, oracle checks."""
 
 import csv
+import functools
 import json
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from sampcap import CausalPolicy, ExponentQuery, binary_entropy, cli, gallager_exponent
+from sampcap import bounds
 from sampcap.trajectory import TrajectorySpace
 
 from conftest import BSC_CONFIG_PATH, MARKOVIAN_CONFIG_PATH, load_config
@@ -312,6 +315,31 @@ class TestBounds:
             assert float(last[col]) == pytest.approx(c1, abs=1e-4)
         for row in rows:
             assert float(row[2]) >= float(row[1]) - 1e-6
+
+    def test_ascents_at_the_iteration_cap_print_one_warning(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(bounds, "_ascend_inputs",
+                            functools.partial(bounds._ascend_inputs, max_iter=2))
+
+        def mutate(doc):
+            doc["algorithm"]["resolution"] = 11
+
+        path = write_variant(tmp_path, MARKOVIAN_CONFIG_PATH, mutate)
+        assert cli.cmd_bounds(path, str(tmp_path / "out")) == cli.EXIT_OK
+        err = capsys.readouterr().err.splitlines()
+        capped = [line for line in err if "iteration cap" in line]
+        assert len(capped) == 1
+        match = re.fullmatch(r"warning: (\d+) input-slice ascents stopped at "
+                             r"the iteration cap; .*", capped[0])
+        assert match and int(match.group(1)) > 0
+
+    @pytest.mark.parametrize("config", [BSC_CONFIG_PATH, MARKOVIAN_CONFIG_PATH],
+                             ids=["bsc", "markovian"])
+    def test_bundled_configs_reach_no_iteration_cap(self, tmp_path, capsys,
+                                                    config):
+        assert cli.cmd_bounds(str(config), str(tmp_path / "out")) == cli.EXIT_OK
+        assert "iteration cap" not in capsys.readouterr().err
 
     def test_requires_the_single_letter_section(self, tmp_path, capsys):
         def mutate(doc):
