@@ -29,12 +29,10 @@ from .baa import (
 from .bounds import (
     ExponentQuery,
     SingleLetterProblem,
-    backward_link_capacity_nocost,
     f_n_policy_grid,
     gallager_exponent,
     single_letter_bounds,
     single_letter_curve,
-    single_letter_lower,
     time_sharing_baseline,
     zero_unit_cost_capacity,
 )
@@ -82,7 +80,6 @@ __all__ = [
     "TradeoffCurve",
     "TradeoffPoint",
     "TrajectoryDistribution",
-    "backward_link_capacity_nocost",
     "binary_entropy",
     "bisect_lambda_for_cost",
     "build_joint",
@@ -105,7 +102,6 @@ __all__ = [
     "sandwich_bounds",
     "single_letter_bounds",
     "single_letter_curve",
-    "single_letter_lower",
     "stationary_distribution",
     "sweep_lambda",
     "time_sharing_baseline",

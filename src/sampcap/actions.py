@@ -49,8 +49,8 @@ class ActionSystem:
             raise ValueError("cost_table must be indexed [a_e][a_d]")
         if np.any(self.cost_table < 0.0) or not np.all(np.isfinite(self.cost_table)):
             raise ValueError("costs must be finite and nonnegative")
-        if self.budget < 0.0:
-            raise ValueError("budget must be nonnegative")
+        if not 0.0 <= self.budget < np.inf:
+            raise ValueError("budget must be finite and nonnegative")
 
     @property
     def output_size(self) -> int:

@@ -309,7 +309,6 @@ class TradeoffPoint:
     dead_slices: int = 0
     unreachable_outputs: int = 0
     seconds: float = field(default=0.0, compare=False)
-    history: Optional[tuple[tuple[float, float], ...]] = None
     policy: Optional[CausalPolicy] = field(default=None, repr=False,
                                            compare=False)
 
@@ -383,7 +382,6 @@ class SandwichBounds:
 
 def run_baa(kernel: FscKernel, sys: ActionSystem, n: int, lam: float,
             eps: float = DEFAULT_EPSILON, max_iters: int = DEFAULT_MAX_ITERS,
-            record_history: bool = False,
             space: Optional[TrajectorySpace] = None,
             start: Optional[CausalPolicy] = None) -> TradeoffPoint:
     """Iterate the two updates until the bound gap closes (or iterations run out).
@@ -402,8 +400,8 @@ def run_baa(kernel: FscKernel, sys: ActionSystem, n: int, lam: float,
     The value C_N(lambda) is the final upper iterate; the measured cost is
     the per-step average action cost under the final policy.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     if sys.decoder_actions.size != 1:
         raise ValueError(
             "the optimizer handles encoder-side actions only; represent "
@@ -412,7 +410,6 @@ def run_baa(kernel: FscKernel, sys: ActionSystem, n: int, lam: float,
     t0 = time.perf_counter()
     state = BaaState.initial(kernel, sys, n, lam, space=space, start=start)
     space = state.space
-    history: list[tuple[float, float]] = []
     converged = False
     iu = math.inf
     relax = RELAX_START
@@ -430,8 +427,6 @@ def run_baa(kernel: FscKernel, sys: ActionSystem, n: int, lam: float,
             del candidate  # release its arrays before the plain iterate's
             state = update_q(space, lam, plain, flags)
         iu = upper_bound(state)
-        if record_history:
-            history.append((state.i_lower, iu))
         if iu - state.i_lower <= eps:
             converged = True
             break
@@ -447,7 +442,6 @@ def run_baa(kernel: FscKernel, sys: ActionSystem, n: int, lam: float,
         dead_slices=state.dead_slices,
         unreachable_outputs=state.unreachable_outputs,
         seconds=time.perf_counter() - t0,
-        history=tuple(history) if record_history else None,
         policy=state.r,
     )
 
@@ -465,8 +459,7 @@ def sweep_lambda(kernel: FscKernel, sys: ActionSystem, n: int,
                  lam_grid: Optional[Sequence[float]] = None,
                  eps: float = DEFAULT_EPSILON,
                  max_iters: int = DEFAULT_MAX_ITERS,
-                 gamma_points: int = 101,
-                 record_history: bool = False) -> TradeoffCurve:
+                 gamma_points: int = 101) -> TradeoffCurve:
     """Run the optimizer across a lambda grid and rebuild the cost envelope.
 
     The points form one chain on one trajectory space, in ascending lambda:
@@ -488,7 +481,6 @@ def sweep_lambda(kernel: FscKernel, sys: ActionSystem, n: int,
         start = _warm_start(points[-1].policy) if points else None
         points.append(run_baa(kernel, sys, n, lam, eps=eps,
                               max_iters=max_iters,
-                              record_history=record_history,
                               space=space, start=start))
     points = tuple(points)
 

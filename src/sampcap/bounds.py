@@ -48,6 +48,7 @@ DEFAULT_RESOLUTION = 101
 DEFAULT_RESTARTS = 5
 MAX_DEFAULT_FREE_DIMS = 3
 FEAS_SLACK = 1e-12
+MODES = ("encoder", "decoder", "backward_link")
 
 
 @dataclass(frozen=True)
@@ -55,25 +56,21 @@ class SingleLetterProblem:
     """Stationary single-letter setting: pi, per-state channel, sampling, cost.
 
     per_state_channel is indexed [s][x][y]; sampling [a][s] -> z; cost [a].
-    action_mode selects the coupling: 'encoder' (state-independent P_A),
-    'decoder' (P_{A|S}), or 'backward_link' (P_{A|S} with the action itself
-    fed back, f(a, s) = a).
+    The coupling is chosen per call, as one of MODES: 'encoder'
+    (state-independent P_A), 'decoder' (P_{A|S}), or 'backward_link'
+    (P_{A|S} with the action itself fed back, f(a, s) = a).
     """
 
     stationary_dist: np.ndarray
     per_state_channel: np.ndarray
     sampling: np.ndarray
     cost: np.ndarray
-    budget: float
-    action_mode: str = "encoder"
 
     def __post_init__(self):
         object.__setattr__(self, "stationary_dist", freeze(self.stationary_dist))
         object.__setattr__(self, "per_state_channel", freeze(self.per_state_channel))
         object.__setattr__(self, "sampling", freeze(self.sampling, dtype=int))
         object.__setattr__(self, "cost", freeze(self.cost))
-        if self.action_mode not in ("encoder", "decoder", "backward_link"):
-            raise ValueError(f"unknown action_mode {self.action_mode!r}")
         pi = self.stationary_dist
         if abs(pi.sum() - 1.0) > DIST_TOL or np.any(pi < 0.0):
             raise ValueError("stationary_dist must be a probability vector")
@@ -86,10 +83,10 @@ class SingleLetterProblem:
         if self.sampling.ndim != 2 or self.sampling.shape != (self.cost.shape[0],
                                                               pi.shape[0]):
             raise ValueError("sampling must be indexed [a][s]")
+        if np.any(self.sampling < 0):
+            raise ValueError("sampling entries must be nonnegative")
         if np.any(self.cost < 0.0) or not np.all(np.isfinite(self.cost)):
             raise ValueError("costs must be finite and nonnegative")
-        if self.budget < 0.0:
-            raise ValueError("budget must be nonnegative")
 
     @property
     def state_size(self) -> int:
@@ -220,16 +217,23 @@ def _ascend_inputs(pi: np.ndarray, w: np.ndarray, mix: np.ndarray,
     return final_value, final_q
 
 
-def _action_mixture(prob: SingleLetterProblem, action_dists: np.ndarray) -> np.ndarray:
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
+
+
+def _action_mixture(prob: SingleLetterProblem, mode: str,
+                    action_dists: np.ndarray) -> np.ndarray:
     """Slice mixture weights mix[b, s, k] for a batch of action distributions.
 
     Encoder/decoder modes use slices k = (z, a) with weight P(a|.) when
     z = f(a, s); backward_link uses slices k = a directly.
     """
+    _check_mode(mode)
     s_size = prob.state_size
     a_size = prob.action_size
     b = action_dists.shape[0]
-    if prob.action_mode == "backward_link":
+    if mode == "backward_link":
         # action_dists[b, s, a]
         return action_dists.copy()
     z_size = prob.feedback_size
@@ -237,7 +241,7 @@ def _action_mixture(prob: SingleLetterProblem, action_dists: np.ndarray) -> np.n
     for a in range(a_size):
         for s in range(s_size):
             z = int(prob.sampling[a, s])
-            if prob.action_mode == "encoder":
+            if mode == "encoder":
                 mix[:, s, z * a_size + a] = action_dists[:, a]
             else:
                 mix[:, s, z * a_size + a] = action_dists[:, s, a]
@@ -255,22 +259,26 @@ def _simplex_grid(dim: int, points_per_axis: int) -> np.ndarray:
     return np.array(combos, dtype=float) / steps
 
 
-def _expected_action_cost(prob: SingleLetterProblem, dists: np.ndarray) -> np.ndarray:
-    if prob.action_mode == "encoder":
+def _expected_action_cost(prob: SingleLetterProblem, mode: str,
+                          dists: np.ndarray) -> np.ndarray:
+    _check_mode(mode)
+    if mode == "encoder":
         return dists @ prob.cost
     per_state = dists @ prob.cost  # [b, s]
     return per_state @ prob.stationary_dist
 
 
-def _candidate_actions(prob: SingleLetterProblem, resolution: int) -> np.ndarray:
+def _candidate_actions(prob: SingleLetterProblem, mode: str,
+                       resolution: int) -> np.ndarray:
     """The action-distribution grid, refused before it is built if too large.
 
     The limit is the grid size of MAX_DEFAULT_FREE_DIMS free dimensions at
     the default resolution, so a coarser resolution admits more dimensions.
     """
+    _check_mode(mode)
     a = prob.action_size
     per_dist = math.comb(resolution + a - 2, a - 1)
-    if prob.action_mode == "encoder":
+    if mode == "encoder":
         free, count = a - 1, per_dist
     else:
         free, count = prob.state_size * (a - 1), per_dist ** prob.state_size
@@ -279,7 +287,7 @@ def _candidate_actions(prob: SingleLetterProblem, resolution: int) -> np.ndarray
             f"{free} free action dimensions need a caller-supplied coarser resolution"
         )
     rows = _simplex_grid(a, resolution)
-    if prob.action_mode == "encoder":
+    if mode == "encoder":
         return rows
     s = prob.state_size
     # one row per state, the last state's row varying fastest
@@ -287,10 +295,9 @@ def _candidate_actions(prob: SingleLetterProblem, resolution: int) -> np.ndarray
     return rows[combos]
 
 
-def _optimize_slices(prob: SingleLetterProblem, mix: np.ndarray, n_slices: int,
-                     restarts: int, seed: int,
-                     parts: Sequence[tuple[int, int]] | None = None
-                     ) -> tuple[np.ndarray, np.ndarray]:
+def _optimize_slices(prob: SingleLetterProblem, mix: np.ndarray,
+                     parts: Sequence[tuple[int, int]], restarts: int,
+                     seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Inner maximization for every instance in the mixture batch.
 
     Ascends from a uniform start plus `restarts` seeded random-simplex
@@ -300,16 +307,13 @@ def _optimize_slices(prob: SingleLetterProblem, mix: np.ndarray, n_slices: int,
     each start follows the trajectory it would follow alone.
 
     `parts` lists the (instances, slices) of the problems stacked in `mix`
-    in order; by default the batch is one problem of `n_slices` slices.
-    Each problem draws its starts from its own generator, seeded with
-    `seed`, over its own slices, exactly as it would alone. The slices a
-    problem lacks up to `n_slices` start uniform and carry zero weight.
+    in order. Each problem draws its starts from its own generator, seeded
+    with `seed`, over its own slices, exactly as it would alone. The slices
+    a problem lacks up to mix.shape[2] start uniform and carry zero weight.
     """
-    b = mix.shape[0]
+    b, _, n_slices = mix.shape
     x = prob.input_size
     trials = restarts + 1
-    if parts is None:
-        parts = [(b, n_slices)]
     starts = np.full((trials, b, n_slices, x), 1.0 / x)
     lo = 0
     for rows, k in parts:
@@ -346,62 +350,18 @@ def _optimize_mixtures(prob: SingleLetterProblem, mixes: Sequence[np.ndarray],
     mix = np.concatenate([np.pad(m, ((0, 0), (0, 0), (0, width - m.shape[2])))
                           for m in mixes])
     parts = [(m.shape[0], m.shape[2]) for m in mixes]
-    values, _ = _optimize_slices(prob, mix, width, restarts, seed, parts)
+    values, _ = _optimize_slices(prob, mix, parts, restarts, seed)
     return np.split(values, np.cumsum([rows for rows, _ in parts])[:-1])
 
 
-def single_letter_lower(prob: SingleLetterProblem,
-                        resolution: int = DEFAULT_RESOLUTION,
-                        restarts: int = DEFAULT_RESTARTS,
-                        seed: int = 0) -> tuple[float, dict]:
-    """Best I(X;Y|S) over budget-feasible action distributions on a grid.
-
-    Returns the value in bits and the maximizing distributions (action
-    distribution plus input slices); the lowest grid index wins ties.
-    """
-    if resolution < 10:
-        raise ValueError("resolution must be at least 10 grid points per dimension")
-    min_cost = float(prob.cost.min())
-    if prob.budget < min_cost - FEAS_SLACK:
-        raise ValueError(
-            f"budget {prob.budget} below the minimum achievable cost {min_cost}"
-        )
-    candidates = _candidate_actions(prob, resolution)
-    costs = _expected_action_cost(prob, candidates)
-    feasible = costs <= prob.budget + FEAS_SLACK
-    if not feasible.any():
-        # grid quantization can miss a feasible corner; fall back to the
-        # cheapest deterministic action, which is feasible by the check above
-        cheapest = int(np.argmin(prob.cost))
-        if prob.action_mode == "encoder":
-            fallback = np.zeros((1, prob.action_size))
-            fallback[0, cheapest] = 1.0
-        else:
-            fallback = np.zeros((1, prob.state_size, prob.action_size))
-            fallback[0, :, cheapest] = 1.0
-        candidates = fallback
-        feasible = np.array([True])
-    chosen = candidates[feasible]
-    mix = _action_mixture(prob, chosen)
-    n_slices = mix.shape[2]
-    values, slices = _optimize_slices(prob, mix, n_slices, restarts, seed)
-    best = int(np.argmax(values))
-    action_dist = chosen[best]
-    return float(values[best]), {
-        "action_dist": action_dist,
-        "input_slices": slices[best],
-        "mode": prob.action_mode,
-    }
-
-
-def _curve_batch(prob: SingleLetterProblem,
+def _curve_batch(prob: SingleLetterProblem, mode: str,
                  resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """Expected costs and slice mixtures of the whole action-distribution grid."""
     if resolution < 10:
         raise ValueError("resolution must be at least 10 grid points per dimension")
-    candidates = _candidate_actions(prob, resolution)
-    return (_expected_action_cost(prob, candidates),
-            _action_mixture(prob, candidates))
+    candidates = _candidate_actions(prob, mode, resolution)
+    return (_expected_action_cost(prob, mode, candidates),
+            _action_mixture(prob, mode, candidates))
 
 
 def _best_feasible(costs: np.ndarray, values: np.ndarray,
@@ -423,19 +383,20 @@ def _endpoint_mixtures(prob: SingleLetterProblem) -> list[np.ndarray]:
     return [np.ones((1, s, 1)), per_state]
 
 
-def single_letter_curve(prob: SingleLetterProblem, gammas: Sequence[float],
+def single_letter_curve(prob: SingleLetterProblem, mode: str,
+                        gammas: Sequence[float],
                         resolution: int = DEFAULT_RESOLUTION,
                         restarts: int = DEFAULT_RESTARTS,
                         seed: int = 0) -> np.ndarray:
-    """Lower-bound values over a whole budget grid with one optimization pass.
+    """Lower-bound values of one coupling over a whole budget grid.
 
-    The inner maximization does not depend on the budget, only feasibility
-    does, so every action-grid candidate is optimized once and each budget
-    keeps its best feasible value. Budgets with no feasible candidate get
-    NaN. The problem's own budget field is ignored here.
+    mode is one of MODES. The inner maximization does not depend on the
+    budget, only feasibility does, so every action-grid candidate is
+    optimized once and each budget keeps its best feasible value. Budgets
+    with no feasible candidate get NaN.
     """
-    costs, mix = _curve_batch(prob, resolution)
-    values, _ = _optimize_slices(prob, mix, mix.shape[2], restarts, seed)
+    costs, mix = _curve_batch(prob, mode, resolution)
+    [values] = _optimize_mixtures(prob, [mix], restarts, seed)
     return _best_feasible(costs, values, gammas)
 
 
@@ -447,25 +408,20 @@ def zero_unit_cost_capacity(prob: SingleLetterProblem,
     return float(c0[0]), float(c1[0])
 
 
-def single_letter_bounds(enc: SingleLetterProblem, dec: SingleLetterProblem,
-                         gammas: Sequence[float],
+def single_letter_bounds(prob: SingleLetterProblem, gammas: Sequence[float],
                          resolution: int = DEFAULT_RESOLUTION,
                          restarts: int = DEFAULT_RESTARTS, seed: int = 0
                          ) -> tuple[float, float, np.ndarray, np.ndarray]:
     """(C(0), C(1), encoder curve, decoder curve) of one setting in one ascent.
 
-    enc and dec are the encoder- and decoder-mode problems of one channel.
-    The values equal those of `zero_unit_cost_capacity(enc)` and
-    `single_letter_curve` of each problem with the same arguments; the
-    four batches only share the ascent's iterations.
+    The values equal those of `zero_unit_cost_capacity(prob)` and
+    `single_letter_curve` in each mode with the same arguments; the four
+    batches only share the ascent's iterations.
     """
-    if not (np.array_equal(enc.stationary_dist, dec.stationary_dist)
-            and np.array_equal(enc.per_state_channel, dec.per_state_channel)):
-        raise ValueError("encoder and decoder problems must share one channel")
-    enc_costs, enc_mix = _curve_batch(enc, resolution)
-    dec_costs, dec_mix = _curve_batch(dec, resolution)
+    enc_costs, enc_mix = _curve_batch(prob, "encoder", resolution)
+    dec_costs, dec_mix = _curve_batch(prob, "decoder", resolution)
     enc_values, dec_values, c0, c1 = _optimize_mixtures(
-        enc, [enc_mix, dec_mix, *_endpoint_mixtures(enc)], restarts, seed
+        prob, [enc_mix, dec_mix, *_endpoint_mixtures(prob)], restarts, seed
     )
     return (float(c0[0]), float(c1[0]),
             _best_feasible(enc_costs, enc_values, gammas),
@@ -477,23 +433,6 @@ def time_sharing_baseline(c0: float, c1: float, gamma: float) -> float:
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
     return (1.0 - gamma) * c0 + gamma * c1
-
-
-def backward_link_capacity_nocost(prob: SingleLetterProblem,
-                                  restarts: int = DEFAULT_RESTARTS,
-                                  seed: int = 0) -> float:
-    """Capacity with a free backward link: per-state-input maximum of I(X;Y|S).
-
-    Requires backward_link mode and an action alphabet at least as large as
-    the state alphabet (the actions must be able to announce the state).
-    """
-    if prob.action_mode != "backward_link":
-        raise ValueError("problem must be in backward_link mode")
-    if prob.action_size < prob.state_size:
-        raise ValueError("needs |A| >= |S| so actions can announce the state")
-    per_state = _endpoint_mixtures(prob)[1]
-    values, _ = _optimize_slices(prob, per_state, prob.state_size, restarts, seed)
-    return float(values[0])
 
 
 def gallager_exponent(query: ExponentQuery, kernel: FscKernel,

@@ -30,7 +30,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from ._num import freeze
 from .actions import ActionSystem
 from .baa import (
     BaaState,
@@ -83,32 +82,6 @@ MAX_DENSE_BYTES = 2 ** 31
 
 
 @dataclass(frozen=True)
-class SingleLetterSpec:
-    """Raw single-letter arrays; budget and coupling are chosen per use."""
-
-    stationary_dist: np.ndarray
-    per_state_channel: np.ndarray
-    sampling: np.ndarray
-    cost: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "stationary_dist", freeze(self.stationary_dist))
-        object.__setattr__(self, "per_state_channel", freeze(self.per_state_channel))
-        object.__setattr__(self, "sampling", freeze(self.sampling, dtype=int))
-        object.__setattr__(self, "cost", freeze(self.cost))
-
-    def problem(self, mode: str, budget: float) -> SingleLetterProblem:
-        return SingleLetterProblem(
-            stationary_dist=self.stationary_dist,
-            per_state_channel=self.per_state_channel,
-            sampling=self.sampling,
-            cost=self.cost,
-            budget=budget,
-            action_mode=mode,
-        )
-
-
-@dataclass(frozen=True)
 class ExponentSpec:
     rho_grid: tuple[float, ...]
     block_length: int
@@ -127,7 +100,7 @@ class ExperimentConfig:
     gamma_points: int
     resolution: int
     seed: int
-    single_letter: Optional[SingleLetterSpec] = None
+    single_letter: Optional[SingleLetterProblem] = None
     exponent: Optional[ExponentSpec] = None
 
 
@@ -145,6 +118,10 @@ def _as_float_array(node, pointer: str, violations: list[str]):
         violations.append(f"{pointer}: entries must be finite")
         return None
     return arr
+
+
+def _is_number(node) -> bool:
+    return isinstance(node, (int, float)) and not isinstance(node, bool)
 
 
 def _as_int_array(node, pointer: str, violations: list[str]):
@@ -245,8 +222,8 @@ def _parse_actions(doc: dict, kernel: Optional[FscKernel],
                           violations)
     cost = _as_float_array(ac.get("cost_table"), "/actions/cost_table", violations)
     budget = ac.get("budget", 0.0)
-    if not isinstance(budget, (int, float)) or isinstance(budget, bool) or budget < 0:
-        violations.append("/actions/budget: must be a nonnegative number")
+    if not _is_number(budget) or not 0.0 <= budget < math.inf:
+        violations.append("/actions/budget: must be a finite nonnegative number")
         return None
     if None in (enc, dec, fb) or table is None or cost is None:
         return None
@@ -286,7 +263,7 @@ def _parse_actions(doc: dict, kernel: Optional[FscKernel],
 
 
 def _parse_single_letter(doc: dict,
-                         violations: list[str]) -> Optional[SingleLetterSpec]:
+                         violations: list[str]) -> Optional[SingleLetterProblem]:
     sl = doc.get("single_letter")
     if sl is None:
         return None
@@ -327,13 +304,15 @@ def _parse_single_letter(doc: dict,
         )
     elif pi.ndim == 1 and samp.shape[1] != pi.shape[0]:
         found.append("/single_letter/sampling: state axis does not match")
+    if np.any(samp < 0):
+        found.append("/single_letter/sampling: entries must be nonnegative")
     if np.any(cost < 0.0):
         found.append("/single_letter/cost: costs must be nonnegative")
     violations.extend(found)
     if found:
         return None
-    return SingleLetterSpec(stationary_dist=pi, per_state_channel=chan,
-                            sampling=samp, cost=cost)
+    return SingleLetterProblem(stationary_dist=pi, per_state_channel=chan,
+                               sampling=samp, cost=cost)
 
 
 def _parse_exponent(doc: dict, violations: list[str]) -> Optional[ExponentSpec]:
@@ -346,8 +325,7 @@ def _parse_exponent(doc: dict, violations: list[str]) -> Optional[ExponentSpec]:
     rho = ex.get("rho_grid")
     n = _positive_int(ex.get("block_length"), "/exponent/block_length", violations)
     ok = isinstance(rho, list) and rho and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and 0.0 <= v <= 1.0
-        for v in rho
+        _is_number(v) and 0.0 <= v <= 1.0 for v in rho
     )
     if not ok:
         violations.append("/exponent/rho_grid: must be a nonempty list in [0, 1]")
@@ -388,20 +366,19 @@ def parse_config(doc) -> tuple[Optional[ExperimentConfig], list[str]]:
         violations.append("/algorithm: must be an object")
         alg = {}
     epsilon = alg.get("epsilon", DEFAULT_EPSILON)
-    if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool) \
-            or epsilon <= 0:
-        violations.append("/algorithm/epsilon: must be a positive number")
+    if not _is_number(epsilon) or not 0.0 < epsilon < math.inf:
+        violations.append("/algorithm/epsilon: must be a finite positive number")
     max_iters = _positive_int(alg.get("max_iters"), "/algorithm/max_iters",
                               violations, default=DEFAULT_MAX_ITERS)
     lam_grid = alg.get("lambda_grid")
     lam_tuple: Optional[tuple[float, ...]] = None
     if lam_grid is not None:
         if (not isinstance(lam_grid, list) or not lam_grid
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                           and v >= 0.0 for v in lam_grid)):
+                or not all(_is_number(v) and 0.0 <= v < math.inf
+                           for v in lam_grid)):
             violations.append(
-                "/algorithm/lambda_grid: must be a nonempty list of nonnegative "
-                "numbers"
+                "/algorithm/lambda_grid: must be a nonempty list of finite "
+                "nonnegative numbers"
             )
         else:
             lam_tuple = tuple(float(v) for v in lam_grid)
@@ -573,16 +550,14 @@ def cmd_bounds(config_path: str, out_dir: str = ".") -> int:
         print("/single_letter: section required for the bounds command",
               file=_sys.stderr)
         return EXIT_SEMANTIC
-    spec = config.single_letter
-    max_cost = float(spec.cost.max())
-    enc = spec.problem("encoder", max_cost)
-    dec = spec.problem("decoder", max_cost)
+    prob = config.single_letter
+    max_cost = float(prob.cost.max())
     gammas = np.linspace(0.0, max_cost if max_cost > 0 else 1.0,
                          config.gamma_points)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", AscentCapWarning)
         c0, c1, enc_curve, dec_curve = single_letter_bounds(
-            enc, dec, gammas, resolution=config.resolution, seed=config.seed
+            prob, gammas, resolution=config.resolution, seed=config.seed
         )
     capped = 0
     for record in caught:

@@ -10,9 +10,11 @@ The two bundled configurations double as the canonical test instances:
 
 The Lagrangian sweeps over the default lambda grid are expensive for the
 two-state channel, so they run once per session with recorded per-iteration
-bound histories, and every test that needs sweep data reuses them.
+bound histories (see `bound_histories`), and every test that needs sweep
+data reuses them.
 """
 
+import contextlib
 import json
 from pathlib import Path
 
@@ -21,6 +23,7 @@ import numpy as np
 import pytest
 
 from sampcap import ActionSystem, Alphabet, CausalPolicy, FscKernel, HistoryIndexer
+import sampcap.baa
 from sampcap.baa import sweep_lambda
 from sampcap.cli import parse_config
 
@@ -118,38 +121,71 @@ def markovian_actions(markovian_config):
     return markovian_config.actions
 
 
+@contextlib.contextmanager
+def bound_histories():
+    """Record the (I_L, I_U) pair of every optimizer iteration.
+
+    Yields a list that gets one history per call of `sampcap.baa.run_baa`
+    made through the module (as sweep_lambda makes them), each a list of
+    (state.i_lower, upper_bound(state)) pairs. run_baa calls upper_bound
+    once per iteration, on the iterate it keeps.
+    """
+    histories = []
+    run_baa, upper_bound = sampcap.baa.run_baa, sampcap.baa.upper_bound
+
+    def recording_run_baa(*args, **kwargs):
+        histories.append([])
+        return run_baa(*args, **kwargs)
+
+    def recording_upper_bound(state):
+        iu = upper_bound(state)
+        histories[-1].append((state.i_lower, iu))
+        return iu
+
+    sampcap.baa.run_baa = recording_run_baa
+    sampcap.baa.upper_bound = recording_upper_bound
+    try:
+        yield histories
+    finally:
+        sampcap.baa.run_baa = run_baa
+        sampcap.baa.upper_bound = upper_bound
+
+
+def traced_sweeps(config):
+    """Default-grid sweeps per block length and each point's bound history."""
+    curves, histories = {}, {}
+    for n in config.block_lengths:
+        with bound_histories() as runs:
+            curves[n] = sweep_lambda(config.kernel, config.actions, n,
+                                     eps=config.epsilon,
+                                     max_iters=config.max_iters)
+        histories[n] = [np.array(run) for run in runs]
+    return curves, histories
+
+
 @pytest.fixture(scope="session")
 def markovian_single_letter(markovian_config):
-    """Factory for single-letter problems on the two-state example."""
-    spec = markovian_config.single_letter
-
-    def make(mode, budget):
-        return spec.problem(mode, budget)
-
-    return make
+    """The single-letter problem of the two-state example."""
+    return markovian_config.single_letter
 
 
 @pytest.fixture(scope="session")
-def bsc_sweeps(bsc_config):
+def bsc_traced(bsc_config):
     """Default-grid sweeps with bound histories for the memoryless channel."""
-    return {
-        n: sweep_lambda(
-            bsc_config.kernel, bsc_config.actions, n,
-            eps=bsc_config.epsilon, max_iters=bsc_config.max_iters,
-            record_history=True,
-        )
-        for n in bsc_config.block_lengths
-    }
+    return traced_sweeps(bsc_config)
 
 
 @pytest.fixture(scope="session")
-def markovian_sweeps(markovian_config):
+def markovian_traced(markovian_config):
     """Default-grid sweeps with bound histories for the two-state channel."""
-    return {
-        n: sweep_lambda(
-            markovian_config.kernel, markovian_config.actions, n,
-            eps=markovian_config.epsilon, max_iters=markovian_config.max_iters,
-            record_history=True,
-        )
-        for n in markovian_config.block_lengths
-    }
+    return traced_sweeps(markovian_config)
+
+
+@pytest.fixture(scope="session")
+def bsc_sweeps(bsc_traced):
+    return bsc_traced[0]
+
+
+@pytest.fixture(scope="session")
+def markovian_sweeps(markovian_traced):
+    return markovian_traced[0]

@@ -32,7 +32,6 @@ from sampcap import (
     sample_feedback,
     sandwich_bounds,
     single_letter_curve,
-    single_letter_lower,
     sweep_lambda,
     time_sharing_baseline,
     update_r,
@@ -42,10 +41,12 @@ from sampcap.baa import BaaState
 from conftest import make_random_policy
 
 
-def all_curves(bsc_sweeps, markovian_sweeps):
-    for label, sweeps in (("bsc", bsc_sweeps), ("markovian", markovian_sweeps)):
-        for n, curve in sweeps.items():
-            yield label, n, curve
+def all_traced_points(*traced):
+    """(label, point, its bound history) of every point of traced sweeps."""
+    for label, (curves, histories) in zip(("bsc", "markovian"), traced):
+        for n, curve in curves.items():
+            for point, history in zip(curve.points, histories[n], strict=True):
+                yield f"{label} n={n} lambda={point.lam}", point, history
 
 
 def test_1_memoryless_reference_value_and_speed(bsc_kernel, bsc_actions,
@@ -61,26 +62,24 @@ def test_1_memoryless_reference_value_and_speed(bsc_kernel, bsc_actions,
         assert free.i_upper == pytest.approx(point.i_upper, abs=1e-4)
 
 
-def test_2_iterates_bracket_and_converge_everywhere(bsc_sweeps,
-                                                    markovian_sweeps):
-    for label, n, curve in all_curves(bsc_sweeps, markovian_sweeps):
-        for point in curve.points:
-            where = f"{label} n={n} lambda={point.lam}"
-            assert point.converged, where
-            assert point.iterations <= 10_000, where
-            assert point.final_gap <= 1e-6, where
-            lows = np.array([lo for lo, _ in point.history])
-            ups = np.array([up for _, up in point.history])
-            assert lows.size == point.iterations
-            assert np.all(lows <= ups + 1e-12), where
-            assert np.all(np.diff(lows) >= -1e-12), where
+def test_2_iterates_bracket_and_converge_everywhere(bsc_traced,
+                                                    markovian_traced):
+    for where, point, history in all_traced_points(bsc_traced,
+                                                   markovian_traced):
+        assert point.converged, where
+        assert point.iterations <= 10_000, where
+        assert point.final_gap <= 1e-6, where
+        lows, ups = history.T
+        assert lows.size == point.iterations
+        assert np.all(lows <= ups + 1e-12), where
+        assert np.all(np.diff(lows) >= -1e-12), where
 
 
 def test_3_block_envelopes_saturate_with_the_analytic_curve(
     markovian_single_letter, markovian_sweeps
 ):
     gammas = np.linspace(0.0, 1.0, 101)
-    curve = single_letter_curve(markovian_single_letter("encoder", 1.0), gammas,
+    curve = single_letter_curve(markovian_single_letter, "encoder", gammas,
                                 resolution=101, seed=0)
     saturated = curve >= curve[-1] - 1e-6
     first = int(np.argmax(saturated))
@@ -96,11 +95,10 @@ def test_3_block_envelopes_saturate_with_the_analytic_curve(
 
 
 def test_4_analytic_endpoints_beat_time_sharing(markovian_single_letter):
-    c0, _ = single_letter_lower(markovian_single_letter("encoder", 0.0), seed=0)
-    c1, _ = single_letter_lower(markovian_single_letter("encoder", 1.0), seed=0)
+    c0, half, c1 = single_letter_curve(markovian_single_letter, "encoder",
+                                       [0.0, 0.5, 1.0], seed=0)
     assert c0 == pytest.approx(0.311278, abs=1e-4)
     assert c1 == pytest.approx(0.321928, abs=1e-4)
-    half, _ = single_letter_lower(markovian_single_letter("encoder", 0.5), seed=0)
     assert half - time_sharing_baseline(c0, c1, 0.5) >= 1e-4
 
 

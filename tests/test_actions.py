@@ -70,6 +70,18 @@ class TestActionSystemValidation:
                 budget=-0.5,
             )
 
+    @pytest.mark.parametrize("budget", [math.nan, math.inf])
+    def test_non_finite_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget must be finite"):
+            ActionSystem(
+                encoder_actions=Alphabet(1),
+                decoder_actions=Alphabet(1),
+                feedback_alphabet=Alphabet(1),
+                sampling_table=np.zeros((1, 1, 2), dtype=int),
+                cost_table=np.zeros((1, 1)),
+                budget=budget,
+            )
+
     def test_derived_properties(self, markovian_actions):
         assert markovian_actions.output_size == 4
         assert markovian_actions.max_cost == 1.0

@@ -32,11 +32,17 @@ from sampcap import (
     update_r,
     upper_bound,
 )
+import sampcap.baa
 from sampcap._num import fsum_array, weighted_log2_sum
 from sampcap.baa import BaaState, _tangent_envelope
 from sampcap.trajectory import TrajectorySpace
 
-from conftest import make_random_kernel, make_random_policy, make_trivial_actions
+from conftest import (
+    bound_histories,
+    make_random_kernel,
+    make_random_policy,
+    make_trivial_actions,
+)
 
 
 def z_channel_kernel():
@@ -339,6 +345,13 @@ class TestRunBaa:
         with pytest.raises(ValueError, match="decoder"):
             run_baa(bsc_kernel, two_sided, 1, 0.0)
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-6, math.inf, math.nan])
+    def test_rejects_an_epsilon_that_is_not_positive_and_finite(
+        self, bsc_kernel, bsc_actions, eps
+    ):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            run_baa(bsc_kernel, bsc_actions, 1, 0.0, eps=eps)
+
     def test_lagrangian_decomposition_of_the_lower_iterate(
         self, markovian_kernel, markovian_actions
     ):
@@ -418,12 +431,14 @@ class TestOverRelaxation:
         plain_upper, plain_converged = plain_solve(kernel, actions, n, lam,
                                                    eps, 20_000)
         assume(plain_converged)
-        point = run_baa(kernel, actions, n, lam, eps=eps, record_history=True)
+        with bound_histories() as histories:
+            point = sampcap.baa.run_baa(kernel, actions, n, lam, eps=eps)
         assert point.converged
         # both upper iterates lie in [C_N(lambda), C_N(lambda) + eps]
         assert abs(point.i_upper - plain_upper) <= eps
-        lows = np.array([h[0] for h in point.history])
-        ups = np.array([h[1] for h in point.history])
+        [history] = histories
+        lows, ups = np.array(history).T
+        assert lows.size == point.iterations
         assert np.all(lows <= ups + 1e-12)
         assert np.all(np.diff(lows) >= -1e-12)
         assert 0 <= point.rejected_steps <= point.iterations
@@ -665,11 +680,12 @@ class TestBisect:
 
 
 class TestBracketing:
-    def test_bounds_bracket_and_lower_is_monotone(self, markovian_sweeps):
-        for curve in markovian_sweeps.values():
-            for point in curve.points:
-                lows = np.array([h[0] for h in point.history])
-                ups = np.array([h[1] for h in point.history])
+    def test_bounds_bracket_and_lower_is_monotone(self, markovian_traced):
+        curves, histories = markovian_traced
+        for n, curve in curves.items():
+            for point, history in zip(curve.points, histories[n], strict=True):
+                lows, ups = history.T
+                assert lows.size == point.iterations
                 assert np.all(lows <= ups + 1e-12)
                 assert np.all(np.diff(lows) >= -1e-12)
 

@@ -1,6 +1,5 @@
 """Single-letter lower bounds, time-sharing baseline, block exponents."""
 
-import dataclasses
 import math
 import warnings
 
@@ -12,14 +11,12 @@ from sampcap import (
     CausalPolicy,
     ExponentQuery,
     SingleLetterProblem,
-    backward_link_capacity_nocost,
     binary_entropy,
     build_joint,
     directed_information,
     f_n_policy_grid,
     gallager_exponent,
     single_letter_curve,
-    single_letter_lower,
     single_letter_bounds,
     time_sharing_baseline,
     zero_unit_cost_capacity,
@@ -29,41 +26,40 @@ INFORMED_CAPACITY = math.log2(5.0) - 2.0          # 0.321928...
 COMMON_INPUT_CAPACITY = binary_entropy(0.25) - 0.5  # 0.311278...
 
 
-def single_action_problem(cost, budget):
+def single_action_problem(cost):
     """One-state, one-action crossover problem with an adjustable price."""
     return SingleLetterProblem(
         stationary_dist=np.array([1.0]),
         per_state_channel=np.array([[[0.75, 0.25], [0.25, 0.75]]]),
         sampling=np.array([[0]]),
         cost=np.array([cost]),
-        budget=budget,
-        action_mode="encoder",
     )
 
 
 def random_three_state_problem():
-    """A seeded 3-state encoder problem with two priced actions."""
+    """A seeded 3-state problem with two priced actions."""
     rng = np.random.default_rng(5)
     return SingleLetterProblem(
         stationary_dist=rng.dirichlet(np.ones(3)),
         per_state_channel=rng.dirichlet(np.ones(3), size=(3, 2)),
         sampling=rng.integers(0, 3, size=(2, 3)),
         cost=np.array([0.0, 1.0]),
-        budget=1.0,
-        action_mode="encoder",
     )
 
 
-def free_action_problem(states, actions, mode):
+def free_action_problem(states, actions):
     """A noiseless problem with the given numbers of states and free actions."""
     return SingleLetterProblem(
         stationary_dist=np.full(states, 1.0 / states),
         per_state_channel=np.tile(np.eye(2), (states, 1, 1)),
         sampling=np.zeros((actions, states), dtype=int),
         cost=np.zeros(actions),
-        budget=0.0,
-        action_mode=mode,
     )
+
+
+def whole(mix):
+    """The parts argument of a mixture batch that is one problem."""
+    return [(mix.shape[0], mix.shape[2])]
 
 
 def reference_ascent(pi, w, mix, starts, tol=bounds.ASCENT_TOL,
@@ -140,15 +136,17 @@ def padded(mix, extra):
 
 class TestSingleLetterLower:
     def test_zero_budget_forces_the_silent_action(self, markovian_single_letter):
-        value, info = single_letter_lower(markovian_single_letter("encoder", 0.0),
-                                          seed=0)
+        prob = markovian_single_letter
+        candidates = bounds._candidate_actions(prob, "encoder",
+                                               bounds.DEFAULT_RESOLUTION)
+        costs = bounds._expected_action_cost(prob, "encoder", candidates)
+        assert np.array_equal(candidates[costs <= bounds.FEAS_SLACK], [[1.0, 0.0]])
+        [value] = single_letter_curve(prob, "encoder", [0.0], seed=0)
         assert value == pytest.approx(COMMON_INPUT_CAPACITY, abs=1e-4)
-        assert info["mode"] == "encoder"
-        assert info["action_dist"][0] == pytest.approx(1.0, abs=1e-12)
 
     def test_full_budget_reaches_the_informed_value(self, markovian_single_letter):
-        value, _ = single_letter_lower(markovian_single_letter("encoder", 1.0),
-                                       seed=0)
+        [value] = single_letter_curve(markovian_single_letter, "encoder", [1.0],
+                                      seed=0)
         assert value == pytest.approx(INFORMED_CAPACITY, abs=1e-4)
 
     def test_value_saturates_at_one_fifth_of_the_budget(self,
@@ -156,36 +154,32 @@ class TestSingleLetterLower:
         # mixing one fifth of informed signaling with the silent action
         # already synthesizes the per-state optimal inputs, so the curve is
         # flat from budget 0.2 on and still rising just below it
-        prob = markovian_single_letter("encoder", 1.0)
-        curve = single_letter_curve(prob, [0.19, 0.2, 0.25, 1.0],
-                                    resolution=101, seed=0)
+        curve = single_letter_curve(markovian_single_letter, "encoder",
+                                    [0.19, 0.2, 0.25, 1.0], resolution=101,
+                                    seed=0)
         assert curve[1] == pytest.approx(curve[3], abs=1e-9)
         assert curve[2] == pytest.approx(curve[3], abs=1e-9)
         gap_below = curve[1] - curve[0]
         assert 1e-5 <= gap_below <= 1e-3
 
-    def test_budget_below_minimum_cost_raises(self):
-        with pytest.raises(ValueError, match="below the minimum"):
-            single_letter_lower(single_action_problem(1.0, 0.5))
-
     def test_curve_marks_infeasible_budgets(self):
-        prob = single_action_problem(1.0, 1.0)
-        curve = single_letter_curve(prob, [0.5, 1.0], seed=0)
+        prob = single_action_problem(1.0)
+        curve = single_letter_curve(prob, "encoder", [0.5, 1.0], seed=0)
         assert np.isnan(curve[0])
         assert curve[1] == pytest.approx(1.0 - binary_entropy(0.25), abs=1e-6)
 
     def test_resolution_floor(self, markovian_single_letter):
         with pytest.raises(ValueError, match="at least 10"):
-            single_letter_lower(markovian_single_letter("encoder", 1.0), resolution=5)
+            single_letter_bounds(markovian_single_letter, [0.5], resolution=5)
         with pytest.raises(ValueError, match="at least 10"):
-            single_letter_curve(markovian_single_letter("encoder", 1.0), [0.5],
+            single_letter_curve(markovian_single_letter, "encoder", [0.5],
                                 resolution=5)
 
     def test_state_aware_actions_only_help(self, markovian_single_letter):
-        enc, _ = single_letter_lower(markovian_single_letter("encoder", 0.1), seed=0)
-        dec, info = single_letter_lower(markovian_single_letter("decoder", 0.1),
-                                        seed=0)
-        assert info["mode"] == "decoder"
+        [enc] = single_letter_curve(markovian_single_letter, "encoder", [0.1],
+                                    seed=0)
+        [dec] = single_letter_curve(markovian_single_letter, "decoder", [0.1],
+                                    seed=0)
         assert dec >= enc - 1e-6
 
 
@@ -199,26 +193,26 @@ class TestCandidateGrid:
         self, monkeypatch, states, actions, mode, free
     ):
         monkeypatch.setattr(bounds, "_simplex_grid", pytest.fail)
-        prob = free_action_problem(states, actions, mode)
+        prob = free_action_problem(states, actions)
         with pytest.raises(ValueError, match=f"{free} free action dimensions"):
-            bounds._candidate_actions(prob, bounds.DEFAULT_RESOLUTION)
+            bounds._candidate_actions(prob, mode, bounds.DEFAULT_RESOLUTION)
 
     def test_non_default_resolution_is_refused_before_the_grid_is_built(
         self, monkeypatch
     ):
         # C(101, 2)^2 = 25.5 M candidates at resolution 100
         monkeypatch.setattr(bounds, "_simplex_grid", pytest.fail)
-        prob = free_action_problem(2, 3, "decoder")
+        prob = free_action_problem(2, 3)
         with pytest.raises(ValueError, match="4 free action dimensions"):
-            single_letter_curve(prob, [0.0], resolution=100)
+            single_letter_curve(prob, "decoder", [0.0], resolution=100)
 
     def test_default_resolution_admits_three_free_dimensions(self):
-        grid = bounds._candidate_actions(free_action_problem(3, 2, "decoder"),
+        grid = bounds._candidate_actions(free_action_problem(3, 2), "decoder",
                                          bounds.DEFAULT_RESOLUTION)
         assert grid.shape == (bounds.DEFAULT_RESOLUTION ** 3, 3, 2)
 
     def test_coarse_resolution_admits_four_free_dimensions(self):
-        grid = bounds._candidate_actions(free_action_problem(1, 5, "encoder"), 11)
+        grid = bounds._candidate_actions(free_action_problem(1, 5), "encoder", 11)
         assert grid.shape == (math.comb(14, 4), 5)
         assert np.allclose(grid.sum(axis=1), 1.0)
         assert len(np.unique(grid, axis=0)) == len(grid)
@@ -228,10 +222,10 @@ class TestBatchedRestarts:
     @pytest.fixture(params=["encoder", "decoder", "random"])
     def batch(self, request, markovian_single_letter):
         if request.param == "random":
-            prob = random_three_state_problem()
+            prob, mode = random_three_state_problem(), "encoder"
         else:
-            prob = markovian_single_letter(request.param, 1.0)
-        mix = bounds._action_mixture(prob, bounds._candidate_actions(prob, 11))
+            prob, mode = markovian_single_letter, request.param
+        _, mix = bounds._curve_batch(prob, mode, 11)
         return prob, mix
 
     @pytest.mark.parametrize("chunk", [bounds.ASCENT_CHUNK, 7])
@@ -240,7 +234,7 @@ class TestBatchedRestarts:
         prob, mix = batch
         assert mix.shape[0] % 7 != 0
         monkeypatch.setattr(bounds, "ASCENT_CHUNK", chunk)
-        values, slices = bounds._optimize_slices(prob, mix, mix.shape[2], 5, 3)
+        values, slices = bounds._optimize_slices(prob, mix, whole(mix), 5, 3)
         ref_values, ref_slices = per_trial_slices(prob, mix, mix.shape[2], 5, 3)
         assert np.array_equal(values, ref_values)
         assert np.array_equal(slices, ref_slices)
@@ -253,7 +247,7 @@ class TestBatchedRestarts:
 
         monkeypatch.setattr(bounds, "ASCENT_CHUNK", 7)
         monkeypatch.setattr(bounds, "_ascend_inputs", flat_ascent)
-        values, slices = bounds._optimize_slices(prob, mix, mix.shape[2], 5, 3)
+        values, slices = bounds._optimize_slices(prob, mix, whole(mix), 5, 3)
         assert np.array_equal(values, np.zeros(len(mix)))
         assert np.all(slices == 1.0 / prob.input_size)
 
@@ -285,9 +279,8 @@ class TestScaledStep:
     """Each slice steps along its gradient divided by its weight."""
 
     @staticmethod
-    def uniform_ascent(prob, resolution, **kwargs):
-        mix = bounds._action_mixture(prob,
-                                     bounds._candidate_actions(prob, resolution))
+    def uniform_ascent(prob, mode, resolution, **kwargs):
+        _, mix = bounds._curve_batch(prob, mode, resolution)
         starts = np.full((len(mix), mix.shape[2], prob.input_size),
                          1.0 / prob.input_size)
         return bounds._ascend_inputs(prob.stationary_dist,
@@ -304,8 +297,7 @@ class TestScaledStep:
             return project(v)
 
         monkeypatch.setattr(bounds, "project_to_simplex", counted_project)
-        single_letter_bounds(markovian_single_letter("encoder", 1.0),
-                             markovian_single_letter("decoder", 1.0),
+        single_letter_bounds(markovian_single_letter,
                              np.linspace(0.0, 1.0, 11), 11, seed=0)
         assert 1 < calls["iterations"] <= 150
 
@@ -316,16 +308,16 @@ class TestScaledStep:
         self, markovian_single_letter, mode, atol
     ):
         if mode == "random":
-            prob = random_three_state_problem()
+            prob, mode = random_three_state_problem(), "encoder"
         else:
-            prob = markovian_single_letter(mode, 1.0)
-        values, _ = self.uniform_ascent(prob, 11)
-        exhaustive, _ = self.uniform_ascent(prob, 11, tol=0.0)
+            prob = markovian_single_letter
+        values, _ = self.uniform_ascent(prob, mode, 11)
+        exhaustive, _ = self.uniform_ascent(prob, mode, 11, tol=0.0)
         assert np.max(np.abs(values - exhaustive)) <= atol
 
     def test_zero_and_subnormal_weight_slices(self, markovian_single_letter):
         # slice 1 has weight 0, slice 2 weight 0.5 * 1e-320 (subnormal)
-        prob = markovian_single_letter("encoder", 1.0)
+        prob = markovian_single_letter
         mix = np.array([[[1.0, 0.0, 1e-320], [1.0, 0.0, 0.0]]])
         starts = np.array([[[0.5, 0.5], [0.25, 0.75], [0.9, 0.1]]])
         with warnings.catch_warnings():
@@ -338,9 +330,9 @@ class TestScaledStep:
         assert np.allclose(slices.sum(axis=-1), 1.0) and np.all(slices >= 0.0)
 
     def test_rows_stopped_at_the_cap_are_reported(self, markovian_single_letter):
-        prob = markovian_single_letter("decoder", 1.0)
         with pytest.warns(bounds.AscentCapWarning) as caught:
-            self.uniform_ascent(prob, 11, max_iter=2)
+            self.uniform_ascent(markovian_single_letter, "decoder", 11,
+                                max_iter=2)
         assert len(caught) == 1
         assert 0 < caught[0].message.rows <= 121
         assert f"{caught[0].message.rows} ascent rows" in str(caught[0].message)
@@ -397,50 +389,48 @@ class TestOneAscentJob:
 
     @pytest.fixture(scope="class", params=["markovian", "random"])
     def separate(self, request, markovian_single_letter):
-        """Encoder and decoder problems, a resolution, and C(0), C(1) and
-        both curves from one call each (seed 3)."""
+        """A problem, a resolution, and C(0), C(1) and the encoder and
+        decoder curves from one call each (seed 3)."""
         if request.param == "random":
-            enc = random_three_state_problem()
-            dec, resolution = dataclasses.replace(enc, action_mode="decoder"), 10
+            prob, resolution = random_three_state_problem(), 10
         else:
-            enc = markovian_single_letter("encoder", 1.0)
-            dec, resolution = markovian_single_letter("decoder", 1.0), 11
-        c0, c1 = (bounds._optimize_slices(enc, mix, mix.shape[2], 5, 3)[0][0]
-                  for mix in bounds._endpoint_mixtures(enc))
-        curves = [single_letter_curve(prob, self.GAMMAS, resolution, seed=3)
-                  for prob in (enc, dec)]
-        return enc, dec, resolution, (c0, c1, *curves)
+            prob, resolution = markovian_single_letter, 11
+        c0, c1 = (bounds._optimize_slices(prob, mix, whole(mix), 5, 3)[0][0]
+                  for mix in bounds._endpoint_mixtures(prob))
+        curves = [single_letter_curve(prob, mode, self.GAMMAS, resolution, seed=3)
+                  for mode in ("encoder", "decoder")]
+        return prob, resolution, (c0, c1, *curves)
 
     def test_endpoints_equal_their_separate_ascents(self, separate):
-        enc, _, _, (c0, c1, _, _) = separate
-        assert zero_unit_cost_capacity(enc, seed=3) == (c0, c1)
+        prob, _, (c0, c1, _, _) = separate
+        assert zero_unit_cost_capacity(prob, seed=3) == (c0, c1)
 
     @pytest.mark.parametrize("chunk", [bounds.ASCENT_CHUNK, 7])
     def test_merged_job_equals_the_separate_calls(self, monkeypatch, separate,
                                                   chunk):
-        enc, dec, resolution, (c0, c1, enc_curve, dec_curve) = separate
+        prob, resolution, (c0, c1, enc_curve, dec_curve) = separate
         monkeypatch.setattr(bounds, "ASCENT_CHUNK", chunk)
-        job = single_letter_bounds(enc, dec, self.GAMMAS, resolution, seed=3)
+        job = single_letter_bounds(prob, self.GAMMAS, resolution, seed=3)
         assert job[:2] == (c0, c1)
         assert np.array_equal(job[2], enc_curve, equal_nan=True)
         assert np.array_equal(job[3], dec_curve, equal_nan=True)
 
     def test_zero_weight_slices_change_no_value(self, separate):
-        _, dec, resolution, _ = separate
-        _, mix = bounds._curve_batch(dec, resolution)
+        prob, resolution, _ = separate
+        _, mix = bounds._curve_batch(prob, "decoder", resolution)
         mix = mix[::9]
         k = mix.shape[2]
-        values, slices = bounds._optimize_slices(dec, mix, k, 5, 3)
+        values, slices = bounds._optimize_slices(prob, mix, whole(mix), 5, 3)
         wide_values, wide_slices = bounds._optimize_slices(
-            dec, padded(mix, 3), k + 3, 5, 3, parts=[(len(mix), k)]
+            prob, padded(mix, 3), whole(mix), 5, 3
         )
         assert np.array_equal(wide_values, values)
         assert np.array_equal(wide_slices[:, :k], slices)
 
-        pi, w = dec.stationary_dist, dec.per_state_channel
+        pi, w = prob.stationary_dist, prob.per_state_channel
         negh = bounds._channel_negentropy(w)
         rng = np.random.default_rng(2)
-        q = rng.dirichlet(np.ones(dec.input_size), size=(len(mix), k + 3))
+        q = rng.dirichlet(np.ones(prob.input_size), size=(len(mix), k + 3))
         value, grad = bounds._objective_and_grad(pi, w, negh, mix, q[:, :k])
         wide_value, wide_grad = bounds._objective_and_grad(pi, w, negh,
                                                            padded(mix, 3), q)
@@ -467,20 +457,10 @@ class TestOneAscentJob:
                     assert np.array_equal(part_value, value[rows])
                     assert np.array_equal(part_grad, grad[rows])
 
-    def test_problems_must_share_the_channel(self, markovian_single_letter):
-        enc = markovian_single_letter("encoder", 1.0)
-        other = dataclasses.replace(
-            markovian_single_letter("decoder", 1.0),
-            per_state_channel=np.array([[[0.9, 0.1], [0.5, 0.5]],
-                                        [[0.5, 0.5], [0.0, 1.0]]]),
-        )
-        with pytest.raises(ValueError, match="share one channel"):
-            single_letter_bounds(enc, other, [0.5], 11)
-
 
 class TestChannelConstant:
     def test_negentropy_of_a_channel_with_zeros(self, markovian_single_letter):
-        w = markovian_single_letter("encoder", 1.0).per_state_channel
+        w = markovian_single_letter.per_state_channel
         assert np.any(w == 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -490,8 +470,8 @@ class TestChannelConstant:
     def test_ascent_on_a_channel_with_zeros_raises_no_warning(
         self, markovian_single_letter
     ):
-        prob = markovian_single_letter("decoder", 1.0)
-        mix = bounds._action_mixture(prob, bounds._candidate_actions(prob, 11))
+        prob = markovian_single_letter
+        _, mix = bounds._curve_batch(prob, "decoder", 11)
         starts = np.full((len(mix), mix.shape[2], prob.input_size), 0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -505,7 +485,7 @@ class TestChannelConstant:
         self, markovian_single_letter
     ):
         # every slice sends x = 0: state 0 then never emits y = 1 (py = 0)
-        prob = markovian_single_letter("encoder", 1.0)
+        prob = markovian_single_letter
         pi, w = prob.stationary_dist, prob.per_state_channel
         mix = bounds._endpoint_mixtures(prob)[1]
         q = np.zeros((1, 2, 2))
@@ -521,8 +501,7 @@ class TestChannelConstant:
 
 class TestEndpointCapacities:
     def test_closed_forms(self, markovian_single_letter):
-        c0, c1 = zero_unit_cost_capacity(markovian_single_letter("encoder", 1.0),
-                                         seed=0)
+        c0, c1 = zero_unit_cost_capacity(markovian_single_letter, seed=0)
         assert c0 == pytest.approx(COMMON_INPUT_CAPACITY, abs=1e-4)
         assert c1 == pytest.approx(INFORMED_CAPACITY, abs=1e-4)
 
@@ -536,10 +515,9 @@ class TestEndpointCapacities:
             time_sharing_baseline(0.3, 0.5, 1.5)
 
     def test_curve_beats_time_sharing_in_the_middle(self, markovian_single_letter):
-        c0, c1 = zero_unit_cost_capacity(markovian_single_letter("encoder", 1.0),
-                                         seed=0)
-        half, _ = single_letter_lower(markovian_single_letter("encoder", 0.5),
-                                      seed=0)
+        c0, c1 = zero_unit_cost_capacity(markovian_single_letter, seed=0)
+        [half] = single_letter_curve(markovian_single_letter, "encoder", [0.5],
+                                     seed=0)
         assert half - time_sharing_baseline(c0, c1, 0.5) >= 1e-4
 
 
@@ -547,27 +525,21 @@ class TestBackwardLink:
     def test_free_backward_link_reaches_the_informed_value(
         self, markovian_single_letter
     ):
-        prob = markovian_single_letter("backward_link", 1.0)
-        value = backward_link_capacity_nocost(prob, seed=0)
-        assert value == pytest.approx(INFORMED_CAPACITY, abs=1e-4)
+        # at budget 0 only the silent action is affordable, a common input;
+        # at 0.5 the action can announce the state, whose inputs then match
+        curve = single_letter_curve(markovian_single_letter, "backward_link",
+                                    [0.0, 0.5], resolution=11)
+        assert curve[0] == pytest.approx(COMMON_INPUT_CAPACITY, abs=1e-6)
+        assert curve[1] == pytest.approx(INFORMED_CAPACITY, abs=1e-6)
 
     def test_mode_guard(self, markovian_single_letter):
-        with pytest.raises(ValueError, match="backward_link"):
-            backward_link_capacity_nocost(markovian_single_letter("encoder", 1.0))
-
-    def test_action_alphabet_must_cover_the_states(self):
-        prob = SingleLetterProblem(
-            stationary_dist=np.array([0.5, 0.5]),
-            per_state_channel=np.array(
-                [[[1.0, 0.0], [0.5, 0.5]], [[0.5, 0.5], [0.0, 1.0]]]
-            ),
-            sampling=np.array([[0, 1]]),
-            cost=np.array([0.0]),
-            budget=1.0,
-            action_mode="backward_link",
-        )
-        with pytest.raises(ValueError, match="announce"):
-            backward_link_capacity_nocost(prob)
+        prob = markovian_single_letter
+        dists = np.full((1, prob.action_size), 1.0 / prob.action_size)
+        for call in (lambda mode: bounds._action_mixture(prob, mode, dists),
+                     lambda mode: bounds._expected_action_cost(prob, mode, dists),
+                     lambda mode: bounds._candidate_actions(prob, mode, 11)):
+            with pytest.raises(ValueError, match="unknown mode 'backward'"):
+                call("backward")
 
 
 class TestExponent:
@@ -632,16 +604,9 @@ class TestExponent:
 
 
 class TestProblemValidation:
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="action_mode"):
-            SingleLetterProblem(
-                stationary_dist=np.array([1.0]),
-                per_state_channel=np.array([[[1.0, 0.0], [0.0, 1.0]]]),
-                sampling=np.array([[0]]),
-                cost=np.array([0.0]),
-                budget=0.0,
-                action_mode="telepathy",
-            )
+    def test_unknown_mode_rejected(self, markovian_single_letter):
+        with pytest.raises(ValueError, match="unknown mode 'telepathy'"):
+            single_letter_curve(markovian_single_letter, "telepathy", [0.5])
 
     def test_sampling_axes_checked(self):
         with pytest.raises(ValueError, match=r"\[a\]\[s\]"):
@@ -652,5 +617,15 @@ class TestProblemValidation:
                 ),
                 sampling=np.array([[0], [1]]),
                 cost=np.array([0.0]),
-                budget=0.0,
+            )
+
+    def test_negative_sampling_entries_rejected(self, markovian_single_letter):
+        # a negative z would index the slice axis from its end
+        with pytest.raises(ValueError, match="sampling entries must be "
+                                             "nonnegative"):
+            SingleLetterProblem(
+                stationary_dist=markovian_single_letter.stationary_dist,
+                per_state_channel=markovian_single_letter.per_state_channel,
+                sampling=np.array([[2, 2], [0, -1]]),
+                cost=markovian_single_letter.cost,
             )

@@ -104,6 +104,39 @@ class TestValidate:
         assert cli.cmd_validate(str(tmp_path / "nope.json")) == cli.EXIT_IO
         assert "cannot read" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("algorithm", "epsilon", math.inf),
+        ("algorithm", "epsilon", math.nan),
+        ("algorithm", "lambda_grid", [0.0, math.inf]),
+        ("actions", "budget", math.nan),
+        ("actions", "budget", math.inf),
+    ], ids=["epsilon-inf", "epsilon-nan", "lambda-inf", "budget-nan",
+            "budget-inf"])
+    def test_non_finite_scalars_are_rejected(self, tmp_path, capsys, section,
+                                             key, value):
+        # json.loads reads NaN and Infinity; an infinite epsilon would
+        # certify any gap after one iteration, a NaN one none ever
+        def mutate(doc):
+            doc[section][key] = value
+
+        path = write_variant(tmp_path, MARKOVIAN_CONFIG_PATH, mutate)
+        assert cli.cmd_validate(path) == cli.EXIT_SEMANTIC
+        out = capsys.readouterr().out
+        assert f"/{section}/{key}: must be" in out
+        assert "finite" in out
+
+    def test_negative_single_letter_sampling_is_rejected(self, tmp_path,
+                                                         capsys):
+        def mutate(doc):
+            doc["single_letter"]["sampling"] = [[2, 2], [0, -1]]
+
+        path = write_variant(tmp_path, MARKOVIAN_CONFIG_PATH, mutate)
+        assert cli.cmd_validate(path) == cli.EXIT_SEMANTIC
+        assert ("/single_letter/sampling: entries must be nonnegative"
+                in capsys.readouterr().out)
+        assert cli.cmd_bounds(path, str(tmp_path / "out")) == cli.EXIT_SEMANTIC
+        assert not (tmp_path / "out").exists()
+
 
 class TestCapacitySweep:
     def test_outputs_are_deterministic_across_runs(self, tmp_path):
@@ -290,6 +323,17 @@ class TestCapacitySweep:
 
 
 class TestBounds:
+    def test_outputs_are_deterministic_across_runs(self, tmp_path):
+        def mutate(doc):
+            doc["algorithm"]["resolution"] = 11
+
+        path = write_variant(tmp_path, MARKOVIAN_CONFIG_PATH, mutate)
+        tables = []
+        for run in ("run1", "run2"):
+            assert cli.cmd_bounds(path, str(tmp_path / run)) == cli.EXIT_OK
+            tables.append((tmp_path / run / "bounds.csv").read_bytes())
+        assert tables[0] == tables[1]
+
     def test_budget_table(self, tmp_path):
         def mutate(doc):
             doc["algorithm"]["resolution"] = 21
