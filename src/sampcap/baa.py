@@ -69,14 +69,15 @@ class BaaState:
     update_q builds every iterate (initial goes through it), so q is always
     r's Bayes posterior r p / d, with d the output marginal sum_u r p, and
     i_lower and gamma are r's Lagrangian lower iterate and per-step expected
-    action cost. r_flagged marks the policy slices that received no weight
-    in the update that produced r (none for a start policy).
+    action cost. q_live holds q on the space's live entries. r_flagged marks
+    the policy slices that received no weight in the update that produced r
+    (none for a start policy).
     """
 
     space: TrajectorySpace
     lam: float
     r: CausalPolicy
-    q: np.ndarray
+    q_live: np.ndarray
     d: np.ndarray
     i_lower: float
     gamma: float
@@ -108,53 +109,73 @@ class BaaState:
         """Output blocks of zero marginal, where q is a uniform slice."""
         return int((self.d <= 0.0).sum())
 
+    @property
+    def q(self) -> np.ndarray:
+        """q as a read-only [rows, cols] array, built anew on each access: 0
+        on the entries of zero channel law, a uniform slice on unreachable
+        output blocks. The optimizer reads q_live and never builds it."""
+        q = self.space.to_dense(self.q_live)
+        q[:, self.d <= 0.0] = 1.0 / self.space.rows
+        q.setflags(write=False)
+        return q
+
 
 def update_q(space: TrajectorySpace, lam: float, r: CausalPolicy,
              flagged: tuple = ()) -> BaaState:
     """The iterate of policy r, flagged being the dead slices of its update.
 
-    Forms the joint r p once, takes its output marginal d, prices I_L
-    (lower_bound) and the expected cost under it, then turns the joint in
-    place into the Bayes posterior q(u^N | y^N) = r p / d. Output blocks
+    Forms the policy product on the parent grid and the joint r p on the
+    live entries, takes its output marginal d, prices the expected cost and
+    I_L (lower_bound) against the per-parent sums of p, then turns the joint
+    in place into the Bayes posterior q(u^N | y^N) = r p / d. Output blocks
     with zero marginal get a uniform slice.
     """
-    joint = np.exp2(space.policy_log2(r.tables))
-    joint *= space.p_full
-    d = joint.sum(axis=0)
-    gamma = space.expected_cost(joint)
-    i_lower = lower_bound(space, lam, joint, d, gamma)
+    prod = space.policy_product(r.tables)
+    joint = np.take(prod, space.parent)
+    joint *= space.p_live
+    d = np.bincount(space.col, weights=joint, minlength=space.cols)
+    gamma = space.expected_cost(space.per_row(prod, space.past_law))
+    i_lower = lower_bound(space, lam, prod, d, gamma)
     reachable = d > 0.0
-    np.divide(joint, d, out=joint, where=reachable)
-    if not reachable.all():
-        joint[:, ~reachable] = 1.0 / space.rows
+    if reachable.all():
+        joint /= np.take(d, space.col)
+    else:
+        live = reachable[space.col]
+        np.divide(joint, np.take(d, space.col), out=joint, where=live)
+        joint[~live] = 1.0 / space.rows
     joint.setflags(write=False)
     d.setflags(write=False)
-    return BaaState(space=space, lam=lam, r=r, q=joint, d=d, i_lower=i_lower,
-                    gamma=gamma, r_flagged=flagged)
+    return BaaState(space=space, lam=lam, r=r, q_live=joint, d=d,
+                    i_lower=i_lower, gamma=gamma, r_flagged=flagged)
 
 
 def _fold(space: TrajectorySpace, leaf: np.ndarray, pick):
-    """Backward fold of leaf ([rows, cols], overwritten); (F_0, tables, flags).
+    """Backward fold of leaf (live entries, overwritten); (F_0, tables, flags).
 
     From F_N = leaf, step i = N..1 forms G_i = sum_{y_i} cond_i F_i, lets
     pick(per_slot(measure_i G_i), i) return the step table r_i and its dead
     flags, and sets F_{i-1} = sum_{u_i} r_i (G_i - log2 r_i); terms with zero
     cond or r_i count as 0. The weights p prod_{j>i} r_j factor into step
     conditionals that each sum to 1, so the slot scores are the slot sums of
-    p prod_{j>i} r_j (leaf - sum_{j>i} log2 r_j).
+    p prod_{j>i} r_j (leaf - sum_{j>i} log2 r_j). Step N sums the live
+    entries into their parents; the steps below run on dense grids at most
+    1/|Y| of the full one.
     """
     n, u, y = space.n, space.u_size, space.y_size
     tables, flags = [None] * n, [None] * n
-    f = leaf
     with np.errstate(divide="ignore", invalid="ignore"):  # covers pick too
+        leaf *= space.cond_live
+        g = np.bincount(space.parent, weights=leaf, minlength=space.parents)
         for i in range(n, 0, -1):
-            c = space.cond[i - 1]
-            f = f.reshape(c.shape)
-            f *= c
-            f[c <= 0.0] = 0.0
+            if i < n:
+                c = space.cond[i - 1]
+                f = f.reshape(c.shape)
+                f *= c
+                f[c <= 0.0] = 0.0
+                g = _reduce_last(np.add, f)
             # axes (u^{i-1}, u_i, y^{i-1}); g is 0 wherever the past law is,
             # because cond vanishes on dead prefixes
-            g = _reduce_last(np.add, f).reshape(u ** (i - 1), u, y ** (i - 1))
+            g = g.reshape(u ** (i - 1), u, y ** (i - 1))
             table, flags[i - 1] = pick(
                 space.per_slot(space.measure[i - 1][:, None, :] * g, i), i)
             r = space.spread(table, i).reshape(g.shape)
@@ -193,8 +214,9 @@ def update_r(state: BaaState) -> tuple[CausalPolicy, tuple]:
     the new policy and, per step, the flags of those slices.
     """
     space = state.space
-    leaf = log2_guarded(state.q)
-    leaf -= state.lam * space.cost_row[:, None]
+    with np.errstate(divide="ignore"):  # q vanishes where r does: log -inf
+        leaf = np.log2(state.q_live)
+    leaf -= space.live_from_rows(state.lam * space.cost_row)
 
     def geometric_mean(scores, i):
         # a history without past law has denom 0 and scores 0: it turns NaN
@@ -244,19 +266,21 @@ def _over_relax(previous: CausalPolicy, plain: CausalPolicy, relax: float,
                         z_size=plain.z_size, tables=tuple(tables))
 
 
-def lower_bound(space: TrajectorySpace, lam: float, joint: np.ndarray,
+def lower_bound(space: TrajectorySpace, lam: float, prod: np.ndarray,
                 d: np.ndarray, gamma: float) -> float:
-    """Monotone Lagrangian lower iterate of a policy r, given joint = r p,
-    its output marginal d and its expected cost gamma
+    """Monotone Lagrangian lower iterate of a policy r, given its product
+    prod on the parent grid (policy_product), its output marginal d and its
+    expected cost gamma
 
     I_L = (1/N) sum r p log2(q / r) - lambda gamma.
 
     q is the posterior r p / d, so q / r = p / d wherever r p > 0 and I_L is
     (1/N) [sum r p log2 p - sum_{d > 0} d log2 d] - lambda gamma, DI/N less
-    the priced cost, summed over the rows of r p log2 p and over d.
+    the priced cost. r is constant over y_N, so sum r p log2 p is prod
+    against the per-parent sums of p log2 p, summed per row.
     """
     d = d[d > 0.0]
-    info = (fsum_array(np.einsum("ij,ij->i", joint, space.log2_p_full))
+    info = (fsum_array(space.per_row(prod, space.plogp_sum))
             - fsum_array(d * np.log2(d)))
     return info / space.n - lam * gamma
 
@@ -279,8 +303,8 @@ def upper_bound(state: BaaState) -> float:
     I_U is +inf if the best map reaches an output with p > 0 = sum_u r p.
     """
     space = state.space
-    leaf = space.log2_p_full - state.lam * space.cost_row[:, None]
-    leaf -= log2_guarded(state.d)[None, :]
+    leaf = space.log2_p_live - space.live_from_rows(state.lam * space.cost_row)
+    leaf -= np.take(log2_guarded(state.d), space.col)
 
     def argmax(scores, i):
         return np.eye(space.u_size)[scores.argmax(axis=1)], None

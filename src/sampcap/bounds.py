@@ -456,11 +456,9 @@ def gallager_exponent(query: ExponentQuery, kernel: FscKernel,
         )
     if query.policy.u_size != space.u_size or query.policy.z_size != space.z_size:
         raise ValueError("policy alphabets do not match the kernel/action system")
-    r_prod = np.exp2(space.policy_log2(query.policy.tables))
-    scaled = np.zeros_like(space.p_full)
-    mask = space.p_full > 0.0
-    scaled[mask] = np.exp2(space.log2_p_full[mask] / (1.0 + query.rho))
-    inner = (r_prod * scaled).sum(axis=0)
+    scaled = np.take(space.policy_product(query.policy.tables), space.parent)
+    scaled *= np.exp2(space.log2_p_live / (1.0 + query.rho))
+    inner = np.bincount(space.col, weights=scaled, minlength=space.cols)
     total = float(np.sum(inner ** (1.0 + query.rho)))
     return -math.log2(total) / query.n
 

@@ -71,12 +71,14 @@ R_UPDATE_ORACLE_TOL = 1e-10
 ORACLE_BLOCKS = (1, 2)
 GRID_POINT_BUDGET = 20_000
 NEAR_CAP = 0.9  # share of max_iters from which report.json flags a point
-# pre-flight memory check: a block length N holds about DENSE_ARRAYS
-# float64 arrays of (|X| |A| |Y|)^N entries at once (the channel law and
-# its log, each live iterate's posterior, which is its joint r p divided in
-# place, the policy log-product and the policy update's buffers); configs
-# whose estimate exceeds MAX_DENSE_BYTES are rejected (markovian: N = 6
-# needs 1.1 GiB and passes, N = 7 needs 18 GiB)
+# pre-flight memory check: a block length N is charged DENSE_ARRAYS float64
+# arrays of (|X| |A| |Y|)^N entries; configs whose estimate exceeds
+# MAX_DENSE_BYTES are rejected (markovian: N = 6 is charged 1.1 GiB and
+# passes, N = 7 18 GiB). The charge still counts dense entries, though no
+# table is held at that size any more: the build forms the dense channel law
+# once, and the optimizer's arrays hold live entries (p > 0) or sit on the
+# (u^N, y^{N-1}) grid, 1/|Y| of the dense one (markovian N = 6 peaks at
+# about 0.5 GB). Counting live entries instead would admit larger N.
 DENSE_ARRAYS = 9
 MAX_DENSE_BYTES = 2 ** 31
 
@@ -125,12 +127,17 @@ def _is_number(node) -> bool:
 
 
 def _as_int_array(node, pointer: str, violations: list[str]):
+    """Integer array of a nested list; a bool or a fractional entry is
+    reported, not truncated."""
     try:
-        arr = np.array(node, dtype=int)
+        leaves = np.array(node, dtype=object)
     except (TypeError, ValueError):
+        leaves = None
+    if leaves is None or not all(_is_number(v) and float(v).is_integer()
+                                 for v in leaves.ravel()):
         violations.append(f"{pointer}: entries must be integers")
         return None
-    return arr
+    return leaves.astype(int)
 
 
 def _positive_int(node, pointer: str, violations: list[str], default=None):

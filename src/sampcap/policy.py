@@ -209,28 +209,29 @@ class TrajectoryDistribution:
 
 def build_joint(policy: CausalPolicy, kernel: FscKernel, sys: ActionSystem,
                 s0: Optional[int] = None) -> TrajectoryDistribution:
-    """Assemble the dense joint by sequential extension.
+    """Assemble the dense joint in the linear domain.
 
-    Step i multiplies the policy conditional (keyed by the feedback history
-    derived from past actions and outputs) with the channel step conditional
-    from the state-belief forward recursion.
+    Multiplies the policy conditionals of every step (each keyed by the
+    feedback history derived from past actions and outputs) at every
+    trajectory, then the dense channel law from the state-belief forward
+    recursion; entries of zero channel law get zero mass.
     """
     space = TrajectorySpace(kernel, sys, policy.block_length, s0=s0)
     if policy.u_size != space.u_size or policy.z_size != space.z_size:
         raise ValueError("policy alphabets do not match the kernel/action system")
-    n, u, y = space.n, space.u_size, space.y_size
+    n, y = space.n, space.y_size
     probs = np.ones(space.view)
     for i in range(1, n + 1):
         probs *= space.spread(policy.tables[i - 1], i)
-        probs *= space.cond[i - 1].reshape([u] * i + [1] * (n - i)
-                                           + [y] * i + [1] * (n - i))
+    probs = probs.reshape(space.rows, space.cols)
+    probs *= space.channel_law()
     return TrajectoryDistribution(
         block_length=n,
         x_size=space.x_size,
         a_size=space.a_size,
         y_size=y,
         z_size=space.z_size,
-        probs=probs.reshape(space.rows, space.cols),
+        probs=probs,
         z_table=space.z_table,
         s0=s0,
     )

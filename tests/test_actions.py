@@ -133,7 +133,8 @@ def literal_expected_cost(joint, actions, n, u_size):
 
 def expected_cost(kernel, actions, policy):
     space = TrajectorySpace(kernel, actions, policy.block_length)
-    return space.expected_cost(build_joint(policy, kernel, actions).probs)
+    return space.expected_cost(
+        build_joint(policy, kernel, actions).probs.sum(axis=1))
 
 
 class TestExpectedCost:
@@ -187,7 +188,8 @@ class TestExpectedCost:
 
         def agrees(joint):
             literal = literal_expected_cost(joint, actions, n, space.u_size)
-            return abs(space.expected_cost(joint) - literal) <= 1e-15 * scale
+            return (abs(space.expected_cost(joint.sum(axis=1)) - literal)
+                    <= 1e-15 * scale)
 
         for _ in range(3):
             policy = make_random_policy(rng, n, space.u_size, space.z_size)

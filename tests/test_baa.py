@@ -105,6 +105,14 @@ def iterated_state(kernel, actions, n, lam, iterations):
     return state
 
 
+def linear_policy_product(space, tables):
+    """r(u^N || z^{N-1}) at every trajectory, [rows, cols], factor by factor."""
+    prod = np.ones(space.view)
+    for i, table in enumerate(tables, start=1):
+        prod = prod * space.spread(table, i)
+    return prod.reshape(space.rows, space.cols)
+
+
 class TestPolicyProductCache:
     """The values an iterate stores against a recomputation from its policy."""
 
@@ -118,8 +126,8 @@ class TestPolicyProductCache:
         iu = upper_bound(state)
         # the posterior, lower iterate and cost rebuilt from the policy tables
         space = state.space
-        r_prod = np.exp2(space.policy_log2(state.r.tables))
-        joint = r_prod * space.p_full
+        r_prod = linear_policy_product(space, state.r.tables)
+        joint = build_joint(state.r, markovian_kernel, markovian_actions).probs
         np.testing.assert_allclose(q, joint / joint.sum(axis=0), rtol=0.0,
                                    atol=1e-12)
         np.testing.assert_allclose(state.d, joint.sum(axis=0), rtol=0.0,
@@ -141,6 +149,8 @@ class TestPolicyProductCache:
             setattr(state, "r", again.r)
         with pytest.raises(ValueError):
             state.q[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            state.q_live[0] = 0.0
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_policy_update_leaves_the_log_product_of_its_policy(
@@ -154,23 +164,44 @@ class TestPolicyProductCache:
         assert state.r is policy
         # rebuilt from the returned tables alone
         space = state.space
-        r_prod = np.exp2(space.policy_log2(policy.tables))
-        joint = r_prod * space.p_full
+        r_prod = linear_policy_product(space, policy.tables)
+        joint = build_joint(policy, markovian_kernel, markovian_actions).probs
         np.testing.assert_allclose(q, joint / joint.sum(axis=0), rtol=0.0,
                                    atol=1e-12)
         cost = fsum_array(joint * space.cost_row[:, None]) / n
         fresh_il = weighted_log2_sum(joint, q, r_prod) / n - lam * cost
         assert il == pytest.approx(fresh_il, abs=1e-12)
 
-    def test_log_product_matches_the_linear_domain_joint(
-        self, markovian_kernel, markovian_actions
+    @pytest.mark.parametrize("channel,n", [("markovian", 3), ("bsc", 2),
+                                           ("random", 2)])
+    def test_live_joint_matches_the_linear_domain_joint(
+        self, markovian_kernel, markovian_actions, bsc_kernel, bsc_actions,
+        channel, n
     ):
-        # build_joint multiplies the policy and channel factors directly
-        state = iterated_state(markovian_kernel, markovian_actions, 3, 0.3, 3)
-        space = state.space
-        joint = np.exp2(space.policy_log2(state.r.tables)) * space.p_full
-        reference = build_joint(state.r, markovian_kernel, markovian_actions)
-        np.testing.assert_allclose(joint, reference.probs, rtol=0.0, atol=1e-14)
+        # build_joint multiplies the policy and channel factors on the dense grid
+        rng = np.random.default_rng(3)
+        if channel == "markovian":
+            kernel, actions = markovian_kernel, markovian_actions
+        elif channel == "bsc":
+            kernel, actions = bsc_kernel, bsc_actions
+        else:
+            # one state, so a zeroed kernel entry kills its trajectories
+            kernel = make_random_kernel(rng, 1, 2, 3, zero_share=0.3)
+            actions = make_trivial_actions(3)
+        space = TrajectorySpace(kernel, actions, n)
+        policy = make_random_policy(rng, n, space.u_size, space.z_size)
+        live = space.policy_product(policy.tables)[space.parent] * space.p_live
+        reference = build_joint(policy, kernel, actions).probs
+        on_live = space.to_dense(np.ones_like(live)) > 0.0
+        # the live entries are exactly those of positive channel law
+        np.testing.assert_array_equal(on_live, space.channel_law() > 0.0)
+        if channel == "bsc":
+            assert on_live.all()
+        else:
+            assert live.size == (12 ** n if channel == "markovian"
+                                 else on_live.sum()) < on_live.size
+        assert np.all(reference[~on_live] == 0.0)
+        np.testing.assert_allclose(reference[on_live], live, rtol=0.0, atol=1e-14)
 
 
 class TestTrajectoryLayout:
@@ -225,6 +256,13 @@ class TestTrajectoryLayout:
             arrays.extend(value if isinstance(value, list) else [value])
         total = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
         assert total <= 4 * space.rows * space.cols * 8
+        # no float table has the full [rows, cols] size: the step-N tables
+        # hold the 12^4 live trajectories of the 16^4, indexed by int32 ids
+        floats = [a for a in arrays if isinstance(a, np.ndarray)
+                  and a.dtype.kind == "f"]
+        assert all(a.size < space.rows * space.cols for a in floats)
+        assert space.p_live.size == 12 ** 4
+        assert space.parent.dtype == space.col.dtype == np.int32
 
 
 def feedback_actions(z_of_y, cost):

@@ -138,6 +138,35 @@ class TestValidate:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("single_letter", "sampling", [[2.9, 2], [0, 1.5]]),
+        ("actions", "sampling_table", [[[2, 2, 2, 2]], [[0.5, 1.7, 2.2, 0]]]),
+        ("single_letter", "sampling", [[2, 2], [0, True]]),
+        ("actions", "sampling_table", [[[2, 2, 2, 2]], [[0, True, 0, 1]]]),
+    ], ids=["single-letter-fraction", "table-fraction", "single-letter-bool",
+            "table-bool"])
+    def test_non_integer_indices_are_rejected(self, tmp_path, capsys, section,
+                                              key, value):
+        # truncating 2.9 to 2 or reading true as 1 would silently pick
+        # another feedback symbol
+        def mutate(doc):
+            doc[section][key] = value
+
+        path = write_variant(tmp_path, MARKOVIAN_CONFIG_PATH, mutate)
+        assert cli.cmd_validate(path) == cli.EXIT_SEMANTIC
+        assert (f"/{section}/{key}: entries must be integers"
+                in capsys.readouterr().out)
+
+    def test_integral_float_indices_are_accepted(self):
+        with open(MARKOVIAN_CONFIG_PATH, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["single_letter"]["sampling"] = [[2.0, 2], [0, 1.0]]
+        config, violations = cli.parse_config(doc)
+        assert config is not None, violations
+        np.testing.assert_array_equal(config.single_letter.sampling,
+                                      [[2, 2], [0, 1]])
+
+
 class TestCapacitySweep:
     def test_outputs_are_deterministic_across_runs(self, tmp_path):
         out1 = tmp_path / "run1"
