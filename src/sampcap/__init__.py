@@ -13,7 +13,6 @@ from .actions import (
 )
 from .baa import (
     BaaState,
-    SandwichBounds,
     TradeoffCurve,
     TradeoffPoint,
     bisect_lambda_for_cost,
@@ -27,7 +26,6 @@ from .baa import (
     upper_bound,
 )
 from .bounds import (
-    ExponentQuery,
     SingleLetterProblem,
     f_n_policy_grid,
     gallager_exponent,
@@ -62,6 +60,7 @@ from .policy import (
     directed_information,
     mutual_information,
 )
+from .trajectory import TrajectorySpace
 
 __version__ = "0.1.0"
 
@@ -70,16 +69,15 @@ __all__ = [
     "Alphabet",
     "BaaState",
     "CausalPolicy",
-    "ExponentQuery",
     "FscKernel",
     "HistoryIndexer",
     "OracleReport",
-    "SandwichBounds",
     "SingleLetterProblem",
     "StationaryInfo",
     "TradeoffCurve",
     "TradeoffPoint",
     "TrajectoryDistribution",
+    "TrajectorySpace",
     "binary_entropy",
     "bisect_lambda_for_cost",
     "build_joint",

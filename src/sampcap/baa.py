@@ -36,8 +36,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._num import freeze, fsum_array, log2_guarded
-from .actions import ActionSystem
-from .fsc import FscKernel
 from .policy import CausalPolicy
 from .trajectory import TrajectorySpace
 
@@ -84,21 +82,15 @@ class BaaState:
     r_flagged: tuple
 
     @classmethod
-    def initial(cls, kernel: FscKernel, sys: ActionSystem, n: int,
-                lam: float, space: Optional[TrajectorySpace] = None,
+    def initial(cls, space: TrajectorySpace, lam: float,
                 start: Optional[CausalPolicy] = None) -> "BaaState":
-        """The iterate of the start policy (uniform by default).
-
-        A given space must be the block-length-n space of kernel and sys; it
-        is shared, never modified.
-        """
-        if space is None:
-            space = TrajectorySpace(kernel, sys, n)
-        elif space.n != n:
-            raise ValueError(f"space has block length {space.n}, expected {n}")
-        r = start if start is not None else CausalPolicy.uniform(
-            n, space.u_size, space.z_size)
-        return update_q(space, lam, r)
+        """The iterate of the start policy (uniform by default) on a space,
+        which is shared, never modified."""
+        if start is None:
+            start = CausalPolicy.uniform(space.n, space.u_size, space.z_size)
+        else:
+            space.check_fits(start)
+        return update_q(space, lam, start)
 
     @property
     def dead_slices(self) -> int:
@@ -385,28 +377,8 @@ class TradeoffCurve:
         return float(_tangent_envelope(self.points, [gamma])[0][0])
 
 
-@dataclass(frozen=True)
-class SandwichBounds:
-    """Computable capacity brackets on a budget grid.
-
-    lower_shifted[g] = envelope(g - Lambda_max/N), NaN (absent) below the
-    shift; upper[g] = envelope(g).
-    """
-
-    block_length: int
-    gammas: np.ndarray
-    upper: np.ndarray
-    lower_shifted: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "gammas", freeze(self.gammas))
-        object.__setattr__(self, "upper", freeze(self.upper))
-        object.__setattr__(self, "lower_shifted", freeze(self.lower_shifted))
-
-
-def run_baa(kernel: FscKernel, sys: ActionSystem, n: int, lam: float,
+def run_baa(space: TrajectorySpace, lam: float,
             eps: float = DEFAULT_EPSILON, max_iters: int = DEFAULT_MAX_ITERS,
-            space: Optional[TrajectorySpace] = None,
             start: Optional[CausalPolicy] = None) -> TradeoffPoint:
     """Iterate the two updates until the bound gap closes (or iterations run out).
 
@@ -419,21 +391,15 @@ def run_baa(kernel: FscKernel, sys: ActionSystem, n: int, lam: float,
     (RELAX_* constants). An iterate's q is its policy's posterior by
     construction, so I_L is that policy's exact Lagrangian, I_U bounds
     C_N(lambda) whatever the policy, and I_L is monotone: the bounds certify
-    the point whatever the start. A shared space saves its rebuild.
+    the point whatever the start. The space is shared, never modified.
     Nonconvergence within max_iters is reported on the point, not raised.
     The value C_N(lambda) is the final upper iterate; the measured cost is
     the per-step average action cost under the final policy.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
-    if sys.decoder_actions.size != 1:
-        raise ValueError(
-            "the optimizer handles encoder-side actions only; represent "
-            "the decoder side with a singleton alphabet"
-        )
     t0 = time.perf_counter()
-    state = BaaState.initial(kernel, sys, n, lam, space=space, start=start)
-    space = state.space
+    state = BaaState.initial(space, lam, start=start)
     converged = False
     iu = math.inf
     relax = RELAX_START
@@ -479,16 +445,16 @@ def _warm_start(policy: CausalPolicy) -> CausalPolicy:
                         z_size=policy.z_size, tables=tables)
 
 
-def sweep_lambda(kernel: FscKernel, sys: ActionSystem, n: int,
+def sweep_lambda(space: TrajectorySpace,
                  lam_grid: Optional[Sequence[float]] = None,
                  eps: float = DEFAULT_EPSILON,
                  max_iters: int = DEFAULT_MAX_ITERS,
                  gamma_points: int = 101) -> TradeoffCurve:
     """Run the optimizer across a lambda grid and rebuild the cost envelope.
 
-    The points form one chain on one trajectory space, in ascending lambda:
-    each point after the first starts from the previous point's final policy
-    (see _warm_start). Neighbouring optima are close, and approaching each
+    The points form one chain on the space, in ascending lambda: each point
+    after the first starts from the previous point's final policy (see
+    _warm_start). Neighbouring optima are close, and approaching each
     point from the side with more sampling avoids regrowing mass the
     multiplicative update has nearly emptied. The envelope is evaluated on
     a uniform budget grid [0, Lambda_max]. Nonconverged points propagate
@@ -499,22 +465,20 @@ def sweep_lambda(kernel: FscKernel, sys: ActionSystem, n: int,
     lams = sorted(float(v) for v in lam_grid)
     if not lams or lams[0] < 0.0:
         raise ValueError("lambda grid must be nonempty and nonnegative")
-    space = TrajectorySpace(kernel, sys, n)
     points: list[TradeoffPoint] = []
     for lam in lams:
         start = _warm_start(points[-1].policy) if points else None
-        points.append(run_baa(kernel, sys, n, lam, eps=eps,
-                              max_iters=max_iters,
-                              space=space, start=start))
+        points.append(run_baa(space, lam, eps=eps, max_iters=max_iters,
+                              start=start))
     points = tuple(points)
 
-    max_cost = sys.max_cost
+    max_cost = space.sys.max_cost
     if max_cost > 0.0:
         gammas = np.linspace(0.0, max_cost, gamma_points)
     else:
         gammas = np.array([0.0])
     return TradeoffCurve(
-        block_length=n,
+        block_length=space.n,
         max_cost=max_cost,
         points=points,
         gammas=gammas,
@@ -522,24 +486,21 @@ def sweep_lambda(kernel: FscKernel, sys: ActionSystem, n: int,
     )
 
 
-def sandwich_bounds(curve: TradeoffCurve, n: Optional[int] = None) -> SandwichBounds:
-    """Paired computable bounds from one curve: upper env(g), lower env(g - shift).
+def sandwich_bounds(curve: TradeoffCurve) -> np.ndarray:
+    """The computable lower bound env(g - shift) on the curve's budgets g.
 
-    The shift is Lambda_max/N (1/N on the unit-cost scale); the lower bound
-    is reported absent (NaN) for budgets below the shift.
+    The shift is Lambda_max/N (1/N on the unit-cost scale); the bound is
+    reported absent (NaN) for budgets below the shift. The matching upper
+    bound is the curve's own envelope.
     """
-    if n is None:
-        n = curve.block_length
-    shift = curve.max_cost / n
+    shift = curve.max_cost / curve.block_length
     lower = np.full_like(curve.envelope, np.nan)
     above = curve.gammas >= shift - 1e-12
     lower[above] = _tangent_envelope(curve.points, curve.gammas[above] - shift)[0]
-    return SandwichBounds(block_length=n, gammas=curve.gammas,
-                          upper=curve.envelope, lower_shifted=lower)
+    return lower
 
 
-def bisect_lambda_for_cost(kernel: FscKernel, sys: ActionSystem, n: int,
-                           gamma_target: float,
+def bisect_lambda_for_cost(space: TrajectorySpace, gamma_target: float,
                            lam_lo: float = 0.0, lam_hi: float = 10.0,
                            cost_tol: float = 1e-3,
                            eps: float = DEFAULT_EPSILON,
@@ -548,19 +509,17 @@ def bisect_lambda_for_cost(kernel: FscKernel, sys: ActionSystem, n: int,
     """Bisect on lambda until the measured cost hits a target within cost_tol.
 
     Uses the monotone nonincreasing dependence of the measured cost on
-    lambda. Every probe runs on one shared trajectory space. Only converged
-    probes are trusted: the first probe that stops at max_iters ends the
-    search, and the closest converged probe is returned (the failed probe
-    itself if it is the first). Returns the closest converged point found if
+    lambda. Every probe runs on the given space. Only converged probes are
+    trusted: the first probe that stops at max_iters ends the search, and
+    the closest converged probe is returned (the failed probe itself if it
+    is the first). Returns the closest converged point found if
     the bracket cannot reach the target.
     """
-    space = TrajectorySpace(kernel, sys, n)
     best: Optional[TradeoffPoint] = None
 
     def probe(lam: float) -> TradeoffPoint:
         nonlocal best
-        point = run_baa(kernel, sys, n, lam, eps=eps, max_iters=max_iters,
-                        space=space)
+        point = run_baa(space, lam, eps=eps, max_iters=max_iters)
         if point.converged and (best is None or abs(point.gamma - gamma_target)
                                 < abs(best.gamma - gamma_target)):
             best = point

@@ -105,22 +105,6 @@ class SingleLetterProblem:
         return int(self.sampling.max()) + 1
 
 
-@dataclass(frozen=True)
-class ExponentQuery:
-    """Exponent evaluation request: order rho, policy, start state, block length."""
-
-    rho: float
-    policy: CausalPolicy
-    s0: int
-    n: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError("rho must lie in [0, 1]")
-        if self.n != self.policy.block_length:
-            raise ValueError("block length must match the policy")
-
-
 def _channel_negentropy(w: np.ndarray) -> np.ndarray:
     """negh[s, x] = sum_y W(y|x,s) log2 W(y|x,s) of the fixed channel, 0 log 0 = 0."""
     logw = np.log2(w, out=np.zeros(w.shape), where=w > 0.0)
@@ -435,32 +419,24 @@ def time_sharing_baseline(c0: float, c1: float, gamma: float) -> float:
     return (1.0 - gamma) * c0 + gamma * c1
 
 
-def gallager_exponent(query: ExponentQuery, kernel: FscKernel,
-                      sys: ActionSystem,
-                      space: TrajectorySpace | None = None) -> float:
-    """Literal evaluation of the block exponent for a fixed policy and start state.
+def gallager_exponent(space: TrajectorySpace, policy: CausalPolicy,
+                      rho: float) -> float:
+    """Literal evaluation of the block exponent of a policy at order rho,
+    on the space's block length and start state.
 
     Inner channel powers are taken in the log domain; the value is exactly 0
-    at rho = 0 (the bracketed sum is then the total probability mass, 1). A
-    given space must be the one of kernel and sys at the query's block length
-    and start state; it saves the rebuild across queries.
+    at rho = 0 (the bracketed sum is then the total probability mass, 1).
     """
-    if query.rho == 0.0:
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError("rho must lie in [0, 1]")
+    space.check_fits(policy)
+    if rho == 0.0:
         return 0.0
-    if space is None:
-        space = TrajectorySpace(kernel, sys, query.n, s0=query.s0)
-    elif (space.n, space.s0) != (query.n, query.s0):
-        raise ValueError(
-            f"space has block length {space.n} and start state {space.s0}, "
-            f"expected {query.n} and {query.s0}"
-        )
-    if query.policy.u_size != space.u_size or query.policy.z_size != space.z_size:
-        raise ValueError("policy alphabets do not match the kernel/action system")
-    scaled = np.take(space.policy_product(query.policy.tables), space.parent)
-    scaled *= np.exp2(space.log2_p_live / (1.0 + query.rho))
+    scaled = np.take(space.policy_product(policy.tables), space.parent)
+    scaled *= np.exp2(space.log2_p_live / (1.0 + rho))
     inner = np.bincount(space.col, weights=scaled, minlength=space.cols)
-    total = float(np.sum(inner ** (1.0 + query.rho)))
-    return -math.log2(total) / query.n
+    total = float(np.sum(inner ** (1.0 + rho)))
+    return -math.log2(total) / space.n
 
 
 def f_n_policy_grid(kernel: FscKernel, sys: ActionSystem, n: int, rho: float,
@@ -475,12 +451,6 @@ def f_n_policy_grid(kernel: FscKernel, sys: ActionSystem, n: int, rho: float,
         raise ValueError("need at least one candidate policy")
     s_size = kernel.state_size
     spaces = [TrajectorySpace(kernel, sys, n, s0=s0) for s0 in range(s_size)]
-    best = -math.inf
-    for policy in policies:
-        worst = min(
-            gallager_exponent(ExponentQuery(rho=rho, policy=policy, s0=s0, n=n),
-                              kernel, sys, space=space)
-            for s0, space in enumerate(spaces)
-        )
-        best = max(best, worst)
+    best = max(min(gallager_exponent(space, policy, rho) for space in spaces)
+               for policy in policies)
     return best - rho * math.log2(s_size) / n

@@ -43,7 +43,6 @@ from .baa import (
 )
 from .bounds import (
     AscentCapWarning,
-    ExponentQuery,
     SingleLetterProblem,
     gallager_exponent,
     single_letter_bounds,
@@ -492,7 +491,7 @@ def cmd_capacity_sweep(config_path: str, out_dir: str = ".") -> int:
         for n in config.block_lengths:
             t0 = time.perf_counter()
             curve = sweep_lambda(
-                config.kernel, config.actions, n,
+                TrajectorySpace(config.kernel, config.actions, n),
                 lam_grid=config.lambda_grid,
                 eps=config.epsilon, max_iters=config.max_iters,
                 gamma_points=config.gamma_points,
@@ -506,10 +505,9 @@ def cmd_capacity_sweep(config_path: str, out_dir: str = ".") -> int:
                     f"{str(p.converged).lower()}"
                 )
             _write_lines(os.path.join(out_dir, f"sweep_{n}.csv"), lines)
-            sandwich = sandwich_bounds(curve)
             env_lines = ["gamma,c_upper,c_lower_shifted"]
-            for g, up, lo in zip(sandwich.gammas, sandwich.upper,
-                                 sandwich.lower_shifted):
+            for g, up, lo in zip(curve.gammas, curve.envelope,
+                                 sandwich_bounds(curve)):
                 env_lines.append(f"{_fmt(g)},{_fmt(up)},{_fmt(lo)}")
             _write_lines(os.path.join(out_dir, f"envelope_{n}.csv"), env_lines)
             bad = sum(1 for p in curve.points if not p.converged)
@@ -627,18 +625,16 @@ def _oracle_reports(config: ExperimentConfig) -> tuple[list, list]:
     reports: list[OracleReport] = []
     skips: list[dict] = []
     for n in ORACLE_BLOCKS:
-        u_size = kernel.input_size * sys_.encoder_actions.size
-        rows = u_size ** n
-        cols = kernel.output_size ** n
+        # one space per block length serves every optimized computation
+        space = TrajectorySpace(kernel, sys_, n)
 
         # directed information: definition vs chain rule
         for label, policy in (
-            ("uniform", CausalPolicy.uniform(n, u_size,
-                                             sys_.feedback_alphabet.size)),
+            ("uniform", CausalPolicy.uniform(n, space.u_size, space.z_size)),
             ("optimized", None),
         ):
             if policy is None:
-                state = BaaState.initial(kernel, sys_, n, 0.0)
+                state = BaaState.initial(space, 0.0)
                 for _ in range(5):
                     state = update_q(state.space, state.lam, *update_r(state))
                 policy = state.r
@@ -647,7 +643,7 @@ def _oracle_reports(config: ExperimentConfig) -> tuple[list, list]:
                 quantity=f"directed_info_n{n}_{label}",
                 oracle_value=literal_directed_info(joint),
                 main_value=directed_information(joint),
-                search_space_size=rows * cols,
+                search_space_size=space.rows * space.cols,
                 method="literal-sum",
                 tolerance=DI_ORACLE_TOL,
             ))
@@ -659,10 +655,8 @@ def _oracle_reports(config: ExperimentConfig) -> tuple[list, list]:
             grid_value = grid_capacity(kernel, sys_, n, grid_step=step,
                                        objective="average",
                                        budget=sys_.budget)
-            curve = sweep_lambda(kernel, sys_, n,
-                                 lam_grid=config.lambda_grid,
-                                 eps=config.epsilon,
-                                 max_iters=config.max_iters)
+            curve = sweep_lambda(space, lam_grid=config.lambda_grid,
+                                 eps=config.epsilon, max_iters=config.max_iters)
             reports.append(OracleReport(
                 quantity=f"grid_capacity_n{n}",
                 oracle_value=float(grid_value),
@@ -679,7 +673,7 @@ def _oracle_reports(config: ExperimentConfig) -> tuple[list, list]:
 
         # literal product-of-powers policy update vs the optimized update
         for lam, iters, label in ((0.5, 0, "initial"), (0.0, 3, "midrun")):
-            state = BaaState.initial(kernel, sys_, n, lam)
+            state = BaaState.initial(space, lam)
             for _ in range(iters):
                 state = update_q(state.space, state.lam, *update_r(state))
             try:
@@ -743,16 +737,13 @@ def cmd_exponent(config_path: str, out_dir: str = ".") -> int:
               file=_sys.stderr)
         return EXIT_SEMANTIC
     n = config.exponent.block_length
-    u_size = config.kernel.input_size * config.actions.encoder_actions.size
-    policy = CausalPolicy.uniform(n, u_size, config.actions.feedback_alphabet.size)
     spaces = [TrajectorySpace(config.kernel, config.actions, n, s0=s0)
               for s0 in range(config.kernel.state_size)]
+    policy = CausalPolicy.uniform(n, spaces[0].u_size, spaces[0].z_size)
     lines = ["rho,s0,value"]
     for rho in config.exponent.rho_grid:
         for s0, space in enumerate(spaces):
-            query = ExponentQuery(rho=rho, policy=policy, s0=s0, n=n)
-            value = gallager_exponent(query, config.kernel, config.actions,
-                                      space=space)
+            value = gallager_exponent(space, policy, rho)
             lines.append(f"{_fmt(rho)},{s0},{_fmt(value)}")
     try:
         os.makedirs(out_dir, exist_ok=True)

@@ -217,8 +217,7 @@ def build_joint(policy: CausalPolicy, kernel: FscKernel, sys: ActionSystem,
     recursion; entries of zero channel law get zero mass.
     """
     space = TrajectorySpace(kernel, sys, policy.block_length, s0=s0)
-    if policy.u_size != space.u_size or policy.z_size != space.z_size:
-        raise ValueError("policy alphabets do not match the kernel/action system")
+    space.check_fits(policy)
     n, y = space.n, space.y_size
     probs = np.ones(space.view)
     for i in range(1, n + 1):

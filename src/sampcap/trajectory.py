@@ -181,6 +181,17 @@ class TrajectorySpace:
         """
         return self._law(self.n, self._channel_prefixes()[self.n])
 
+    def check_fits(self, policy) -> None:
+        """Raise ValueError unless a causal policy has this space's block
+        length and its |U| and |Z| alphabets."""
+        got = (policy.block_length, policy.u_size, policy.z_size)
+        expected = (self.n, self.u_size, self.z_size)
+        if got != expected:
+            raise ValueError(
+                f"policy (block length, |U|, |Z|) = {got} does not fit the "
+                f"space's alphabets {expected}"
+            )
+
     def spread(self, slices: np.ndarray, i: int) -> np.ndarray:
         """Step-i table [n_hist, U] read at every trajectory, broadcastable to the view."""
         return slices.ravel()[self.slot[i - 1]]

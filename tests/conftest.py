@@ -26,6 +26,7 @@ from sampcap import ActionSystem, Alphabet, CausalPolicy, FscKernel, HistoryInde
 import sampcap.baa
 from sampcap.baa import sweep_lambda
 from sampcap.cli import parse_config
+from sampcap.trajectory import TrajectorySpace
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 BSC_CONFIG_PATH = CONFIG_DIR / "bsc.json"
@@ -156,7 +157,8 @@ def traced_sweeps(config):
     curves, histories = {}, {}
     for n in config.block_lengths:
         with bound_histories() as runs:
-            curves[n] = sweep_lambda(config.kernel, config.actions, n,
+            curves[n] = sweep_lambda(TrajectorySpace(config.kernel,
+                                                     config.actions, n),
                                      eps=config.epsilon,
                                      max_iters=config.max_iters)
         histories[n] = [np.array(run) for run in runs]

@@ -18,7 +18,6 @@ import pytest
 
 from sampcap import (
     CausalPolicy,
-    ExponentQuery,
     FscKernel,
     build_joint,
     causal_channel_prob,
@@ -37,6 +36,7 @@ from sampcap import (
     update_r,
 )
 from sampcap.baa import BaaState
+from sampcap.trajectory import TrajectorySpace
 
 from conftest import make_random_policy
 
@@ -52,7 +52,7 @@ def all_traced_points(*traced):
 def test_1_memoryless_reference_value_and_speed(bsc_kernel, bsc_actions,
                                                 bsc_sweeps):
     start = time.perf_counter()
-    point = run_baa(bsc_kernel, bsc_actions, 1, 0.0)
+    point = run_baa(TrajectorySpace(bsc_kernel, bsc_actions, 1), 0.0)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     assert point.i_upper == pytest.approx(0.188722, abs=1e-5)
@@ -107,7 +107,7 @@ def test_5_brute_force_references_agree(bsc_kernel, bsc_actions, markovian_kerne
     # literal product-of-powers policy update vs the log-domain update
     for kernel, sys_ in ((bsc_kernel, bsc_actions), (markovian_kernel, markovian_actions)):
         for n in (1, 2):
-            state = BaaState.initial(kernel, sys_, n, 0.5)
+            state = BaaState.initial(TrajectorySpace(kernel, sys_, n), 0.5)
             literal = literal_r_update(state)
             main, _ = update_r(state)
             for lit, opt in zip(literal.tables, main.tables):
@@ -117,7 +117,8 @@ def test_5_brute_force_references_agree(bsc_kernel, bsc_actions, markovian_kerne
     for n in (1, 2):
         value = grid_capacity(bsc_kernel, bsc_actions, n, grid_step=0.05)
         assert abs(value - bsc_sweeps[n].envelope_at(0.0)) <= 5e-3
-    markovian_curve = sweep_lambda(markovian_kernel, markovian_actions, 1)
+    markovian_curve = sweep_lambda(TrajectorySpace(markovian_kernel,
+                                                   markovian_actions, 1))
     value = grid_capacity(markovian_kernel, markovian_actions, 1, grid_step=0.05)
     assert abs(value - markovian_curve.envelope_at(1.0)) <= 5e-3
 
@@ -186,13 +187,9 @@ def test_6_structural_invariants(bsc_kernel, bsc_actions, markovian_kernel,
     # the exponent vanishes exactly at order zero and its finite-difference
     # slope at zero stays within the information rate
     uniform = CausalPolicy.uniform(2, 4, 3)
-    zero = gallager_exponent(ExponentQuery(rho=0.0, policy=uniform, s0=0, n=2),
-                             markovian_kernel, markovian_actions)
-    assert zero == 0.0
-    small = gallager_exponent(
-        ExponentQuery(rho=0.001, policy=uniform, s0=0, n=2),
-        markovian_kernel, markovian_actions,
-    )
+    from_state_0 = TrajectorySpace(markovian_kernel, markovian_actions, 2, s0=0)
+    assert gallager_exponent(from_state_0, uniform, 0.0) == 0.0
+    small = gallager_exponent(from_state_0, uniform, 0.001)
     slope = small / 0.001
     rate = directed_information(build_joint(uniform, markovian_kernel, markovian_actions,
                                             s0=0)) / 2.0
@@ -207,13 +204,12 @@ def test_6_structural_invariants(bsc_kernel, bsc_actions, markovian_kernel,
 
 def test_7_sandwich_bounds_are_ordered(bsc_sweeps, markovian_sweeps):
     for n, curve in markovian_sweeps.items():
-        sb = sandwich_bounds(curve)
-        gammas = np.asarray(sb.gammas)
-        lower = np.asarray(sb.lower_shifted)
-        upper = np.asarray(sb.upper)
+        gammas = curve.gammas
+        lower = sandwich_bounds(curve)
+        upper = curve.envelope
         feasible = gammas >= curve.max_cost / n - 1e-12
         assert np.all(np.isnan(lower[~feasible]))
         assert np.all(np.isfinite(lower[feasible]))
         assert np.all(lower[feasible] <= upper[feasible] + 1e-12)
-    sb = sandwich_bounds(bsc_sweeps[2])
-    assert np.allclose(sb.lower_shifted, sb.upper, atol=1e-12)
+    assert np.allclose(sandwich_bounds(bsc_sweeps[2]), bsc_sweeps[2].envelope,
+                       atol=1e-12)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 from collections import defaultdict
 from itertools import product
@@ -56,7 +57,7 @@ def z_channel_kernel():
 
 class TestUpdates:
     def test_posterior_update_is_bayes(self, bsc_kernel, bsc_actions):
-        q = BaaState.initial(bsc_kernel, bsc_actions, 1, 0.0).q
+        q = BaaState.initial(TrajectorySpace(bsc_kernel, bsc_actions, 1), 0.0).q
         # uniform prior: q(u | y) = p(y | u) / sum_u p(y | u)
         np.testing.assert_allclose(q.sum(axis=0), 1.0, atol=1e-12)
         np.testing.assert_allclose(q, [[0.75, 0.25], [0.25, 0.75]], atol=1e-12)
@@ -65,7 +66,8 @@ class TestUpdates:
         # one step, no actions, no penalty: r'(x) proportional to
         # r(x) * 2^(sum_y p(y|x) log2 q(x|y)), the classical capacity update
         kernel = z_channel_kernel()
-        state = BaaState.initial(kernel, make_trivial_actions(2), 1, 0.0)
+        state = BaaState.initial(TrajectorySpace(kernel, make_trivial_actions(2), 1),
+                                 0.0)
         updated, _ = update_r(state)
         p = kernel.kernel[0, :, :, 0]
         q = p / p.sum(axis=0, keepdims=True)
@@ -86,8 +88,8 @@ class TestUpdates:
         # pin the policy to x = 0; output y = 1 becomes unreachable
         pinned = CausalPolicy(block_length=1, u_size=2, z_size=1,
                               tables=(np.array([[1.0, 0.0]]),))
-        state = BaaState.initial(kernel, make_trivial_actions(2), 1, 0.0,
-                                 start=pinned)
+        state = BaaState.initial(TrajectorySpace(kernel, make_trivial_actions(2), 1),
+                                 0.0, start=pinned)
         np.testing.assert_array_equal(state.d <= 0.0, [False, True])
         assert state.unreachable_outputs == 1
         np.testing.assert_array_equal(state.q[:, 1], [0.5, 0.5])
@@ -99,7 +101,7 @@ def step(state):
 
 
 def iterated_state(kernel, actions, n, lam, iterations):
-    state = BaaState.initial(kernel, actions, n, lam)
+    state = BaaState.initial(TrajectorySpace(kernel, actions, n), lam)
     for _ in range(iterations):
         state = step(state)
     return state
@@ -343,7 +345,8 @@ class TestFold:
         assert np.any(kernel.kernel == 0.0)
         actions = feedback_actions(z_of_y, 0.5)
         policy = make_random_policy(rng, n, 2, 2)
-        state = BaaState.initial(kernel, actions, n, lam, start=policy)
+        state = BaaState.initial(TrajectorySpace(kernel, actions, n), lam,
+                                 start=policy)
         assert upper_bound(state) == pytest.approx(
             brute_force_upper(kernel, actions, policy, lam), abs=1e-12)
 
@@ -351,7 +354,8 @@ class TestFold:
         kernel, actions = z_channel_kernel(), feedback_actions([0, 1], 0.0)
         pinned = CausalPolicy(block_length=1, u_size=2, z_size=2,
                               tables=(np.array([[1.0, 0.0]]),))
-        state = BaaState.initial(kernel, actions, 1, 0.0, start=pinned)
+        state = BaaState.initial(TrajectorySpace(kernel, actions, 1), 0.0,
+                                 start=pinned)
         # x = 1 reaches y = 1, which the pinned policy never produces
         assert brute_force_upper(kernel, actions, pinned, 0.0) == math.inf
         assert upper_bound(state) == math.inf
@@ -362,8 +366,8 @@ class TestFold:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for n in (1, 2, 3):
-                curve = sweep_lambda(deterministic_kernel(),
-                                     make_trivial_actions(3), n,
+                curve = sweep_lambda(TrajectorySpace(deterministic_kernel(),
+                                                     make_trivial_actions(3), n),
                                      lam_grid=[0.0, 0.1, 1.0])
                 for point in curve.points:
                     assert point.converged
@@ -372,23 +376,12 @@ class TestFold:
 
 
 class TestRunBaa:
-    def test_rejects_two_sided_action_alphabets(self, bsc_kernel):
-        two_sided = ActionSystem(
-            encoder_actions=Alphabet(1),
-            decoder_actions=Alphabet(2),
-            feedback_alphabet=Alphabet(1),
-            sampling_table=np.zeros((1, 2, 2), dtype=int),
-            cost_table=np.zeros((1, 2)),
-        )
-        with pytest.raises(ValueError, match="decoder"):
-            run_baa(bsc_kernel, two_sided, 1, 0.0)
-
     @pytest.mark.parametrize("eps", [0.0, -1e-6, math.inf, math.nan])
     def test_rejects_an_epsilon_that_is_not_positive_and_finite(
         self, bsc_kernel, bsc_actions, eps
     ):
         with pytest.raises(ValueError, match="eps must be positive and finite"):
-            run_baa(bsc_kernel, bsc_actions, 1, 0.0, eps=eps)
+            run_baa(TrajectorySpace(bsc_kernel, bsc_actions, 1), 0.0, eps=eps)
 
     def test_lagrangian_decomposition_of_the_lower_iterate(
         self, markovian_kernel, markovian_actions
@@ -404,12 +397,12 @@ class TestRunBaa:
         assert il == pytest.approx(rate - lam * cost, abs=1e-9)
 
     def test_fixed_point_is_stable(self, markovian_kernel, markovian_actions):
-        point = run_baa(markovian_kernel, markovian_actions, 2, 0.1)
+        space = TrajectorySpace(markovian_kernel, markovian_actions, 2)
+        point = run_baa(space, 0.1)
         assert point.converged
         # one plain step from the final policy moves the lower iterate by no
         # more than a few epsilon
-        state = BaaState.initial(markovian_kernel, markovian_actions, 2, 0.1,
-                                 start=point.policy)
+        state = BaaState.initial(space, 0.1, start=point.policy)
         assert state.i_lower == point.i_lower
         assert state.gamma == point.gamma
         assert abs(step(state).i_lower - point.i_lower) <= 10.0 * 1e-6
@@ -417,13 +410,13 @@ class TestRunBaa:
     def test_priced_sampling_regression(self, markovian_kernel, markovian_actions):
         # midrange penalty on the two-state channel: the bracket must close
         # and land on the midpoint of the free and forced values
-        point = run_baa(markovian_kernel, markovian_actions, 2, 0.5)
+        point = run_baa(TrajectorySpace(markovian_kernel, markovian_actions, 2), 0.5)
         assert point.converged
         assert point.final_gap <= 1e-6
         assert point.i_upper == pytest.approx(0.316603110, abs=5e-6)
 
     def test_memoryless_value_and_speed(self, bsc_kernel, bsc_actions):
-        point = run_baa(bsc_kernel, bsc_actions, 1, 0.0)
+        point = run_baa(TrajectorySpace(bsc_kernel, bsc_actions, 1), 0.0)
         assert point.converged
         assert point.gamma == 0.0
         assert point.i_upper == pytest.approx(0.188722, abs=1e-5)
@@ -442,9 +435,9 @@ def sampling_actions(y_size):
     )
 
 
-def plain_solve(kernel, actions, n, lam, eps, max_iters):
+def plain_solve(space, lam, eps, max_iters):
     """The alternating map without over-relaxation, written out from its layers."""
-    state = BaaState.initial(kernel, actions, n, lam)
+    state = BaaState.initial(space, lam)
     for _ in range(max_iters):
         state = step(state)
         iu = upper_bound(state)
@@ -465,12 +458,12 @@ class TestOverRelaxation:
         kernel = make_random_kernel(rng, int(rng.integers(1, 3)),
                                     int(rng.integers(2, 4)), y_size)
         actions = sampling_actions(y_size) if sampled else make_trivial_actions(y_size)
+        space = TrajectorySpace(kernel, actions, n)
         eps = 1e-6
-        plain_upper, plain_converged = plain_solve(kernel, actions, n, lam,
-                                                   eps, 20_000)
+        plain_upper, plain_converged = plain_solve(space, lam, eps, 20_000)
         assume(plain_converged)
         with bound_histories() as histories:
-            point = sampcap.baa.run_baa(kernel, actions, n, lam, eps=eps)
+            point = sampcap.baa.run_baa(space, lam, eps=eps)
         assert point.converged
         # both upper iterates lie in [C_N(lambda), C_N(lambda) + eps]
         assert abs(point.i_upper - plain_upper) <= eps
@@ -560,10 +553,11 @@ class TestSweep:
             )
 
     def test_grid_must_be_nonempty_and_nonnegative(self, bsc_kernel, bsc_actions):
+        space = TrajectorySpace(bsc_kernel, bsc_actions, 1)
         with pytest.raises(ValueError, match="nonempty"):
-            sweep_lambda(bsc_kernel, bsc_actions, 1, lam_grid=[])
+            sweep_lambda(space, lam_grid=[])
         with pytest.raises(ValueError, match="nonnegative"):
-            sweep_lambda(bsc_kernel, bsc_actions, 1, lam_grid=[-0.5])
+            sweep_lambda(space, lam_grid=[-0.5])
 
 
 
@@ -574,7 +568,7 @@ class TestContinuation:
         # solved in descending order from lambda = 10, where sampling is
         # priced out, lambda = 0.1 at N=3 runs into the iteration cap
         cfg = markovian_config
-        curve = sweep_lambda(cfg.kernel, cfg.actions, 3,
+        curve = sweep_lambda(TrajectorySpace(cfg.kernel, cfg.actions, 3),
                              lam_grid=[10.0, 0.146779926762, 0.0681292069058,
                                        0.1],
                              eps=cfg.epsilon, max_iters=cfg.max_iters)
@@ -588,99 +582,131 @@ class TestContinuation:
         # both upper iterates lie in [C_N(lambda), C_N(lambda) + eps]
         cfg = markovian_config
         grid = [0.0, 0.01, 0.1, 1.0]
-        curve = sweep_lambda(cfg.kernel, cfg.actions, 2, lam_grid=grid,
-                             eps=cfg.epsilon, max_iters=cfg.max_iters)
+        space = TrajectorySpace(cfg.kernel, cfg.actions, 2)
+        curve = sweep_lambda(space, lam_grid=grid, eps=cfg.epsilon,
+                             max_iters=cfg.max_iters)
         for point in curve.points:
-            cold = run_baa(cfg.kernel, cfg.actions, 2, point.lam,
-                           eps=cfg.epsilon, max_iters=cfg.max_iters)
+            cold = run_baa(space, point.lam, eps=cfg.epsilon,
+                           max_iters=cfg.max_iters)
             assert point.converged and cold.converged
             assert abs(point.i_upper - cold.i_upper) <= cfg.epsilon
         # the first point has nothing to start from; later ones save work
         assert curve.points[0].iterations == run_baa(
-            cfg.kernel, cfg.actions, 2, 0.0, eps=cfg.epsilon,
-            max_iters=cfg.max_iters).iterations
+            space, 0.0, eps=cfg.epsilon, max_iters=cfg.max_iters).iterations
 
     @pytest.mark.parametrize("solve", [
-        lambda k, a: sweep_lambda(k, a, 2, lam_grid=[0.0, 0.5, 1.0]),
-        lambda k, a: bisect_lambda_for_cost(k, a, 2, 0.1, cost_tol=0.05),
+        lambda space: sweep_lambda(space, lam_grid=[0.0, 0.5, 1.0]),
+        lambda space: bisect_lambda_for_cost(space, 0.1, cost_tol=0.05),
     ], ids=["sweep", "bisection"])
-    def test_builds_one_trajectory_space(self, markovian_kernel,
-                                         markovian_actions, monkeypatch, solve):
+    def test_every_probe_receives_the_callers_space(
+        self, markovian_kernel, markovian_actions, monkeypatch, solve
+    ):
         import sampcap.baa as baa_module
 
+        space = TrajectorySpace(markovian_kernel, markovian_actions, 2)
         built, probes = [], []
+        init = TrajectorySpace.__init__
 
-        class Counting(TrajectorySpace):
-            def __init__(self, *args, **kwargs):
-                built.append(args)
-                super().__init__(*args, **kwargs)
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
 
-        def counting_run_baa(*args, **kwargs):
-            probes.append(args)
-            return run_baa(*args, **kwargs)
+        def recording_run_baa(probe_space, *args, **kwargs):
+            probes.append(probe_space)
+            return run_baa(probe_space, *args, **kwargs)
 
-        monkeypatch.setattr(baa_module, "TrajectorySpace", Counting)
-        monkeypatch.setattr(baa_module, "run_baa", counting_run_baa)
-        solve(markovian_kernel, markovian_actions)
+        monkeypatch.setattr(TrajectorySpace, "__init__", counting_init)
+        monkeypatch.setattr(baa_module, "run_baa", recording_run_baa)
+        solve(space)
         assert len(probes) >= 3
-        assert len(built) == 1
+        assert all(probe is space for probe in probes)
+        assert built == []
 
     def test_start_policy_and_space_are_used(self, markovian_kernel,
                                              markovian_actions):
-        converged = run_baa(markovian_kernel, markovian_actions, 2, 0.5)
         space = TrajectorySpace(markovian_kernel, markovian_actions, 2)
-        state = BaaState.initial(markovian_kernel, markovian_actions, 2, 0.5,
-                                 space=space, start=converged.policy)
+        converged = run_baa(space, 0.5)
+        state = BaaState.initial(space, 0.5, start=converged.policy)
         assert state.space is space
         assert state.r is converged.policy
         # restarting at the optimum closes the bracket at once
-        again = run_baa(markovian_kernel, markovian_actions, 2, 0.5,
-                        space=space, start=converged.policy)
+        again = run_baa(space, 0.5, start=converged.policy)
         assert again.converged
         assert again.iterations < converged.iterations
         assert again.i_upper == pytest.approx(converged.i_upper, abs=1e-6)
         with pytest.raises(ValueError, match="block length"):
-            BaaState.initial(markovian_kernel, markovian_actions, 3, 0.5,
-                             space=space)
+            BaaState.initial(TrajectorySpace(markovian_kernel,
+                                             markovian_actions, 3),
+                             0.5, start=converged.policy)
+
+    @pytest.mark.parametrize("shape", [(3, 4, 3), (2, 2, 3), (2, 4, 4),
+                                       (2, 4, 2)],
+                             ids=["block-length", "u", "z-larger", "z-smaller"])
+    def test_a_start_policy_that_does_not_fit_the_space_is_rejected(
+        self, markovian_kernel, markovian_actions, shape
+    ):
+        # markovian N=2: |U| = 4 input-action pairs, |Z| = 3 feedback symbols
+        space = TrajectorySpace(markovian_kernel, markovian_actions, 2)
+        policy = CausalPolicy.uniform(*shape)
+        expected = re.escape(f"{shape} does not fit the space's alphabets "
+                             "(2, 4, 3)")
+        with pytest.raises(ValueError, match=expected):
+            BaaState.initial(space, 0.1, start=policy)
+        with pytest.raises(ValueError, match=expected):
+            run_baa(space, 0.1, start=policy)
+
+    @settings(max_examples=8)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2),
+           sampled=st.booleans())
+    def test_sweep_points_match_cold_starts_on_random_channels(self, seed, n,
+                                                               sampled):
+        # both upper iterates lie in [C_N(lambda), C_N(lambda) + eps]
+        rng = np.random.default_rng(seed)
+        y_size = int(rng.integers(2, 4))
+        kernel = make_random_kernel(rng, int(rng.integers(1, 3)),
+                                    int(rng.integers(2, 4)), y_size)
+        actions = sampling_actions(y_size) if sampled else make_trivial_actions(y_size)
+        space = TrajectorySpace(kernel, actions, n)
+        eps = 1e-6
+        curve = sweep_lambda(space, [0.0, 0.1, 1.0], eps=eps)
+        for point in curve.points:
+            assert point.converged
+            cold = run_baa(space, point.lam, eps=eps)
+            assert cold.converged
+            assert abs(point.i_upper - cold.i_upper) <= eps
 
 
 class TestSandwich:
     def test_lower_never_exceeds_upper(self, markovian_sweeps):
         for n, curve in markovian_sweeps.items():
-            sandwich = sandwich_bounds(curve)
-            finite = np.isfinite(sandwich.lower_shifted)
+            lower = sandwich_bounds(curve)
+            finite = np.isfinite(lower)
             assert finite.any()
-            assert np.all(
-                sandwich.gammas[finite] >= curve.max_cost / n - 1e-12
-            )
-            assert np.all(
-                sandwich.lower_shifted[finite] <= sandwich.upper[finite] + 1e-12
-            )
+            assert np.all(curve.gammas[finite] >= curve.max_cost / n - 1e-12)
+            assert np.all(lower[finite] <= curve.envelope[finite] + 1e-12)
 
     def test_shift_matches_the_block_length(self, markovian_sweeps):
         curve = markovian_sweeps[2]
-        sandwich = sandwich_bounds(curve)
+        lower = sandwich_bounds(curve)
         shift = curve.max_cost / 2
         top = curve.gammas[-1]
-        assert sandwich.upper[-1] == pytest.approx(curve.envelope_at(top))
-        assert sandwich.lower_shifted[-1] == pytest.approx(
-            curve.envelope_at(top - shift)
-        )
+        assert lower.shape == curve.gammas.shape
+        assert lower[-1] == pytest.approx(curve.envelope_at(top - shift))
         # one tangent-line envelope serves the curve, the sandwich and
         # envelope_at
-        np.testing.assert_array_equal(sandwich.upper, curve.envelope)
         assert [curve.envelope_at(g) for g in curve.gammas] == curve.envelope.tolist()
 
     def test_zero_cost_sandwich_collapses(self, bsc_sweeps):
-        sandwich = sandwich_bounds(bsc_sweeps[1])
-        np.testing.assert_allclose(sandwich.lower_shifted, sandwich.upper)
+        curve = bsc_sweeps[1]
+        np.testing.assert_allclose(sandwich_bounds(curve), curve.envelope)
 
 
 class TestBisect:
     def test_bisection_respects_its_contract(self, markovian_kernel, markovian_actions):
         target, tol = 0.1, 0.05
         point = bisect_lambda_for_cost(
-            markovian_kernel, markovian_actions, 2, target, cost_tol=tol
+            TrajectorySpace(markovian_kernel, markovian_actions, 2), target,
+            cost_tol=tol
         )
         if point.gamma > target + tol:
             # even the strongest penalty spends above the target
@@ -707,8 +733,9 @@ class TestBisect:
 
         monkeypatch.setattr(baa_module, "run_baa", recording_run_baa)
         target = 0.3
-        point = bisect_lambda_for_cost(markovian_kernel, markovian_actions, 2,
-                                       target, max_iters=1000)
+        point = bisect_lambda_for_cost(
+            TrajectorySpace(markovian_kernel, markovian_actions, 2), target,
+            max_iters=1000)
         failed = [k for k, probe in enumerate(probes) if not probe.converged]
         assert failed == [len(probes) - 1]
         assert point.converged

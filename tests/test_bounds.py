@@ -9,7 +9,6 @@ import pytest
 from sampcap import bounds
 from sampcap import (
     CausalPolicy,
-    ExponentQuery,
     SingleLetterProblem,
     binary_entropy,
     build_joint,
@@ -21,6 +20,7 @@ from sampcap import (
     time_sharing_baseline,
     zero_unit_cost_capacity,
 )
+from sampcap.trajectory import TrajectorySpace
 
 INFORMED_CAPACITY = math.log2(5.0) - 2.0          # 0.321928...
 COMMON_INPUT_CAPACITY = binary_entropy(0.25) - 0.5  # 0.311278...
@@ -544,41 +544,42 @@ class TestBackwardLink:
 
 class TestExponent:
     def test_zero_order_is_exactly_zero(self, markovian_kernel, markovian_actions):
+        space = TrajectorySpace(markovian_kernel, markovian_actions, 2, s0=0)
         policy = CausalPolicy.uniform(2, 4, 3)
-        query = ExponentQuery(rho=0.0, policy=policy, s0=0, n=2)
-        assert gallager_exponent(query, markovian_kernel, markovian_actions) == 0.0
+        assert gallager_exponent(space, policy, 0.0) == 0.0
 
     def test_memoryless_unit_order_closed_form(self, bsc_kernel, bsc_actions):
-        policy = CausalPolicy.uniform(1, 2, 1)
-        query = ExponentQuery(rho=1.0, policy=policy, s0=0, n=1)
-        value = gallager_exponent(query, bsc_kernel, bsc_actions)
+        space = TrajectorySpace(bsc_kernel, bsc_actions, 1, s0=0)
+        value = gallager_exponent(space, CausalPolicy.uniform(1, 2, 1), 1.0)
         expected = 1.0 - math.log2(1.0 + 2.0 * math.sqrt(0.75 * 0.25))
         assert value == pytest.approx(expected, abs=1e-12)
 
-    def test_order_range_checked(self):
+    def test_order_range_checked(self, bsc_kernel, bsc_actions):
+        space = TrajectorySpace(bsc_kernel, bsc_actions, 1, s0=0)
         policy = CausalPolicy.uniform(1, 2, 1)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            ExponentQuery(rho=1.5, policy=policy, s0=0, n=1)
+            gallager_exponent(space, policy, 1.5)
 
-    def test_block_length_must_match_the_policy(self):
+    def test_block_length_must_match_the_policy(self, bsc_kernel, bsc_actions):
+        space = TrajectorySpace(bsc_kernel, bsc_actions, 2, s0=0)
         policy = CausalPolicy.uniform(1, 2, 1)
         with pytest.raises(ValueError, match="block length"):
-            ExponentQuery(rho=0.5, policy=policy, s0=0, n=2)
+            gallager_exponent(space, policy, 0.5)
 
     def test_alphabet_mismatch_raises(self, markovian_kernel, markovian_actions):
+        space = TrajectorySpace(markovian_kernel, markovian_actions, 2, s0=0)
         policy = CausalPolicy.uniform(2, 2, 1)
-        query = ExponentQuery(rho=0.5, policy=policy, s0=0, n=2)
-        with pytest.raises(ValueError, match="alphabets"):
-            gallager_exponent(query, markovian_kernel, markovian_actions)
+        # checked before the order-zero shortcut too
+        for rho in (0.0, 0.5):
+            with pytest.raises(ValueError, match="alphabets"):
+                gallager_exponent(space, policy, rho)
 
     def test_slope_at_zero_stays_below_the_information_rate(
         self, markovian_kernel, markovian_actions
     ):
+        space = TrajectorySpace(markovian_kernel, markovian_actions, 2, s0=0)
         policy = CausalPolicy.uniform(2, 4, 3)
-        small = gallager_exponent(
-            ExponentQuery(rho=0.001, policy=policy, s0=0, n=2),
-            markovian_kernel, markovian_actions,
-        )
+        small = gallager_exponent(space, policy, 0.001)
         slope = small / 0.001
         joint = build_joint(policy, markovian_kernel, markovian_actions, s0=0)
         rate = directed_information(joint) / 2.0
@@ -590,8 +591,8 @@ class TestExponent:
         rho = 0.5
         per_state = [
             gallager_exponent(
-                ExponentQuery(rho=rho, policy=policy, s0=s0, n=2),
-                markovian_kernel, markovian_actions,
+                TrajectorySpace(markovian_kernel, markovian_actions, 2, s0=s0),
+                policy, rho,
             )
             for s0 in (0, 1)
         ]

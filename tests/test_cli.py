@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sampcap import CausalPolicy, ExponentQuery, binary_entropy, cli, gallager_exponent
+from sampcap import CausalPolicy, binary_entropy, cli, gallager_exponent
 from sampcap import bounds
 from sampcap.trajectory import TrajectorySpace
 
@@ -479,6 +479,25 @@ class TestOracleCheck:
         assert failing
         assert all(name.startswith("r_update") for name in failing)
 
+    @pytest.mark.parametrize("path", [BSC_CONFIG_PATH, MARKOVIAN_CONFIG_PATH],
+                             ids=["bsc", "markovian"])
+    def test_one_trajectory_space_per_block_length(self, tmp_path, monkeypatch,
+                                                   path):
+        # the optimized iterates and the sweep of a block length share one
+        # space; build_joint, the linear-domain reference, builds its own for
+        # each of its two joints
+        built = []
+        init = TrajectorySpace.__init__
+
+        def counting_init(self, kernel, sys, n, s0=None):
+            built.append(n)
+            init(self, kernel, sys, n, s0)
+
+        monkeypatch.setattr(TrajectorySpace, "__init__", counting_init)
+        assert cli.cmd_oracle_check(str(path), str(tmp_path / "out")) \
+            == cli.EXIT_OK
+        assert built == [n for n in cli.ORACLE_BLOCKS for _ in range(3)]
+
 
 class TestExponent:
     def test_exponent_table(self, tmp_path):
@@ -504,8 +523,7 @@ class TestExponent:
                              ids=["bsc", "markovian"])
     def test_one_trajectory_space_per_start_state(self, tmp_path, monkeypatch,
                                                   path):
-        # reference: a fresh space per (rho, s0) query, as gallager_exponent
-        # builds without one
+        # reference: a fresh space per (rho, s0) query
         config = load_config(path)
         spec = config.exponent
         u_size = config.kernel.input_size * config.actions.encoder_actions.size
@@ -514,10 +532,9 @@ class TestExponent:
         lines = ["rho,s0,value"]
         for rho in spec.rho_grid:
             for s0 in range(config.kernel.state_size):
-                value = gallager_exponent(
-                    ExponentQuery(rho=rho, policy=policy, s0=s0,
-                                  n=spec.block_length),
-                    config.kernel, config.actions)
+                space = TrajectorySpace(config.kernel, config.actions,
+                                        spec.block_length, s0=s0)
+                value = gallager_exponent(space, policy, rho)
                 lines.append(f"{cli._fmt(rho)},{s0},{cli._fmt(value)}")
         import sampcap.bounds
 

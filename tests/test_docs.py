@@ -1,0 +1,17 @@
+"""The README's library example runs as documented."""
+
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_library_example_runs(monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library\n\n```python\n(.*?)^```$", readme,
+                      re.S | re.M)
+    assert block is not None, "README.md has no python block under ## Library"
+    # the example opens configs/ by a path relative to the repo root
+    monkeypatch.chdir(ROOT)
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    assert "True" in capsys.readouterr().out  # the point converged

@@ -33,6 +33,7 @@ from sampcap import (
 )
 from sampcap.baa import BaaState
 from sampcap.oracle import _literal_channel_prob
+from sampcap.trajectory import TrajectorySpace
 
 from conftest import make_random_kernel, make_random_policy, make_trivial_actions
 
@@ -137,7 +138,8 @@ class TestGridCapacity:
 
     def test_two_state_block_one(self, markovian_kernel, markovian_actions):
         value = grid_capacity(markovian_kernel, markovian_actions, 1, grid_step=0.05)
-        point = run_baa(markovian_kernel, markovian_actions, 1, 0.0)
+        point = run_baa(TrajectorySpace(markovian_kernel, markovian_actions, 1),
+                        0.0)
         assert value == pytest.approx(INFORMED_CAPACITY, abs=1e-12)
         assert abs(value - point.i_upper) <= 5e-3
 
@@ -184,7 +186,7 @@ class TestLiteralPolicyUpdate:
     def test_matches_the_log_domain_update(self, request, pair, n, lam, iters):
         kernel = request.getfixturevalue(f"{pair}_kernel")
         sys = request.getfixturevalue(f"{pair}_actions")
-        state = BaaState.initial(kernel, sys, n, lam)
+        state = BaaState.initial(TrajectorySpace(kernel, sys, n), lam)
         for _ in range(iters):
             state = update_q(state.space, lam, *update_r(state))
         literal = literal_r_update(state)
@@ -211,7 +213,7 @@ class TestLiteralPolicyUpdate:
             sampling_table=rng.integers(0, z_size, (a_size, 1, y_size)),
             cost_table=rng.random((a_size, 1)),
         )
-        state = BaaState.initial(kernel, sys, n, lam)
+        state = BaaState.initial(TrajectorySpace(kernel, sys, n), lam)
         for _ in range(int(rng.integers(0, 3))):
             state = update_q(state.space, lam, *update_r(state))
         literal = literal_r_update(state)
@@ -228,7 +230,8 @@ class TestLiteralPolicyUpdate:
         arr[0, 1, 1, 0] = 0.75
         kernel = FscKernel(Alphabet(1), Alphabet(2), Alphabet(2), arr,
                            np.array([1.0]))
-        state = BaaState.initial(kernel, make_trivial_actions(2), 1, 0.0)
+        state = BaaState.initial(
+            TrajectorySpace(kernel, make_trivial_actions(2), 1), 0.0)
         literal = literal_r_update(state)
         p = arr[0, :, :, 0]
         q = p / p.sum(axis=0, keepdims=True)
@@ -238,21 +241,23 @@ class TestLiteralPolicyUpdate:
         assert np.max(np.abs(literal.tables[0][0] - expected)) <= 1e-12
 
     def test_block_length_cap(self, bsc_kernel, bsc_actions):
-        state = BaaState.initial(bsc_kernel, bsc_actions, 3, 0.0)
+        state = BaaState.initial(TrajectorySpace(bsc_kernel, bsc_actions, 3), 0.0)
         with pytest.raises(ValueError, match="capped at block length"):
             literal_r_update(state)
 
     def test_input_alphabet_cap(self):
         rng = np.random.default_rng(5)
         kernel = make_random_kernel(rng, 1, 3, 2)
-        state = BaaState.initial(kernel, make_trivial_actions(2), 1, 0.0)
+        state = BaaState.initial(
+            TrajectorySpace(kernel, make_trivial_actions(2), 1), 0.0)
         with pytest.raises(ValueError, match="binary inputs"):
             literal_r_update(state)
 
     def test_output_alphabet_cap(self):
         rng = np.random.default_rng(6)
         kernel = make_random_kernel(rng, 1, 2, 5)
-        state = BaaState.initial(kernel, make_trivial_actions(5), 1, 0.0)
+        state = BaaState.initial(
+            TrajectorySpace(kernel, make_trivial_actions(5), 1), 0.0)
         with pytest.raises(ValueError, match="outputs"):
             literal_r_update(state)
 
