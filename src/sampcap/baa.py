@@ -67,9 +67,10 @@ class BaaState:
     update_q builds every iterate (initial goes through it), so q is always
     r's Bayes posterior r p / d, with d the output marginal sum_u r p, and
     i_lower and gamma are r's Lagrangian lower iterate and per-step expected
-    action cost. q_live holds q on the space's live entries. r_flagged marks
-    the policy slices that received no weight in the update that produced r
-    (none for a start policy).
+    action cost. q_live holds q on the space's live entries. r_flagged marks,
+    per step and per reachable history (space.reach), the policy slices that
+    received no weight in the update that produced r (none for a start
+    policy).
     """
 
     space: TrajectorySpace
@@ -88,8 +89,6 @@ class BaaState:
         which is shared, never modified."""
         if start is None:
             start = CausalPolicy.uniform(space.n, space.u_size, space.z_size)
-        else:
-            space.check_fits(start)
         return update_q(space, lam, start)
 
     @property
@@ -116,24 +115,25 @@ def update_q(space: TrajectorySpace, lam: float, r: CausalPolicy,
              flagged: tuple = ()) -> BaaState:
     """The iterate of policy r, flagged being the dead slices of its update.
 
-    Forms the policy product on the parent grid and the joint r p on the
+    Forms the policy product at the step-N parents and the joint r p on the
     live entries, takes its output marginal d, prices the expected cost and
     I_L (lower_bound) against the per-parent sums of p, then turns the joint
     in place into the Bayes posterior q(u^N | y^N) = r p / d. Output blocks
     with zero marginal get a uniform slice.
     """
+    space.check_fits(r)
     prod = space.policy_product(r.tables)
-    joint = np.take(prod, space.parent)
+    joint = prod.take(space.parent)
     joint *= space.p_live
     d = np.bincount(space.col, weights=joint, minlength=space.cols)
     gamma = space.expected_cost(space.per_row(prod, space.past_law))
     i_lower = lower_bound(space, lam, prod, d, gamma)
     reachable = d > 0.0
     if reachable.all():
-        joint /= np.take(d, space.col)
+        joint /= d.take(space.col)
     else:
         live = reachable[space.col]
-        np.divide(joint, np.take(d, space.col), out=joint, where=live)
+        np.divide(joint, d.take(space.col), out=joint, where=live)
         joint[~live] = 1.0 / space.rows
     joint.setflags(write=False)
     d.setflags(write=False)
@@ -144,37 +144,33 @@ def update_q(space: TrajectorySpace, lam: float, r: CausalPolicy,
 def _fold(space: TrajectorySpace, leaf: np.ndarray, pick):
     """Backward fold of leaf (live entries, overwritten); (F_0, tables, flags).
 
-    From F_N = leaf, step i = N..1 forms G_i = sum_{y_i} cond_i F_i, lets
-    pick(per_slot(measure_i G_i), i) return the step table r_i and its dead
-    flags, and sets F_{i-1} = sum_{u_i} r_i (G_i - log2 r_i); terms with zero
-    cond or r_i count as 0. The weights p prod_{j>i} r_j factor into step
-    conditionals that each sum to 1, so the slot scores are the slot sums of
-    p prod_{j>i} r_j (leaf - sum_{j>i} log2 r_j). Step N sums the live
-    entries into their parents; the steps below run on dense grids at most
-    1/|Y| of the full one.
+    From F_N = leaf, step i = N..1 forms G_i = sum_{y_i} cond_i F_i at its
+    parents, lets pick(slot sums of measure_i G_i, i) return the step table
+    r_i on the reachable histories and its dead flags, and sets F_{i-1} =
+    sum_{u_i} r_i (G_i - log2 r_i); terms with zero r_i count as 0. The
+    weights p prod_{j>i} r_j factor into step conditionals that each sum to
+    1, so the slot scores are the slot sums of p prod_{j>i} r_j (leaf -
+    sum_{j>i} log2 r_j). Every step runs on the live prefixes only, where
+    cond is positive.
     """
-    n, u, y = space.n, space.u_size, space.y_size
+    n, u = space.n, space.u_size
     tables, flags = [None] * n, [None] * n
+    f = leaf
     with np.errstate(divide="ignore", invalid="ignore"):  # covers pick too
-        leaf *= space.cond_live
-        g = np.bincount(space.parent, weights=leaf, minlength=space.parents)
         for i in range(n, 0, -1):
-            if i < n:
-                c = space.cond[i - 1]
-                f = f.reshape(c.shape)
-                f *= c
-                f[c <= 0.0] = 0.0
-                g = _reduce_last(np.add, f)
-            # axes (u^{i-1}, u_i, y^{i-1}); g is 0 wherever the past law is,
-            # because cond vanishes on dead prefixes
-            g = g.reshape(u ** (i - 1), u, y ** (i - 1))
-            table, flags[i - 1] = pick(
-                space.per_slot(space.measure[i - 1][:, None, :] * g, i), i)
-            r = space.spread(table, i).reshape(g.shape)
-            g -= space.spread(np.log2(table), i).reshape(g.shape)
+            f *= space.cond[i - 1]
+            slot = space.slot[i - 1]
+            g = np.bincount(space.up[i - 1], weights=f,
+                            minlength=slot.size).reshape(u, -1)
+            scores = np.bincount(
+                slot.ravel(), weights=(space.measure[i - 1] * g).ravel(),
+                minlength=len(space.reach[i - 1]) * u).reshape(-1, u)
+            table, flags[i - 1] = pick(scores, i)
+            r = table.take(slot)
+            g -= np.log2(table).take(slot)
             g *= r
             g[r <= 0.0] = 0.0
-            f = g.sum(axis=1)
+            f = g.sum(axis=0)
             tables[i - 1] = table
     return f.item(), tables, flags
 
@@ -202,8 +198,10 @@ def update_r(state: BaaState) -> tuple[CausalPolicy, tuple]:
     feedback-compatible sum of past channel products; that sum is constant
     on a slot, so the slot sums (_fold's scores) are divided by it once.
     Zero-weight terms contribute exactly 0 even when the log argument
-    vanishes. Slices that receive no weight at all become uniform; returns
-    the new policy and, per step, the flags of those slices.
+    vanishes. The update runs on the reachable histories; slices that
+    receive no weight at all become uniform, and so do the rows of the
+    histories that cannot occur. Returns the new policy and, per step, the
+    flags of the reachable slices that received no weight.
     """
     space = state.space
     with np.errstate(divide="ignore"):  # q vanishes where r does: log -inf
@@ -211,37 +209,46 @@ def update_r(state: BaaState) -> tuple[CausalPolicy, tuple]:
     leaf -= space.live_from_rows(state.lam * space.cost_row)
 
     def geometric_mean(scores, i):
-        # a history without past law has denom 0 and scores 0: it turns NaN
-        # here and is flagged dead with the slices whose scores are all -inf
+        # every reachable history has denom > 0; a slice whose scores are
+        # all -inf is flagged dead
         scores /= space.denom[i - 1][:, None]
         mx = _reduce_last(np.maximum, scores)[:, None]
         dead = ~np.isfinite(mx[:, 0])
         table = np.exp2(scores - mx)
         table[dead] = 1.0
         table /= _reduce_last(np.add, table)[:, None]
-        table.setflags(write=False)  # fresh and read-only: the policy keeps it
+        table.setflags(write=False)  # fresh and read-only: a policy may keep it
         dead.setflags(write=False)
         return table, dead
 
     _, tables, flags = _fold(space, leaf, geometric_mean)
+    return _policy(space, tables), tuple(flags)
+
+
+def _policy(space: TrajectorySpace, rows) -> CausalPolicy:
+    """The causal policy with the given per-step reachable rows (uniform
+    slices on the other histories)."""
     return CausalPolicy(block_length=space.n, u_size=space.u_size,
-                        z_size=space.z_size, tables=tuple(tables)), tuple(flags)
+                        z_size=space.z_size,
+                        tables=tuple(space.dense_table(t, i)
+                                     for i, t in enumerate(rows, start=1)))
 
 
-def _over_relax(previous: CausalPolicy, plain: CausalPolicy, relax: float,
-                flagged: tuple) -> CausalPolicy:
+def _over_relax(space: TrajectorySpace, previous: CausalPolicy,
+                plain: CausalPolicy, relax: float, flagged: tuple) -> CausalPolicy:
     """Over-relaxed policy step from previous through its plain update.
 
     Per slice, log r~ = log T + (relax - 1)(log T - log r), normalized, with
     T the plain update of r. Entries where T is 0 stay 0; where r is 0 the
     entry takes T's log. Slices the plain update flagged dead keep its
-    uniform slice. Every step's table has u_size columns, so all steps are
-    handled as one stacked array.
+    uniform slice. Only the reachable rows move; every step's table has
+    u_size columns, so all steps are handled as one stacked array.
     """
-    new = np.concatenate(plain.tables)
+    new = np.concatenate(space.reachable_rows(plain.tables))
     with np.errstate(divide="ignore", invalid="ignore"):
         log_new = np.log2(new)
-        move = log_new - np.log2(np.concatenate(previous.tables))
+        move = log_new - np.log2(np.concatenate(
+            space.reachable_rows(previous.tables)))
     move[~np.isfinite(move)] = 0.0
     log_new += (relax - 1.0) * move
     log_new -= _reduce_last(np.maximum, log_new)[:, None]
@@ -251,17 +258,16 @@ def _over_relax(previous: CausalPolicy, plain: CausalPolicy, relax: float,
     if dead.any():
         table[dead] = new[dead]
     tables, start = [], 0
-    for step in plain.tables:
-        tables.append(table[start:start + step.shape[0]])
-        start += step.shape[0]
-    return CausalPolicy(block_length=plain.block_length, u_size=plain.u_size,
-                        z_size=plain.z_size, tables=tuple(tables))
+    for reach in space.reach:
+        tables.append(table[start:start + len(reach)])
+        start += len(reach)
+    return _policy(space, tables)
 
 
 def lower_bound(space: TrajectorySpace, lam: float, prod: np.ndarray,
                 d: np.ndarray, gamma: float) -> float:
     """Monotone Lagrangian lower iterate of a policy r, given its product
-    prod on the parent grid (policy_product), its output marginal d and its
+    prod at the step-N parents (policy_product), its output marginal d and its
     expected cost gamma
 
     I_L = (1/N) sum r p log2(q / r) - lambda gamma.
@@ -296,7 +302,7 @@ def upper_bound(state: BaaState) -> float:
     """
     space = state.space
     leaf = space.log2_p_live - space.live_from_rows(state.lam * space.cost_row)
-    leaf -= np.take(log2_guarded(state.d), space.col)
+    leaf -= log2_guarded(state.d).take(space.col)
 
     def argmax(scores, i):
         return np.eye(space.u_size)[scores.argmax(axis=1)], None
@@ -406,8 +412,8 @@ def run_baa(space: TrajectorySpace, lam: float,
     rejected = iterations = 0
     for iterations in range(1, max_iters + 1):
         plain, flags = update_r(state)
-        candidate = update_q(space, lam,
-                             _over_relax(state.r, plain, relax, flags), flags)
+        candidate = update_q(
+            space, lam, _over_relax(space, state.r, plain, relax, flags), flags)
         if candidate.i_lower >= state.i_lower:
             state = candidate
             relax = min(RELAX_GROW * relax, RELAX_MAX)

@@ -432,7 +432,7 @@ def gallager_exponent(space: TrajectorySpace, policy: CausalPolicy,
     space.check_fits(policy)
     if rho == 0.0:
         return 0.0
-    scaled = np.take(space.policy_product(policy.tables), space.parent)
+    scaled = space.policy_product(policy.tables).take(space.parent)
     scaled *= np.exp2(space.log2_p_live / (1.0 + rho))
     inner = np.bincount(space.col, weights=scaled, minlength=space.cols)
     total = float(np.sum(inner ** (1.0 + rho)))

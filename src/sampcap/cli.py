@@ -73,11 +73,12 @@ NEAR_CAP = 0.9  # share of max_iters from which report.json flags a point
 # pre-flight memory check: a block length N is charged DENSE_ARRAYS float64
 # arrays of (|X| |A| |Y|)^N entries; configs whose estimate exceeds
 # MAX_DENSE_BYTES are rejected (markovian: N = 6 is charged 1.1 GiB and
-# passes, N = 7 18 GiB). The charge still counts dense entries, though no
-# table is held at that size any more: the build forms the dense channel law
-# once, and the optimizer's arrays hold live entries (p > 0) or sit on the
-# (u^N, y^{N-1}) grid, 1/|Y| of the dense one (markovian N = 6 peaks at
-# about 0.5 GB). Counting live entries instead would admit larger N.
+# passes, N = 7 18 GiB). The limit stays because the build still forms the
+# dense channel law once, but the other eight arrays are an over-count: the
+# optimizer's arrays hold live entries (p > 0), live parents (past law > 0)
+# or reachable history slots, and no policy table is read beyond its
+# reachable rows (markovian N = 6 peaks at about 0.3 GB). Counting those
+# instead would admit larger N.
 DENSE_ARRAYS = 9
 MAX_DENSE_BYTES = 2 ** 31
 

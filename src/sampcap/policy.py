@@ -218,11 +218,19 @@ def build_joint(policy: CausalPolicy, kernel: FscKernel, sys: ActionSystem,
     """
     space = TrajectorySpace(kernel, sys, policy.block_length, s0=s0)
     space.check_fits(policy)
-    n, y = space.n, space.y_size
-    probs = np.ones(space.view)
-    for i in range(1, n + 1):
-        probs *= space.spread(policy.tables[i - 1], i)
-    probs = probs.reshape(space.rows, space.cols)
+    n, y, z = space.n, space.y_size, space.z_size
+    u_dig = TrajectorySpace._digits(space.rows, space.u_size, n)
+    y_dig = TrajectorySpace._digits(space.cols, y, n)
+    # the HistoryIndexer id code(u^{i-1}) Z^{i-1} + code(z^{i-1}) of each
+    # trajectory's step-i history, built digit by digit
+    u_code = np.zeros((space.rows, 1), dtype=np.int64)
+    z_code = np.zeros((space.rows, space.cols), dtype=np.int64)
+    probs = np.ones((space.rows, space.cols))
+    for i in range(n):
+        u_i = u_dig[:, i, None]
+        probs *= policy.tables[i][u_code * z ** i + z_code, u_i]
+        u_code = u_code * space.u_size + u_i
+        z_code = z_code * z + space.z_table[u_i % space.a_size, y_dig[:, i]]
     probs *= space.channel_law()
     return TrajectoryDistribution(
         block_length=n,

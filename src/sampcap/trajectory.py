@@ -2,39 +2,54 @@
 
 A trajectory is a pair (u^N, y^N) with u = (x, a) the joint input/action
 symbol. Rows enumerate u^N and columns enumerate y^N, both in mixed-radix
-order with step 1 most significant, so a [rows, cols] array reshapes for
-free to the view [U]*N + [Y]*N with one axis per step.
+order with step 1 most significant, so a dense [rows, cols] array
+reshapes for free to the view [U]*N + [Y]*N with one axis per step.
 
-No table is held at full [rows, cols] size. The step-N quantities live on
-the live trajectories, those of positive channel law p, in row-major order:
+No table is held at full [rows, cols] size, and none on every history.
+Everything lives on the live prefixes: level k holds the pairs (u^k, y^k)
+of positive past law P(y^k || x^k), in row-major order, and level N holds
+the live trajectories. No step-i factor depends on y_i, so step i works on
+its parents, the pairs (u_i, c) of an input u_i and a level-(i-1) prefix
+c, laid out [U, prefixes] with flat id u_i * len(prefixes) + c; a
+level-i prefix's parent is its u_i with its (u^{i-1}, y^{i-1}) prefix.
+Per step i (index i-1 of each list):
 
-  - p_live, log2_p_live and cond_live: the channel law p(y^N || x^N), its
-    log and the step-N conditional p(y_N | x^N, y^{N-1}) of each entry,
-  - parent: the entry's id on the parent grid (u^N, y^{N-1}), the flat
-    index row * Y^{N-1} + code(y^{N-1}); col: its output column y^N;
-    live_per_row: the number of live entries of each row,
-  - past_law and plogp_sum on the parent grid: the sums over y_N of p
-    (the past law P(y^{N-1} || x^{N-1})) and of p log2 p.
+  - measure: the past law P(y^{i-1} || x^{i-1}) of each level-(i-1) prefix,
+  - up and cond: for each level-i prefix, the id of its step-i parent and
+    the step conditional p(y_i | x^i, y^{i-1}),
+  - reach: the reachable feedback histories (u^{i-1}, z^{i-1}), those with
+    positive past law, by their HistoryIndexer ids, ascending; z_j =
+    f(a_j, y_j). A per-step policy table Q_i(u_i | u^{i-1}, z^{i-1}) is
+    read and written only on these rows (reachable_rows, dense_table),
+  - denom: per reachable history, the past law summed over its prefixes,
+  - slot: per step-i parent, [U, prefixes], the flat slot h * U + u_i of
+    the compact table [len(reach), U] that it reads, h being the rank of
+    the prefix's history in reach,
+  - reach_slots: per compact slot, its flat slot in the dense table
+    [n_hist, U].
 
-Everything per step i lives on the smaller grid it depends on, built once
-per (kernel, actions, N, start state):
+The step-N quantities are named for the live trajectories:
 
-  - measure[i-1] on the (u^{i-1}, y^{i-1}) grid: the past channel law
-    P(y^{i-1} || x^{i-1}) of each cell,
-  - slot[i-1] on the (u^i, y^{i-1}) grid: the flat slot hist * U + u_i of
-    the per-step policy table Q_i(u_i | u^{i-1}, z^{i-1}) that the cell
-    reads, hist being the id of its feedback history, z_j = f(a_j, y_j),
-  - denom[i-1] per history: the past law summed over the output prefixes
-    compatible with that history,
-  - cond[i-1] on the (u^i, y^i) grid for steps i < N: the step conditional
-    p(y_i | x^i, y^{i-1}) from the state-belief forward recursion.
+  - p_live and log2_p_live: the channel law p(y^N || x^N) of each live
+    entry and its log; cond[N-1] holds its step-N conditional,
+  - parent (up[N-1]): the entry's step-N parent, col: its output column
+    y^N; live_per_row: the number of live entries of each row,
+  - past_law (measure[N-1]) and plogp_sum: per step-N parent, the sums
+    over y_N of p and of p log2 p; the first depends on the prefix only,
+  - lineage: for each step i, the dense step-i slot that each step-N parent
+    reads, [U, prefixes] at step N and [prefixes] below (the same for every
+    u_N), so that the policy product reads every factor of a dense policy
+    directly.
 
-spread() reads a per-step table at every trajectory and per_slot() sums
-values into it; every policy gather and scatter goes through these two.
-policy_product() builds the policy product r(u^N || z^{N-1}) on the parent
-grid and expected_cost() the average action cost; nothing else computes
-either. Everything here is plumbing shared by the policy, optimizer and
-bounds modules; the brute-force oracle module deliberately does not use it.
+The build goes level by level from digits. Its one full-size table is the
+dense channel law at level N, dropped before the ids of the live entries
+are derived; each lower level's dense law is at most 1/(|U||Y|) of it.
+policy_product() builds the policy product r(u^N || z^{N-1})
+at the step-N parents, per_row() sums per-parent values over each row
+u^N, and expected_cost() the average action cost; nothing else computes
+any of them. Everything here is plumbing shared by the policy, optimizer
+and bounds modules; the brute-force oracle module deliberately does not
+use it.
 """
 
 from __future__ import annotations
@@ -47,7 +62,8 @@ from .fsc import FscKernel
 
 
 class TrajectorySpace:
-    """Channel law on the live trajectories and per-step history tables."""
+    """Channel law on the live trajectories and per-step tables on the
+    live prefixes and reachable histories."""
 
     def __init__(self, kernel: FscKernel, sys: ActionSystem, n: int,
                  s0: int | None = None):
@@ -68,11 +84,10 @@ class TrajectorySpace:
         self.a_size = sys.encoder_actions.size
         self.u_size = u = self.x_size * self.a_size
         self.y_size = y = kernel.output_size
-        self.z_size = sys.feedback_alphabet.size
+        self.z_size = z = sys.feedback_alphabet.size
         self.rows = u ** n
         self.cols = y ** n
-        self.parents = self.rows * self.cols // y
-        self.view = (u,) * n + (y,) * n
+        self.n_hist = [(u * z) ** (i - 1) for i in range(1, n + 1)]
 
         # u = x * |A| + a
         self.z_table = sys.sampling_table[:, 0, :]  # [a][y] -> z
@@ -81,47 +96,81 @@ class TrajectorySpace:
         self.cost_row = action_cost[a_digits].sum(axis=1)  # [rows]
 
         prefix = self._channel_prefixes()
-        grids = [self._grid(k, prefix[k]) for k in range(n)]
-        self.n_hist = [u ** (i - 1) * self.z_size ** (i - 1) for i in range(1, n + 1)]
-        self.measure = [g[1] for g in grids]
-        self.slot = []
-        self.denom = []
-        self.cond = []
+        self.measure, self.up, self.cond = [], [], []
+        self.reach, self.denom, self.slot = [], [], []
+        self.reach_slots = []
+        # level 0: the empty prefix, of past law 1 and feedback code 0
+        cells = np.zeros(1, dtype=np.int64)
+        law = np.ones(1)
+        z_code = np.zeros(1, dtype=np.int64)
         for i in range(1, n + 1):
-            h, past = grids[i - 1]
-            # stored with singleton axes so a gather broadcasts against the view
-            slot = h[:, None, :] * u + np.arange(u)[:, None]
-            self.slot.append(slot.reshape([u] * i + [1] * (n - i)
-                                          + [y] * (i - 1) + [1] * (n - i + 1)))
-            self.denom.append(np.bincount(h.ravel(), weights=past.ravel(),
-                                          minlength=self.n_hist[i - 1]))
+            # step i's histories, read at the level-(i-1) prefixes
+            u_code = cells // y ** (i - 1)
+            reach, rank = np.unique(u_code * z ** (i - 1) + z_code,
+                                    return_inverse=True)
+            self.measure.append(law)
+            self.reach.append(reach)
+            self.denom.append(np.bincount(rank, weights=law))
+            self.slot.append(rank * u + np.arange(u)[:, None])
+            self.reach_slots.append(reach[:, None] * u + np.arange(u))
+            # level i from its dense law; at i = N the one full-size table
+            dense = self._law(i, prefix[i]).ravel()
+            live = np.flatnonzero(dense)
+            law_next = dense[live]
+            del dense
+            row, col = np.divmod(live, y ** i)
+            del live
+            rank_of = np.zeros((u * y) ** (i - 1), dtype=np.int64)
+            rank_of[cells] = np.arange(len(cells))
+            above = rank_of[(row // u) * y ** (i - 1) + col // y]
+            del rank_of
+            up = row % u * len(cells) + above
+            self.cond.append(law_next / law[above])
             if i < n:
-                # zero where the prefix died
-                num = grids[i][1].reshape(u ** (i - 1), u, y ** (i - 1), y)
-                den = past[:, None, :, None]
-                c = np.zeros_like(num)
-                np.divide(num, den, out=c, where=den > 0.0)
-                self.cond.append(c.reshape([u] * i + [y] * i))
+                z_code = (z_code[above] * z
+                          + self.z_table[row % u % self.a_size, col % y])
+                cells, law = row * y ** i + col, law_next
+                self.up.append(up)
+            del above
 
-        # flat = row * cols + col = parent * Y + y_N: in row-major order the
-        # live entries come grouped by row and by parent (live_from_rows
-        # repeats per-row values over these runs)
-        law = self._law(n, prefix[n]).ravel()
-        flat = np.flatnonzero(law)
-        self.p_live = law[flat]
-        del law  # the one full-size table, dropped before the rest is built
-        ids = np.int32 if max(self.parents, self.cols) <= 2 ** 31 else np.int64
-        self.parent = (flat // y).astype(ids)
-        self.col = (flat % self.cols).astype(ids)
-        self.live_per_row = np.bincount(flat // self.cols, minlength=self.rows)
+        # level N: the live trajectories, grouped by row in row-major order
+        # (live_from_rows repeats per-row values over these runs)
+        fits = max(self.slot[-1].size, self.cols) <= 2 ** 31
+        ids = np.int32 if fits else np.int64
+        self.p_live = law_next
+        self.up.append(up.astype(ids))
+        self.col = col.astype(ids)
+        self.live_per_row = np.bincount(row, minlength=self.rows)
+        del up, row, col
         self.log2_p_live = np.log2(self.p_live)
-        self.past_law = np.broadcast_to(
-            self.measure[n - 1][:, None, :], (u ** (n - 1), u, y ** (n - 1))
-        ).ravel()
-        self.cond_live = self.p_live / self.past_law[self.parent]
-        self.plogp_sum = np.bincount(self.parent,
-                                     weights=self.p_live * self.log2_p_live,
-                                     minlength=self.parents)
+        self.plogp_sum = np.bincount(
+            self.parent, weights=self.p_live * self.log2_p_live,
+            minlength=self.slot[-1].size).reshape(u, -1)
+        # row u^N = (u^{N-1}, u_N) owns the step-N parents (u_N, c) of the
+        # level-(N-1) prefixes c of its u^{N-1}, a nonempty run (the past
+        # law sums to 1 over y^{N-1})
+        per_block = np.bincount(u_code, minlength=u ** (n - 1))
+        self.row_starts = np.concatenate(([0], np.cumsum(per_block)[:-1]))
+        # the dense slot of every step at the step-N parents
+        self.lineage = [None] * n
+        self.lineage[n - 1] = (self.reach[n - 1][rank] * u
+                               + np.arange(u)[:, None])
+        at = np.arange(len(self.past_law))
+        for i in range(n - 1, 0, -1):
+            parents = self.up[i - 1][at]
+            self.lineage[i - 1] = self.reach_slots[i - 1].ravel()[
+                self.slot[i - 1].ravel()[parents]]
+            at = parents % len(self.measure[i - 1])
+
+    @property
+    def parent(self) -> np.ndarray:
+        """Step-N parent id of each live entry (up[N-1])."""
+        return self.up[-1]
+
+    @property
+    def past_law(self) -> np.ndarray:
+        """Past law P(y^{N-1} || x^{N-1}) of each level-(N-1) prefix."""
+        return self.measure[-1]
 
     @staticmethod
     def _digits(count: int, base: int, n: int) -> np.ndarray:
@@ -158,21 +207,6 @@ class TrajectorySpace:
             x_code = x_code * self.x_size + u_dig[:, j] // self.a_size
         return prefix[x_code]
 
-    def _grid(self, k: int, prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """History ids and channel law on the (u^k, y^k) grid, both [U^k, Y^k].
-
-        The id of a cell is code(u^k) * Z^k + code(z^k), the HistoryIndexer
-        encoding of its feedback history.
-        """
-        u_dig = self._digits(self.u_size ** k, self.u_size, k)
-        y_dig = self._digits(self.y_size ** k, self.y_size, k)
-        a_dig = u_dig % self.a_size
-        z_code = np.zeros((len(u_dig), len(y_dig)), dtype=np.int64)
-        for j in range(k):
-            z_code = z_code * self.z_size + self.z_table[a_dig[:, j, None], y_dig[:, j]]
-        hist = np.arange(len(u_dig))[:, None] * self.z_size ** k + z_code
-        return hist, self._law(k, prefix)
-
     def channel_law(self) -> np.ndarray:
         """The dense channel law p(y^N || x^N), [rows, cols], rebuilt per call.
 
@@ -192,35 +226,40 @@ class TrajectorySpace:
                 f"space's alphabets {expected}"
             )
 
-    def spread(self, slices: np.ndarray, i: int) -> np.ndarray:
-        """Step-i table [n_hist, U] read at every trajectory, broadcastable to the view."""
-        return slices.ravel()[self.slot[i - 1]]
+    def reachable_rows(self, tables) -> list[np.ndarray]:
+        """The reachable rows of each step's policy table, [len(reach), U]."""
+        return [t.take(r, axis=0) for t, r in zip(tables, self.reach)]
 
-    def per_slot(self, values: np.ndarray, i: int) -> np.ndarray:
-        """Sums of values over each step-i slot, [n_hist, U].
+    def dense_table(self, rows: np.ndarray, i: int) -> np.ndarray:
+        """A read-only step-i table [n_hist, U] with the given reachable
+        rows and a uniform slice on every other history; rows itself when
+        every history is reachable."""
+        if len(rows) == self.n_hist[i - 1]:
+            return rows
+        table = np.full((self.n_hist[i - 1], self.u_size), 1.0 / self.u_size)
+        table.put(self.reach_slots[i - 1], rows)
+        table.setflags(write=False)
+        return table
 
-        values are laid out on the (u^i, y^{i-1}) grid of slot[i-1].
+    def policy_product(self, tables) -> np.ndarray:
+        """The causal conditioning product r(u^N || z^{N-1}) at the step-N
+        parents, [U, level-(N-1) prefixes], from the dense per-step tables.
+
+        No step-i factor depends on y_N, so live entry k reads it at
+        parent[k]; the factors are multiplied from step N down.
         """
-        return np.bincount(self.slot[i - 1].ravel(), weights=values.ravel(),
-                           minlength=self.n_hist[i - 1] * self.u_size
-                           ).reshape(-1, self.u_size)
-
-    def policy_product(self, tables: tuple[np.ndarray, ...]) -> np.ndarray:
-        """The causal conditioning product r(u^N || z^{N-1}) on the parent grid.
-
-        No step-i factor depends on y_N, so the product is formed on the
-        (u^N, y^{N-1}) grid, flat [parents]; live entry k reads it at
-        parent[k].
-        """
-        prod = self.spread(tables[self.n - 1], self.n)[..., 0]
+        prod = tables[-1].take(self.lineage[-1])
         for i in range(self.n - 1, 0, -1):
-            prod *= self.spread(tables[i - 1], i)[..., 0]
-        return prod.reshape(-1)
+            prod *= tables[i - 1].take(self.lineage[i - 1])
+        return prod
 
     def per_row(self, on_parents: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Sums of on_parents * weights over each row's parents, [rows]."""
-        return np.einsum("ij,ij->i", on_parents.reshape(self.rows, -1),
-                         weights.reshape(self.rows, -1))
+        """Sums of on_parents * weights over each row's step-N parents, [rows].
+
+        Both are laid out [U, level-(N-1) prefixes], or broadcast to it.
+        """
+        return np.add.reduceat(on_parents * weights, self.row_starts,
+                               axis=1).T.ravel()
 
     def live_from_rows(self, values: np.ndarray) -> np.ndarray:
         """A per-row array [rows] read at every live entry."""
@@ -228,10 +267,9 @@ class TrajectorySpace:
 
     def to_dense(self, live: np.ndarray) -> np.ndarray:
         """Live-entry values scattered into a fresh [rows, cols] array, 0 elsewhere."""
-        out = np.zeros(self.rows * self.cols)
-        out[self.parent.astype(np.int64) * self.y_size
-            + self.col % self.y_size] = live
-        return out.reshape(self.rows, self.cols)
+        out = np.zeros((self.rows, self.cols))
+        out[np.repeat(np.arange(self.rows), self.live_per_row), self.col] = live
+        return out
 
     def expected_cost(self, row_mass: np.ndarray) -> float:
         """Per-step average action cost (1/N) E[sum_i Lambda(a_i)] of a joint.

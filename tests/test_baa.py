@@ -108,11 +108,50 @@ def iterated_state(kernel, actions, n, lam, iterations):
 
 
 def linear_policy_product(space, tables):
-    """r(u^N || z^{N-1}) at every trajectory, [rows, cols], factor by factor."""
-    prod = np.ones(space.view)
-    for i, table in enumerate(tables, start=1):
-        prod = prod * space.spread(table, i)
-    return prod.reshape(space.rows, space.cols)
+    """r(u^N || z^{N-1}) at every trajectory, [rows, cols], factor by factor,
+    each read at its HistoryIndexer id."""
+    n, u_size, a_size = space.n, space.u_size, space.a_size
+    indexer = HistoryIndexer(u_size, space.z_size)
+    prod = np.ones((space.rows, space.cols))
+    for row, us in enumerate(product(range(u_size), repeat=n)):
+        for col, ys in enumerate(product(range(space.y_size), repeat=n)):
+            zs = [sample_feedback(space.sys, uj % a_size, 0, yj)
+                  for uj, yj in zip(us, ys)]
+            for i in range(1, n + 1):
+                prod[row, col] *= tables[i - 1][
+                    indexer.encode(us[:i - 1], zs[:i - 1]), us[i - 1]]
+    return prod
+
+
+LAYOUT_CASES = [("markovian", 3), ("bsc", 2), ("random", 2)]
+
+
+def layout_case(request, channel):
+    """(kernel, actions, rng) of a layout test case; the random channel has
+    one state, so a zeroed kernel entry kills its trajectories."""
+    rng = np.random.default_rng(3)
+    if channel == "random":
+        return (make_random_kernel(rng, 1, 2, 3, zero_share=0.3),
+                make_trivial_actions(3), rng)
+    return (request.getfixturevalue(f"{channel}_kernel"),
+            request.getfixturevalue(f"{channel}_actions"), rng)
+
+
+def live_prefixes(kernel, actions, k):
+    """The (u^k, y^k) of positive past law in row-major order, each with its
+    feedback z^k and its law P(y^k || x^k), by literal enumeration."""
+    a_size = actions.encoder_actions.size
+    u_size = kernel.input_size * a_size
+    out = []
+    for us in product(range(u_size), repeat=k):
+        for ys in product(range(kernel.output_size), repeat=k):
+            law = (causal_channel_prob(kernel, [uj // a_size for uj in us], ys)
+                   if k else 1.0)
+            if law > 0.0:
+                zs = tuple(sample_feedback(actions, uj % a_size, 0, yj)
+                           for uj, yj in zip(us, ys))
+                out.append((us, ys, zs, law))
+    return out
 
 
 class TestPolicyProductCache:
@@ -174,25 +213,13 @@ class TestPolicyProductCache:
         fresh_il = weighted_log2_sum(joint, q, r_prod) / n - lam * cost
         assert il == pytest.approx(fresh_il, abs=1e-12)
 
-    @pytest.mark.parametrize("channel,n", [("markovian", 3), ("bsc", 2),
-                                           ("random", 2)])
-    def test_live_joint_matches_the_linear_domain_joint(
-        self, markovian_kernel, markovian_actions, bsc_kernel, bsc_actions,
-        channel, n
-    ):
+    @pytest.mark.parametrize("channel,n", LAYOUT_CASES)
+    def test_live_joint_matches_the_linear_domain_joint(self, request, channel, n):
         # build_joint multiplies the policy and channel factors on the dense grid
-        rng = np.random.default_rng(3)
-        if channel == "markovian":
-            kernel, actions = markovian_kernel, markovian_actions
-        elif channel == "bsc":
-            kernel, actions = bsc_kernel, bsc_actions
-        else:
-            # one state, so a zeroed kernel entry kills its trajectories
-            kernel = make_random_kernel(rng, 1, 2, 3, zero_share=0.3)
-            actions = make_trivial_actions(3)
+        kernel, actions, rng = layout_case(request, channel)
         space = TrajectorySpace(kernel, actions, n)
         policy = make_random_policy(rng, n, space.u_size, space.z_size)
-        live = space.policy_product(policy.tables)[space.parent] * space.p_live
+        live = space.policy_product(policy.tables).take(space.parent) * space.p_live
         reference = build_joint(policy, kernel, actions).probs
         on_live = space.to_dense(np.ones_like(live)) > 0.0
         # the live entries are exactly those of positive channel law
@@ -204,51 +231,94 @@ class TestPolicyProductCache:
                                  else on_live.sum()) < on_live.size
         assert np.all(reference[~on_live] == 0.0)
         np.testing.assert_allclose(reference[on_live], live, rtol=0.0, atol=1e-14)
+        # per_row sums the product against the past law into the row masses
+        np.testing.assert_allclose(
+            space.per_row(space.policy_product(policy.tables), space.past_law),
+            reference.sum(axis=1), rtol=0.0, atol=1e-14)
 
 
 class TestTrajectoryLayout:
-    def test_step_tables_follow_the_feedback_histories(self, markovian_kernel,
-                                                       markovian_actions):
-        n = 3
-        space = TrajectorySpace(markovian_kernel, markovian_actions, n)
-        u_size, y_size, a_size = space.u_size, space.y_size, space.a_size
-        joint = build_joint(CausalPolicy.uniform(n, u_size, space.z_size),
-                            markovian_kernel, markovian_actions)
+    def test_step_tables_follow_the_feedback_histories(self, request):
+        for channel, n in LAYOUT_CASES:
+            self.check_step_tables(*layout_case(request, channel)[:2], n)
+
+    @staticmethod
+    def check_step_tables(kernel, actions, n):
+        space = TrajectorySpace(kernel, actions, n)
+        u_size = space.u_size
         indexer = HistoryIndexer(u_size, space.z_size)
-        rng = np.random.default_rng(0)
+        tables = make_random_policy(np.random.default_rng(0), n, u_size,
+                                    space.z_size).tables
+        level = live_prefixes(kernel, actions, 0)
         for i in range(1, n + 1):
-            # spread reads table[(u^{i-1}, z^{i-1}), u_i] at every trajectory
-            table = rng.random((space.n_hist[i - 1], u_size))
-            read = np.broadcast_to(space.spread(table, i), space.view)
-            read = read.reshape(space.rows, space.cols)
-            for row in range(space.rows):
-                u = joint.u_digits[row]
-                for col in range(space.cols):
-                    h = indexer.encode(u[:i - 1], joint.z_digits[row, col, :i - 1])
-                    assert read[row, col] == table[h, u[i - 1]]
-            # denom sums the past law over the cells of each history;
-            # per_slot sums (u^i, y^{i-1}) values over each (history, u_i)
-            values = rng.random((u_size ** i, y_size ** (i - 1)))
+            # the level-(i-1) prefixes, their past law and their histories
+            np.testing.assert_allclose(space.measure[i - 1],
+                                       [law for *_, law in level],
+                                       rtol=0.0, atol=1e-14)
+            ids = [indexer.encode(us, zs) for us, _, zs, _ in level]
+            np.testing.assert_array_equal(space.reach[i - 1], sorted(set(ids)))
+            slot = space.slot[i - 1]
+            np.testing.assert_array_equal(slot, slot[0] + np.arange(u_size)[:, None])
+            np.testing.assert_array_equal(space.reach[i - 1][slot[0] // u_size], ids)
+            # denom sums the past law over the prefixes of each history
             laws = defaultdict(list)
-            slot_sums = np.zeros_like(table)
-            for u_hist in product(range(u_size), repeat=i - 1):
-                for y_code, y_hist in enumerate(product(range(y_size), repeat=i - 1)):
-                    z_hist = [sample_feedback(markovian_actions, uj % a_size, 0, yj)
-                              for uj, yj in zip(u_hist, y_hist)]
-                    h = indexer.encode(u_hist, z_hist)
-                    x_hist = [uj // a_size for uj in u_hist]
-                    laws[h].append(causal_channel_prob(markovian_kernel, x_hist, y_hist)
-                                   if i > 1 else 1.0)
-                    for ui in range(u_size):
-                        u_code = np.ravel_multi_index(u_hist + (ui,), [u_size] * i)
-                        slot_sums[h, ui] += values[u_code, y_code]
-            expected = np.zeros(space.n_hist[i - 1])
-            for h, terms in laws.items():
-                expected[h] = math.fsum(terms)
-            np.testing.assert_allclose(space.denom[i - 1], expected, rtol=0.0,
-                                       atol=1e-14)
-            np.testing.assert_allclose(space.per_slot(values, i), slot_sums,
-                                       rtol=0.0, atol=1e-12)
+            for h, (*_, law) in zip(ids, level):
+                laws[h].append(law)
+            np.testing.assert_allclose(
+                space.denom[i - 1], [math.fsum(laws[h]) for h in space.reach[i - 1]],
+                rtol=0.0, atol=1e-14)
+            # slot reads the reachable rows at (history, u_i)
+            rows = space.reachable_rows(tables)[i - 1].ravel()
+            for k, h in enumerate(ids):
+                np.testing.assert_array_equal(rows[slot[:, k]], tables[i - 1][h])
+            # each level-i prefix's step-i parent and step conditional
+            nxt = live_prefixes(kernel, actions, i)
+            rank = {(us, ys): k for k, (us, ys, _, _) in enumerate(level)}
+            past = {(us, ys): law for us, ys, _, law in level}
+            np.testing.assert_array_equal(
+                space.up[i - 1],
+                [us[-1] * len(level) + rank[us[:-1], ys[:-1]]
+                 for us, ys, _, _ in nxt])
+            np.testing.assert_allclose(
+                space.cond[i - 1],
+                [law / past[us[:-1], ys[:-1]] for us, ys, _, law in nxt],
+                rtol=0.0, atol=1e-14)
+            if i < n:
+                level = nxt
+        # the live entries are the level-N prefixes
+        codes = [np.ravel_multi_index(ys, [space.y_size] * n) for _, ys, _, _ in nxt]
+        np.testing.assert_array_equal(space.col, codes)
+        np.testing.assert_allclose(space.p_live, [law for *_, law in nxt],
+                                   rtol=0.0, atol=1e-14)
+        # the policy product at the step-N parents (u_N, level-(N-1) prefix)
+        dense = linear_policy_product(space, tables)
+        prod = space.policy_product(tables)
+        for k, (us, ys, _, _) in enumerate(level):
+            for u_n in range(u_size):
+                row = np.ravel_multi_index(us + (u_n,), [u_size] * n)
+                col = np.ravel_multi_index(ys + (0,), [space.y_size] * n)
+                assert prod[u_n, k] == pytest.approx(dense[row, col], rel=0.0,
+                                                     abs=1e-14)
+
+    def test_reachable_histories_on_markovian(self, markovian_kernel,
+                                              markovian_actions):
+        space = TrajectorySpace(markovian_kernel, markovian_actions, 4)
+        assert space.n_hist == [1, 12, 144, 1728]
+        assert [len(r) for r in space.reach] == [1, 6, 36, 216]
+        # the live parents: 4 * 12^3, 42% of the 4^4 * 4^3 (u^4, y^3)
+        assert space.plogp_sum.shape == space.lineage[-1].shape == (4, 12 ** 3)
+
+    @pytest.mark.parametrize("channel,n", LAYOUT_CASES)
+    def test_unreachable_rows_of_an_update_are_uniform(self, request, channel, n):
+        kernel, actions, _ = layout_case(request, channel)
+        state = iterated_state(kernel, actions, n, 0.3, 2)
+        policy, flags = update_r(state)
+        space = state.space
+        for table, reach, flag in zip(policy.tables, space.reach, flags):
+            unreachable = np.ones(len(table), dtype=bool)
+            unreachable[reach] = False
+            assert np.all(table[unreachable] == 1.0 / space.u_size)
+            assert flag.shape == reach.shape
 
     def test_tables_fit_in_four_dense_arrays(self, markovian_kernel,
                                                  markovian_actions):
@@ -256,15 +326,19 @@ class TestTrajectoryLayout:
         arrays = []
         for value in vars(space).values():
             arrays.extend(value if isinstance(value, list) else [value])
-        total = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+        arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+        total = sum(a.nbytes for a in arrays)
         assert total <= 4 * space.rows * space.cols * 8
         # no float table has the full [rows, cols] size: the step-N tables
         # hold the 12^4 live trajectories of the 16^4, indexed by int32 ids
-        floats = [a for a in arrays if isinstance(a, np.ndarray)
-                  and a.dtype.kind == "f"]
+        floats = [a for a in arrays if a.dtype.kind == "f"]
         assert all(a.size < space.rows * space.cols for a in floats)
         assert space.p_live.size == 12 ** 4
         assert space.parent.dtype == space.col.dtype == np.int32
+        # everything else is smaller than the (u^4, y^3) parent grid
+        parent_grid = space.rows * space.cols // space.y_size
+        assert all(a.size < parent_grid for a in arrays
+                   if a.size != space.p_live.size)
 
 
 def feedback_actions(z_of_y, cost):
@@ -420,6 +494,15 @@ class TestRunBaa:
         assert point.converged
         assert point.gamma == 0.0
         assert point.i_upper == pytest.approx(0.188722, abs=1e-5)
+
+    def test_dead_slices_count_only_reachable_histories(self, markovian_kernel,
+                                                        markovian_actions):
+        # markovian N=4 has 1 + 6 + 36 + 216 reachable histories of the
+        # 1 + 12 + 144 + 1728; the other slices cannot occur and are not dead
+        space = TrajectorySpace(markovian_kernel, markovian_actions, 4)
+        point = run_baa(space, 10.0)
+        assert point.converged
+        assert point.dead_slices <= sum(len(r) for r in space.reach) == 259
 
 
 def sampling_actions(y_size):
@@ -654,6 +737,19 @@ class TestContinuation:
             BaaState.initial(space, 0.1, start=policy)
         with pytest.raises(ValueError, match=expected):
             run_baa(space, 0.1, start=policy)
+
+    @pytest.mark.parametrize("shape", [(3, 4, 3), (2, 4, 4)],
+                             ids=["block-length", "z-larger"])
+    def test_update_q_rejects_a_policy_that_does_not_fit_the_space(
+        self, markovian_kernel, markovian_actions, shape
+    ):
+        # both policies index within the N=2 tables, so without the check
+        # they would yield an iterate with a finite lower bound
+        space = TrajectorySpace(markovian_kernel, markovian_actions, 2)
+        expected = re.escape(f"{shape} does not fit the space's alphabets "
+                             "(2, 4, 3)")
+        with pytest.raises(ValueError, match=expected):
+            update_q(space, 0.1, CausalPolicy.uniform(*shape))
 
     @settings(max_examples=8)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2),

@@ -11,7 +11,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sampcap import (
@@ -31,6 +31,7 @@ from sampcap import (
     update_q,
     update_r,
 )
+import sampcap.oracle
 from sampcap.baa import BaaState
 from sampcap.oracle import _literal_channel_prob
 from sampcap.trajectory import TrajectorySpace
@@ -195,11 +196,24 @@ class TestLiteralPolicyUpdate:
         for lit_table, main_table in zip(literal.tables, main.tables):
             assert np.max(np.abs(lit_table - main_table)) <= 1e-10
 
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2),
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
            lam=st.sampled_from([0.0, 0.1, 1.0]))
+    # two n = 3 channels whose step-2 and step-3 tables have unreachable
+    # rows: 3 of 4 and 9 of 16, 10 of 12 and 99 of 144 rows are reachable
+    @example(seed=11, n=3, lam=0.1)
+    @example(seed=1, n=3, lam=0.1)
     def test_matches_on_sparse_kernels(self, seed, n, lam):
         # about half the kernel entries are zero, and the sampling table and
-        # costs are random, so dead prefixes and zero posteriors occur
+        # costs are random, so dead prefixes and zero posteriors occur; from
+        # n = 3 on, the lower steps hold histories that cannot occur. The
+        # literal update's block-length cap bounds oracle-check's runs; these
+        # alphabets keep n = 3 at desk scale.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sampcap.oracle, "R_UPDATE_BLOCK_CAP", 3)
+            self.check_sparse_kernel(seed, n, lam)
+
+    @staticmethod
+    def check_sparse_kernel(seed, n, lam):
         rng = np.random.default_rng(seed)
         y_size = int(rng.integers(2, 5))
         kernel = make_random_kernel(rng, int(rng.integers(1, 3)),
