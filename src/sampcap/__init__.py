@@ -15,7 +15,6 @@ from .baa import (
     BaaState,
     TradeoffCurve,
     TradeoffPoint,
-    bisect_lambda_for_cost,
     default_lambda_grid,
     lower_bound,
     run_baa,
@@ -27,7 +26,6 @@ from .baa import (
 )
 from .bounds import (
     SingleLetterProblem,
-    f_n_policy_grid,
     gallager_exponent,
     single_letter_bounds,
     single_letter_curve,
@@ -79,13 +77,11 @@ __all__ = [
     "TrajectoryDistribution",
     "TrajectorySpace",
     "binary_entropy",
-    "bisect_lambda_for_cost",
     "build_joint",
     "causal_channel_prob",
     "conditional_directed_information",
     "default_lambda_grid",
     "directed_information",
-    "f_n_policy_grid",
     "gallager_exponent",
     "grid_capacity",
     "grid_search_space",

@@ -64,6 +64,8 @@ def default_lambda_grid() -> np.ndarray:
 class BaaState:
     """One iterate of the alternating map: a policy r and what it determines.
 
+    The policy is held as rows, its reachable rows per step (one
+    [len(space.reach[i]), U] array each, see TrajectorySpace.reachable_rows).
     update_q builds every iterate (initial goes through it), so q is always
     r's Bayes posterior r p / d, with d the output marginal sum_u r p, and
     i_lower and gamma are r's Lagrangian lower iterate and per-step expected
@@ -75,7 +77,7 @@ class BaaState:
 
     space: TrajectorySpace
     lam: float
-    r: CausalPolicy
+    rows: tuple
     q_live: np.ndarray
     d: np.ndarray
     i_lower: float
@@ -89,7 +91,14 @@ class BaaState:
         which is shared, never modified."""
         if start is None:
             start = CausalPolicy.uniform(space.n, space.u_size, space.z_size)
-        return update_q(space, lam, start)
+        return update_q(space, lam, space.reachable_rows(start))
+
+    @property
+    def r(self) -> CausalPolicy:
+        """r as a dense CausalPolicy, built anew on each access, with a
+        uniform slice on the histories that cannot occur. The optimizer
+        reads rows and never builds it."""
+        return CausalPolicy.from_rows(self.space, self.rows)
 
     @property
     def dead_slices(self) -> int:
@@ -111,18 +120,24 @@ class BaaState:
         return q
 
 
-def update_q(space: TrajectorySpace, lam: float, r: CausalPolicy,
+def update_q(space: TrajectorySpace, lam: float, rows,
              flagged: tuple = ()) -> BaaState:
-    """The iterate of policy r, flagged being the dead slices of its update.
+    """The iterate of the policy r with the given reachable rows, flagged
+    being the dead slices of its update.
 
     Forms the policy product at the step-N parents and the joint r p on the
     live entries, takes its output marginal d, prices the expected cost and
     I_L (lower_bound) against the per-parent sums of p, then turns the joint
     in place into the Bayes posterior q(u^N | y^N) = r p / d. Output blocks
-    with zero marginal get a uniform slice.
+    with zero marginal get a uniform slice. Raises ValueError unless rows
+    has the space's per-step shapes.
     """
-    space.check_fits(r)
-    prod = space.policy_product(r.tables)
+    got = tuple(np.shape(t) for t in rows)
+    expected = tuple((len(reach), space.u_size) for reach in space.reach)
+    if got != expected:
+        raise ValueError(f"policy rows of shapes {got} do not fit the "
+                         f"space's reachable rows {expected}")
+    prod = space.policy_product(rows)
     joint = prod.take(space.parent)
     joint *= space.p_live
     d = np.bincount(space.col, weights=joint, minlength=space.cols)
@@ -137,8 +152,8 @@ def update_q(space: TrajectorySpace, lam: float, r: CausalPolicy,
         joint[~live] = 1.0 / space.rows
     joint.setflags(write=False)
     d.setflags(write=False)
-    return BaaState(space=space, lam=lam, r=r, q_live=joint, d=d,
-                    i_lower=i_lower, gamma=gamma, r_flagged=flagged)
+    return BaaState(space=space, lam=lam, rows=tuple(rows), q_live=joint,
+                    d=d, i_lower=i_lower, gamma=gamma, r_flagged=flagged)
 
 
 def _fold(space: TrajectorySpace, leaf: np.ndarray, pick):
@@ -185,7 +200,7 @@ def _reduce_last(op, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def update_r(state: BaaState) -> tuple[CausalPolicy, tuple]:
+def update_r(state: BaaState) -> tuple[tuple, tuple]:
     """Backward policy update (steps N down to 1) for the iterate's q.
 
     Step i uses the factors already updated at steps j > i. The new factor is
@@ -199,9 +214,9 @@ def update_r(state: BaaState) -> tuple[CausalPolicy, tuple]:
     on a slot, so the slot sums (_fold's scores) are divided by it once.
     Zero-weight terms contribute exactly 0 even when the log argument
     vanishes. The update runs on the reachable histories; slices that
-    receive no weight at all become uniform, and so do the rows of the
-    histories that cannot occur. Returns the new policy and, per step, the
-    flags of the reachable slices that received no weight.
+    receive no weight at all become uniform. Returns the new policy's
+    reachable rows and, per step, the flags of the reachable slices that
+    received no weight.
     """
     space = state.space
     with np.errstate(divide="ignore"):  # q vanishes where r does: log -inf
@@ -217,38 +232,29 @@ def update_r(state: BaaState) -> tuple[CausalPolicy, tuple]:
         table = np.exp2(scores - mx)
         table[dead] = 1.0
         table /= _reduce_last(np.add, table)[:, None]
-        table.setflags(write=False)  # fresh and read-only: a policy may keep it
+        table.setflags(write=False)  # fresh and read-only: an iterate keeps it
         dead.setflags(write=False)
         return table, dead
 
     _, tables, flags = _fold(space, leaf, geometric_mean)
-    return _policy(space, tables), tuple(flags)
+    return tuple(tables), tuple(flags)
 
 
-def _policy(space: TrajectorySpace, rows) -> CausalPolicy:
-    """The causal policy with the given per-step reachable rows (uniform
-    slices on the other histories)."""
-    return CausalPolicy(block_length=space.n, u_size=space.u_size,
-                        z_size=space.z_size,
-                        tables=tuple(space.dense_table(t, i)
-                                     for i, t in enumerate(rows, start=1)))
-
-
-def _over_relax(space: TrajectorySpace, previous: CausalPolicy,
-                plain: CausalPolicy, relax: float, flagged: tuple) -> CausalPolicy:
-    """Over-relaxed policy step from previous through its plain update.
+def _over_relax(previous: tuple, plain: tuple, relax: float,
+                flagged: tuple) -> tuple:
+    """Over-relaxed policy step from the reachable rows previous through
+    their plain update plain.
 
     Per slice, log r~ = log T + (relax - 1)(log T - log r), normalized, with
     T the plain update of r. Entries where T is 0 stay 0; where r is 0 the
     entry takes T's log. Slices the plain update flagged dead keep its
-    uniform slice. Only the reachable rows move; every step's table has
-    u_size columns, so all steps are handled as one stacked array.
+    uniform slice. Every step's rows have u_size columns, so all steps are
+    handled as one stacked array.
     """
-    new = np.concatenate(space.reachable_rows(plain.tables))
+    new = np.concatenate(plain)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_new = np.log2(new)
-        move = log_new - np.log2(np.concatenate(
-            space.reachable_rows(previous.tables)))
+        move = log_new - np.log2(np.concatenate(previous))
     move[~np.isfinite(move)] = 0.0
     log_new += (relax - 1.0) * move
     log_new -= _reduce_last(np.maximum, log_new)[:, None]
@@ -257,11 +263,8 @@ def _over_relax(space: TrajectorySpace, previous: CausalPolicy,
     dead = np.concatenate(flagged)
     if dead.any():
         table[dead] = new[dead]
-    tables, start = [], 0
-    for reach in space.reach:
-        tables.append(table[start:start + len(reach)])
-        start += len(reach)
-    return _policy(space, tables)
+    table.setflags(write=False)
+    return tuple(np.split(table, np.cumsum([len(t) for t in plain])[:-1]))
 
 
 def lower_bound(space: TrajectorySpace, lam: float, prod: np.ndarray,
@@ -413,7 +416,7 @@ def run_baa(space: TrajectorySpace, lam: float,
     for iterations in range(1, max_iters + 1):
         plain, flags = update_r(state)
         candidate = update_q(
-            space, lam, _over_relax(space, state.r, plain, relax, flags), flags)
+            space, lam, _over_relax(state.rows, plain, relax, flags), flags)
         if candidate.i_lower >= state.i_lower:
             state = candidate
             relax = min(RELAX_GROW * relax, RELAX_MAX)
@@ -504,50 +507,3 @@ def sandwich_bounds(curve: TradeoffCurve) -> np.ndarray:
     above = curve.gammas >= shift - 1e-12
     lower[above] = _tangent_envelope(curve.points, curve.gammas[above] - shift)[0]
     return lower
-
-
-def bisect_lambda_for_cost(space: TrajectorySpace, gamma_target: float,
-                           lam_lo: float = 0.0, lam_hi: float = 10.0,
-                           cost_tol: float = 1e-3,
-                           eps: float = DEFAULT_EPSILON,
-                           max_iters: int = DEFAULT_MAX_ITERS,
-                           max_steps: int = 60) -> TradeoffPoint:
-    """Bisect on lambda until the measured cost hits a target within cost_tol.
-
-    Uses the monotone nonincreasing dependence of the measured cost on
-    lambda. Every probe runs on the given space. Only converged probes are
-    trusted: the first probe that stops at max_iters ends the search, and
-    the closest converged probe is returned (the failed probe itself if it
-    is the first). Returns the closest converged point found if
-    the bracket cannot reach the target.
-    """
-    best: Optional[TradeoffPoint] = None
-
-    def probe(lam: float) -> TradeoffPoint:
-        nonlocal best
-        point = run_baa(space, lam, eps=eps, max_iters=max_iters)
-        if point.converged and (best is None or abs(point.gamma - gamma_target)
-                                < abs(best.gamma - gamma_target)):
-            best = point
-        return point
-
-    lo_point = probe(lam_lo)
-    if not lo_point.converged or lo_point.gamma <= gamma_target + cost_tol:
-        return lo_point
-    hi_point = probe(lam_hi)
-    if not hi_point.converged:
-        return best
-    if hi_point.gamma >= gamma_target - cost_tol:
-        return hi_point  # on target, or even the strongest penalty spends above it
-    for _ in range(max_steps):
-        mid = 0.5 * (lam_lo + lam_hi)
-        point = probe(mid)
-        if not point.converged:
-            return best
-        if abs(point.gamma - gamma_target) <= cost_tol:
-            return point
-        if point.gamma > gamma_target:
-            lam_lo = mid
-        else:
-            lam_hi = mid
-    return best

@@ -35,8 +35,6 @@ from typing import Sequence
 import numpy as np
 
 from ._num import freeze, project_to_simplex
-from .actions import ActionSystem
-from .fsc import FscKernel
 from .policy import CausalPolicy
 from .trajectory import TrajectorySpace
 
@@ -429,28 +427,11 @@ def gallager_exponent(space: TrajectorySpace, policy: CausalPolicy,
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
-    space.check_fits(policy)
+    rows = space.reachable_rows(policy)
     if rho == 0.0:
         return 0.0
-    scaled = space.policy_product(policy.tables).take(space.parent)
+    scaled = space.policy_product(rows).take(space.parent)
     scaled *= np.exp2(space.log2_p_live / (1.0 + rho))
     inner = np.bincount(space.col, weights=scaled, minlength=space.cols)
     total = float(np.sum(inner ** (1.0 + rho)))
     return -math.log2(total) / space.n
-
-
-def f_n_policy_grid(kernel: FscKernel, sys: ActionSystem, n: int, rho: float,
-                    policies: Sequence[CausalPolicy]) -> float:
-    """Grid approximation of the max-min exponent over supplied policies only.
-
-    Evaluates min over start states of the exponent for each candidate policy
-    and returns the best, shifted by -rho log2|S| / N. This is not a global
-    optimizer; it bounds the max-min from below on the supplied set.
-    """
-    if not policies:
-        raise ValueError("need at least one candidate policy")
-    s_size = kernel.state_size
-    spaces = [TrajectorySpace(kernel, sys, n, s0=s0) for s0 in range(s_size)]
-    best = max(min(gallager_exponent(space, policy, rho) for space in spaces)
-               for policy in policies)
-    return best - rho * math.log2(s_size) / n

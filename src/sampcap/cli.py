@@ -685,7 +685,7 @@ def _oracle_reports(config: ExperimentConfig) -> tuple[list, list]:
                     "skipped": str(exc),
                 })
                 continue
-            main_policy, _ = update_r(state)
+            main_policy = CausalPolicy.from_rows(space, update_r(state)[0])
             lit_flat = np.concatenate([t.ravel() for t in literal.tables])
             main_flat = np.concatenate([t.ravel() for t in main_policy.tables])
             worst = int(np.argmax(np.abs(lit_flat - main_flat)))

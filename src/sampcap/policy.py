@@ -80,6 +80,10 @@ class CausalPolicy:
 
     tables[i-1] has shape (n_histories(i), u_size); every slice sums to 1
     within 1e-12, including slices for histories that are never reached.
+    This is the public form of a policy, in which it enters and leaves a
+    solve: the optimizer holds only the rows of the reachable histories
+    (TrajectorySpace.reachable_rows takes them out, from_rows puts them
+    back), and build_joint and the oracles read the dense tables.
     """
 
     block_length: int
@@ -125,6 +129,21 @@ class CausalPolicy:
         ]
         return cls(block_length=block_length, u_size=u_size, z_size=z_size,
                    tables=tuple(tables))
+
+    @classmethod
+    def from_rows(cls, space: TrajectorySpace, rows) -> "CausalPolicy":
+        """The policy with the given reachable rows per step (as
+        space.reachable_rows returns them) and a uniform slice on every
+        other history."""
+        tables = []
+        for reach, step_rows, n_hist in zip(space.reach, rows, space.n_hist):
+            table = step_rows
+            if len(reach) < n_hist:
+                table = np.full((n_hist, space.u_size), 1.0 / space.u_size)
+                table[reach] = step_rows
+            tables.append(table)
+        return cls(block_length=space.n, u_size=space.u_size,
+                   z_size=space.z_size, tables=tuple(tables))
 
 
 @dataclass(frozen=True)

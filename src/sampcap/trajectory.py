@@ -19,14 +19,13 @@ Per step i (index i-1 of each list):
     the step conditional p(y_i | x^i, y^{i-1}),
   - reach: the reachable feedback histories (u^{i-1}, z^{i-1}), those with
     positive past law, by their HistoryIndexer ids, ascending; z_j =
-    f(a_j, y_j). A per-step policy table Q_i(u_i | u^{i-1}, z^{i-1}) is
-    read and written only on these rows (reachable_rows, dense_table),
+    f(a_j, y_j). The optimizer holds a policy as its reachable rows, one
+    [len(reach), U] array per step; reachable_rows takes them out of a
+    CausalPolicy and CausalPolicy.from_rows puts them back,
   - denom: per reachable history, the past law summed over its prefixes,
   - slot: per step-i parent, [U, prefixes], the flat slot h * U + u_i of
-    the compact table [len(reach), U] that it reads, h being the rank of
-    the prefix's history in reach,
-  - reach_slots: per compact slot, its flat slot in the dense table
-    [n_hist, U].
+    the step's reachable rows that it reads, h being the rank of the
+    prefix's history in reach.
 
 The step-N quantities are named for the live trajectories:
 
@@ -36,10 +35,10 @@ The step-N quantities are named for the live trajectories:
     y^N; live_per_row: the number of live entries of each row,
   - past_law (measure[N-1]) and plogp_sum: per step-N parent, the sums
     over y_N of p and of p log2 p; the first depends on the prefix only,
-  - lineage: for each step i, the dense step-i slot that each step-N parent
-    reads, [U, prefixes] at step N and [prefixes] below (the same for every
-    u_N), so that the policy product reads every factor of a dense policy
-    directly.
+  - lineage: for each step i, the step-i slot of the reachable rows that
+    each step-N parent reads, [U, prefixes] at step N (slot[N-1] itself)
+    and [prefixes] below (the same for every u_N), so that the policy
+    product reads every factor directly.
 
 The build goes level by level from digits. Its one full-size table is the
 dense channel law at level N, dropped before the ids of the live entries
@@ -98,7 +97,6 @@ class TrajectorySpace:
         prefix = self._channel_prefixes()
         self.measure, self.up, self.cond = [], [], []
         self.reach, self.denom, self.slot = [], [], []
-        self.reach_slots = []
         # level 0: the empty prefix, of past law 1 and feedback code 0
         cells = np.zeros(1, dtype=np.int64)
         law = np.ones(1)
@@ -112,7 +110,6 @@ class TrajectorySpace:
             self.reach.append(reach)
             self.denom.append(np.bincount(rank, weights=law))
             self.slot.append(rank * u + np.arange(u)[:, None])
-            self.reach_slots.append(reach[:, None] * u + np.arange(u))
             # level i from its dense law; at i = N the one full-size table
             dense = self._law(i, prefix[i]).ravel()
             live = np.flatnonzero(dense)
@@ -151,15 +148,13 @@ class TrajectorySpace:
         # law sums to 1 over y^{N-1})
         per_block = np.bincount(u_code, minlength=u ** (n - 1))
         self.row_starts = np.concatenate(([0], np.cumsum(per_block)[:-1]))
-        # the dense slot of every step at the step-N parents
+        # the slot of every step at the step-N parents
         self.lineage = [None] * n
-        self.lineage[n - 1] = (self.reach[n - 1][rank] * u
-                               + np.arange(u)[:, None])
+        self.lineage[n - 1] = self.slot[n - 1]
         at = np.arange(len(self.past_law))
         for i in range(n - 1, 0, -1):
             parents = self.up[i - 1][at]
-            self.lineage[i - 1] = self.reach_slots[i - 1].ravel()[
-                self.slot[i - 1].ravel()[parents]]
+            self.lineage[i - 1] = self.slot[i - 1].ravel()[parents]
             at = parents % len(self.measure[i - 1])
 
     @property
@@ -226,31 +221,25 @@ class TrajectorySpace:
                 f"space's alphabets {expected}"
             )
 
-    def reachable_rows(self, tables) -> list[np.ndarray]:
-        """The reachable rows of each step's policy table, [len(reach), U]."""
-        return [t.take(r, axis=0) for t, r in zip(tables, self.reach)]
+    def reachable_rows(self, policy) -> tuple[np.ndarray, ...]:
+        """The reachable rows of each step's table of a causal policy that
+        fits the space, [len(reach), U]: how a policy enters the optimizer."""
+        self.check_fits(policy)
+        rows = tuple(t.take(r, axis=0) for t, r in zip(policy.tables, self.reach))
+        for t in rows:
+            t.setflags(write=False)
+        return rows
 
-    def dense_table(self, rows: np.ndarray, i: int) -> np.ndarray:
-        """A read-only step-i table [n_hist, U] with the given reachable
-        rows and a uniform slice on every other history; rows itself when
-        every history is reachable."""
-        if len(rows) == self.n_hist[i - 1]:
-            return rows
-        table = np.full((self.n_hist[i - 1], self.u_size), 1.0 / self.u_size)
-        table.put(self.reach_slots[i - 1], rows)
-        table.setflags(write=False)
-        return table
-
-    def policy_product(self, tables) -> np.ndarray:
+    def policy_product(self, rows) -> np.ndarray:
         """The causal conditioning product r(u^N || z^{N-1}) at the step-N
-        parents, [U, level-(N-1) prefixes], from the dense per-step tables.
+        parents, [U, level-(N-1) prefixes], from the per-step reachable rows.
 
         No step-i factor depends on y_N, so live entry k reads it at
         parent[k]; the factors are multiplied from step N down.
         """
-        prod = tables[-1].take(self.lineage[-1])
+        prod = rows[-1].take(self.lineage[-1])
         for i in range(self.n - 1, 0, -1):
-            prod *= tables[i - 1].take(self.lineage[i - 1])
+            prod *= rows[i - 1].take(self.lineage[i - 1])
         return prod
 
     def per_row(self, on_parents: np.ndarray, weights: np.ndarray) -> np.ndarray:

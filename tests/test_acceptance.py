@@ -109,7 +109,7 @@ def test_5_brute_force_references_agree(bsc_kernel, bsc_actions, markovian_kerne
         for n in (1, 2):
             state = BaaState.initial(TrajectorySpace(kernel, sys_, n), 0.5)
             literal = literal_r_update(state)
-            main, _ = update_r(state)
+            main = CausalPolicy.from_rows(state.space, update_r(state)[0])
             for lit, opt in zip(literal.tables, main.tables):
                 assert np.max(np.abs(lit - opt)) <= 1e-10
 

@@ -20,7 +20,6 @@ from sampcap import (
     HistoryIndexer,
     TradeoffCurve,
     TradeoffPoint,
-    bisect_lambda_for_cost,
     build_joint,
     causal_channel_prob,
     default_lambda_grid,
@@ -68,7 +67,7 @@ class TestUpdates:
         kernel = z_channel_kernel()
         state = BaaState.initial(TrajectorySpace(kernel, make_trivial_actions(2), 1),
                                  0.0)
-        updated, _ = update_r(state)
+        updated = CausalPolicy.from_rows(state.space, update_r(state)[0])
         p = kernel.kernel[0, :, :, 0]
         q = p / p.sum(axis=0, keepdims=True)
         with np.errstate(divide="ignore"):
@@ -179,15 +178,15 @@ class TestPolicyProductCache:
         assert il == pytest.approx(fresh_il, abs=1e-12)
         # an equal policy under a new identity gives the same iterate
         r = state.r
-        again = update_q(space, lam, CausalPolicy(
-            block_length=n, u_size=r.u_size, z_size=r.z_size, tables=r.tables))
+        again = update_q(space, lam, space.reachable_rows(CausalPolicy(
+            block_length=n, u_size=r.u_size, z_size=r.z_size, tables=r.tables)))
         np.testing.assert_array_equal(again.q, q)
         assert again.i_lower == il
         assert upper_bound(again) == iu
         # an iterate is a value: its fields cannot be reassigned, and its
         # arrays cannot be written
         with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(state, "r", again.r)
+            setattr(state, "rows", again.rows)
         with pytest.raises(ValueError):
             state.q[0, 0] = 0.0
         with pytest.raises(ValueError):
@@ -199,12 +198,13 @@ class TestPolicyProductCache:
     ):
         lam = 0.3
         state = iterated_state(markovian_kernel, markovian_actions, n, lam, 3)
-        policy, flags = update_r(state)
-        state = update_q(state.space, lam, policy, flags)
+        rows, flags = update_r(state)
+        state = update_q(state.space, lam, rows, flags)
         q, il = state.q, state.i_lower
-        assert state.r is policy
-        # rebuilt from the returned tables alone
+        assert state.rows is rows
+        # rebuilt from the returned rows alone
         space = state.space
+        policy = CausalPolicy.from_rows(space, rows)
         r_prod = linear_policy_product(space, policy.tables)
         joint = build_joint(policy, markovian_kernel, markovian_actions).probs
         np.testing.assert_allclose(q, joint / joint.sum(axis=0), rtol=0.0,
@@ -219,7 +219,8 @@ class TestPolicyProductCache:
         kernel, actions, rng = layout_case(request, channel)
         space = TrajectorySpace(kernel, actions, n)
         policy = make_random_policy(rng, n, space.u_size, space.z_size)
-        live = space.policy_product(policy.tables).take(space.parent) * space.p_live
+        rows = space.reachable_rows(policy)
+        live = space.policy_product(rows).take(space.parent) * space.p_live
         reference = build_joint(policy, kernel, actions).probs
         on_live = space.to_dense(np.ones_like(live)) > 0.0
         # the live entries are exactly those of positive channel law
@@ -233,7 +234,7 @@ class TestPolicyProductCache:
         np.testing.assert_allclose(reference[on_live], live, rtol=0.0, atol=1e-14)
         # per_row sums the product against the past law into the row masses
         np.testing.assert_allclose(
-            space.per_row(space.policy_product(policy.tables), space.past_law),
+            space.per_row(space.policy_product(rows), space.past_law),
             reference.sum(axis=1), rtol=0.0, atol=1e-14)
 
 
@@ -247,8 +248,9 @@ class TestTrajectoryLayout:
         space = TrajectorySpace(kernel, actions, n)
         u_size = space.u_size
         indexer = HistoryIndexer(u_size, space.z_size)
-        tables = make_random_policy(np.random.default_rng(0), n, u_size,
-                                    space.z_size).tables
+        policy = make_random_policy(np.random.default_rng(0), n, u_size,
+                                    space.z_size)
+        tables = policy.tables
         level = live_prefixes(kernel, actions, 0)
         for i in range(1, n + 1):
             # the level-(i-1) prefixes, their past law and their histories
@@ -268,7 +270,7 @@ class TestTrajectoryLayout:
                 space.denom[i - 1], [math.fsum(laws[h]) for h in space.reach[i - 1]],
                 rtol=0.0, atol=1e-14)
             # slot reads the reachable rows at (history, u_i)
-            rows = space.reachable_rows(tables)[i - 1].ravel()
+            rows = space.reachable_rows(policy)[i - 1].ravel()
             for k, h in enumerate(ids):
                 np.testing.assert_array_equal(rows[slot[:, k]], tables[i - 1][h])
             # each level-i prefix's step-i parent and step conditional
@@ -292,7 +294,7 @@ class TestTrajectoryLayout:
                                    rtol=0.0, atol=1e-14)
         # the policy product at the step-N parents (u_N, level-(N-1) prefix)
         dense = linear_policy_product(space, tables)
-        prod = space.policy_product(tables)
+        prod = space.policy_product(space.reachable_rows(policy))
         for k, (us, ys, _, _) in enumerate(level):
             for u_n in range(u_size):
                 row = np.ravel_multi_index(us + (u_n,), [u_size] * n)
@@ -312,8 +314,9 @@ class TestTrajectoryLayout:
     def test_unreachable_rows_of_an_update_are_uniform(self, request, channel, n):
         kernel, actions, _ = layout_case(request, channel)
         state = iterated_state(kernel, actions, n, 0.3, 2)
-        policy, flags = update_r(state)
+        rows, flags = update_r(state)
         space = state.space
+        policy = CausalPolicy.from_rows(space, rows)
         for table, reach, flag in zip(policy.tables, space.reach, flags):
             unreachable = np.ones(len(table), dtype=bool)
             unreachable[reach] = False
@@ -679,8 +682,7 @@ class TestContinuation:
 
     @pytest.mark.parametrize("solve", [
         lambda space: sweep_lambda(space, lam_grid=[0.0, 0.5, 1.0]),
-        lambda space: bisect_lambda_for_cost(space, 0.1, cost_tol=0.05),
-    ], ids=["sweep", "bisection"])
+    ], ids=["sweep"])
     def test_every_probe_receives_the_callers_space(
         self, markovian_kernel, markovian_actions, monkeypatch, solve
     ):
@@ -711,7 +713,9 @@ class TestContinuation:
         converged = run_baa(space, 0.5)
         state = BaaState.initial(space, 0.5, start=converged.policy)
         assert state.space is space
-        assert state.r is converged.policy
+        for table, final in zip(state.r.tables, converged.policy.tables,
+                                strict=True):
+            np.testing.assert_array_equal(table, final)
         # restarting at the optimum closes the bracket at once
         again = run_baa(space, 0.5, start=converged.policy)
         assert again.converged
@@ -738,18 +742,45 @@ class TestContinuation:
         with pytest.raises(ValueError, match=expected):
             run_baa(space, 0.1, start=policy)
 
-    @pytest.mark.parametrize("shape", [(3, 4, 3), (2, 4, 4)],
-                             ids=["block-length", "z-larger"])
+    @pytest.mark.parametrize("shapes", [
+        ((1, 4), (6, 4), (1, 4)),
+        ((1, 4), (7, 4)),
+        ((1, 5), (6, 5)),
+    ], ids=["block-length", "rows", "columns"])
     def test_update_q_rejects_a_policy_that_does_not_fit_the_space(
-        self, markovian_kernel, markovian_actions, shape
+        self, markovian_kernel, markovian_actions, shapes
     ):
-        # both policies index within the N=2 tables, so without the check
-        # they would yield an iterate with a finite lower bound
+        # markovian N=2 has 1 and 6 reachable histories at steps 1 and 2 and
+        # |U| = 4; every misfit indexes within the N=2 rows, so without the
+        # check it would yield an iterate with a finite lower bound
         space = TrajectorySpace(markovian_kernel, markovian_actions, 2)
-        expected = re.escape(f"{shape} does not fit the space's alphabets "
-                             "(2, 4, 3)")
+        rows = tuple(np.full(shape, 1.0 / shape[1]) for shape in shapes)
+        expected = re.escape(f"{shapes} do not fit the space's reachable rows "
+                             "((1, 4), (6, 4))")
         with pytest.raises(ValueError, match=expected):
-            update_q(space, 0.1, CausalPolicy.uniform(*shape))
+            update_q(space, 0.1, rows)
+
+    def test_a_solve_builds_its_dense_policies_at_the_boundary_only(
+        self, markovian_kernel, markovian_actions, monkeypatch
+    ):
+        # the iterate is the reachable rows: a dense policy is built for the
+        # uniform start and for the final point, however many iterations run
+        space = TrajectorySpace(markovian_kernel, markovian_actions, 2)
+        built = []
+        init = CausalPolicy.__post_init__
+
+        def counting_init(self):
+            built.append(self)
+            init(self)
+
+        monkeypatch.setattr(CausalPolicy, "__post_init__", counting_init)
+        counts = []
+        for max_iters in (2, 6):
+            built.clear()
+            point = run_baa(space, 1e-3, max_iters=max_iters)
+            assert not point.converged and point.iterations == max_iters
+            counts.append(len(built))
+        assert counts[0] == counts[1]
 
     @settings(max_examples=8)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2),
@@ -795,49 +826,6 @@ class TestSandwich:
     def test_zero_cost_sandwich_collapses(self, bsc_sweeps):
         curve = bsc_sweeps[1]
         np.testing.assert_allclose(sandwich_bounds(curve), curve.envelope)
-
-
-class TestBisect:
-    def test_bisection_respects_its_contract(self, markovian_kernel, markovian_actions):
-        target, tol = 0.1, 0.05
-        point = bisect_lambda_for_cost(
-            TrajectorySpace(markovian_kernel, markovian_actions, 2), target,
-            cost_tol=tol
-        )
-        if point.gamma > target + tol:
-            # even the strongest penalty spends above the target
-            assert point.lam == pytest.approx(10.0)
-        elif point.gamma < target - tol:
-            # the free end is already below the target
-            assert point.lam == 0.0
-        else:
-            assert abs(point.gamma - target) <= tol
-
-
-    def test_stops_at_the_first_probe_that_hits_the_cap(
-        self, markovian_kernel, markovian_actions, monkeypatch
-    ):
-        # below lambda ~ 3e-3 the probes need more than 1,000 iterations;
-        # their measured cost is not certified, so the search must end there
-        import sampcap.baa as baa_module
-
-        probes = []
-
-        def recording_run_baa(*args, **kwargs):
-            probes.append(run_baa(*args, **kwargs))
-            return probes[-1]
-
-        monkeypatch.setattr(baa_module, "run_baa", recording_run_baa)
-        target = 0.3
-        point = bisect_lambda_for_cost(
-            TrajectorySpace(markovian_kernel, markovian_actions, 2), target,
-            max_iters=1000)
-        failed = [k for k, probe in enumerate(probes) if not probe.converged]
-        assert failed == [len(probes) - 1]
-        assert point.converged
-        closest = min((p for p in probes if p.converged),
-                      key=lambda p: abs(p.gamma - target))
-        assert point is closest
 
 
 class TestBracketing:

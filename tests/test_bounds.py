@@ -13,7 +13,6 @@ from sampcap import (
     binary_entropy,
     build_joint,
     directed_information,
-    f_n_policy_grid,
     gallager_exponent,
     single_letter_curve,
     single_letter_bounds,
@@ -584,24 +583,6 @@ class TestExponent:
         joint = build_joint(policy, markovian_kernel, markovian_actions, s0=0)
         rate = directed_information(joint) / 2.0
         assert 0.0 < slope <= rate + 1e-4
-
-    def test_policy_grid_bound_matches_the_worst_state(self, markovian_kernel,
-                                                       markovian_actions):
-        policy = CausalPolicy.uniform(2, 4, 3)
-        rho = 0.5
-        per_state = [
-            gallager_exponent(
-                TrajectorySpace(markovian_kernel, markovian_actions, 2, s0=s0),
-                policy, rho,
-            )
-            for s0 in (0, 1)
-        ]
-        value = f_n_policy_grid(markovian_kernel, markovian_actions, 2, rho, [policy])
-        assert value == pytest.approx(min(per_state) - rho * 1.0 / 2.0, abs=1e-12)
-
-    def test_policy_grid_needs_candidates(self, markovian_kernel, markovian_actions):
-        with pytest.raises(ValueError, match="at least one"):
-            f_n_policy_grid(markovian_kernel, markovian_actions, 2, 0.5, [])
 
 
 class TestProblemValidation:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from sampcap import (
     ActionSystem,
     Alphabet,
+    CausalPolicy,
     FscKernel,
     OracleReport,
     binary_entropy,
@@ -191,7 +192,7 @@ class TestLiteralPolicyUpdate:
         for _ in range(iters):
             state = update_q(state.space, lam, *update_r(state))
         literal = literal_r_update(state)
-        main, _ = update_r(state)
+        main = CausalPolicy.from_rows(state.space, update_r(state)[0])
         assert literal.block_length == main.block_length
         for lit_table, main_table in zip(literal.tables, main.tables):
             assert np.max(np.abs(lit_table - main_table)) <= 1e-10
@@ -231,7 +232,7 @@ class TestLiteralPolicyUpdate:
         for _ in range(int(rng.integers(0, 3))):
             state = update_q(state.space, lam, *update_r(state))
         literal = literal_r_update(state)
-        main, _ = update_r(state)
+        main = CausalPolicy.from_rows(state.space, update_r(state)[0])
         for lit_table, main_table in zip(literal.tables, main.tables):
             assert np.max(np.abs(lit_table - main_table)) <= 1e-10
 
