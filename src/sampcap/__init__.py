@@ -40,7 +40,6 @@ from .fsc import (
     is_indecomposable,
     is_no_isi,
     stationary_distribution,
-    validate_kernel,
 )
 from .oracle import (
     OracleReport,
@@ -102,7 +101,6 @@ __all__ = [
     "update_q",
     "update_r",
     "upper_bound",
-    "validate_kernel",
     "zero_unit_cost_capacity",
     "__version__",
 ]

@@ -27,6 +27,13 @@ def freeze(a, dtype=float) -> np.ndarray:
     return arr
 
 
+def non_finite(**arrays) -> list[str]:
+    """``<name>: entries must be finite`` for each named array that holds a
+    NaN or an infinity, in argument order; None entries are skipped."""
+    return [f"{name}: entries must be finite" for name, a in arrays.items()
+            if a is not None and not np.all(np.isfinite(a))]
+
+
 def fsum_array(a: np.ndarray) -> float:
     """Compensated sum of all entries."""
     return math.fsum(np.asarray(a, dtype=float).ravel().tolist())

@@ -14,10 +14,11 @@ side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from ._num import freeze
+from ._num import freeze, non_finite
 from .fsc import Alphabet
 
 
@@ -38,19 +39,51 @@ class ActionSystem:
     def __post_init__(self):
         object.__setattr__(self, "sampling_table", freeze(self.sampling_table, dtype=int))
         object.__setattr__(self, "cost_table", freeze(self.cost_table))
-        ae, ad = self.encoder_actions.size, self.decoder_actions.size
-        if self.sampling_table.ndim != 3 or self.sampling_table.shape[:2] != (ae, ad):
-            raise ValueError("sampling_table must be indexed [a_e][a_d][y]")
-        if np.any(self.sampling_table < 0) or np.any(
-            self.sampling_table >= self.feedback_alphabet.size
-        ):
-            raise ValueError("sampling_table values must lie in the feedback alphabet")
-        if self.cost_table.shape != (ae, ad):
-            raise ValueError("cost_table must be indexed [a_e][a_d]")
-        if np.any(self.cost_table < 0.0) or not np.all(np.isfinite(self.cost_table)):
-            raise ValueError("costs must be finite and nonnegative")
-        if not 0.0 <= self.budget < np.inf:
-            raise ValueError("budget must be finite and nonnegative")
+        found = self.violations(self.encoder_actions.size,
+                                self.decoder_actions.size,
+                                self.feedback_alphabet.size,
+                                self.sampling_table, self.cost_table, self.budget)
+        if found:
+            raise ValueError(found[0])
+
+    @staticmethod
+    def violations(encoder_size: Optional[int], decoder_size: Optional[int],
+                   feedback_size: Optional[int],
+                   sampling_table: Optional[np.ndarray],
+                   cost_table: Optional[np.ndarray], budget: Optional[float],
+                   output_size: Optional[int] = None) -> list[str]:
+        """Every rule the action system breaks; empty means valid.
+
+        Each message starts with the JSON pointer of its field relative to
+        the actions section. An argument given as None was rejected by the
+        caller. Non-finite costs and a budget outside [0, inf) are reported
+        first, each on its own; the table rules are checked only when
+        neither is broken and nothing is None, in the order sampling table
+        shape, sampling values, cost table shape, cost signs, and only the
+        first broken one is reported. output_size, when given, is the
+        channel output alphabet size that the sampling table's last axis
+        must match.
+        """
+        found = non_finite(cost_table=cost_table)
+        if budget is not None and not 0.0 <= budget < np.inf:
+            found.append("budget: must be a finite nonnegative number")
+        if found or any(v is None for v in (encoder_size, decoder_size,
+                                            feedback_size, sampling_table,
+                                            cost_table, budget)):
+            return found
+        axes = (encoder_size, decoder_size)
+        if sampling_table.ndim != 3 or sampling_table.shape[:2] != axes or (
+                output_size is not None
+                and sampling_table.shape[2] != output_size):
+            return ["sampling_table: must be indexed "
+                    "[encoder action][decoder action][channel output]"]
+        if np.any(sampling_table < 0) or np.any(sampling_table >= feedback_size):
+            return ["sampling_table: values must lie in the feedback alphabet"]
+        if cost_table.shape != axes:
+            return ["cost_table: must be indexed [encoder action][decoder action]"]
+        if np.any(cost_table < 0.0):
+            return ["cost_table: costs must be nonnegative"]
+        return []
 
     @property
     def output_size(self) -> int:

@@ -89,9 +89,13 @@ class BaaState:
                 start: Optional[CausalPolicy] = None) -> "BaaState":
         """The iterate of the start policy (uniform by default) on a space,
         which is shared, never modified."""
-        if start is None:
-            start = CausalPolicy.uniform(space.n, space.u_size, space.z_size)
-        return update_q(space, lam, space.reachable_rows(start))
+        if start is not None:
+            return update_q(space, lam, space.reachable_rows(start))
+        rows = tuple(np.full((len(reach), space.u_size), 1.0 / space.u_size)
+                     for reach in space.reach)
+        for t in rows:
+            t.setflags(write=False)
+        return update_q(space, lam, rows)
 
     @property
     def r(self) -> CausalPolicy:

@@ -30,11 +30,11 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from ._num import freeze, project_to_simplex
+from ._num import freeze, non_finite, project_to_simplex
 from .policy import CausalPolicy
 from .trajectory import TrajectorySpace
 
@@ -69,22 +69,50 @@ class SingleLetterProblem:
         object.__setattr__(self, "per_state_channel", freeze(self.per_state_channel))
         object.__setattr__(self, "sampling", freeze(self.sampling, dtype=int))
         object.__setattr__(self, "cost", freeze(self.cost))
-        pi = self.stationary_dist
-        if abs(pi.sum() - 1.0) > DIST_TOL or np.any(pi < 0.0):
-            raise ValueError("stationary_dist must be a probability vector")
-        w = self.per_state_channel
-        if w.ndim != 3 or w.shape[0] != pi.shape[0]:
-            raise ValueError("per_state_channel must be indexed [s][x][y]")
-        sums = w.sum(axis=2)
-        if np.any(np.abs(sums - 1.0) > DIST_TOL) or np.any(w < 0.0):
-            raise ValueError("per-state channel rows must be normalized")
-        if self.sampling.ndim != 2 or self.sampling.shape != (self.cost.shape[0],
-                                                              pi.shape[0]):
-            raise ValueError("sampling must be indexed [a][s]")
-        if np.any(self.sampling < 0):
-            raise ValueError("sampling entries must be nonnegative")
-        if np.any(self.cost < 0.0) or not np.all(np.isfinite(self.cost)):
-            raise ValueError("costs must be finite and nonnegative")
+        found = self.violations(self.stationary_dist, self.per_state_channel,
+                                self.sampling, self.cost)
+        if found:
+            raise ValueError(found[0])
+
+    @staticmethod
+    def violations(pi: Optional[np.ndarray], chan: Optional[np.ndarray],
+                   samp: Optional[np.ndarray],
+                   cost: Optional[np.ndarray]) -> list[str]:
+        """Every rule the four arrays break; empty means valid.
+
+        The arrays are stationary_dist, per_state_channel, sampling and
+        cost. Each message starts with the JSON pointer of its field
+        relative to the single_letter section. An array given as None was
+        rejected by the caller. Non-finite entries are reported first and
+        alone, since no sum over them means anything, and the other rules
+        are checked only when no array is None.
+        """
+        found = non_finite(stationary_dist=pi, per_state_channel=chan,
+                           cost=cost)
+        if found or any(a is None for a in (pi, chan, samp, cost)):
+            return found
+        if pi.ndim != 1 or abs(pi.sum() - 1.0) > DIST_TOL or np.any(pi < 0.0):
+            found.append("stationary_dist: must be a probability vector")
+        if chan.ndim != 3 or (pi.ndim == 1 and chan.shape[0] != pi.shape[0]):
+            found.append("per_state_channel: must be indexed [s][x][y] with one "
+                         "slice per state")
+        else:
+            sums = chan.sum(axis=2)
+            for s, x in zip(*np.nonzero(np.abs(sums - 1.0) > DIST_TOL)):
+                found.append(f"per_state_channel/{s}/{x}: row sums to "
+                             f"{float(sums[s, x])!r}, expected 1")
+            if np.any(chan < 0.0):
+                found.append("per_state_channel: negative entries")
+        if samp.ndim != 2 or cost.ndim != 1 or samp.shape[0] != cost.shape[0]:
+            found.append("sampling: must be indexed [a][s] with one cost per "
+                         "action")
+        elif pi.ndim == 1 and samp.shape[1] != pi.shape[0]:
+            found.append("sampling: state axis does not match")
+        if np.any(samp < 0):
+            found.append("sampling: entries must be nonnegative")
+        if np.any(cost < 0.0):
+            found.append("cost: costs must be nonnegative")
+        return found
 
     @property
     def state_size(self) -> int:

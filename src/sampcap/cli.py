@@ -21,6 +21,7 @@ import json
 import math
 import os
 import platform
+import re
 import sys as _sys
 import time
 import warnings
@@ -116,9 +117,6 @@ def _as_float_array(node, pointer: str, violations: list[str]):
     except (TypeError, ValueError):
         violations.append(f"{pointer}: entries must be numeric")
         return None
-    if not np.all(np.isfinite(arr)):
-        violations.append(f"{pointer}: entries must be finite")
-        return None
     return arr
 
 
@@ -149,17 +147,39 @@ def _positive_int(node, pointer: str, violations: list[str], default=None):
     return node
 
 
-def _parse_channel(doc: dict, violations: list[str]) -> Optional[FscKernel]:
-    ch = doc.get("channel")
-    if ch is None:
-        violations.append("/channel: missing required section")
+def _parse_section(doc: dict, name: str, fields: tuple[str, ...], read,
+                   violations: list[str], required: bool = True):
+    """Read one object section with read(node, found), which appends
+    messages relative to the section to found. They are reported under
+    /name/, ordered by field as listed in fields (stably), so that the JSON
+    type faults and the library's messages come field by field."""
+    node = doc.get(name)
+    if node is None:
+        if required:
+            violations.append(f"/{name}: missing required section")
         return None
-    if not isinstance(ch, dict):
-        violations.append("/channel: must be an object")
+    if not isinstance(node, dict):
+        violations.append(f"/{name}: must be an object")
         return None
-    s_size = _positive_int(ch.get("state_size"), "/channel/state_size", violations)
-    x_size = _positive_int(ch.get("input_size"), "/channel/input_size", violations)
-    y_size = _positive_int(ch.get("output_size"), "/channel/output_size", violations)
+    found: list[str] = []
+    value = read(node, found)
+    found.sort(key=lambda msg: fields.index(re.split("[/:]", msg, 1)[0]))
+    violations.extend(f"/{name}/{msg}" for msg in found)
+    return value
+
+
+CHANNEL_FIELDS = ("state_size", "input_size", "output_size", "output_factors",
+                  "kernel", "initial_dist")
+ACTIONS_FIELDS = ("encoder_size", "decoder_size", "feedback_size",
+                  "sampling_table", "cost_table", "budget")
+SINGLE_LETTER_FIELDS = ("stationary_dist", "per_state_channel", "sampling",
+                        "cost")
+
+
+def _read_channel(ch: dict, found: list[str]) -> Optional[FscKernel]:
+    s_size = _positive_int(ch.get("state_size"), "state_size", found)
+    x_size = _positive_int(ch.get("input_size"), "input_size", found)
+    y_size = _positive_int(ch.get("output_size"), "output_size", found)
     if None in (s_size, x_size, y_size):
         return None
     factors = ch.get("output_factors")
@@ -167,155 +187,52 @@ def _parse_channel(doc: dict, violations: list[str]) -> Optional[FscKernel]:
         if (not isinstance(factors, list)
                 or not all(isinstance(f, int) and f >= 1 for f in factors)
                 or math.prod(factors) != y_size):
-            violations.append(
-                "/channel/output_factors: must be positive integers whose "
-                "product equals output_size"
-            )
-    arr = _as_float_array(ch.get("kernel"), "/channel/kernel", violations)
-    init = _as_float_array(ch.get("initial_dist"), "/channel/initial_dist",
-                           violations)
-    if arr is None or init is None:
+            found.append("output_factors: must be positive integers whose "
+                         "product equals output_size")
+    arr = _as_float_array(ch.get("kernel"), "kernel", found)
+    init = _as_float_array(ch.get("initial_dist"), "initial_dist", found)
+    rules = FscKernel.violations(s_size, x_size, y_size, arr, init)
+    found.extend(rules)
+    if rules or arr is None or init is None:
         return None
-    if arr.shape != (s_size, x_size, y_size, s_size):
-        violations.append(
-            f"/channel/kernel: shape {list(arr.shape)} does not match "
-            f"[{s_size}][{x_size}][{y_size}][{s_size}]"
-        )
-        return None
-    if init.shape != (s_size,):
-        violations.append(
-            f"/channel/initial_dist: length {init.shape[0]} does not match "
-            f"state_size {s_size}"
-        )
-        return None
-    kernel = FscKernel(
-        state_alphabet=Alphabet(s_size),
-        input_alphabet=Alphabet(x_size),
-        output_alphabet=Alphabet(y_size),
-        kernel=arr,
-        initial_dist=init,
-    )
-    found = []
-    row_sums = arr.sum(axis=(2, 3))
-    for s in range(s_size):
-        for x in range(x_size):
-            if abs(row_sums[s, x] - 1.0) > 1e-12:
-                found.append(
-                    f"/channel/kernel/{s}/{x}: row sums to "
-                    f"{float(row_sums[s, x])!r}, expected 1"
-                )
-    for idx in zip(*np.nonzero(arr < 0.0)):
-        s, x, y, sn = (int(i) for i in idx)
-        found.append(f"/channel/kernel/{s}/{x}/{y}/{sn}: negative entry")
-    if abs(init.sum() - 1.0) > 1e-12 or np.any(init < 0.0):
-        found.append("/channel/initial_dist: must be a probability vector")
-    violations.extend(found)
-    return None if found else kernel
+    return FscKernel(state_alphabet=Alphabet(s_size),
+                     input_alphabet=Alphabet(x_size),
+                     output_alphabet=Alphabet(y_size),
+                     kernel=arr, initial_dist=init)
 
 
-def _parse_actions(doc: dict, kernel: Optional[FscKernel],
-                   violations: list[str]) -> Optional[ActionSystem]:
-    ac = doc.get("actions")
-    if ac is None:
-        violations.append("/actions: missing required section")
-        return None
-    if not isinstance(ac, dict):
-        violations.append("/actions: must be an object")
-        return None
-    enc = _positive_int(ac.get("encoder_size"), "/actions/encoder_size", violations)
-    dec = _positive_int(ac.get("decoder_size"), "/actions/decoder_size", violations)
-    fb = _positive_int(ac.get("feedback_size"), "/actions/feedback_size", violations)
-    table = _as_int_array(ac.get("sampling_table"), "/actions/sampling_table",
-                          violations)
-    cost = _as_float_array(ac.get("cost_table"), "/actions/cost_table", violations)
+def _read_actions(ac: dict, kernel: Optional[FscKernel],
+                  found: list[str]) -> Optional[ActionSystem]:
+    enc = _positive_int(ac.get("encoder_size"), "encoder_size", found)
+    dec = _positive_int(ac.get("decoder_size"), "decoder_size", found)
+    fb = _positive_int(ac.get("feedback_size"), "feedback_size", found)
+    table = _as_int_array(ac.get("sampling_table"), "sampling_table", found)
+    cost = _as_float_array(ac.get("cost_table"), "cost_table", found)
     budget = ac.get("budget", 0.0)
-    if not _is_number(budget) or not 0.0 <= budget < math.inf:
-        violations.append("/actions/budget: must be a finite nonnegative number")
-        return None
-    if None in (enc, dec, fb) or table is None or cost is None:
-        return None
+    if not _is_number(budget):
+        found.append("budget: must be a finite nonnegative number")
+        budget = None
+    # the one rule across sections: the table's last axis is the channel's
+    # output alphabet, checked only against a valid channel
     y_size = kernel.output_size if kernel is not None else None
-    if table.ndim != 3 or table.shape[:2] != (enc, dec) or (
-            y_size is not None and table.shape[2] != y_size):
-        violations.append(
-            "/actions/sampling_table: must be indexed "
-            "[encoder action][decoder action][channel output]"
-        )
+    found.extend(ActionSystem.violations(enc, dec, fb, table, cost, budget,
+                                         y_size))
+    if found:
         return None
-    if np.any(table < 0) or np.any(table >= fb):
-        violations.append(
-            "/actions/sampling_table: values must lie in the feedback alphabet"
-        )
-        return None
-    if cost.shape != (enc, dec):
-        violations.append(
-            "/actions/cost_table: must be indexed [encoder action][decoder action]"
-        )
-        return None
-    if np.any(cost < 0.0):
-        violations.append("/actions/cost_table: costs must be nonnegative")
-        return None
-    try:
-        return ActionSystem(
-            encoder_actions=Alphabet(enc),
-            decoder_actions=Alphabet(dec),
-            feedback_alphabet=Alphabet(fb),
-            sampling_table=table,
-            cost_table=cost,
-            budget=float(budget),
-        )
-    except ValueError as exc:
-        violations.append(f"/actions: {exc}")
-        return None
+    return ActionSystem(encoder_actions=Alphabet(enc),
+                        decoder_actions=Alphabet(dec),
+                        feedback_alphabet=Alphabet(fb), sampling_table=table,
+                        cost_table=cost, budget=float(budget))
 
 
-def _parse_single_letter(doc: dict,
-                         violations: list[str]) -> Optional[SingleLetterProblem]:
-    sl = doc.get("single_letter")
-    if sl is None:
-        return None
-    if not isinstance(sl, dict):
-        violations.append("/single_letter: must be an object")
-        return None
-    pi = _as_float_array(sl.get("stationary_dist"),
-                         "/single_letter/stationary_dist", violations)
-    chan = _as_float_array(sl.get("per_state_channel"),
-                           "/single_letter/per_state_channel", violations)
-    samp = _as_int_array(sl.get("sampling"), "/single_letter/sampling", violations)
-    cost = _as_float_array(sl.get("cost"), "/single_letter/cost", violations)
-    if pi is None or chan is None or samp is None or cost is None:
-        return None
-    found = []
-    if pi.ndim != 1 or abs(pi.sum() - 1.0) > 1e-12 or np.any(pi < 0.0):
-        found.append("/single_letter/stationary_dist: must be a probability vector")
-    if chan.ndim != 3 or (pi.ndim == 1 and chan.shape[0] != pi.shape[0]):
-        found.append(
-            "/single_letter/per_state_channel: must be indexed [s][x][y] with "
-            "one slice per state"
-        )
-    else:
-        sums = chan.sum(axis=2)
-        for s in range(chan.shape[0]):
-            for x in range(chan.shape[1]):
-                if abs(sums[s, x] - 1.0) > 1e-12:
-                    found.append(
-                        f"/single_letter/per_state_channel/{s}/{x}: row sums to "
-                        f"{float(sums[s, x])!r}, expected 1"
-                    )
-        if np.any(chan < 0.0):
-            found.append("/single_letter/per_state_channel: negative entries")
-    if samp.ndim != 2 or cost.ndim != 1 or samp.shape[0] != cost.shape[0]:
-        found.append(
-            "/single_letter/sampling: must be indexed [a][s] with one cost per "
-            "action"
-        )
-    elif pi.ndim == 1 and samp.shape[1] != pi.shape[0]:
-        found.append("/single_letter/sampling: state axis does not match")
-    if np.any(samp < 0):
-        found.append("/single_letter/sampling: entries must be nonnegative")
-    if np.any(cost < 0.0):
-        found.append("/single_letter/cost: costs must be nonnegative")
-    violations.extend(found)
+def _read_single_letter(sl: dict,
+                        found: list[str]) -> Optional[SingleLetterProblem]:
+    pi = _as_float_array(sl.get("stationary_dist"), "stationary_dist", found)
+    chan = _as_float_array(sl.get("per_state_channel"), "per_state_channel",
+                           found)
+    samp = _as_int_array(sl.get("sampling"), "sampling", found)
+    cost = _as_float_array(sl.get("cost"), "cost", found)
+    found.extend(SingleLetterProblem.violations(pi, chan, samp, cost))
     if found:
         return None
     return SingleLetterProblem(stationary_dist=pi, per_state_channel=chan,
@@ -359,8 +276,11 @@ def parse_config(doc) -> tuple[Optional[ExperimentConfig], list[str]]:
     violations: list[str] = []
     if not isinstance(doc, dict):
         return None, ["/: config root must be a JSON object"]
-    kernel = _parse_channel(doc, violations)
-    actions = _parse_actions(doc, kernel, violations)
+    kernel = _parse_section(doc, "channel", CHANNEL_FIELDS, _read_channel,
+                            violations)
+    actions = _parse_section(
+        doc, "actions", ACTIONS_FIELDS,
+        lambda node, found: _read_actions(node, kernel, found), violations)
     blocks = doc.get("block_lengths")
     if (not isinstance(blocks, list) or not blocks
             or not all(isinstance(b, int) and not isinstance(b, bool) and b >= 1
@@ -396,7 +316,8 @@ def parse_config(doc) -> tuple[Optional[ExperimentConfig], list[str]]:
     seed = alg.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         violations.append("/algorithm/seed: must be a nonnegative integer")
-    single = _parse_single_letter(doc, violations)
+    single = _parse_section(doc, "single_letter", SINGLE_LETTER_FIELDS,
+                            _read_single_letter, violations, required=False)
     exponent = _parse_exponent(doc, violations)
     if kernel is not None and actions is not None:
         for k, n in enumerate(blocks or ()):

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._num import freeze
+from ._num import freeze, non_finite
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-12
@@ -47,7 +47,8 @@ class Alphabet:
 class FscKernel:
     """Finite-state channel P(y, s' | x, s) with initial state distribution.
 
-    kernel is indexed [s][x][y][s_next]; initial_dist is P(s0).
+    kernel is indexed [s][x][y][s_next]; initial_dist is P(s0). Construction
+    raises ValueError with the first message of violations.
     """
 
     state_alphabet: Alphabet
@@ -59,22 +60,46 @@ class FscKernel:
     def __post_init__(self):
         object.__setattr__(self, "kernel", freeze(self.kernel))
         object.__setattr__(self, "initial_dist", freeze(self.initial_dist))
-        expected = (
-            self.state_alphabet.size,
-            self.input_alphabet.size,
-            self.output_alphabet.size,
-            self.state_alphabet.size,
-        )
-        names = ("state", "input", "output", "next-state")
-        if self.kernel.ndim != 4:
-            raise ValueError("kernel must have 4 axes [s][x][y][s_next]")
-        for axis, (got, want) in enumerate(zip(self.kernel.shape, expected)):
-            if got != want:
-                raise ValueError(
-                    f"kernel axis {axis} ({names[axis]}) has size {got}, expected {want}"
-                )
-        if self.initial_dist.shape != (self.state_alphabet.size,):
-            raise ValueError("initial_dist length must equal the state alphabet size")
+        found = self.violations(self.state_alphabet.size, self.input_alphabet.size,
+                                self.output_alphabet.size, self.kernel,
+                                self.initial_dist)
+        if found:
+            raise ValueError(found[0])
+
+    @staticmethod
+    def violations(state_size: int, input_size: int, output_size: int,
+                   kernel: Optional[np.ndarray],
+                   initial_dist: Optional[np.ndarray]) -> list[str]:
+        """Every rule the channel breaks; empty means valid.
+
+        Each message starts with the JSON pointer of its entry relative to
+        the channel section. An array given as None was rejected by the
+        caller, and only the other one's entries are checked. Non-finite
+        entries are reported first and alone, since no sum over them means
+        anything; then the first shape mismatch, alone; otherwise every
+        (s, x) row whose sum is off 1 by more than ROW_SUM_TOL, every
+        negative entry and a defective initial distribution.
+        """
+        found = non_finite(kernel=kernel, initial_dist=initial_dist)
+        if found or kernel is None or initial_dist is None:
+            return found
+        s, x, y = state_size, input_size, output_size
+        if kernel.shape != (s, x, y, s):
+            return [f"kernel: shape {list(kernel.shape)} does not match "
+                    f"[{s}][{x}][{y}][{s}]"]
+        if initial_dist.shape != (s,):
+            return [f"initial_dist: shape {list(initial_dist.shape)} does not "
+                    f"match [{s}]"]
+        row_sums = kernel.sum(axis=(2, 3))
+        for si, xi in zip(*np.nonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOL)):
+            found.append(f"kernel/{si}/{xi}: row sums to "
+                         f"{float(row_sums[si, xi])!r}, expected 1")
+        for idx in zip(*np.nonzero(kernel < 0.0)):
+            found.append(f"kernel/{'/'.join(map(str, idx))}: negative entry")
+        if (abs(initial_dist.sum() - 1.0) > ROW_SUM_TOL
+                or np.any(initial_dist < 0.0)):
+            found.append("initial_dist: must be a probability vector")
+        return found
 
     @property
     def state_size(self) -> int:
@@ -107,35 +132,6 @@ class StationaryInfo:
             if not self.is_indecomposable:
                 raise ValueError("stationary_dist only present for indecomposable chains")
             object.__setattr__(self, "stationary_dist", freeze(self.stationary_dist))
-
-
-def validate_kernel(k: FscKernel) -> list[str]:
-    """Return all stochasticity violations of the kernel; empty means valid.
-
-    Dimension mismatches raise at construction; this checks row sums within
-    1e-12, negative entries, and the initial distribution, reporting indices.
-    """
-    violations = []
-    row_sums = k.kernel.sum(axis=(2, 3))
-    for s in range(k.state_size):
-        for x in range(k.input_size):
-            if abs(row_sums[s, x] - 1.0) > ROW_SUM_TOL:
-                violations.append(
-                    f"kernel row (s={s}, x={x}) sums to {float(row_sums[s, x])!r}, "
-                    "expected 1"
-                )
-    for idx in zip(*np.nonzero(k.kernel < 0.0)):
-        s, x, y, sn = (int(i) for i in idx)
-        violations.append(
-            f"kernel entry (s={s}, x={x}, y={y}, s_next={sn}) is negative: "
-            f"{float(k.kernel[idx])!r}"
-        )
-    total = k.initial_dist.sum()
-    if abs(total - 1.0) > ROW_SUM_TOL:
-        violations.append(f"initial_dist sums to {float(total)!r}, expected 1")
-    for (s,) in zip(*np.nonzero(k.initial_dist < 0.0)):
-        violations.append(f"initial_dist entry (s={int(s)}) is negative")
-    return violations
 
 
 def state_transition_matrix(k: FscKernel, x: int = 0) -> np.ndarray:

@@ -30,7 +30,9 @@ class TestActionSystemValidation:
             )
 
     def test_sampling_axes_checked(self):
-        with pytest.raises(ValueError, match=r"\[a_e\]\[a_d\]\[y\]"):
+        with pytest.raises(ValueError, match=r"sampling_table: must be indexed "
+                                             r"\[encoder action\]\[decoder action\]"
+                                             r"\[channel output\]"):
             ActionSystem(
                 encoder_actions=Alphabet(2),
                 decoder_actions=Alphabet(1),
@@ -72,7 +74,8 @@ class TestActionSystemValidation:
 
     @pytest.mark.parametrize("budget", [math.nan, math.inf])
     def test_non_finite_budget_rejected(self, budget):
-        with pytest.raises(ValueError, match="budget must be finite"):
+        with pytest.raises(ValueError, match="budget: must be a finite nonnegative "
+                                             "number"):
             ActionSystem(
                 encoder_actions=Alphabet(1),
                 decoder_actions=Alphabet(1),

@@ -726,6 +726,30 @@ class TestContinuation:
                                              markovian_actions, 3),
                              0.5, start=converged.policy)
 
+    def test_a_cold_start_builds_no_dense_policy(self, markovian_kernel,
+                                                 markovian_actions,
+                                                 monkeypatch):
+        # the uniform start is formed on the reachable histories alone
+        space = TrajectorySpace(markovian_kernel, markovian_actions, 3)
+        dense = BaaState.initial(space, 0.3, start=CausalPolicy.uniform(
+            3, space.u_size, space.z_size))
+        built = []
+        check = CausalPolicy.__post_init__
+
+        def counting_post_init(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(CausalPolicy, "__post_init__", counting_post_init)
+        cold = BaaState.initial(space, 0.3)
+        assert built == []
+        assert cold.i_lower == dense.i_lower
+        assert cold.gamma == dense.gamma
+        for got, want in zip(cold.rows, dense.rows, strict=True):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(cold.q_live, dense.q_live)
+        np.testing.assert_array_equal(cold.d, dense.d)
+
     @pytest.mark.parametrize("shape", [(3, 4, 3), (2, 2, 3), (2, 4, 4),
                                        (2, 4, 2)],
                              ids=["block-length", "u", "z-larger", "z-smaller"])

@@ -601,9 +601,21 @@ class TestProblemValidation:
                 cost=np.array([0.0]),
             )
 
+    @pytest.mark.parametrize("field", ["stationary_dist", "per_state_channel"])
+    def test_non_finite_entries_rejected(self, markovian_single_letter, field):
+        # a NaN sums to NaN, which no tolerance comparison flags
+        arrays = {"stationary_dist": markovian_single_letter.stationary_dist.copy(),
+                  "per_state_channel":
+                      markovian_single_letter.per_state_channel.copy()}
+        arrays[field][0] = np.nan
+        with pytest.raises(ValueError,
+                           match=f"{field}: entries must be finite"):
+            SingleLetterProblem(sampling=markovian_single_letter.sampling,
+                                cost=markovian_single_letter.cost, **arrays)
+
     def test_negative_sampling_entries_rejected(self, markovian_single_letter):
         # a negative z would index the slice axis from its end
-        with pytest.raises(ValueError, match="sampling entries must be "
+        with pytest.raises(ValueError, match="sampling: entries must be "
                                              "nonnegative"):
             SingleLetterProblem(
                 stationary_dist=markovian_single_letter.stationary_dist,

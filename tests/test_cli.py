@@ -125,6 +125,20 @@ class TestValidate:
         assert f"/{section}/{key}: must be" in out
         assert "finite" in out
 
+    @pytest.mark.parametrize("init, shape", [(1.0, "[]"), ([[1.0]], "[1, 1]")],
+                             ids=["scalar", "matrix"])
+    def test_initial_dist_of_another_rank_is_reported(self, tmp_path, capsys,
+                                                      init, shape):
+        def mutate(doc):
+            doc["channel"]["initial_dist"] = init
+
+        path = write_variant(tmp_path, BSC_CONFIG_PATH, mutate)
+        assert cli.cmd_validate(path) == cli.EXIT_SEMANTIC
+        captured = capsys.readouterr()
+        assert captured.out == (f"/channel/initial_dist: shape {shape} does not "
+                                "match [1]\n")
+        assert "Traceback" not in captured.err
+
     def test_negative_single_letter_sampling_is_rejected(self, tmp_path,
                                                          capsys):
         def mutate(doc):
@@ -165,6 +179,379 @@ class TestValidate:
         assert config is not None, violations
         np.testing.assert_array_equal(config.single_letter.sampling,
                                       [[2, 2], [0, 1]])
+
+
+DROP = object()
+CONFIG_PATHS = {"markovian": MARKOVIAN_CONFIG_PATH, "bsc": BSC_CONFIG_PATH}
+
+
+def apply_edits(doc, edits):
+    """Set, or with DROP delete, the node at each JSON pointer; the empty
+    pointer replaces the whole document."""
+    for pointer, value in edits.items():
+        if not pointer:
+            return value
+        *path, last = (int(k) if k.isdigit() else k
+                       for k in pointer[1:].split("/"))
+        node = doc
+        for key in path:
+            node = node[key]
+        if value is DROP:
+            del node[last]
+        else:
+            node[last] = value
+    return doc
+
+
+def pinned(name, base, edits, expected):
+    return pytest.param(base, edits, expected, id=name)
+
+
+# Single- and multi-fault mutations of a bundled config covering every rule of
+# every section, each with the exact list parse_config reports.
+PINNED = [
+    pinned("channel-missing", "markovian",
+           {"/channel": DROP},
+           ["/channel: missing required section"]),
+    pinned("channel-not-object", "markovian",
+           {"/channel": [1]},
+           ["/channel: must be an object"]),
+    pinned("channel-sizes", "markovian",
+           {"/channel/state_size": 0, "/channel/output_size": True},
+           ["/channel/state_size: must be a positive integer",
+            "/channel/output_size: must be a positive integer"]),
+    pinned("channel-factors", "markovian",
+           {"/channel/output_factors": [3, 2]},
+           ["/channel/output_factors: must be positive integers whose product "
+            "equals output_size"]),
+    pinned("kernel-non-numeric", "markovian",
+           {"/channel/kernel/0/0/0/0": "a"},
+           ["/channel/kernel: entries must be numeric"]),
+    pinned("kernel-nan", "markovian",
+           {"/channel/kernel/0/0/0/0": math.nan},
+           ["/channel/kernel: entries must be finite"]),
+    pinned("kernel-inf", "markovian",
+           {"/channel/kernel/1/1/2/0": math.inf},
+           ["/channel/kernel: entries must be finite"]),
+    pinned("init-nan", "markovian",
+           {"/channel/initial_dist/1": math.nan},
+           ["/channel/initial_dist: entries must be finite"]),
+    pinned("kernel-and-init-nan", "markovian",
+           {"/channel/kernel/0/0/0/0": math.nan,
+            "/channel/initial_dist/1": math.nan},
+           ["/channel/kernel: entries must be finite",
+            "/channel/initial_dist: entries must be finite"]),
+    pinned("kernel-nan-init-sum", "markovian",
+           {"/channel/kernel/0/0/0/0": math.nan, "/channel/initial_dist/1": 0.5},
+           ["/channel/kernel: entries must be finite"]),
+    pinned("kernel-shape", "markovian",
+           {"/channel/kernel/1": DROP},
+           ["/channel/kernel: shape [1, 2, 4, 2] does not match [2][2][4][2]"]),
+    pinned("kernel-shape-4d", "bsc",
+           {"/channel/kernel": [[[0.75, 0.25], [0.25, 0.75]]]},
+           ["/channel/kernel: shape [1, 2, 2] does not match [1][2][2][1]"]),
+    pinned("init-length", "markovian",
+           {"/channel/initial_dist": [1.0, 0.0, 0.0]},
+           ["/channel/initial_dist: shape [3] does not match [2]"]),
+    pinned("init-matrix", "bsc",
+           {"/channel/initial_dist": [[1.0]]},
+           ["/channel/initial_dist: shape [1, 1] does not match [1]"]),
+    pinned("kernel-shape-and-init-length", "markovian",
+           {"/channel/kernel/1": DROP, "/channel/initial_dist": [1.0]},
+           ["/channel/kernel: shape [1, 2, 4, 2] does not match [2][2][4][2]"]),
+    pinned("kernel-nan-and-shape", "markovian",
+           {"/channel/kernel/1": DROP, "/channel/kernel/0/0/0/0": math.nan},
+           ["/channel/kernel: entries must be finite"]),
+    pinned("kernel-nan-init-non-numeric", "markovian",
+           {"/channel/kernel/0/0/0/0": math.nan,
+            "/channel/initial_dist": ["a", 1]},
+           ["/channel/kernel: entries must be finite",
+            "/channel/initial_dist: entries must be numeric"]),
+    pinned("init-scalar", "bsc",
+           {"/channel/initial_dist": 1.0},
+           ["/channel/initial_dist: shape [] does not match [1]"]),
+    pinned("kernel-row-sum", "markovian",
+           {"/channel/kernel/0/1/0/0": 0.5},
+           ["/channel/kernel/0/1: row sums to 1.25, expected 1"]),
+    pinned("kernel-negative", "markovian",
+           {"/channel/kernel/0/1/0/0": -0.25, "/channel/kernel/0/1/2/0": 0.75},
+           ["/channel/kernel/0/1/0/0: negative entry"]),
+    pinned("init-sum", "markovian",
+           {"/channel/initial_dist": [0.5, 0.4]},
+           ["/channel/initial_dist: must be a probability vector"]),
+    pinned("init-negative", "markovian",
+           {"/channel/initial_dist": [1.5, -0.5]},
+           ["/channel/initial_dist: must be a probability vector"]),
+    pinned("kernel-every-defect", "markovian",
+           {"/channel/kernel/0/0/0/0": 0.25,
+            "/channel/kernel/1/1/2/0": -0.5,
+            "/channel/initial_dist": [0.5, 0.4]},
+           ["/channel/kernel/0/0: row sums to 0.75, expected 1",
+            "/channel/kernel/1/1: row sums to 0.0, expected 1",
+            "/channel/kernel/1/1/2/0: negative entry",
+            "/channel/initial_dist: must be a probability vector"]),
+    pinned("actions-missing", "markovian",
+           {"/actions": DROP},
+           ["/actions: missing required section"]),
+    pinned("actions-not-object", "markovian",
+           {"/actions": "x"},
+           ["/actions: must be an object"]),
+    pinned("actions-sizes", "markovian",
+           {"/actions/encoder_size": 0, "/actions/feedback_size": 1.5},
+           ["/actions/encoder_size: must be a positive integer",
+            "/actions/feedback_size: must be a positive integer"]),
+    pinned("table-fraction", "markovian",
+           {"/actions/sampling_table/1/0/1": 0.5},
+           ["/actions/sampling_table: entries must be integers"]),
+    pinned("cost-non-numeric", "markovian",
+           {"/actions/cost_table/0/0": "free"},
+           ["/actions/cost_table: entries must be numeric"]),
+    pinned("cost-nan", "markovian",
+           {"/actions/cost_table/1/0": math.nan},
+           ["/actions/cost_table: entries must be finite"]),
+    pinned("budget-string", "markovian",
+           {"/actions/budget": "1"},
+           ["/actions/budget: must be a finite nonnegative number"]),
+    pinned("budget-negative", "markovian",
+           {"/actions/budget": -1.0},
+           ["/actions/budget: must be a finite nonnegative number"]),
+    pinned("budget-bool", "markovian",
+           {"/actions/budget": True},
+           ["/actions/budget: must be a finite nonnegative number"]),
+    pinned("table-output-axis", "markovian",
+           {"/actions/sampling_table": [[[2, 2, 2]], [[0, 1, 0]]]},
+           ["/actions/sampling_table: must be indexed "
+            "[encoder action][decoder action][channel output]"]),
+    pinned("table-output-axis-2d", "markovian",
+           {"/actions/sampling_table": [[2, 2], [0, 1]]},
+           ["/actions/sampling_table: must be indexed "
+            "[encoder action][decoder action][channel output]"]),
+    pinned("table-output-axis-and-value", "markovian",
+           {"/actions/sampling_table": [[[2, 2, 2]], [[0, 1, 5]]]},
+           ["/actions/sampling_table: must be indexed "
+            "[encoder action][decoder action][channel output]"]),
+    pinned("table-output-axis-and-budget", "markovian",
+           {"/actions/sampling_table": [[[2, 2, 2]], [[0, 1, 0]]],
+            "/actions/budget": -1.0},
+           ["/actions/budget: must be a finite nonnegative number"]),
+    pinned("table-output-axis-and-cost-nan", "markovian",
+           {"/actions/sampling_table": [[[2, 2, 2]], [[0, 1, 0]]],
+            "/actions/cost_table/1/0": math.nan},
+           ["/actions/cost_table: entries must be finite"]),
+    pinned("table-encoder-axis", "markovian",
+           {"/actions/sampling_table": [[[2, 2, 2, 2]]]},
+           ["/actions/sampling_table: must be indexed "
+            "[encoder action][decoder action][channel output]"]),
+    pinned("table-value-high", "markovian",
+           {"/actions/sampling_table/1/0/0": 3},
+           ["/actions/sampling_table: values must lie in the feedback alphabet"]),
+    pinned("table-value-negative", "markovian",
+           {"/actions/sampling_table/1/0/0": -1},
+           ["/actions/sampling_table: values must lie in the feedback alphabet"]),
+    pinned("cost-shape", "markovian",
+           {"/actions/cost_table": [[0.0, 1.0]]},
+           ["/actions/cost_table: must be indexed "
+            "[encoder action][decoder action]"]),
+    pinned("cost-negative", "markovian",
+           {"/actions/cost_table/1/0": -1.0},
+           ["/actions/cost_table: costs must be nonnegative"]),
+    pinned("table-value-and-cost-negative", "markovian",
+           {"/actions/sampling_table/1/0/0": 3, "/actions/cost_table/1/0": -1.0},
+           ["/actions/sampling_table: values must lie in the feedback alphabet"]),
+    pinned("actions-types-and-budget", "markovian",
+           {"/actions/encoder_size": 0, "/actions/budget": "1"},
+           ["/actions/encoder_size: must be a positive integer",
+            "/actions/budget: must be a finite nonnegative number"]),
+    pinned("actions-sizes-and-budget-negative", "markovian",
+           {"/actions/encoder_size": 0, "/actions/budget": -1.0},
+           ["/actions/encoder_size: must be a positive integer",
+            "/actions/budget: must be a finite nonnegative number"]),
+    pinned("cost-nan-and-budget-negative", "markovian",
+           {"/actions/cost_table/1/0": math.nan, "/actions/budget": -1.0},
+           ["/actions/cost_table: entries must be finite",
+            "/actions/budget: must be a finite nonnegative number"]),
+    pinned("cost-nan-and-budget-string", "markovian",
+           {"/actions/cost_table/1/0": math.nan, "/actions/budget": "x"},
+           ["/actions/cost_table: entries must be finite",
+            "/actions/budget: must be a finite nonnegative number"]),
+    pinned("budget-and-table-value", "markovian",
+           {"/actions/budget": -1.0, "/actions/sampling_table/1/0/0": 3},
+           ["/actions/budget: must be a finite nonnegative number"]),
+    pinned("cost-nan-and-table-axis", "markovian",
+           {"/actions/cost_table/1/0": math.nan,
+            "/actions/sampling_table": [[[2, 2, 2, 2]]]},
+           ["/actions/cost_table: entries must be finite"]),
+    pinned("bad-channel-unchecked-output-axis", "markovian",
+           {"/channel/kernel/0/1/0/0": 0.5,
+            "/actions/sampling_table": [[[2, 2, 2]], [[0, 1, 0]]]},
+           ["/channel/kernel/0/1: row sums to 1.25, expected 1"]),
+    pinned("factors-and-table-output-axis", "markovian",
+           {"/channel/output_factors": [3, 2],
+            "/actions/sampling_table": [[[2, 2, 2]], [[0, 1, 0]]]},
+           ["/channel/output_factors: must be positive integers whose product "
+            "equals output_size",
+            "/actions/sampling_table: must be indexed "
+            "[encoder action][decoder action][channel output]"]),
+    pinned("blocks-empty", "markovian",
+           {"/block_lengths": []},
+           ["/block_lengths: must be a nonempty list of positive integers"]),
+    pinned("blocks-zero", "markovian",
+           {"/block_lengths": [2, 0]},
+           ["/block_lengths: must be a nonempty list of positive integers"]),
+    pinned("blocks-oversized", "markovian",
+           {"/block_lengths": [2, 7]},
+           ["/block_lengths/1: block length 7 needs about 18 GiB of dense "
+            "tables, above the 2 GiB limit"]),
+    pinned("algorithm-not-object", "markovian",
+           {"/algorithm": []},
+           ["/algorithm: must be an object"]),
+    pinned("algorithm-values", "markovian",
+           {"/algorithm/epsilon": 0,
+            "/algorithm/max_iters": 0,
+            "/algorithm/lambda_grid": [-1.0],
+            "/algorithm/gamma_points": 0,
+            "/algorithm/resolution": 0,
+            "/algorithm/seed": -1},
+           ["/algorithm/epsilon: must be a finite positive number",
+            "/algorithm/max_iters: must be a positive integer",
+            "/algorithm/lambda_grid: must be a nonempty list of finite "
+            "nonnegative numbers",
+            "/algorithm/gamma_points: must be a positive integer",
+            "/algorithm/resolution: must be a positive integer",
+            "/algorithm/seed: must be a nonnegative integer"]),
+    pinned("single-letter-not-object", "markovian",
+           {"/single_letter": 3},
+           ["/single_letter: must be an object"]),
+    pinned("pi-nan", "markovian",
+           {"/single_letter/stationary_dist/0": math.nan},
+           ["/single_letter/stationary_dist: entries must be finite"]),
+    pinned("chan-inf", "markovian",
+           {"/single_letter/per_state_channel/1/1/1": math.inf},
+           ["/single_letter/per_state_channel: entries must be finite"]),
+    pinned("sl-cost-nan", "markovian",
+           {"/single_letter/cost/1": math.nan},
+           ["/single_letter/cost: entries must be finite"]),
+    pinned("sl-every-non-finite", "markovian",
+           {"/single_letter/stationary_dist/0": math.nan,
+            "/single_letter/per_state_channel/1/1/1": math.inf,
+            "/single_letter/cost/1": math.nan},
+           ["/single_letter/stationary_dist: entries must be finite",
+            "/single_letter/per_state_channel: entries must be finite",
+            "/single_letter/cost: entries must be finite"]),
+    pinned("pi-nan-and-chan-sum", "markovian",
+           {"/single_letter/stationary_dist/0": math.nan,
+            "/single_letter/per_state_channel/1/0/0": 0.25},
+           ["/single_letter/stationary_dist: entries must be finite"]),
+    pinned("pi-non-numeric", "markovian",
+           {"/single_letter/stationary_dist": ["a", 0.5]},
+           ["/single_letter/stationary_dist: entries must be numeric"]),
+    pinned("sl-sampling-fraction", "markovian",
+           {"/single_letter/sampling/1/1": 1.5},
+           ["/single_letter/sampling: entries must be integers"]),
+    pinned("pi-nan-and-sampling-fraction", "markovian",
+           {"/single_letter/stationary_dist/0": math.nan,
+            "/single_letter/sampling/1/1": 1.5},
+           ["/single_letter/stationary_dist: entries must be finite",
+            "/single_letter/sampling: entries must be integers"]),
+    pinned("pi-sum", "markovian",
+           {"/single_letter/stationary_dist": [0.6, 0.6]},
+           ["/single_letter/stationary_dist: must be a probability vector"]),
+    pinned("pi-negative", "markovian",
+           {"/single_letter/stationary_dist": [1.5, -0.5]},
+           ["/single_letter/stationary_dist: must be a probability vector"]),
+    pinned("pi-matrix", "markovian",
+           {"/single_letter/stationary_dist": [[0.5, 0.5]]},
+           ["/single_letter/stationary_dist: must be a probability vector"]),
+    pinned("chan-ndim", "markovian",
+           {"/single_letter/per_state_channel": [[1.0, 0.0], [0.0, 1.0]]},
+           ["/single_letter/per_state_channel: must be indexed [s][x][y] with "
+            "one slice per state"]),
+    pinned("chan-states", "markovian",
+           {"/single_letter/per_state_channel/1": DROP},
+           ["/single_letter/per_state_channel: must be indexed [s][x][y] with "
+            "one slice per state"]),
+    pinned("chan-row-sum", "markovian",
+           {"/single_letter/per_state_channel/1/0/0": 0.25},
+           ["/single_letter/per_state_channel/1/0: row sums to 0.75, expected 1"]),
+    pinned("chan-negative", "markovian",
+           {"/single_letter/per_state_channel/1/0": [1.5, -0.5]},
+           ["/single_letter/per_state_channel: negative entries"]),
+    pinned("sl-sampling-ndim", "markovian",
+           {"/single_letter/sampling": [2, 0]},
+           ["/single_letter/sampling: must be indexed [a][s] with one cost per "
+            "action"]),
+    pinned("sl-cost-count", "markovian",
+           {"/single_letter/cost": [0.0, 1.0, 2.0]},
+           ["/single_letter/sampling: must be indexed [a][s] with one cost per "
+            "action"]),
+    pinned("sl-cost-ndim", "markovian",
+           {"/single_letter/cost": [[0.0, 1.0]]},
+           ["/single_letter/sampling: must be indexed [a][s] with one cost per "
+            "action"]),
+    pinned("sl-sampling-states", "markovian",
+           {"/single_letter/sampling": [[2], [0]]},
+           ["/single_letter/sampling: state axis does not match"]),
+    pinned("sl-sampling-negative", "markovian",
+           {"/single_letter/sampling/1/1": -1},
+           ["/single_letter/sampling: entries must be nonnegative"]),
+    pinned("sl-cost-negative", "markovian",
+           {"/single_letter/cost/1": -1.0},
+           ["/single_letter/cost: costs must be nonnegative"]),
+    pinned("sl-every-defect", "markovian",
+           {"/single_letter/stationary_dist": [0.6, 0.6],
+            "/single_letter/per_state_channel/1/0/0": 0.25,
+            "/single_letter/per_state_channel/0/1/1": -0.5,
+            "/single_letter/sampling/1/1": -1,
+            "/single_letter/cost/1": -1.0},
+           ["/single_letter/stationary_dist: must be a probability vector",
+            "/single_letter/per_state_channel/0/1: row sums to 0.0, expected 1",
+            "/single_letter/per_state_channel/1/0: row sums to 0.75, expected 1",
+            "/single_letter/per_state_channel: negative entries",
+            "/single_letter/sampling: entries must be nonnegative",
+            "/single_letter/cost: costs must be nonnegative"]),
+    pinned("pi-matrix-and-chan-states", "markovian",
+           {"/single_letter/stationary_dist": [[0.5, 0.5]],
+            "/single_letter/per_state_channel/1": DROP,
+            "/single_letter/sampling": [[2], [0]]},
+           ["/single_letter/stationary_dist: must be a probability vector"]),
+    pinned("exponent-not-object", "markovian",
+           {"/exponent": 1},
+           ["/exponent: must be an object"]),
+    pinned("exponent-values", "markovian",
+           {"/exponent/rho_grid": [0.5, 1.5], "/exponent/block_length": 0},
+           ["/exponent/block_length: must be a positive integer",
+            "/exponent/rho_grid: must be a nonempty list in [0, 1]"]),
+    pinned("exponent-oversized", "markovian",
+           {"/exponent/block_length": 7},
+           ["/exponent/block_length: block length 7 needs about 18 GiB of "
+            "dense tables, above the 2 GiB limit"]),
+    pinned("every-section", "markovian",
+           {"/channel/kernel/0/1/0/0": 0.5,
+            "/actions/budget": -1.0,
+            "/block_lengths": [],
+            "/algorithm/seed": -1,
+            "/single_letter/cost/1": -1.0,
+            "/exponent/block_length": 0},
+           ["/channel/kernel/0/1: row sums to 1.25, expected 1",
+            "/actions/budget: must be a finite nonnegative number",
+            "/block_lengths: must be a nonempty list of positive integers",
+            "/algorithm/seed: must be a nonnegative integer",
+            "/single_letter/cost: costs must be nonnegative",
+            "/exponent/block_length: must be a positive integer"]),
+    pinned("root-not-object", "markovian",
+           {"": [1, 2]},
+           ["/: config root must be a JSON object"]),
+]
+
+
+class TestViolationMessages:
+    @pytest.mark.parametrize("base, edits, expected", PINNED)
+    def test_parse_config_reports_exactly(self, base, edits, expected):
+        with open(CONFIG_PATHS[base], encoding="utf-8") as fh:
+            doc = json.load(fh)
+        config, violations = cli.parse_config(apply_edits(doc, edits))
+        assert config is None
+        assert violations == expected
 
 
 class TestCapacitySweep:

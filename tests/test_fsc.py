@@ -1,6 +1,7 @@
 """Channel representation, validation, structure predicates, causal law."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from sampcap import (
     is_indecomposable,
     is_no_isi,
     stationary_distribution,
-    validate_kernel,
 )
 
 from conftest import make_random_kernel
@@ -43,13 +43,24 @@ class TestAlphabet:
             Alphabet(2, labels=("a", "a"))
 
 
+def bsc_violations(kernel, initial_dist):
+    return FscKernel.violations(1, 2, 2, kernel, initial_dist)
+
+
+def build_bsc(kernel, initial_dist):
+    return FscKernel(Alphabet(1), Alphabet(2), Alphabet(2), kernel, initial_dist)
+
+
 class TestKernelValidation:
     def test_bundled_kernels_are_valid(self, bsc_kernel, markovian_kernel):
-        assert validate_kernel(bsc_kernel) == []
-        assert validate_kernel(markovian_kernel) == []
+        for k in (bsc_kernel, markovian_kernel):
+            assert FscKernel.violations(k.state_size, k.input_size,
+                                        k.output_size, k.kernel,
+                                        k.initial_dist) == []
 
     def test_shape_mismatch_raises_at_construction(self):
-        with pytest.raises(ValueError, match="axis 1"):
+        with pytest.raises(ValueError, match=r"kernel: shape \[1, 1, 2, 1\] "
+                                             r"does not match \[1\]\[2\]\[2\]\[1\]"):
             FscKernel(
                 state_alphabet=Alphabet(1),
                 input_alphabet=Alphabet(2),
@@ -61,24 +72,45 @@ class TestKernelValidation:
     def test_row_sum_defect_is_located(self):
         arr = bsc_kernel_array(0.25)
         arr[0, 1] *= 2.0
-        k = FscKernel(Alphabet(1), Alphabet(2), Alphabet(2), arr, np.array([1.0]))
-        messages = validate_kernel(k)
-        assert any("(s=0, x=1)" in m for m in messages)
-        assert not any("(s=0, x=0)" in m for m in messages)
+        messages = bsc_violations(arr, np.array([1.0]))
+        assert any(m.startswith("kernel/0/1:") for m in messages)
+        assert not any(m.startswith("kernel/0/0") for m in messages)
+        with pytest.raises(ValueError, match="^kernel/0/1: row sums to 2.0"):
+            build_bsc(arr, np.array([1.0]))
 
     def test_negative_entry_is_located(self):
         arr = bsc_kernel_array(0.25)
         arr[0, 0, 0, 0] = -0.25
         arr[0, 0, 1, 0] = 1.25
-        k = FscKernel(Alphabet(1), Alphabet(2), Alphabet(2), arr, np.array([1.0]))
-        messages = validate_kernel(k)
-        assert any("negative" in m and "(s=0, x=0, y=0, s_next=0)" in m
-                   for m in messages)
+        assert bsc_violations(arr, np.array([1.0])) == [
+            "kernel/0/0/0/0: negative entry"]
+        with pytest.raises(ValueError, match="^kernel/0/0/0/0: negative entry"):
+            build_bsc(arr, np.array([1.0]))
 
     def test_initial_dist_violations_reported(self):
         arr = bsc_kernel_array(0.25)
-        k = FscKernel(Alphabet(1), Alphabet(2), Alphabet(2), arr, np.array([0.9]))
-        assert any("initial_dist" in m for m in validate_kernel(k))
+        assert bsc_violations(arr, np.array([0.9])) == [
+            "initial_dist: must be a probability vector"]
+        with pytest.raises(ValueError, match="^initial_dist: must be"):
+            build_bsc(arr, np.array([0.9]))
+
+    def test_non_finite_entries_are_reported(self):
+        # a NaN sums to NaN, which no tolerance comparison flags
+        arr = bsc_kernel_array(0.25)
+        arr[0, 1, 0, 0] = np.nan
+        assert bsc_violations(arr, np.array([1.0])) == [
+            "kernel: entries must be finite"]
+        assert bsc_violations(bsc_kernel_array(0.25), np.array([np.nan])) == [
+            "initial_dist: entries must be finite"]
+        with pytest.raises(ValueError, match="^kernel: entries must be finite"):
+            build_bsc(arr, np.array([np.nan]))
+
+    @pytest.mark.parametrize("init, shape", [(1.0, "[]"), ([[1.0]], "[1, 1]")],
+                             ids=["scalar", "matrix"])
+    def test_initial_dist_of_another_rank_raises(self, init, shape):
+        message = f"initial_dist: shape {shape} does not match [1]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_bsc(bsc_kernel_array(0.25), init)
 
 
 class TestStructurePredicates:
