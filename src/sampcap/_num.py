@@ -8,8 +8,25 @@ accumulations do not drift at the 1e-12 tolerances the invariants demand.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
+
+
+def is_integer(v) -> bool:
+    """An integer, not a bool (JSON's true reads as 1)."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def is_number(v) -> bool:
+    """A real number, not a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def raise_first(violations: list[str]) -> None:
+    """Raise ValueError with the first of a list of broken rules, if any."""
+    if violations:
+        raise ValueError(violations[0])
 
 
 def freeze(a, dtype=float) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._num import freeze, non_finite
+from ._num import freeze, non_finite, raise_first
 from .fsc import Alphabet
 
 
@@ -39,12 +39,11 @@ class ActionSystem:
     def __post_init__(self):
         object.__setattr__(self, "sampling_table", freeze(self.sampling_table, dtype=int))
         object.__setattr__(self, "cost_table", freeze(self.cost_table))
-        found = self.violations(self.encoder_actions.size,
-                                self.decoder_actions.size,
-                                self.feedback_alphabet.size,
-                                self.sampling_table, self.cost_table, self.budget)
-        if found:
-            raise ValueError(found[0])
+        raise_first(self.violations(self.encoder_actions.size,
+                                    self.decoder_actions.size,
+                                    self.feedback_alphabet.size,
+                                    self.sampling_table, self.cost_table,
+                                    self.budget))
 
     @staticmethod
     def violations(encoder_size: Optional[int], decoder_size: Optional[int],

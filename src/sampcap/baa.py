@@ -35,12 +35,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._num import freeze, fsum_array, log2_guarded
+from ._num import (freeze, fsum_array, is_integer, is_number, log2_guarded,
+                   raise_first)
 from .policy import CausalPolicy
 from .trajectory import TrajectorySpace
 
 DEFAULT_EPSILON = 1e-6
 DEFAULT_MAX_ITERS = 10_000
+DEFAULT_GAMMA_POINTS = 101
 ENVELOPE_SLACK = 1e-9
 # weight of the uniform policy in a sweep point's warm start: the
 # multiplicative update cannot regrow mass that is exactly zero
@@ -58,6 +60,27 @@ RELAX_CUT = 16.0
 def default_lambda_grid() -> np.ndarray:
     """25 geometric points on [1e-3, 10] plus the unconstrained point 0."""
     return np.concatenate([[0.0], np.geomspace(1e-3, 10.0, 25)])
+
+
+def sweep_violations(eps=DEFAULT_EPSILON, max_iters=DEFAULT_MAX_ITERS,
+                     lam_grid=None, gamma_points=DEFAULT_GAMMA_POINTS
+                     ) -> list[str]:
+    """The rules the run parameters of sweep_lambda break, by JSON pointer
+    within the algorithm section; run_baa's lambda is a one-point grid, and
+    None the default grid. An infinite eps would certify any gap."""
+    found = []
+    if not (is_number(eps) and 0.0 < eps < math.inf):
+        found.append("epsilon: must be a finite positive number")
+    if not (is_integer(max_iters) and max_iters >= 1):
+        found.append("max_iters: must be a positive integer")
+    if lam_grid is not None and not (
+            isinstance(lam_grid, (Sequence, np.ndarray)) and len(lam_grid)
+            and all(is_number(v) and 0.0 <= v < math.inf for v in lam_grid)):
+        found.append("lambda_grid: must be a nonempty list of finite "
+                     "nonnegative numbers")
+    if not (is_integer(gamma_points) and gamma_points >= 1):
+        found.append("gamma_points: must be a positive integer")
+    return found
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,10 +430,10 @@ def run_baa(space: TrajectorySpace, lam: float,
     the point whatever the start. The space is shared, never modified.
     Nonconvergence within max_iters is reported on the point, not raised.
     The value C_N(lambda) is the final upper iterate; the measured cost is
-    the per-step average action cost under the final policy.
+    the per-step average action cost under the final policy. Raises
+    ValueError with the first of sweep_violations.
     """
-    if not 0.0 < eps < math.inf:
-        raise ValueError("eps must be positive and finite")
+    raise_first(sweep_violations(eps, max_iters, [lam]))
     t0 = time.perf_counter()
     state = BaaState.initial(space, lam, start=start)
     converged = False
@@ -462,7 +485,7 @@ def sweep_lambda(space: TrajectorySpace,
                  lam_grid: Optional[Sequence[float]] = None,
                  eps: float = DEFAULT_EPSILON,
                  max_iters: int = DEFAULT_MAX_ITERS,
-                 gamma_points: int = 101) -> TradeoffCurve:
+                 gamma_points: int = DEFAULT_GAMMA_POINTS) -> TradeoffCurve:
     """Run the optimizer across a lambda grid and rebuild the cost envelope.
 
     The points form one chain on the space, in ascending lambda: each point
@@ -471,13 +494,12 @@ def sweep_lambda(space: TrajectorySpace,
     point from the side with more sampling avoids regrowing mass the
     multiplicative update has nearly emptied. The envelope is evaluated on
     a uniform budget grid [0, Lambda_max]. Nonconverged points propagate
-    their flags.
+    their flags. Raises ValueError with the first of sweep_violations.
     """
+    raise_first(sweep_violations(eps, max_iters, lam_grid, gamma_points))
     if lam_grid is None:
         lam_grid = default_lambda_grid()
     lams = sorted(float(v) for v in lam_grid)
-    if not lams or lams[0] < 0.0:
-        raise ValueError("lambda grid must be nonempty and nonnegative")
     points: list[TradeoffPoint] = []
     for lam in lams:
         start = _warm_start(points[-1].policy) if points else None

@@ -34,7 +34,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._num import freeze, non_finite, project_to_simplex
+from ._num import (freeze, is_integer, is_number, non_finite,
+                   project_to_simplex, raise_first)
 from .policy import CausalPolicy
 from .trajectory import TrajectorySpace
 
@@ -43,6 +44,7 @@ ASCENT_TOL = 1e-10
 ASCENT_MAX_ITER = 50_000
 ASCENT_CHUNK = 2_048  # instances per ascent batch, each stacked once per start
 DEFAULT_RESOLUTION = 101
+MIN_RESOLUTION = 10
 DEFAULT_RESTARTS = 5
 MAX_DEFAULT_FREE_DIMS = 3
 FEAS_SLACK = 1e-12
@@ -69,10 +71,9 @@ class SingleLetterProblem:
         object.__setattr__(self, "per_state_channel", freeze(self.per_state_channel))
         object.__setattr__(self, "sampling", freeze(self.sampling, dtype=int))
         object.__setattr__(self, "cost", freeze(self.cost))
-        found = self.violations(self.stationary_dist, self.per_state_channel,
-                                self.sampling, self.cost)
-        if found:
-            raise ValueError(found[0])
+        raise_first(self.violations(self.stationary_dist,
+                                    self.per_state_channel, self.sampling,
+                                    self.cost))
 
     @staticmethod
     def violations(pi: Optional[np.ndarray], chan: Optional[np.ndarray],
@@ -278,24 +279,43 @@ def _expected_action_cost(prob: SingleLetterProblem, mode: str,
     return per_state @ prob.stationary_dist
 
 
-def _candidate_actions(prob: SingleLetterProblem, mode: str,
-                       resolution: int) -> np.ndarray:
-    """The action-distribution grid, refused before it is built if too large.
+def curve_violations(prob: Optional[SingleLetterProblem] = None,
+                     mode: str = "encoder", resolution=DEFAULT_RESOLUTION,
+                     seed=0) -> list[str]:
+    """The rules the run parameters of a single-letter ascent in a mode
+    break, by JSON pointer within the algorithm section.
 
-    The limit is the grid size of MAX_DEFAULT_FREE_DIMS free dimensions at
-    the default resolution, so a coarser resolution admits more dimensions.
+    A problem's action-distribution grid is refused, before it is built, if
+    it is larger than MAX_DEFAULT_FREE_DIMS free dimensions at the default
+    resolution, so a coarser resolution admits more dimensions. A grid of
+    P_{A|S} (every mode but encoder) has |S| times the free dimensions of
+    the encoder's P_A.
     """
     _check_mode(mode)
+    found = []
+    if not (is_integer(resolution) and resolution >= 1):
+        found.append("resolution: must be a positive integer")
+    elif resolution < MIN_RESOLUTION:
+        found.append(f"resolution: must be at least {MIN_RESOLUTION} grid "
+                     "points per dimension")
+    elif prob is not None:
+        a = prob.action_size
+        s = 1 if mode == "encoder" else prob.state_size
+        if (math.comb(resolution + a - 2, a - 1) ** s
+                > DEFAULT_RESOLUTION ** MAX_DEFAULT_FREE_DIMS):
+            found.append(f"resolution: {s * (a - 1)} free action dimensions "
+                         "need a coarser resolution")
+    if not (is_integer(seed) and seed >= 0):
+        found.append("seed: must be a nonnegative integer")
+    return found
+
+
+def _candidate_actions(prob: SingleLetterProblem, mode: str,
+                       resolution: int) -> np.ndarray:
+    """The action-distribution grid of a resolution that curve_violations
+    admits."""
+    _check_mode(mode)
     a = prob.action_size
-    per_dist = math.comb(resolution + a - 2, a - 1)
-    if mode == "encoder":
-        free, count = a - 1, per_dist
-    else:
-        free, count = prob.state_size * (a - 1), per_dist ** prob.state_size
-    if count > DEFAULT_RESOLUTION ** MAX_DEFAULT_FREE_DIMS:
-        raise ValueError(
-            f"{free} free action dimensions need a caller-supplied coarser resolution"
-        )
     rows = _simplex_grid(a, resolution)
     if mode == "encoder":
         return rows
@@ -367,8 +387,6 @@ def _optimize_mixtures(prob: SingleLetterProblem, mixes: Sequence[np.ndarray],
 def _curve_batch(prob: SingleLetterProblem, mode: str,
                  resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """Expected costs and slice mixtures of the whole action-distribution grid."""
-    if resolution < 10:
-        raise ValueError("resolution must be at least 10 grid points per dimension")
     candidates = _candidate_actions(prob, mode, resolution)
     return (_expected_action_cost(prob, mode, candidates),
             _action_mixture(prob, mode, candidates))
@@ -403,8 +421,10 @@ def single_letter_curve(prob: SingleLetterProblem, mode: str,
     mode is one of MODES. The inner maximization does not depend on the
     budget, only feasibility does, so every action-grid candidate is
     optimized once and each budget keeps its best feasible value. Budgets
-    with no feasible candidate get NaN.
+    with no feasible candidate get NaN. Raises ValueError with the first
+    of curve_violations.
     """
+    raise_first(curve_violations(prob, mode, resolution, seed))
     costs, mix = _curve_batch(prob, mode, resolution)
     [values] = _optimize_mixtures(prob, [mix], restarts, seed)
     return _best_feasible(costs, values, gammas)
@@ -414,6 +434,7 @@ def zero_unit_cost_capacity(prob: SingleLetterProblem,
                             restarts: int = DEFAULT_RESTARTS,
                             seed: int = 0) -> tuple[float, float]:
     """(C(0), C(1)): common-input and per-state-input maxima of I(X;Y|S)."""
+    raise_first(curve_violations(seed=seed))
     c0, c1 = _optimize_mixtures(prob, _endpoint_mixtures(prob), restarts, seed)
     return float(c0[0]), float(c1[0])
 
@@ -428,6 +449,8 @@ def single_letter_bounds(prob: SingleLetterProblem, gammas: Sequence[float],
     `single_letter_curve` in each mode with the same arguments; the four
     batches only share the ascent's iterations.
     """
+    # the decoder grid is the larger one
+    raise_first(curve_violations(prob, "decoder", resolution, seed))
     enc_costs, enc_mix = _curve_batch(prob, "encoder", resolution)
     dec_costs, dec_mix = _curve_batch(prob, "decoder", resolution)
     enc_values, dec_values, c0, c1 = _optimize_mixtures(
@@ -445,6 +468,15 @@ def time_sharing_baseline(c0: float, c1: float, gamma: float) -> float:
     return (1.0 - gamma) * c0 + gamma * c1
 
 
+def exponent_violations(rho_grid) -> list[str]:
+    """The rule a grid of exponent orders breaks, if any, by JSON pointer
+    within the exponent section."""
+    if (isinstance(rho_grid, (Sequence, np.ndarray)) and len(rho_grid)
+            and all(is_number(v) and 0.0 <= v <= 1.0 for v in rho_grid)):
+        return []
+    return ["rho_grid: must be a nonempty list in [0, 1]"]
+
+
 def gallager_exponent(space: TrajectorySpace, policy: CausalPolicy,
                       rho: float) -> float:
     """Literal evaluation of the block exponent of a policy at order rho,
@@ -452,9 +484,9 @@ def gallager_exponent(space: TrajectorySpace, policy: CausalPolicy,
 
     Inner channel powers are taken in the log domain; the value is exactly 0
     at rho = 0 (the bracketed sum is then the total probability mass, 1).
+    rho is checked as a one-point grid of exponent_violations.
     """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
+    raise_first(exponent_violations([rho]))
     rows = space.reachable_rows(policy)
     if rho == 0.0:
         return 0.0

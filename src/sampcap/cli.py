@@ -2,6 +2,10 @@
 
 One JSON document describes the channel, the action system, and the
 algorithm parameters; each subcommand reads it and emits CSV/JSON files.
+parse_config checks only JSON types and the dense-table size; every other
+rule is the violations(...) of the library call that enforces it, whose
+messages it prefixes with their section, so validate accepts exactly what
+every subcommand can run.
 
   validate        check the config; violations printed with JSON pointers
   capacity-sweep  lambda sweep per block length -> sweep_N.csv, envelope_N.csv
@@ -18,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import platform
 import re
@@ -31,20 +34,26 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
+from ._num import is_integer, is_number
 from .actions import ActionSystem
 from .baa import (
     BaaState,
     DEFAULT_EPSILON,
+    DEFAULT_GAMMA_POINTS,
     DEFAULT_MAX_ITERS,
     default_lambda_grid,
     sandwich_bounds,
     sweep_lambda,
+    sweep_violations,
     update_q,
     update_r,
 )
 from .bounds import (
     AscentCapWarning,
+    DEFAULT_RESOLUTION,
     SingleLetterProblem,
+    curve_violations,
+    exponent_violations,
     gallager_exponent,
     single_letter_bounds,
     time_sharing_baseline,
@@ -56,6 +65,7 @@ from .oracle import (
     grid_search_space,
     literal_directed_info,
     literal_r_update,
+    literal_violations,
 )
 from .policy import CausalPolicy, build_joint, directed_information
 from .trajectory import TrajectorySpace
@@ -120,10 +130,6 @@ def _as_float_array(node, pointer: str, violations: list[str]):
     return arr
 
 
-def _is_number(node) -> bool:
-    return isinstance(node, (int, float)) and not isinstance(node, bool)
-
-
 def _as_int_array(node, pointer: str, violations: list[str]):
     """Integer array of a nested list; a bool or a fractional entry is
     reported, not truncated."""
@@ -131,33 +137,36 @@ def _as_int_array(node, pointer: str, violations: list[str]):
         leaves = np.array(node, dtype=object)
     except (TypeError, ValueError):
         leaves = None
-    if leaves is None or not all(_is_number(v) and float(v).is_integer()
+    if leaves is None or not all(is_number(v) and float(v).is_integer()
                                  for v in leaves.ravel()):
         violations.append(f"{pointer}: entries must be integers")
         return None
     return leaves.astype(int)
 
 
-def _positive_int(node, pointer: str, violations: list[str], default=None):
-    if node is None and default is not None:
-        return default
-    if not isinstance(node, int) or isinstance(node, bool) or node < 1:
+def _positive_int(node, pointer: str, violations: list[str]):
+    if not (is_integer(node) and node >= 1):
         violations.append(f"{pointer}: must be a positive integer")
         return None
     return node
 
 
 def _parse_section(doc: dict, name: str, fields: tuple[str, ...], read,
-                   violations: list[str], required: bool = True):
+                   violations: list[str], required: bool = True,
+                   default: Optional[dict] = None):
     """Read one object section with read(node, found), which appends
     messages relative to the section to found. They are reported under
     /name/, ordered by field as listed in fields (stably), so that the JSON
-    type faults and the library's messages come field by field."""
+    type faults and the library's messages come field by field. A missing
+    or null section is reported if required, else read as default if one
+    is given, else None."""
     node = doc.get(name)
     if node is None:
         if required:
             violations.append(f"/{name}: missing required section")
-        return None
+        if default is None:
+            return None
+        node = default
     if not isinstance(node, dict):
         violations.append(f"/{name}: must be an object")
         return None
@@ -168,12 +177,15 @@ def _parse_section(doc: dict, name: str, fields: tuple[str, ...], read,
     return value
 
 
-CHANNEL_FIELDS = ("state_size", "input_size", "output_size", "output_factors",
-                  "kernel", "initial_dist")
+CHANNEL_FIELDS = ("state_size", "input_size", "output_size", "kernel",
+                  "initial_dist")
 ACTIONS_FIELDS = ("encoder_size", "decoder_size", "feedback_size",
                   "sampling_table", "cost_table", "budget")
+ALGORITHM_FIELDS = ("epsilon", "max_iters", "lambda_grid", "gamma_points",
+                    "resolution", "seed")
 SINGLE_LETTER_FIELDS = ("stationary_dist", "per_state_channel", "sampling",
                         "cost")
+EXPONENT_FIELDS = ("block_length", "rho_grid")
 
 
 def _read_channel(ch: dict, found: list[str]) -> Optional[FscKernel]:
@@ -182,18 +194,10 @@ def _read_channel(ch: dict, found: list[str]) -> Optional[FscKernel]:
     y_size = _positive_int(ch.get("output_size"), "output_size", found)
     if None in (s_size, x_size, y_size):
         return None
-    factors = ch.get("output_factors")
-    if factors is not None:
-        if (not isinstance(factors, list)
-                or not all(isinstance(f, int) and f >= 1 for f in factors)
-                or math.prod(factors) != y_size):
-            found.append("output_factors: must be positive integers whose "
-                         "product equals output_size")
     arr = _as_float_array(ch.get("kernel"), "kernel", found)
     init = _as_float_array(ch.get("initial_dist"), "initial_dist", found)
-    rules = FscKernel.violations(s_size, x_size, y_size, arr, init)
-    found.extend(rules)
-    if rules or arr is None or init is None:
+    found.extend(FscKernel.violations(s_size, x_size, y_size, arr, init))
+    if found:
         return None
     return FscKernel(state_alphabet=Alphabet(s_size),
                      input_alphabet=Alphabet(x_size),
@@ -209,7 +213,7 @@ def _read_actions(ac: dict, kernel: Optional[FscKernel],
     table = _as_int_array(ac.get("sampling_table"), "sampling_table", found)
     cost = _as_float_array(ac.get("cost_table"), "cost_table", found)
     budget = ac.get("budget", 0.0)
-    if not _is_number(budget):
+    if not is_number(budget):
         found.append("budget: must be a finite nonnegative number")
         budget = None
     # the one rule across sections: the table's last axis is the channel's
@@ -217,6 +221,8 @@ def _read_actions(ac: dict, kernel: Optional[FscKernel],
     y_size = kernel.output_size if kernel is not None else None
     found.extend(ActionSystem.violations(enc, dec, fb, table, cost, budget,
                                          y_size))
+    if dec is not None:
+        found.extend(TrajectorySpace.violations(decoder_size=dec))
     if found:
         return None
     return ActionSystem(encoder_actions=Alphabet(enc),
@@ -239,21 +245,30 @@ def _read_single_letter(sl: dict,
                                sampling=samp, cost=cost)
 
 
-def _parse_exponent(doc: dict, violations: list[str]) -> Optional[ExponentSpec]:
-    ex = doc.get("exponent")
-    if ex is None:
+def _read_algorithm(alg: dict, single: Optional[SingleLetterProblem],
+                    found: list[str]) -> Optional[dict]:
+    """The run parameters, each missing or null one at its default, by the
+    rules of sweep_lambda and of single_letter_bounds on the problem."""
+    run = {"epsilon": DEFAULT_EPSILON, "max_iters": DEFAULT_MAX_ITERS,
+           "lambda_grid": None, "gamma_points": DEFAULT_GAMMA_POINTS,
+           "resolution": DEFAULT_RESOLUTION, "seed": 0}
+    run.update((k, v) for k, v in alg.items() if k in run and v is not None)
+    found.extend(sweep_violations(run["epsilon"], run["max_iters"],
+                                  run["lambda_grid"], run["gamma_points"]))
+    found.extend(curve_violations(single, "decoder", run["resolution"],
+                                  run["seed"]))
+    if found:
         return None
-    if not isinstance(ex, dict):
-        violations.append("/exponent: must be an object")
-        return None
-    rho = ex.get("rho_grid")
-    n = _positive_int(ex.get("block_length"), "/exponent/block_length", violations)
-    ok = isinstance(rho, list) and rho and all(
-        _is_number(v) and 0.0 <= v <= 1.0 for v in rho
-    )
-    if not ok:
-        violations.append("/exponent/rho_grid: must be a nonempty list in [0, 1]")
-    if not ok or n is None:
+    grid = run["lambda_grid"]
+    return {**run, "epsilon": float(run["epsilon"]),
+            "lambda_grid": None if grid is None else tuple(map(float, grid))}
+
+
+def _read_exponent(ex: dict, found: list[str]) -> Optional[ExponentSpec]:
+    n, rho = ex.get("block_length"), ex.get("rho_grid")
+    found.extend(TrajectorySpace.violations(n=n))
+    found.extend(exponent_violations(rho))
+    if found:
         return None
     return ExponentSpec(rho_grid=tuple(float(v) for v in rho), block_length=n)
 
@@ -282,43 +297,24 @@ def parse_config(doc) -> tuple[Optional[ExperimentConfig], list[str]]:
         doc, "actions", ACTIONS_FIELDS,
         lambda node, found: _read_actions(node, kernel, found), violations)
     blocks = doc.get("block_lengths")
+    # a broken entry is reported for the list as a whole
     if (not isinstance(blocks, list) or not blocks
-            or not all(isinstance(b, int) and not isinstance(b, bool) and b >= 1
-                       for b in blocks)):
+            or any(TrajectorySpace.violations(n=b) for b in blocks)):
         violations.append("/block_lengths: must be a nonempty list of positive "
                           "integers")
         blocks = None
-    alg = doc.get("algorithm", {})
-    if not isinstance(alg, dict):
-        violations.append("/algorithm: must be an object")
-        alg = {}
-    epsilon = alg.get("epsilon", DEFAULT_EPSILON)
-    if not _is_number(epsilon) or not 0.0 < epsilon < math.inf:
-        violations.append("/algorithm/epsilon: must be a finite positive number")
-    max_iters = _positive_int(alg.get("max_iters"), "/algorithm/max_iters",
-                              violations, default=DEFAULT_MAX_ITERS)
-    lam_grid = alg.get("lambda_grid")
-    lam_tuple: Optional[tuple[float, ...]] = None
-    if lam_grid is not None:
-        if (not isinstance(lam_grid, list) or not lam_grid
-                or not all(_is_number(v) and 0.0 <= v < math.inf
-                           for v in lam_grid)):
-            violations.append(
-                "/algorithm/lambda_grid: must be a nonempty list of finite "
-                "nonnegative numbers"
-            )
-        else:
-            lam_tuple = tuple(float(v) for v in lam_grid)
-    gamma_points = _positive_int(alg.get("gamma_points"),
-                                 "/algorithm/gamma_points", violations, default=101)
-    resolution = _positive_int(alg.get("resolution"), "/algorithm/resolution",
-                               violations, default=101)
-    seed = alg.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        violations.append("/algorithm/seed: must be a nonnegative integer")
+    # the single-letter problem is read first, since the size of its action
+    # grid is an algorithm rule, and reported after the algorithm section
+    single_found: list[str] = []
     single = _parse_section(doc, "single_letter", SINGLE_LETTER_FIELDS,
-                            _read_single_letter, violations, required=False)
-    exponent = _parse_exponent(doc, violations)
+                            _read_single_letter, single_found, required=False)
+    run = _parse_section(
+        doc, "algorithm", ALGORITHM_FIELDS,
+        lambda node, found: _read_algorithm(node, single, found), violations,
+        required=False, default={})
+    violations.extend(single_found)
+    exponent = _parse_section(doc, "exponent", EXPONENT_FIELDS, _read_exponent,
+                              violations, required=False)
     if kernel is not None and actions is not None:
         for k, n in enumerate(blocks or ()):
             _check_footprint(kernel, actions, n, f"/block_lengths/{k}",
@@ -328,19 +324,9 @@ def parse_config(doc) -> tuple[Optional[ExperimentConfig], list[str]]:
                              "/exponent/block_length", violations)
     if violations:
         return None, violations
-    return ExperimentConfig(
-        kernel=kernel,
-        actions=actions,
-        block_lengths=tuple(blocks),
-        epsilon=float(epsilon),
-        max_iters=max_iters,
-        lambda_grid=lam_tuple,
-        gamma_points=gamma_points,
-        resolution=resolution,
-        seed=seed,
-        single_letter=single,
-        exponent=exponent,
-    ), []
+    return ExperimentConfig(kernel=kernel, actions=actions,
+                            block_lengths=tuple(blocks), single_letter=single,
+                            exponent=exponent, **run), []
 
 
 def _read_config(path: str):
@@ -546,15 +532,24 @@ def _oracle_reports(config: ExperimentConfig) -> tuple[list, list]:
     kernel, sys_ = config.kernel, config.actions
     reports: list[OracleReport] = []
     skips: list[dict] = []
+
+    def skip(quantity: str, reason) -> None:
+        skips.append({"quantity": quantity, "skipped": str(reason)})
+
     for n in ORACLE_BLOCKS:
         # one space per block length serves every optimized computation
         space = TrajectorySpace(kernel, sys_, n)
 
-        # directed information: definition vs chain rule
+        # directed information: definition vs chain rule, skipped before the
+        # dense joint is built if the definition cannot enumerate it
         for label, policy in (
             ("uniform", CausalPolicy.uniform(n, space.u_size, space.z_size)),
             ("optimized", None),
         ):
+            too_large = literal_violations(space.rows * space.cols)
+            if too_large:
+                skip(f"directed_info_n{n}_{label}", too_large[0])
+                continue
             if policy is None:
                 state = BaaState.initial(space, 0.0)
                 for _ in range(5):
@@ -588,10 +583,7 @@ def _oracle_reports(config: ExperimentConfig) -> tuple[list, list]:
                 tolerance=GRID_ORACLE_TOL,
             ))
         except ValueError as exc:
-            skips.append({
-                "quantity": f"grid_capacity_n{n}",
-                "skipped": str(exc),
-            })
+            skip(f"grid_capacity_n{n}", exc)
 
         # literal product-of-powers policy update vs the optimized update
         for lam, iters, label in ((0.5, 0, "initial"), (0.0, 3, "midrun")):
@@ -601,10 +593,7 @@ def _oracle_reports(config: ExperimentConfig) -> tuple[list, list]:
             try:
                 literal = literal_r_update(state)
             except ValueError as exc:
-                skips.append({
-                    "quantity": f"r_update_n{n}_{label}",
-                    "skipped": str(exc),
-                })
+                skip(f"r_update_n{n}_{label}", exc)
                 continue
             main_policy = CausalPolicy.from_rows(space, update_r(state)[0])
             lit_flat = np.concatenate([t.ravel() for t in literal.tables])

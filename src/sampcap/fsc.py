@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._num import freeze, non_finite
+from ._num import freeze, non_finite, raise_first
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-12
@@ -60,11 +60,10 @@ class FscKernel:
     def __post_init__(self):
         object.__setattr__(self, "kernel", freeze(self.kernel))
         object.__setattr__(self, "initial_dist", freeze(self.initial_dist))
-        found = self.violations(self.state_alphabet.size, self.input_alphabet.size,
-                                self.output_alphabet.size, self.kernel,
-                                self.initial_dist)
-        if found:
-            raise ValueError(found[0])
+        raise_first(self.violations(self.state_alphabet.size,
+                                    self.input_alphabet.size,
+                                    self.output_alphabet.size, self.kernel,
+                                    self.initial_dist))
 
     @staticmethod
     def violations(state_size: int, input_size: int, output_size: int,

@@ -23,10 +23,12 @@ from typing import Optional, Union
 
 import numpy as np
 
+from ._num import raise_first
 from .actions import ActionSystem
 from .baa import BaaState
 from .fsc import FscKernel
 from .policy import CausalPolicy, TrajectoryDistribution
+from .trajectory import TrajectorySpace
 
 LITERAL_ENTRY_CAP = 10_000_000
 GRID_FREE_DIM_CAP = 8
@@ -103,6 +105,14 @@ def _literal_channel_prob(kernel: FscKernel, x_seq, y_seq,
     return math.fsum(terms)
 
 
+def literal_violations(entries: int) -> list[str]:
+    """The rule a dense joint of this many entries breaks, if any: no more
+    than LITERAL_ENTRY_CAP are enumerated literally."""
+    if entries > LITERAL_ENTRY_CAP:
+        return ["joint too large to enumerate literally"]
+    return []
+
+
 def _literal_di_matrix(probs: np.ndarray, n: int, u_size: int,
                        y_size: int) -> float:
     """Directed information of a dense [u^N, y^N] joint, in total bits.
@@ -112,8 +122,7 @@ def _literal_di_matrix(probs: np.ndarray, n: int, u_size: int,
     no chain-rule decomposition into per-step informations.
     """
     rows, cols = probs.shape
-    if rows * cols > LITERAL_ENTRY_CAP:
-        raise ValueError("joint too large to enumerate literally")
+    raise_first(literal_violations(rows * cols))
     uy: list[dict] = [{} for _ in range(n + 1)]   # P(u^i, y^i)
     uym: list[dict] = [{} for _ in range(n + 1)]  # P(u^i, y^{i-1})
     yy: list[dict] = [{} for _ in range(n + 1)]   # P(y^i)
@@ -163,8 +172,7 @@ def _grid_layout(kernel: FscKernel, sys: ActionSystem, n: int):
     sampling table can actually produce -- and slice_lookup maps the triple
     back to its position. Order follows ascending history code per step.
     """
-    if sys.decoder_actions.size != 1:
-        raise ValueError("grid search needs a singleton decoder alphabet")
+    raise_first(TrajectorySpace.violations(sys.decoder_actions.size))
     x_size = kernel.input_size
     a_size = sys.encoder_actions.size
     y_size = kernel.output_size
@@ -227,9 +235,8 @@ def grid_capacity(kernel: FscKernel, sys: ActionSystem, n: int,
         raise ValueError(f"grid search is capped at block length {GRID_BLOCK_CAP}")
     if objective not in ("average", "worst_state", "per_state"):
         raise ValueError(f"unknown objective {objective!r}")
+    grid_search_space(kernel, sys, n, grid_step)  # checks step and size
     steps = round(1.0 / grid_step)
-    if abs(steps * grid_step - 1.0) > 1e-9:
-        raise ValueError("grid_step must divide 1 evenly")
     if budget is None:
         budget = sys.budget
     slices, lookup = _grid_layout(kernel, sys, n)
@@ -237,12 +244,6 @@ def grid_capacity(kernel: FscKernel, sys: ActionSystem, n: int,
     a_size = sys.encoder_actions.size
     y_size = kernel.output_size
     u_size = x_size * a_size
-    free = len(slices) * (u_size - 1)
-    if free > GRID_FREE_DIM_CAP:
-        raise ValueError(
-            f"{free} free policy dimensions exceed the grid cap of "
-            f"{GRID_FREE_DIM_CAP}"
-        )
     rows = u_size ** n
     cols = y_size ** n
     n_states = kernel.state_size
@@ -374,8 +375,6 @@ def literal_r_update(state: BaaState) -> CausalPolicy:
         raise ValueError("literal update needs binary inputs and encoder actions")
     if y_size > R_UPDATE_OUTPUT_CAP:
         raise ValueError(f"literal update capped at {R_UPDATE_OUTPUT_CAP} outputs")
-    if sys.decoder_actions.size != 1:
-        raise ValueError("literal update needs a singleton decoder alphabet")
     u_size = x_size * a_size
     z_size = sys.feedback_alphabet.size
     rows = u_size ** n

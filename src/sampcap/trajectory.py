@@ -47,15 +47,15 @@ policy_product() builds the policy product r(u^N || z^{N-1})
 at the step-N parents, per_row() sums per-parent values over each row
 u^N, and expected_cost() the average action cost; nothing else computes
 any of them. Everything here is plumbing shared by the policy, optimizer
-and bounds modules; the brute-force oracle module deliberately does not
-use it.
+and bounds modules; the brute-force oracle module deliberately computes
+nothing with it, and reads only its decoder rule.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._num import fsum_array
+from ._num import fsum_array, is_integer, raise_first
 from .actions import ActionSystem
 from .fsc import FscKernel
 
@@ -66,13 +66,7 @@ class TrajectorySpace:
 
     def __init__(self, kernel: FscKernel, sys: ActionSystem, n: int,
                  s0: int | None = None):
-        if n < 1:
-            raise ValueError("block length must be >= 1")
-        if sys.decoder_actions.size != 1:
-            raise ValueError(
-                "trajectory enumeration uses a single action stream; represent "
-                "one-sided settings with a singleton decoder alphabet"
-            )
+        raise_first(self.violations(sys.decoder_actions.size, n))
         if sys.output_size != kernel.output_size:
             raise ValueError("action system output axis does not match the kernel")
         self.kernel = kernel
@@ -156,6 +150,18 @@ class TrajectorySpace:
             parents = self.up[i - 1][at]
             self.lineage[i - 1] = self.slot[i - 1].ravel()[parents]
             at = parents % len(self.measure[i - 1])
+
+    @staticmethod
+    def violations(decoder_size: int = 1, n=1) -> list[str]:
+        """The rules a decoder alphabet size and a block length n break, by
+        JSON pointer within the actions and the exponent section."""
+        found = []
+        if decoder_size != 1:
+            found.append("decoder_size: must be 1: the N-letter optimizer "
+                         "supports a singleton decoder alphabet only")
+        if not (is_integer(n) and n >= 1):
+            found.append("block_length: must be a positive integer")
+        return found
 
     @property
     def parent(self) -> np.ndarray:

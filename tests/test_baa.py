@@ -457,7 +457,8 @@ class TestRunBaa:
     def test_rejects_an_epsilon_that_is_not_positive_and_finite(
         self, bsc_kernel, bsc_actions, eps
     ):
-        with pytest.raises(ValueError, match="eps must be positive and finite"):
+        with pytest.raises(ValueError,
+                           match="epsilon: must be a finite positive number"):
             run_baa(TrajectorySpace(bsc_kernel, bsc_actions, 1), 0.0, eps=eps)
 
     def test_lagrangian_decomposition_of_the_lower_iterate(

@@ -193,8 +193,9 @@ class TestCandidateGrid:
     ):
         monkeypatch.setattr(bounds, "_simplex_grid", pytest.fail)
         prob = free_action_problem(states, actions)
-        with pytest.raises(ValueError, match=f"{free} free action dimensions"):
-            bounds._candidate_actions(prob, mode, bounds.DEFAULT_RESOLUTION)
+        assert bounds.curve_violations(prob, mode) == [
+            f"resolution: {free} free action dimensions need a coarser "
+            "resolution"]
 
     def test_non_default_resolution_is_refused_before_the_grid_is_built(
         self, monkeypatch

@@ -1,5 +1,6 @@
 """End-to-end command line runs: validation, sweeps, bounds, oracle checks."""
 
+import copy
 import csv
 import functools
 import json
@@ -10,8 +11,10 @@ import warnings
 import numpy as np
 import pytest
 
-from sampcap import CausalPolicy, binary_entropy, cli, gallager_exponent
-from sampcap import bounds
+from sampcap import (ActionSystem, Alphabet, CausalPolicy, SingleLetterProblem,
+                     binary_entropy, cli, gallager_exponent, run_baa,
+                     single_letter_bounds, sweep_lambda)
+from sampcap import bounds, oracle
 from sampcap.trajectory import TrajectorySpace
 
 from conftest import BSC_CONFIG_PATH, MARKOVIAN_CONFIG_PATH, load_config
@@ -199,12 +202,28 @@ def apply_edits(doc, edits):
         if value is DROP:
             del node[last]
         else:
-            node[last] = value
+            node[last] = copy.deepcopy(value)
     return doc
 
 
 def pinned(name, base, edits, expected):
     return pytest.param(base, edits, expected, id=name)
+
+
+# markovian's action system with a two-letter decoder alphabet that changes
+# nothing, and a three-state, three-action single-letter problem
+TWO_SIDED = {"/actions/decoder_size": 2,
+             "/actions/sampling_table": [[[2, 2, 2, 2], [2, 2, 2, 2]],
+                                         [[0, 1, 0, 1], [0, 1, 0, 1]]],
+             "/actions/cost_table": [[0.0, 0.0], [1.0, 1.0]]}
+THREE_BY_THREE = {"/single_letter": {
+    "stationary_dist": [0.25, 0.25, 0.5],
+    "per_state_channel": [[[1.0, 0.0], [0.5, 0.5]], [[0.5, 0.5], [0.0, 1.0]],
+                          [[0.5, 0.5], [0.5, 0.5]]],
+    "sampling": [[3, 3, 3], [0, 1, 2], [0, 0, 1]],
+    "cost": [0.0, 1.0, 0.5]}}
+DECODER_RULE = ("/actions/decoder_size: must be 1: the N-letter optimizer "
+                "supports a singleton decoder alphabet only")
 
 
 # Single- and multi-fault mutations of a bundled config covering every rule of
@@ -220,10 +239,6 @@ PINNED = [
            {"/channel/state_size": 0, "/channel/output_size": True},
            ["/channel/state_size: must be a positive integer",
             "/channel/output_size: must be a positive integer"]),
-    pinned("channel-factors", "markovian",
-           {"/channel/output_factors": [3, 2]},
-           ["/channel/output_factors: must be positive integers whose product "
-            "equals output_size"]),
     pinned("kernel-non-numeric", "markovian",
            {"/channel/kernel/0/0/0/0": "a"},
            ["/channel/kernel: entries must be numeric"]),
@@ -385,12 +400,11 @@ PINNED = [
            {"/channel/kernel/0/1/0/0": 0.5,
             "/actions/sampling_table": [[[2, 2, 2]], [[0, 1, 0]]]},
            ["/channel/kernel/0/1: row sums to 1.25, expected 1"]),
+    # an unknown key, such as output_factors, is ignored
     pinned("factors-and-table-output-axis", "markovian",
            {"/channel/output_factors": [3, 2],
             "/actions/sampling_table": [[[2, 2, 2]], [[0, 1, 0]]]},
-           ["/channel/output_factors: must be positive integers whose product "
-            "equals output_size",
-            "/actions/sampling_table: must be indexed "
+           ["/actions/sampling_table: must be indexed "
             "[encoder action][decoder action][channel output]"]),
     pinned("blocks-empty", "markovian",
            {"/block_lengths": []},
@@ -541,6 +555,43 @@ PINNED = [
     pinned("root-not-object", "markovian",
            {"": [1, 2]},
            ["/: config root must be a JSON object"]),
+    pinned("decoder-two-sided", "markovian", TWO_SIDED, [DECODER_RULE]),
+    pinned("decoder-two-sided-and-table-axis", "markovian",
+           {**TWO_SIDED, "/actions/sampling_table": [[[2, 2, 2, 2]],
+                                                     [[0, 1, 0, 1]]]},
+           [DECODER_RULE,
+            "/actions/sampling_table: must be indexed "
+            "[encoder action][decoder action][channel output]"]),
+    pinned("resolution-below-floor", "markovian",
+           {"/algorithm/resolution": 5},
+           ["/algorithm/resolution: must be at least 10 grid points per "
+            "dimension"]),
+    pinned("single-letter-grid-too-large", "markovian", THREE_BY_THREE,
+           ["/algorithm/resolution: 6 free action dimensions need a coarser "
+            "resolution"]),
+    pinned("single-letter-grid-and-defect", "markovian",
+           {**THREE_BY_THREE, "/algorithm/seed": -1,
+            "/single_letter/cost/2": -0.5},
+           ["/algorithm/seed: must be a nonnegative integer",
+            "/single_letter/cost: costs must be nonnegative"]),
+    pinned("algorithm-types", "markovian",
+           {"/algorithm/epsilon": "1e-6", "/algorithm/max_iters": 1.5,
+            "/algorithm/lambda_grid": 0.5, "/algorithm/gamma_points": True,
+            "/algorithm/resolution": 11.0, "/algorithm/seed": False},
+           ["/algorithm/epsilon: must be a finite positive number",
+            "/algorithm/max_iters: must be a positive integer",
+            "/algorithm/lambda_grid: must be a nonempty list of finite "
+            "nonnegative numbers",
+            "/algorithm/gamma_points: must be a positive integer",
+            "/algorithm/resolution: must be a positive integer",
+            "/algorithm/seed: must be a nonnegative integer"]),
+    pinned("blocks-bool", "markovian",
+           {"/block_lengths": [2, True]},
+           ["/block_lengths: must be a nonempty list of positive integers"]),
+    pinned("exponent-types", "markovian",
+           {"/exponent/rho_grid": "0.5", "/exponent/block_length": 2.0},
+           ["/exponent/block_length: must be a positive integer",
+            "/exponent/rho_grid: must be a nonempty list in [0, 1]"]),
 ]
 
 
@@ -552,6 +603,134 @@ class TestViolationMessages:
         config, violations = cli.parse_config(apply_edits(doc, edits))
         assert config is None
         assert violations == expected
+
+
+# the short sweeps of the battery below; a mutation may override them
+SHORT_RUN = {"/algorithm/lambda_grid": [0.0, 1.0]}
+COARSE = {"/algorithm/resolution": 11}
+# configs that validate accepts, at the edges of its rules
+ACCEPTED = [
+    pytest.param("markovian", {"/algorithm/resolution": 10}, cli.EXIT_OK,
+                 id="resolution-floor"),
+    pytest.param("markovian",
+                 {**COARSE, "/algorithm/max_iters": 1,
+                  "/algorithm/gamma_points": 1},
+                 cli.EXIT_OK, id="one-iteration-one-budget"),
+    pytest.param("markovian",
+                 {**COARSE, "/block_lengths": [1], "/exponent/block_length": 1,
+                  "/exponent/rho_grid": [0.0, 1.0]},
+                 cli.EXIT_OK, id="block-length-one"),
+    pytest.param("markovian",
+                 {**COARSE, "/channel/output_factors": [True, 4],
+                  "/algorithm/epsilon": 1.0, "/algorithm/seed": 0},
+                 cli.EXIT_OK, id="ignored-key-loose-epsilon"),
+    pytest.param("bsc", {"/algorithm": DROP}, cli.EXIT_OK,
+                 id="algorithm-missing"),
+    pytest.param("bsc", {"/algorithm": None}, cli.EXIT_OK,
+                 id="algorithm-null"),
+    pytest.param("bsc", {"/single_letter": DROP, "/exponent": DROP},
+                 cli.EXIT_OK, id="optional-sections-missing"),
+]
+BATTERY = [pytest.param(*p.values[:2], cli.EXIT_SEMANTIC, id=p.id)
+           for p in PINNED] + ACCEPTED
+
+
+class TestSubcommandsRunWhatValidateAccepts:
+    @pytest.mark.parametrize("base, edits, code", BATTERY)
+    def test_validate_rejects_or_every_subcommand_returns(self, tmp_path,
+                                                         base, edits, code):
+        with open(CONFIG_PATHS[base], encoding="utf-8") as fh:
+            doc = apply_edits(apply_edits(json.load(fh), SHORT_RUN), edits)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["validate", "--config", str(path)]) == code
+        if code != cli.EXIT_OK:
+            return
+        for command in ("capacity-sweep", "bounds", "oracle-check",
+                        "exponent"):
+            assert cli.main([command, "--config", str(path),
+                             "--out", str(tmp_path / command)]) \
+                in (cli.EXIT_OK, cli.EXIT_SEMANTIC)
+
+
+def two_sided_space(doc, space):
+    actions = doc["actions"]
+    system = ActionSystem(Alphabet(2), Alphabet(2), Alphabet(3),
+                          np.array(actions["sampling_table"]),
+                          np.array(actions["cost_table"]))
+    return TrajectorySpace(space.kernel, system, 2)
+
+
+def single_letter_of(doc):
+    return SingleLetterProblem(**{key: np.array(value) for key, value
+                                  in doc["single_letter"].items()})
+
+
+def uniform_exponent(space, rho):
+    return gallager_exponent(
+        space, CausalPolicy.uniform(2, space.u_size, space.z_size), rho)
+
+
+# a config mutation with one violation, and the library call that breaks
+# the same rule, given the mutated document and markovian's N = 2 space
+LIBRARY_RULES = [
+    pytest.param({"/algorithm/lambda_grid": [math.inf]},
+                 lambda doc, space: run_baa(space, math.inf), id="lambda-inf"),
+    pytest.param({"/algorithm/lambda_grid": [0.0, math.inf]},
+                 lambda doc, space: sweep_lambda(space, [0.0, math.inf]),
+                 id="lambda-inf-sweep"),
+    pytest.param({"/algorithm/lambda_grid": [-1.0]},
+                 lambda doc, space: run_baa(space, -1.0),
+                 id="lambda-negative"),
+    pytest.param({"/algorithm/lambda_grid": [-1.0]},
+                 lambda doc, space: sweep_lambda(space, [-1.0]),
+                 id="lambda-negative-sweep"),
+    pytest.param({"/algorithm/epsilon": 0.0},
+                 lambda doc, space: sweep_lambda(space, [0.0], eps=0.0),
+                 id="epsilon-zero"),
+    pytest.param({"/algorithm/max_iters": 0},
+                 lambda doc, space: run_baa(space, 0.0, max_iters=0),
+                 id="max-iters-zero"),
+    pytest.param({"/algorithm/gamma_points": 0},
+                 lambda doc, space: sweep_lambda(space, [0.0], gamma_points=0),
+                 id="gamma-points-zero"),
+    pytest.param({"/exponent/rho_grid": [1.5]},
+                 lambda doc, space: uniform_exponent(space, 1.5),
+                 id="rho-above-one"),
+    pytest.param({"/exponent/rho_grid": [-0.5]},
+                 lambda doc, space: uniform_exponent(space, -0.5),
+                 id="rho-negative"),
+    pytest.param({"/exponent/block_length": 0},
+                 lambda doc, space: TrajectorySpace(space.kernel, space.sys, 0),
+                 id="block-length-zero"),
+    pytest.param(TWO_SIDED, two_sided_space, id="decoder-two-sided"),
+    pytest.param({"/algorithm/resolution": 5},
+                 lambda doc, space: single_letter_bounds(
+                     single_letter_of(doc), [0.5], resolution=5),
+                 id="resolution-below-floor"),
+    pytest.param(THREE_BY_THREE,
+                 lambda doc, space: single_letter_bounds(
+                     single_letter_of(doc), [0.5]),
+                 id="single-letter-grid-too-large"),
+    pytest.param({"/algorithm/seed": -1},
+                 lambda doc, space: single_letter_bounds(
+                     single_letter_of(doc), [0.5], seed=-1),
+                 id="seed-negative"),
+]
+
+
+class TestLibraryMessages:
+    @pytest.mark.parametrize("edits, call", LIBRARY_RULES)
+    def test_the_library_raises_what_validate_prints(self, edits, call):
+        with open(MARKOVIAN_CONFIG_PATH, encoding="utf-8") as fh:
+            doc = apply_edits(json.load(fh), edits)
+        _, [message] = cli.parse_config(doc)
+        config = load_config(MARKOVIAN_CONFIG_PATH)
+        space = TrajectorySpace(config.kernel, config.actions, 2)
+        with pytest.raises(ValueError) as raised:
+            call(doc, space)
+        # the message less its section: /algorithm/max_iters: ... -> max_iters: ...
+        assert str(raised.value) == message.split("/", 2)[2]
 
 
 class TestCapacitySweep:
@@ -836,6 +1015,34 @@ class TestOracleCheck:
         skipped = {skip["quantity"] for skip in report["skipped"]}
         assert "grid_capacity_n2" in skipped
         assert "SKIP grid_capacity_n2" in capsys.readouterr().out
+
+    def test_a_joint_above_the_literal_cap_is_skipped_before_it_is_built(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # markovian's joint has 16 entries at N = 1 and 256 at N = 2
+        monkeypatch.setattr(oracle, "LITERAL_ENTRY_CAP", 100)
+        built = []
+        true_build = cli.build_joint
+
+        def counting_build(policy, *args, **kwargs):
+            built.append(policy.block_length)
+            return true_build(policy, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_joint", counting_build)
+        out = tmp_path / "out"
+        assert cli.cmd_oracle_check(str(MARKOVIAN_CONFIG_PATH), str(out)) \
+            == cli.EXIT_OK
+        assert built == [1, 1]
+        with open(out / "oracle_report.json", encoding="utf-8") as fh:
+            report = json.load(fh)
+        skipped = {skip["quantity"]: skip["skipped"]
+                   for skip in report["skipped"]}
+        for label in ("uniform", "optimized"):
+            assert (skipped[f"directed_info_n2_{label}"]
+                    == "joint too large to enumerate literally")
+        assert report["passed"] is True
+        assert ("SKIP directed_info_n2_uniform: joint too large to enumerate "
+                "literally") in capsys.readouterr().out
 
     def test_corrupted_policy_update_is_caught(self, tmp_path, monkeypatch):
         # the negative control: nudge every updated policy slice toward
