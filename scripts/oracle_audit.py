@@ -2,8 +2,9 @@
 """Run the brute-force oracle battery on bundled configurations.
 
 For each configuration the oracle comparisons (literal directed information
-vs the chain rule, exhaustive policy grid vs the Lagrangian envelope, and
-the literal product-of-powers policy update vs the optimized one) are
+vs the optimizer's N I_L at lambda = 0, exhaustive policy grid vs the
+Lagrangian envelope, and the literal product-of-powers policy update vs the
+optimized one) are
 written to <out>/<config stem>/oracle_report.json and summarized on one
 line. The exit status is nonzero when any comparison exceeds its tolerance.
 

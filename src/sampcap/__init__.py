@@ -46,17 +46,10 @@ from .oracle import (
     grid_capacity,
     grid_search_space,
     literal_directed_info,
+    literal_joint,
     literal_r_update,
 )
-from .policy import (
-    CausalPolicy,
-    HistoryIndexer,
-    TrajectoryDistribution,
-    build_joint,
-    conditional_directed_information,
-    directed_information,
-    mutual_information,
-)
+from .policy import CausalPolicy, HistoryIndexer
 from .trajectory import TrajectorySpace
 
 __version__ = "0.1.0"
@@ -73,23 +66,19 @@ __all__ = [
     "StationaryInfo",
     "TradeoffCurve",
     "TradeoffPoint",
-    "TrajectoryDistribution",
     "TrajectorySpace",
     "binary_entropy",
-    "build_joint",
     "causal_channel_prob",
-    "conditional_directed_information",
     "default_lambda_grid",
-    "directed_information",
     "gallager_exponent",
     "grid_capacity",
     "grid_search_space",
     "is_indecomposable",
     "is_no_isi",
     "literal_directed_info",
+    "literal_joint",
     "literal_r_update",
     "lower_bound",
-    "mutual_information",
     "run_baa",
     "sample_feedback",
     "sandwich_bounds",

@@ -1,8 +1,8 @@
 """Small numeric helpers shared across modules.
 
 All information quantities in this package are in bits (logs base 2).
-Weighted log sums use compensated summation (math.fsum) so that entropy
-accumulations do not drift at the 1e-12 tolerances the invariants demand.
+Information and cost sums use compensated summation (fsum_array) so that
+entropy accumulations do not drift at the 1e-12 tolerances the invariants demand.
 """
 
 from __future__ import annotations
@@ -54,22 +54,6 @@ def non_finite(**arrays) -> list[str]:
 def fsum_array(a: np.ndarray) -> float:
     """Compensated sum of all entries."""
     return math.fsum(np.asarray(a, dtype=float).ravel().tolist())
-
-
-def weighted_log2_sum(weights: np.ndarray, numer: np.ndarray, denom: np.ndarray) -> float:
-    """Compensated sum of w * log2(numer / denom) over entries with w > 0.
-
-    Entries with zero weight contribute exactly 0, regardless of the log
-    argument (the 0 log 0 convention enforced by guard, not by limits).
-    """
-    w = np.asarray(weights, dtype=float).ravel()
-    n = np.asarray(numer, dtype=float).ravel()
-    d = np.asarray(denom, dtype=float).ravel()
-    mask = w > 0.0
-    if not mask.any():
-        return 0.0
-    terms = w[mask] * (np.log2(n[mask]) - np.log2(d[mask]))
-    return math.fsum(terms.tolist())
 
 
 def log2_guarded(a: np.ndarray) -> np.ndarray:

@@ -93,6 +93,15 @@ class ActionSystem:
         return float(self.cost_table.max())
 
 
+def decoder_violations(decoder_size: int) -> list[str]:
+    """The rule the N-letter computations, optimized and brute-force, put on
+    the decoder alphabet, by JSON pointer within the actions section."""
+    if decoder_size != 1:
+        return ["decoder_size: must be 1: the N-letter optimizer supports a "
+                "singleton decoder alphabet only"]
+    return []
+
+
 def sample_feedback(sys: ActionSystem, a_e: int, a_d: int, y: int) -> int:
     """Deterministic feedback symbol z = f(a_e, a_d, y)."""
     if not 0 <= a_e < sys.encoder_actions.size:

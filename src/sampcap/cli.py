@@ -67,7 +67,7 @@ from .oracle import (
     literal_r_update,
     literal_violations,
 )
-from .policy import CausalPolicy, build_joint, directed_information
+from .policy import CausalPolicy
 from .trajectory import TrajectorySpace
 
 EXIT_OK = 0
@@ -506,12 +506,15 @@ def cmd_bounds(config_path: str, out_dir: str = ".") -> int:
     return EXIT_OK
 
 
-def _pick_grid_step(kernel: FscKernel, sys_: ActionSystem, n: int) -> float:
-    """Finest step in {0.01, 0.02, 0.05, 0.1} within the search budget."""
+def _pick_grid_step(kernel: FscKernel, sys_: ActionSystem,
+                    n: int) -> tuple[float, int]:
+    """Finest step in {0.01, 0.02, 0.05, 0.1} within the search budget, and
+    its search space size."""
     for step in (0.01, 0.02, 0.05, 0.1):
-        if grid_search_space(kernel, sys_, n, step) <= GRID_POINT_BUDGET:
-            return step
-    return 0.1
+        size = grid_search_space(kernel, sys_, n, step)
+        if size <= GRID_POINT_BUDGET:
+            break
+    return step, size
 
 
 def _report_dict(rep: OracleReport) -> dict:
@@ -540,35 +543,30 @@ def _oracle_reports(config: ExperimentConfig) -> tuple[list, list]:
         # one space per block length serves every optimized computation
         space = TrajectorySpace(kernel, sys_, n)
 
-        # directed information: definition vs chain rule, skipped before the
-        # dense joint is built if the definition cannot enumerate it
-        for label, policy in (
-            ("uniform", CausalPolicy.uniform(n, space.u_size, space.z_size)),
-            ("optimized", None),
-        ):
-            too_large = literal_violations(space.rows * space.cols)
-            if too_large:
+        # directed information: the definition on the literal joint vs the
+        # optimizer's own N I_L at lambda = 0, skipped before anything is
+        # built if the definition cannot enumerate the joint
+        too_large = literal_violations(space.rows * space.cols)
+        if too_large:
+            for label in ("uniform", "optimized"):
                 skip(f"directed_info_n{n}_{label}", too_large[0])
-                continue
-            if policy is None:
-                state = BaaState.initial(space, 0.0)
-                for _ in range(5):
+        else:
+            state = BaaState.initial(space, 0.0)
+            for label, iters in (("uniform", 0), ("optimized", 5)):
+                for _ in range(iters):
                     state = update_q(state.space, state.lam, *update_r(state))
-                policy = state.r
-            joint = build_joint(policy, kernel, sys_)
-            reports.append(OracleReport(
-                quantity=f"directed_info_n{n}_{label}",
-                oracle_value=literal_directed_info(joint),
-                main_value=directed_information(joint),
-                search_space_size=space.rows * space.cols,
-                method="literal-sum",
-                tolerance=DI_ORACLE_TOL,
-            ))
+                reports.append(OracleReport(
+                    quantity=f"directed_info_n{n}_{label}",
+                    oracle_value=literal_directed_info(state.r, kernel, sys_),
+                    main_value=n * state.i_lower,
+                    search_space_size=space.rows * space.cols,
+                    method="literal-sum",
+                    tolerance=DI_ORACLE_TOL,
+                ))
 
         # grid search vs lambda envelope at the configured budget
         try:
-            step = _pick_grid_step(kernel, sys_, n)
-            size = grid_search_space(kernel, sys_, n, step)
+            step, size = _pick_grid_step(kernel, sys_, n)
             grid_value = grid_capacity(kernel, sys_, n, grid_step=step,
                                        objective="average",
                                        budget=sys_.budget)

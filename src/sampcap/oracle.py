@@ -2,12 +2,14 @@
 
 Everything in this module is recomputed from first principles with plain
 Python loops: channel probabilities by literal summation over state paths,
-directed information as E[log2 P(Y^N || X^N) / P(Y^N)] with the causal
-conditionals read off the joint through prefix sums, capacity by exhaustive
-grid search over conditional-slice simplices, and the inner policy update as
-a direct product of powers. The optimized modules are never called; the only
-shared surface is the frozen data types, so agreement between the two code
-paths is evidence for both.
+the dense joint over (u^N, y^N) as a product of policy conditionals read at
+history codes built digit by digit, directed information as
+E[log2 P(Y^N || X^N) / P(Y^N)] with the causal conditionals read off the
+joint through prefix sums, capacity by exhaustive grid search over
+conditional-slice simplices, and the inner policy update as a direct product
+of powers. The optimized modules are never called and the trajectory module
+is not imported; the only shared surface is the frozen data types, so
+agreement between the two code paths is evidence for both.
 
 Scale caps keep the literal enumerations tractable: joints up to 10^7
 entries, grid searches up to 8 free policy dimensions, and the product-of-
@@ -19,16 +21,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from ._num import raise_first
-from .actions import ActionSystem
+from .actions import ActionSystem, decoder_violations
 from .baa import BaaState
 from .fsc import FscKernel
-from .policy import CausalPolicy, TrajectoryDistribution
-from .trajectory import TrajectorySpace
+from .policy import CausalPolicy
 
 LITERAL_ENTRY_CAP = 10_000_000
 GRID_FREE_DIM_CAP = 8
@@ -105,6 +106,62 @@ def _literal_channel_prob(kernel: FscKernel, x_seq, y_seq,
     return math.fsum(terms)
 
 
+class _Trajectories(NamedTuple):
+    """Every trajectory (u^N, y^N) of a block, by literal enumeration.
+
+    Rows enumerate u^N and columns y^N, step 1 most significant. Per row: the
+    u, x and a digits and the action cost sum_i Lambda(a_i); per row and
+    column: the feedback z^N and, for the k-th requested start, the channel
+    law P(y^N || x^N, start) at chan[k][row][col].
+    """
+
+    u: list
+    x: list
+    a: list
+    cost: list
+    z: list
+    chan: list
+
+
+def _trajectories(kernel: FscKernel, sys: ActionSystem, n: int,
+                  starts) -> _Trajectories:
+    """The trajectories of block length n; starts lists start states, None
+    for the initial-distribution average."""
+    raise_first(decoder_violations(sys.decoder_actions.size))
+    a_size = sys.encoder_actions.size
+    u_size = kernel.input_size * a_size
+    y_size = kernel.output_size
+    u = [_seq_digits(r, u_size, n) for r in range(u_size ** n)]
+    y = [_seq_digits(c, y_size, n) for c in range(y_size ** n)]
+    x = [tuple(v // a_size for v in row) for row in u]
+    a = [tuple(v % a_size for v in row) for row in u]
+    cost = [math.fsum(float(sys.cost_table[aj, 0]) for aj in row) for row in a]
+    z = [
+        [tuple(int(sys.sampling_table[aj, 0, yj]) for aj, yj in zip(row, ys))
+         for ys in y]
+        for row in a
+    ]
+    chan = []
+    for s0 in starts:
+        # rows that differ only in their actions share a channel law
+        by_x = {xs: [_literal_channel_prob(kernel, xs, ys, s0) for ys in y]
+                for xs in set(x)}
+        chan.append([by_x[xs] for xs in x])
+    return _Trajectories(u, x, a, cost, z, chan)
+
+
+def _history_code(u_hist, z_hist, u_size: int, z_size: int) -> int:
+    """The HistoryIndexer id code(u^{i-1}) Z^{i-1} + code(z^{i-1}) of a
+    history, digit by digit."""
+    u_code = 0
+    for u in u_hist:
+        u_code = u_code * u_size + u
+    z_code = 0
+    for z in z_hist:
+        z_code = z_code * z_size + z
+    return u_code * z_size ** len(z_hist) + z_code
+
+
 def literal_violations(entries: int) -> list[str]:
     """The rule a dense joint of this many entries breaks, if any: no more
     than LITERAL_ENTRY_CAP are enumerated literally."""
@@ -157,11 +214,45 @@ def _literal_di_matrix(probs: np.ndarray, n: int, u_size: int,
     return math.fsum(terms)
 
 
-def literal_directed_info(joint: TrajectoryDistribution) -> float:
-    """I(U^N -> Y^N) of a trajectory joint, straight from the definition."""
-    u_size = joint.x_size * joint.a_size
-    return _literal_di_matrix(np.asarray(joint.probs, dtype=float),
-                              joint.block_length, u_size, joint.y_size)
+def literal_joint(policy: CausalPolicy, kernel: FscKernel, sys: ActionSystem,
+                  s0: Optional[int] = None) -> np.ndarray:
+    """The dense joint P(u^N, y^N) of a causal policy on a channel, [u^N, y^N].
+
+    Each entry is prod_i Q_i(u_i | u^{i-1}, z^{i-1}) P(y^N || x^N, s0): the
+    conditionals read at the history codes of the trajectory's own feedback,
+    the channel law summed over state paths; s0 = None averages the start
+    state over the initial distribution. Raises ValueError unless the
+    policy's |U| and |Z| are those of the channel and action system and the
+    joint is small enough to enumerate literally.
+    """
+    n = policy.block_length
+    u_size = kernel.input_size * sys.encoder_actions.size
+    z_size = sys.feedback_alphabet.size
+    if (policy.u_size, policy.z_size) != (u_size, z_size):
+        raise ValueError(
+            f"policy (|U|, |Z|) = {(policy.u_size, policy.z_size)} does not "
+            f"fit the alphabets {(u_size, z_size)} of the channel and actions"
+        )
+    raise_first(literal_violations(u_size ** n * kernel.output_size ** n))
+    traj = _trajectories(kernel, sys, n, (s0,))
+    probs = np.empty((len(traj.u), len(traj.z[0])))
+    for r, us in enumerate(traj.u):
+        for c, zs in enumerate(traj.z[r]):
+            q = 1.0
+            for i in range(n):
+                h = _history_code(us[:i], zs[:i], u_size, z_size)
+                q *= float(policy.tables[i][h, us[i]])
+            probs[r, c] = q * traj.chan[0][r][c]
+    return probs
+
+
+def literal_directed_info(policy: CausalPolicy, kernel: FscKernel,
+                          sys: ActionSystem, s0: Optional[int] = None) -> float:
+    """I(U^N -> Y^N) in total bits of a causal policy on a channel, straight
+    from the definition on its literal joint (see literal_joint)."""
+    return _literal_di_matrix(literal_joint(policy, kernel, sys, s0),
+                              policy.block_length, policy.u_size,
+                              kernel.output_size)
 
 
 def _grid_layout(kernel: FscKernel, sys: ActionSystem, n: int):
@@ -172,7 +263,7 @@ def _grid_layout(kernel: FscKernel, sys: ActionSystem, n: int):
     sampling table can actually produce -- and slice_lookup maps the triple
     back to its position. Order follows ascending history code per step.
     """
-    raise_first(TrajectorySpace.violations(sys.decoder_actions.size))
+    raise_first(decoder_violations(sys.decoder_actions.size))
     x_size = kernel.input_size
     a_size = sys.encoder_actions.size
     y_size = kernel.output_size
@@ -201,6 +292,12 @@ def _simplex_grid_tuples(dim: int, steps: int) -> list[tuple[float, ...]]:
     return points
 
 
+def _simplex_grid_size(dim: int, steps: int) -> int:
+    """len(_simplex_grid_tuples(dim, steps)), counted without building them:
+    the ways to split steps units over dim bins."""
+    return math.comb(steps + dim - 1, dim - 1)
+
+
 def grid_search_space(kernel: FscKernel, sys: ActionSystem, n: int,
                       grid_step: float) -> int:
     """Number of policy grid points the exhaustive search will visit."""
@@ -215,8 +312,7 @@ def grid_search_space(kernel: FscKernel, sys: ActionSystem, n: int,
             f"{free} free policy dimensions exceed the grid cap of "
             f"{GRID_FREE_DIM_CAP}"
         )
-    per_slice = len(_simplex_grid_tuples(u_size, steps))
-    return per_slice ** len(slices)
+    return _simplex_grid_size(u_size, steps) ** len(slices)
 
 
 def grid_capacity(kernel: FscKernel, sys: ActionSystem, n: int,
@@ -240,55 +336,22 @@ def grid_capacity(kernel: FscKernel, sys: ActionSystem, n: int,
     if budget is None:
         budget = sys.budget
     slices, lookup = _grid_layout(kernel, sys, n)
-    x_size = kernel.input_size
-    a_size = sys.encoder_actions.size
+    u_size = kernel.input_size * sys.encoder_actions.size
     y_size = kernel.output_size
-    u_size = x_size * a_size
-    rows = u_size ** n
-    cols = y_size ** n
-    n_states = kernel.state_size
-
-    # static trajectory data, recomputed literally
-    u_digits = [_seq_digits(r, u_size, n) for r in range(rows)]
-    y_digits = [_seq_digits(c, y_size, n) for c in range(cols)]
-    x_digits = [tuple(u // a_size for u in row) for row in u_digits]
-    a_digits = [tuple(u % a_size for u in row) for row in u_digits]
-    cost_rows = [
-        math.fsum(float(sys.cost_table[a, 0]) for a in row) for row in a_digits
-    ]
-    chan_avg = [
-        [_literal_channel_prob(kernel, x_digits[r], y_digits[c], None)
-         for c in range(cols)]
-        for r in range(rows)
-    ]
-    chan_per = [
-        [
-            [_literal_channel_prob(kernel, x_digits[r], y_digits[c], s0)
-             for c in range(cols)]
-            for r in range(rows)
-        ]
-        for s0 in range(n_states)
-    ]
+    # one channel law per start the objective reads
+    starts = (None,) if objective == "average" else range(kernel.state_size)
+    traj = _trajectories(kernel, sys, n, starts)
+    rows, cols = len(traj.u), len(traj.z[0])
     # per trajectory and step: which slice feeds it and with which symbol
-    slice_refs = []
-    for r in range(rows):
-        row_refs = []
-        for c in range(cols):
-            z_seq = tuple(
-                int(sys.sampling_table[a_digits[r][j], 0, y_digits[c][j]])
-                for j in range(n)
-            )
-            refs = []
-            for i in range(1, n + 1):
-                key = (i, u_digits[r][: i - 1], z_seq[: i - 1])
-                refs.append((lookup[key], u_digits[r][i - 1]))
-            row_refs.append(refs)
-        slice_refs.append(row_refs)
+    slice_refs = [
+        [[(lookup[(i, us[: i - 1], zs[: i - 1])], us[i - 1])
+          for i in range(1, n + 1)]
+         for zs in traj.z[r]]
+        for r, us in enumerate(traj.u)
+    ]
 
     grid = _simplex_grid_tuples(u_size, steps)
-    best_avg = -math.inf
-    best_worst = -math.inf
-    best_per = [-math.inf] * n_states
+    best = [-math.inf] * len(traj.chan)
     for assignment in product(range(len(grid)), repeat=len(slices)):
         policy_rows = [grid[g] for g in assignment]
         q_val = [
@@ -298,51 +361,30 @@ def grid_capacity(kernel: FscKernel, sys: ActionSystem, n: int,
             ]
             for r in range(rows)
         ]
-        if objective == "average":
+        # per start: the rate, or None where the cost exceeds the budget
+        values = []
+        for chan in traj.chan:
             joint = np.array(
-                [[q_val[r][c] * chan_avg[r][c] for c in range(cols)]
+                [[q_val[r][c] * chan[r][c] for c in range(cols)]
                  for r in range(rows)]
             )
             cost = math.fsum(
-                joint[r, c] * cost_rows[r]
+                joint[r, c] * traj.cost[r]
                 for r in range(rows) for c in range(cols)
             ) / n
-            if cost <= budget + FEAS_SLACK:
-                value = _literal_di_matrix(joint, n, u_size, y_size) / n
-                if value > best_avg:
-                    best_avg = value
-        else:
-            values = []
-            feasible = True
-            for s0 in range(n_states):
-                joint = np.array(
-                    [[q_val[r][c] * chan_per[s0][r][c] for c in range(cols)]
-                     for r in range(rows)]
-                )
-                cost = math.fsum(
-                    joint[r, c] * cost_rows[r]
-                    for r in range(rows) for c in range(cols)
-                ) / n
-                if cost > budget + FEAS_SLACK:
-                    feasible = False
-                    if objective == "worst_state":
-                        break
-                    values.append(None)
-                    continue
-                values.append(_literal_di_matrix(joint, n, u_size, y_size) / n)
-            if objective == "worst_state":
-                if feasible and min(values) > best_worst:
-                    best_worst = min(values)
-            else:
-                for s0, value in enumerate(values):
-                    if value is not None and value > best_per[s0]:
-                        best_per[s0] = value
-    if objective == "average":
-        result = best_avg
-    elif objective == "worst_state":
-        result = best_worst
-    else:
-        result = tuple(best_per)
+            if cost > budget + FEAS_SLACK:
+                values.append(None)
+                if objective != "per_state":
+                    break
+                continue
+            values.append(_literal_di_matrix(joint, n, u_size, y_size) / n)
+        if objective == "per_state":
+            for s0, value in enumerate(values):
+                if value is not None and value > best[s0]:
+                    best[s0] = value
+        elif None not in values and min(values) > best[0]:
+            best[0] = min(values)
+    result = tuple(best) if objective == "per_state" else best[0]
     flat = result if isinstance(result, tuple) else (result,)
     if any(v == -math.inf for v in flat):
         raise ValueError("no grid point satisfies the cost budget")
@@ -365,7 +407,7 @@ def literal_r_update(state: BaaState) -> CausalPolicy:
     """
     lam = state.lam
     kernel, sys = state.space.kernel, state.space.sys
-    n = state.r.block_length
+    n = state.space.n
     x_size = kernel.input_size
     a_size = sys.encoder_actions.size
     y_size = kernel.output_size
@@ -377,33 +419,11 @@ def literal_r_update(state: BaaState) -> CausalPolicy:
         raise ValueError(f"literal update capped at {R_UPDATE_OUTPUT_CAP} outputs")
     u_size = x_size * a_size
     z_size = sys.feedback_alphabet.size
-    rows = u_size ** n
-    cols = y_size ** n
     s0 = state.space.s0
     q = np.asarray(state.q, dtype=float)
-
-    u_digits = [_seq_digits(r, u_size, n) for r in range(rows)]
-    y_digits = [_seq_digits(c, y_size, n) for c in range(cols)]
-    x_digits = [tuple(u // a_size for u in row) for row in u_digits]
-    a_digits = [tuple(u % a_size for u in row) for row in u_digits]
-    cost_rows = [
-        math.fsum(float(sys.cost_table[a, 0]) for a in row) for row in a_digits
-    ]
-    chan = [
-        [_literal_channel_prob(kernel, x_digits[r], y_digits[c], s0)
-         for c in range(cols)]
-        for r in range(rows)
-    ]
-    z_seqs = [
-        [
-            tuple(
-                int(sys.sampling_table[a_digits[r][j], 0, y_digits[c][j]])
-                for j in range(n)
-            )
-            for c in range(cols)
-        ]
-        for r in range(rows)
-    ]
+    traj = _trajectories(kernel, sys, n, (s0,))
+    chan = traj.chan[0]
+    rows, cols = len(traj.u), len(traj.z[0])
 
     denom_cache: dict = {}
 
@@ -412,8 +432,8 @@ def literal_r_update(state: BaaState) -> CausalPolicy:
         # feedback matches this trajectory's z^{i-1}
         if i == 1:
             return 1.0
-        key = (i, x_digits[r][: i - 1], a_digits[r][: i - 1],
-               z_seqs[r][c][: i - 1])
+        key = (i, traj.x[r][: i - 1], traj.a[r][: i - 1],
+               traj.z[r][c][: i - 1])
         if key not in denom_cache:
             _, xs, a_pref, z_pref = key
             terms = []
@@ -440,15 +460,10 @@ def literal_r_update(state: BaaState) -> CausalPolicy:
                 w = chan[r][c] * suffix[r][c] / denom
                 if w <= 0.0:
                     continue
-                u_code = 0
-                for u in u_digits[r][: i - 1]:
-                    u_code = u_code * u_size + u
-                z_code = 0
-                for z in z_seqs[r][c][: i - 1]:
-                    z_code = z_code * z_size + z
-                h = u_code * z_size ** (i - 1) + z_code
-                base = q[r, c] * 2.0 ** (-lam * cost_rows[r]) / suffix[r][c]
-                rprime[h][u_digits[r][i - 1]] *= base ** w
+                h = _history_code(traj.u[r][: i - 1], traj.z[r][c][: i - 1],
+                                  u_size, z_size)
+                base = q[r, c] * 2.0 ** (-lam * traj.cost[r]) / suffix[r][c]
+                rprime[h][traj.u[r][i - 1]] *= base ** w
                 weight_in_slice[h] += w
         table = np.empty((n_hist, u_size))
         for h in range(n_hist):
@@ -460,13 +475,8 @@ def literal_r_update(state: BaaState) -> CausalPolicy:
         tables[i - 1] = table
         for r in range(rows):
             for c in range(cols):
-                u_code = 0
-                for u in u_digits[r][: i - 1]:
-                    u_code = u_code * u_size + u
-                z_code = 0
-                for z in z_seqs[r][c][: i - 1]:
-                    z_code = z_code * z_size + z
-                h = u_code * z_size ** (i - 1) + z_code
-                suffix[r][c] *= float(table[h, u_digits[r][i - 1]])
+                h = _history_code(traj.u[r][: i - 1], traj.z[r][c][: i - 1],
+                                  u_size, z_size)
+                suffix[r][c] *= float(table[h, traj.u[r][i - 1]])
     return CausalPolicy(block_length=n, u_size=u_size, z_size=z_size,
                         tables=tuple(tables))

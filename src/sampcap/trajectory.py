@@ -47,8 +47,8 @@ policy_product() builds the policy product r(u^N || z^{N-1})
 at the step-N parents, per_row() sums per-parent values over each row
 u^N, and expected_cost() the average action cost; nothing else computes
 any of them. Everything here is plumbing shared by the policy, optimizer
-and bounds modules; the brute-force oracle module deliberately computes
-nothing with it, and reads only its decoder rule.
+and bounds modules; the brute-force oracle module deliberately neither
+imports nor computes anything with it, and enumerates its own joint.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._num import fsum_array, is_integer, raise_first
-from .actions import ActionSystem
+from .actions import ActionSystem, decoder_violations
 from .fsc import FscKernel
 
 
@@ -155,10 +155,7 @@ class TrajectorySpace:
     def violations(decoder_size: int = 1, n=1) -> list[str]:
         """The rules a decoder alphabet size and a block length n break, by
         JSON pointer within the actions and the exponent section."""
-        found = []
-        if decoder_size != 1:
-            found.append("decoder_size: must be 1: the N-letter optimizer "
-                         "supports a singleton decoder alphabet only")
+        found = decoder_violations(decoder_size)
         if not (is_integer(n) and n >= 1):
             found.append("block_length: must be a positive integer")
         return found
@@ -207,14 +204,6 @@ class TrajectorySpace:
         for j in range(k):
             x_code = x_code * self.x_size + u_dig[:, j] // self.a_size
         return prefix[x_code]
-
-    def channel_law(self) -> np.ndarray:
-        """The dense channel law p(y^N || x^N), [rows, cols], rebuilt per call.
-
-        The optimizer never forms it; build_joint, the linear-domain
-        reference, does.
-        """
-        return self._law(self.n, self._channel_prefixes()[self.n])
 
     def check_fits(self, policy) -> None:
         """Raise ValueError unless a causal policy has this space's block

@@ -16,6 +16,7 @@ data reuses them.
 
 import contextlib
 import json
+import math
 from pathlib import Path
 
 import hypothesis
@@ -24,7 +25,7 @@ import pytest
 
 from sampcap import ActionSystem, Alphabet, CausalPolicy, FscKernel, HistoryIndexer
 import sampcap.baa
-from sampcap.baa import sweep_lambda
+from sampcap.baa import BaaState, sweep_lambda
 from sampcap.cli import parse_config
 from sampcap.trajectory import TrajectorySpace
 
@@ -90,6 +91,29 @@ def make_random_policy(rng, n, u_size, z_size):
         tables.append(t)
     return CausalPolicy(block_length=n, u_size=u_size, z_size=z_size,
                         tables=tuple(tables))
+
+
+def weighted_log2_sum(weights, numer, denom):
+    """Compensated sum of w * log2(numer / denom) over the entries with w > 0."""
+    w = np.asarray(weights, dtype=float).ravel()
+    mask = w > 0.0
+    n = np.asarray(numer, dtype=float).ravel()[mask]
+    d = np.asarray(denom, dtype=float).ravel()[mask]
+    return math.fsum((w[mask] * (np.log2(n) - np.log2(d))).tolist())
+
+
+def mutual_information(joint):
+    """Block mutual information I(U^N; Y^N) in bits of a dense [u^N, y^N]
+    joint, such as oracle.literal_joint returns."""
+    rows = joint.sum(axis=1, keepdims=True)
+    cols = joint.sum(axis=0, keepdims=True)
+    return weighted_log2_sum(joint, joint, rows * cols)
+
+
+def live_directed_info(space, policy):
+    """The optimizer's directed information I(U^N -> Y^N) of a policy on a
+    space, in total bits: N I_L of its iterate at lambda = 0."""
+    return space.n * BaaState.initial(space, 0.0, start=policy).i_lower
 
 
 @pytest.fixture(scope="session")

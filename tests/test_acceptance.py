@@ -12,6 +12,7 @@ Each test pins one headline guarantee with explicit tolerances:
 """
 
 import time
+from itertools import product
 
 import numpy as np
 import pytest
@@ -19,13 +20,11 @@ import pytest
 from sampcap import (
     CausalPolicy,
     FscKernel,
-    build_joint,
     causal_channel_prob,
-    conditional_directed_information,
-    directed_information,
     gallager_exponent,
     grid_capacity,
     literal_directed_info,
+    literal_joint,
     literal_r_update,
     run_baa,
     sample_feedback,
@@ -38,7 +37,7 @@ from sampcap import (
 from sampcap.baa import BaaState
 from sampcap.trajectory import TrajectorySpace
 
-from conftest import make_random_policy
+from conftest import live_directed_info, make_random_policy
 
 
 def all_traced_points(*traced):
@@ -122,18 +121,17 @@ def test_5_brute_force_references_agree(bsc_kernel, bsc_actions, markovian_kerne
     value = grid_capacity(markovian_kernel, markovian_actions, 1, grid_step=0.05)
     assert abs(value - markovian_curve.envelope_at(1.0)) <= 5e-3
 
-    # literal directed information vs the chain rule on randomized joints
+    # literal directed information vs the optimizer's on randomized policies
     rng = np.random.default_rng(20260818)
+    cases = ((markovian_kernel, markovian_actions, 2, 4, 3),
+             (bsc_kernel, bsc_actions, 3, 2, 1))
+    spaces = [TrajectorySpace(kernel, sys_, n) for kernel, sys_, n, *_ in cases]
     worst = 0.0
     for i in range(100):
-        if i % 2 == 0:
-            joint = build_joint(make_random_policy(rng, 2, 4, 3),
-                                markovian_kernel, markovian_actions)
-        else:
-            joint = build_joint(make_random_policy(rng, 3, 2, 1),
-                                bsc_kernel, bsc_actions)
-        worst = max(worst, abs(literal_directed_info(joint)
-                               - directed_information(joint)))
+        (kernel, sys_, n, u, z), space = cases[i % 2], spaces[i % 2]
+        policy = make_random_policy(rng, n, u, z)
+        worst = max(worst, abs(literal_directed_info(policy, kernel, sys_)
+                               - live_directed_info(space, policy)))
     assert worst <= 1e-9
 
 
@@ -148,27 +146,25 @@ def test_6_structural_invariants(bsc_kernel, bsc_actions, markovian_kernel,
             policy = make_random_policy(rng, 2, u, z)
             for table in policy.tables:
                 assert np.max(np.abs(table.sum(axis=1) - 1.0)) <= 1e-12
-            joint = build_joint(policy, kernel, sys_)
-            assert abs(float(joint.probs.sum()) - 1.0) <= 1e-9
+            joint = literal_joint(policy, kernel, sys_)
+            assert abs(float(joint.sum()) - 1.0) <= 1e-9
 
     # every joint cell factors into policy product times channel law
     policy = make_random_policy(rng, 2, 4, 3)
-    joint = build_joint(policy, markovian_kernel, markovian_actions)
-    for row in range(joint.probs.shape[0]):
-        for col in range(joint.probs.shape[1]):
-            u_seq = joint.u_digits[row]
-            y_seq = joint.y_digits[col]
+    joint = literal_joint(policy, markovian_kernel, markovian_actions)
+    for row, u_seq in enumerate(product(range(4), repeat=2)):
+        for col, y_seq in enumerate(product(range(4), repeat=2)):
             z_seq = [
-                sample_feedback(markovian_actions, int(joint.action_digits[row, i]),
-                                0, int(y_seq[i]))
+                sample_feedback(markovian_actions, u_seq[i] % 2, 0, y_seq[i])
                 for i in range(2)
             ]
             q = 1.0
             for i in range(2):
                 slot = policy.indexer.encode(u_seq[:i], z_seq[:i])
                 q *= policy.tables[i][slot, u_seq[i]]
-            p = causal_channel_prob(markovian_kernel, joint.x_digits[row], y_seq)
-            assert joint.probs[row, col] == pytest.approx(q * p, abs=1e-12)
+            p = causal_channel_prob(markovian_kernel, [u // 2 for u in u_seq],
+                                    y_seq)
+            assert joint[row, col] == pytest.approx(q * p, abs=1e-12)
 
     # start-state knowledge moves the information by at most log2 |S|
     mixed = FscKernel(
@@ -178,10 +174,11 @@ def test_6_structural_invariants(bsc_kernel, bsc_actions, markovian_kernel,
         kernel=markovian_kernel.kernel,
         initial_dist=np.array([0.5, 0.5]),
     )
-    joints = [build_joint(policy, mixed, markovian_actions, s0=s) for s in (0, 1)]
-    _, average = conditional_directed_information(joints, [0.5, 0.5])
-    unconditional = directed_information(build_joint(policy, mixed,
-                                                     markovian_actions))
+    average = 0.5 * sum(
+        live_directed_info(TrajectorySpace(mixed, markovian_actions, 2, s0=s),
+                           policy) for s in (0, 1))
+    unconditional = live_directed_info(
+        TrajectorySpace(mixed, markovian_actions, 2), policy)
     assert abs(unconditional - average) <= 1.0 + 1e-12
 
     # the exponent vanishes exactly at order zero and its finite-difference
@@ -191,8 +188,7 @@ def test_6_structural_invariants(bsc_kernel, bsc_actions, markovian_kernel,
     assert gallager_exponent(from_state_0, uniform, 0.0) == 0.0
     small = gallager_exponent(from_state_0, uniform, 0.001)
     slope = small / 0.001
-    rate = directed_information(build_joint(uniform, markovian_kernel, markovian_actions,
-                                            s0=0)) / 2.0
+    rate = live_directed_info(from_state_0, uniform) / 2.0
     assert 0.0 < slope <= rate + 1e-4
 
     # envelopes are nondecreasing and concave in the budget

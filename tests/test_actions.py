@@ -10,7 +10,7 @@ from sampcap import (
     Alphabet,
     CausalPolicy,
     HistoryIndexer,
-    build_joint,
+    literal_joint,
     sample_feedback,
 )
 from sampcap.trajectory import TrajectorySpace
@@ -137,7 +137,7 @@ def literal_expected_cost(joint, actions, n, u_size):
 def expected_cost(kernel, actions, policy):
     space = TrajectorySpace(kernel, actions, policy.block_length)
     return space.expected_cost(
-        build_joint(policy, kernel, actions).probs.sum(axis=1))
+        literal_joint(policy, kernel, actions).sum(axis=1))
 
 
 class TestExpectedCost:
@@ -196,7 +196,7 @@ class TestExpectedCost:
 
         for _ in range(3):
             policy = make_random_policy(rng, n, space.u_size, space.z_size)
-            joint = build_joint(policy, kernel, actions).probs
+            joint = literal_joint(policy, kernel, actions)
             assert agrees(joint)
         # rows that carry no mass at all contribute nothing
         joint = joint.copy()

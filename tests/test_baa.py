@@ -20,10 +20,10 @@ from sampcap import (
     HistoryIndexer,
     TradeoffCurve,
     TradeoffPoint,
-    build_joint,
     causal_channel_prob,
     default_lambda_grid,
-    directed_information,
+    literal_directed_info,
+    literal_joint,
     run_baa,
     sample_feedback,
     sandwich_bounds,
@@ -33,7 +33,7 @@ from sampcap import (
     upper_bound,
 )
 import sampcap.baa
-from sampcap._num import fsum_array, weighted_log2_sum
+from sampcap._num import fsum_array
 from sampcap.baa import BaaState, _tangent_envelope
 from sampcap.trajectory import TrajectorySpace
 
@@ -42,6 +42,7 @@ from conftest import (
     make_random_kernel,
     make_random_policy,
     make_trivial_actions,
+    weighted_log2_sum,
 )
 
 
@@ -167,7 +168,7 @@ class TestPolicyProductCache:
         # the posterior, lower iterate and cost rebuilt from the policy tables
         space = state.space
         r_prod = linear_policy_product(space, state.r.tables)
-        joint = build_joint(state.r, markovian_kernel, markovian_actions).probs
+        joint = literal_joint(state.r, markovian_kernel, markovian_actions)
         np.testing.assert_allclose(q, joint / joint.sum(axis=0), rtol=0.0,
                                    atol=1e-12)
         np.testing.assert_allclose(state.d, joint.sum(axis=0), rtol=0.0,
@@ -206,7 +207,7 @@ class TestPolicyProductCache:
         space = state.space
         policy = CausalPolicy.from_rows(space, rows)
         r_prod = linear_policy_product(space, policy.tables)
-        joint = build_joint(policy, markovian_kernel, markovian_actions).probs
+        joint = literal_joint(policy, markovian_kernel, markovian_actions)
         np.testing.assert_allclose(q, joint / joint.sum(axis=0), rtol=0.0,
                                    atol=1e-12)
         cost = fsum_array(joint * space.cost_row[:, None]) / n
@@ -215,16 +216,18 @@ class TestPolicyProductCache:
 
     @pytest.mark.parametrize("channel,n", LAYOUT_CASES)
     def test_live_joint_matches_the_linear_domain_joint(self, request, channel, n):
-        # build_joint multiplies the policy and channel factors on the dense grid
+        # literal_joint multiplies the policy and channel factors on the
+        # dense grid, by enumeration
         kernel, actions, rng = layout_case(request, channel)
         space = TrajectorySpace(kernel, actions, n)
         policy = make_random_policy(rng, n, space.u_size, space.z_size)
         rows = space.reachable_rows(policy)
         live = space.policy_product(rows).take(space.parent) * space.p_live
-        reference = build_joint(policy, kernel, actions).probs
+        reference = literal_joint(policy, kernel, actions)
         on_live = space.to_dense(np.ones_like(live)) > 0.0
-        # the live entries are exactly those of positive channel law
-        np.testing.assert_array_equal(on_live, space.channel_law() > 0.0)
+        # the live entries are exactly those of positive channel law: the
+        # policy is positive everywhere, so the joint is positive there too
+        np.testing.assert_array_equal(on_live, reference > 0.0)
         if channel == "bsc":
             assert on_live.all()
         else:
@@ -467,11 +470,14 @@ class TestRunBaa:
         lam = 0.3
         state = iterated_state(markovian_kernel, markovian_actions, 2, lam, 5)
         il = state.i_lower
-        joint = build_joint(state.r, markovian_kernel, markovian_actions)
-        rate = directed_information(joint) / 2.0
-        # the action cost from the action digits, independent of cost_row
-        per_row = markovian_actions.cost_table[joint.action_digits, 0].sum(axis=1)
-        cost = float(joint.probs.sum(axis=1) @ per_row) / 2.0
+        rate = literal_directed_info(state.r, markovian_kernel,
+                                     markovian_actions) / 2.0
+        joint = literal_joint(state.r, markovian_kernel, markovian_actions)
+        # the action cost from the action digits a = u % 2, independent of
+        # cost_row
+        actions = np.array(list(product(range(4), repeat=2))) % 2
+        per_row = markovian_actions.cost_table[actions, 0].sum(axis=1)
+        cost = float(joint.sum(axis=1) @ per_row) / 2.0
         assert il == pytest.approx(rate - lam * cost, abs=1e-9)
 
     def test_fixed_point_is_stable(self, markovian_kernel, markovian_actions):

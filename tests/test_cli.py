@@ -14,7 +14,7 @@ import pytest
 from sampcap import (ActionSystem, Alphabet, CausalPolicy, SingleLetterProblem,
                      binary_entropy, cli, gallager_exponent, run_baa,
                      single_letter_bounds, sweep_lambda)
-from sampcap import bounds, oracle
+from sampcap import baa, bounds, oracle
 from sampcap.trajectory import TrajectorySpace
 
 from conftest import BSC_CONFIG_PATH, MARKOVIAN_CONFIG_PATH, load_config
@@ -1022,13 +1022,13 @@ class TestOracleCheck:
         # markovian's joint has 16 entries at N = 1 and 256 at N = 2
         monkeypatch.setattr(oracle, "LITERAL_ENTRY_CAP", 100)
         built = []
-        true_build = cli.build_joint
+        true_build = oracle.literal_joint
 
         def counting_build(policy, *args, **kwargs):
             built.append(policy.block_length)
             return true_build(policy, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "build_joint", counting_build)
+        monkeypatch.setattr(oracle, "literal_joint", counting_build)
         out = tmp_path / "out"
         assert cli.cmd_oracle_check(str(MARKOVIAN_CONFIG_PATH), str(out)) \
             == cli.EXIT_OK
@@ -1067,13 +1067,35 @@ class TestOracleCheck:
         assert failing
         assert all(name.startswith("r_update") for name in failing)
 
+    def test_corrupted_directed_information_is_caught(self, tmp_path,
+                                                      monkeypatch):
+        # the negative control of the shipped value: raise the optimizer's
+        # lower iterate by 1e-6 bits and the literal directed information
+        # must flag every directed_info check, and nothing else
+        true_bound = baa.lower_bound
+
+        def crooked_bound(*args):
+            return true_bound(*args) + 1e-6
+
+        monkeypatch.setattr(baa, "lower_bound", crooked_bound)
+        out = tmp_path / "out"
+        assert cli.cmd_oracle_check(str(MARKOVIAN_CONFIG_PATH), str(out)) \
+            == cli.EXIT_SEMANTIC
+        with open(out / "oracle_report.json", encoding="utf-8") as fh:
+            report = json.load(fh)
+        assert report["passed"] is False
+        failing = [check["quantity"] for check in report["checks"]
+                   if not check["passed"]]
+        assert failing == [f"directed_info_n{n}_{label}"
+                           for n in cli.ORACLE_BLOCKS
+                           for label in ("uniform", "optimized")]
+
     @pytest.mark.parametrize("path", [BSC_CONFIG_PATH, MARKOVIAN_CONFIG_PATH],
                              ids=["bsc", "markovian"])
     def test_one_trajectory_space_per_block_length(self, tmp_path, monkeypatch,
                                                    path):
         # the optimized iterates and the sweep of a block length share one
-        # space; build_joint, the linear-domain reference, builds its own for
-        # each of its two joints
+        # space, and the literal references build none
         built = []
         init = TrajectorySpace.__init__
 
@@ -1084,7 +1106,7 @@ class TestOracleCheck:
         monkeypatch.setattr(TrajectorySpace, "__init__", counting_init)
         assert cli.cmd_oracle_check(str(path), str(tmp_path / "out")) \
             == cli.EXIT_OK
-        assert built == [n for n in cli.ORACLE_BLOCKS for _ in range(3)]
+        assert built == list(cli.ORACLE_BLOCKS)
 
 
 class TestExponent:

@@ -1,7 +1,9 @@
-"""The README's library example runs as documented."""
+"""The README's library example runs as documented, and names every export."""
 
 import re
 from pathlib import Path
+
+import sampcap
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -15,3 +17,10 @@ def test_library_example_runs(monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
     exec(compile(block.group(1), "README.md", "exec"), {})
     assert "True" in capsys.readouterr().out  # the point converged
+
+
+def test_every_export_is_documented():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    missing = [name for name in sampcap.__all__
+               if not re.search(rf"\b{re.escape(name)}\b", readme)]
+    assert missing == []

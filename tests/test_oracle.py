@@ -21,9 +21,7 @@ from sampcap import (
     FscKernel,
     OracleReport,
     binary_entropy,
-    build_joint,
     causal_channel_prob,
-    directed_information,
     grid_capacity,
     grid_search_space,
     literal_directed_info,
@@ -34,10 +32,19 @@ from sampcap import (
 )
 import sampcap.oracle
 from sampcap.baa import BaaState
-from sampcap.oracle import _literal_channel_prob
+from sampcap.oracle import (
+    _literal_channel_prob,
+    _simplex_grid_size,
+    _simplex_grid_tuples,
+)
 from sampcap.trajectory import TrajectorySpace
 
-from conftest import make_random_kernel, make_random_policy, make_trivial_actions
+from conftest import (
+    live_directed_info,
+    make_random_kernel,
+    make_random_policy,
+    make_trivial_actions,
+)
 
 INFORMED_CAPACITY = math.log2(5.0) - 2.0
 COMMON_INPUT_CAPACITY = binary_entropy(0.25) - 0.5
@@ -90,21 +97,22 @@ class TestLiteralChannelProb:
 
 
 class TestLiteralDirectedInfo:
-    def test_matches_the_chain_rule_on_random_joints(self, markovian_kernel,
-                                                     markovian_actions):
+    def test_matches_the_optimizer_on_random_policies(self, markovian_kernel,
+                                                      markovian_actions):
         rng = np.random.default_rng(101)
+        space = TrajectorySpace(markovian_kernel, markovian_actions, 2)
         for _ in range(10):
             policy = make_random_policy(rng, 2, 4, 3)
-            joint = build_joint(policy, markovian_kernel, markovian_actions)
-            gap = abs(literal_directed_info(joint) - directed_information(joint))
-            assert gap <= 1e-9
+            literal = literal_directed_info(policy, markovian_kernel,
+                                            markovian_actions)
+            assert abs(literal - live_directed_info(space, policy)) <= 1e-9
 
     def test_memoryless_closed_form(self, bsc_kernel, bsc_actions):
-        policy = make_random_policy(np.random.default_rng(3), 3, 2, 1)
-        uniform = type(policy).uniform(3, 2, 1)
-        joint = build_joint(uniform, bsc_kernel, bsc_actions)
-        value = literal_directed_info(joint)
-        assert value == pytest.approx(directed_information(joint), abs=1e-9)
+        uniform = CausalPolicy.uniform(3, 2, 1)
+        value = literal_directed_info(uniform, bsc_kernel, bsc_actions)
+        space = TrajectorySpace(bsc_kernel, bsc_actions, 3)
+        assert value == pytest.approx(live_directed_info(space, uniform),
+                                      abs=1e-9)
         assert value == pytest.approx(3.0 * (1.0 - binary_entropy(0.25)),
                                       abs=1e-9)
 
@@ -114,6 +122,12 @@ class TestGridSearchSpace:
         assert grid_search_space(bsc_kernel, bsc_actions, 1, 0.5) == 3
         assert grid_search_space(bsc_kernel, bsc_actions, 2, 0.5) == 27
         assert grid_search_space(markovian_kernel, markovian_actions, 1, 0.5) == 10
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("steps", [1, 2, 10, 20])
+    def test_closed_form_counts_the_simplex_grid(self, dim, steps):
+        assert _simplex_grid_size(dim, steps) == len(
+            _simplex_grid_tuples(dim, steps))
 
     def test_step_must_divide_one(self, bsc_kernel, bsc_actions):
         with pytest.raises(ValueError, match="divide 1 evenly"):

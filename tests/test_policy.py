@@ -1,4 +1,6 @@
-"""History indexing, causal policies, joint assembly, information functionals."""
+"""History indexing, causal policies, the literal joint, directed information."""
+
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,15 +12,19 @@ from sampcap import (
     FscKernel,
     HistoryIndexer,
     binary_entropy,
-    build_joint,
     causal_channel_prob,
-    conditional_directed_information,
-    directed_information,
-    mutual_information,
+    literal_joint,
     sample_feedback,
 )
+from sampcap.trajectory import TrajectorySpace
 
-from conftest import make_random_kernel, make_random_policy, make_trivial_actions
+from conftest import (
+    live_directed_info,
+    make_random_kernel,
+    make_random_policy,
+    make_trivial_actions,
+    mutual_information,
+)
 
 
 class TestHistoryIndexer:
@@ -74,27 +80,32 @@ class TestCausalPolicy:
             CausalPolicy(2, 2, 2, (np.full((1, 2), 0.5), np.full((3, 2), 0.5)))
 
 
-class TestBuildJoint:
+def literal_and_live(kernel, actions, policy, s0=None):
+    """A policy's literal joint and its live directed information."""
+    space = TrajectorySpace(kernel, actions, policy.block_length, s0=s0)
+    return (literal_joint(policy, kernel, actions, s0),
+            live_directed_info(space, policy))
+
+
+class TestLiteralJoint:
     def test_joint_normalizes(self, markovian_kernel, markovian_actions):
         rng = np.random.default_rng(0)
         policy = make_random_policy(rng, 2, 4, 3)
-        joint = build_joint(policy, markovian_kernel, markovian_actions)
-        assert abs(joint.probs.sum() - 1.0) <= 1e-9
+        joint = literal_joint(policy, markovian_kernel, markovian_actions)
+        assert abs(joint.sum() - 1.0) <= 1e-9
 
     def test_causal_factorization(self, markovian_kernel, markovian_actions):
-        # every trajectory probability is the policy product times the
-        # causal channel law, reconstructed here from the raw tables
+        # every trajectory probability is the policy product, read at the
+        # sampled feedback, times the causal channel law of the belief
+        # recursion, reconstructed here from the raw tables
         rng = np.random.default_rng(1)
         policy = make_random_policy(rng, 2, 4, 3)
-        joint = build_joint(policy, markovian_kernel, markovian_actions)
-        for row in range(joint.probs.shape[0]):
-            for col in range(joint.probs.shape[1]):
-                u_seq = joint.u_digits[row]
-                x_seq = joint.x_digits[row]
-                a_seq = joint.action_digits[row]
-                y_seq = joint.y_digits[col]
+        joint = literal_joint(policy, markovian_kernel, markovian_actions)
+        for row, u_seq in enumerate(product(range(4), repeat=2)):
+            x_seq = [u // 2 for u in u_seq]
+            for col, y_seq in enumerate(product(range(4), repeat=2)):
                 z_seq = [
-                    sample_feedback(markovian_actions, int(a_seq[i]), 0, int(y_seq[i]))
+                    sample_feedback(markovian_actions, u_seq[i] % 2, 0, y_seq[i])
                     for i in range(2)
                 ]
                 q = 1.0
@@ -102,40 +113,30 @@ class TestBuildJoint:
                     slot = policy.indexer.encode(u_seq[:i], z_seq[:i])
                     q *= policy.tables[i][slot, u_seq[i]]
                 p = causal_channel_prob(markovian_kernel, x_seq, y_seq)
-                assert joint.probs[row, col] == pytest.approx(q * p, abs=1e-12)
+                assert joint[row, col] == pytest.approx(q * p, abs=1e-12)
 
     def test_alphabet_mismatch_raises(self, markovian_kernel, markovian_actions):
         policy = CausalPolicy.uniform(2, 2, 1)
         with pytest.raises(ValueError, match="alphabets"):
-            build_joint(policy, markovian_kernel, markovian_actions)
-
-    def test_derived_feedback_digits(self, markovian_kernel, markovian_actions):
-        policy = CausalPolicy.uniform(1, 4, 3)
-        joint = build_joint(policy, markovian_kernel, markovian_actions)
-        for row in range(4):
-            for col in range(4):
-                a = int(joint.action_digits[row, 0])
-                y = int(joint.y_digits[col, 0])
-                assert joint.z_digits[row, col, 0] == sample_feedback(
-                    markovian_actions, a, 0, y
-                )
+            literal_joint(policy, markovian_kernel, markovian_actions)
 
 
 class TestDirectedInformation:
+    """The optimizer's directed information, N I_L at lambda = 0."""
+
     def test_memoryless_uniform_input_rate(self, bsc_kernel):
         policy = CausalPolicy.uniform(3, 2, 1)
-        joint = build_joint(policy, bsc_kernel, make_trivial_actions(2))
+        space = TrajectorySpace(bsc_kernel, make_trivial_actions(2), 3)
         expected = 3.0 * (1.0 - binary_entropy(0.25))
-        assert directed_information(joint) == pytest.approx(expected, abs=1e-12)
+        assert live_directed_info(space, policy) == pytest.approx(expected,
+                                                                  abs=1e-12)
 
     def test_no_feedback_makes_it_mutual_information(self):
         rng = np.random.default_rng(11)
         k = make_random_kernel(rng, 2, 2, 2)
         policy = make_random_policy(rng, 2, 2, 1)
-        joint = build_joint(policy, k, make_trivial_actions(2))
-        assert directed_information(joint) == pytest.approx(
-            mutual_information(joint), abs=1e-12
-        )
+        joint, di = literal_and_live(k, make_trivial_actions(2), policy)
+        assert di == pytest.approx(mutual_information(joint), abs=1e-12)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=20)
@@ -143,11 +144,11 @@ class TestDirectedInformation:
         rng = np.random.default_rng(seed)
         k = make_random_kernel(rng, 2, 2, 2)
         policy = make_random_policy(rng, 2, 2, 1)
-        joint = build_joint(policy, k, make_trivial_actions(2))
-        di = directed_information(joint)
+        joint, di = literal_and_live(k, make_trivial_actions(2), policy)
         assert 0.0 <= di <= mutual_information(joint) + 1e-12
 
-    def test_conditional_average_and_state_bound(self, markovian_kernel, markovian_actions):
+    def test_conditional_average_and_state_bound(self, markovian_kernel,
+                                                 markovian_actions):
         rng = np.random.default_rng(3)
         policy = make_random_policy(rng, 2, 4, 3)
         mixed = FscKernel(
@@ -157,23 +158,11 @@ class TestDirectedInformation:
             kernel=markovian_kernel.kernel,
             initial_dist=np.array([0.5, 0.5]),
         )
-        joints = [build_joint(policy, mixed, markovian_actions, s0=s) for s in (0, 1)]
-        per_state, average = conditional_directed_information(joints, [0.5, 0.5])
-        assert average == pytest.approx(
-            0.5 * per_state[0] + 0.5 * per_state[1], abs=1e-12
-        )
-        unconditional = directed_information(build_joint(policy, mixed, markovian_actions))
+        per_state = [live_directed_info(
+            TrajectorySpace(mixed, markovian_actions, 2, s0=s), policy)
+            for s in (0, 1)]
+        average = 0.5 * per_state[0] + 0.5 * per_state[1]
+        unconditional = live_directed_info(
+            TrajectorySpace(mixed, markovian_actions, 2), policy)
         # knowing the start state moves the value by at most log2 |S| = 1 bit
         assert abs(unconditional - average) <= 1.0 + 1e-12
-
-    def test_conditional_joints_must_record_s0(self, markovian_kernel, markovian_actions):
-        policy = CausalPolicy.uniform(1, 4, 3)
-        joint = build_joint(policy, markovian_kernel, markovian_actions)
-        with pytest.raises(ValueError, match="start state"):
-            conditional_directed_information([joint], [1.0])
-
-    def test_weights_must_be_a_distribution(self, markovian_kernel, markovian_actions):
-        policy = CausalPolicy.uniform(1, 4, 3)
-        joint = build_joint(policy, markovian_kernel, markovian_actions, s0=0)
-        with pytest.raises(ValueError, match="probability vector"):
-            conditional_directed_information([joint], [0.4])
