@@ -109,16 +109,15 @@ class BaaState:
 
     @classmethod
     def initial(cls, space: TrajectorySpace, lam: float,
-                start: Optional[CausalPolicy] = None) -> "BaaState":
-        """The iterate of the start policy (uniform by default) on a space,
-        which is shared, never modified."""
-        if start is not None:
-            return update_q(space, lam, space.reachable_rows(start))
-        rows = tuple(np.full((len(reach), space.u_size), 1.0 / space.u_size)
-                     for reach in space.reach)
-        for t in rows:
-            t.setflags(write=False)
-        return update_q(space, lam, rows)
+                start: Optional[tuple] = None) -> "BaaState":
+        """The iterate of the start policy on a space, which is shared, never
+        modified: start holds its reachable rows (a CausalPolicy enters
+        through space.reachable_rows), and None is the uniform policy."""
+        if start is None:
+            start = tuple(freeze(np.full((len(reach), space.u_size),
+                                         1.0 / space.u_size))
+                          for reach in space.reach)
+        return update_q(space, lam, start)
 
     @property
     def r(self) -> CausalPolicy:
@@ -347,8 +346,8 @@ class TradeoffPoint:
     rejected_steps counts the over-relaxed candidates that failed the guard
     (see run_baa); seconds is the wall time of the solve. dead_slices counts
     the slices the last update gave no weight, unreachable_outputs the output
-    blocks of zero marginal under policy, the final policy (the next point's
-    warm start)."""
+    blocks of zero marginal under the final policy, whose reachable rows are
+    rows (the next point's warm start; CausalPolicy.from_rows densifies)."""
 
     lam: float
     gamma: float
@@ -361,8 +360,7 @@ class TradeoffPoint:
     dead_slices: int = 0
     unreachable_outputs: int = 0
     seconds: float = field(default=0.0, compare=False)
-    policy: Optional[CausalPolicy] = field(default=None, repr=False,
-                                           compare=False)
+    rows: tuple = field(default=(), repr=False, compare=False)
 
 
 def _tangent_envelope(points: Sequence[TradeoffPoint],
@@ -415,10 +413,10 @@ class TradeoffCurve:
 
 def run_baa(space: TrajectorySpace, lam: float,
             eps: float = DEFAULT_EPSILON, max_iters: int = DEFAULT_MAX_ITERS,
-            start: Optional[CausalPolicy] = None) -> TradeoffPoint:
+            start: Optional[tuple] = None) -> TradeoffPoint:
     """Iterate the two updates until the bound gap closes (or iterations run out).
 
-    Starts from the iterate of the start policy (uniform by default), then
+    Starts from the iterate of the start policy (BaaState.initial), then
     repeats policy update, new iterate (update_q), upper iterate. Each
     policy update is over-relaxed (_over_relax) with step size relax; the
     candidate iterate is kept if its lower iterate is at least the current
@@ -468,17 +466,14 @@ def run_baa(space: TrajectorySpace, lam: float,
         dead_slices=state.dead_slices,
         unreachable_outputs=state.unreachable_outputs,
         seconds=time.perf_counter() - t0,
-        policy=state.r,
+        rows=state.rows,
     )
 
 
-def _warm_start(policy: CausalPolicy) -> CausalPolicy:
-    """A policy mixed with uniform at weight WARM_START_MIX."""
+def _warm_start(rows: tuple) -> tuple:
+    """Reachable policy rows mixed with uniform at weight WARM_START_MIX."""
     keep = 1.0 - WARM_START_MIX
-    tables = tuple(keep * t + WARM_START_MIX / policy.u_size
-                   for t in policy.tables)
-    return CausalPolicy(block_length=policy.block_length, u_size=policy.u_size,
-                        z_size=policy.z_size, tables=tables)
+    return tuple(freeze(keep * t + WARM_START_MIX / t.shape[1]) for t in rows)
 
 
 def sweep_lambda(space: TrajectorySpace,
@@ -489,7 +484,7 @@ def sweep_lambda(space: TrajectorySpace,
     """Run the optimizer across a lambda grid and rebuild the cost envelope.
 
     The points form one chain on the space, in ascending lambda: each point
-    after the first starts from the previous point's final policy (see
+    after the first starts from the previous point's final rows (see
     _warm_start). Neighbouring optima are close, and approaching each
     point from the side with more sampling avoids regrowing mass the
     multiplicative update has nearly emptied. The envelope is evaluated on
@@ -502,7 +497,7 @@ def sweep_lambda(space: TrajectorySpace,
     lams = sorted(float(v) for v in lam_grid)
     points: list[TradeoffPoint] = []
     for lam in lams:
-        start = _warm_start(points[-1].policy) if points else None
+        start = _warm_start(points[-1].rows) if points else None
         points.append(run_baa(space, lam, eps=eps, max_iters=max_iters,
                               start=start))
     points = tuple(points)

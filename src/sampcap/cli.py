@@ -81,17 +81,12 @@ R_UPDATE_ORACLE_TOL = 1e-10
 ORACLE_BLOCKS = (1, 2)
 GRID_POINT_BUDGET = 20_000
 NEAR_CAP = 0.9  # share of max_iters from which report.json flags a point
-# pre-flight memory check: a block length N is charged DENSE_ARRAYS float64
-# arrays of (|X| |A| |Y|)^N entries; configs whose estimate exceeds
-# MAX_DENSE_BYTES are rejected (markovian: N = 6 is charged 1.1 GiB and
-# passes, N = 7 18 GiB). The limit stays because the build still forms the
-# dense channel law once, but the other eight arrays are an over-count: the
-# optimizer's arrays hold live entries (p > 0), live parents (past law > 0)
-# or reachable history slots, and no policy table is read beyond its
-# reachable rows (markovian N = 6 peaks at about 0.3 GB). Counting those
-# instead would admit larger N.
-DENSE_ARRAYS = 9
-MAX_DENSE_BYTES = 2 ** 31
+# pre-flight memory check: a block length N is charged the bytes of its live
+# tables and a solve's arrays (TrajectorySpace.footprint), from the kernel's
+# support alone; above MAX_DENSE_BYTES it is rejected. Markovian N = 7 is
+# charged 2.84 GiB and passes (a solve peaks at 2.83 GB RSS), N = 8 34 GiB;
+# the limit leaves an 8 GB machine room for the estimate's error.
+MAX_DENSE_BYTES = 3 * 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -274,15 +269,16 @@ def _read_exponent(ex: dict, found: list[str]) -> Optional[ExponentSpec]:
 
 
 def _check_footprint(kernel: FscKernel, actions: ActionSystem, n: int,
-                     pointer: str, violations: list[str]) -> None:
-    """Reject a block length whose dense tables would exceed MAX_DENSE_BYTES."""
-    per_step = (kernel.input_size * actions.encoder_actions.size
-                * kernel.output_size)
-    need = DENSE_ARRAYS * 8 * per_step ** n
+                     pointer: str, violations: list[str],
+                     starts=(None,)) -> None:
+    """Reject a block length whose spaces, one per start in starts, held at
+    once, would need more than MAX_DENSE_BYTES."""
+    need = sum(TrajectorySpace.footprint(kernel, actions, n, s0)
+               for s0 in starts)
     if need > MAX_DENSE_BYTES:
         violations.append(
             f"{pointer}: block length {n} needs about {need / 2 ** 30:.3g} GiB "
-            f"of dense tables, above the {MAX_DENSE_BYTES / 2 ** 30:g} GiB limit"
+            f"of live tables, above the {MAX_DENSE_BYTES / 2 ** 30:g} GiB limit"
         )
 
 
@@ -320,8 +316,10 @@ def parse_config(doc) -> tuple[Optional[ExperimentConfig], list[str]]:
             _check_footprint(kernel, actions, n, f"/block_lengths/{k}",
                              violations)
         if exponent is not None:
+            # the exponent holds one space per start state
             _check_footprint(kernel, actions, exponent.block_length,
-                             "/exponent/block_length", violations)
+                             "/exponent/block_length", violations,
+                             range(kernel.state_size))
     if violations:
         return None, violations
     return ExperimentConfig(kernel=kernel, actions=actions,

@@ -40,9 +40,11 @@ The step-N quantities are named for the live trajectories:
     and [prefixes] below (the same for every u_N), so that the policy
     product reads every factor directly.
 
-The build goes level by level from digits. Its one full-size table is the
-dense channel law at level N, dropped before the ids of the live entries
-are derived; each lower level's dense law is at most 1/(|U||Y|) of it.
+The build extends each level-(i-1) prefix's unnormalized state belief
+P(y^{i-1}, s || x^{i-1}) by every (x_i, y_i), keeps those of positive law
+and repeats them over the action digits, so no table is indexed by the
+full (u^i, y^i) grid; live_counts() and footprint() count the live entries
+and bytes from the kernel's support alone, before any build.
 policy_product() builds the policy product r(u^N || z^{N-1})
 at the step-N parents, per_row() sums per-parent values over each row
 u^N, and expected_cost() the average action cost; nothing else computes
@@ -53,11 +55,17 @@ imports nor computes anything with it, and enumerates its own joint.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
-from ._num import fsum_array, is_integer, raise_first
+from ._num import freeze, fsum_array, is_integer, raise_first
 from .actions import ActionSystem, decoder_violations
 from .fsc import FscKernel
+
+# live-entry arrays a solve holds next to the space: the iterate's q_live, and
+# update_q's joint and its divisor (markovian N = 6: 3.4 at the traced peak)
+SOLVE_LIVE_ARRAYS = 4
 
 
 class TrajectorySpace:
@@ -69,82 +77,86 @@ class TrajectorySpace:
         raise_first(self.violations(sys.decoder_actions.size, n))
         if sys.output_size != kernel.output_size:
             raise ValueError("action system output axis does not match the kernel")
-        self.kernel = kernel
-        self.sys = sys
-        self.n = n
-        self.s0 = s0
+        self.kernel, self.sys, self.n, self.s0 = kernel, sys, n, s0
         self.x_size = kernel.input_size
         self.a_size = sys.encoder_actions.size
         self.u_size = u = self.x_size * self.a_size
         self.y_size = y = kernel.output_size
         self.z_size = z = sys.feedback_alphabet.size
-        self.rows = u ** n
-        self.cols = y ** n
+        self.rows, self.cols = u ** n, y ** n
         self.n_hist = [(u * z) ** (i - 1) for i in range(1, n + 1)]
 
         # u = x * |A| + a
         self.z_table = sys.sampling_table[:, 0, :]  # [a][y] -> z
         action_cost = sys.cost_table[:, 0]          # [a] -> cost
-        a_digits = self._digits(self.rows, u, n) % self.a_size
+        a_digits = np.stack(np.unravel_index(np.arange(self.rows), [u] * n),
+                            axis=1) % self.a_size
         self.cost_row = action_cost[a_digits].sum(axis=1)  # [rows]
 
-        prefix = self._channel_prefixes()
         self.measure, self.up, self.cond = [], [], []
         self.reach, self.denom, self.slot = [], [], []
-        # level 0: the empty prefix, of past law 1 and feedback code 0
-        cells = np.zeros(1, dtype=np.int64)
+        # level 0: the empty prefix, of past law 1, feedback code 0 and the
+        # start belief; per_row: the prefixes of each row u^k, a nonempty run
+        # (the past law sums to 1 over y^k)
         law = np.ones(1)
-        z_code = np.zeros(1, dtype=np.int64)
+        belief = (kernel.initial_dist if s0 is None
+                  else np.eye(kernel.state_size)[s0])[None, :]
+        y_code = z_code = np.zeros(1, dtype=np.int64)
+        per_row = np.ones(1, dtype=np.int64)
         for i in range(1, n + 1):
             # step i's histories, read at the level-(i-1) prefixes
-            u_code = cells // y ** (i - 1)
+            u_code = np.repeat(np.arange(len(per_row)), per_row)
             reach, rank = np.unique(u_code * z ** (i - 1) + z_code,
                                     return_inverse=True)
             self.measure.append(law)
             self.reach.append(reach)
             self.denom.append(np.bincount(rank, weights=law))
             self.slot.append(rank * u + np.arange(u)[:, None])
-            # level i from its dense law; at i = N the one full-size table
-            dense = self._law(i, prefix[i]).ravel()
-            live = np.flatnonzero(dense)
-            law_next = dense[live]
-            del dense
-            row, col = np.divmod(live, y ** i)
+            # the live (x_i, c, y_i) of the level-(i-1) prefixes c, x-major
+            block = np.einsum("cs,sxyt->xcyt", belief, kernel.kernel)
+            on_x = block.sum(axis=3)
+            live = np.flatnonzero(on_x)
+            law_x = on_x.ravel()[live]
+            belief = block.reshape(-1, block.shape[3])[live] if i < n else None
+            del block, on_x
+            # row u^i = (u^{i-1}, u_i) reads, for x_i, the run of live
+            # entries of the prefixes of u^{i-1}
+            p, edges = len(law), np.concatenate(([0], np.cumsum(per_row)))
+            bounds = np.searchsorted(
+                live, (np.arange(self.x_size)[:, None] * p + edges) * y)
+            bounds = bounds[np.arange(u) // self.a_size].T  # [U^{i-1} + 1, U]
+            per_row = (bounds[1:] - bounds[:-1]).ravel()
+            ids = np.repeat(bounds[:-1].ravel() - np.cumsum(per_row) + per_row,
+                            per_row)
+            ids += np.arange(len(ids))
+            c_x, y_x = np.divmod(live, y)
+            c_x %= p
             del live
-            rank_of = np.zeros((u * y) ** (i - 1), dtype=np.int64)
-            rank_of[cells] = np.arange(len(cells))
-            above = rank_of[(row // u) * y ** (i - 1) + col // y]
-            del rank_of
-            up = row % u * len(cells) + above
-            self.cond.append(law_next / law[above])
+            self.cond.append((law_x / law.take(c_x)).take(ids))
+            law = law_x.take(ids)
+            del law_x
+            col = (y_code.take(c_x) * y + y_x).take(ids)
+            up = np.repeat(np.arange(u ** i) % u * p, per_row)
+            up += c_x.take(ids)
+            self.up.append(up)
             if i < n:
-                z_code = (z_code[above] * z
-                          + self.z_table[row % u % self.a_size, col % y])
-                cells, law = row * y ** i + col, law_next
-                self.up.append(up)
-            del above
+                z_code = (z_code.take(c_x).take(ids) * z
+                          + self.z_table[up // p % self.a_size, y_x.take(ids)])
+                belief, y_code = belief.take(ids, axis=0), col
+            del ids, c_x, y_x
 
         # level N: the live trajectories, grouped by row in row-major order
         # (live_from_rows repeats per-row values over these runs)
-        fits = max(self.slot[-1].size, self.cols) <= 2 ** 31
-        ids = np.int32 if fits else np.int64
-        self.p_live = law_next
-        self.up.append(up.astype(ids))
-        self.col = col.astype(ids)
-        self.live_per_row = np.bincount(row, minlength=self.rows)
-        del up, row, col
+        self.p_live, self.col, self.live_per_row = law, col, per_row
         self.log2_p_live = np.log2(self.p_live)
         self.plogp_sum = np.bincount(
             self.parent, weights=self.p_live * self.log2_p_live,
             minlength=self.slot[-1].size).reshape(u, -1)
         # row u^N = (u^{N-1}, u_N) owns the step-N parents (u_N, c) of the
-        # level-(N-1) prefixes c of its u^{N-1}, a nonempty run (the past
-        # law sums to 1 over y^{N-1})
-        per_block = np.bincount(u_code, minlength=u ** (n - 1))
-        self.row_starts = np.concatenate(([0], np.cumsum(per_block)[:-1]))
+        # level-(N-1) prefixes c of its u^{N-1}
+        self.row_starts = edges[:-1]
         # the slot of every step at the step-N parents
-        self.lineage = [None] * n
-        self.lineage[n - 1] = self.slot[n - 1]
+        self.lineage = [None] * (n - 1) + [self.slot[-1]]
         at = np.arange(len(self.past_law))
         for i in range(n - 1, 0, -1):
             parents = self.up[i - 1][at]
@@ -160,6 +172,44 @@ class TrajectorySpace:
             found.append("block_length: must be a positive integer")
         return found
 
+    @staticmethod
+    def live_counts(kernel: FscKernel, sys: ActionSystem, n: int,
+                    s0: int | None = None) -> list[int]:
+        """Live entries per level 1..n (len(measure[k]) below n, len(p_live)
+        at n), counted without a build. Whether (x_k, y_k) extends a prefix
+        depends only on the support of its state belief, so the count runs
+        over support sets; each live (x^k, y^k) occurs with every a^k. A
+        build whose laws underflow to 0 has fewer."""
+        moves = kernel.kernel > 0.0  # [S, X, Y, S]
+        start = (kernel.initial_dist if s0 is None
+                 else np.eye(kernel.state_size)[s0]) > 0.0
+        counts, out = Counter({tuple(start): 1}), []
+        for k in range(1, n + 1):
+            nxt = Counter()
+            for support, count in counts.items():
+                ends = moves[np.array(support)].any(axis=0)
+                for end in map(tuple, ends[ends.any(axis=2)]):
+                    nxt[end] += count
+            counts = nxt
+            out.append(sys.encoder_actions.size ** k * counts.total())
+        return out
+
+    @classmethod
+    def footprint(cls, kernel: FscKernel, sys: ActionSystem, n: int,
+                  s0: int | None = None) -> int:
+        """Bytes of a space and of a solve's SOLVE_LIVE_ARRAYS on it, from
+        live_counts: 8 bytes an entry, at most one reachable history per
+        prefix."""
+        u = kernel.input_size * sys.encoder_actions.size
+        live = [1] + cls.live_counts(kernel, sys, n, s0)
+        # per step: measure, reach, denom and slot per prefix, up and cond per
+        # entry; then p_live, log2_p_live and col, plogp_sum and lineage,
+        # cost_row, live_per_row and row_starts, and z_table
+        words = sum((3 + u) * p + 2 * c for p, c in zip(live, live[1:]))
+        words += ((3 + SOLVE_LIVE_ARRAYS) * live[n] + (u + n - 1) * live[n - 1]
+                  + 2 * u ** n + u ** (n - 1) + sys.sampling_table[:, 0].size)
+        return 8 * words
+
     @property
     def parent(self) -> np.ndarray:
         """Step-N parent id of each live entry (up[N-1])."""
@@ -170,60 +220,17 @@ class TrajectorySpace:
         """Past law P(y^{N-1} || x^{N-1}) of each level-(N-1) prefix."""
         return self.measure[-1]
 
-    @staticmethod
-    def _digits(count: int, base: int, n: int) -> np.ndarray:
-        codes = np.arange(count)
-        out = np.empty((count, n), dtype=np.int64)
-        for i in range(n - 1, -1, -1):
-            out[:, i] = codes % base
-            codes //= base
-        return out
-
-    def _channel_prefixes(self) -> list[np.ndarray]:
-        """prefix[k]: [X^k, Y^k] = P(y^k || x^k, start), k = 0..N."""
-        kern = self.kernel.kernel
-        s_size = self.kernel.state_size
-        if self.s0 is None:
-            belief0 = self.kernel.initial_dist.copy()
-        else:
-            belief0 = np.zeros(s_size)
-            belief0[self.s0] = 1.0
-
-        x, y = self.x_size, self.y_size
-        # beliefs[k]: [X^k, Y^k, S] unnormalized P(y^k, s_k || x^k, start)
-        beliefs = [belief0.reshape(1, 1, s_size)]
-        for _ in range(self.n):
-            nxt = np.einsum("pqs,sxyt->pxqyt", beliefs[-1], kern)
-            beliefs.append(nxt.reshape(nxt.shape[0] * x, nxt.shape[2] * y, s_size))
-        return [b.sum(axis=2) for b in beliefs]
-
-    def _law(self, k: int, prefix: np.ndarray) -> np.ndarray:
-        """Channel law on the (u^k, y^k) grid, [U^k, Y^k]: prefix read at x^k."""
-        u_dig = self._digits(self.u_size ** k, self.u_size, k)
-        x_code = np.zeros(len(u_dig), dtype=np.int64)
-        for j in range(k):
-            x_code = x_code * self.x_size + u_dig[:, j] // self.a_size
-        return prefix[x_code]
-
-    def check_fits(self, policy) -> None:
-        """Raise ValueError unless a causal policy has this space's block
-        length and its |U| and |Z| alphabets."""
+    def reachable_rows(self, policy) -> tuple[np.ndarray, ...]:
+        """The reachable rows of each step's table of a causal policy,
+        [len(reach), U], how a policy enters the optimizer; ValueError unless
+        the policy has the space's block length, |U| and |Z|."""
         got = (policy.block_length, policy.u_size, policy.z_size)
         expected = (self.n, self.u_size, self.z_size)
         if got != expected:
-            raise ValueError(
-                f"policy (block length, |U|, |Z|) = {got} does not fit the "
-                f"space's alphabets {expected}"
-            )
-
-    def reachable_rows(self, policy) -> tuple[np.ndarray, ...]:
-        """The reachable rows of each step's table of a causal policy that
-        fits the space, [len(reach), U]: how a policy enters the optimizer."""
-        self.check_fits(policy)
-        rows = tuple(t.take(r, axis=0) for t, r in zip(policy.tables, self.reach))
-        for t in rows:
-            t.setflags(write=False)
-        return rows
+            raise ValueError(f"policy (block length, |U|, |Z|) = {got} "
+                             f"does not fit the space's alphabets {expected}")
+        return tuple(freeze(t.take(r, axis=0))
+                     for t, r in zip(policy.tables, self.reach))
 
     def policy_product(self, rows) -> np.ndarray:
         """The causal conditioning product r(u^N || z^{N-1}) at the step-N

@@ -94,12 +94,16 @@ class TestValidate:
         assert cli.cmd_validate(path) == cli.EXIT_SEMANTIC
         assert "/exponent/block_length" in capsys.readouterr().out
 
-    def test_size_limit_sits_between_six_and_seven(self):
-        # markovian: 16 trajectory symbols per letter, 9 arrays of 8 bytes
+    def test_size_limit_sits_between_seven_and_eight(self):
+        # markovian: 12^N (u^N, y^N) live of the 16^N, 2.84 GiB at N = 7
+        # and 34 GiB at N = 8; the exponent holds one space per start state
         with open(MARKOVIAN_CONFIG_PATH, encoding="utf-8") as fh:
             doc = json.load(fh)
-        for blocks, ok in (([2, 3], True), ([6], True), ([7], False)):
+        for blocks, exponent, ok in (([2, 3], 2, True), ([7], 2, True),
+                                     ([8], 2, False), ([2], 6, True),
+                                     ([2], 7, False)):
             doc["block_lengths"] = blocks
+            doc["exponent"]["block_length"] = exponent
             config, violations = cli.parse_config(doc)
             assert (config is not None) == ok, violations
 
@@ -413,9 +417,9 @@ PINNED = [
            {"/block_lengths": [2, 0]},
            ["/block_lengths: must be a nonempty list of positive integers"]),
     pinned("blocks-oversized", "markovian",
-           {"/block_lengths": [2, 7]},
-           ["/block_lengths/1: block length 7 needs about 18 GiB of dense "
-            "tables, above the 2 GiB limit"]),
+           {"/block_lengths": [2, 8]},
+           ["/block_lengths/1: block length 8 needs about 34.4 GiB of live "
+            "tables, above the 3 GiB limit"]),
     pinned("algorithm-not-object", "markovian",
            {"/algorithm": []},
            ["/algorithm: must be an object"]),
@@ -537,8 +541,8 @@ PINNED = [
             "/exponent/rho_grid: must be a nonempty list in [0, 1]"]),
     pinned("exponent-oversized", "markovian",
            {"/exponent/block_length": 7},
-           ["/exponent/block_length: block length 7 needs about 18 GiB of "
-            "dense tables, above the 2 GiB limit"]),
+           ["/exponent/block_length: block length 7 needs about 5.69 GiB of "
+            "live tables, above the 3 GiB limit"]),
     pinned("every-section", "markovian",
            {"/channel/kernel/0/1/0/0": 0.5,
             "/actions/budget": -1.0,
