@@ -49,7 +49,7 @@ from .oracle import (
     literal_joint,
     literal_r_update,
 )
-from .policy import CausalPolicy, HistoryIndexer
+from .policy import CausalPolicy
 from .trajectory import TrajectorySpace
 
 __version__ = "0.1.0"
@@ -60,7 +60,6 @@ __all__ = [
     "BaaState",
     "CausalPolicy",
     "FscKernel",
-    "HistoryIndexer",
     "OracleReport",
     "SingleLetterProblem",
     "StationaryInfo",

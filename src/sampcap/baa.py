@@ -124,7 +124,7 @@ class BaaState:
         """r as a dense CausalPolicy, built anew on each access, with a
         uniform slice on the histories that cannot occur. The optimizer
         reads rows and never builds it."""
-        return CausalPolicy.from_rows(self.space, self.rows)
+        return self.space.dense_policy(self.rows)
 
     @property
     def dead_slices(self) -> int:
@@ -134,16 +134,6 @@ class BaaState:
     def unreachable_outputs(self) -> int:
         """Output blocks of zero marginal, where q is a uniform slice."""
         return int((self.d <= 0.0).sum())
-
-    @property
-    def q(self) -> np.ndarray:
-        """q as a read-only [rows, cols] array, built anew on each access: 0
-        on the entries of zero channel law, a uniform slice on unreachable
-        output blocks. The optimizer reads q_live and never builds it."""
-        q = self.space.to_dense(self.q_live)
-        q[:, self.d <= 0.0] = 1.0 / self.space.rows
-        q.setflags(write=False)
-        return q
 
 
 def update_q(space: TrajectorySpace, lam: float, rows,
@@ -347,7 +337,8 @@ class TradeoffPoint:
     (see run_baa); seconds is the wall time of the solve. dead_slices counts
     the slices the last update gave no weight, unreachable_outputs the output
     blocks of zero marginal under the final policy, whose reachable rows are
-    rows (the next point's warm start; CausalPolicy.from_rows densifies)."""
+    rows (the next point's warm start; TrajectorySpace.dense_policy
+    densifies)."""
 
     lam: float
     gamma: float

@@ -45,7 +45,7 @@ ASCENT_MAX_ITER = 50_000
 ASCENT_CHUNK = 2_048  # instances per ascent batch, each stacked once per start
 DEFAULT_RESOLUTION = 101
 MIN_RESOLUTION = 10
-DEFAULT_RESTARTS = 5
+RESTARTS = 5  # seeded random starts of each ascent, besides the uniform one
 MAX_DEFAULT_FREE_DIMS = 3
 FEAS_SLACK = 1e-12
 MODES = ("encoder", "decoder", "backward_link")
@@ -370,8 +370,9 @@ def _optimize_slices(prob: SingleLetterProblem, mix: np.ndarray,
 
 
 def _optimize_mixtures(prob: SingleLetterProblem, mixes: Sequence[np.ndarray],
-                       restarts: int, seed: int) -> list[np.ndarray]:
-    """Best values of several mixture batches of one channel, from one ascent.
+                       seed: int) -> list[np.ndarray]:
+    """Best values of several mixture batches of one channel, from one ascent
+    with RESTARTS random starts.
 
     The batches are padded with zero-weight slices to a common slice count
     and stacked; each value equals the one its batch would get alone.
@@ -380,7 +381,7 @@ def _optimize_mixtures(prob: SingleLetterProblem, mixes: Sequence[np.ndarray],
     mix = np.concatenate([np.pad(m, ((0, 0), (0, 0), (0, width - m.shape[2])))
                           for m in mixes])
     parts = [(m.shape[0], m.shape[2]) for m in mixes]
-    values, _ = _optimize_slices(prob, mix, parts, restarts, seed)
+    values, _ = _optimize_slices(prob, mix, parts, RESTARTS, seed)
     return np.split(values, np.cumsum([rows for rows, _ in parts])[:-1])
 
 
@@ -414,7 +415,6 @@ def _endpoint_mixtures(prob: SingleLetterProblem) -> list[np.ndarray]:
 def single_letter_curve(prob: SingleLetterProblem, mode: str,
                         gammas: Sequence[float],
                         resolution: int = DEFAULT_RESOLUTION,
-                        restarts: int = DEFAULT_RESTARTS,
                         seed: int = 0) -> np.ndarray:
     """Lower-bound values of one coupling over a whole budget grid.
 
@@ -426,22 +426,20 @@ def single_letter_curve(prob: SingleLetterProblem, mode: str,
     """
     raise_first(curve_violations(prob, mode, resolution, seed))
     costs, mix = _curve_batch(prob, mode, resolution)
-    [values] = _optimize_mixtures(prob, [mix], restarts, seed)
+    [values] = _optimize_mixtures(prob, [mix], seed)
     return _best_feasible(costs, values, gammas)
 
 
 def zero_unit_cost_capacity(prob: SingleLetterProblem,
-                            restarts: int = DEFAULT_RESTARTS,
                             seed: int = 0) -> tuple[float, float]:
     """(C(0), C(1)): common-input and per-state-input maxima of I(X;Y|S)."""
     raise_first(curve_violations(seed=seed))
-    c0, c1 = _optimize_mixtures(prob, _endpoint_mixtures(prob), restarts, seed)
+    c0, c1 = _optimize_mixtures(prob, _endpoint_mixtures(prob), seed)
     return float(c0[0]), float(c1[0])
 
 
 def single_letter_bounds(prob: SingleLetterProblem, gammas: Sequence[float],
-                         resolution: int = DEFAULT_RESOLUTION,
-                         restarts: int = DEFAULT_RESTARTS, seed: int = 0
+                         resolution: int = DEFAULT_RESOLUTION, seed: int = 0
                          ) -> tuple[float, float, np.ndarray, np.ndarray]:
     """(C(0), C(1), encoder curve, decoder curve) of one setting in one ascent.
 
@@ -454,8 +452,7 @@ def single_letter_bounds(prob: SingleLetterProblem, gammas: Sequence[float],
     enc_costs, enc_mix = _curve_batch(prob, "encoder", resolution)
     dec_costs, dec_mix = _curve_batch(prob, "decoder", resolution)
     enc_values, dec_values, c0, c1 = _optimize_mixtures(
-        prob, [enc_mix, dec_mix, *_endpoint_mixtures(prob)], restarts, seed
-    )
+        prob, [enc_mix, dec_mix, *_endpoint_mixtures(prob)], seed)
     return (float(c0[0]), float(c1[0]),
             _best_feasible(enc_costs, enc_values, gammas),
             _best_feasible(dec_costs, dec_values, gammas))

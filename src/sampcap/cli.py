@@ -271,9 +271,9 @@ def _read_exponent(ex: dict, found: list[str]) -> Optional[ExponentSpec]:
 def _check_footprint(kernel: FscKernel, actions: ActionSystem, n: int,
                      pointer: str, violations: list[str],
                      starts=(None,)) -> None:
-    """Reject a block length whose spaces, one per start in starts, held at
-    once, would need more than MAX_DENSE_BYTES."""
-    need = sum(TrajectorySpace.footprint(kernel, actions, n, s0)
+    """Reject a block length whose largest space, one per start in starts,
+    built one at a time, would need more than MAX_DENSE_BYTES."""
+    need = max(TrajectorySpace.footprint(kernel, actions, n, s0)
                for s0 in starts)
     if need > MAX_DENSE_BYTES:
         violations.append(
@@ -316,7 +316,7 @@ def parse_config(doc) -> tuple[Optional[ExperimentConfig], list[str]]:
             _check_footprint(kernel, actions, n, f"/block_lengths/{k}",
                              violations)
         if exponent is not None:
-            # the exponent holds one space per start state
+            # the exponent builds one space per start state in turn
             _check_footprint(kernel, actions, exponent.block_length,
                              "/exponent/block_length", violations,
                              range(kernel.state_size))
@@ -581,17 +581,18 @@ def _oracle_reports(config: ExperimentConfig) -> tuple[list, list]:
         except ValueError as exc:
             skip(f"grid_capacity_n{n}", exc)
 
-        # literal product-of-powers policy update vs the optimized update
+        # literal product-of-powers policy update, against the posterior it
+        # recomputes, vs the optimized update against update_q's
         for lam, iters, label in ((0.5, 0, "initial"), (0.0, 3, "midrun")):
             state = BaaState.initial(space, lam)
             for _ in range(iters):
                 state = update_q(state.space, state.lam, *update_r(state))
             try:
-                literal = literal_r_update(state)
+                literal = literal_r_update(state.r, kernel, sys_, lam)
             except ValueError as exc:
                 skip(f"r_update_n{n}_{label}", exc)
                 continue
-            main_policy = CausalPolicy.from_rows(space, update_r(state)[0])
+            main_policy = space.dense_policy(update_r(state)[0])
             lit_flat = np.concatenate([t.ravel() for t in literal.tables])
             main_flat = np.concatenate([t.ravel() for t in main_policy.tables])
             worst = int(np.argmax(np.abs(lit_flat - main_flat)))
@@ -643,14 +644,21 @@ def cmd_exponent(config_path: str, out_dir: str = ".") -> int:
         print("/exponent: section required for the exponent command",
               file=_sys.stderr)
         return EXIT_SEMANTIC
-    n = config.exponent.block_length
-    spaces = [TrajectorySpace(config.kernel, config.actions, n, s0=s0)
-              for s0 in range(config.kernel.state_size)]
-    policy = CausalPolicy.uniform(n, spaces[0].u_size, spaces[0].z_size)
+    kernel, actions = config.kernel, config.actions
+    n, rho_grid = config.exponent.block_length, config.exponent.rho_grid
+    policy = CausalPolicy.uniform(
+        n, kernel.input_size * actions.encoder_actions.size,
+        actions.feedback_alphabet.size)
+    # one space per start state, each released before the next is built
+    per_start = []
+    for s0 in range(kernel.state_size):
+        space = TrajectorySpace(kernel, actions, n, s0=s0)
+        per_start.append([gallager_exponent(space, policy, rho)
+                          for rho in rho_grid])
+        del space
     lines = ["rho,s0,value"]
-    for rho in config.exponent.rho_grid:
-        for s0, space in enumerate(spaces):
-            value = gallager_exponent(space, policy, rho)
+    for rho, values in zip(rho_grid, zip(*per_start)):
+        for s0, value in enumerate(values):
             lines.append(f"{_fmt(rho)},{s0},{_fmt(value)}")
     try:
         os.makedirs(out_dir, exist_ok=True)

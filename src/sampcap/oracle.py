@@ -7,8 +7,9 @@ history codes built digit by digit, directed information as
 E[log2 P(Y^N || X^N) / P(Y^N)] with the causal conditionals read off the
 joint through prefix sums, capacity by exhaustive grid search over
 conditional-slice simplices, and the inner policy update as a direct product
-of powers. The optimized modules are never called and the trajectory module
-is not imported; the only shared surface is the frozen data types, so
+of powers against the posterior read off the same joint. The optimized
+modules (trajectory, baa, bounds) are neither called nor imported; the only
+shared surface is the frozen data types of fsc, actions and policy, so
 agreement between the two code paths is evidence for both.
 
 Scale caps keep the literal enumerations tractable: joints up to 10^7
@@ -27,7 +28,6 @@ import numpy as np
 
 from ._num import raise_first
 from .actions import ActionSystem, decoder_violations
-from .baa import BaaState
 from .fsc import FscKernel
 from .policy import CausalPolicy
 
@@ -151,7 +151,7 @@ def _trajectories(kernel: FscKernel, sys: ActionSystem, n: int,
 
 
 def _history_code(u_hist, z_hist, u_size: int, z_size: int) -> int:
-    """The HistoryIndexer id code(u^{i-1}) Z^{i-1} + code(z^{i-1}) of a
+    """The CausalPolicy table row code(u^{i-1}) Z^{i-1} + code(z^{i-1}) of a
     history, digit by digit."""
     u_code = 0
     for u in u_hist:
@@ -214,17 +214,11 @@ def _literal_di_matrix(probs: np.ndarray, n: int, u_size: int,
     return math.fsum(terms)
 
 
-def literal_joint(policy: CausalPolicy, kernel: FscKernel, sys: ActionSystem,
-                  s0: Optional[int] = None) -> np.ndarray:
-    """The dense joint P(u^N, y^N) of a causal policy on a channel, [u^N, y^N].
-
-    Each entry is prod_i Q_i(u_i | u^{i-1}, z^{i-1}) P(y^N || x^N, s0): the
-    conditionals read at the history codes of the trajectory's own feedback,
-    the channel law summed over state paths; s0 = None averages the start
-    state over the initial distribution. Raises ValueError unless the
-    policy's |U| and |Z| are those of the channel and action system and the
-    joint is small enough to enumerate literally.
-    """
+def _literal_block(policy: CausalPolicy, kernel: FscKernel,
+                   sys: ActionSystem, s0: Optional[int]):
+    """(trajectories, joint) of a causal policy on a channel: the one
+    enumeration literal_joint and literal_r_update share, and the dense
+    joint on it (see literal_joint)."""
     n = policy.block_length
     u_size = kernel.input_size * sys.encoder_actions.size
     z_size = sys.feedback_alphabet.size
@@ -243,7 +237,21 @@ def literal_joint(policy: CausalPolicy, kernel: FscKernel, sys: ActionSystem,
                 h = _history_code(us[:i], zs[:i], u_size, z_size)
                 q *= float(policy.tables[i][h, us[i]])
             probs[r, c] = q * traj.chan[0][r][c]
-    return probs
+    return traj, probs
+
+
+def literal_joint(policy: CausalPolicy, kernel: FscKernel, sys: ActionSystem,
+                  s0: Optional[int] = None) -> np.ndarray:
+    """The dense joint P(u^N, y^N) of a causal policy on a channel, [u^N, y^N].
+
+    Each entry is prod_i Q_i(u_i | u^{i-1}, z^{i-1}) P(y^N || x^N, s0): the
+    conditionals read at the history codes of the trajectory's own feedback,
+    the channel law summed over state paths; s0 = None averages the start
+    state over the initial distribution. Raises ValueError unless the
+    policy's |U| and |Z| are those of the channel and action system and the
+    joint is small enough to enumerate literally.
+    """
+    return _literal_block(policy, kernel, sys, s0)[1]
 
 
 def literal_directed_info(policy: CausalPolicy, kernel: FscKernel,
@@ -391,23 +399,30 @@ def grid_capacity(kernel: FscKernel, sys: ActionSystem, n: int,
     return result
 
 
-def literal_r_update(state: BaaState) -> CausalPolicy:
-    """Policy update evaluated as a direct product of powers, no log domain.
+def literal_r_update(policy: CausalPolicy, kernel: FscKernel,
+                     sys: ActionSystem, lam: float,
+                     s0: Optional[int] = None) -> CausalPolicy:
+    """The policy update of a causal policy r at penalty lam, evaluated as a
+    direct product of powers, no log domain.
 
-    Walks steps N down to 1; each slot (u^{i-1}, z^{i-1}, u_i) accumulates
+    The posterior q(u^N | y^N) = r p / sum_u r p is read off the literal
+    joint of r (see literal_joint), with a uniform slice 1/U^N on the
+    output blocks of zero mass. Then the walk over steps N down to 1 lets
+    each slot (u^{i-1}, z^{i-1}, u_i) accumulate
 
         r'(slot) = prod over trajectories [ q(u^N | y^N) 2^(-lam cost(a^N))
-                                            / prod_{j>i} r_j ] ^ w,
+                                            / prod_{j>i} r'_j ] ^ w,
 
-    with weights w = P(y^N || x^N) prod_{j>i} r_j over the feedback-
-    compatible prefix mass, then normalizes each history slice. Channel
+    with weights w = P(y^N || x^N) prod_{j>i} r'_j over the feedback-
+    compatible prefix mass, and normalizes each history slice. Channel
     probabilities, compatibility sums, and history codes are all recomputed
     here by literal enumeration. Slices with no weight (or that underflow to
     all-zero) become uniform, the same convention the optimized update uses.
+    s0 is the start state as in literal_joint. Raises ValueError above the
+    R_UPDATE_* caps, unless the policy fits the alphabets, or if the joint
+    is too large to enumerate literally.
     """
-    lam = state.lam
-    kernel, sys = state.space.kernel, state.space.sys
-    n = state.space.n
+    n = policy.block_length
     x_size = kernel.input_size
     a_size = sys.encoder_actions.size
     y_size = kernel.output_size
@@ -419,11 +434,12 @@ def literal_r_update(state: BaaState) -> CausalPolicy:
         raise ValueError(f"literal update capped at {R_UPDATE_OUTPUT_CAP} outputs")
     u_size = x_size * a_size
     z_size = sys.feedback_alphabet.size
-    s0 = state.space.s0
-    q = np.asarray(state.q, dtype=float)
-    traj = _trajectories(kernel, sys, n, (s0,))
+    traj, joint = _literal_block(policy, kernel, sys, s0)
     chan = traj.chan[0]
-    rows, cols = len(traj.u), len(traj.z[0])
+    rows, cols = joint.shape
+    q = np.full((rows, cols), 1.0 / rows)
+    mass = joint.sum(axis=0)
+    np.divide(joint, mass, out=q, where=mass > 0.0)
 
     denom_cache: dict = {}
 

@@ -18,10 +18,10 @@ Per step i (index i-1 of each list):
   - up and cond: for each level-i prefix, the id of its step-i parent and
     the step conditional p(y_i | x^i, y^{i-1}),
   - reach: the reachable feedback histories (u^{i-1}, z^{i-1}), those with
-    positive past law, by their HistoryIndexer ids, ascending; z_j =
+    positive past law, by their CausalPolicy table rows, ascending; z_j =
     f(a_j, y_j). The optimizer holds a policy as its reachable rows, one
     [len(reach), U] array per step; reachable_rows takes them out of a
-    CausalPolicy and CausalPolicy.from_rows puts them back,
+    CausalPolicy and dense_policy puts them back,
   - denom: per reachable history, the past law summed over its prefixes,
   - slot: per step-i parent, [U, prefixes], the flat slot h * U + u_i of
     the step's reachable rows that it reads, h being the rank of the
@@ -48,9 +48,9 @@ and bytes from the kernel's support alone, before any build.
 policy_product() builds the policy product r(u^N || z^{N-1})
 at the step-N parents, per_row() sums per-parent values over each row
 u^N, and expected_cost() the average action cost; nothing else computes
-any of them. Everything here is plumbing shared by the policy, optimizer
-and bounds modules; the brute-force oracle module deliberately neither
-imports nor computes anything with it, and enumerates its own joint.
+any of them. Everything here is plumbing shared by the optimizer, bounds
+and command-line modules; the brute-force oracle module deliberately
+neither imports nor computes anything with it, and enumerates its own joint.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ import numpy as np
 from ._num import freeze, fsum_array, is_integer, raise_first
 from .actions import ActionSystem, decoder_violations
 from .fsc import FscKernel
+from .policy import CausalPolicy
 
 # live-entry arrays a solve holds next to the space: the iterate's q_live, and
 # update_q's joint and its divisor (markovian N = 6: 3.4 at the traced peak)
@@ -220,7 +221,7 @@ class TrajectorySpace:
         """Past law P(y^{N-1} || x^{N-1}) of each level-(N-1) prefix."""
         return self.measure[-1]
 
-    def reachable_rows(self, policy) -> tuple[np.ndarray, ...]:
+    def reachable_rows(self, policy: CausalPolicy) -> tuple[np.ndarray, ...]:
         """The reachable rows of each step's table of a causal policy,
         [len(reach), U], how a policy enters the optimizer; ValueError unless
         the policy has the space's block length, |U| and |Z|."""
@@ -231,6 +232,20 @@ class TrajectorySpace:
                              f"does not fit the space's alphabets {expected}")
         return tuple(freeze(t.take(r, axis=0))
                      for t, r in zip(policy.tables, self.reach))
+
+    def dense_policy(self, rows) -> CausalPolicy:
+        """The causal policy with the given reachable rows per step (as
+        reachable_rows returns them) and a uniform slice on every other
+        history, how a policy leaves the optimizer."""
+        tables = []
+        for reach, step_rows, n_hist in zip(self.reach, rows, self.n_hist):
+            table = step_rows
+            if len(reach) < n_hist:
+                table = np.full((n_hist, self.u_size), 1.0 / self.u_size)
+                table[reach] = step_rows
+            tables.append(table)
+        return CausalPolicy(block_length=self.n, u_size=self.u_size,
+                            z_size=self.z_size, tables=tuple(tables))
 
     def policy_product(self, rows) -> np.ndarray:
         """The causal conditioning product r(u^N || z^{N-1}) at the step-N
@@ -255,12 +270,6 @@ class TrajectorySpace:
     def live_from_rows(self, values: np.ndarray) -> np.ndarray:
         """A per-row array [rows] read at every live entry."""
         return np.repeat(values, self.live_per_row)
-
-    def to_dense(self, live: np.ndarray) -> np.ndarray:
-        """Live-entry values scattered into a fresh [rows, cols] array, 0 elsewhere."""
-        out = np.zeros((self.rows, self.cols))
-        out[np.repeat(np.arange(self.rows), self.live_per_row), self.col] = live
-        return out
 
     def expected_cost(self, row_mass: np.ndarray) -> float:
         """Per-step average action cost (1/N) E[sum_i Lambda(a_i)] of a joint.

@@ -23,7 +23,7 @@ import hypothesis
 import numpy as np
 import pytest
 
-from sampcap import ActionSystem, Alphabet, CausalPolicy, FscKernel, HistoryIndexer
+from sampcap import ActionSystem, Alphabet, CausalPolicy, FscKernel
 import sampcap.baa
 from sampcap.baa import BaaState, sweep_lambda
 from sampcap.cli import parse_config
@@ -83,10 +83,9 @@ def make_trivial_actions(y_size):
 
 def make_random_policy(rng, n, u_size, z_size):
     """Random causal policy with strictly positive conditional slices."""
-    indexer = HistoryIndexer(u_size, z_size)
     tables = []
     for i in range(1, n + 1):
-        t = rng.random((indexer.n_histories(i), u_size)) + 1e-3
+        t = rng.random(((u_size * z_size) ** (i - 1), u_size)) + 1e-3
         t /= t.sum(axis=1, keepdims=True)
         tables.append(t)
     return CausalPolicy(block_length=n, u_size=u_size, z_size=z_size,
@@ -108,6 +107,12 @@ def mutual_information(joint):
     rows = joint.sum(axis=1, keepdims=True)
     cols = joint.sum(axis=0, keepdims=True)
     return weighted_log2_sum(joint, joint, rows * cols)
+
+
+def live_index(space):
+    """(rows, cols) of a space's live entries, in the order of its live
+    arrays, to read or set them in a dense [rows, cols] array."""
+    return np.repeat(np.arange(space.rows), space.live_per_row), space.col
 
 
 def live_directed_info(space, policy):

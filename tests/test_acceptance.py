@@ -35,6 +35,7 @@ from sampcap import (
     update_r,
 )
 from sampcap.baa import BaaState
+from sampcap.oracle import _history_code
 from sampcap.trajectory import TrajectorySpace
 
 from conftest import live_directed_info, make_random_policy
@@ -107,8 +108,8 @@ def test_5_brute_force_references_agree(bsc_kernel, bsc_actions, markovian_kerne
     for kernel, sys_ in ((bsc_kernel, bsc_actions), (markovian_kernel, markovian_actions)):
         for n in (1, 2):
             state = BaaState.initial(TrajectorySpace(kernel, sys_, n), 0.5)
-            literal = literal_r_update(state)
-            main = CausalPolicy.from_rows(state.space, update_r(state)[0])
+            literal = literal_r_update(state.r, kernel, sys_, 0.5)
+            main = state.space.dense_policy(update_r(state)[0])
             for lit, opt in zip(literal.tables, main.tables):
                 assert np.max(np.abs(lit - opt)) <= 1e-10
 
@@ -160,7 +161,7 @@ def test_6_structural_invariants(bsc_kernel, bsc_actions, markovian_kernel,
             ]
             q = 1.0
             for i in range(2):
-                slot = policy.indexer.encode(u_seq[:i], z_seq[:i])
+                slot = _history_code(u_seq[:i], z_seq[:i], 4, 3)
                 q *= policy.tables[i][slot, u_seq[i]]
             p = causal_channel_prob(markovian_kernel, [u // 2 for u in u_seq],
                                     y_seq)

@@ -9,7 +9,6 @@ from sampcap import (
     ActionSystem,
     Alphabet,
     CausalPolicy,
-    HistoryIndexer,
     literal_joint,
     sample_feedback,
 )
@@ -148,10 +147,9 @@ class TestExpectedCost:
 
     def test_always_sampling_pays_the_full_cost(self, markovian_kernel, markovian_actions):
         # u = (x, a) is coded x * 2 + a, so a = 1 lives on odd u symbols
-        indexer = HistoryIndexer(4, 3)
         tables = []
         for i in (1, 2):
-            t = np.zeros((indexer.n_histories(i), 4))
+            t = np.zeros((12 ** (i - 1), 4))
             t[:, 1] = 0.5
             t[:, 3] = 0.5
             tables.append(t)

@@ -17,7 +17,6 @@ from sampcap import (
     Alphabet,
     CausalPolicy,
     FscKernel,
-    HistoryIndexer,
     TradeoffCurve,
     TradeoffPoint,
     causal_channel_prob,
@@ -35,10 +34,12 @@ from sampcap import (
 import sampcap.baa
 from sampcap._num import fsum_array
 from sampcap.baa import BaaState, _tangent_envelope
+from sampcap.oracle import _history_code
 from sampcap.trajectory import TrajectorySpace
 
 from conftest import (
     bound_histories,
+    live_index,
     make_random_kernel,
     make_random_policy,
     make_trivial_actions,
@@ -57,7 +58,9 @@ def z_channel_kernel():
 
 class TestUpdates:
     def test_posterior_update_is_bayes(self, bsc_kernel, bsc_actions):
-        q = BaaState.initial(TrajectorySpace(bsc_kernel, bsc_actions, 1), 0.0).q
+        space = TrajectorySpace(bsc_kernel, bsc_actions, 1)
+        q = np.zeros((space.rows, space.cols))
+        q[live_index(space)] = BaaState.initial(space, 0.0).q_live
         # uniform prior: q(u | y) = p(y | u) / sum_u p(y | u)
         np.testing.assert_allclose(q.sum(axis=0), 1.0, atol=1e-12)
         np.testing.assert_allclose(q, [[0.75, 0.25], [0.25, 0.75]], atol=1e-12)
@@ -68,7 +71,7 @@ class TestUpdates:
         kernel = z_channel_kernel()
         state = BaaState.initial(TrajectorySpace(kernel, make_trivial_actions(2), 1),
                                  0.0)
-        updated = CausalPolicy.from_rows(state.space, update_r(state)[0])
+        updated = state.space.dense_policy(update_r(state)[0])
         p = kernel.kernel[0, :, :, 0]
         q = p / p.sum(axis=0, keepdims=True)
         with np.errstate(divide="ignore"):
@@ -92,7 +95,8 @@ class TestUpdates:
         state = BaaState.initial(space, 0.0, start=space.reachable_rows(pinned))
         np.testing.assert_array_equal(state.d <= 0.0, [False, True])
         assert state.unreachable_outputs == 1
-        np.testing.assert_array_equal(state.q[:, 1], [0.5, 0.5])
+        # the one live entry of y = 1, x = 1, reads the uniform slice
+        np.testing.assert_array_equal(state.q_live[space.col == 1], [0.5])
 
 
 def step(state):
@@ -109,9 +113,8 @@ def iterated_state(kernel, actions, n, lam, iterations):
 
 def linear_policy_product(space, tables):
     """r(u^N || z^{N-1}) at every trajectory, [rows, cols], factor by factor,
-    each read at its HistoryIndexer id."""
+    each read at its table row."""
     n, u_size, a_size = space.n, space.u_size, space.a_size
-    indexer = HistoryIndexer(u_size, space.z_size)
     prod = np.ones((space.rows, space.cols))
     for row, us in enumerate(product(range(u_size), repeat=n)):
         for col, ys in enumerate(product(range(space.y_size), repeat=n)):
@@ -119,7 +122,8 @@ def linear_policy_product(space, tables):
                   for uj, yj in zip(us, ys)]
             for i in range(1, n + 1):
                 prod[row, col] *= tables[i - 1][
-                    indexer.encode(us[:i - 1], zs[:i - 1]), us[i - 1]]
+                    _history_code(us[:i - 1], zs[:i - 1], u_size,
+                                  space.z_size), us[i - 1]]
     return prod
 
 
@@ -163,14 +167,15 @@ class TestPolicyProductCache:
     ):
         lam = 0.3
         state = iterated_state(markovian_kernel, markovian_actions, n, lam, 4)
-        q, il = state.q, state.i_lower
+        il = state.i_lower
         iu = upper_bound(state)
         # the posterior, lower iterate and cost rebuilt from the policy tables
         space = state.space
         r_prod = linear_policy_product(space, state.r.tables)
         joint = literal_joint(state.r, markovian_kernel, markovian_actions)
-        np.testing.assert_allclose(q, joint / joint.sum(axis=0), rtol=0.0,
-                                   atol=1e-12)
+        q = joint / joint.sum(axis=0)
+        np.testing.assert_allclose(state.q_live, q[live_index(space)],
+                                   rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(state.d, joint.sum(axis=0), rtol=0.0,
                                    atol=1e-15)
         cost = fsum_array(joint * space.cost_row[:, None]) / n
@@ -181,15 +186,13 @@ class TestPolicyProductCache:
         r = state.r
         again = update_q(space, lam, space.reachable_rows(CausalPolicy(
             block_length=n, u_size=r.u_size, z_size=r.z_size, tables=r.tables)))
-        np.testing.assert_array_equal(again.q, q)
+        np.testing.assert_array_equal(again.q_live, state.q_live)
         assert again.i_lower == il
         assert upper_bound(again) == iu
         # an iterate is a value: its fields cannot be reassigned, and its
         # arrays cannot be written
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(state, "rows", again.rows)
-        with pytest.raises(ValueError):
-            state.q[0, 0] = 0.0
         with pytest.raises(ValueError):
             state.q_live[0] = 0.0
 
@@ -201,15 +204,16 @@ class TestPolicyProductCache:
         state = iterated_state(markovian_kernel, markovian_actions, n, lam, 3)
         rows, flags = update_r(state)
         state = update_q(state.space, lam, rows, flags)
-        q, il = state.q, state.i_lower
+        il = state.i_lower
         assert state.rows is rows
         # rebuilt from the returned rows alone
         space = state.space
-        policy = CausalPolicy.from_rows(space, rows)
+        policy = space.dense_policy(rows)
         r_prod = linear_policy_product(space, policy.tables)
         joint = literal_joint(policy, markovian_kernel, markovian_actions)
-        np.testing.assert_allclose(q, joint / joint.sum(axis=0), rtol=0.0,
-                                   atol=1e-12)
+        q = joint / joint.sum(axis=0)
+        np.testing.assert_allclose(state.q_live, q[live_index(space)],
+                                   rtol=0.0, atol=1e-12)
         cost = fsum_array(joint * space.cost_row[:, None]) / n
         fresh_il = weighted_log2_sum(joint, q, r_prod) / n - lam * cost
         assert il == pytest.approx(fresh_il, abs=1e-12)
@@ -224,7 +228,8 @@ class TestPolicyProductCache:
         rows = space.reachable_rows(policy)
         live = space.policy_product(rows).take(space.parent) * space.p_live
         reference = literal_joint(policy, kernel, actions)
-        on_live = space.to_dense(np.ones_like(live)) > 0.0
+        on_live = np.zeros((space.rows, space.cols), dtype=bool)
+        on_live[live_index(space)] = True
         # the live entries are exactly those of positive channel law: the
         # policy is positive everywhere, so the joint is positive there too
         np.testing.assert_array_equal(on_live, reference > 0.0)
@@ -250,7 +255,6 @@ class TestTrajectoryLayout:
     def check_step_tables(kernel, actions, n):
         space = TrajectorySpace(kernel, actions, n)
         u_size = space.u_size
-        indexer = HistoryIndexer(u_size, space.z_size)
         policy = make_random_policy(np.random.default_rng(0), n, u_size,
                                     space.z_size)
         tables = policy.tables
@@ -260,7 +264,8 @@ class TestTrajectoryLayout:
             np.testing.assert_allclose(space.measure[i - 1],
                                        [law for *_, law in level],
                                        rtol=0.0, atol=1e-14)
-            ids = [indexer.encode(us, zs) for us, _, zs, _ in level]
+            ids = [_history_code(us, zs, u_size, space.z_size)
+                   for us, _, zs, _ in level]
             np.testing.assert_array_equal(space.reach[i - 1], sorted(set(ids)))
             slot = space.slot[i - 1]
             np.testing.assert_array_equal(slot, slot[0] + np.arange(u_size)[:, None])
@@ -319,7 +324,7 @@ class TestTrajectoryLayout:
         state = iterated_state(kernel, actions, n, 0.3, 2)
         rows, flags = update_r(state)
         space = state.space
-        policy = CausalPolicy.from_rows(space, rows)
+        policy = space.dense_policy(rows)
         for table, reach, flag in zip(policy.tables, space.reach, flags):
             unreachable = np.ones(len(table), dtype=bool)
             unreachable[reach] = False
@@ -423,7 +428,6 @@ def brute_force_upper(kernel, actions, policy, lam):
     n, u_size = policy.block_length, policy.u_size
     y_size = kernel.output_size
     z_of = actions.sampling_table[0, 0]
-    indexer = HistoryIndexer(u_size, policy.z_size)
     outputs = list(product(range(y_size), repeat=n))
     d = {}
     for ys in outputs:
@@ -431,7 +435,8 @@ def brute_force_upper(kernel, actions, policy, lam):
         for us in product(range(u_size), repeat=n):
             weight = 1.0
             for i in range(n):
-                h = indexer.encode(us[:i], [z_of[y] for y in ys[:i]])
+                h = _history_code(us[:i], [z_of[y] for y in ys[:i]], u_size,
+                                  policy.z_size)
                 weight *= policy.tables[i][h, us[i]]
             total += weight * causal_channel_prob(kernel, us, ys)
         d[ys] = total
@@ -769,7 +774,7 @@ class TestContinuation:
         converged = run_baa(space, 0.5)
         state = BaaState.initial(space, 0.5, start=converged.rows)
         assert state.space is space
-        final = CausalPolicy.from_rows(space, converged.rows)
+        final = space.dense_policy(converged.rows)
         for table, want in zip(state.r.tables, final.tables, strict=True):
             np.testing.assert_array_equal(table, want)
         # restarting at the optimum closes the bracket at once

@@ -2,11 +2,13 @@
 
 import copy
 import csv
+import dataclasses
 import functools
 import json
 import math
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -88,7 +90,7 @@ class TestValidate:
 
     def test_oversized_exponent_block_length_is_rejected(self, tmp_path, capsys):
         def mutate(doc):
-            doc["exponent"]["block_length"] = 7
+            doc["exponent"]["block_length"] = 8
 
         path = write_variant(tmp_path, MARKOVIAN_CONFIG_PATH, mutate)
         assert cli.cmd_validate(path) == cli.EXIT_SEMANTIC
@@ -96,12 +98,13 @@ class TestValidate:
 
     def test_size_limit_sits_between_seven_and_eight(self):
         # markovian: 12^N (u^N, y^N) live of the 16^N, 2.84 GiB at N = 7
-        # and 34 GiB at N = 8; the exponent holds one space per start state
+        # and 34 GiB at N = 8; the exponent builds one space per start state
+        # in turn, so it is charged the largest one
         with open(MARKOVIAN_CONFIG_PATH, encoding="utf-8") as fh:
             doc = json.load(fh)
         for blocks, exponent, ok in (([2, 3], 2, True), ([7], 2, True),
-                                     ([8], 2, False), ([2], 6, True),
-                                     ([2], 7, False)):
+                                     ([8], 2, False), ([2], 7, True),
+                                     ([2], 8, False)):
             doc["block_lengths"] = blocks
             doc["exponent"]["block_length"] = exponent
             config, violations = cli.parse_config(doc)
@@ -540,8 +543,8 @@ PINNED = [
            ["/exponent/block_length: must be a positive integer",
             "/exponent/rho_grid: must be a nonempty list in [0, 1]"]),
     pinned("exponent-oversized", "markovian",
-           {"/exponent/block_length": 7},
-           ["/exponent/block_length: block length 7 needs about 5.69 GiB of "
+           {"/exponent/block_length": 8},
+           ["/exponent/block_length: block length 8 needs about 34.4 GiB of "
             "live tables, above the 3 GiB limit"]),
     pinned("every-section", "markovian",
            {"/channel/kernel/0/1/0/0": 0.5,
@@ -1094,6 +1097,40 @@ class TestOracleCheck:
                            for n in cli.ORACLE_BLOCKS
                            for label in ("uniform", "optimized")]
 
+    def test_corrupted_posterior_is_caught(self, tmp_path, monkeypatch):
+        # the negative control of the posterior: raise every iterate's q to
+        # the power 1.001 where the optimizer and the oracle check build
+        # iterates, and the literal update, which recomputes q from the
+        # policy, must flag every r_update check, and nothing else
+        true_update = baa.update_q
+
+        def crooked_update(*args, **kwargs):
+            state = true_update(*args, **kwargs)
+            return dataclasses.replace(state, q_live=state.q_live ** 1.001)
+
+        monkeypatch.setattr(baa, "update_q", crooked_update)
+        monkeypatch.setattr(cli, "update_q", crooked_update)
+
+        def cap(doc):
+            # the crooked sweep never certifies a point, and each would run
+            # to the default 10,000 iterations; its map settles within 50,
+            # where the grid gap is 3.5e-4 at any cap
+            doc["algorithm"]["max_iters"] = 200
+
+        path = write_variant(tmp_path, MARKOVIAN_CONFIG_PATH, cap)
+        out = tmp_path / "out"
+        assert cli.cmd_oracle_check(path, str(out)) == cli.EXIT_SEMANTIC
+        with open(out / "oracle_report.json", encoding="utf-8") as fh:
+            report = json.load(fh)
+        assert report["passed"] is False
+        verdicts = {check["quantity"]: check["passed"]
+                    for check in report["checks"]}
+        assert [name for name, passed in verdicts.items() if not passed] \
+            == [f"r_update_n{n}_{label}" for n in cli.ORACLE_BLOCKS
+                for label in ("initial", "midrun")]
+        assert {"directed_info_n1_uniform",
+                "grid_capacity_n1"} <= set(verdicts)
+
     @pytest.mark.parametrize("path", [BSC_CONFIG_PATH, MARKOVIAN_CONFIG_PATH],
                              ids=["bsc", "markovian"])
     def test_one_trajectory_space_per_block_length(self, tmp_path, monkeypatch,
@@ -1152,11 +1189,14 @@ class TestExponent:
                 lines.append(f"{cli._fmt(rho)},{s0},{cli._fmt(value)}")
         import sampcap.bounds
 
-        built = []
+        built, alive = [], []
 
         class Counting(TrajectorySpace):
             def __init__(self, *args, **kwargs):
+                # the space of the previous start state is released
+                assert all(ref() is None for ref in alive)
                 built.append(kwargs.get("s0"))
+                alive.append(weakref.ref(self))
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(cli, "TrajectorySpace", Counting)

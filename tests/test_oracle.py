@@ -6,8 +6,10 @@ shared surface is only the frozen data types, so agreement is evidence for
 both sides.
 """
 
+import ast
 import math
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,8 +207,8 @@ class TestLiteralPolicyUpdate:
         state = BaaState.initial(TrajectorySpace(kernel, sys, n), lam)
         for _ in range(iters):
             state = update_q(state.space, lam, *update_r(state))
-        literal = literal_r_update(state)
-        main = CausalPolicy.from_rows(state.space, update_r(state)[0])
+        literal = literal_r_update(state.r, kernel, sys, lam)
+        main = state.space.dense_policy(update_r(state)[0])
         assert literal.block_length == main.block_length
         for lit_table, main_table in zip(literal.tables, main.tables):
             assert np.max(np.abs(lit_table - main_table)) <= 1e-10
@@ -245,8 +247,8 @@ class TestLiteralPolicyUpdate:
         state = BaaState.initial(TrajectorySpace(kernel, sys, n), lam)
         for _ in range(int(rng.integers(0, 3))):
             state = update_q(state.space, lam, *update_r(state))
-        literal = literal_r_update(state)
-        main = CausalPolicy.from_rows(state.space, update_r(state)[0])
+        literal = literal_r_update(state.r, kernel, sys, lam)
+        main = state.space.dense_policy(update_r(state)[0])
         for lit_table, main_table in zip(literal.tables, main.tables):
             assert np.max(np.abs(lit_table - main_table)) <= 1e-10
 
@@ -259,9 +261,8 @@ class TestLiteralPolicyUpdate:
         arr[0, 1, 1, 0] = 0.75
         kernel = FscKernel(Alphabet(1), Alphabet(2), Alphabet(2), arr,
                            np.array([1.0]))
-        state = BaaState.initial(
-            TrajectorySpace(kernel, make_trivial_actions(2), 1), 0.0)
-        literal = literal_r_update(state)
+        literal = literal_r_update(CausalPolicy.uniform(1, 2, 1), kernel,
+                                   make_trivial_actions(2), 0.0)
         p = arr[0, :, :, 0]
         q = p / p.sum(axis=0, keepdims=True)
         c = np.exp2(np.where(p > 0.0, p * np.log2(np.where(q > 0.0, q, 1.0)),
@@ -270,25 +271,30 @@ class TestLiteralPolicyUpdate:
         assert np.max(np.abs(literal.tables[0][0] - expected)) <= 1e-12
 
     def test_block_length_cap(self, bsc_kernel, bsc_actions):
-        state = BaaState.initial(TrajectorySpace(bsc_kernel, bsc_actions, 3), 0.0)
         with pytest.raises(ValueError, match="capped at block length"):
-            literal_r_update(state)
+            literal_r_update(CausalPolicy.uniform(3, 2, 1), bsc_kernel,
+                             bsc_actions, 0.0)
 
     def test_input_alphabet_cap(self):
         rng = np.random.default_rng(5)
         kernel = make_random_kernel(rng, 1, 3, 2)
-        state = BaaState.initial(
-            TrajectorySpace(kernel, make_trivial_actions(2), 1), 0.0)
         with pytest.raises(ValueError, match="binary inputs"):
-            literal_r_update(state)
+            literal_r_update(CausalPolicy.uniform(1, 3, 1), kernel,
+                             make_trivial_actions(2), 0.0)
 
     def test_output_alphabet_cap(self):
         rng = np.random.default_rng(6)
         kernel = make_random_kernel(rng, 1, 2, 5)
-        state = BaaState.initial(
-            TrajectorySpace(kernel, make_trivial_actions(5), 1), 0.0)
         with pytest.raises(ValueError, match="outputs"):
-            literal_r_update(state)
+            literal_r_update(CausalPolicy.uniform(1, 2, 1), kernel,
+                             make_trivial_actions(5), 0.0)
+
+    def test_policy_alphabets_must_fit(self, markovian_kernel,
+                                       markovian_actions):
+        # markovian's |U| is 4 and its |Z| 3
+        with pytest.raises(ValueError, match="alphabets"):
+            literal_r_update(CausalPolicy.uniform(1, 4, 1), markovian_kernel,
+                             markovian_actions, 0.0)
 
 
 class TestOracleReport:
@@ -319,3 +325,30 @@ class TestOracleReport:
             OracleReport(quantity="x", oracle_value=0.0, main_value=0.0,
                          search_space_size=0, method="literal-sum",
                          tolerance=1e-3)
+
+
+def package_imports(module):
+    """The package modules a module of sampcap imports, directly or through
+    the modules it imports, itself included, read off the source's relative
+    imports; "from . import name" runs the package's __init__."""
+    package = Path(sampcap.oracle.__file__).parent
+    seen, todo = set(), [module]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                todo.append(node.module or "__init__")
+    return seen
+
+
+def test_the_oracle_imports_only_the_data_types():
+    # sampcap/__init__.py imports every module, so sys.modules cannot tell
+    # what the oracle itself reaches
+    assert package_imports("oracle") == {"oracle", "_num", "fsc", "actions",
+                                         "policy"}
+    # the walk does see the optimizer and the layout where they are imported
+    assert {"baa", "trajectory"} <= package_imports("cli")

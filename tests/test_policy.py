@@ -1,4 +1,4 @@
-"""History indexing, causal policies, the literal joint, directed information."""
+"""History codes, causal policies, the literal joint, directed information."""
 
 from itertools import product
 
@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from sampcap import (
     CausalPolicy,
     FscKernel,
-    HistoryIndexer,
     binary_entropy,
     causal_channel_prob,
     literal_joint,
     sample_feedback,
 )
+from sampcap.oracle import _history_code
 from sampcap.trajectory import TrajectorySpace
 
 from conftest import (
@@ -27,37 +27,27 @@ from conftest import (
 )
 
 
-class TestHistoryIndexer:
-    @given(data=st.data())
-    def test_encode_decode_roundtrip(self, data):
-        u_size = data.draw(st.integers(1, 4), label="u_size")
-        z_size = data.draw(st.integers(1, 3), label="z_size")
-        step = data.draw(st.integers(1, 4), label="step")
-        symbol = st.tuples(st.integers(0, u_size - 1), st.integers(0, z_size - 1))
-        pairs = data.draw(
-            st.lists(symbol, min_size=step - 1, max_size=step - 1), label="history"
-        )
-        u_hist = [u for u, _ in pairs]
-        z_hist = [z for _, z in pairs]
-        indexer = HistoryIndexer(u_size, z_size)
-        code = indexer.encode(u_hist, z_hist)
-        assert 0 <= code < indexer.n_histories(step)
-        assert indexer.decode(step, code) == (tuple(u_hist), tuple(z_hist))
+class TestHistoryCode:
+    """The table row of a history (u^{i-1}, z^{i-1}) in a CausalPolicy, as
+    the brute-force oracle computes it."""
+
+    @settings(max_examples=20)
+    @given(u_size=st.integers(1, 4), z_size=st.integers(1, 3),
+           step=st.integers(1, 4))
+    def test_histories_number_the_table_rows(self, u_size, z_size, step):
+        # every history of a step has its own row of the step's table
+        codes = sorted(
+            _history_code(u_hist, z_hist, u_size, z_size)
+            for u_hist in product(range(u_size), repeat=step - 1)
+            for z_hist in product(range(z_size), repeat=step - 1))
+        table = CausalPolicy.uniform(step, u_size, z_size).tables[step - 1]
+        assert codes == list(range(len(table)))
 
     def test_earliest_step_is_most_significant(self):
-        indexer = HistoryIndexer(2, 2)
         # u code 0b10 = 2, z code 0b00 = 0 -> 2 * 4 + 0
-        assert indexer.encode([1, 0], [0, 0]) == 8
+        assert _history_code([1, 0], [0, 0], 2, 2) == 8
         # u code 0b01 = 1, z code 0b01 = 1 -> 1 * 4 + 1
-        assert indexer.encode([0, 1], [0, 1]) == 5
-
-    def test_mismatched_history_lengths_raise(self):
-        with pytest.raises(ValueError, match="equal length"):
-            HistoryIndexer(2, 2).encode([0, 1], [0])
-
-    def test_out_of_range_symbols_raise(self):
-        with pytest.raises(ValueError, match="out of range"):
-            HistoryIndexer(2, 2).encode([2], [0])
+        assert _history_code([0, 1], [0, 1], 2, 2) == 5
 
 
 class TestCausalPolicy:
@@ -110,7 +100,7 @@ class TestLiteralJoint:
                 ]
                 q = 1.0
                 for i in range(2):
-                    slot = policy.indexer.encode(u_seq[:i], z_seq[:i])
+                    slot = _history_code(u_seq[:i], z_seq[:i], 4, 3)
                     q *= policy.tables[i][slot, u_seq[i]]
                 p = causal_channel_prob(markovian_kernel, x_seq, y_seq)
                 assert joint[row, col] == pytest.approx(q * p, abs=1e-12)
