@@ -113,11 +113,8 @@ class BaaState:
         """The iterate of the start policy on a space, which is shared, never
         modified: start holds its reachable rows (a CausalPolicy enters
         through space.reachable_rows), and None is the uniform policy."""
-        if start is None:
-            start = tuple(freeze(np.full((len(reach), space.u_size),
-                                         1.0 / space.u_size))
-                          for reach in space.reach)
-        return update_q(space, lam, start)
+        return update_q(space, lam,
+                        space.uniform_rows() if start is None else start)
 
     @property
     def r(self) -> CausalPolicy:
@@ -146,13 +143,8 @@ def update_q(space: TrajectorySpace, lam: float, rows,
     I_L (lower_bound) against the per-parent sums of p, then turns the joint
     in place into the Bayes posterior q(u^N | y^N) = r p / d. Output blocks
     with zero marginal get a uniform slice. Raises ValueError unless rows
-    has the space's per-step shapes.
+    has the space's per-step shapes (policy_product checks them).
     """
-    got = tuple(np.shape(t) for t in rows)
-    expected = tuple((len(reach), space.u_size) for reach in space.reach)
-    if got != expected:
-        raise ValueError(f"policy rows of shapes {got} do not fit the "
-                         f"space's reachable rows {expected}")
     prod = space.policy_product(rows)
     joint = prod.take(space.parent)
     joint *= space.p_live
@@ -172,17 +164,19 @@ def update_q(space: TrajectorySpace, lam: float, rows,
                     d=d, i_lower=i_lower, gamma=gamma, r_flagged=flagged)
 
 
-def _fold(space: TrajectorySpace, leaf: np.ndarray, pick):
+def _fold(space: TrajectorySpace, leaf: np.ndarray, lam: float, pick):
     """Backward fold of leaf (live entries, overwritten); (F_0, tables, flags).
 
-    From F_N = leaf, step i = N..1 forms G_i = sum_{y_i} cond_i F_i at its
-    parents, lets pick(slot sums of measure_i G_i, i) return the step table
-    r_i on the reachable histories and its dead flags, and sets F_{i-1} =
-    sum_{u_i} r_i (G_i - log2 r_i); terms with zero r_i count as 0. The
-    weights p prod_{j>i} r_j factor into step conditionals that each sum to
-    1, so the slot scores are the slot sums of p prod_{j>i} r_j (leaf -
-    sum_{j>i} log2 r_j). Every step runs on the live prefixes only, where
-    cond is positive.
+    From F_N = leaf, step i = N..1 forms G_i = sum_{y_i} cond_i F_i -
+    lam Lambda(a_i) at its parents, lets pick(slot sums of measure_i G_i, i)
+    return the step table r_i on the reachable histories and its dead flags,
+    and sets F_{i-1} = sum_{u_i} r_i (G_i - log2 r_i); terms with zero r_i
+    count as 0. The weights p prod_{j>i} r_j factor into step conditionals
+    that each sum to 1, so the slot scores are the slot sums of
+    p prod_{j>i} r_j (leaf - lam sum_{j>=i} Lambda(a_j) - sum_{j>i} log2 r_j):
+    the earlier steps' price is constant on a history, so the fold equals
+    the one on leaf - lam sum_j Lambda(a_j). Every step runs on the live
+    prefixes only, where cond is positive.
     """
     n, u = space.n, space.u_size
     tables, flags = [None] * n, [None] * n
@@ -193,6 +187,7 @@ def _fold(space: TrajectorySpace, leaf: np.ndarray, pick):
             slot = space.slot[i - 1]
             g = np.bincount(space.up[i - 1], weights=f,
                             minlength=slot.size).reshape(u, -1)
+            g -= lam * space.step_cost
             scores = np.bincount(
                 slot.ravel(), weights=(space.measure[i - 1] * g).ravel(),
                 minlength=len(space.reach[i - 1]) * u).reshape(-1, u)
@@ -227,17 +222,16 @@ def update_r(state: BaaState) -> tuple[tuple, tuple]:
 
     with weights w = p(y^N || x^N) prod_{j>i} r_j divided by the
     feedback-compatible sum of past channel products; that sum is constant
-    on a slot, so the slot sums (_fold's scores) are divided by it once.
-    Zero-weight terms contribute exactly 0 even when the log argument
-    vanishes. The update runs on the reachable histories; slices that
-    receive no weight at all become uniform. Returns the new policy's
-    reachable rows and, per step, the flags of the reachable slices that
-    received no weight.
+    on a slot, so the slot sums (_fold's scores) are divided by it once;
+    _fold charges each Lambda(a_j) at step j. Zero-weight terms contribute
+    exactly 0 even when the log argument vanishes. The update runs on the
+    reachable histories; slices that receive no weight at all become
+    uniform. Returns the new policy's reachable rows and, per step, the
+    flags of the reachable slices that received no weight.
     """
     space = state.space
     with np.errstate(divide="ignore"):  # q vanishes where r does: log -inf
         leaf = np.log2(state.q_live)
-    leaf -= space.live_from_rows(state.lam * space.cost_row)
 
     def geometric_mean(scores, i):
         # every reachable history has denom > 0; a slice whose scores are
@@ -252,7 +246,7 @@ def update_r(state: BaaState) -> tuple[tuple, tuple]:
         dead.setflags(write=False)
         return table, dead
 
-    _, tables, flags = _fold(space, leaf, geometric_mean)
+    _, tables, flags = _fold(space, leaf, state.lam, geometric_mean)
     return tuple(tables), tuple(flags)
 
 
@@ -309,7 +303,8 @@ def upper_bound(state: BaaState) -> float:
           of E_g[ log2( p(y^N || x^N) 2^(-lambda sum_j Lambda(a_j))
                         / sum_u r p ) ].
 
-    Evaluated by _fold: expectation over y_i per step, with the max over u_i
+    Evaluated by _fold of log2(p / sum_u r p), pricing Lambda(a_j) at step
+    j: expectation over y_i per step, with the max over u_i
     taken once per feedback history (u^{i-1}, z^{i-1}), its candidates scored
     by the past-law-weighted sum over the output prefixes the history cannot
     distinguish. Ties resolve to the lowest u index. The deviation policies
@@ -320,13 +315,12 @@ def upper_bound(state: BaaState) -> float:
     I_U is +inf if the best map reaches an output with p > 0 = sum_u r p.
     """
     space = state.space
-    leaf = space.log2_p_live - space.live_from_rows(state.lam * space.cost_row)
-    leaf -= log2_guarded(state.d).take(space.col)
+    leaf = space.log2_p_live - log2_guarded(state.d).take(space.col)
 
     def argmax(scores, i):
         return np.eye(space.u_size)[scores.argmax(axis=1)], None
 
-    return _fold(space, leaf, argmax)[0] / space.n
+    return _fold(space, leaf, state.lam, argmax)[0] / space.n
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ import numpy as np
 
 from ._num import (freeze, is_integer, is_number, non_finite,
                    project_to_simplex, raise_first)
-from .policy import CausalPolicy
 from .trajectory import TrajectorySpace
 
 DIST_TOL = 1e-12
@@ -474,20 +473,20 @@ def exponent_violations(rho_grid) -> list[str]:
     return ["rho_grid: must be a nonempty list in [0, 1]"]
 
 
-def gallager_exponent(space: TrajectorySpace, policy: CausalPolicy,
-                      rho: float) -> float:
-    """Literal evaluation of the block exponent of a policy at order rho,
-    on the space's block length and start state.
+def gallager_exponent(space: TrajectorySpace, rows, rho: float) -> float:
+    """Literal evaluation of the block exponent at order rho of the policy
+    with the given reachable rows (space.reachable_rows of a CausalPolicy,
+    space.uniform_rows), on the space's block length and start state.
 
     Inner channel powers are taken in the log domain; the value is exactly 0
     at rho = 0 (the bracketed sum is then the total probability mass, 1).
     rho is checked as a one-point grid of exponent_violations.
     """
     raise_first(exponent_violations([rho]))
-    rows = space.reachable_rows(policy)
+    prod = space.policy_product(rows)
     if rho == 0.0:
         return 0.0
-    scaled = space.policy_product(rows).take(space.parent)
+    scaled = prod.take(space.parent)
     scaled *= np.exp2(space.log2_p_live / (1.0 + rho))
     inner = np.bincount(space.col, weights=scaled, minlength=space.cols)
     total = float(np.sum(inner ** (1.0 + rho)))

@@ -67,7 +67,6 @@ from .oracle import (
     literal_r_update,
     literal_violations,
 )
-from .policy import CausalPolicy
 from .trajectory import TrajectorySpace
 
 EXIT_OK = 0
@@ -646,14 +645,12 @@ def cmd_exponent(config_path: str, out_dir: str = ".") -> int:
         return EXIT_SEMANTIC
     kernel, actions = config.kernel, config.actions
     n, rho_grid = config.exponent.block_length, config.exponent.rho_grid
-    policy = CausalPolicy.uniform(
-        n, kernel.input_size * actions.encoder_actions.size,
-        actions.feedback_alphabet.size)
     # one space per start state, each released before the next is built
     per_start = []
     for s0 in range(kernel.state_size):
         space = TrajectorySpace(kernel, actions, n, s0=s0)
-        per_start.append([gallager_exponent(space, policy, rho)
+        rows = space.uniform_rows()
+        per_start.append([gallager_exponent(space, rows, rho)
                           for rho in rho_grid])
         del space
     lines = ["rho,s0,value"]

@@ -27,18 +27,20 @@ Per step i (index i-1 of each list):
     the step's reachable rows that it reads, h being the rank of the
     prefix's history in reach.
 
-The step-N quantities are named for the live trajectories:
+These tables are the one layout: a solve walks them forward through up
+and slot (the policy product) and backward through up and cond (the fold
+of the optimizer's update and upper iterate). step_cost, Lambda(a) per u
+as [U, 1], is the price a step adds at its parents. The step-N quantities
+are named for the live trajectories:
 
   - p_live and log2_p_live: the channel law p(y^N || x^N) of each live
     entry and its log; cond[N-1] holds its step-N conditional,
-  - parent (up[N-1]): the entry's step-N parent, col: its output column
-    y^N; live_per_row: the number of live entries of each row,
+  - parent (up[N-1]): the entry's step-N parent, col: its output column y^N,
   - past_law (measure[N-1]) and plogp_sum: per step-N parent, the sums
     over y_N of p and of p log2 p; the first depends on the prefix only,
-  - lineage: for each step i, the step-i slot of the reachable rows that
-    each step-N parent reads, [U, prefixes] at step N (slot[N-1] itself)
-    and [prefixes] below (the same for every u_N), so that the policy
-    product reads every factor directly.
+  - row_starts: per row u^{N-1} of level N-1, its first prefix, so that
+    row u^N = (u^{N-1}, u_N) owns the parents (u_N, c) of the run of c
+    from there, and cost_row: the block cost sum_i Lambda(a_i) per row.
 
 The build extends each level-(i-1) prefix's unnormalized state belief
 P(y^{i-1}, s || x^{i-1}) by every (x_i, y_i), keeps those of positive law
@@ -65,7 +67,8 @@ from .fsc import FscKernel
 from .policy import CausalPolicy
 
 # live-entry arrays a solve holds next to the space: the iterate's q_live, and
-# update_q's joint and its divisor (markovian N = 6: 3.4 at the traced peak)
+# update_q's joint and its divisor (markovian N = 6 at lambda 10 and 0.3:
+# 3.38 at run_baa's tracemalloc peak)
 SOLVE_LIVE_ARRAYS = 4
 
 
@@ -79,20 +82,22 @@ class TrajectorySpace:
         if sys.output_size != kernel.output_size:
             raise ValueError("action system output axis does not match the kernel")
         self.kernel, self.sys, self.n, self.s0 = kernel, sys, n, s0
-        self.x_size = kernel.input_size
+        x_size = kernel.input_size
         self.a_size = sys.encoder_actions.size
-        self.u_size = u = self.x_size * self.a_size
+        self.u_size = u = x_size * self.a_size
         self.y_size = y = kernel.output_size
         self.z_size = z = sys.feedback_alphabet.size
         self.rows, self.cols = u ** n, y ** n
         self.n_hist = [(u * z) ** (i - 1) for i in range(1, n + 1)]
 
         # u = x * |A| + a
-        self.z_table = sys.sampling_table[:, 0, :]  # [a][y] -> z
-        action_cost = sys.cost_table[:, 0]          # [a] -> cost
-        a_digits = np.stack(np.unravel_index(np.arange(self.rows), [u] * n),
-                            axis=1) % self.a_size
-        self.cost_row = action_cost[a_digits].sum(axis=1)  # [rows]
+        z_table = sys.sampling_table[:, 0, :]  # [a][y] -> z
+        # [U, 1] -> Lambda(a); [rows] -> sum_i Lambda(a_i) of u^N
+        self.step_cost = sys.cost_table[np.arange(u) % self.a_size, :1]
+        self.cost_row = np.zeros(1)
+        for _ in range(n):
+            self.cost_row = np.add.outer(self.cost_row,
+                                         self.step_cost[:, 0]).ravel()
 
         self.measure, self.up, self.cond = [], [], []
         self.reach, self.denom, self.slot = [], [], []
@@ -124,7 +129,7 @@ class TrajectorySpace:
             # entries of the prefixes of u^{i-1}
             p, edges = len(law), np.concatenate(([0], np.cumsum(per_row)))
             bounds = np.searchsorted(
-                live, (np.arange(self.x_size)[:, None] * p + edges) * y)
+                live, (np.arange(x_size)[:, None] * p + edges) * y)
             bounds = bounds[np.arange(u) // self.a_size].T  # [U^{i-1} + 1, U]
             per_row = (bounds[1:] - bounds[:-1]).ravel()
             ids = np.repeat(bounds[:-1].ravel() - np.cumsum(per_row) + per_row,
@@ -142,13 +147,12 @@ class TrajectorySpace:
             self.up.append(up)
             if i < n:
                 z_code = (z_code.take(c_x).take(ids) * z
-                          + self.z_table[up // p % self.a_size, y_x.take(ids)])
+                          + z_table[up // p % self.a_size, y_x.take(ids)])
                 belief, y_code = belief.take(ids, axis=0), col
             del ids, c_x, y_x
 
         # level N: the live trajectories, grouped by row in row-major order
-        # (live_from_rows repeats per-row values over these runs)
-        self.p_live, self.col, self.live_per_row = law, col, per_row
+        self.p_live, self.col = law, col
         self.log2_p_live = np.log2(self.p_live)
         self.plogp_sum = np.bincount(
             self.parent, weights=self.p_live * self.log2_p_live,
@@ -156,13 +160,6 @@ class TrajectorySpace:
         # row u^N = (u^{N-1}, u_N) owns the step-N parents (u_N, c) of the
         # level-(N-1) prefixes c of its u^{N-1}
         self.row_starts = edges[:-1]
-        # the slot of every step at the step-N parents
-        self.lineage = [None] * (n - 1) + [self.slot[-1]]
-        at = np.arange(len(self.past_law))
-        for i in range(n - 1, 0, -1):
-            parents = self.up[i - 1][at]
-            self.lineage[i - 1] = self.slot[i - 1].ravel()[parents]
-            at = parents % len(self.measure[i - 1])
 
     @staticmethod
     def violations(decoder_size: int = 1, n=1) -> list[str]:
@@ -204,11 +201,11 @@ class TrajectorySpace:
         u = kernel.input_size * sys.encoder_actions.size
         live = [1] + cls.live_counts(kernel, sys, n, s0)
         # per step: measure, reach, denom and slot per prefix, up and cond per
-        # entry; then p_live, log2_p_live and col, plogp_sum and lineage,
-        # cost_row, live_per_row and row_starts, and z_table
+        # entry; then p_live, log2_p_live and col, plogp_sum, cost_row,
+        # row_starts and step_cost
         words = sum((3 + u) * p + 2 * c for p, c in zip(live, live[1:]))
-        words += ((3 + SOLVE_LIVE_ARRAYS) * live[n] + (u + n - 1) * live[n - 1]
-                  + 2 * u ** n + u ** (n - 1) + sys.sampling_table[:, 0].size)
+        words += ((3 + SOLVE_LIVE_ARRAYS) * live[n] + u * live[n - 1]
+                  + u ** n + u ** (n - 1) + u)
         return 8 * words
 
     @property
@@ -247,16 +244,32 @@ class TrajectorySpace:
         return CausalPolicy(block_length=self.n, u_size=self.u_size,
                             z_size=self.z_size, tables=tuple(tables))
 
+    def uniform_rows(self) -> tuple[np.ndarray, ...]:
+        """The reachable rows of the uniform policy, read-only."""
+        return tuple(freeze(np.full((len(reach), self.u_size),
+                                    1.0 / self.u_size))
+                     for reach in self.reach)
+
     def policy_product(self, rows) -> np.ndarray:
         """The causal conditioning product r(u^N || z^{N-1}) at the step-N
         parents, [U, level-(N-1) prefixes], from the per-step reachable rows.
 
-        No step-i factor depends on y_N, so live entry k reads it at
-        parent[k]; the factors are multiplied from step N down.
+        Walks forward: the product at the step-i parents is step i's factor,
+        read through slot, times the product at each level-(i-1) prefix's
+        step-(i-1) parent, read through up. No factor depends on y_N, so live
+        entry k reads the result at parent[k]. Raises ValueError unless rows
+        has the space's per-step shapes.
         """
-        prod = rows[-1].take(self.lineage[-1])
-        for i in range(self.n - 1, 0, -1):
-            prod *= rows[i - 1].take(self.lineage[i - 1])
+        got = tuple(np.shape(t) for t in rows)
+        expected = tuple((len(reach), self.u_size) for reach in self.reach)
+        if got != expected:
+            raise ValueError(f"policy rows of shapes {got} do not fit the "
+                             f"space's reachable rows {expected}")
+        prod = rows[0].take(self.slot[0])
+        for i in range(2, self.n + 1):
+            step = rows[i - 1].take(self.slot[i - 1])
+            step *= prod.take(self.up[i - 2])
+            prod = step
         return prod
 
     def per_row(self, on_parents: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -266,10 +279,6 @@ class TrajectorySpace:
         """
         return np.add.reduceat(on_parents * weights, self.row_starts,
                                axis=1).T.ravel()
-
-    def live_from_rows(self, values: np.ndarray) -> np.ndarray:
-        """A per-row array [rows] read at every live entry."""
-        return np.repeat(values, self.live_per_row)
 
     def expected_cost(self, row_mass: np.ndarray) -> float:
         """Per-step average action cost (1/N) E[sum_i Lambda(a_i)] of a joint.

@@ -112,7 +112,10 @@ def mutual_information(joint):
 def live_index(space):
     """(rows, cols) of a space's live entries, in the order of its live
     arrays, to read or set them in a dense [rows, cols] array."""
-    return np.repeat(np.arange(space.rows), space.live_per_row), space.col
+    # parent (u_N, c) of row (u^{N-1}, u_N), with prefix c in u^{N-1}'s run
+    u_n, prefix = np.divmod(space.parent, len(space.past_law))
+    head = np.searchsorted(space.row_starts, prefix, side="right") - 1
+    return head * space.u_size + u_n, space.col
 
 
 def live_directed_info(space, policy):

@@ -6,6 +6,7 @@ import re
 import warnings
 from collections import defaultdict
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from sampcap import (
     upper_bound,
 )
 import sampcap.baa
-from sampcap._num import fsum_array
+from sampcap._num import fsum_array, log2_guarded
 from sampcap.baa import BaaState, _tangent_envelope
 from sampcap.oracle import _history_code
 from sampcap.trajectory import TrajectorySpace
@@ -316,7 +317,7 @@ class TestTrajectoryLayout:
         assert space.n_hist == [1, 12, 144, 1728]
         assert [len(r) for r in space.reach] == [1, 6, 36, 216]
         # the live parents: 4 * 12^3, 42% of the 4^4 * 4^3 (u^4, y^3)
-        assert space.plogp_sum.shape == space.lineage[-1].shape == (4, 12 ** 3)
+        assert space.plogp_sum.shape == space.slot[-1].shape == (4, 12 ** 3)
 
     @pytest.mark.parametrize("channel,n", LAYOUT_CASES)
     def test_unreachable_rows_of_an_update_are_uniform(self, request, channel, n):
@@ -507,6 +508,72 @@ class TestFold:
                     assert point.converged
                     assert point.i_upper == pytest.approx(1.0, abs=1e-6)
                     assert point.unreachable_outputs == 3 ** n - 2 ** n
+
+
+def sampled_priced_actions(y_size, costs):
+    """sampling_actions with the given cost per action."""
+    return dataclasses.replace(sampling_actions(y_size),
+                               cost_table=np.reshape(costs, (2, 1)))
+
+
+class TestStepPrice:
+    """_fold prices each action at its own step. The reference prices the
+    whole block at the leaf, lam sum_i Lambda(a_i) repeated over each row's
+    live entries, and folds at lam = 0: the earlier steps' price is constant
+    on a history, so both folds pick the same tables and values."""
+
+    @staticmethod
+    def check(state):
+        space, lam = state.space, state.lam
+        per_row = np.bincount(live_index(space)[0], minlength=space.rows)
+        price = np.repeat(lam * space.cost_row, per_row)
+        fold, picks = sampcap.baa._fold, []
+
+        def spy(space, leaf, lam, pick):
+            picks.append(pick)
+            return fold(space, leaf, lam, pick)
+
+        with mock.patch.object(sampcap.baa, "_fold", spy):
+            rows, flags = update_r(state)
+            i_upper = upper_bound(state)
+        with np.errstate(divide="ignore"):
+            leaf = np.log2(state.q_live) - price
+        _, want_rows, want_flags = fold(space, leaf, 0.0, picks[0])
+        for got, want in zip(rows, want_rows):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        for got, want in zip(flags, want_flags):
+            np.testing.assert_array_equal(got, want)
+        leaf = (space.log2_p_live - price
+                - log2_guarded(state.d).take(space.col))
+        want = fold(space, leaf, 0.0, picks[1])[0] / space.n
+        assert i_upper == pytest.approx(want, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.3, 10.0])
+    def test_markovian(self, markovian_kernel, markovian_actions, lam):
+        space = TrajectorySpace(markovian_kernel, markovian_actions, 3)
+        policy = make_random_policy(np.random.default_rng(5), 3, space.u_size,
+                                    space.z_size)
+        state = BaaState.initial(space, lam, start=space.reachable_rows(policy))
+        for _ in range(3):
+            self.check(state)
+            state = step(state)
+
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3),
+           zero_share=st.sampled_from([0.0, 0.3, 0.6]),
+           lam=st.sampled_from([0.3, 10.0]))
+    def test_random_channels(self, seed, n, zero_share, lam):
+        rng = np.random.default_rng(seed)
+        y_size = int(rng.integers(2, 4))
+        kernel = make_random_kernel(rng, int(rng.integers(1, 4)),
+                                    int(rng.integers(1, 3)), y_size,
+                                    zero_share=zero_share)
+        actions = sampled_priced_actions(y_size, rng.uniform(0.0, 2.0, 2))
+        space = TrajectorySpace(kernel, actions, n)
+        policy = make_random_policy(rng, n, space.u_size, space.z_size)
+        state = BaaState.initial(space, lam, start=space.reachable_rows(policy))
+        self.check(state)
+        self.check(step(state))
 
 
 class TestRunBaa:

@@ -545,41 +545,40 @@ class TestBackwardLink:
 class TestExponent:
     def test_zero_order_is_exactly_zero(self, markovian_kernel, markovian_actions):
         space = TrajectorySpace(markovian_kernel, markovian_actions, 2, s0=0)
-        policy = CausalPolicy.uniform(2, 4, 3)
-        assert gallager_exponent(space, policy, 0.0) == 0.0
+        assert gallager_exponent(space, space.uniform_rows(), 0.0) == 0.0
 
     def test_memoryless_unit_order_closed_form(self, bsc_kernel, bsc_actions):
         space = TrajectorySpace(bsc_kernel, bsc_actions, 1, s0=0)
-        value = gallager_exponent(space, CausalPolicy.uniform(1, 2, 1), 1.0)
+        value = gallager_exponent(space, space.uniform_rows(), 1.0)
         expected = 1.0 - math.log2(1.0 + 2.0 * math.sqrt(0.75 * 0.25))
         assert value == pytest.approx(expected, abs=1e-12)
 
     def test_order_range_checked(self, bsc_kernel, bsc_actions):
         space = TrajectorySpace(bsc_kernel, bsc_actions, 1, s0=0)
-        policy = CausalPolicy.uniform(1, 2, 1)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            gallager_exponent(space, policy, 1.5)
+            gallager_exponent(space, space.uniform_rows(), 1.5)
 
     def test_block_length_must_match_the_policy(self, bsc_kernel, bsc_actions):
         space = TrajectorySpace(bsc_kernel, bsc_actions, 2, s0=0)
-        policy = CausalPolicy.uniform(1, 2, 1)
-        with pytest.raises(ValueError, match="block length"):
-            gallager_exponent(space, policy, 0.5)
+        rows = TrajectorySpace(bsc_kernel, bsc_actions, 1, s0=0).uniform_rows()
+        with pytest.raises(ValueError, match="do not fit"):
+            gallager_exponent(space, rows, 0.5)
 
     def test_alphabet_mismatch_raises(self, markovian_kernel, markovian_actions):
         space = TrajectorySpace(markovian_kernel, markovian_actions, 2, s0=0)
-        policy = CausalPolicy.uniform(2, 2, 1)
+        # the rows of a policy with |U| = 2, |Z| = 1 on the same histories
+        rows = tuple(np.full((len(reach), 2), 0.5) for reach in space.reach)
         # checked before the order-zero shortcut too
         for rho in (0.0, 0.5):
-            with pytest.raises(ValueError, match="alphabets"):
-                gallager_exponent(space, policy, rho)
+            with pytest.raises(ValueError, match="do not fit"):
+                gallager_exponent(space, rows, rho)
 
     def test_slope_at_zero_stays_below_the_information_rate(
         self, markovian_kernel, markovian_actions
     ):
         space = TrajectorySpace(markovian_kernel, markovian_actions, 2, s0=0)
         policy = CausalPolicy.uniform(2, 4, 3)
-        small = gallager_exponent(space, policy, 0.001)
+        small = gallager_exponent(space, space.reachable_rows(policy), 0.001)
         slope = small / 0.001
         rate = live_directed_info(space, policy) / 2.0
         assert 0.0 < slope <= rate + 1e-4

@@ -9,17 +9,20 @@ import math
 import re
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sampcap import (ActionSystem, Alphabet, CausalPolicy, SingleLetterProblem,
+from sampcap import (ActionSystem, Alphabet, SingleLetterProblem,
                      binary_entropy, cli, gallager_exponent, run_baa,
                      single_letter_bounds, sweep_lambda)
 from sampcap import baa, bounds, oracle
 from sampcap.trajectory import TrajectorySpace
 
 from conftest import BSC_CONFIG_PATH, MARKOVIAN_CONFIG_PATH, load_config
+
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 INFORMED_CAPACITY = math.log2(5.0) - 2.0
 COMMON_INPUT_CAPACITY = binary_entropy(0.25) - 0.5
@@ -97,9 +100,9 @@ class TestValidate:
         assert "/exponent/block_length" in capsys.readouterr().out
 
     def test_size_limit_sits_between_seven_and_eight(self):
-        # markovian: 12^N (u^N, y^N) live of the 16^N, 2.84 GiB at N = 7
-        # and 34 GiB at N = 8; the exponent builds one space per start state
-        # in turn, so it is charged the largest one
+        # markovian: 12^N (u^N, y^N) live of the 16^N, 2.71 GiB at N = 7
+        # and 32.5 GiB at N = 8; the exponent builds one space per start
+        # state in turn, so it is charged the largest one
         with open(MARKOVIAN_CONFIG_PATH, encoding="utf-8") as fh:
             doc = json.load(fh)
         for blocks, exponent, ok in (([2, 3], 2, True), ([7], 2, True),
@@ -421,7 +424,7 @@ PINNED = [
            ["/block_lengths: must be a nonempty list of positive integers"]),
     pinned("blocks-oversized", "markovian",
            {"/block_lengths": [2, 8]},
-           ["/block_lengths/1: block length 8 needs about 34.4 GiB of live "
+           ["/block_lengths/1: block length 8 needs about 32.5 GiB of live "
             "tables, above the 3 GiB limit"]),
     pinned("algorithm-not-object", "markovian",
            {"/algorithm": []},
@@ -544,7 +547,7 @@ PINNED = [
             "/exponent/rho_grid: must be a nonempty list in [0, 1]"]),
     pinned("exponent-oversized", "markovian",
            {"/exponent/block_length": 8},
-           ["/exponent/block_length: block length 8 needs about 34.4 GiB of "
+           ["/exponent/block_length: block length 8 needs about 32.5 GiB of "
             "live tables, above the 3 GiB limit"]),
     pinned("every-section", "markovian",
            {"/channel/kernel/0/1/0/0": 0.5,
@@ -674,8 +677,7 @@ def single_letter_of(doc):
 
 
 def uniform_exponent(space, rho):
-    return gallager_exponent(
-        space, CausalPolicy.uniform(2, space.u_size, space.z_size), rho)
+    return gallager_exponent(space, space.uniform_rows(), rho)
 
 
 # a config mutation with one violation, and the library call that breaks
@@ -1177,15 +1179,12 @@ class TestExponent:
         # reference: a fresh space per (rho, s0) query
         config = load_config(path)
         spec = config.exponent
-        u_size = config.kernel.input_size * config.actions.encoder_actions.size
-        policy = CausalPolicy.uniform(spec.block_length, u_size,
-                                      config.actions.feedback_alphabet.size)
         lines = ["rho,s0,value"]
         for rho in spec.rho_grid:
             for s0 in range(config.kernel.state_size):
                 space = TrajectorySpace(config.kernel, config.actions,
                                         spec.block_length, s0=s0)
-                value = gallager_exponent(space, policy, rho)
+                value = gallager_exponent(space, space.uniform_rows(), rho)
                 lines.append(f"{cli._fmt(rho)},{s0},{cli._fmt(value)}")
         import sampcap.bounds
 
@@ -1215,6 +1214,39 @@ class TestExponent:
         assert cli.cmd_exponent(path, str(tmp_path / "out")) \
             == cli.EXIT_SEMANTIC
         assert "/exponent" in capsys.readouterr().err
+
+
+class TestBundledOutputs:
+    """capacity-sweep and exponent on the bundled configs reproduce the CSVs
+    under tests/data/<config>/, written by those two commands: the
+    iterations and converged columns exactly, every other value within 1e-10
+    relative (absent values, nan, stay absent)."""
+
+    EXACT = ("iterations", "converged")
+
+    @pytest.mark.parametrize("path", [BSC_CONFIG_PATH, MARKOVIAN_CONFIG_PATH],
+                             ids=["bsc", "markovian"])
+    def test_outputs_match_the_committed_csvs(self, tmp_path, path):
+        out = tmp_path / "out"
+        assert cli.cmd_capacity_sweep(str(path), str(out)) == cli.EXIT_OK
+        assert cli.cmd_exponent(str(path), str(out)) == cli.EXIT_OK
+        expected = DATA_DIR / path.stem
+        names = sorted(p.name for p in expected.glob("*.csv"))
+        assert names == sorted(p.name for p in out.glob("*.csv"))
+        for name in names:
+            header, want_rows = read_rows(expected / name)
+            got_header, got_rows = read_rows(out / name)
+            assert got_header == header
+            assert len(got_rows) == len(want_rows)
+            for got_row, want_row in zip(got_rows, want_rows):
+                for column, got, want in zip(header, got_row, want_row):
+                    if column in self.EXACT:
+                        assert got == want, (name, column)
+                    elif math.isnan(float(want)):
+                        assert math.isnan(float(got)), (name, column)
+                    else:
+                        assert float(got) == pytest.approx(
+                            float(want), rel=1e-10, abs=0.0), (name, column)
 
 
 class TestMain:
