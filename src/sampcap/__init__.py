@@ -33,7 +33,6 @@ from .bounds import (
     zero_unit_cost_capacity,
 )
 from .fsc import (
-    Alphabet,
     FscKernel,
     StationaryInfo,
     causal_channel_prob,
@@ -56,7 +55,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActionSystem",
-    "Alphabet",
     "BaaState",
     "CausalPolicy",
     "FscKernel",

@@ -8,7 +8,9 @@ constrains the time-averaged expected action cost
     E[(1/N) sum_i Lambda(A_{e,i}, A_{d,i})] <= Gamma.
 
 Settings where only one side acts use a singleton alphabet for the other
-side.
+side. The action alphabets are the axes of the sampling and cost tables;
+only the feedback alphabet, which the sampled values need not fill, is
+given as a size.
 """
 
 from __future__ import annotations
@@ -18,30 +20,35 @@ from typing import Optional
 
 import numpy as np
 
-from ._num import freeze, non_finite, raise_first
-from .fsc import Alphabet
+from ._num import freeze, is_integer, non_finite, raise_first
 
 
 @dataclass(frozen=True)
 class ActionSystem:
-    """Action alphabets, sampling table, cost table, and budget.
+    """Sampling table, cost table, feedback alphabet size, and budget.
 
-    sampling_table is indexed [a_e][a_d][y] -> z; cost_table [a_e][a_d] -> cost.
+    sampling_table [a_e][a_d][y] -> z has the encoder, decoder and channel
+    output alphabets as its axes; cost_table [a_e][a_d] -> cost.
+    Construction raises ValueError unless feedback_size is a positive
+    integer and every axis nonempty, then with the first message of
+    violations on the table's own axes.
     """
 
-    encoder_actions: Alphabet
-    decoder_actions: Alphabet
-    feedback_alphabet: Alphabet
     sampling_table: np.ndarray
     cost_table: np.ndarray
+    feedback_size: int
     budget: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "sampling_table", freeze(self.sampling_table, dtype=int))
         object.__setattr__(self, "cost_table", freeze(self.cost_table))
-        raise_first(self.violations(self.encoder_actions.size,
-                                    self.decoder_actions.size,
-                                    self.feedback_alphabet.size,
+        if not (is_integer(self.feedback_size) and self.feedback_size >= 1):
+            raise ValueError("feedback_size: must be a positive integer")
+        if 0 in self.sampling_table.shape:
+            raise ValueError("sampling_table: every axis must be nonempty")
+        # a table that is not 3-D fails the shape rule on any sizes
+        enc, dec = (*self.sampling_table.shape, 1, 1)[:2]
+        raise_first(self.violations(enc, dec, self.feedback_size,
                                     self.sampling_table, self.cost_table,
                                     self.budget))
 
@@ -53,15 +60,16 @@ class ActionSystem:
                    output_size: Optional[int] = None) -> list[str]:
         """Every rule the action system breaks; empty means valid.
 
-        Each message starts with the JSON pointer of its field relative to
-        the actions section. An argument given as None was rejected by the
-        caller. Non-finite costs and a budget outside [0, inf) are reported
-        first, each on its own; the table rules are checked only when
-        neither is broken and nothing is None, in the order sampling table
-        shape, sampling values, cost table shape, cost signs, and only the
-        first broken one is reported. output_size, when given, is the
-        channel output alphabet size that the sampling table's last axis
-        must match.
+        encoder_size and decoder_size are the declared alphabets the
+        tables' first two axes must match. Each message starts with the
+        JSON pointer of its field relative to the actions section. An
+        argument given as None was rejected by the caller. Non-finite costs
+        and a budget outside [0, inf) are reported first, each on its own;
+        the table rules are checked only when neither is broken and nothing
+        is None, in the order sampling table shape, sampling values, cost
+        table shape, cost signs, and only the first broken one is reported.
+        output_size, when given, is the channel output alphabet size that
+        the sampling table's last axis must match.
         """
         found = non_finite(cost_table=cost_table)
         if budget is not None and not 0.0 <= budget < np.inf:
@@ -85,8 +93,16 @@ class ActionSystem:
         return []
 
     @property
+    def encoder_size(self) -> int:
+        return self.sampling_table.shape[0]
+
+    @property
+    def decoder_size(self) -> int:
+        return self.sampling_table.shape[1]
+
+    @property
     def output_size(self) -> int:
-        return int(self.sampling_table.shape[2])
+        return self.sampling_table.shape[2]
 
     @property
     def max_cost(self) -> float:
@@ -104,9 +120,9 @@ def decoder_violations(decoder_size: int) -> list[str]:
 
 def sample_feedback(sys: ActionSystem, a_e: int, a_d: int, y: int) -> int:
     """Deterministic feedback symbol z = f(a_e, a_d, y)."""
-    if not 0 <= a_e < sys.encoder_actions.size:
+    if not 0 <= a_e < sys.encoder_size:
         raise IndexError("encoder action out of range")
-    if not 0 <= a_d < sys.decoder_actions.size:
+    if not 0 <= a_d < sys.decoder_size:
         raise IndexError("decoder action out of range")
     if not 0 <= y < sys.output_size:
         raise IndexError("output symbol out of range")

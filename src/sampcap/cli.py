@@ -58,7 +58,7 @@ from .bounds import (
     single_letter_bounds,
     time_sharing_baseline,
 )
-from .fsc import Alphabet, FscKernel
+from .fsc import FscKernel
 from .oracle import (
     OracleReport,
     grid_capacity,
@@ -83,8 +83,8 @@ NEAR_CAP = 0.9  # share of max_iters from which report.json flags a point
 # pre-flight memory check: a block length N is charged the bytes of its live
 # tables and a solve's arrays (TrajectorySpace.footprint), from the kernel's
 # support alone; above MAX_DENSE_BYTES it is rejected. Markovian N = 7 is
-# charged 2.84 GiB and passes (a solve peaks at 2.83 GB RSS), N = 8 34 GiB;
-# the limit leaves an 8 GB machine room for the estimate's error.
+# charged 2.71 GiB and passes (a solve peaks at 2,716 MB RSS), N = 8
+# 32.5 GiB; the limit leaves an 8 GB machine room for the estimate's error.
 MAX_DENSE_BYTES = 3 * 2 ** 30
 
 
@@ -193,10 +193,7 @@ def _read_channel(ch: dict, found: list[str]) -> Optional[FscKernel]:
     found.extend(FscKernel.violations(s_size, x_size, y_size, arr, init))
     if found:
         return None
-    return FscKernel(state_alphabet=Alphabet(s_size),
-                     input_alphabet=Alphabet(x_size),
-                     output_alphabet=Alphabet(y_size),
-                     kernel=arr, initial_dist=init)
+    return FscKernel(kernel=arr, initial_dist=init)
 
 
 def _read_actions(ac: dict, kernel: Optional[FscKernel],
@@ -219,10 +216,8 @@ def _read_actions(ac: dict, kernel: Optional[FscKernel],
         found.extend(TrajectorySpace.violations(decoder_size=dec))
     if found:
         return None
-    return ActionSystem(encoder_actions=Alphabet(enc),
-                        decoder_actions=Alphabet(dec),
-                        feedback_alphabet=Alphabet(fb), sampling_table=table,
-                        cost_table=cost, budget=float(budget))
+    return ActionSystem(sampling_table=table, cost_table=cost,
+                        feedback_size=fb, budget=float(budget))
 
 
 def _read_single_letter(sl: dict,
@@ -345,9 +340,16 @@ def _read_config(path: str):
     return config, EXIT_OK, []
 
 
-def _load_config(path: str):
-    """(config, EXIT_OK), or (None, exit code) with the reasons on stderr."""
+def _load_config(path: str, out_dir: str):
+    """(config, EXIT_OK) with out_dir created, before the subcommand
+    computes anything, or (None, exit code) with the reasons on stderr."""
     config, code, messages = _read_config(path)
+    if config is not None:
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            config, code = None, EXIT_IO
+            messages = [f"cannot create {out_dir}: {exc}"]
     for msg in messages:
         print(msg, file=_sys.stderr)
     return config, code
@@ -369,14 +371,9 @@ def _write_lines(path, lines: Sequence[str]) -> None:
 
 
 def cmd_capacity_sweep(config_path: str, out_dir: str = ".") -> int:
-    config, code = _load_config(config_path)
+    config, code = _load_config(config_path, out_dir)
     if config is None:
         return code
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        print(f"cannot create {out_dir}: {exc}", file=_sys.stderr)
-        return EXIT_IO
     report = {
         "epsilon": config.epsilon,
         "max_iters": config.max_iters,
@@ -453,7 +450,7 @@ def cmd_capacity_sweep(config_path: str, out_dir: str = ".") -> int:
 
 
 def cmd_bounds(config_path: str, out_dir: str = ".") -> int:
-    config, code = _load_config(config_path)
+    config, code = _load_config(config_path, out_dir)
     if config is None:
         return code
     if config.single_letter is None:
@@ -489,7 +486,6 @@ def cmd_bounds(config_path: str, out_dir: str = ".") -> int:
             f"{_fmt(g)},{enc_field},{dec_field},{_fmt(ts)},{_fmt(c0)},{_fmt(c1)}"
         )
     try:
-        os.makedirs(out_dir, exist_ok=True)
         _write_lines(os.path.join(out_dir, "bounds.csv"), lines)
     except OSError as exc:
         print(f"write failure: {exc}", file=_sys.stderr)
@@ -607,7 +603,7 @@ def _oracle_reports(config: ExperimentConfig) -> tuple[list, list]:
 
 
 def cmd_oracle_check(config_path: str, out_dir: str = ".") -> int:
-    config, code = _load_config(config_path)
+    config, code = _load_config(config_path, out_dir)
     if config is None:
         return code
     reports, skips = _oracle_reports(config)
@@ -618,7 +614,6 @@ def cmd_oracle_check(config_path: str, out_dir: str = ".") -> int:
         "skipped": skips,
     }
     try:
-        os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "oracle_report.json"), "w",
                   encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
@@ -636,7 +631,7 @@ def cmd_oracle_check(config_path: str, out_dir: str = ".") -> int:
 
 
 def cmd_exponent(config_path: str, out_dir: str = ".") -> int:
-    config, code = _load_config(config_path)
+    config, code = _load_config(config_path, out_dir)
     if config is None:
         return code
     if config.exponent is None:
@@ -658,7 +653,6 @@ def cmd_exponent(config_path: str, out_dir: str = ".") -> int:
         for s0, value in enumerate(values):
             lines.append(f"{_fmt(rho)},{s0},{_fmt(value)}")
     try:
-        os.makedirs(out_dir, exist_ok=True)
         _write_lines(os.path.join(out_dir, "exponent.csv"), lines)
     except OSError as exc:
         print(f"write failure: {exc}", file=_sys.stderr)

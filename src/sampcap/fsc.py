@@ -1,7 +1,8 @@
 """Finite-state channel core.
 
 Provides the channel representation P(y, s' | x, s) with an initial state
-distribution, validation of its stochastic structure, the structural
+distribution, whose kernel axes are the state, input and output alphabets,
+validation of its stochastic structure, the structural
 predicates used by the bound machinery (no intersymbol interference,
 indecomposability, stationary distribution), and the causal channel law
 
@@ -27,43 +28,26 @@ MIXING_POWER_CAP = 64
 
 
 @dataclass(frozen=True)
-class Alphabet:
-    """A finite alphabet; labels are for display only."""
-
-    size: int
-    labels: Optional[tuple[str, ...]] = None
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("alphabet size must be >= 1")
-        if self.labels is not None:
-            if len(self.labels) != self.size:
-                raise ValueError("labels length must equal alphabet size")
-            if len(set(self.labels)) != len(self.labels):
-                raise ValueError("labels must be distinct")
-
-
-@dataclass(frozen=True)
 class FscKernel:
     """Finite-state channel P(y, s' | x, s) with initial state distribution.
 
-    kernel is indexed [s][x][y][s_next]; initial_dist is P(s0). Construction
-    raises ValueError with the first message of violations.
+    kernel is indexed [s][x][y][s_next], and its axes are the state, input
+    and output alphabets; initial_dist is P(s0). Construction raises
+    ValueError if an axis is empty, else with the first message of
+    violations on the kernel's own axes.
     """
 
-    state_alphabet: Alphabet
-    input_alphabet: Alphabet
-    output_alphabet: Alphabet
     kernel: np.ndarray
     initial_dist: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "kernel", freeze(self.kernel))
         object.__setattr__(self, "initial_dist", freeze(self.initial_dist))
-        raise_first(self.violations(self.state_alphabet.size,
-                                    self.input_alphabet.size,
-                                    self.output_alphabet.size, self.kernel,
-                                    self.initial_dist))
+        if 0 in self.kernel.shape:
+            raise ValueError("kernel: every axis must be nonempty")
+        # a kernel that is not 4-D fails the shape rule on any sizes
+        s, x, y = (*self.kernel.shape, 1, 1, 1)[:3]
+        raise_first(self.violations(s, x, y, self.kernel, self.initial_dist))
 
     @staticmethod
     def violations(state_size: int, input_size: int, output_size: int,
@@ -71,6 +55,7 @@ class FscKernel:
                    initial_dist: Optional[np.ndarray]) -> list[str]:
         """Every rule the channel breaks; empty means valid.
 
+        The sizes are the declared alphabets the kernel's axes must match.
         Each message starts with the JSON pointer of its entry relative to
         the channel section. An array given as None was rejected by the
         caller, and only the other one's entries are checked. Non-finite
@@ -102,15 +87,15 @@ class FscKernel:
 
     @property
     def state_size(self) -> int:
-        return self.state_alphabet.size
+        return self.kernel.shape[0]
 
     @property
     def input_size(self) -> int:
-        return self.input_alphabet.size
+        return self.kernel.shape[1]
 
     @property
     def output_size(self) -> int:
-        return self.output_alphabet.size
+        return self.kernel.shape[2]
 
 
 @dataclass(frozen=True)

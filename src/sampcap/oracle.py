@@ -127,8 +127,8 @@ def _trajectories(kernel: FscKernel, sys: ActionSystem, n: int,
                   starts) -> _Trajectories:
     """The trajectories of block length n; starts lists start states, None
     for the initial-distribution average."""
-    raise_first(decoder_violations(sys.decoder_actions.size))
-    a_size = sys.encoder_actions.size
+    raise_first(decoder_violations(sys.decoder_size))
+    a_size = sys.encoder_size
     u_size = kernel.input_size * a_size
     y_size = kernel.output_size
     u = [_seq_digits(r, u_size, n) for r in range(u_size ** n)]
@@ -220,8 +220,8 @@ def _literal_block(policy: CausalPolicy, kernel: FscKernel,
     enumeration literal_joint and literal_r_update share, and the dense
     joint on it (see literal_joint)."""
     n = policy.block_length
-    u_size = kernel.input_size * sys.encoder_actions.size
-    z_size = sys.feedback_alphabet.size
+    u_size = kernel.input_size * sys.encoder_size
+    z_size = sys.feedback_size
     if (policy.u_size, policy.z_size) != (u_size, z_size):
         raise ValueError(
             f"policy (|U|, |Z|) = {(policy.u_size, policy.z_size)} does not "
@@ -271,9 +271,9 @@ def _grid_layout(kernel: FscKernel, sys: ActionSystem, n: int):
     sampling table can actually produce -- and slice_lookup maps the triple
     back to its position. Order follows ascending history code per step.
     """
-    raise_first(decoder_violations(sys.decoder_actions.size))
+    raise_first(decoder_violations(sys.decoder_size))
     x_size = kernel.input_size
-    a_size = sys.encoder_actions.size
+    a_size = sys.encoder_size
     y_size = kernel.output_size
     u_size = x_size * a_size
     images = [
@@ -313,7 +313,7 @@ def grid_search_space(kernel: FscKernel, sys: ActionSystem, n: int,
     if abs(steps * grid_step - 1.0) > 1e-9:
         raise ValueError("grid_step must divide 1 evenly")
     slices, _ = _grid_layout(kernel, sys, n)
-    u_size = kernel.input_size * sys.encoder_actions.size
+    u_size = kernel.input_size * sys.encoder_size
     free = len(slices) * (u_size - 1)
     if free > GRID_FREE_DIM_CAP:
         raise ValueError(
@@ -344,7 +344,7 @@ def grid_capacity(kernel: FscKernel, sys: ActionSystem, n: int,
     if budget is None:
         budget = sys.budget
     slices, lookup = _grid_layout(kernel, sys, n)
-    u_size = kernel.input_size * sys.encoder_actions.size
+    u_size = kernel.input_size * sys.encoder_size
     y_size = kernel.output_size
     # one channel law per start the objective reads
     starts = (None,) if objective == "average" else range(kernel.state_size)
@@ -424,7 +424,7 @@ def literal_r_update(policy: CausalPolicy, kernel: FscKernel,
     """
     n = policy.block_length
     x_size = kernel.input_size
-    a_size = sys.encoder_actions.size
+    a_size = sys.encoder_size
     y_size = kernel.output_size
     if n > R_UPDATE_BLOCK_CAP:
         raise ValueError(f"literal update capped at block length {R_UPDATE_BLOCK_CAP}")
@@ -433,7 +433,7 @@ def literal_r_update(policy: CausalPolicy, kernel: FscKernel,
     if y_size > R_UPDATE_OUTPUT_CAP:
         raise ValueError(f"literal update capped at {R_UPDATE_OUTPUT_CAP} outputs")
     u_size = x_size * a_size
-    z_size = sys.feedback_alphabet.size
+    z_size = sys.feedback_size
     traj, joint = _literal_block(policy, kernel, sys, s0)
     chan = traj.chan[0]
     rows, cols = joint.shape
@@ -494,5 +494,4 @@ def literal_r_update(policy: CausalPolicy, kernel: FscKernel,
                 h = _history_code(traj.u[r][: i - 1], traj.z[r][c][: i - 1],
                                   u_size, z_size)
                 suffix[r][c] *= float(table[h, traj.u[r][i - 1]])
-    return CausalPolicy(block_length=n, u_size=u_size, z_size=z_size,
-                        tables=tuple(tables))
+    return CausalPolicy(tuple(tables), z_size)

@@ -3,7 +3,8 @@
 A causal policy is the collection of per-step conditionals
 Q(x_i, a_i | x^{i-1}, a^{i-1}, z^{i-1}) for a block of length N; multiplying
 them along a trajectory gives the causal conditioning Q(x^N, a^N || z^{N-1}).
-The optimizer multiplies them on the live trajectories
+A policy is its tables, one per step, and |Z|, which no table shows at
+N = 1. The optimizer multiplies them on the live trajectories
 (TrajectorySpace.policy_product), the brute-force oracle on the dense grid
 (oracle.literal_joint); directed information is computed by each of those
 two modules, and nowhere else.
@@ -24,9 +25,10 @@ POLICY_SLICE_TOL = 1e-12
 class CausalPolicy:
     """Per-step conditional tables Q_i(u_i | history), densely indexed.
 
-    tables[i-1] has shape ((u_size z_size)^(i-1), u_size), one row per
-    history (u^{i-1}, z^{i-1}) at id code(u^{i-1}) z_size^(i-1) +
-    code(z^{i-1}), mixed radix with the earliest step most significant.
+    The block length is the number of tables; tables[i-1] has shape
+    ((u_size z_size)^(i-1), u_size), one row per history (u^{i-1}, z^{i-1})
+    at id code(u^{i-1}) z_size^(i-1) + code(z^{i-1}), mixed radix with the
+    earliest step most significant.
     Every slice sums to 1 within 1e-12, including slices for histories that
     are never reached. This is the public form of a policy, in which it
     enters and leaves a solve: the optimizer holds only the rows of the
@@ -35,15 +37,14 @@ class CausalPolicy:
     dense tables.
     """
 
-    block_length: int
-    u_size: int
-    z_size: int
     tables: tuple[np.ndarray, ...]
+    z_size: int
 
     def __post_init__(self):
         object.__setattr__(self, "tables", tuple(freeze(t) for t in self.tables))
-        if len(self.tables) != self.block_length:
-            raise ValueError("need one conditional table per step")
+        if not self.tables or self.tables[0].ndim != 2:
+            raise ValueError("need a [history][u] table per step, and at "
+                             "least one step")
         for i, table in enumerate(self.tables, start=1):
             want = ((self.u_size * self.z_size) ** (i - 1), self.u_size)
             if table.shape != want:
@@ -71,5 +72,12 @@ class CausalPolicy:
     def uniform(cls, block_length: int, u_size: int, z_size: int) -> "CausalPolicy":
         tables = [np.full(((u_size * z_size) ** (i - 1), u_size), 1.0 / u_size)
                   for i in range(1, block_length + 1)]
-        return cls(block_length=block_length, u_size=u_size, z_size=z_size,
-                   tables=tuple(tables))
+        return cls(tuple(tables), z_size)
+
+    @property
+    def block_length(self) -> int:
+        return len(self.tables)
+
+    @property
+    def u_size(self) -> int:
+        return self.tables[0].shape[1]

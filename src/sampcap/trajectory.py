@@ -78,15 +78,15 @@ class TrajectorySpace:
 
     def __init__(self, kernel: FscKernel, sys: ActionSystem, n: int,
                  s0: int | None = None):
-        raise_first(self.violations(sys.decoder_actions.size, n))
+        raise_first(self.violations(sys.decoder_size, n))
         if sys.output_size != kernel.output_size:
             raise ValueError("action system output axis does not match the kernel")
         self.kernel, self.sys, self.n, self.s0 = kernel, sys, n, s0
         x_size = kernel.input_size
-        self.a_size = sys.encoder_actions.size
+        self.a_size = sys.encoder_size
         self.u_size = u = x_size * self.a_size
         self.y_size = y = kernel.output_size
-        self.z_size = z = sys.feedback_alphabet.size
+        self.z_size = z = sys.feedback_size
         self.rows, self.cols = u ** n, y ** n
         self.n_hist = [(u * z) ** (i - 1) for i in range(1, n + 1)]
 
@@ -189,7 +189,7 @@ class TrajectorySpace:
                 for end in map(tuple, ends[ends.any(axis=2)]):
                     nxt[end] += count
             counts = nxt
-            out.append(sys.encoder_actions.size ** k * counts.total())
+            out.append(sys.encoder_size ** k * counts.total())
         return out
 
     @classmethod
@@ -198,7 +198,7 @@ class TrajectorySpace:
         """Bytes of a space and of a solve's SOLVE_LIVE_ARRAYS on it, from
         live_counts: 8 bytes an entry, at most one reachable history per
         prefix."""
-        u = kernel.input_size * sys.encoder_actions.size
+        u = kernel.input_size * sys.encoder_size
         live = [1] + cls.live_counts(kernel, sys, n, s0)
         # per step: measure, reach, denom and slot per prefix, up and cond per
         # entry; then p_live, log2_p_live and col, plogp_sum, cost_row,
@@ -241,8 +241,7 @@ class TrajectorySpace:
                 table = np.full((n_hist, self.u_size), 1.0 / self.u_size)
                 table[reach] = step_rows
             tables.append(table)
-        return CausalPolicy(block_length=self.n, u_size=self.u_size,
-                            z_size=self.z_size, tables=tuple(tables))
+        return CausalPolicy(tuple(tables), self.z_size)
 
     def uniform_rows(self) -> tuple[np.ndarray, ...]:
         """The reachable rows of the uniform policy, read-only."""

@@ -23,7 +23,7 @@ import hypothesis
 import numpy as np
 import pytest
 
-from sampcap import ActionSystem, Alphabet, CausalPolicy, FscKernel
+from sampcap import ActionSystem, CausalPolicy, FscKernel
 import sampcap.baa
 from sampcap.baa import BaaState, sweep_lambda
 from sampcap.cli import parse_config
@@ -61,9 +61,6 @@ def make_random_kernel(rng, s_size, x_size, y_size, zero_share=0.0):
     init = rng.random(s_size)
     init /= init.sum()
     return FscKernel(
-        state_alphabet=Alphabet(s_size),
-        input_alphabet=Alphabet(x_size),
-        output_alphabet=Alphabet(y_size),
         kernel=raw,
         initial_dist=init,
     )
@@ -72,9 +69,7 @@ def make_random_kernel(rng, s_size, x_size, y_size, zero_share=0.0):
 def make_trivial_actions(y_size):
     """Singleton action system: one zero-cost action, constant feedback."""
     return ActionSystem(
-        encoder_actions=Alphabet(1),
-        decoder_actions=Alphabet(1),
-        feedback_alphabet=Alphabet(1),
+        feedback_size=1,
         sampling_table=np.zeros((1, 1, y_size), dtype=int),
         cost_table=np.zeros((1, 1)),
         budget=0.0,
@@ -88,8 +83,7 @@ def make_random_policy(rng, n, u_size, z_size):
         t = rng.random(((u_size * z_size) ** (i - 1), u_size)) + 1e-3
         t /= t.sum(axis=1, keepdims=True)
         tables.append(t)
-    return CausalPolicy(block_length=n, u_size=u_size, z_size=z_size,
-                        tables=tuple(tables))
+    return CausalPolicy(tuple(tables), z_size)
 
 
 def weighted_log2_sum(weights, numer, denom):

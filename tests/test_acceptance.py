@@ -169,9 +169,6 @@ def test_6_structural_invariants(bsc_kernel, bsc_actions, markovian_kernel,
 
     # start-state knowledge moves the information by at most log2 |S|
     mixed = FscKernel(
-        state_alphabet=markovian_kernel.state_alphabet,
-        input_alphabet=markovian_kernel.input_alphabet,
-        output_alphabet=markovian_kernel.output_alphabet,
         kernel=markovian_kernel.kernel,
         initial_dist=np.array([0.5, 0.5]),
     )

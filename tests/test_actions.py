@@ -7,7 +7,6 @@ import pytest
 
 from sampcap import (
     ActionSystem,
-    Alphabet,
     CausalPolicy,
     literal_joint,
     sample_feedback,
@@ -21,31 +20,37 @@ class TestActionSystemValidation:
     def test_sampling_values_must_be_feedback_symbols(self):
         with pytest.raises(ValueError, match="feedback alphabet"):
             ActionSystem(
-                encoder_actions=Alphabet(1),
-                decoder_actions=Alphabet(1),
-                feedback_alphabet=Alphabet(1),
+                feedback_size=1,
                 sampling_table=np.full((1, 1, 2), 3, dtype=int),
                 cost_table=np.zeros((1, 1)),
             )
 
     def test_sampling_axes_checked(self):
-        with pytest.raises(ValueError, match=r"sampling_table: must be indexed "
-                                             r"\[encoder action\]\[decoder action\]"
-                                             r"\[channel output\]"):
-            ActionSystem(
-                encoder_actions=Alphabet(2),
-                decoder_actions=Alphabet(1),
-                feedback_alphabet=Alphabet(2),
-                sampling_table=np.zeros((1, 1, 2), dtype=int),
-                cost_table=np.zeros((2, 1)),
-            )
+        # tables that agree with each other, not with the declared sizes
+        assert ActionSystem.violations(
+            2, 1, 2, np.zeros((1, 1, 2), dtype=int), np.zeros((1, 1)), 0.0) \
+            == ["sampling_table: must be indexed "
+                "[encoder action][decoder action][channel output]"]
+
+    def test_sampling_table_must_be_three_dimensional(self):
+        with pytest.raises(ValueError, match="^sampling_table: must be indexed"):
+            ActionSystem(np.zeros((1, 2), dtype=int), np.zeros((1, 2)), 1)
+
+    def test_no_encoder_actions_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            ActionSystem(np.zeros((0, 1, 2), dtype=int), np.zeros((0, 1)), 1)
+
+    @pytest.mark.parametrize("size", [0, 1.5, True])
+    def test_feedback_size_must_be_a_positive_integer(self, size):
+        with pytest.raises(ValueError, match="^feedback_size: must be a "
+                                             "positive integer$"):
+            ActionSystem(np.zeros((1, 1, 2), dtype=int), np.zeros((1, 1)),
+                         size)
 
     def test_cost_shape_checked(self):
         with pytest.raises(ValueError, match="cost_table"):
             ActionSystem(
-                encoder_actions=Alphabet(2),
-                decoder_actions=Alphabet(1),
-                feedback_alphabet=Alphabet(2),
+                feedback_size=2,
                 sampling_table=np.zeros((2, 1, 2), dtype=int),
                 cost_table=np.zeros((1, 1)),
             )
@@ -53,9 +58,7 @@ class TestActionSystemValidation:
     def test_negative_cost_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             ActionSystem(
-                encoder_actions=Alphabet(1),
-                decoder_actions=Alphabet(1),
-                feedback_alphabet=Alphabet(1),
+                feedback_size=1,
                 sampling_table=np.zeros((1, 1, 2), dtype=int),
                 cost_table=np.array([[-1.0]]),
             )
@@ -63,9 +66,7 @@ class TestActionSystemValidation:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError, match="budget"):
             ActionSystem(
-                encoder_actions=Alphabet(1),
-                decoder_actions=Alphabet(1),
-                feedback_alphabet=Alphabet(1),
+                feedback_size=1,
                 sampling_table=np.zeros((1, 1, 2), dtype=int),
                 cost_table=np.zeros((1, 1)),
                 budget=-0.5,
@@ -76,16 +77,15 @@ class TestActionSystemValidation:
         with pytest.raises(ValueError, match="budget: must be a finite nonnegative "
                                              "number"):
             ActionSystem(
-                encoder_actions=Alphabet(1),
-                decoder_actions=Alphabet(1),
-                feedback_alphabet=Alphabet(1),
+                feedback_size=1,
                 sampling_table=np.zeros((1, 1, 2), dtype=int),
                 cost_table=np.zeros((1, 1)),
                 budget=budget,
             )
 
     def test_derived_properties(self, markovian_actions):
-        assert markovian_actions.output_size == 4
+        assert (markovian_actions.encoder_size, markovian_actions.decoder_size,
+                markovian_actions.output_size) == (2, 1, 4)
         assert markovian_actions.max_cost == 1.0
 
 
@@ -111,9 +111,7 @@ def priced_sampling_actions(rng, y_size):
     table = np.zeros((2, 1, y_size), dtype=int)
     table[1, 0] = np.arange(1, y_size + 1)
     return ActionSystem(
-        encoder_actions=Alphabet(2),
-        decoder_actions=Alphabet(1),
-        feedback_alphabet=Alphabet(y_size + 1),
+        feedback_size=y_size + 1,
         sampling_table=table,
         cost_table=rng.random((2, 1)) * 3.0,
     )
@@ -121,7 +119,7 @@ def priced_sampling_actions(rng, y_size):
 
 def literal_expected_cost(joint, actions, n, u_size):
     """(1/N) sum over trajectories of joint * sum_i Lambda(a_i), one term each."""
-    a_size = actions.encoder_actions.size
+    a_size = actions.encoder_size
     terms = []
     for row in range(joint.shape[0]):
         code, cost = row, 0.0
@@ -153,7 +151,7 @@ class TestExpectedCost:
             t[:, 1] = 0.5
             t[:, 3] = 0.5
             tables.append(t)
-        policy = CausalPolicy(2, 4, 3, tuple(tables))
+        policy = CausalPolicy(tuple(tables), 3)
         assert expected_cost(markovian_kernel, markovian_actions,
                              policy) == pytest.approx(1.0, abs=1e-12)
 
@@ -163,9 +161,7 @@ class TestExpectedCost:
 
     def test_decoder_side_must_be_singleton(self, bsc_kernel):
         two_sided = ActionSystem(
-            encoder_actions=Alphabet(1),
-            decoder_actions=Alphabet(2),
-            feedback_alphabet=Alphabet(1),
+            feedback_size=1,
             sampling_table=np.zeros((1, 2, 2), dtype=int),
             cost_table=np.zeros((1, 2)),
         )

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from sampcap import (
     ActionSystem,
-    Alphabet,
     CausalPolicy,
     FscKernel,
     TradeoffCurve,
@@ -54,7 +53,7 @@ def z_channel_kernel():
     arr[0, 0, 0, 0] = 1.0
     arr[0, 1, 0, 0] = 0.25
     arr[0, 1, 1, 0] = 0.75
-    return FscKernel(Alphabet(1), Alphabet(2), Alphabet(2), arr, np.array([1.0]))
+    return FscKernel(arr, np.array([1.0]))
 
 
 class TestUpdates:
@@ -90,8 +89,7 @@ class TestUpdates:
     def test_unreachable_output_blocks_are_flagged(self):
         kernel = z_channel_kernel()
         # pin the policy to x = 0; output y = 1 becomes unreachable
-        pinned = CausalPolicy(block_length=1, u_size=2, z_size=1,
-                              tables=(np.array([[1.0, 0.0]]),))
+        pinned = CausalPolicy((np.array([[1.0, 0.0]]),), 1)
         space = TrajectorySpace(kernel, make_trivial_actions(2), 1)
         state = BaaState.initial(space, 0.0, start=space.reachable_rows(pinned))
         np.testing.assert_array_equal(state.d <= 0.0, [False, True])
@@ -145,7 +143,7 @@ def layout_case(request, channel):
 def live_prefixes(kernel, actions, k):
     """The (u^k, y^k) of positive past law in row-major order, each with its
     feedback z^k and its law P(y^k || x^k), by literal enumeration."""
-    a_size = actions.encoder_actions.size
+    a_size = actions.encoder_size
     u_size = kernel.input_size * a_size
     out = []
     for us in product(range(u_size), repeat=k):
@@ -185,8 +183,8 @@ class TestPolicyProductCache:
         assert il == pytest.approx(fresh_il, abs=1e-12)
         # an equal policy under a new identity gives the same iterate
         r = state.r
-        again = update_q(space, lam, space.reachable_rows(CausalPolicy(
-            block_length=n, u_size=r.u_size, z_size=r.z_size, tables=r.tables)))
+        again = update_q(space, lam, space.reachable_rows(
+            CausalPolicy(r.tables, r.z_size)))
         np.testing.assert_array_equal(again.q_live, state.q_live)
         assert again.i_lower == il
         assert upper_bound(again) == iu
@@ -405,9 +403,7 @@ class TestLiveCounts:
 def feedback_actions(z_of_y, cost):
     """One action of the given cost whose feedback is z_of_y[y]."""
     return ActionSystem(
-        encoder_actions=Alphabet(1),
-        decoder_actions=Alphabet(1),
-        feedback_alphabet=Alphabet(max(z_of_y) + 1),
+        feedback_size=max(z_of_y) + 1,
         sampling_table=np.array(z_of_y, dtype=int).reshape(1, 1, -1),
         cost_table=np.array([[cost]]),
     )
@@ -417,7 +413,7 @@ def deterministic_kernel():
     # y = x for x in {0, 1}; the third output y = 2 never occurs
     arr = np.zeros((1, 2, 3, 1))
     arr[0, 0, 0, 0] = arr[0, 1, 1, 0] = 1.0
-    return FscKernel(Alphabet(1), Alphabet(2), Alphabet(3), arr, np.array([1.0]))
+    return FscKernel(arr, np.array([1.0]))
 
 
 def brute_force_upper(kernel, actions, policy, lam):
@@ -487,8 +483,7 @@ class TestFold:
 
     def test_upper_iterate_is_infinite_where_only_the_policy_kills_an_output(self):
         kernel, actions = z_channel_kernel(), feedback_actions([0, 1], 0.0)
-        pinned = CausalPolicy(block_length=1, u_size=2, z_size=2,
-                              tables=(np.array([[1.0, 0.0]]),))
+        pinned = CausalPolicy((np.array([[1.0, 0.0]]),), 2)
         space = TrajectorySpace(kernel, actions, 1)
         state = BaaState.initial(space, 0.0, start=space.reachable_rows(pinned))
         # x = 1 reaches y = 1, which the pinned policy never produces
@@ -641,9 +636,7 @@ def sampling_actions(y_size):
     table = np.zeros((2, 1, y_size), dtype=int)
     table[1, 0] = np.arange(1, y_size + 1)
     return ActionSystem(
-        encoder_actions=Alphabet(2),
-        decoder_actions=Alphabet(1),
-        feedback_alphabet=Alphabet(y_size + 1),
+        feedback_size=y_size + 1,
         sampling_table=table,
         cost_table=np.array([[0.0], [1.0]]),
     )

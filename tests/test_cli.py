@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sampcap import (ActionSystem, Alphabet, SingleLetterProblem,
+from sampcap import (ActionSystem, SingleLetterProblem,
                      binary_entropy, cli, gallager_exponent, run_baa,
                      single_letter_bounds, sweep_lambda)
 from sampcap import baa, bounds, oracle
@@ -42,6 +42,46 @@ def read_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def assert_bounds_match_the_committed(out, config):
+    """out/bounds.csv reproduces tests/data/<config>/bounds/bounds.csv,
+    written by the bounds command: every value within 1e-10 relative, an
+    empty (infeasible) field still empty."""
+    header, want_rows = read_rows(DATA_DIR / config.stem / "bounds"
+                                  / "bounds.csv")
+    got_header, got_rows = read_rows(out / "bounds.csv")
+    assert got_header == header
+    assert len(got_rows) == len(want_rows)
+    for got_row, want_row in zip(got_rows, want_rows):
+        for column, got, want in zip(header, got_row, want_row):
+            if want == "":
+                assert got == "", column
+            else:
+                assert float(got) == pytest.approx(
+                    float(want), rel=1e-10, abs=0.0), column
+
+
+ORACLE_EXACT = ("quantity", "method", "tolerance", "search_space_size",
+                "passed")
+
+
+def assert_report_matches_the_committed(report, config):
+    """An oracle report reproduces tests/data/<config>/oracle-check/
+    oracle_report.json, written by the oracle-check command: the skips and
+    each check's ORACLE_EXACT fields exactly, its two values within 1e-10
+    relative."""
+    with open(DATA_DIR / config.stem / "oracle-check" / "oracle_report.json",
+              encoding="utf-8") as fh:
+        want = json.load(fh)
+    assert report["skipped"] == want["skipped"]
+    assert len(report["checks"]) == len(want["checks"])
+    for got, expected in zip(report["checks"], want["checks"]):
+        for key in ORACLE_EXACT:
+            assert got[key] == expected[key], (expected["quantity"], key)
+        for key in ("oracle_value", "main_value"):
+            assert got[key] == pytest.approx(
+                expected[key], rel=1e-10, abs=0.0), (expected["quantity"], key)
 
 
 class TestValidate:
@@ -665,9 +705,8 @@ class TestSubcommandsRunWhatValidateAccepts:
 
 def two_sided_space(doc, space):
     actions = doc["actions"]
-    system = ActionSystem(Alphabet(2), Alphabet(2), Alphabet(3),
-                          np.array(actions["sampling_table"]),
-                          np.array(actions["cost_table"]))
+    system = ActionSystem(np.array(actions["sampling_table"]),
+                          np.array(actions["cost_table"]), 3)
     return TrajectorySpace(space.kernel, system, 2)
 
 
@@ -988,6 +1027,7 @@ class TestBounds:
                                                     config):
         assert cli.cmd_bounds(str(config), str(tmp_path / "out")) == cli.EXIT_OK
         assert "iteration cap" not in capsys.readouterr().err
+        assert_bounds_match_the_committed(tmp_path / "out", config)
 
     def test_requires_the_single_letter_section(self, tmp_path, capsys):
         def mutate(doc):
@@ -1009,6 +1049,7 @@ class TestOracleCheck:
         assert len(report["checks"]) == 10
         assert all(check["passed"] for check in report["checks"])
         assert report["skipped"] == []
+        assert_report_matches_the_committed(report, BSC_CONFIG_PATH)
         stdout = capsys.readouterr().out
         assert "PASS directed_info_n1_uniform" in stdout
         assert "FAIL" not in stdout
@@ -1024,6 +1065,7 @@ class TestOracleCheck:
         skipped = {skip["quantity"] for skip in report["skipped"]}
         assert "grid_capacity_n2" in skipped
         assert "SKIP grid_capacity_n2" in capsys.readouterr().out
+        assert_report_matches_the_committed(report, MARKOVIAN_CONFIG_PATH)
 
     def test_a_joint_above_the_literal_cap_is_skipped_before_it_is_built(
         self, tmp_path, capsys, monkeypatch
@@ -1214,6 +1256,30 @@ class TestExponent:
         assert cli.cmd_exponent(path, str(tmp_path / "out")) \
             == cli.EXIT_SEMANTIC
         assert "/exponent" in capsys.readouterr().err
+
+
+class TestOutputDirectory:
+    """Every subcommand that writes files creates --out before it computes
+    anything, and stops at once if it cannot."""
+
+    @pytest.mark.parametrize("command, computation", [
+        ("capacity-sweep", "sweep_lambda"),
+        ("bounds", "single_letter_bounds"),
+        ("oracle-check", "_oracle_reports"),
+        ("exponent", "gallager_exponent"),
+    ])
+    def test_an_out_under_a_regular_file_fails_before_computing(
+        self, tmp_path, capsys, monkeypatch, command, computation
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{computation} ran")
+
+        monkeypatch.setattr(cli, computation, refuse)
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        assert cli.main([command, "--config", str(MARKOVIAN_CONFIG_PATH),
+                         "--out", str(blocker / "out")]) == cli.EXIT_IO
+        assert f"cannot create {blocker / 'out'}" in capsys.readouterr().err
 
 
 class TestBundledOutputs:

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sampcap import (
-    Alphabet,
     FscKernel,
     causal_channel_prob,
     is_indecomposable,
@@ -29,26 +28,12 @@ def bsc_kernel_array(p):
     return kernel
 
 
-class TestAlphabet:
-    def test_size_must_be_positive(self):
-        with pytest.raises(ValueError, match="size must be >= 1"):
-            Alphabet(0)
-
-    def test_labels_must_match_size(self):
-        with pytest.raises(ValueError, match="labels length"):
-            Alphabet(2, labels=("a",))
-
-    def test_labels_must_be_distinct(self):
-        with pytest.raises(ValueError, match="distinct"):
-            Alphabet(2, labels=("a", "a"))
-
-
 def bsc_violations(kernel, initial_dist):
     return FscKernel.violations(1, 2, 2, kernel, initial_dist)
 
 
 def build_bsc(kernel, initial_dist):
-    return FscKernel(Alphabet(1), Alphabet(2), Alphabet(2), kernel, initial_dist)
+    return FscKernel(kernel, initial_dist)
 
 
 class TestKernelValidation:
@@ -58,16 +43,31 @@ class TestKernelValidation:
                                         k.output_size, k.kernel,
                                         k.initial_dist) == []
 
-    def test_shape_mismatch_raises_at_construction(self):
-        with pytest.raises(ValueError, match=r"kernel: shape \[1, 1, 2, 1\] "
-                                             r"does not match \[1\]\[2\]\[2\]\[1\]"):
-            FscKernel(
-                state_alphabet=Alphabet(1),
-                input_alphabet=Alphabet(2),
-                output_alphabet=Alphabet(2),
-                kernel=np.ones((1, 1, 2, 1)) * 0.5,
-                initial_dist=np.array([1.0]),
-            )
+    def test_declared_sizes_must_match_the_axes(self):
+        # a kernel whose rows are valid for its own axes, not the declared
+        assert bsc_violations(np.ones((1, 1, 2, 1)) * 0.5, np.array([1.0])) \
+            == ["kernel: shape [1, 1, 2, 1] does not match [1][2][2][1]"]
+
+    def test_sizes_are_the_kernel_axes(self):
+        k = FscKernel(np.full((2, 3, 4, 2), 1.0 / 8), np.array([0.5, 0.5]))
+        assert (k.state_size, k.input_size, k.output_size) == (2, 3, 4)
+
+    @pytest.mark.parametrize("shape, want", [
+        ((1, 1, 2, 2), r"\[1, 1, 2, 2\] does not match \[1\]\[1\]\[2\]\[1\]"),
+        ((1, 2, 2), r"\[1, 2, 2\] does not match"),
+    ])
+    def test_axes_that_are_no_channel_raise_the_shape_message(self, shape,
+                                                              want):
+        arr = np.full(shape, 1.0 / 2)
+        with pytest.raises(ValueError, match="^kernel: shape " + want):
+            FscKernel(arr, np.array([1.0]))
+
+    @pytest.mark.parametrize("shape", [(1, 0, 2, 1), (0, 2, 2, 0),
+                                       (1, 2, 0, 1)])
+    def test_every_axis_must_be_nonempty(self, shape):
+        # an empty axis leaves no row whose sum could be off
+        with pytest.raises(ValueError, match="nonempty"):
+            FscKernel(np.zeros(shape), np.ones(shape[0]))
 
     def test_row_sum_defect_is_located(self):
         arr = bsc_kernel_array(0.25)
@@ -130,8 +130,7 @@ class TestStructurePredicates:
             for x in range(2):
                 arr[s, x, 0, x] = 0.5
                 arr[s, x, 1, x] = 0.5
-        k = FscKernel(Alphabet(2), Alphabet(2), Alphabet(2), arr,
-                      np.array([1.0, 0.0]))
+        k = FscKernel(arr, np.array([1.0, 0.0]))
         assert not is_no_isi(k)
         with pytest.raises(ValueError, match="no-ISI"):
             is_indecomposable(k)
@@ -143,8 +142,7 @@ class TestStructurePredicates:
         arr = np.zeros((2, 1, 1, 2))
         arr[0, 0, 0, 1] = 1.0
         arr[1, 0, 0, 0] = 1.0
-        k = FscKernel(Alphabet(2), Alphabet(1), Alphabet(1), arr,
-                      np.array([1.0, 0.0]))
+        k = FscKernel(arr, np.array([1.0, 0.0]))
         info = is_indecomposable(k)
         assert info.is_indecomposable is False
         assert info.stationary_dist is None

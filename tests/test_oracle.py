@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from sampcap import (
     ActionSystem,
-    Alphabet,
     CausalPolicy,
     FscKernel,
     OracleReport,
@@ -55,9 +54,7 @@ COMMON_INPUT_CAPACITY = binary_entropy(0.25) - 0.5
 def priced_silent_actions(y_size):
     """Singleton action system whose only action costs more than the budget."""
     return ActionSystem(
-        encoder_actions=Alphabet(1),
-        decoder_actions=Alphabet(1),
-        feedback_alphabet=Alphabet(1),
+        feedback_size=1,
         sampling_table=np.zeros((1, 1, y_size), dtype=int),
         cost_table=np.full((1, 1), 1.0),
         budget=0.0,
@@ -67,9 +64,7 @@ def priced_silent_actions(y_size):
 def two_sided_actions(y_size):
     """Action system with a two-letter decoder alphabet."""
     return ActionSystem(
-        encoder_actions=Alphabet(1),
-        decoder_actions=Alphabet(2),
-        feedback_alphabet=Alphabet(1),
+        feedback_size=1,
         sampling_table=np.zeros((1, 2, y_size), dtype=int),
         cost_table=np.zeros((1, 2)),
         budget=0.0,
@@ -238,9 +233,7 @@ class TestLiteralPolicyUpdate:
                                     zero_share=0.5)
         a_size, z_size = int(rng.integers(1, 3)), int(rng.integers(1, 4))
         sys = ActionSystem(
-            encoder_actions=Alphabet(a_size),
-            decoder_actions=Alphabet(1),
-            feedback_alphabet=Alphabet(z_size),
+            feedback_size=z_size,
             sampling_table=rng.integers(0, z_size, (a_size, 1, y_size)),
             cost_table=rng.random((a_size, 1)),
         )
@@ -259,8 +252,7 @@ class TestLiteralPolicyUpdate:
         arr[0, 0, 0, 0] = 1.0
         arr[0, 1, 0, 0] = 0.25
         arr[0, 1, 1, 0] = 0.75
-        kernel = FscKernel(Alphabet(1), Alphabet(2), Alphabet(2), arr,
-                           np.array([1.0]))
+        kernel = FscKernel(arr, np.array([1.0]))
         literal = literal_r_update(CausalPolicy.uniform(1, 2, 1), kernel,
                                    make_trivial_actions(2), 0.0)
         p = arr[0, :, :, 0]

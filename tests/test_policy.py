@@ -53,21 +53,23 @@ class TestHistoryCode:
 class TestCausalPolicy:
     def test_uniform_tables_normalize(self):
         policy = CausalPolicy.uniform(3, 4, 3)
+        assert (policy.block_length, policy.u_size, policy.z_size) == (3, 4, 3)
         for i, table in enumerate(policy.tables, start=1):
             assert table.shape == (12 ** (i - 1), 4)
             np.testing.assert_allclose(table.sum(axis=1), 1.0, atol=1e-12)
 
     def test_bad_slice_sum_rejected(self):
         with pytest.raises(ValueError, match="sums to"):
-            CausalPolicy(1, 2, 1, (np.array([[0.6, 0.6]]),))
+            CausalPolicy((np.array([[0.6, 0.6]]),), 1)
 
-    def test_table_count_checked(self):
-        with pytest.raises(ValueError, match="one conditional table"):
-            CausalPolicy(2, 2, 1, (np.full((1, 2), 0.5),))
+    @pytest.mark.parametrize("tables", [(), (np.full(2, 0.5),)])
+    def test_a_table_per_step_and_at_least_one_step(self, tables):
+        with pytest.raises(ValueError, match="at least one step"):
+            CausalPolicy(tables, 1)
 
     def test_table_shape_checked(self):
         with pytest.raises(ValueError, match="expected"):
-            CausalPolicy(2, 2, 2, (np.full((1, 2), 0.5), np.full((3, 2), 0.5)))
+            CausalPolicy((np.full((1, 2), 0.5), np.full((3, 2), 0.5)), 2)
 
 
 def literal_and_live(kernel, actions, policy, s0=None):
@@ -142,9 +144,6 @@ class TestDirectedInformation:
         rng = np.random.default_rng(3)
         policy = make_random_policy(rng, 2, 4, 3)
         mixed = FscKernel(
-            state_alphabet=markovian_kernel.state_alphabet,
-            input_alphabet=markovian_kernel.input_alphabet,
-            output_alphabet=markovian_kernel.output_alphabet,
             kernel=markovian_kernel.kernel,
             initial_dist=np.array([0.5, 0.5]),
         )
