@@ -21,6 +21,7 @@ digits; identical config and seed give byte-identical CSV files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -340,21 +341,6 @@ def _read_config(path: str):
     return config, EXIT_OK, []
 
 
-def _load_config(path: str, out_dir: str):
-    """(config, EXIT_OK) with out_dir created, before the subcommand
-    computes anything, or (None, exit code) with the reasons on stderr."""
-    config, code, messages = _read_config(path)
-    if config is not None:
-        try:
-            os.makedirs(out_dir, exist_ok=True)
-        except OSError as exc:
-            config, code = None, EXIT_IO
-            messages = [f"cannot create {out_dir}: {exc}"]
-    for msg in messages:
-        print(msg, file=_sys.stderr)
-    return config, code
-
-
 def cmd_validate(config_path: str, out_dir: str = ".") -> int:
     config, code, messages = _read_config(config_path)
     for msg in messages:
@@ -364,16 +350,52 @@ def cmd_validate(config_path: str, out_dir: str = ".") -> int:
     return code
 
 
-def _write_lines(path, lines: Sequence[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+def _subcommand(name: str, section: Optional[str] = None):
+    """The frame of a subcommand that writes files, around its body
+    run(config, out_dir) -> exit code: read and validate the config, create
+    out_dir, require the config section named section, if any, and only
+    then run the body. Each failure is reported on stderr and ends the
+    command with its exit code; an OSError out of the body, such as a
+    failed write, is a write failure (EXIT_IO)."""
+    def frame(run):
+        @functools.wraps(run)
+        def command(config_path: str, out_dir: str = ".") -> int:
+            config, code, messages = _read_config(config_path)
+            if config is not None:
+                try:
+                    os.makedirs(out_dir, exist_ok=True)
+                except OSError as exc:
+                    config, code = None, EXIT_IO
+                    messages = [f"cannot create {out_dir}: {exc}"]
+            if (config is not None and section is not None
+                    and getattr(config, section) is None):
+                config, code = None, EXIT_SEMANTIC
+                messages = [f"/{section}: section required for the {name} "
+                            "command"]
+            for msg in messages:
+                print(msg, file=_sys.stderr)
+            if config is None:
+                return code
+            try:
+                return run(config, out_dir)
+            except OSError as exc:
+                print(f"write failure: {exc}", file=_sys.stderr)
+                return EXIT_IO
+        return command
+    return frame
+
+
+def _write(out_dir: str, name: str, lines: Sequence[str]) -> None:
+    """Write out_dir/name, each line ended by a newline: the rows of a CSV,
+    or a JSON document as one line of json.dumps(doc, indent=2)."""
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8",
+              newline="\n") as fh:
         for line in lines:
             fh.write(line + "\n")
 
 
-def cmd_capacity_sweep(config_path: str, out_dir: str = ".") -> int:
-    config, code = _load_config(config_path, out_dir)
-    if config is None:
-        return code
+@_subcommand("capacity-sweep")
+def cmd_capacity_sweep(config: ExperimentConfig, out_dir: str) -> int:
     report = {
         "epsilon": config.epsilon,
         "max_iters": config.max_iters,
@@ -389,59 +411,54 @@ def cmd_capacity_sweep(config_path: str, out_dir: str = ".") -> int:
         "runs": [],
     }
     uncertified = 0  # points that did not converge or ran near the cap
-    try:
-        for n in config.block_lengths:
-            t0 = time.perf_counter()
-            curve = sweep_lambda(
-                TrajectorySpace(config.kernel, config.actions, n),
-                lam_grid=config.lambda_grid,
-                eps=config.epsilon, max_iters=config.max_iters,
-                gamma_points=config.gamma_points,
+    # each block's CSVs are written as soon as it is done, so that an
+    # interrupted sweep keeps those of the blocks before it
+    for n in config.block_lengths:
+        t0 = time.perf_counter()
+        curve = sweep_lambda(
+            TrajectorySpace(config.kernel, config.actions, n),
+            lam_grid=config.lambda_grid,
+            eps=config.epsilon, max_iters=config.max_iters,
+            gamma_points=config.gamma_points,
+        )
+        elapsed = time.perf_counter() - t0
+        lines = ["lambda,gamma,c_lambda,i_lower,i_upper,iterations,converged"]
+        for p in curve.points:
+            lines.append(
+                f"{_fmt(p.lam)},{_fmt(p.gamma)},{_fmt(p.i_upper)},"
+                f"{_fmt(p.i_lower)},{_fmt(p.i_upper)},{p.iterations},"
+                f"{str(p.converged).lower()}"
             )
-            elapsed = time.perf_counter() - t0
-            lines = ["lambda,gamma,c_lambda,i_lower,i_upper,iterations,converged"]
-            for p in curve.points:
-                lines.append(
-                    f"{_fmt(p.lam)},{_fmt(p.gamma)},{_fmt(p.i_upper)},"
-                    f"{_fmt(p.i_lower)},{_fmt(p.i_upper)},{p.iterations},"
-                    f"{str(p.converged).lower()}"
-                )
-            _write_lines(os.path.join(out_dir, f"sweep_{n}.csv"), lines)
-            env_lines = ["gamma,c_upper,c_lower_shifted"]
-            for g, up, lo in zip(curve.gammas, curve.envelope,
-                                 sandwich_bounds(curve)):
-                env_lines.append(f"{_fmt(g)},{_fmt(up)},{_fmt(lo)}")
-            _write_lines(os.path.join(out_dir, f"envelope_{n}.csv"), env_lines)
-            bad = sum(1 for p in curve.points if not p.converged)
-            points = [{
-                "lam": p.lam,
-                "gamma": p.gamma,
-                "iterations": p.iterations,
-                "rejected_steps": p.rejected_steps,
-                "dead_slices": p.dead_slices,
-                "unreachable_outputs": p.unreachable_outputs,
-                "seconds": p.seconds,
-                "final_gap": p.final_gap,
-                "converged": p.converged,
-                "near_cap": p.iterations >= NEAR_CAP * config.max_iters,
-            } for p in curve.points]
-            weak = sum(1 for p in points if not p["converged"] or p["near_cap"])
-            uncertified += weak
-            report["runs"].append({
-                "block_length": n,
-                "runtime_seconds": elapsed,
-                "nonconverged_points": bad,
-                "max_final_gap": max(p.final_gap for p in curve.points),
-                "certified": weak == 0,
-                "points": points,
-            })
-        with open(os.path.join(out_dir, "report.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        print(f"write failure: {exc}", file=_sys.stderr)
-        return EXIT_IO
+        _write(out_dir, f"sweep_{n}.csv", lines)
+        env_lines = ["gamma,c_upper,c_lower_shifted"]
+        for g, up, lo in zip(curve.gammas, curve.envelope,
+                             sandwich_bounds(curve)):
+            env_lines.append(f"{_fmt(g)},{_fmt(up)},{_fmt(lo)}")
+        _write(out_dir, f"envelope_{n}.csv", env_lines)
+        bad = sum(1 for p in curve.points if not p.converged)
+        points = [{
+            "lam": p.lam,
+            "gamma": p.gamma,
+            "iterations": p.iterations,
+            "rejected_steps": p.rejected_steps,
+            "dead_slices": p.dead_slices,
+            "unreachable_outputs": p.unreachable_outputs,
+            "seconds": p.seconds,
+            "final_gap": p.final_gap,
+            "converged": p.converged,
+            "near_cap": p.iterations >= NEAR_CAP * config.max_iters,
+        } for p in curve.points]
+        weak = sum(1 for p in points if not p["converged"] or p["near_cap"])
+        uncertified += weak
+        report["runs"].append({
+            "block_length": n,
+            "runtime_seconds": elapsed,
+            "nonconverged_points": bad,
+            "max_final_gap": max(p.final_gap for p in curve.points),
+            "certified": weak == 0,
+            "points": points,
+        })
+    _write(out_dir, "report.json", [json.dumps(report, indent=2)])
     if uncertified:
         print(f"warning: {uncertified} lambda points did not converge or ran "
               "near max_iters; their blocks are not certified",
@@ -449,14 +466,8 @@ def cmd_capacity_sweep(config_path: str, out_dir: str = ".") -> int:
     return EXIT_OK
 
 
-def cmd_bounds(config_path: str, out_dir: str = ".") -> int:
-    config, code = _load_config(config_path, out_dir)
-    if config is None:
-        return code
-    if config.single_letter is None:
-        print("/single_letter: section required for the bounds command",
-              file=_sys.stderr)
-        return EXIT_SEMANTIC
+@_subcommand("bounds", "single_letter")
+def cmd_bounds(config: ExperimentConfig, out_dir: str) -> int:
     prob = config.single_letter
     max_cost = float(prob.cost.max())
     gammas = np.linspace(0.0, max_cost if max_cost > 0 else 1.0,
@@ -485,11 +496,7 @@ def cmd_bounds(config_path: str, out_dir: str = ".") -> int:
         lines.append(
             f"{_fmt(g)},{enc_field},{dec_field},{_fmt(ts)},{_fmt(c0)},{_fmt(c1)}"
         )
-    try:
-        _write_lines(os.path.join(out_dir, "bounds.csv"), lines)
-    except OSError as exc:
-        print(f"write failure: {exc}", file=_sys.stderr)
-        return EXIT_IO
+    _write(out_dir, "bounds.csv", lines)
     if infeasible:
         print(f"warning: {infeasible} infeasible budget rows emitted empty",
               file=_sys.stderr)
@@ -602,10 +609,8 @@ def _oracle_reports(config: ExperimentConfig) -> tuple[list, list]:
     return reports, skips
 
 
-def cmd_oracle_check(config_path: str, out_dir: str = ".") -> int:
-    config, code = _load_config(config_path, out_dir)
-    if config is None:
-        return code
+@_subcommand("oracle-check")
+def cmd_oracle_check(config: ExperimentConfig, out_dir: str) -> int:
     reports, skips = _oracle_reports(config)
     all_passed = all(r.passed for r in reports)
     doc = {
@@ -613,14 +618,7 @@ def cmd_oracle_check(config_path: str, out_dir: str = ".") -> int:
         "checks": [_report_dict(r) for r in reports],
         "skipped": skips,
     }
-    try:
-        with open(os.path.join(out_dir, "oracle_report.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        print(f"write failure: {exc}", file=_sys.stderr)
-        return EXIT_IO
+    _write(out_dir, "oracle_report.json", [json.dumps(doc, indent=2)])
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
         print(f"{status} {rep.quantity}: gap {rep.absolute_gap:.3e} "
@@ -630,14 +628,8 @@ def cmd_oracle_check(config_path: str, out_dir: str = ".") -> int:
     return EXIT_OK if all_passed else EXIT_SEMANTIC
 
 
-def cmd_exponent(config_path: str, out_dir: str = ".") -> int:
-    config, code = _load_config(config_path, out_dir)
-    if config is None:
-        return code
-    if config.exponent is None:
-        print("/exponent: section required for the exponent command",
-              file=_sys.stderr)
-        return EXIT_SEMANTIC
+@_subcommand("exponent", "exponent")
+def cmd_exponent(config: ExperimentConfig, out_dir: str) -> int:
     kernel, actions = config.kernel, config.actions
     n, rho_grid = config.exponent.block_length, config.exponent.rho_grid
     # one space per start state, each released before the next is built
@@ -652,11 +644,7 @@ def cmd_exponent(config_path: str, out_dir: str = ".") -> int:
     for rho, values in zip(rho_grid, zip(*per_start)):
         for s0, value in enumerate(values):
             lines.append(f"{_fmt(rho)},{s0},{_fmt(value)}")
-    try:
-        _write_lines(os.path.join(out_dir, "exponent.csv"), lines)
-    except OSError as exc:
-        print(f"write failure: {exc}", file=_sys.stderr)
-        return EXIT_IO
+    _write(out_dir, "exponent.csv", lines)
     return EXIT_OK
 
 

@@ -2,9 +2,11 @@
 
 Provides the channel representation P(y, s' | x, s) with an initial state
 distribution, whose kernel axes are the state, input and output alphabets,
-validation of its stochastic structure, the structural
-predicates used by the bound machinery (no intersymbol interference,
-indecomposability, stationary distribution), and the causal channel law
+validation of its stochastic structure, the start distribution of a
+start state, the structural predicates of the state chain (no intersymbol
+interference, indecomposability, stationary distribution), public
+diagnostics that no other module of the package calls, and the causal
+channel law
 
     P(y^N || x^N, s0) = sum over state paths of prod_i P(y_i, s_i | x_i, s_{i-1})
 
@@ -19,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._num import freeze, non_finite, raise_first
+from ._num import freeze, is_integer, non_finite, raise_first
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-12
@@ -96,6 +98,17 @@ class FscKernel:
     @property
     def output_size(self) -> int:
         return self.kernel.shape[2]
+
+    def start_dist(self, s0: Optional[int] = None) -> np.ndarray:
+        """P(s0) of a start: initial_dist for None, else the point mass on
+        the integer state s0 in [0, state_size); ValueError otherwise (a
+        bool, a float or a state out of range)."""
+        if s0 is None:
+            return self.initial_dist
+        if not (is_integer(s0) and 0 <= s0 < self.state_size):
+            raise ValueError(f"s0 out of range: must be None or an integer "
+                             f"state in [0, {self.state_size})")
+        return np.eye(self.state_size)[s0]
 
 
 @dataclass(frozen=True)
@@ -185,17 +198,11 @@ def causal_channel_prob(k: FscKernel, x_seq: Sequence[int], y_seq: Sequence[int]
     Forward recursion over the unnormalized state belief
     b_i[s] = P(y^i, s_i || x^i, start); cost O(N |S|^2). With s0 None the
     recursion starts from the initial distribution, which by linearity yields
-    the s0-average sum_s P(s0=s) P(y^N || x^N, s).
+    the s0-average sum_s P(s0=s) P(y^N || x^N, s); see FscKernel.start_dist.
     """
     if len(x_seq) != len(y_seq) or len(x_seq) < 1:
         raise ValueError("x_seq and y_seq must have equal length N >= 1")
-    if s0 is None:
-        belief = k.initial_dist.copy()
-    else:
-        if not 0 <= s0 < k.state_size:
-            raise ValueError("s0 out of range")
-        belief = np.zeros(k.state_size)
-        belief[s0] = 1.0
+    belief = k.start_dist(s0)
     for x, y in zip(x_seq, y_seq):
         belief = belief @ k.kernel[:, x, y, :]
     return float(belief.sum())

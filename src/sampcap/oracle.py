@@ -88,12 +88,8 @@ def _literal_channel_prob(kernel: FscKernel, x_seq, y_seq,
     """
     k = kernel.kernel
     n_states = kernel.state_size
-    if s0 is None:
-        starts = [(s, float(kernel.initial_dist[s])) for s in range(n_states)]
-    else:
-        starts = [(int(s0), 1.0)]
     terms = []
-    for start, w0 in starts:
+    for start, w0 in enumerate(kernel.start_dist(s0).tolist()):
         if w0 == 0.0:
             continue
         for path in product(range(n_states), repeat=len(x_seq)):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import freeze
+from ._num import freeze, is_integer
 
 POLICY_SLICE_TOL = 1e-12
 
@@ -28,7 +28,7 @@ class CausalPolicy:
     The block length is the number of tables; tables[i-1] has shape
     ((u_size z_size)^(i-1), u_size), one row per history (u^{i-1}, z^{i-1})
     at id code(u^{i-1}) z_size^(i-1) + code(z^{i-1}), mixed radix with the
-    earliest step most significant.
+    earliest step most significant; z_size must be a positive integer.
     Every slice sums to 1 within 1e-12, including slices for histories that
     are never reached. This is the public form of a policy, in which it
     enters and leaves a solve: the optimizer holds only the rows of the
@@ -42,6 +42,8 @@ class CausalPolicy:
 
     def __post_init__(self):
         object.__setattr__(self, "tables", tuple(freeze(t) for t in self.tables))
+        if not (is_integer(self.z_size) and self.z_size >= 1):
+            raise ValueError("z_size: must be a positive integer")
         if not self.tables or self.tables[0].ndim != 2:
             raise ValueError("need a [history][u] table per step, and at "
                              "least one step")

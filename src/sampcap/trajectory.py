@@ -105,8 +105,7 @@ class TrajectorySpace:
         # start belief; per_row: the prefixes of each row u^k, a nonempty run
         # (the past law sums to 1 over y^k)
         law = np.ones(1)
-        belief = (kernel.initial_dist if s0 is None
-                  else np.eye(kernel.state_size)[s0])[None, :]
+        belief = kernel.start_dist(s0)[None, :]
         y_code = z_code = np.zeros(1, dtype=np.int64)
         per_row = np.ones(1, dtype=np.int64)
         for i in range(1, n + 1):
@@ -179,8 +178,7 @@ class TrajectorySpace:
         over support sets; each live (x^k, y^k) occurs with every a^k. A
         build whose laws underflow to 0 has fewer."""
         moves = kernel.kernel > 0.0  # [S, X, Y, S]
-        start = (kernel.initial_dist if s0 is None
-                 else np.eye(kernel.state_size)[s0]) > 0.0
+        start = kernel.start_dist(s0) > 0.0
         counts, out = Counter({tuple(start): 1}), []
         for k in range(1, n + 1):
             nxt = Counter()

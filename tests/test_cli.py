@@ -66,6 +66,44 @@ ORACLE_EXACT = ("quantity", "method", "tolerance", "search_space_size",
                 "passed")
 
 
+SWEEP_REPORT_UNPINNED = ("seconds", "runtime_seconds", "versions")
+SWEEP_REPORT_RELATIVE = ("lam", "gamma")
+SWEEP_REPORT_ABSOLUTE = ("final_gap", "max_final_gap")
+
+
+def assert_sweep_report_matches_the_committed(out, config):
+    """out/report.json reproduces tests/data/<config>/capacity-sweep/
+    report.json, written by the capacity-sweep command less its
+    SWEEP_REPORT_UNPINNED keys: every other key and every count, flag and
+    list exactly, lam and gamma within 1e-10 relative and the final gaps
+    within 1e-12 absolute."""
+    with open(DATA_DIR / config.stem / "capacity-sweep" / "report.json",
+              encoding="utf-8") as fh:
+        want = json.load(fh)
+    with open(out / "report.json", encoding="utf-8") as fh:
+        got = json.load(fh)
+
+    def match(got, want, key, where):
+        if isinstance(want, dict):
+            got = {k: v for k, v in got.items()
+                   if k not in SWEEP_REPORT_UNPINNED}
+            assert list(got) == list(want), where
+            for k in want:
+                match(got[k], want[k], k, f"{where}/{k}")
+        elif isinstance(want, list) and want and isinstance(want[0], dict):
+            assert len(got) == len(want), where
+            for i, (g, w) in enumerate(zip(got, want)):
+                match(g, w, None, f"{where}/{i}")
+        elif key in SWEEP_REPORT_RELATIVE:
+            assert got == pytest.approx(want, rel=1e-10, abs=0.0), where
+        elif key in SWEEP_REPORT_ABSOLUTE:
+            assert got == pytest.approx(want, rel=0.0, abs=1e-12), where
+        else:
+            assert got == want, where
+
+    match(got, want, None, "")
+
+
 def assert_report_matches_the_committed(report, config):
     """An oracle report reproduces tests/data/<config>/oracle-check/
     oracle_report.json, written by the oracle-check command: the skips and
@@ -1282,11 +1320,33 @@ class TestOutputDirectory:
         assert f"cannot create {blocker / 'out'}" in capsys.readouterr().err
 
 
+class TestWriteFailure:
+    """A subcommand that cannot write one of its files exits 3 with a
+    write failure, not a traceback."""
+
+    @pytest.mark.parametrize("command, target", [
+        ("capacity-sweep", "report.json"),
+        ("bounds", "bounds.csv"),
+        ("oracle-check", "oracle_report.json"),
+        ("exponent", "exponent.csv"),
+    ])
+    def test_an_output_that_is_a_directory_is_a_write_failure(
+        self, tmp_path, capsys, command, target
+    ):
+        out = tmp_path / "out"
+        (out / target).mkdir(parents=True)
+        assert cli.main([command, "--config", str(BSC_CONFIG_PATH),
+                         "--out", str(out)]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("write failure: ") and str(out / target) in err
+
+
 class TestBundledOutputs:
     """capacity-sweep and exponent on the bundled configs reproduce the CSVs
     under tests/data/<config>/, written by those two commands: the
     iterations and converged columns exactly, every other value within 1e-10
-    relative (absent values, nan, stay absent)."""
+    relative (absent values, nan, stay absent); and capacity-sweep's
+    report.json, as assert_sweep_report_matches_the_committed checks it."""
 
     EXACT = ("iterations", "converged")
 
@@ -1313,6 +1373,7 @@ class TestBundledOutputs:
                     else:
                         assert float(got) == pytest.approx(
                             float(want), rel=1e-10, abs=0.0), (name, column)
+        assert_sweep_report_matches_the_committed(out, path)
 
 
 class TestMain:

@@ -9,12 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sampcap import (
+    CausalPolicy,
     FscKernel,
     causal_channel_prob,
     is_indecomposable,
     is_no_isi,
+    literal_joint,
     stationary_distribution,
 )
+from sampcap.trajectory import TrajectorySpace
 
 from conftest import make_random_kernel
 
@@ -204,3 +207,36 @@ class TestCausalLaw:
     def test_start_state_out_of_range_raises(self, bsc_kernel):
         with pytest.raises(ValueError, match="out of range"):
             causal_channel_prob(bsc_kernel, (0,), (0,), s0=5)
+
+
+class TestStartState:
+    """A start state s0 is None (the initial distribution) or an integer
+    state in [0, |S|), by one rule at every entry point that takes one."""
+
+    def test_start_dist(self, markovian_kernel):
+        assert markovian_kernel.start_dist() is markovian_kernel.initial_dist
+        np.testing.assert_array_equal(markovian_kernel.start_dist(1), [0, 1])
+        np.testing.assert_array_equal(
+            markovian_kernel.start_dist(np.int64(0)), [1, 0])
+
+    # 2 is |S| of the markovian channel
+    @pytest.mark.parametrize("s0", [-1, 2, 1.0, True])
+    @pytest.mark.parametrize("entry", ["start_dist", "TrajectorySpace",
+                                       "footprint", "literal_joint",
+                                       "causal_channel_prob"])
+    def test_anything_else_is_rejected(self, markovian_kernel,
+                                       markovian_actions, entry, s0):
+        k, a = markovian_kernel, markovian_actions
+        calls = {
+            "start_dist": lambda: k.start_dist(s0),
+            "TrajectorySpace": lambda: TrajectorySpace(k, a, 2, s0=s0),
+            "footprint": lambda: TrajectorySpace.footprint(k, a, 2, s0),
+            "literal_joint": lambda: literal_joint(
+                CausalPolicy.uniform(1, 4, a.feedback_size), k, a, s0),
+            "causal_channel_prob": lambda: causal_channel_prob(
+                k, [0, 1], [0, 1], s0=s0),
+        }
+        with pytest.raises(ValueError, match=re.escape(
+                "s0 out of range: must be None or an integer state in "
+                "[0, 2)")):
+            calls[entry]()

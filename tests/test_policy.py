@@ -71,6 +71,15 @@ class TestCausalPolicy:
         with pytest.raises(ValueError, match="expected"):
             CausalPolicy((np.full((1, 2), 0.5), np.full((3, 2), 0.5)), 2)
 
+    @pytest.mark.parametrize("z_size", [0, 1.5, True, 3.0])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_z_size_must_be_a_positive_integer(self, n, z_size):
+        # at N = 2 the step-2 table has (2 * 3, 2) rows for |Z| = 3
+        tables = CausalPolicy.uniform(n, 2, 3).tables
+        with pytest.raises(ValueError,
+                           match="z_size: must be a positive integer"):
+            CausalPolicy(tables, z_size)
+
 
 def literal_and_live(kernel, actions, policy, s0=None):
     """A policy's literal joint and its live directed information."""
