@@ -7,10 +7,7 @@ and cross-checks everything against brute-force oracles at desk scale.
 """
 
 from ._num import binary_entropy
-from .actions import (
-    ActionSystem,
-    sample_feedback,
-)
+from .actions import ActionSystem
 from .baa import (
     BaaState,
     TradeoffCurve,
@@ -77,7 +74,6 @@ __all__ = [
     "literal_r_update",
     "lower_bound",
     "run_baa",
-    "sample_feedback",
     "sandwich_bounds",
     "single_letter_bounds",
     "single_letter_curve",

@@ -56,15 +56,6 @@ def fsum_array(a: np.ndarray) -> float:
     return math.fsum(np.asarray(a, dtype=float).ravel().tolist())
 
 
-def log2_guarded(a: np.ndarray) -> np.ndarray:
-    """Elementwise log2 with -inf at zeros and no warning noise."""
-    a = np.asarray(a, dtype=float)
-    out = np.full(a.shape, -np.inf)
-    mask = a > 0.0
-    out[mask] = np.log2(a[mask])
-    return out
-
-
 def binary_entropy(p: float) -> float:
     """H(p) in bits."""
     if p <= 0.0 or p >= 1.0:

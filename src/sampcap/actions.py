@@ -116,14 +116,3 @@ def decoder_violations(decoder_size: int) -> list[str]:
         return ["decoder_size: must be 1: the N-letter optimizer supports a "
                 "singleton decoder alphabet only"]
     return []
-
-
-def sample_feedback(sys: ActionSystem, a_e: int, a_d: int, y: int) -> int:
-    """Deterministic feedback symbol z = f(a_e, a_d, y)."""
-    if not 0 <= a_e < sys.encoder_size:
-        raise IndexError("encoder action out of range")
-    if not 0 <= a_d < sys.decoder_size:
-        raise IndexError("decoder action out of range")
-    if not 0 <= y < sys.output_size:
-        raise IndexError("output symbol out of range")
-    return int(sys.sampling_table[a_e, a_d, y])

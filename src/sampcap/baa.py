@@ -35,8 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._num import (freeze, fsum_array, is_integer, is_number, log2_guarded,
-                   raise_first)
+from ._num import freeze, fsum_array, is_integer, is_number, raise_first
 from .policy import CausalPolicy
 from .trajectory import TrajectorySpace
 
@@ -151,11 +150,10 @@ def update_q(space: TrajectorySpace, lam: float, rows,
     d = np.bincount(space.col, weights=joint, minlength=space.cols)
     gamma = space.expected_cost(space.per_row(prod, space.past_law))
     i_lower = lower_bound(space, lam, prod, d, gamma)
-    reachable = d > 0.0
-    if reachable.all():
+    if d.min() > 0.0:
         joint /= d.take(space.col)
     else:
-        live = reachable[space.col]
+        live = (d > 0.0)[space.col]
         np.divide(joint, d.take(space.col), out=joint, where=live)
         joint[~live] = 1.0 / space.rows
     joint.setflags(write=False)
@@ -180,6 +178,7 @@ def _fold(space: TrajectorySpace, leaf: np.ndarray, lam: float, pick):
     """
     n, u = space.n, space.u_size
     tables, flags = [None] * n, [None] * n
+    price = lam * space.step_cost
     f = leaf
     with np.errstate(divide="ignore", invalid="ignore"):  # covers pick too
         for i in range(n, 0, -1):
@@ -187,7 +186,7 @@ def _fold(space: TrajectorySpace, leaf: np.ndarray, lam: float, pick):
             slot = space.slot[i - 1]
             g = np.bincount(space.up[i - 1], weights=f,
                             minlength=slot.size).reshape(u, -1)
-            g -= lam * space.step_cost
+            g -= price
             scores = np.bincount(
                 slot.ravel(), weights=(space.measure[i - 1] * g).ravel(),
                 minlength=len(space.reach[i - 1]) * u).reshape(-1, u)
@@ -205,8 +204,8 @@ def _reduce_last(op, a: np.ndarray) -> np.ndarray:
     """op folded over the last axis of a, column by column: numpy's reduction
     is several times slower over a short one and, below 8 entries, adds in
     the same order."""
-    out = a[..., 0].copy()
-    for j in range(1, a.shape[-1]):
+    out = op(a[..., 0], a[..., 1]) if a.shape[-1] > 1 else a[..., 0].copy()
+    for j in range(2, a.shape[-1]):
         op(out, a[..., j], out=out)
     return out
 
@@ -259,7 +258,8 @@ def _over_relax(previous: tuple, plain: tuple, relax: float,
     T the plain update of r. Entries where T is 0 stay 0; where r is 0 the
     entry takes T's log. Slices the plain update flagged dead keep its
     uniform slice. Every step's rows have u_size columns, so all steps are
-    handled as one stacked array.
+    handled as one stacked array; each step's result is a read-only view of
+    its rows in it.
     """
     new = np.concatenate(plain)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -274,7 +274,11 @@ def _over_relax(previous: tuple, plain: tuple, relax: float,
     if dead.any():
         table[dead] = new[dead]
     table.setflags(write=False)
-    return tuple(np.split(table, np.cumsum([len(t) for t in plain])[:-1]))
+    steps, start = [], 0
+    for t in plain:
+        steps.append(table[start:start + len(t)])
+        start += len(t)
+    return tuple(steps)
 
 
 def lower_bound(space: TrajectorySpace, lam: float, prod: np.ndarray,
@@ -307,7 +311,8 @@ def upper_bound(state: BaaState) -> float:
     j: expectation over y_i per step, with the max over u_i
     taken once per feedback history (u^{i-1}, z^{i-1}), its candidates scored
     by the past-law-weighted sum over the output prefixes the history cannot
-    distinguish. Ties resolve to the lowest u index. The deviation policies
+    distinguish. Ties resolve to the lowest u index; the picked map's table
+    takes its rows from one identity matrix per call. The deviation policies
     are the extreme points of the causal-policy polytope, so at a maximizing
     policy the fold value meets the Lagrangian maximum and the bracket
     closes; letting the max adapt to y^{i-1} itself would over-inform the
@@ -315,10 +320,12 @@ def upper_bound(state: BaaState) -> float:
     I_U is +inf if the best map reaches an output with p > 0 = sum_u r p.
     """
     space = state.space
-    leaf = space.log2_p_live - log2_guarded(state.d).take(space.col)
+    with np.errstate(divide="ignore"):  # log2 0 = -inf: I_U is +inf there
+        leaf = space.log2_p_live - np.log2(state.d).take(space.col)
+    identity = np.eye(space.u_size)
 
     def argmax(scores, i):
-        return np.eye(space.u_size)[scores.argmax(axis=1)], None
+        return identity.take(scores.argmax(axis=1), axis=0), None
 
     return _fold(space, leaf, state.lam, argmax)[0] / space.n
 

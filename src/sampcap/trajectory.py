@@ -20,8 +20,8 @@ Per step i (index i-1 of each list):
   - reach: the reachable feedback histories (u^{i-1}, z^{i-1}), those with
     positive past law, by their CausalPolicy table rows, ascending; z_j =
     f(a_j, y_j). The optimizer holds a policy as its reachable rows, one
-    [len(reach), U] array per step; reachable_rows takes them out of a
-    CausalPolicy and dense_policy puts them back,
+    [len(reach), U] array per step (row_shapes); reachable_rows takes them
+    out of a CausalPolicy and dense_policy puts them back,
   - denom: per reachable history, the past law summed over its prefixes,
   - slot: per step-i parent, [U, prefixes], the flat slot h * U + u_i of
     the step's reachable rows that it reads, h being the rank of the
@@ -81,7 +81,7 @@ class TrajectorySpace:
         raise_first(self.violations(sys.decoder_size, n))
         if sys.output_size != kernel.output_size:
             raise ValueError("action system output axis does not match the kernel")
-        self.kernel, self.sys, self.n, self.s0 = kernel, sys, n, s0
+        self.kernel, self.sys, self.n = kernel, sys, n
         x_size = kernel.input_size
         self.a_size = sys.encoder_size
         self.u_size = u = x_size * self.a_size
@@ -159,6 +159,7 @@ class TrajectorySpace:
         # row u^N = (u^{N-1}, u_N) owns the step-N parents (u_N, c) of the
         # level-(N-1) prefixes c of its u^{N-1}
         self.row_starts = edges[:-1]
+        self.row_shapes = tuple((len(reach), u) for reach in self.reach)
 
     @staticmethod
     def violations(decoder_size: int = 1, n=1) -> list[str]:
@@ -243,9 +244,8 @@ class TrajectorySpace:
 
     def uniform_rows(self) -> tuple[np.ndarray, ...]:
         """The reachable rows of the uniform policy, read-only."""
-        return tuple(freeze(np.full((len(reach), self.u_size),
-                                    1.0 / self.u_size))
-                     for reach in self.reach)
+        return tuple(freeze(np.full(shape, 1.0 / self.u_size))
+                     for shape in self.row_shapes)
 
     def policy_product(self, rows) -> np.ndarray:
         """The causal conditioning product r(u^N || z^{N-1}) at the step-N
@@ -255,13 +255,12 @@ class TrajectorySpace:
         read through slot, times the product at each level-(i-1) prefix's
         step-(i-1) parent, read through up. No factor depends on y_N, so live
         entry k reads the result at parent[k]. Raises ValueError unless rows
-        has the space's per-step shapes.
+        has the space's per-step shapes, row_shapes.
         """
         got = tuple(np.shape(t) for t in rows)
-        expected = tuple((len(reach), self.u_size) for reach in self.reach)
-        if got != expected:
+        if got != self.row_shapes:
             raise ValueError(f"policy rows of shapes {got} do not fit the "
-                             f"space's reachable rows {expected}")
+                             f"space's reachable rows {self.row_shapes}")
         prod = rows[0].take(self.slot[0])
         for i in range(2, self.n + 1):
             step = rows[i - 1].take(self.slot[i - 1])

@@ -27,7 +27,6 @@ from sampcap import (
     literal_joint,
     literal_r_update,
     run_baa,
-    sample_feedback,
     sandwich_bounds,
     single_letter_curve,
     sweep_lambda,
@@ -156,7 +155,7 @@ def test_6_structural_invariants(bsc_kernel, bsc_actions, markovian_kernel,
     for row, u_seq in enumerate(product(range(4), repeat=2)):
         for col, y_seq in enumerate(product(range(4), repeat=2)):
             z_seq = [
-                sample_feedback(markovian_actions, u_seq[i] % 2, 0, y_seq[i])
+                int(markovian_actions.sampling_table[u_seq[i] % 2, 0, y_seq[i]])
                 for i in range(2)
             ]
             q = 1.0

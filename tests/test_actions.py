@@ -9,7 +9,6 @@ from sampcap import (
     ActionSystem,
     CausalPolicy,
     literal_joint,
-    sample_feedback,
 )
 from sampcap.trajectory import TrajectorySpace
 
@@ -90,20 +89,13 @@ class TestActionSystemValidation:
 
 
 class TestSampleFeedback:
+    # the feedback symbol z = f(a_e, a_d, y) is sampling_table[a_e, a_d, y]
     def test_idle_action_gives_the_constant_symbol(self, markovian_actions):
-        assert all(sample_feedback(markovian_actions, 0, 0, y) == 2 for y in range(4))
+        assert all(markovian_actions.sampling_table[0, 0, y] == 2 for y in range(4))
 
     def test_sampling_action_reads_the_state_component(self, markovian_actions):
-        got = [sample_feedback(markovian_actions, 1, 0, y) for y in range(4)]
+        got = [int(markovian_actions.sampling_table[1, 0, y]) for y in range(4)]
         assert got == [0, 1, 0, 1]
-
-    def test_range_checks(self, markovian_actions):
-        with pytest.raises(IndexError, match="encoder action"):
-            sample_feedback(markovian_actions, 2, 0, 0)
-        with pytest.raises(IndexError, match="decoder action"):
-            sample_feedback(markovian_actions, 0, 1, 0)
-        with pytest.raises(IndexError, match="output symbol"):
-            sample_feedback(markovian_actions, 0, 0, 4)
 
 
 def priced_sampling_actions(rng, y_size):

@@ -24,7 +24,6 @@ from sampcap import (
     literal_directed_info,
     literal_joint,
     run_baa,
-    sample_feedback,
     sandwich_bounds,
     sweep_lambda,
     update_q,
@@ -32,7 +31,7 @@ from sampcap import (
     upper_bound,
 )
 import sampcap.baa
-from sampcap._num import fsum_array, log2_guarded
+from sampcap._num import fsum_array
 from sampcap.baa import BaaState, _tangent_envelope
 from sampcap.oracle import _history_code
 from sampcap.trajectory import TrajectorySpace
@@ -117,7 +116,7 @@ def linear_policy_product(space, tables):
     prod = np.ones((space.rows, space.cols))
     for row, us in enumerate(product(range(u_size), repeat=n)):
         for col, ys in enumerate(product(range(space.y_size), repeat=n)):
-            zs = [sample_feedback(space.sys, uj % a_size, 0, yj)
+            zs = [int(space.sys.sampling_table[uj % a_size, 0, yj])
                   for uj, yj in zip(us, ys)]
             for i in range(1, n + 1):
                 prod[row, col] *= tables[i - 1][
@@ -151,7 +150,7 @@ def live_prefixes(kernel, actions, k):
             law = (causal_channel_prob(kernel, [uj // a_size for uj in us], ys)
                    if k else 1.0)
             if law > 0.0:
-                zs = tuple(sample_feedback(actions, uj % a_size, 0, yj)
+                zs = tuple(int(actions.sampling_table[uj % a_size, 0, yj])
                            for uj, yj in zip(us, ys))
                 out.append((us, ys, zs, law))
     return out
@@ -538,8 +537,9 @@ class TestStepPrice:
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
         for got, want in zip(flags, want_flags):
             np.testing.assert_array_equal(got, want)
-        leaf = (space.log2_p_live - price
-                - log2_guarded(state.d).take(space.col))
+        with np.errstate(divide="ignore"):
+            leaf = (space.log2_p_live - price
+                    - np.log2(state.d).take(space.col))
         want = fold(space, leaf, 0.0, picks[1])[0] / space.n
         assert i_upper == pytest.approx(want, rel=0.0, abs=1e-12)
 
@@ -697,6 +697,74 @@ class TestOverRelaxation:
                 assert point.converged
                 assert point.iterations < 0.9 * markovian_config.max_iters
                 assert 0 <= point.rejected_steps <= point.iterations
+
+
+def split_over_relax(previous, plain, relax, flagged):
+    """The over-relaxed step as one stacked array, its row maxima and sums
+    folded column by column, split back into steps with np.split."""
+    def fold_columns(op, a):
+        out = a[:, 0].copy()
+        for j in range(1, a.shape[1]):
+            out = op(out, a[:, j])
+        return out
+
+    new = np.concatenate(plain)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_new = np.log2(new)
+        move = log_new - np.log2(np.concatenate(previous))
+    move[~np.isfinite(move)] = 0.0
+    log_new += (relax - 1.0) * move
+    log_new -= fold_columns(np.maximum, log_new)[:, None]
+    table = np.exp2(log_new)
+    table /= fold_columns(np.add, table)[:, None]
+    dead = np.concatenate(flagged)
+    table[dead] = new[dead]
+    return np.split(table, np.cumsum([len(t) for t in plain])[:-1])
+
+
+class TestOverRelaxStep:
+    """_over_relax on an N=3 iterate, from the plain update of its policy."""
+
+    @staticmethod
+    def random_case():
+        # a start policy that never plays u = 0 leaves zeros in the previous
+        # rows and in the plain update, and slices that receive no weight
+        rng = np.random.default_rng(4)
+        kernel = make_random_kernel(rng, 2, 2, 3, zero_share=0.5)
+        space = TrajectorySpace(kernel, sampling_actions(3), 3)
+        rows = []
+        for table in space.reachable_rows(
+                make_random_policy(rng, 3, space.u_size, space.z_size)):
+            table = table.copy()
+            table[:, 0] = 0.0
+            rows.append(table / table.sum(axis=1, keepdims=True))
+        return BaaState.initial(space, 0.3, start=tuple(rows))
+
+    @pytest.mark.parametrize("channel", ["markovian", "random"])
+    @pytest.mark.parametrize("relax", [sampcap.baa.RELAX_START, 5.0,
+                                       sampcap.baa.RELAX_MAX])
+    def test_step(self, markovian_kernel, markovian_actions, channel, relax):
+        if channel == "markovian":
+            state = iterated_state(markovian_kernel, markovian_actions, 3,
+                                   0.3, 3)
+        else:
+            state = self.random_case()
+        plain, flags = update_r(state)
+        got = sampcap.baa._over_relax(state.rows, plain, relax, flags)
+        assert len(got) == len(plain) == 3
+        for step_rows, plain_rows, dead in zip(got, plain, flags):
+            assert step_rows.shape == plain_rows.shape
+            assert not step_rows.flags.writeable
+            np.testing.assert_allclose(step_rows.sum(axis=1), 1.0,
+                                       rtol=0.0, atol=1e-12)
+            np.testing.assert_array_equal(step_rows[dead], plain_rows[dead])
+        for step_rows, want in zip(got, split_over_relax(state.rows, plain,
+                                                         relax, flags)):
+            assert step_rows.tobytes() == want.tobytes()
+        if channel == "random":
+            assert sum(int(dead.sum()) for dead in flags) > 0
+            assert any((t == 0.0).any() for t in state.rows)
+            assert any((t == 0.0).any() for t in plain)
 
 
 class TestSweep:

@@ -204,10 +204,6 @@ class TestCausalLaw:
         with pytest.raises(ValueError, match="equal length"):
             causal_channel_prob(bsc_kernel, (0, 1), (0,))
 
-    def test_start_state_out_of_range_raises(self, bsc_kernel):
-        with pytest.raises(ValueError, match="out of range"):
-            causal_channel_prob(bsc_kernel, (0,), (0,), s0=5)
-
 
 class TestStartState:
     """A start state s0 is None (the initial distribution) or an integer
@@ -220,7 +216,7 @@ class TestStartState:
             markovian_kernel.start_dist(np.int64(0)), [1, 0])
 
     # 2 is |S| of the markovian channel
-    @pytest.mark.parametrize("s0", [-1, 2, 1.0, True])
+    @pytest.mark.parametrize("s0", [-1, 2, 5, 1.0, True])
     @pytest.mark.parametrize("entry", ["start_dist", "TrajectorySpace",
                                        "footprint", "literal_joint",
                                        "causal_channel_prob"])

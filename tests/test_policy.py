@@ -13,7 +13,6 @@ from sampcap import (
     binary_entropy,
     causal_channel_prob,
     literal_joint,
-    sample_feedback,
 )
 from sampcap.oracle import _history_code
 from sampcap.trajectory import TrajectorySpace
@@ -106,7 +105,7 @@ class TestLiteralJoint:
             x_seq = [u // 2 for u in u_seq]
             for col, y_seq in enumerate(product(range(4), repeat=2)):
                 z_seq = [
-                    sample_feedback(markovian_actions, u_seq[i] % 2, 0, y_seq[i])
+                    int(markovian_actions.sampling_table[u_seq[i] % 2, 0, y_seq[i]])
                     for i in range(2)
                 ]
                 q = 1.0
