@@ -25,9 +25,7 @@ from .bounds import (
     SingleLetterProblem,
     gallager_exponent,
     single_letter_bounds,
-    single_letter_curve,
     time_sharing_baseline,
-    zero_unit_cost_capacity,
 )
 from .fsc import (
     FscKernel,
@@ -76,13 +74,11 @@ __all__ = [
     "run_baa",
     "sandwich_bounds",
     "single_letter_bounds",
-    "single_letter_curve",
     "stationary_distribution",
     "sweep_lambda",
     "time_sharing_baseline",
     "update_q",
     "update_r",
     "upper_bound",
-    "zero_unit_cost_capacity",
     "__version__",
 ]

@@ -227,11 +227,6 @@ def _ascend_inputs(pi: np.ndarray, w: np.ndarray, mix: np.ndarray,
     return final_value, final_q
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-
-
 def _action_mixture(prob: SingleLetterProblem, mode: str,
                     action_dists: np.ndarray) -> np.ndarray:
     """Slice mixture weights mix[b, s, k] for a batch of action distributions.
@@ -239,7 +234,6 @@ def _action_mixture(prob: SingleLetterProblem, mode: str,
     Encoder/decoder modes use slices k = (z, a) with weight P(a|.) when
     z = f(a, s); backward_link uses slices k = a directly.
     """
-    _check_mode(mode)
     s_size = prob.state_size
     a_size = prob.action_size
     b = action_dists.shape[0]
@@ -271,7 +265,6 @@ def _simplex_grid(dim: int, points_per_axis: int) -> np.ndarray:
 
 def _expected_action_cost(prob: SingleLetterProblem, mode: str,
                           dists: np.ndarray) -> np.ndarray:
-    _check_mode(mode)
     if mode == "encoder":
         return dists @ prob.cost
     per_state = dists @ prob.cost  # [b, s]
@@ -288,9 +281,10 @@ def curve_violations(prob: Optional[SingleLetterProblem] = None,
     it is larger than MAX_DEFAULT_FREE_DIMS free dimensions at the default
     resolution, so a coarser resolution admits more dimensions. A grid of
     P_{A|S} (every mode but encoder) has |S| times the free dimensions of
-    the encoder's P_A.
+    the encoder's P_A. Raises ValueError on a mode not in MODES.
     """
-    _check_mode(mode)
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     found = []
     if not (is_integer(resolution) and resolution >= 1):
         found.append("resolution: must be a positive integer")
@@ -313,7 +307,6 @@ def _candidate_actions(prob: SingleLetterProblem, mode: str,
                        resolution: int) -> np.ndarray:
     """The action-distribution grid of a resolution that curve_violations
     admits."""
-    _check_mode(mode)
     a = prob.action_size
     rows = _simplex_grid(a, resolution)
     if mode == "encoder":
@@ -411,50 +404,32 @@ def _endpoint_mixtures(prob: SingleLetterProblem) -> list[np.ndarray]:
     return [np.ones((1, s, 1)), per_state]
 
 
-def single_letter_curve(prob: SingleLetterProblem, mode: str,
-                        gammas: Sequence[float],
-                        resolution: int = DEFAULT_RESOLUTION,
-                        seed: int = 0) -> np.ndarray:
-    """Lower-bound values of one coupling over a whole budget grid.
-
-    mode is one of MODES. The inner maximization does not depend on the
-    budget, only feasibility does, so every action-grid candidate is
-    optimized once and each budget keeps its best feasible value. Budgets
-    with no feasible candidate get NaN. Raises ValueError with the first
-    of curve_violations.
-    """
-    raise_first(curve_violations(prob, mode, resolution, seed))
-    costs, mix = _curve_batch(prob, mode, resolution)
-    [values] = _optimize_mixtures(prob, [mix], seed)
-    return _best_feasible(costs, values, gammas)
-
-
-def zero_unit_cost_capacity(prob: SingleLetterProblem,
-                            seed: int = 0) -> tuple[float, float]:
-    """(C(0), C(1)): common-input and per-state-input maxima of I(X;Y|S)."""
-    raise_first(curve_violations(seed=seed))
-    c0, c1 = _optimize_mixtures(prob, _endpoint_mixtures(prob), seed)
-    return float(c0[0]), float(c1[0])
-
-
 def single_letter_bounds(prob: SingleLetterProblem, gammas: Sequence[float],
-                         resolution: int = DEFAULT_RESOLUTION, seed: int = 0
-                         ) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """(C(0), C(1), encoder curve, decoder curve) of one setting in one ascent.
+                         resolution: int = DEFAULT_RESOLUTION, seed: int = 0,
+                         modes: Sequence[str] = ("encoder", "decoder")
+                         ) -> tuple:
+    """(C(0), C(1), *curves) of one setting in one ascent, a curve per mode.
 
-    The values equal those of `zero_unit_cost_capacity(prob)` and
-    `single_letter_curve` in each mode with the same arguments; the four
-    batches only share the ascent's iterations.
+    C(0) and C(1) are the common-input and per-state-input maxima of
+    I(X;Y|S); each curve holds the lower-bound values of one coupling of
+    MODES over the budget grid. The inner maximization does not depend on
+    the budget, only feasibility does, so every action-grid candidate is
+    optimized once and each budget keeps its best feasible value; budgets
+    with no feasible candidate get NaN. The batches only share the ascent's
+    iterations: each value equals the one its batch would get alone.
+    Raises ValueError with the first of curve_violations, checked in every
+    mode (and on the seed and resolution alone) before anything is built.
     """
-    # the decoder grid is the larger one
-    raise_first(curve_violations(prob, "decoder", resolution, seed))
-    enc_costs, enc_mix = _curve_batch(prob, "encoder", resolution)
-    dec_costs, dec_mix = _curve_batch(prob, "decoder", resolution)
-    enc_values, dec_values, c0, c1 = _optimize_mixtures(
-        prob, [enc_mix, dec_mix, *_endpoint_mixtures(prob)], seed)
+    found = curve_violations(resolution=resolution, seed=seed)
+    for mode in modes:
+        found += curve_violations(prob, mode, resolution, seed)
+    raise_first(found)
+    batches = [_curve_batch(prob, mode, resolution) for mode in modes]
+    *values, c0, c1 = _optimize_mixtures(
+        prob, [mix for _, mix in batches] + _endpoint_mixtures(prob), seed)
     return (float(c0[0]), float(c1[0]),
-            _best_feasible(enc_costs, enc_values, gammas),
-            _best_feasible(dec_costs, dec_values, gammas))
+            *(_best_feasible(costs, v, gammas)
+              for (costs, _), v in zip(batches, values)))
 
 
 def time_sharing_baseline(c0: float, c1: float, gamma: float) -> float:

@@ -70,12 +70,6 @@ class CausalPolicy:
                 f"{float(table.sum(axis=1)[worst])!r}"
             )
 
-    @classmethod
-    def uniform(cls, block_length: int, u_size: int, z_size: int) -> "CausalPolicy":
-        tables = [np.full(((u_size * z_size) ** (i - 1), u_size), 1.0 / u_size)
-                  for i in range(1, block_length + 1)]
-        return cls(tuple(tables), z_size)
-
     @property
     def block_length(self) -> int:
         return len(self.tables)

@@ -86,6 +86,12 @@ def make_random_policy(rng, n, u_size, z_size):
     return CausalPolicy(tuple(tables), z_size)
 
 
+def uniform_policy(n, u_size, z_size):
+    """The causal policy with a uniform slice on every history."""
+    return CausalPolicy(tuple(np.full(((u_size * z_size) ** i, u_size),
+                                      1.0 / u_size) for i in range(n)), z_size)
+
+
 def weighted_log2_sum(weights, numer, denom):
     """Compensated sum of w * log2(numer / denom) over the entries with w > 0."""
     w = np.asarray(weights, dtype=float).ravel()

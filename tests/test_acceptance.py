@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from sampcap import (
-    CausalPolicy,
     FscKernel,
     causal_channel_prob,
     gallager_exponent,
@@ -28,7 +27,7 @@ from sampcap import (
     literal_r_update,
     run_baa,
     sandwich_bounds,
-    single_letter_curve,
+    single_letter_bounds,
     sweep_lambda,
     time_sharing_baseline,
     update_r,
@@ -78,8 +77,9 @@ def test_3_block_envelopes_saturate_with_the_analytic_curve(
     markovian_single_letter, markovian_sweeps
 ):
     gammas = np.linspace(0.0, 1.0, 101)
-    curve = single_letter_curve(markovian_single_letter, "encoder", gammas,
-                                resolution=101, seed=0)
+    _, _, curve = single_letter_bounds(markovian_single_letter, gammas,
+                                       resolution=101, seed=0,
+                                       modes=("encoder",))
     saturated = curve >= curve[-1] - 1e-6
     first = int(np.argmax(saturated))
     gamma_star = float(gammas[first])
@@ -94,8 +94,8 @@ def test_3_block_envelopes_saturate_with_the_analytic_curve(
 
 
 def test_4_analytic_endpoints_beat_time_sharing(markovian_single_letter):
-    c0, half, c1 = single_letter_curve(markovian_single_letter, "encoder",
-                                       [0.0, 0.5, 1.0], seed=0)
+    _, _, (c0, half, c1) = single_letter_bounds(
+        markovian_single_letter, [0.0, 0.5, 1.0], seed=0, modes=("encoder",))
     assert c0 == pytest.approx(0.311278, abs=1e-4)
     assert c1 == pytest.approx(0.321928, abs=1e-4)
     assert half - time_sharing_baseline(c0, c1, 0.5) >= 1e-4
@@ -180,8 +180,8 @@ def test_6_structural_invariants(bsc_kernel, bsc_actions, markovian_kernel,
 
     # the exponent vanishes exactly at order zero and its finite-difference
     # slope at zero stays within the information rate
-    uniform = CausalPolicy.uniform(2, 4, 3)
     from_state_0 = TrajectorySpace(markovian_kernel, markovian_actions, 2, s0=0)
+    uniform = from_state_0.dense_policy(from_state_0.uniform_rows())
     rows = from_state_0.reachable_rows(uniform)
     assert gallager_exponent(from_state_0, rows, 0.0) == 0.0
     small = gallager_exponent(from_state_0, rows, 0.001)

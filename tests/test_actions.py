@@ -12,7 +12,7 @@ from sampcap import (
 )
 from sampcap.trajectory import TrajectorySpace
 
-from conftest import make_random_kernel, make_random_policy
+from conftest import make_random_kernel, make_random_policy, uniform_policy
 
 
 class TestActionSystemValidation:
@@ -131,7 +131,7 @@ def expected_cost(kernel, actions, policy):
 
 class TestExpectedCost:
     def test_uniform_policy_pays_half(self, markovian_kernel, markovian_actions):
-        policy = CausalPolicy.uniform(2, 4, 3)
+        policy = uniform_policy(2, 4, 3)
         assert expected_cost(markovian_kernel, markovian_actions,
                              policy) == pytest.approx(0.5, abs=1e-12)
 
@@ -148,7 +148,7 @@ class TestExpectedCost:
                              policy) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_cost_system_pays_nothing(self, bsc_kernel, bsc_actions):
-        policy = CausalPolicy.uniform(2, 2, 1)
+        policy = uniform_policy(2, 2, 1)
         assert expected_cost(bsc_kernel, bsc_actions, policy) == 0.0
 
     def test_decoder_side_must_be_singleton(self, bsc_kernel):

@@ -42,6 +42,7 @@ from conftest import (
     make_random_kernel,
     make_random_policy,
     make_trivial_actions,
+    uniform_policy,
     weighted_log2_sum,
 )
 
@@ -921,7 +922,7 @@ class TestContinuation:
         # the uniform start is formed on the reachable histories alone
         space = TrajectorySpace(markovian_kernel, markovian_actions, 3)
         dense = BaaState.initial(space, 0.3, start=space.reachable_rows(
-            CausalPolicy.uniform(3, space.u_size, space.z_size)))
+            space.dense_policy(space.uniform_rows())))
         built = []
         check = CausalPolicy.__post_init__
 
@@ -947,7 +948,7 @@ class TestContinuation:
     ):
         # markovian N=2: |U| = 4 input-action pairs, |Z| = 3 feedback symbols
         space = TrajectorySpace(markovian_kernel, markovian_actions, 2)
-        policy = CausalPolicy.uniform(*shape)
+        policy = uniform_policy(*shape)
         expected = re.escape(f"{shape} does not fit the space's alphabets "
                              "(2, 4, 3)")
         with pytest.raises(ValueError, match=expected):

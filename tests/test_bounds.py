@@ -8,14 +8,11 @@ import pytest
 
 from sampcap import bounds
 from sampcap import (
-    CausalPolicy,
     SingleLetterProblem,
     binary_entropy,
     gallager_exponent,
-    single_letter_curve,
     single_letter_bounds,
     time_sharing_baseline,
-    zero_unit_cost_capacity,
 )
 from sampcap.trajectory import TrajectorySpace
 
@@ -54,6 +51,13 @@ def free_action_problem(states, actions):
         sampling=np.zeros((actions, states), dtype=int),
         cost=np.zeros(actions),
     )
+
+
+def encoder_curve(prob, gammas, **kwargs):
+    """The encoder curve alone, from single_letter_bounds."""
+    _, _, curve = single_letter_bounds(prob, gammas, modes=("encoder",),
+                                       **kwargs)
+    return curve
 
 
 def whole(mix):
@@ -140,12 +144,11 @@ class TestSingleLetterLower:
                                                bounds.DEFAULT_RESOLUTION)
         costs = bounds._expected_action_cost(prob, "encoder", candidates)
         assert np.array_equal(candidates[costs <= bounds.FEAS_SLACK], [[1.0, 0.0]])
-        [value] = single_letter_curve(prob, "encoder", [0.0], seed=0)
+        [value] = encoder_curve(prob, [0.0], seed=0)
         assert value == pytest.approx(COMMON_INPUT_CAPACITY, abs=1e-4)
 
     def test_full_budget_reaches_the_informed_value(self, markovian_single_letter):
-        [value] = single_letter_curve(markovian_single_letter, "encoder", [1.0],
-                                      seed=0)
+        [value] = encoder_curve(markovian_single_letter, [1.0], seed=0)
         assert value == pytest.approx(INFORMED_CAPACITY, abs=1e-4)
 
     def test_value_saturates_at_one_fifth_of_the_budget(self,
@@ -153,9 +156,8 @@ class TestSingleLetterLower:
         # mixing one fifth of informed signaling with the silent action
         # already synthesizes the per-state optimal inputs, so the curve is
         # flat from budget 0.2 on and still rising just below it
-        curve = single_letter_curve(markovian_single_letter, "encoder",
-                                    [0.19, 0.2, 0.25, 1.0], resolution=101,
-                                    seed=0)
+        curve = encoder_curve(markovian_single_letter, [0.19, 0.2, 0.25, 1.0],
+                              resolution=101, seed=0)
         assert curve[1] == pytest.approx(curve[3], abs=1e-9)
         assert curve[2] == pytest.approx(curve[3], abs=1e-9)
         gap_below = curve[1] - curve[0]
@@ -163,7 +165,7 @@ class TestSingleLetterLower:
 
     def test_curve_marks_infeasible_budgets(self):
         prob = single_action_problem(1.0)
-        curve = single_letter_curve(prob, "encoder", [0.5, 1.0], seed=0)
+        curve = encoder_curve(prob, [0.5, 1.0], seed=0)
         assert np.isnan(curve[0])
         assert curve[1] == pytest.approx(1.0 - binary_entropy(0.25), abs=1e-6)
 
@@ -171,14 +173,12 @@ class TestSingleLetterLower:
         with pytest.raises(ValueError, match="at least 10"):
             single_letter_bounds(markovian_single_letter, [0.5], resolution=5)
         with pytest.raises(ValueError, match="at least 10"):
-            single_letter_curve(markovian_single_letter, "encoder", [0.5],
-                                resolution=5)
+            single_letter_bounds(markovian_single_letter, [0.5], resolution=5,
+                                 modes=())
 
     def test_state_aware_actions_only_help(self, markovian_single_letter):
-        [enc] = single_letter_curve(markovian_single_letter, "encoder", [0.1],
-                                    seed=0)
-        [dec] = single_letter_curve(markovian_single_letter, "decoder", [0.1],
-                                    seed=0)
+        _, _, [enc], [dec] = single_letter_bounds(markovian_single_letter,
+                                                  [0.1], seed=0)
         assert dec >= enc - 1e-6
 
 
@@ -204,7 +204,8 @@ class TestCandidateGrid:
         monkeypatch.setattr(bounds, "_simplex_grid", pytest.fail)
         prob = free_action_problem(2, 3)
         with pytest.raises(ValueError, match="4 free action dimensions"):
-            single_letter_curve(prob, "decoder", [0.0], resolution=100)
+            single_letter_bounds(prob, [0.0], resolution=100,
+                                 modes=("decoder",))
 
     def test_default_resolution_admits_three_free_dimensions(self):
         grid = bounds._candidate_actions(free_action_problem(3, 2), "decoder",
@@ -389,34 +390,57 @@ class TestOneAscentJob:
 
     @pytest.fixture(scope="class", params=["markovian", "random"])
     def separate(self, request, markovian_single_letter):
-        """A problem, a resolution, and C(0), C(1) and the encoder and
-        decoder curves from one call each (seed 3)."""
+        """A problem, a resolution, C(0) and C(1), and each mode's curve, each
+        from an ascent of its own batch alone (seed 3)."""
         if request.param == "random":
             prob, resolution = random_three_state_problem(), 10
         else:
             prob, resolution = markovian_single_letter, 11
-        c0, c1 = (bounds._optimize_slices(prob, mix, whole(mix), 5, 3)[0][0]
-                  for mix in bounds._endpoint_mixtures(prob))
-        curves = [single_letter_curve(prob, mode, self.GAMMAS, resolution, seed=3)
-                  for mode in ("encoder", "decoder")]
-        return prob, resolution, (c0, c1, *curves)
 
-    def test_endpoints_equal_their_separate_ascents(self, separate):
-        prob, _, (c0, c1, _, _) = separate
-        assert zero_unit_cost_capacity(prob, seed=3) == (c0, c1)
+        def alone(mix):
+            return bounds._optimize_slices(prob, mix, whole(mix),
+                                           bounds.RESTARTS, 3)[0]
+
+        ends = tuple(alone(mix)[0] for mix in bounds._endpoint_mixtures(prob))
+        curves = {}
+        for mode in bounds.MODES:
+            costs, mix = bounds._curve_batch(prob, mode, resolution)
+            curves[mode] = bounds._best_feasible(costs, alone(mix), self.GAMMAS)
+        return prob, resolution, ends, curves
 
     @pytest.mark.parametrize("chunk", [bounds.ASCENT_CHUNK, 7])
-    def test_merged_job_equals_the_separate_calls(self, monkeypatch, separate,
-                                                  chunk):
-        prob, resolution, (c0, c1, enc_curve, dec_curve) = separate
+    def test_each_mode_alone_or_together_equals_its_separate_ascent(
+        self, monkeypatch, separate, chunk
+    ):
+        prob, resolution, ends, curves = separate
         monkeypatch.setattr(bounds, "ASCENT_CHUNK", chunk)
-        job = single_letter_bounds(prob, self.GAMMAS, resolution, seed=3)
-        assert job[:2] == (c0, c1)
-        assert np.array_equal(job[2], enc_curve, equal_nan=True)
-        assert np.array_equal(job[3], dec_curve, equal_nan=True)
+        for modes in [(), bounds.MODES, *((mode,) for mode in bounds.MODES)]:
+            c0, c1, *job = single_letter_bounds(prob, self.GAMMAS, resolution,
+                                                seed=3, modes=modes)
+            assert (c0, c1) == ends, modes
+            for mode, curve in zip(modes, job, strict=True):
+                assert np.array_equal(curve, curves[mode], equal_nan=True), (
+                    modes, mode)
+        # the default modes are the encoder and decoder curves of `bounds`
+        assert np.array_equal(
+            single_letter_bounds(prob, self.GAMMAS, resolution, seed=3)[2:],
+            [curves["encoder"], curves["decoder"]], equal_nan=True)
+
+    def test_an_unknown_mode_is_rejected_before_any_ascent(
+        self, monkeypatch, markovian_single_letter
+    ):
+        monkeypatch.setattr(bounds, "_ascend_inputs", pytest.fail)
+        with pytest.raises(ValueError, match="unknown mode 'telepathy'"):
+            single_letter_bounds(markovian_single_letter, [0.5],
+                                 modes=(*bounds.MODES, "telepathy"))
+
+    def test_the_seed_is_checked_without_modes(self, markovian_single_letter):
+        with pytest.raises(ValueError, match="seed: must be a nonnegative"):
+            single_letter_bounds(markovian_single_letter, [0.5], seed=-1,
+                                 modes=())
 
     def test_zero_weight_slices_change_no_value(self, separate):
-        prob, resolution, _ = separate
+        prob, resolution, _, _ = separate
         _, mix = bounds._curve_batch(prob, "decoder", resolution)
         mix = mix[::9]
         k = mix.shape[2]
@@ -501,7 +525,8 @@ class TestChannelConstant:
 
 class TestEndpointCapacities:
     def test_closed_forms(self, markovian_single_letter):
-        c0, c1 = zero_unit_cost_capacity(markovian_single_letter, seed=0)
+        c0, c1 = single_letter_bounds(markovian_single_letter, [], seed=0,
+                                      modes=())
         assert c0 == pytest.approx(COMMON_INPUT_CAPACITY, abs=1e-4)
         assert c1 == pytest.approx(INFORMED_CAPACITY, abs=1e-4)
 
@@ -515,9 +540,8 @@ class TestEndpointCapacities:
             time_sharing_baseline(0.3, 0.5, 1.5)
 
     def test_curve_beats_time_sharing_in_the_middle(self, markovian_single_letter):
-        c0, c1 = zero_unit_cost_capacity(markovian_single_letter, seed=0)
-        [half] = single_letter_curve(markovian_single_letter, "encoder", [0.5],
-                                     seed=0)
+        c0, c1, [half] = single_letter_bounds(markovian_single_letter, [0.5],
+                                              seed=0, modes=("encoder",))
         assert half - time_sharing_baseline(c0, c1, 0.5) >= 1e-4
 
 
@@ -527,19 +551,16 @@ class TestBackwardLink:
     ):
         # at budget 0 only the silent action is affordable, a common input;
         # at 0.5 the action can announce the state, whose inputs then match
-        curve = single_letter_curve(markovian_single_letter, "backward_link",
-                                    [0.0, 0.5], resolution=11)
+        _, _, curve = single_letter_bounds(markovian_single_letter, [0.0, 0.5],
+                                           resolution=11,
+                                           modes=("backward_link",))
         assert curve[0] == pytest.approx(COMMON_INPUT_CAPACITY, abs=1e-6)
         assert curve[1] == pytest.approx(INFORMED_CAPACITY, abs=1e-6)
 
     def test_mode_guard(self, markovian_single_letter):
-        prob = markovian_single_letter
-        dists = np.full((1, prob.action_size), 1.0 / prob.action_size)
-        for call in (lambda mode: bounds._action_mixture(prob, mode, dists),
-                     lambda mode: bounds._expected_action_cost(prob, mode, dists),
-                     lambda mode: bounds._candidate_actions(prob, mode, 11)):
-            with pytest.raises(ValueError, match="unknown mode 'backward'"):
-                call("backward")
+        with pytest.raises(ValueError, match="unknown mode 'backward'"):
+            single_letter_bounds(markovian_single_letter, [0.5],
+                                 modes=("backward_link", "backward"))
 
 
 class TestExponent:
@@ -577,7 +598,7 @@ class TestExponent:
         self, markovian_kernel, markovian_actions
     ):
         space = TrajectorySpace(markovian_kernel, markovian_actions, 2, s0=0)
-        policy = CausalPolicy.uniform(2, 4, 3)
+        policy = space.dense_policy(space.uniform_rows())
         small = gallager_exponent(space, space.reachable_rows(policy), 0.001)
         slope = small / 0.001
         rate = live_directed_info(space, policy) / 2.0
@@ -587,7 +608,8 @@ class TestExponent:
 class TestProblemValidation:
     def test_unknown_mode_rejected(self, markovian_single_letter):
         with pytest.raises(ValueError, match="unknown mode 'telepathy'"):
-            single_letter_curve(markovian_single_letter, "telepathy", [0.5])
+            single_letter_bounds(markovian_single_letter, [0.5],
+                                 modes=("telepathy",))
 
     def test_sampling_axes_checked(self):
         with pytest.raises(ValueError, match=r"\[a\]\[s\]"):

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sampcap import (
-    CausalPolicy,
     FscKernel,
     causal_channel_prob,
     is_indecomposable,
@@ -19,7 +18,7 @@ from sampcap import (
 )
 from sampcap.trajectory import TrajectorySpace
 
-from conftest import make_random_kernel
+from conftest import make_random_kernel, uniform_policy
 
 
 def bsc_kernel_array(p):
@@ -228,7 +227,7 @@ class TestStartState:
             "TrajectorySpace": lambda: TrajectorySpace(k, a, 2, s0=s0),
             "footprint": lambda: TrajectorySpace.footprint(k, a, 2, s0),
             "literal_joint": lambda: literal_joint(
-                CausalPolicy.uniform(1, 4, a.feedback_size), k, a, s0),
+                uniform_policy(1, 4, a.feedback_size), k, a, s0),
             "causal_channel_prob": lambda: causal_channel_prob(
                 k, [0, 1], [0, 1], s0=s0),
         }

@@ -45,6 +45,7 @@ from conftest import (
     make_random_kernel,
     make_random_policy,
     make_trivial_actions,
+    uniform_policy,
 )
 
 INFORMED_CAPACITY = math.log2(5.0) - 2.0
@@ -105,9 +106,9 @@ class TestLiteralDirectedInfo:
             assert abs(literal - live_directed_info(space, policy)) <= 1e-9
 
     def test_memoryless_closed_form(self, bsc_kernel, bsc_actions):
-        uniform = CausalPolicy.uniform(3, 2, 1)
-        value = literal_directed_info(uniform, bsc_kernel, bsc_actions)
         space = TrajectorySpace(bsc_kernel, bsc_actions, 3)
+        uniform = space.dense_policy(space.uniform_rows())
+        value = literal_directed_info(uniform, bsc_kernel, bsc_actions)
         assert value == pytest.approx(live_directed_info(space, uniform),
                                       abs=1e-9)
         assert value == pytest.approx(3.0 * (1.0 - binary_entropy(0.25)),
@@ -253,7 +254,7 @@ class TestLiteralPolicyUpdate:
         arr[0, 1, 0, 0] = 0.25
         arr[0, 1, 1, 0] = 0.75
         kernel = FscKernel(arr, np.array([1.0]))
-        literal = literal_r_update(CausalPolicy.uniform(1, 2, 1), kernel,
+        literal = literal_r_update(uniform_policy(1, 2, 1), kernel,
                                    make_trivial_actions(2), 0.0)
         p = arr[0, :, :, 0]
         q = p / p.sum(axis=0, keepdims=True)
@@ -264,29 +265,29 @@ class TestLiteralPolicyUpdate:
 
     def test_block_length_cap(self, bsc_kernel, bsc_actions):
         with pytest.raises(ValueError, match="capped at block length"):
-            literal_r_update(CausalPolicy.uniform(3, 2, 1), bsc_kernel,
+            literal_r_update(uniform_policy(3, 2, 1), bsc_kernel,
                              bsc_actions, 0.0)
 
     def test_input_alphabet_cap(self):
         rng = np.random.default_rng(5)
         kernel = make_random_kernel(rng, 1, 3, 2)
         with pytest.raises(ValueError, match="binary inputs"):
-            literal_r_update(CausalPolicy.uniform(1, 3, 1), kernel,
+            literal_r_update(uniform_policy(1, 3, 1), kernel,
                              make_trivial_actions(2), 0.0)
 
     def test_output_alphabet_cap(self):
         rng = np.random.default_rng(6)
         kernel = make_random_kernel(rng, 1, 2, 5)
         with pytest.raises(ValueError, match="outputs"):
-            literal_r_update(CausalPolicy.uniform(1, 2, 1), kernel,
+            literal_r_update(uniform_policy(1, 2, 1), kernel,
                              make_trivial_actions(5), 0.0)
 
     def test_policy_alphabets_must_fit(self, markovian_kernel,
                                        markovian_actions):
         # markovian's |U| is 4 and its |Z| 3
         with pytest.raises(ValueError, match="alphabets"):
-            literal_r_update(CausalPolicy.uniform(1, 4, 1), markovian_kernel,
-                             markovian_actions, 0.0)
+            literal_r_update(CausalPolicy((np.full((1, 4), 0.25),), 1),
+                             markovian_kernel, markovian_actions, 0.0)
 
 
 class TestOracleReport:

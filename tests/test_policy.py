@@ -23,6 +23,7 @@ from conftest import (
     make_random_policy,
     make_trivial_actions,
     mutual_information,
+    uniform_policy,
 )
 
 
@@ -39,7 +40,7 @@ class TestHistoryCode:
             _history_code(u_hist, z_hist, u_size, z_size)
             for u_hist in product(range(u_size), repeat=step - 1)
             for z_hist in product(range(z_size), repeat=step - 1))
-        table = CausalPolicy.uniform(step, u_size, z_size).tables[step - 1]
+        table = uniform_policy(step, u_size, z_size).tables[step - 1]
         assert codes == list(range(len(table)))
 
     def test_earliest_step_is_most_significant(self):
@@ -50,8 +51,11 @@ class TestHistoryCode:
 
 
 class TestCausalPolicy:
-    def test_uniform_tables_normalize(self):
-        policy = CausalPolicy.uniform(3, 4, 3)
+    def test_uniform_tables_normalize(self, markovian_kernel,
+                                      markovian_actions):
+        # the uniform slice fills every history the space does not reach
+        space = TrajectorySpace(markovian_kernel, markovian_actions, 3)
+        policy = space.dense_policy(space.uniform_rows())
         assert (policy.block_length, policy.u_size, policy.z_size) == (3, 4, 3)
         for i, table in enumerate(policy.tables, start=1):
             assert table.shape == (12 ** (i - 1), 4)
@@ -74,7 +78,7 @@ class TestCausalPolicy:
     @pytest.mark.parametrize("n", [1, 2])
     def test_z_size_must_be_a_positive_integer(self, n, z_size):
         # at N = 2 the step-2 table has (2 * 3, 2) rows for |Z| = 3
-        tables = CausalPolicy.uniform(n, 2, 3).tables
+        tables = tuple(np.full((6 ** i, 2), 0.5) for i in range(n))
         with pytest.raises(ValueError,
                            match="z_size: must be a positive integer"):
             CausalPolicy(tables, z_size)
@@ -116,7 +120,7 @@ class TestLiteralJoint:
                 assert joint[row, col] == pytest.approx(q * p, abs=1e-12)
 
     def test_alphabet_mismatch_raises(self, markovian_kernel, markovian_actions):
-        policy = CausalPolicy.uniform(2, 2, 1)
+        policy = CausalPolicy((np.full((1, 2), 0.5), np.full((2, 2), 0.5)), 1)
         with pytest.raises(ValueError, match="alphabets"):
             literal_joint(policy, markovian_kernel, markovian_actions)
 
@@ -125,8 +129,8 @@ class TestDirectedInformation:
     """The optimizer's directed information, N I_L at lambda = 0."""
 
     def test_memoryless_uniform_input_rate(self, bsc_kernel):
-        policy = CausalPolicy.uniform(3, 2, 1)
         space = TrajectorySpace(bsc_kernel, make_trivial_actions(2), 3)
+        policy = space.dense_policy(space.uniform_rows())
         expected = 3.0 * (1.0 - binary_entropy(0.25))
         assert live_directed_info(space, policy) == pytest.approx(expected,
                                                                   abs=1e-12)
