@@ -11,8 +11,8 @@ one of three couplings:
 
 The action distribution is searched on an exhaustive simplex grid; for a
 fixed action distribution the objective is concave in the family of input
-conditionals, which is maximized by projected-gradient ascent with random
-restarts. Zero-cost and unit-cost capacities use the same inner optimizer
+conditionals, which is maximized by one projected-gradient ascent from the
+uniform start. Zero-cost and unit-cost capacities use the same inner optimizer
 with the common-input and per-state-input couplings, and the time-sharing
 line between them is the baseline the sampled-feedback bounds beat.
 
@@ -39,12 +39,11 @@ from ._num import (freeze, is_integer, is_number, non_finite,
 from .trajectory import TrajectorySpace
 
 DIST_TOL = 1e-12
-ASCENT_TOL = 1e-10
+ASCENT_TOL = 1e-12
 ASCENT_MAX_ITER = 50_000
-ASCENT_CHUNK = 2_048  # instances per ascent batch, each stacked once per start
+ASCENT_CHUNK = 2_048  # instances per ascent batch
 DEFAULT_RESOLUTION = 101
 MIN_RESOLUTION = 10
-RESTARTS = 5  # seeded random starts of each ascent, besides the uniform one
 MAX_DEFAULT_FREE_DIMS = 3
 FEAS_SLACK = 1e-12
 MODES = ("encoder", "decoder", "backward_link")
@@ -272,8 +271,8 @@ def _expected_action_cost(prob: SingleLetterProblem, mode: str,
 
 
 def curve_violations(prob: Optional[SingleLetterProblem] = None,
-                     mode: str = "encoder", resolution=DEFAULT_RESOLUTION,
-                     seed=0) -> list[str]:
+                     mode: str = "encoder",
+                     resolution=DEFAULT_RESOLUTION) -> list[str]:
     """The rules the run parameters of a single-letter ascent in a mode
     break, by JSON pointer within the algorithm section.
 
@@ -298,8 +297,6 @@ def curve_violations(prob: Optional[SingleLetterProblem] = None,
                 > DEFAULT_RESOLUTION ** MAX_DEFAULT_FREE_DIMS):
             found.append(f"resolution: {s * (a - 1)} free action dimensions "
                          "need a coarser resolution")
-    if not (is_integer(seed) and seed >= 0):
-        found.append("seed: must be a nonnegative integer")
     return found
 
 
@@ -317,54 +314,33 @@ def _candidate_actions(prob: SingleLetterProblem, mode: str,
     return rows[combos]
 
 
-def _optimize_slices(prob: SingleLetterProblem, mix: np.ndarray,
-                     parts: Sequence[tuple[int, int]], restarts: int,
-                     seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _optimize_slices(prob: SingleLetterProblem,
+                     mix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inner maximization for every instance in the mixture batch.
 
-    Ascends from a uniform start plus `restarts` seeded random-simplex
-    starts and keeps the best value per instance (ties keep the earliest
-    start). All starts of a chunk of ASCENT_CHUNK instances go through one
-    ascent, stacked on the row axis; since the ascent is row-independent,
-    each start follows the trajectory it would follow alone.
-
-    `parts` lists the (instances, slices) of the problems stacked in `mix`
-    in order. Each problem draws its starts from its own generator, seeded
-    with `seed`, over its own slices, exactly as it would alone. The slices
-    a problem lacks up to mix.shape[2] start uniform and carry zero weight.
+    The objective is concave in the slices (mutual information is concave
+    in the input law, which is linear in them), so one ascent from the
+    uniform start reaches the maximum. Chunks of ASCENT_CHUNK instances go
+    through one ascent each; since the ascent is row-independent, each
+    instance follows the trajectory it would follow alone, and slices with
+    zero weight change no value.
     """
     b, _, n_slices = mix.shape
     x = prob.input_size
-    trials = restarts + 1
-    starts = np.full((trials, b, n_slices, x), 1.0 / x)
-    lo = 0
-    for rows, k in parts:
-        rng = np.random.default_rng(seed)
-        for trial in range(1, trials):
-            raw = rng.exponential(1.0, size=(rows, k, x))
-            starts[trial, lo:lo + rows, :k] = raw / raw.sum(axis=-1, keepdims=True)
-        lo += rows
-    best_value = np.empty(b)
-    best_q = np.empty((b, n_slices, x))
+    value = np.empty(b)
+    q = np.empty((b, n_slices, x))
     for lo in range(0, b, ASCENT_CHUNK):
         hi = min(lo + ASCENT_CHUNK, b)
-        value, q = _ascend_inputs(
-            prob.stationary_dist, prob.per_state_channel,
-            np.tile(mix[lo:hi], (trials, 1, 1)),
-            starts[:, lo:hi].reshape(-1, n_slices, x),
+        value[lo:hi], q[lo:hi] = _ascend_inputs(
+            prob.stationary_dist, prob.per_state_channel, mix[lo:hi],
+            np.full((hi - lo, n_slices, x), 1.0 / x),
         )
-        value = value.reshape(trials, hi - lo)
-        first_best = np.argmax(value, axis=0)
-        rows = np.arange(hi - lo)
-        best_value[lo:hi] = value[first_best, rows]
-        best_q[lo:hi] = q.reshape(trials, hi - lo, n_slices, x)[first_best, rows]
-    return best_value, best_q
+    return value, q
 
 
-def _optimize_mixtures(prob: SingleLetterProblem, mixes: Sequence[np.ndarray],
-                       seed: int) -> list[np.ndarray]:
-    """Best values of several mixture batches of one channel, from one ascent
-    with RESTARTS random starts.
+def _optimize_mixtures(prob: SingleLetterProblem,
+                       mixes: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Maxima of several mixture batches of one channel, from one ascent.
 
     The batches are padded with zero-weight slices to a common slice count
     and stacked; each value equals the one its batch would get alone.
@@ -372,9 +348,8 @@ def _optimize_mixtures(prob: SingleLetterProblem, mixes: Sequence[np.ndarray],
     width = max(m.shape[2] for m in mixes)
     mix = np.concatenate([np.pad(m, ((0, 0), (0, 0), (0, width - m.shape[2])))
                           for m in mixes])
-    parts = [(m.shape[0], m.shape[2]) for m in mixes]
-    values, _ = _optimize_slices(prob, mix, parts, RESTARTS, seed)
-    return np.split(values, np.cumsum([rows for rows, _ in parts])[:-1])
+    values, _ = _optimize_slices(prob, mix)
+    return np.split(values, np.cumsum([m.shape[0] for m in mixes])[:-1])
 
 
 def _curve_batch(prob: SingleLetterProblem, mode: str,
@@ -405,7 +380,7 @@ def _endpoint_mixtures(prob: SingleLetterProblem) -> list[np.ndarray]:
 
 
 def single_letter_bounds(prob: SingleLetterProblem, gammas: Sequence[float],
-                         resolution: int = DEFAULT_RESOLUTION, seed: int = 0,
+                         resolution: int = DEFAULT_RESOLUTION,
                          modes: Sequence[str] = ("encoder", "decoder")
                          ) -> tuple:
     """(C(0), C(1), *curves) of one setting in one ascent, a curve per mode.
@@ -415,18 +390,19 @@ def single_letter_bounds(prob: SingleLetterProblem, gammas: Sequence[float],
     MODES over the budget grid. The inner maximization does not depend on
     the budget, only feasibility does, so every action-grid candidate is
     optimized once and each budget keeps its best feasible value; budgets
-    with no feasible candidate get NaN. The batches only share the ascent's
+    with no feasible candidate get NaN. Each candidate is ascended once,
+    from the uniform start, and the batches only share the ascent's
     iterations: each value equals the one its batch would get alone.
     Raises ValueError with the first of curve_violations, checked in every
-    mode (and on the seed and resolution alone) before anything is built.
+    mode (and on the resolution alone) before anything is built.
     """
-    found = curve_violations(resolution=resolution, seed=seed)
+    found = curve_violations(resolution=resolution)
     for mode in modes:
-        found += curve_violations(prob, mode, resolution, seed)
+        found += curve_violations(prob, mode, resolution)
     raise_first(found)
     batches = [_curve_batch(prob, mode, resolution) for mode in modes]
     *values, c0, c1 = _optimize_mixtures(
-        prob, [mix for _, mix in batches] + _endpoint_mixtures(prob), seed)
+        prob, [mix for _, mix in batches] + _endpoint_mixtures(prob))
     return (float(c0[0]), float(c1[0]),
             *(_best_feasible(costs, v, gammas)
               for (costs, _), v in zip(batches, values)))

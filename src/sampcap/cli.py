@@ -15,7 +15,7 @@ every subcommand can run.
 
 Exit codes: 0 success, 1 semantic config error (or failed oracle check),
 2 parse error, 3 I/O error. All numbers are emitted with 12 significant
-digits; identical config and seed give byte-identical CSV files.
+digits; identical configs give byte-identical CSV files.
 """
 
 from __future__ import annotations
@@ -107,7 +107,6 @@ class ExperimentConfig:
     lambda_grid: Optional[tuple[float, ...]]
     gamma_points: int
     resolution: int
-    seed: int
     single_letter: Optional[SingleLetterProblem] = None
     exponent: Optional[ExponentSpec] = None
 
@@ -177,7 +176,7 @@ CHANNEL_FIELDS = ("state_size", "input_size", "output_size", "kernel",
 ACTIONS_FIELDS = ("encoder_size", "decoder_size", "feedback_size",
                   "sampling_table", "cost_table", "budget")
 ALGORITHM_FIELDS = ("epsilon", "max_iters", "lambda_grid", "gamma_points",
-                    "resolution", "seed")
+                    "resolution")
 SINGLE_LETTER_FIELDS = ("stationary_dist", "per_state_channel", "sampling",
                         "cost")
 EXPONENT_FIELDS = ("block_length", "rho_grid")
@@ -241,12 +240,11 @@ def _read_algorithm(alg: dict, single: Optional[SingleLetterProblem],
     rules of sweep_lambda and of single_letter_bounds on the problem."""
     run = {"epsilon": DEFAULT_EPSILON, "max_iters": DEFAULT_MAX_ITERS,
            "lambda_grid": None, "gamma_points": DEFAULT_GAMMA_POINTS,
-           "resolution": DEFAULT_RESOLUTION, "seed": 0}
+           "resolution": DEFAULT_RESOLUTION}
     run.update((k, v) for k, v in alg.items() if k in run and v is not None)
     found.extend(sweep_violations(run["epsilon"], run["max_iters"],
                                   run["lambda_grid"], run["gamma_points"]))
-    found.extend(curve_violations(single, "decoder", run["resolution"],
-                                  run["seed"]))
+    found.extend(curve_violations(single, "decoder", run["resolution"]))
     if found:
         return None
     grid = run["lambda_grid"]
@@ -402,7 +400,6 @@ def cmd_capacity_sweep(config: ExperimentConfig, out_dir: str) -> int:
         "lambda_grid": list(config.lambda_grid) if config.lambda_grid is not None
         else [float(v) for v in default_lambda_grid()],
         "block_lengths": list(config.block_lengths),
-        "seed": config.seed,
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -475,7 +472,7 @@ def cmd_bounds(config: ExperimentConfig, out_dir: str) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", AscentCapWarning)
         c0, c1, enc_curve, dec_curve = single_letter_bounds(
-            prob, gammas, resolution=config.resolution, seed=config.seed
+            prob, gammas, resolution=config.resolution
         )
     capped = 0
     for record in caught:

@@ -78,8 +78,7 @@ def test_3_block_envelopes_saturate_with_the_analytic_curve(
 ):
     gammas = np.linspace(0.0, 1.0, 101)
     _, _, curve = single_letter_bounds(markovian_single_letter, gammas,
-                                       resolution=101, seed=0,
-                                       modes=("encoder",))
+                                       resolution=101, modes=("encoder",))
     saturated = curve >= curve[-1] - 1e-6
     first = int(np.argmax(saturated))
     gamma_star = float(gammas[first])
@@ -95,7 +94,7 @@ def test_3_block_envelopes_saturate_with_the_analytic_curve(
 
 def test_4_analytic_endpoints_beat_time_sharing(markovian_single_letter):
     _, _, (c0, half, c1) = single_letter_bounds(
-        markovian_single_letter, [0.0, 0.5, 1.0], seed=0, modes=("encoder",))
+        markovian_single_letter, [0.0, 0.5, 1.0], modes=("encoder",))
     assert c0 == pytest.approx(0.311278, abs=1e-4)
     assert c1 == pytest.approx(0.321928, abs=1e-4)
     assert half - time_sharing_baseline(c0, c1, 0.5) >= 1e-4
