@@ -236,6 +236,23 @@ class TestBatchedAscent:
         assert np.array_equal(values, ref_values)
         assert np.array_equal(slices, ref_slices)
 
+    def test_every_start_reaches_the_uniform_maximum(self, batch):
+        # the objective is concave in the slices, so each candidate has one
+        # maximum value, whatever the start of an exhaustive ascent
+        prob, mix = batch
+        uniform = uniform_starts(prob, mix)
+        value, _ = bounds._ascend_inputs(prob.stationary_dist,
+                                         prob.per_state_channel, mix, uniform,
+                                         tol=0.0)
+        raw = np.random.default_rng(0).exponential(1.0,
+                                                   size=(3, *uniform.shape))
+        starts = np.concatenate(raw / raw.sum(axis=-1, keepdims=True))
+        random_value, _ = bounds._ascend_inputs(prob.stationary_dist,
+                                                prob.per_state_channel,
+                                                np.tile(mix, (3, 1, 1)),
+                                                starts, tol=0.0)
+        assert np.max(np.abs(random_value.reshape(3, -1) - value)) <= 1e-12
+
     def test_one_objective_evaluation_per_iteration(self, monkeypatch, batch):
         prob, mix = batch
         calls = {"objective": 0, "iterations": 0}

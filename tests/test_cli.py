@@ -1010,6 +1010,23 @@ class TestBounds:
             tables.append((tmp_path / run / "bounds.csv").read_bytes())
         assert tables[0] == tables[1]
 
+    def test_a_stale_seed_changes_no_output(self, tmp_path):
+        # older configs carry algorithm.seed; it is ignored like any
+        # unknown key, and no value of it reaches the single-letter ascent
+        tables = []
+        for seed in (None, 0, 7):
+            def mutate(doc, seed=seed):
+                doc["algorithm"]["resolution"] = 11
+                if seed is not None:
+                    doc["algorithm"]["seed"] = seed
+
+            path = write_variant(tmp_path, MARKOVIAN_CONFIG_PATH, mutate,
+                                 name=f"seed-{seed}.json")
+            out = tmp_path / f"seed-{seed}"
+            assert cli.cmd_bounds(path, str(out)) == cli.EXIT_OK
+            tables.append((out / "bounds.csv").read_bytes())
+        assert tables[0] == tables[1] == tables[2]
+
     def test_budget_table(self, tmp_path):
         def mutate(doc):
             doc["algorithm"]["resolution"] = 21
