@@ -29,11 +29,7 @@ from .bounds import (
 )
 from .fsc import (
     FscKernel,
-    StationaryInfo,
     causal_channel_prob,
-    is_indecomposable,
-    is_no_isi,
-    stationary_distribution,
 )
 from .oracle import (
     OracleReport,
@@ -55,7 +51,6 @@ __all__ = [
     "FscKernel",
     "OracleReport",
     "SingleLetterProblem",
-    "StationaryInfo",
     "TradeoffCurve",
     "TradeoffPoint",
     "TrajectorySpace",
@@ -65,8 +60,6 @@ __all__ = [
     "gallager_exponent",
     "grid_capacity",
     "grid_search_space",
-    "is_indecomposable",
-    "is_no_isi",
     "literal_directed_info",
     "literal_joint",
     "literal_r_update",
@@ -74,7 +67,6 @@ __all__ = [
     "run_baa",
     "sandwich_bounds",
     "single_letter_bounds",
-    "stationary_distribution",
     "sweep_lambda",
     "time_sharing_baseline",
     "update_q",

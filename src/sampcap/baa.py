@@ -42,6 +42,9 @@ from .trajectory import TrajectorySpace
 DEFAULT_EPSILON = 1e-6
 DEFAULT_MAX_ITERS = 10_000
 DEFAULT_GAMMA_POINTS = 101
+# budgets of the envelope grid: each is a CSV row, and a sweep solves every
+# lambda before it builds the grid, so a misplaced exponent must fail early
+MAX_GAMMA_POINTS = 10**6
 ENVELOPE_SLACK = 1e-9
 # weight of the uniform policy in a sweep point's warm start: the
 # multiplicative update cannot regrow mass that is exactly zero
@@ -79,6 +82,8 @@ def sweep_violations(eps=DEFAULT_EPSILON, max_iters=DEFAULT_MAX_ITERS,
                      "nonnegative numbers")
     if not (is_integer(gamma_points) and gamma_points >= 1):
         found.append("gamma_points: must be a positive integer")
+    elif gamma_points > MAX_GAMMA_POINTS:
+        found.append(f"gamma_points: must be at most {MAX_GAMMA_POINTS}")
     return found
 
 
@@ -86,29 +91,28 @@ def sweep_violations(eps=DEFAULT_EPSILON, max_iters=DEFAULT_MAX_ITERS,
 class BaaState:
     """One iterate of the alternating map: a policy r and what it determines.
 
-    The policy is held as rows, its reachable rows per step (one
-    [len(space.reach[i]), U] array each, see TrajectorySpace.reachable_rows).
+    The policy is held as rows, its [H, U] reachable rows, the steps
+    stacked in step order (see TrajectorySpace.reachable_rows and steps).
     update_q builds every iterate (initial goes through it), so q is always
     r's Bayes posterior r p / d, with d the output marginal sum_u r p, and
     i_lower and gamma are r's Lagrangian lower iterate and per-step expected
     action cost. q_live holds q on the space's live entries. r_flagged marks,
-    per step and per reachable history (space.reach), the policy slices that
-    received no weight in the update that produced r (none for a start
-    policy).
+    per reachable row, the policy slices that received no weight in the
+    update that produced r (None for a start policy).
     """
 
     space: TrajectorySpace
     lam: float
-    rows: tuple
+    rows: np.ndarray
     q_live: np.ndarray
     d: np.ndarray
     i_lower: float
     gamma: float
-    r_flagged: tuple
+    r_flagged: Optional[np.ndarray]
 
     @classmethod
     def initial(cls, space: TrajectorySpace, lam: float,
-                start: Optional[tuple] = None) -> "BaaState":
+                start: Optional[np.ndarray] = None) -> "BaaState":
         """The iterate of the start policy on a space, which is shared, never
         modified: start holds its reachable rows (a CausalPolicy enters
         through space.reachable_rows), and None is the uniform policy."""
@@ -124,7 +128,7 @@ class BaaState:
 
     @property
     def dead_slices(self) -> int:
-        return sum(int(f.sum()) for f in self.r_flagged)
+        return 0 if self.r_flagged is None else int(self.r_flagged.sum())
 
     @property
     def unreachable_outputs(self) -> int:
@@ -132,8 +136,8 @@ class BaaState:
         return int((self.d <= 0.0).sum())
 
 
-def update_q(space: TrajectorySpace, lam: float, rows,
-             flagged: tuple = ()) -> BaaState:
+def update_q(space: TrajectorySpace, lam: float, rows: np.ndarray,
+             flagged: Optional[np.ndarray] = None) -> BaaState:
     """The iterate of the policy r with the given reachable rows, flagged
     being the dead slices of its update.
 
@@ -142,7 +146,7 @@ def update_q(space: TrajectorySpace, lam: float, rows,
     I_L (lower_bound) against the per-parent sums of p, then turns the joint
     in place into the Bayes posterior q(u^N | y^N) = r p / d. Output blocks
     with zero marginal get a uniform slice. Raises ValueError unless rows
-    has the space's per-step shapes (policy_product checks them).
+    has the space's [H, U] shape (policy_product checks it).
     """
     prod = space.policy_product(rows)
     joint = prod.take(space.parent)
@@ -158,26 +162,26 @@ def update_q(space: TrajectorySpace, lam: float, rows,
         joint[~live] = 1.0 / space.rows
     joint.setflags(write=False)
     d.setflags(write=False)
-    return BaaState(space=space, lam=lam, rows=tuple(rows), q_live=joint,
+    return BaaState(space=space, lam=lam, rows=rows, q_live=joint,
                     d=d, i_lower=i_lower, gamma=gamma, r_flagged=flagged)
 
 
-def _fold(space: TrajectorySpace, leaf: np.ndarray, lam: float, pick):
-    """Backward fold of leaf (live entries, overwritten); (F_0, tables, flags).
+def _fold(space: TrajectorySpace, leaf: np.ndarray, lam: float,
+          pick) -> float:
+    """Backward fold of leaf (live entries, overwritten); its value F_0.
 
     From F_N = leaf, step i = N..1 forms G_i = sum_{y_i} cond_i F_i -
     lam Lambda(a_i) at its parents, lets pick(slot sums of measure_i G_i, i)
-    return the step table r_i on the reachable histories and its dead flags,
-    and sets F_{i-1} = sum_{u_i} r_i (G_i - log2 r_i); terms with zero r_i
-    count as 0. The weights p prod_{j>i} r_j factor into step conditionals
-    that each sum to 1, so the slot scores are the slot sums of
+    return the step's rows r_i on the reachable histories, and sets
+    F_{i-1} = sum_{u_i} r_i (G_i - log2 r_i); terms with zero r_i count as
+    0. The weights p prod_{j>i} r_j factor into step conditionals that each
+    sum to 1, so the slot scores are the slot sums of
     p prod_{j>i} r_j (leaf - lam sum_{j>=i} Lambda(a_j) - sum_{j>i} log2 r_j):
     the earlier steps' price is constant on a history, so the fold equals
     the one on leaf - lam sum_j Lambda(a_j). Every step runs on the live
     prefixes only, where cond is positive.
     """
     n, u = space.n, space.u_size
-    tables, flags = [None] * n, [None] * n
     price = lam * space.step_cost
     f = leaf
     with np.errstate(divide="ignore", invalid="ignore"):  # covers pick too
@@ -190,14 +194,13 @@ def _fold(space: TrajectorySpace, leaf: np.ndarray, lam: float, pick):
             scores = np.bincount(
                 slot.ravel(), weights=(space.measure[i - 1] * g).ravel(),
                 minlength=len(space.reach[i - 1]) * u).reshape(-1, u)
-            table, flags[i - 1] = pick(scores, i)
+            table = pick(scores, i)
             r = table.take(slot)
             g -= np.log2(table).take(slot)
             g *= r
             g[r <= 0.0] = 0.0
             f = g.sum(axis=0)
-            tables[i - 1] = table
-    return f.item(), tables, flags
+    return f.item()
 
 
 def _reduce_last(op, a: np.ndarray) -> np.ndarray:
@@ -210,7 +213,7 @@ def _reduce_last(op, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def update_r(state: BaaState) -> tuple[tuple, tuple]:
+def update_r(state: BaaState) -> tuple[np.ndarray, np.ndarray]:
     """Backward policy update (steps N down to 1) for the iterate's q.
 
     Step i uses the factors already updated at steps j > i. The new factor is
@@ -225,60 +228,57 @@ def update_r(state: BaaState) -> tuple[tuple, tuple]:
     _fold charges each Lambda(a_j) at step j. Zero-weight terms contribute
     exactly 0 even when the log argument vanishes. The update runs on the
     reachable histories; slices that receive no weight at all become
-    uniform. Returns the new policy's reachable rows and, per step, the
-    flags of the reachable slices that received no weight.
+    uniform. Returns the new policy's reachable rows and, per row, the flag
+    of a slice that received no weight; both fresh and read-only, as an
+    iterate keeps them.
     """
     space = state.space
     with np.errstate(divide="ignore"):  # q vanishes where r does: log -inf
         leaf = np.log2(state.q_live)
+    rows = np.empty(state.rows.shape)
+    flags = np.empty(len(rows), dtype=bool)
 
     def geometric_mean(scores, i):
         # every reachable history has denom > 0; a slice whose scores are
         # all -inf is flagged dead
+        table, dead = rows[space.steps[i - 1]], flags[space.steps[i - 1]]
         scores /= space.denom[i - 1][:, None]
         mx = _reduce_last(np.maximum, scores)[:, None]
-        dead = ~np.isfinite(mx[:, 0])
-        table = np.exp2(scores - mx)
+        np.logical_not(np.isfinite(mx[:, 0]), out=dead)
+        np.subtract(scores, mx, out=table)
+        np.exp2(table, out=table)
         table[dead] = 1.0
         table /= _reduce_last(np.add, table)[:, None]
-        table.setflags(write=False)  # fresh and read-only: an iterate keeps it
-        dead.setflags(write=False)
-        return table, dead
+        return table
 
-    _, tables, flags = _fold(space, leaf, state.lam, geometric_mean)
-    return tuple(tables), tuple(flags)
+    _fold(space, leaf, state.lam, geometric_mean)
+    rows.setflags(write=False)
+    flags.setflags(write=False)
+    return rows, flags
 
 
-def _over_relax(previous: tuple, plain: tuple, relax: float,
-                flagged: tuple) -> tuple:
+def _over_relax(previous: np.ndarray, plain: np.ndarray, relax: float,
+                flagged: np.ndarray) -> np.ndarray:
     """Over-relaxed policy step from the reachable rows previous through
-    their plain update plain.
+    their plain update plain, read-only.
 
     Per slice, log r~ = log T + (relax - 1)(log T - log r), normalized, with
     T the plain update of r. Entries where T is 0 stay 0; where r is 0 the
     entry takes T's log. Slices the plain update flagged dead keep its
-    uniform slice. Every step's rows have u_size columns, so all steps are
-    handled as one stacked array; each step's result is a read-only view of
-    its rows in it.
+    uniform slice.
     """
-    new = np.concatenate(plain)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_new = np.log2(new)
-        move = log_new - np.log2(np.concatenate(previous))
+        log_new = np.log2(plain)
+        move = log_new - np.log2(previous)
     move[~np.isfinite(move)] = 0.0
     log_new += (relax - 1.0) * move
     log_new -= _reduce_last(np.maximum, log_new)[:, None]
     table = np.exp2(log_new)
     table /= _reduce_last(np.add, table)[:, None]
-    dead = np.concatenate(flagged)
-    if dead.any():
-        table[dead] = new[dead]
+    if flagged.any():
+        table[flagged] = plain[flagged]
     table.setflags(write=False)
-    steps, start = [], 0
-    for t in plain:
-        steps.append(table[start:start + len(t)])
-        start += len(t)
-    return tuple(steps)
+    return table
 
 
 def lower_bound(space: TrajectorySpace, lam: float, prod: np.ndarray,
@@ -325,9 +325,9 @@ def upper_bound(state: BaaState) -> float:
     identity = np.eye(space.u_size)
 
     def argmax(scores, i):
-        return identity.take(scores.argmax(axis=1), axis=0), None
+        return identity.take(scores.argmax(axis=1), axis=0)
 
-    return _fold(space, leaf, state.lam, argmax)[0] / space.n
+    return _fold(space, leaf, state.lam, argmax) / space.n
 
 
 @dataclass(frozen=True)
@@ -352,20 +352,18 @@ class TradeoffPoint:
     dead_slices: int = 0
     unreachable_outputs: int = 0
     seconds: float = field(default=0.0, compare=False)
-    rows: tuple = field(default=(), repr=False, compare=False)
+    rows: Optional[np.ndarray] = field(default=None, repr=False,
+                                       compare=False)
 
 
-def _tangent_envelope(points: Sequence[TradeoffPoint],
-                      gammas) -> tuple[np.ndarray, np.ndarray]:
-    """Least tangent line min_k (i_upper_k + lam_k * g) at each budget g.
-
-    Returns the minima and the index of the minimizing point per budget;
-    ties go to the first point, the lowest lambda on a sorted sweep.
-    """
-    i_upper = np.array([p.i_upper for p in points])
-    lam = np.array([p.lam for p in points])
-    lines = i_upper[:, None] + lam[:, None] * np.asarray(gammas, dtype=float)
-    return lines.min(axis=0), lines.argmin(axis=0)
+def _tangent_envelope(points: Sequence[TradeoffPoint], gammas) -> np.ndarray:
+    """Least tangent line min_k (i_upper_k + lam_k * g) at each budget g, a
+    running minimum over the points' lines."""
+    gammas = np.asarray(gammas, dtype=float)
+    envelope = np.full(gammas.shape, math.inf)
+    for p in points:
+        np.minimum(envelope, p.i_upper + p.lam * gammas, out=envelope)
+    return envelope
 
 
 @dataclass(frozen=True)
@@ -400,12 +398,12 @@ class TradeoffCurve:
 
     def envelope_at(self, gamma: float) -> float:
         """Exact tangent-line envelope value at an arbitrary budget."""
-        return float(_tangent_envelope(self.points, [gamma])[0][0])
+        return float(_tangent_envelope(self.points, [gamma])[0])
 
 
 def run_baa(space: TrajectorySpace, lam: float,
             eps: float = DEFAULT_EPSILON, max_iters: int = DEFAULT_MAX_ITERS,
-            start: Optional[tuple] = None) -> TradeoffPoint:
+            start: Optional[np.ndarray] = None) -> TradeoffPoint:
     """Iterate the two updates until the bound gap closes (or iterations run out).
 
     Starts from the iterate of the start policy (BaaState.initial), then
@@ -462,10 +460,10 @@ def run_baa(space: TrajectorySpace, lam: float,
     )
 
 
-def _warm_start(rows: tuple) -> tuple:
+def _warm_start(rows: np.ndarray) -> np.ndarray:
     """Reachable policy rows mixed with uniform at weight WARM_START_MIX."""
-    keep = 1.0 - WARM_START_MIX
-    return tuple(freeze(keep * t + WARM_START_MIX / t.shape[1]) for t in rows)
+    return freeze((1.0 - WARM_START_MIX) * rows
+                  + WARM_START_MIX / rows.shape[1])
 
 
 def sweep_lambda(space: TrajectorySpace,
@@ -504,7 +502,7 @@ def sweep_lambda(space: TrajectorySpace,
         max_cost=max_cost,
         points=points,
         gammas=gammas,
-        envelope=_tangent_envelope(points, gammas)[0],
+        envelope=_tangent_envelope(points, gammas),
     )
 
 
@@ -518,5 +516,5 @@ def sandwich_bounds(curve: TradeoffCurve) -> np.ndarray:
     shift = curve.max_cost / curve.block_length
     lower = np.full_like(curve.envelope, np.nan)
     above = curve.gammas >= shift - 1e-12
-    lower[above] = _tangent_envelope(curve.points, curve.gammas[above] - shift)[0]
+    lower[above] = _tangent_envelope(curve.points, curve.gammas[above] - shift)
     return lower

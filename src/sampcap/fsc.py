@@ -3,10 +3,7 @@
 Provides the channel representation P(y, s' | x, s) with an initial state
 distribution, whose kernel axes are the state, input and output alphabets,
 validation of its stochastic structure, the start distribution of a
-start state, the structural predicates of the state chain (no intersymbol
-interference, indecomposability, stationary distribution), public
-diagnostics that no other module of the package calls, and the causal
-channel law
+start state, and the causal channel law
 
     P(y^N || x^N, s0) = sum over state paths of prod_i P(y_i, s_i | x_i, s_{i-1})
 
@@ -24,9 +21,6 @@ import numpy as np
 from ._num import freeze, is_integer, non_finite, raise_first
 
 ROW_SUM_TOL = 1e-12
-STATIONARY_TOL = 1e-12
-STATIONARY_MAX_ITER = 1_000_000
-MIXING_POWER_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -109,86 +103,6 @@ class FscKernel:
             raise ValueError(f"s0 out of range: must be None or an integer "
                              f"state in [0, {self.state_size})")
         return np.eye(self.state_size)[s0]
-
-
-@dataclass(frozen=True)
-class StationaryInfo:
-    """Result of the structural analysis of the state chain.
-
-    is_indecomposable is None when the power cap was reached without a
-    verdict (undetermined), never silently False in that case.
-    """
-
-    is_no_isi: bool
-    is_indecomposable: Optional[bool]
-    stationary_dist: Optional[np.ndarray] = None
-    mixing_index: Optional[int] = None
-
-    def __post_init__(self):
-        if self.stationary_dist is not None:
-            if not self.is_indecomposable:
-                raise ValueError("stationary_dist only present for indecomposable chains")
-            object.__setattr__(self, "stationary_dist", freeze(self.stationary_dist))
-
-
-def state_transition_matrix(k: FscKernel, x: int = 0) -> np.ndarray:
-    """T[s][s'] = P(s' | s, x); input-independent for no-ISI channels."""
-    return k.kernel[:, x, :, :].sum(axis=1)
-
-
-def is_no_isi(k: FscKernel) -> bool:
-    """True iff the state evolution P(s'|s, x) does not depend on x."""
-    trans = k.kernel.sum(axis=2)  # [s][x][s_next]
-    base = trans[:, :1, :]
-    return bool(np.all(np.abs(trans - base) <= ROW_SUM_TOL))
-
-
-def is_indecomposable(k: FscKernel) -> StationaryInfo:
-    """Decide indecomposability of the state chain of a no-ISI channel.
-
-    Criterion: some column of T^n is strictly positive for some
-    n <= 2^(|S|^2), capped at 64 absolute. If the cap is reached before the
-    theoretical bound is exhausted, the verdict is undetermined (None). On a
-    positive verdict the stationary distribution is found by power iteration
-    (tolerance 1e-12) and the witnessing power n is recorded.
-    """
-    if not is_no_isi(k):
-        raise ValueError("indecomposability predicate requires a no-ISI channel")
-    t = state_transition_matrix(k)
-    s = k.state_size
-    n_theory = 2 ** (s * s)
-    n_cap = min(n_theory, MIXING_POWER_CAP)
-    power = np.eye(s)
-    witness = None
-    for n in range(1, n_cap + 1):
-        power = power @ t
-        if np.any(np.all(power > 0.0, axis=0)):
-            witness = n
-            break
-    if witness is None:
-        verdict = False if n_theory <= MIXING_POWER_CAP else None
-        return StationaryInfo(is_no_isi=True, is_indecomposable=verdict)
-    pi = stationary_distribution(t)
-    return StationaryInfo(
-        is_no_isi=True,
-        is_indecomposable=True,
-        stationary_dist=pi,
-        mixing_index=witness,
-    )
-
-
-def stationary_distribution(t: np.ndarray, tol: float = STATIONARY_TOL,
-                            max_iter: int = STATIONARY_MAX_ITER) -> np.ndarray:
-    """Stationary distribution of a row-stochastic matrix by power iteration."""
-    t = np.asarray(t, dtype=float)
-    pi = np.full(t.shape[0], 1.0 / t.shape[0])
-    for _ in range(max_iter):
-        nxt = pi @ t
-        nxt = nxt / nxt.sum()
-        if np.abs(nxt - pi).sum() <= tol:
-            return nxt
-        pi = nxt
-    raise RuntimeError("power iteration did not converge within the cap")
 
 
 def causal_channel_prob(k: FscKernel, x_seq: Sequence[int], y_seq: Sequence[int],

@@ -19,13 +19,15 @@ Per step i (index i-1 of each list):
     the step conditional p(y_i | x^i, y^{i-1}),
   - reach: the reachable feedback histories (u^{i-1}, z^{i-1}), those with
     positive past law, by their CausalPolicy table rows, ascending; z_j =
-    f(a_j, y_j). The optimizer holds a policy as its reachable rows, one
-    [len(reach), U] array per step (row_shapes); reachable_rows takes them
-    out of a CausalPolicy and dense_policy puts them back,
+    f(a_j, y_j). The optimizer holds a policy as one read-only [H, U]
+    array of reachable rows, the H reachable histories of all steps
+    stacked in step order, of which steps[i-1] is step i's slice;
+    reachable_rows takes them out of a CausalPolicy and dense_policy puts
+    them back,
   - denom: per reachable history, the past law summed over its prefixes,
   - slot: per step-i parent, [U, prefixes], the flat slot h * U + u_i of
-    the step's reachable rows that it reads, h being the rank of the
-    prefix's history in reach.
+    the step's slice of the reachable rows that it reads, h being the rank
+    of the prefix's history in reach.
 
 These tables are the one layout: a solve walks them forward through up
 and slot (the policy product) and backward through up and cond (the fold
@@ -159,7 +161,8 @@ class TrajectorySpace:
         # row u^N = (u^{N-1}, u_N) owns the step-N parents (u_N, c) of the
         # level-(N-1) prefixes c of its u^{N-1}
         self.row_starts = edges[:-1]
-        self.row_shapes = tuple((len(reach), u) for reach in self.reach)
+        ends = np.cumsum([len(reach) for reach in self.reach]).tolist()
+        self.steps = tuple(map(slice, [0] + ends[:-1], ends))
 
     @staticmethod
     def violations(decoder_size: int = 1, n=1) -> list[str]:
@@ -217,53 +220,54 @@ class TrajectorySpace:
         """Past law P(y^{N-1} || x^{N-1}) of each level-(N-1) prefix."""
         return self.measure[-1]
 
-    def reachable_rows(self, policy: CausalPolicy) -> tuple[np.ndarray, ...]:
-        """The reachable rows of each step's table of a causal policy,
-        [len(reach), U], how a policy enters the optimizer; ValueError unless
-        the policy has the space's block length, |U| and |Z|."""
+    def reachable_rows(self, policy: CausalPolicy) -> np.ndarray:
+        """The reachable rows of a causal policy, [H, U] and read-only, how
+        a policy enters the optimizer; ValueError unless the policy has the
+        space's block length, |U| and |Z|."""
         got = (policy.block_length, policy.u_size, policy.z_size)
         expected = (self.n, self.u_size, self.z_size)
         if got != expected:
             raise ValueError(f"policy (block length, |U|, |Z|) = {got} "
                              f"does not fit the space's alphabets {expected}")
-        return tuple(freeze(t.take(r, axis=0))
-                     for t, r in zip(policy.tables, self.reach))
+        return freeze(np.concatenate(
+            [t.take(r, axis=0) for t, r in zip(policy.tables, self.reach)]))
 
-    def dense_policy(self, rows) -> CausalPolicy:
-        """The causal policy with the given reachable rows per step (as
-        reachable_rows returns them) and a uniform slice on every other
-        history, how a policy leaves the optimizer."""
+    def dense_policy(self, rows: np.ndarray) -> CausalPolicy:
+        """The causal policy with the given reachable rows (as reachable_rows
+        returns them) and a uniform slice on every other history, how a
+        policy leaves the optimizer."""
         tables = []
-        for reach, step_rows, n_hist in zip(self.reach, rows, self.n_hist):
-            table = step_rows
+        for reach, step, n_hist in zip(self.reach, self.steps, self.n_hist):
+            table = rows[step]
             if len(reach) < n_hist:
                 table = np.full((n_hist, self.u_size), 1.0 / self.u_size)
-                table[reach] = step_rows
+                table[reach] = rows[step]
             tables.append(table)
         return CausalPolicy(tuple(tables), self.z_size)
 
-    def uniform_rows(self) -> tuple[np.ndarray, ...]:
+    def uniform_rows(self) -> np.ndarray:
         """The reachable rows of the uniform policy, read-only."""
-        return tuple(freeze(np.full(shape, 1.0 / self.u_size))
-                     for shape in self.row_shapes)
+        return freeze(np.full((self.steps[-1].stop, self.u_size),
+                              1.0 / self.u_size))
 
-    def policy_product(self, rows) -> np.ndarray:
+    def policy_product(self, rows: np.ndarray) -> np.ndarray:
         """The causal conditioning product r(u^N || z^{N-1}) at the step-N
-        parents, [U, level-(N-1) prefixes], from the per-step reachable rows.
+        parents, [U, level-(N-1) prefixes], from the reachable rows.
 
         Walks forward: the product at the step-i parents is step i's factor,
-        read through slot, times the product at each level-(i-1) prefix's
-        step-(i-1) parent, read through up. No factor depends on y_N, so live
-        entry k reads the result at parent[k]. Raises ValueError unless rows
-        has the space's per-step shapes, row_shapes.
+        read from its slice through slot, times the product at each
+        level-(i-1) prefix's step-(i-1) parent, read through up. No factor
+        depends on y_N, so live entry k reads the result at parent[k].
+        Raises ValueError unless rows is one [H, U] array.
         """
-        got = tuple(np.shape(t) for t in rows)
-        if got != self.row_shapes:
-            raise ValueError(f"policy rows of shapes {got} do not fit the "
-                             f"space's reachable rows {self.row_shapes}")
-        prod = rows[0].take(self.slot[0])
+        want = (self.steps[-1].stop, self.u_size)
+        got = getattr(rows, "shape", None)
+        if got != want:
+            raise ValueError(f"policy rows of shape {got} do not fit the "
+                             f"space's reachable rows {want}")
+        prod = rows[self.steps[0]].take(self.slot[0])
         for i in range(2, self.n + 1):
-            step = rows[i - 1].take(self.slot[i - 1])
+            step = rows[self.steps[i - 1]].take(self.slot[i - 1])
             step *= prod.take(self.up[i - 2])
             prod = step
         return prod

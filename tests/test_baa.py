@@ -32,7 +32,7 @@ from sampcap import (
 )
 import sampcap.baa
 from sampcap._num import fsum_array
-from sampcap.baa import BaaState, _tangent_envelope
+from sampcap.baa import BaaState
 from sampcap.oracle import _history_code
 from sampcap.trajectory import TrajectorySpace
 
@@ -277,7 +277,7 @@ class TestTrajectoryLayout:
                 space.denom[i - 1], [math.fsum(laws[h]) for h in space.reach[i - 1]],
                 rtol=0.0, atol=1e-14)
             # slot reads the reachable rows at (history, u_i)
-            rows = space.reachable_rows(policy)[i - 1].ravel()
+            rows = space.reachable_rows(policy)[space.steps[i - 1]].ravel()
             for k, h in enumerate(ids):
                 np.testing.assert_array_equal(rows[slot[:, k]], tables[i - 1][h])
             # each level-i prefix's step-i parent and step conditional
@@ -309,6 +309,59 @@ class TestTrajectoryLayout:
                 assert prod[u_n, k] == pytest.approx(dense[row, col], rel=0.0,
                                                      abs=1e-14)
 
+    def test_step_slices_tile_the_reachable_rows(self, markovian_kernel,
+                                                 markovian_actions):
+        space = TrajectorySpace(markovian_kernel, markovian_actions, 3)
+        rows = np.arange(space.steps[-1].stop)
+        np.testing.assert_array_equal(
+            np.concatenate([rows[step] for step in space.steps]), rows)
+        assert [step.start for step in space.steps[1:]] == [
+            step.stop for step in space.steps[:-1]]
+        assert [len(rows[step]) for step in space.steps] == [
+            len(reach) for reach in space.reach] == [1, 6, 36]
+
+    def test_reachable_rows_round_trip(self, markovian_kernel,
+                                       markovian_actions):
+        space = TrajectorySpace(markovian_kernel, markovian_actions, 3)
+        policy = make_random_policy(np.random.default_rng(7), 3, space.u_size,
+                                    space.z_size)
+        rows = space.reachable_rows(policy)
+        assert rows.shape == (43, space.u_size)
+        assert not rows.flags.writeable
+        dense = space.dense_policy(rows)
+        # steps 2 and 3 reach 6 of 12 and 36 of 144 histories
+        assert space.n_hist == [1, 12, 144]
+        for i, (step, reach) in enumerate(zip(space.steps, space.reach)):
+            np.testing.assert_array_equal(rows[step], policy.tables[i][reach])
+            np.testing.assert_array_equal(dense.tables[i][reach],
+                                          policy.tables[i][reach])
+            unreachable = np.ones(len(dense.tables[i]), dtype=bool)
+            unreachable[reach] = False
+            assert np.all(dense.tables[i][unreachable] == 1.0 / space.u_size)
+        np.testing.assert_array_equal(space.reachable_rows(dense), rows)
+
+    def test_policy_product_takes_one_array_of_rows(self, markovian_kernel,
+                                                    markovian_actions):
+        space = TrajectorySpace(markovian_kernel, markovian_actions, 3)
+        rows = space.uniform_rows()
+        per_step = tuple(rows[step] for step in space.steps)
+        for misfit in (per_step, rows[:-1], rows[:, :-1], rows.ravel()):
+            with pytest.raises(ValueError, match="do not fit the space's "
+                               r"reachable rows \(43, 4\)"):
+                space.policy_product(misfit)
+
+    def test_update_r_returns_read_only_rows_and_flags(self, markovian_kernel,
+                                                       markovian_actions):
+        state = iterated_state(markovian_kernel, markovian_actions, 3, 0.3, 1)
+        rows, flags = update_r(state)
+        assert rows.shape == state.rows.shape == (43, state.space.u_size)
+        assert flags.shape == (43,) and flags.dtype == bool
+        assert not rows.flags.writeable and not flags.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            flags[0] = True
+
     def test_reachable_histories_on_markovian(self, markovian_kernel,
                                               markovian_actions):
         space = TrajectorySpace(markovian_kernel, markovian_actions, 4)
@@ -324,11 +377,11 @@ class TestTrajectoryLayout:
         rows, flags = update_r(state)
         space = state.space
         policy = space.dense_policy(rows)
-        for table, reach, flag in zip(policy.tables, space.reach, flags):
+        for table, reach in zip(policy.tables, space.reach):
             unreachable = np.ones(len(table), dtype=bool)
             unreachable[reach] = False
             assert np.all(table[unreachable] == 1.0 / space.u_size)
-            assert flag.shape == reach.shape
+        assert flags.shape == (sum(len(reach) for reach in space.reach),)
 
     def test_tables_fit_in_four_dense_arrays(self, markovian_kernel,
                                                  markovian_actions):
@@ -522,26 +575,20 @@ class TestStepPrice:
         space, lam = state.space, state.lam
         per_row = np.bincount(live_index(space)[0], minlength=space.rows)
         price = np.repeat(lam * space.cost_row, per_row)
-        fold, picks = sampcap.baa._fold, []
+        fold = sampcap.baa._fold
 
-        def spy(space, leaf, lam, pick):
-            picks.append(pick)
-            return fold(space, leaf, lam, pick)
+        def priced_at_the_leaf(space, leaf, lam, pick):
+            # each caller's own leaf and pick, so the reference writes into
+            # fresh rows of its own
+            return fold(space, leaf - price, 0.0, pick)
 
-        with mock.patch.object(sampcap.baa, "_fold", spy):
-            rows, flags = update_r(state)
-            i_upper = upper_bound(state)
-        with np.errstate(divide="ignore"):
-            leaf = np.log2(state.q_live) - price
-        _, want_rows, want_flags = fold(space, leaf, 0.0, picks[0])
-        for got, want in zip(rows, want_rows):
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
-        for got, want in zip(flags, want_flags):
-            np.testing.assert_array_equal(got, want)
-        with np.errstate(divide="ignore"):
-            leaf = (space.log2_p_live - price
-                    - np.log2(state.d).take(space.col))
-        want = fold(space, leaf, 0.0, picks[1])[0] / space.n
+        rows, flags = update_r(state)
+        i_upper = upper_bound(state)
+        with mock.patch.object(sampcap.baa, "_fold", priced_at_the_leaf):
+            want_rows, want_flags = update_r(state)
+            want = upper_bound(state)
+        np.testing.assert_allclose(rows, want_rows, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(flags, want_flags)
         assert i_upper == pytest.approx(want, rel=0.0, abs=1e-12)
 
     @pytest.mark.parametrize("lam", [0.3, 10.0])
@@ -700,27 +747,25 @@ class TestOverRelaxation:
                 assert 0 <= point.rejected_steps <= point.iterations
 
 
-def split_over_relax(previous, plain, relax, flagged):
-    """The over-relaxed step as one stacked array, its row maxima and sums
-    folded column by column, split back into steps with np.split."""
+def stacked_over_relax(previous, plain, relax, flagged):
+    """The over-relaxed step on the stacked rows, its row maxima and sums
+    folded column by column."""
     def fold_columns(op, a):
         out = a[:, 0].copy()
         for j in range(1, a.shape[1]):
             out = op(out, a[:, j])
         return out
 
-    new = np.concatenate(plain)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_new = np.log2(new)
-        move = log_new - np.log2(np.concatenate(previous))
+        log_new = np.log2(plain)
+        move = log_new - np.log2(previous)
     move[~np.isfinite(move)] = 0.0
     log_new += (relax - 1.0) * move
     log_new -= fold_columns(np.maximum, log_new)[:, None]
     table = np.exp2(log_new)
     table /= fold_columns(np.add, table)[:, None]
-    dead = np.concatenate(flagged)
-    table[dead] = new[dead]
-    return np.split(table, np.cumsum([len(t) for t in plain])[:-1])
+    table[flagged] = plain[flagged]
+    return table
 
 
 class TestOverRelaxStep:
@@ -733,13 +778,11 @@ class TestOverRelaxStep:
         rng = np.random.default_rng(4)
         kernel = make_random_kernel(rng, 2, 2, 3, zero_share=0.5)
         space = TrajectorySpace(kernel, sampling_actions(3), 3)
-        rows = []
-        for table in space.reachable_rows(
-                make_random_policy(rng, 3, space.u_size, space.z_size)):
-            table = table.copy()
-            table[:, 0] = 0.0
-            rows.append(table / table.sum(axis=1, keepdims=True))
-        return BaaState.initial(space, 0.3, start=tuple(rows))
+        rows = space.reachable_rows(
+            make_random_policy(rng, 3, space.u_size, space.z_size)).copy()
+        rows[:, 0] = 0.0
+        rows /= rows.sum(axis=1, keepdims=True)
+        return BaaState.initial(space, 0.3, start=rows)
 
     @pytest.mark.parametrize("channel", ["markovian", "random"])
     @pytest.mark.parametrize("relax", [sampcap.baa.RELAX_START, 5.0,
@@ -752,23 +795,36 @@ class TestOverRelaxStep:
             state = self.random_case()
         plain, flags = update_r(state)
         got = sampcap.baa._over_relax(state.rows, plain, relax, flags)
-        assert len(got) == len(plain) == 3
-        for step_rows, plain_rows, dead in zip(got, plain, flags):
-            assert step_rows.shape == plain_rows.shape
-            assert not step_rows.flags.writeable
-            np.testing.assert_allclose(step_rows.sum(axis=1), 1.0,
-                                       rtol=0.0, atol=1e-12)
-            np.testing.assert_array_equal(step_rows[dead], plain_rows[dead])
-        for step_rows, want in zip(got, split_over_relax(state.rows, plain,
-                                                         relax, flags)):
-            assert step_rows.tobytes() == want.tobytes()
+        space = state.space
+        assert got.shape == plain.shape == (space.steps[-1].stop, space.u_size)
+        assert not got.flags.writeable
+        np.testing.assert_allclose(got.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(got[flags], plain[flags])
+        want = stacked_over_relax(state.rows, plain, relax, flags)
+        assert got.tobytes() == want.tobytes()
         if channel == "random":
-            assert sum(int(dead.sum()) for dead in flags) > 0
-            assert any((t == 0.0).any() for t in state.rows)
-            assert any((t == 0.0).any() for t in plain)
+            assert flags.sum() > 0
+            assert (state.rows == 0.0).any()
+            assert (plain == 0.0).any()
 
 
 class TestSweep:
+    def test_a_huge_budget_grid_is_refused_before_any_solve(
+        self, bsc_kernel, bsc_actions, monkeypatch
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("run_baa ran")
+
+        monkeypatch.setattr(sampcap.baa, "run_baa", no_solve)
+        space = TrajectorySpace(bsc_kernel, bsc_actions, 1)
+        limit = sampcap.baa.MAX_GAMMA_POINTS
+        with pytest.raises(ValueError, match=f"^gamma_points: must be at "
+                                             f"most {limit}$"):
+            sweep_lambda(space, [0.0], gamma_points=10**12)
+        assert sampcap.baa.sweep_violations(gamma_points=limit) == []
+        assert sampcap.baa.sweep_violations(gamma_points=limit + 1) == [
+            f"gamma_points: must be at most {limit}"]
+
     def test_default_grid_shape(self):
         grid = default_lambda_grid()
         assert grid[0] == 0.0
@@ -806,8 +862,8 @@ class TestSweep:
                 free.i_upper, abs=1e-9
             )
             # the lowest line at the top budget is the lambda = 0 point's
-            _, best = _tangent_envelope(curve.points, [curve.max_cost])
-            assert best[0] == 0
+            lines = [p.i_upper + p.lam * curve.max_cost for p in curve.points]
+            assert int(np.argmin(lines)) == 0
 
     def test_zero_cost_system_has_a_single_budget(self, bsc_sweeps):
         for curve in bsc_sweeps.values():
@@ -954,21 +1010,18 @@ class TestContinuation:
         with pytest.raises(ValueError, match=expected):
             space.reachable_rows(policy)
 
-    @pytest.mark.parametrize("shapes", [
-        ((1, 4), (6, 4), (1, 4)),
-        ((1, 4), (7, 4)),
-        ((1, 5), (6, 5)),
-    ], ids=["block-length", "rows", "columns"])
+    @pytest.mark.parametrize("shape", [(43, 4), (8, 4), (7, 5)],
+                             ids=["block-length", "rows", "columns"])
     def test_update_q_rejects_a_policy_that_does_not_fit_the_space(
-        self, markovian_kernel, markovian_actions, shapes
+        self, markovian_kernel, markovian_actions, shape
     ):
-        # markovian N=2 has 1 and 6 reachable histories at steps 1 and 2 and
-        # |U| = 4; every misfit indexes within the N=2 rows, so without the
-        # check it would yield an iterate with a finite lower bound
+        # markovian N=2 has 1 + 6 reachable histories and |U| = 4, N=3 has
+        # 1 + 6 + 36; every misfit indexes within the N=2 rows, so without
+        # the check it would yield an iterate with a finite lower bound
         space = TrajectorySpace(markovian_kernel, markovian_actions, 2)
-        rows = tuple(np.full(shape, 1.0 / shape[1]) for shape in shapes)
-        expected = re.escape(f"{shapes} do not fit the space's reachable rows "
-                             "((1, 4), (6, 4))")
+        rows = np.full(shape, 1.0 / shape[1])
+        expected = re.escape(f"{shape} do not fit the space's reachable rows "
+                             "(7, 4)")
         with pytest.raises(ValueError, match=expected):
             update_q(space, 0.1, rows)
         with pytest.raises(ValueError, match=expected):

@@ -591,7 +591,7 @@ class TestExponent:
     def test_alphabet_mismatch_raises(self, markovian_kernel, markovian_actions):
         space = TrajectorySpace(markovian_kernel, markovian_actions, 2, s0=0)
         # the rows of a policy with |U| = 2, |Z| = 1 on the same histories
-        rows = tuple(np.full((len(reach), 2), 0.5) for reach in space.reach)
+        rows = np.full((space.steps[-1].stop, 2), 0.5)
         # checked before the order-zero shortcut too
         for rho in (0.0, 0.5):
             with pytest.raises(ValueError, match="do not fit"):

@@ -655,6 +655,9 @@ PINNED = [
     pinned("single-letter-grid-too-large", "markovian", THREE_BY_THREE,
            ["/algorithm/resolution: 6 free action dimensions need a coarser "
             "resolution"]),
+    pinned("gamma-points-huge", "markovian",
+           {"/algorithm/gamma_points": 10**12},
+           ["/algorithm/gamma_points: must be at most 1000000"]),
     pinned("single-letter-grid-and-defect", "markovian",
            {**THREE_BY_THREE, "/algorithm/gamma_points": 0,
             "/single_letter/cost/2": -0.5},
@@ -779,6 +782,10 @@ LIBRARY_RULES = [
     pytest.param({"/algorithm/gamma_points": 0},
                  lambda doc, space: sweep_lambda(space, [0.0], gamma_points=0),
                  id="gamma-points-zero"),
+    pytest.param({"/algorithm/gamma_points": 10**12},
+                 lambda doc, space: sweep_lambda(space, [0.0],
+                                                 gamma_points=10**12),
+                 id="gamma-points-huge"),
     pytest.param({"/exponent/rho_grid": [1.5]},
                  lambda doc, space: uniform_exponent(space, 1.5),
                  id="rho-above-one"),
@@ -1153,7 +1160,7 @@ class TestOracleCheck:
 
         def crooked_update(state):
             rows, flags = true_update(state)
-            return tuple(0.999 * t + 0.001 / t.shape[1] for t in rows), flags
+            return 0.999 * rows + 0.001 / rows.shape[1], flags
 
         monkeypatch.setattr(cli, "update_r", crooked_update)
         monkeypatch.setattr(cli, "ORACLE_BLOCKS", (1,))

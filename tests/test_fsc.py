@@ -1,4 +1,4 @@
-"""Channel representation, validation, structure predicates, causal law."""
+"""Channel representation, validation, causal law."""
 
 import itertools
 import re
@@ -11,10 +11,7 @@ from hypothesis import strategies as st
 from sampcap import (
     FscKernel,
     causal_channel_prob,
-    is_indecomposable,
-    is_no_isi,
     literal_joint,
-    stationary_distribution,
 )
 from sampcap.trajectory import TrajectorySpace
 
@@ -113,47 +110,6 @@ class TestKernelValidation:
         message = f"initial_dist: shape {shape} does not match [1]"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build_bsc(bsc_kernel_array(0.25), init)
-
-
-class TestStructurePredicates:
-    def test_exogenous_state_chain(self, markovian_kernel):
-        # the bundled two-state channel draws the next state as a fair coin
-        assert is_no_isi(markovian_kernel)
-        info = is_indecomposable(markovian_kernel)
-        assert info.is_no_isi
-        assert info.is_indecomposable is True
-        assert info.mixing_index == 1
-        np.testing.assert_allclose(info.stationary_dist, [0.5, 0.5], atol=1e-12)
-
-    def test_input_driven_state_is_not_no_isi(self):
-        # next state equals the current input
-        arr = np.zeros((2, 2, 2, 2))
-        for s in range(2):
-            for x in range(2):
-                arr[s, x, 0, x] = 0.5
-                arr[s, x, 1, x] = 0.5
-        k = FscKernel(arr, np.array([1.0, 0.0]))
-        assert not is_no_isi(k)
-        with pytest.raises(ValueError, match="no-ISI"):
-            is_indecomposable(k)
-
-    def test_periodic_chain_gets_a_negative_verdict(self):
-        # deterministic swap: no power of the transition matrix has a
-        # strictly positive column, and the theoretical bound 2^(|S|^2) = 16
-        # is below the power cap, so the verdict is a definite False
-        arr = np.zeros((2, 1, 1, 2))
-        arr[0, 0, 0, 1] = 1.0
-        arr[1, 0, 0, 0] = 1.0
-        k = FscKernel(arr, np.array([1.0, 0.0]))
-        info = is_indecomposable(k)
-        assert info.is_indecomposable is False
-        assert info.stationary_dist is None
-
-    def test_stationary_distribution_of_a_biased_chain(self):
-        t = np.array([[0.9, 0.1], [0.2, 0.8]])
-        pi = stationary_distribution(t)
-        np.testing.assert_allclose(pi, [2.0 / 3.0, 1.0 / 3.0], atol=1e-10)
-        np.testing.assert_allclose(pi @ t, pi, atol=1e-10)
 
 
 class TestCausalLaw:
