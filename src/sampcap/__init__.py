@@ -6,7 +6,6 @@ the capacity-cost tradeoff, evaluates single-letter analytic lower bounds,
 and cross-checks everything against brute-force oracles at desk scale.
 """
 
-from ._num import binary_entropy
 from .actions import ActionSystem
 from .baa import (
     BaaState,
@@ -27,10 +26,7 @@ from .bounds import (
     single_letter_bounds,
     time_sharing_baseline,
 )
-from .fsc import (
-    FscKernel,
-    causal_channel_prob,
-)
+from .fsc import FscKernel
 from .oracle import (
     OracleReport,
     grid_capacity,
@@ -54,8 +50,6 @@ __all__ = [
     "TradeoffCurve",
     "TradeoffPoint",
     "TrajectorySpace",
-    "binary_entropy",
-    "causal_channel_prob",
     "default_lambda_grid",
     "gallager_exponent",
     "grid_capacity",

@@ -29,8 +29,16 @@ def raise_first(violations: list[str]) -> None:
         raise ValueError(violations[0])
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, made read-only in place: for a fresh array that
+    nothing else holds."""
+    a.setflags(write=False)
+    return a
+
+
 def freeze(a, dtype=float) -> np.ndarray:
-    """Return a read-only float array copy of ``a``.
+    """Return a read-only float array copy of ``a``, for arrays a caller
+    passes in and may still hold.
 
     An array that already is read-only, owns its memory and has the dtype
     is returned as is: nothing can write to it without first re-enabling
@@ -39,9 +47,7 @@ def freeze(a, dtype=float) -> np.ndarray:
     if (isinstance(a, np.ndarray) and not a.flags.writeable
             and a.flags.owndata and a.dtype == dtype):
         return a
-    arr = np.array(a, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
+    return read_only(np.array(a, dtype=dtype))
 
 
 def non_finite(**arrays) -> list[str]:
@@ -54,13 +60,6 @@ def non_finite(**arrays) -> list[str]:
 def fsum_array(a: np.ndarray) -> float:
     """Compensated sum of all entries."""
     return math.fsum(np.asarray(a, dtype=float).ravel().tolist())
-
-
-def binary_entropy(p: float) -> float:
-    """H(p) in bits."""
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:

@@ -4,7 +4,9 @@ For a block length N, a channel law p(y^N || x^N), a deterministic feedback
 sampler and per-action costs, the algorithm alternates between
 
   - the reverse conditional q(x^N, a^N | y^N), whose optimum for fixed r is
-    the Bayes posterior r * p / sum r * p, and
+    the Bayes posterior r * p / sum r * p; it is never formed as an array:
+    the policy update reads only its sums over the last output, which
+    every iterate folds once from the output marginal (update_q), and
   - the causal policy factors r_i(x_i, a_i | x^{i-1}, a^{i-1}, z^{i-1}),
     updated backward from step N with a weighted-geometric-mean formula whose
     weights combine the channel law, the already-updated later factors, and
@@ -35,7 +37,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._num import freeze, fsum_array, is_integer, is_number, raise_first
+from ._num import (freeze, fsum_array, is_integer, is_number, raise_first,
+                   read_only)
 from .policy import CausalPolicy
 from .trajectory import TrajectorySpace
 
@@ -93,18 +96,22 @@ class BaaState:
 
     The policy is held as rows, its [H, U] reachable rows, the steps
     stacked in step order (see TrajectorySpace.reachable_rows and steps).
-    update_q builds every iterate (initial goes through it), so q is always
-    r's Bayes posterior r p / d, with d the output marginal sum_u r p, and
-    i_lower and gamma are r's Lagrangian lower iterate and per-step expected
-    action cost. q_live holds q on the space's live entries. r_flagged marks,
-    per reachable row, the policy slices that received no weight in the
-    update that produced r (None for a start policy).
+    update_q builds every iterate (initial goes through it): prod is r's
+    policy product at the step-N parents, d the output marginal sum_u r p,
+    and T, per step-N parent, the sum over y_N of cond log2(p / d), which
+    is +inf at a parent with an output of d = 0; i_lower and
+    gamma are r's Lagrangian lower iterate and per-step expected action
+    cost. The reverse conditional q = r p / d is never formed: log2 q sums
+    to log2 prod + T at each parent, which is all the policy update reads.
+    r_flagged marks, per reachable row, the policy slices that received no
+    weight in the update that produced r (None for a start policy).
     """
 
     space: TrajectorySpace
     lam: float
     rows: np.ndarray
-    q_live: np.ndarray
+    prod: np.ndarray
+    T: np.ndarray
     d: np.ndarray
     i_lower: float
     gamma: float
@@ -142,55 +149,54 @@ def update_q(space: TrajectorySpace, lam: float, rows: np.ndarray,
     being the dead slices of its update.
 
     Forms the policy product at the step-N parents and the joint r p on the
-    live entries, takes its output marginal d, prices the expected cost and
-    I_L (lower_bound) against the per-parent sums of p, then turns the joint
-    in place into the Bayes posterior q(u^N | y^N) = r p / d. Output blocks
-    with zero marginal get a uniform slice. Raises ValueError unless rows
-    has the space's [H, U] shape (policy_product checks it).
+    live entries, takes its output marginal d, releases the joint, and sums
+    cond log2(p / d) over y_N into T at each parent: the one live-size
+    fold of an iterate. Then prices the expected cost and I_L
+    (lower_bound). Raises ValueError unless rows has the space's [H, U]
+    shape (policy_product checks it).
     """
     prod = space.policy_product(rows)
     joint = prod.take(space.parent)
     joint *= space.p_live
     d = np.bincount(space.col, weights=joint, minlength=space.cols)
+    del joint
+    with np.errstate(divide="ignore"):  # log2 0 = -inf: T is +inf there
+        leaf = np.log2(d).take(space.col)
+    np.subtract(space.log2_p_live, leaf, out=leaf)
+    leaf *= space.cond[-1]
+    t = np.bincount(space.parent, weights=leaf,
+                    minlength=prod.size).reshape(prod.shape)
+    del leaf
     gamma = space.expected_cost(space.per_row(prod, space.past_law))
-    i_lower = lower_bound(space, lam, prod, d, gamma)
-    if d.min() > 0.0:
-        joint /= d.take(space.col)
-    else:
-        live = (d > 0.0)[space.col]
-        np.divide(joint, d.take(space.col), out=joint, where=live)
-        joint[~live] = 1.0 / space.rows
-    joint.setflags(write=False)
-    d.setflags(write=False)
-    return BaaState(space=space, lam=lam, rows=rows, q_live=joint,
-                    d=d, i_lower=i_lower, gamma=gamma, r_flagged=flagged)
+    return BaaState(space=space, lam=lam, rows=rows, prod=read_only(prod),
+                    T=read_only(t), d=read_only(d),
+                    i_lower=lower_bound(space, lam, prod, t, gamma),
+                    gamma=gamma, r_flagged=flagged)
 
 
-def _fold(space: TrajectorySpace, leaf: np.ndarray, lam: float,
+def _fold(space: TrajectorySpace, g: np.ndarray, lam: float,
           pick) -> float:
-    """Backward fold of leaf (live entries, overwritten); its value F_0.
+    """Backward fold from the step-N parent sums g, [U, level-(N-1)
+    prefixes] (not modified); its value F_0.
 
-    From F_N = leaf, step i = N..1 forms G_i = sum_{y_i} cond_i F_i -
-    lam Lambda(a_i) at its parents, lets pick(slot sums of measure_i G_i, i)
-    return the step's rows r_i on the reachable histories, and sets
-    F_{i-1} = sum_{u_i} r_i (G_i - log2 r_i); terms with zero r_i count as
-    0. The weights p prod_{j>i} r_j factor into step conditionals that each
-    sum to 1, so the slot scores are the slot sums of
-    p prod_{j>i} r_j (leaf - lam sum_{j>=i} Lambda(a_j) - sum_{j>i} log2 r_j):
-    the earlier steps' price is constant on a history, so the fold equals
-    the one on leaf - lam sum_j Lambda(a_j). Every step runs on the live
-    prefixes only, where cond is positive.
+    Step i = N..1 takes G_i = g_i - lam Lambda(a_i) at its parents, lets
+    pick(slot sums of measure_i G_i, i) return the step's rows r_i on the
+    reachable histories, and sets F_{i-1} = sum_{u_i} r_i (G_i - log2 r_i);
+    terms with zero r_i count as 0. Below step N, g_i = sum_{y_i} cond_i
+    F_i. With g_N = sum_{y_N} cond_N leaf, the weights p prod_{j>i} r_j
+    factor into step conditionals that each sum to 1, so the slot scores
+    are the slot sums of p prod_{j>i} r_j (leaf - lam sum_{j>=i}
+    Lambda(a_j) - sum_{j>i} log2 r_j): the earlier steps' price is constant
+    on a history, so the fold equals the one on leaf - lam sum_j
+    Lambda(a_j). Every step runs on the live prefixes only, where cond is
+    positive.
     """
-    n, u = space.n, space.u_size
+    u = space.u_size
     price = lam * space.step_cost
-    f = leaf
     with np.errstate(divide="ignore", invalid="ignore"):  # covers pick too
-        for i in range(n, 0, -1):
-            f *= space.cond[i - 1]
+        for i in range(space.n, 0, -1):
+            g = g - price
             slot = space.slot[i - 1]
-            g = np.bincount(space.up[i - 1], weights=f,
-                            minlength=slot.size).reshape(u, -1)
-            g -= price
             scores = np.bincount(
                 slot.ravel(), weights=(space.measure[i - 1] * g).ravel(),
                 minlength=len(space.reach[i - 1]) * u).reshape(-1, u)
@@ -200,6 +206,11 @@ def _fold(space: TrajectorySpace, leaf: np.ndarray, lam: float,
             g *= r
             g[r <= 0.0] = 0.0
             f = g.sum(axis=0)
+            if i > 1:
+                f *= space.cond[i - 2]
+                g = np.bincount(space.up[i - 2], weights=f,
+                                minlength=space.slot[i - 2].size
+                                ).reshape(u, -1)
     return f.item()
 
 
@@ -225,16 +236,27 @@ def update_r(state: BaaState) -> tuple[np.ndarray, np.ndarray]:
     with weights w = p(y^N || x^N) prod_{j>i} r_j divided by the
     feedback-compatible sum of past channel products; that sum is constant
     on a slot, so the slot sums (_fold's scores) are divided by it once;
-    _fold charges each Lambda(a_j) at step j. Zero-weight terms contribute
-    exactly 0 even when the log argument vanishes. The update runs on the
-    reachable histories; slices that receive no weight at all become
-    uniform. Returns the new policy's reachable rows and, per row, the flag
-    of a slice that received no weight; both fresh and read-only, as an
-    iterate keeps them.
+    _fold charges each Lambda(a_j) at step j. q = r p / d is constant over
+    u^N's own factor, so its step-N sum is log2 prod + T at each parent.
+    An output of zero marginal has the uniform posterior q = 1 / |U|^N, so
+    a parent of zero product reads -log2 |U|^N if every output below it
+    has d = 0 and -inf otherwise. Zero-weight terms contribute exactly 0
+    even when the log argument vanishes. The update runs on the reachable
+    histories; slices that receive no weight at all become uniform.
+    Returns the new policy's reachable rows and, per row, the flag of a
+    slice that received no weight; both fresh and read-only, as an iterate
+    keeps them.
     """
-    space = state.space
-    with np.errstate(divide="ignore"):  # q vanishes where r does: log -inf
-        leaf = np.log2(state.q_live)
+    space, prod = state.space, state.prod
+    # log2 0 = -inf; the NaN of -inf + inf occurs only where d has a zero
+    # and is overwritten below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.log2(prod) + state.T
+    if state.d.min() <= 0.0:
+        reached = np.bincount(space.parent, weights=state.d.take(space.col),
+                              minlength=prod.size).reshape(prod.shape)
+        g[prod <= 0.0] = -math.inf
+        g[reached <= 0.0] = -math.log2(space.rows)
     rows = np.empty(state.rows.shape)
     flags = np.empty(len(rows), dtype=bool)
 
@@ -251,10 +273,8 @@ def update_r(state: BaaState) -> tuple[np.ndarray, np.ndarray]:
         table /= _reduce_last(np.add, table)[:, None]
         return table
 
-    _fold(space, leaf, state.lam, geometric_mean)
-    rows.setflags(write=False)
-    flags.setflags(write=False)
-    return rows, flags
+    _fold(space, g, state.lam, geometric_mean)
+    return read_only(rows), read_only(flags)
 
 
 def _over_relax(previous: np.ndarray, plain: np.ndarray, relax: float,
@@ -277,27 +297,26 @@ def _over_relax(previous: np.ndarray, plain: np.ndarray, relax: float,
     table /= _reduce_last(np.add, table)[:, None]
     if flagged.any():
         table[flagged] = plain[flagged]
-    table.setflags(write=False)
-    return table
+    return read_only(table)
 
 
 def lower_bound(space: TrajectorySpace, lam: float, prod: np.ndarray,
-                d: np.ndarray, gamma: float) -> float:
+                t: np.ndarray, gamma: float) -> float:
     """Monotone Lagrangian lower iterate of a policy r, given its product
-    prod at the step-N parents (policy_product), its output marginal d and its
-    expected cost gamma
+    prod and its sums T of cond log2(p / d) at the step-N parents
+    (BaaState) and its expected cost gamma
 
     I_L = (1/N) sum r p log2(q / r) - lambda gamma.
 
-    q is the posterior r p / d, so q / r = p / d wherever r p > 0 and I_L is
-    (1/N) [sum r p log2 p - sum_{d > 0} d log2 d] - lambda gamma, DI/N less
-    the priced cost. r is constant over y_N, so sum r p log2 p is prod
-    against the per-parent sums of p log2 p, summed per row.
+    q is the posterior r p / d, so q / r = p / d wherever r p > 0. The
+    joint at a live entry is prod times the past law times cond, and r is
+    constant over y_N, so I_L is (1/N) sum over the parents of
+    prod past_law T, summed per row, less lambda gamma: DI/N less the
+    priced cost. A parent of zero product carries no weight, also where T
+    is +inf.
     """
-    d = d[d > 0.0]
-    info = (fsum_array(space.per_row(prod, space.plogp_sum))
-            - fsum_array(d * np.log2(d)))
-    return info / space.n - lam * gamma
+    weights = np.where(prod > 0.0, space.past_law * t, 0.0)
+    return fsum_array(space.per_row(prod, weights)) / space.n - lam * gamma
 
 
 def upper_bound(state: BaaState) -> float:
@@ -307,8 +326,9 @@ def upper_bound(state: BaaState) -> float:
           of E_g[ log2( p(y^N || x^N) 2^(-lambda sum_j Lambda(a_j))
                         / sum_u r p ) ].
 
-    Evaluated by _fold of log2(p / sum_u r p), pricing Lambda(a_j) at step
-    j: expectation over y_i per step, with the max over u_i
+    Evaluated by _fold from the iterate's T, the step-N sums of
+    cond log2(p / sum_u r p), pricing Lambda(a_j) at step j: expectation
+    over y_i per step, with the max over u_i
     taken once per feedback history (u^{i-1}, z^{i-1}), its candidates scored
     by the past-law-weighted sum over the output prefixes the history cannot
     distinguish. Ties resolve to the lowest u index; the picked map's table
@@ -320,14 +340,12 @@ def upper_bound(state: BaaState) -> float:
     I_U is +inf if the best map reaches an output with p > 0 = sum_u r p.
     """
     space = state.space
-    with np.errstate(divide="ignore"):  # log2 0 = -inf: I_U is +inf there
-        leaf = space.log2_p_live - np.log2(state.d).take(space.col)
     identity = np.eye(space.u_size)
 
     def argmax(scores, i):
         return identity.take(scores.argmax(axis=1), axis=0)
 
-    return _fold(space, leaf, state.lam, argmax) / space.n
+    return _fold(space, state.T, state.lam, argmax) / space.n
 
 
 @dataclass(frozen=True)
@@ -462,8 +480,8 @@ def run_baa(space: TrajectorySpace, lam: float,
 
 def _warm_start(rows: np.ndarray) -> np.ndarray:
     """Reachable policy rows mixed with uniform at weight WARM_START_MIX."""
-    return freeze((1.0 - WARM_START_MIX) * rows
-                  + WARM_START_MIX / rows.shape[1])
+    return read_only((1.0 - WARM_START_MIX) * rows
+                     + WARM_START_MIX / rows.shape[1])
 
 
 def sweep_lambda(space: TrajectorySpace,

@@ -362,13 +362,14 @@ def _curve_batch(prob: SingleLetterProblem, mode: str,
 
 def _best_feasible(costs: np.ndarray, values: np.ndarray,
                    gammas: Sequence[float]) -> np.ndarray:
-    """Per budget, the best value among candidates within it (NaN if none)."""
-    out = np.full(len(gammas), np.nan)
-    for i, gamma in enumerate(gammas):
-        feasible = costs <= gamma + FEAS_SLACK
-        if feasible.any():
-            out[i] = values[feasible].max()
-    return out
+    """Per budget, the best value among candidates within it (NaN if none):
+    the running maximum over the candidates sorted by cost, read after the
+    last one of cost at most the budget plus FEAS_SLACK."""
+    order = np.argsort(costs)
+    best = np.concatenate(([np.nan], np.maximum.accumulate(values[order])))
+    return best[np.searchsorted(costs[order],
+                                np.asarray(gammas, dtype=float) + FEAS_SLACK,
+                                side="right")]
 
 
 def _endpoint_mixtures(prob: SingleLetterProblem) -> list[np.ndarray]:
@@ -437,8 +438,9 @@ def gallager_exponent(space: TrajectorySpace, rows, rho: float) -> float:
     prod = space.policy_product(rows)
     if rho == 0.0:
         return 0.0
-    scaled = prod.take(space.parent)
-    scaled *= np.exp2(space.log2_p_live / (1.0 + rho))
+    scaled = space.log2_p_live / (1.0 + rho)
+    np.exp2(scaled, out=scaled)
+    scaled *= prod.take(space.parent)
     inner = np.bincount(space.col, weights=scaled, minlength=space.cols)
     total = float(np.sum(inner ** (1.0 + rho)))
     return -math.log2(total) / space.n

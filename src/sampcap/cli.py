@@ -84,8 +84,9 @@ NEAR_CAP = 0.9  # share of max_iters from which report.json flags a point
 # pre-flight memory check: a block length N is charged the bytes of its live
 # tables and a solve's arrays (TrajectorySpace.footprint), from the kernel's
 # support alone; above MAX_DENSE_BYTES it is rejected. Markovian N = 7 is
-# charged 2.71 GiB and passes (a solve peaks at 2,716 MB RSS), N = 8
-# 32.5 GiB; the limit leaves an 8 GB machine room for the estimate's error.
+# charged 2.35 GiB (2,411 MiB) and passes (a solve peaks at 2,352 MiB RSS,
+# the exponent at 2,373 MiB), N = 8 28.3 GiB; the limit leaves an 8 GB
+# machine room for the estimate's error.
 MAX_DENSE_BYTES = 3 * 2 ** 30
 
 

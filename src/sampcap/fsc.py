@@ -2,19 +2,16 @@
 
 Provides the channel representation P(y, s' | x, s) with an initial state
 distribution, whose kernel axes are the state, input and output alphabets,
-validation of its stochastic structure, the start distribution of a
-start state, and the causal channel law
-
-    P(y^N || x^N, s0) = sum over state paths of prod_i P(y_i, s_i | x_i, s_{i-1})
-
-evaluated by a forward state-belief recursion, plus its initial-state-averaged
-variant P(y^N || x^N).
+validation of its stochastic structure, and the start distribution of a
+start state. The causal channel law P(y^N || x^N, s0) built on it is
+evaluated where it is used: on the live trajectories of a TrajectorySpace
+and, by its own enumeration, in the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -104,19 +101,3 @@ class FscKernel:
                              f"state in [0, {self.state_size})")
         return np.eye(self.state_size)[s0]
 
-
-def causal_channel_prob(k: FscKernel, x_seq: Sequence[int], y_seq: Sequence[int],
-                        s0: Optional[int] = None) -> float:
-    """Causal channel law P(y^N || x^N, s0), or P(y^N || x^N) when s0 is None.
-
-    Forward recursion over the unnormalized state belief
-    b_i[s] = P(y^i, s_i || x^i, start); cost O(N |S|^2). With s0 None the
-    recursion starts from the initial distribution, which by linearity yields
-    the s0-average sum_s P(s0=s) P(y^N || x^N, s); see FscKernel.start_dist.
-    """
-    if len(x_seq) != len(y_seq) or len(x_seq) < 1:
-        raise ValueError("x_seq and y_seq must have equal length N >= 1")
-    belief = k.start_dist(s0)
-    for x, y in zip(x_seq, y_seq):
-        belief = belief @ k.kernel[:, x, y, :]
-    return float(belief.sum())

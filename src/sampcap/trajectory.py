@@ -31,15 +31,17 @@ Per step i (index i-1 of each list):
 
 These tables are the one layout: a solve walks them forward through up
 and slot (the policy product) and backward through up and cond (the fold
-of the optimizer's update and upper iterate). step_cost, Lambda(a) per u
-as [U, 1], is the price a step adds at its parents. The step-N quantities
-are named for the live trajectories:
+of the optimizer's update and upper iterate). Only the iterate's own
+fold, of log2(p / d) into the step-N parents, touches the live
+trajectories; every later step of a solve starts from the parents.
+step_cost, Lambda(a) per u as [U, 1], is the price a step adds at its
+parents. The step-N quantities are named for the live trajectories:
 
   - p_live and log2_p_live: the channel law p(y^N || x^N) of each live
     entry and its log; cond[N-1] holds its step-N conditional,
   - parent (up[N-1]): the entry's step-N parent, col: its output column y^N,
-  - past_law (measure[N-1]) and plogp_sum: per step-N parent, the sums
-    over y_N of p and of p log2 p; the first depends on the prefix only,
+  - past_law (measure[N-1]): per step-N parent, the sum over y_N of p,
+    which depends on the prefix only,
   - row_starts: per row u^{N-1} of level N-1, its first prefix, so that
     row u^N = (u^{N-1}, u_N) owns the parents (u_N, c) of the run of c
     from there, and cost_row: the block cost sum_i Lambda(a_i) per row.
@@ -63,15 +65,17 @@ from collections import Counter
 
 import numpy as np
 
-from ._num import freeze, fsum_array, is_integer, raise_first
+from ._num import fsum_array, is_integer, raise_first, read_only
 from .actions import ActionSystem, decoder_violations
 from .fsc import FscKernel
 from .policy import CausalPolicy
 
-# live-entry arrays a solve holds next to the space: the iterate's q_live, and
-# update_q's joint and its divisor (markovian N = 6 at lambda 10 and 0.3:
-# 3.38 at run_baa's tracemalloc peak)
-SOLVE_LIVE_ARRAYS = 4
+# live-entry arrays a solve holds next to the space: update_q's joint, then
+# its leaf, besides the parent-size prod and T of two iterates (markovian
+# N = 6 at lambda 10 and 0.3: 2.37 at run_baa's tracemalloc peak); the
+# build's own peak is 2.33 above the finished space, and gallager_exponent
+# holds two live arrays and one product
+SOLVE_LIVE_ARRAYS = 3
 
 
 class TrajectorySpace:
@@ -155,9 +159,6 @@ class TrajectorySpace:
         # level N: the live trajectories, grouped by row in row-major order
         self.p_live, self.col = law, col
         self.log2_p_live = np.log2(self.p_live)
-        self.plogp_sum = np.bincount(
-            self.parent, weights=self.p_live * self.log2_p_live,
-            minlength=self.slot[-1].size).reshape(u, -1)
         # row u^N = (u^{N-1}, u_N) owns the step-N parents (u_N, c) of the
         # level-(N-1) prefixes c of its u^{N-1}
         self.row_starts = edges[:-1]
@@ -203,10 +204,10 @@ class TrajectorySpace:
         u = kernel.input_size * sys.encoder_size
         live = [1] + cls.live_counts(kernel, sys, n, s0)
         # per step: measure, reach, denom and slot per prefix, up and cond per
-        # entry; then p_live, log2_p_live and col, plogp_sum, cost_row,
-        # row_starts and step_cost
+        # entry; then p_live, log2_p_live and col, cost_row, row_starts and
+        # step_cost
         words = sum((3 + u) * p + 2 * c for p, c in zip(live, live[1:]))
-        words += ((3 + SOLVE_LIVE_ARRAYS) * live[n] + u * live[n - 1]
+        words += ((3 + SOLVE_LIVE_ARRAYS) * live[n]
                   + u ** n + u ** (n - 1) + u)
         return 8 * words
 
@@ -229,7 +230,7 @@ class TrajectorySpace:
         if got != expected:
             raise ValueError(f"policy (block length, |U|, |Z|) = {got} "
                              f"does not fit the space's alphabets {expected}")
-        return freeze(np.concatenate(
+        return read_only(np.concatenate(
             [t.take(r, axis=0) for t, r in zip(policy.tables, self.reach)]))
 
     def dense_policy(self, rows: np.ndarray) -> CausalPolicy:
@@ -247,8 +248,8 @@ class TrajectorySpace:
 
     def uniform_rows(self) -> np.ndarray:
         """The reachable rows of the uniform policy, read-only."""
-        return freeze(np.full((self.steps[-1].stop, self.u_size),
-                              1.0 / self.u_size))
+        return read_only(np.full((self.steps[-1].stop, self.u_size),
+                                 1.0 / self.u_size))
 
     def policy_product(self, rows: np.ndarray) -> np.ndarray:
         """The causal conditioning product r(u^N || z^{N-1}) at the step-N

@@ -37,6 +37,28 @@ hypothesis.settings.register_profile("suite", deadline=None, max_examples=50)
 hypothesis.settings.load_profile("suite")
 
 
+def causal_channel_prob(k, x_seq, y_seq, s0=None):
+    """Causal channel law P(y^N || x^N, s0), or P(y^N || x^N) when s0 is
+    None, by a forward recursion over the unnormalized state belief
+    b_i[s] = P(y^i, s_i || x^i, start); a third path to the law, besides
+    the optimizer's live tables and the oracle's enumeration. With s0 None
+    the recursion starts from the initial distribution, which by linearity
+    yields the s0-average sum_s P(s0=s) P(y^N || x^N, s)."""
+    if len(x_seq) != len(y_seq) or len(x_seq) < 1:
+        raise ValueError("x_seq and y_seq must have equal length N >= 1")
+    belief = k.start_dist(s0)
+    for x, y in zip(x_seq, y_seq):
+        belief = belief @ k.kernel[:, x, y, :]
+    return float(belief.sum())
+
+
+def binary_entropy(p):
+    """h(p) in bits."""
+    if p <= 0.0 or p >= 1.0:
+        return 0.0
+    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+
+
 def load_config(path):
     """Parse a bundled configuration; any violation fails the caller."""
     with open(path, "r", encoding="utf-8") as fh:

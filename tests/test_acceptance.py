@@ -19,7 +19,6 @@ import pytest
 
 from sampcap import (
     FscKernel,
-    causal_channel_prob,
     gallager_exponent,
     grid_capacity,
     literal_directed_info,
@@ -36,7 +35,7 @@ from sampcap.baa import BaaState
 from sampcap.oracle import _history_code
 from sampcap.trajectory import TrajectorySpace
 
-from conftest import live_directed_info, make_random_policy
+from conftest import causal_channel_prob, live_directed_info, make_random_policy
 
 
 def all_traced_points(*traced):

@@ -19,10 +19,10 @@ from sampcap import (
     FscKernel,
     TradeoffCurve,
     TradeoffPoint,
-    causal_channel_prob,
     default_lambda_grid,
     literal_directed_info,
     literal_joint,
+    literal_r_update,
     run_baa,
     sandwich_bounds,
     sweep_lambda,
@@ -38,6 +38,7 @@ from sampcap.trajectory import TrajectorySpace
 
 from conftest import (
     bound_histories,
+    causal_channel_prob,
     live_index,
     make_random_kernel,
     make_random_policy,
@@ -59,11 +60,15 @@ def z_channel_kernel():
 class TestUpdates:
     def test_posterior_update_is_bayes(self, bsc_kernel, bsc_actions):
         space = TrajectorySpace(bsc_kernel, bsc_actions, 1)
-        q = np.zeros((space.rows, space.cols))
-        q[live_index(space)] = BaaState.initial(space, 0.0).q_live
-        # uniform prior: q(u | y) = p(y | u) / sum_u p(y | u)
-        np.testing.assert_allclose(q.sum(axis=0), 1.0, atol=1e-12)
-        np.testing.assert_allclose(q, [[0.75, 0.25], [0.25, 0.75]], atol=1e-12)
+        state = BaaState.initial(space, 0.0)
+        # uniform prior: q(u | y) = p(y | u) / sum_u p(y | u), and the
+        # update reads sum_y p(y | u) log2 q(u | y) as log2 prod + T
+        p = bsc_kernel.kernel[0, :, :, 0]
+        q = np.array([[0.75, 0.25], [0.25, 0.75]])
+        np.testing.assert_allclose(q, p / p.sum(axis=0), atol=1e-12)
+        np.testing.assert_allclose(
+            np.log2(state.prod[:, 0]) + state.T[:, 0],
+            (p * np.log2(q)).sum(axis=1), atol=1e-12)
 
     def test_policy_update_matches_the_classical_formula(self):
         # one step, no actions, no penalty: r'(x) proportional to
@@ -94,8 +99,61 @@ class TestUpdates:
         state = BaaState.initial(space, 0.0, start=space.reachable_rows(pinned))
         np.testing.assert_array_equal(state.d <= 0.0, [False, True])
         assert state.unreachable_outputs == 1
-        # the one live entry of y = 1, x = 1, reads the uniform slice
-        np.testing.assert_array_equal(state.q_live[space.col == 1], [0.5])
+        # x = 1 reaches y = 1, of zero marginal, and y = 0, which x = 0
+        # produces: its q vanishes on y = 0, so the update empties it
+        np.testing.assert_array_equal(state.T[:, 0], [0.0, math.inf])
+        np.testing.assert_array_equal(update_r(state)[0], [[1.0, 0.0]])
+
+
+def two_phase_kernel():
+    # from the start state, x = 0 gives y = 0 and x = 1 gives y = 3; then
+    # x = 0 gives y in {0, 1} and x = 1 gives y in {1, 2}, half each
+    arr = np.zeros((2, 2, 4, 2))
+    arr[0, 0, 0, 1] = arr[0, 1, 3, 1] = 1.0
+    arr[1, 0, :2, 1] = arr[1, 1, 1:3, 1] = 0.5
+    return FscKernel(arr, np.array([1.0, 0.0]))
+
+
+def pinned_policy(first, second):
+    """x_1 = first and x_2 = second on every history, with feedback z = y."""
+    return CausalPolicy((np.eye(2)[[first]], np.eye(2)[[second] * 8]), 4)
+
+
+class TestZeroMarginal:
+    """Outputs of zero marginal have the uniform posterior 1 / |U|^N. Below
+    a parent of zero product, they make the update read -log2 |U|^N if
+    every output there has d = 0, and -inf if some other output has d > 0;
+    the deviator that reaches them makes I_U +inf."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    @pytest.mark.parametrize("second", [0, 1])
+    def test_update_and_upper_iterate(self, second, lam):
+        # x_1 = 0 leaves y_1 = 3 unproduced, so every output below x_1 = 1
+        # has d = 0; of the two outputs below the unused x_2 after y_1 = 0,
+        # one is produced
+        kernel = two_phase_kernel()
+        actions = feedback_actions([0, 1, 2, 3], 0.5)
+        policy = pinned_policy(0, second)
+        space = TrajectorySpace(kernel, actions, 2)
+        state = BaaState.initial(space, lam, start=space.reachable_rows(policy))
+        # both kinds of zero-product parent reach an output of d = 0
+        reached = np.bincount(space.parent, weights=state.d.take(space.col),
+                              minlength=space.slot[-1].size)
+        silent = np.bincount(space.parent,
+                             weights=state.d.take(space.col) <= 0.0,
+                             minlength=space.slot[-1].size)
+        empty = state.prod.ravel() <= 0.0
+        assert np.any(empty & (silent > 0) & (reached <= 0.0))
+        assert np.any(empty & (silent > 0) & (reached > 0.0))
+        literal = literal_r_update(policy, kernel, actions, lam)
+        main = space.dense_policy(update_r(state)[0])
+        for got, want in zip(main.tables, literal.tables, strict=True):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+        assert upper_bound(state) == math.inf
+        # the lower iterate weighs no parent of zero product
+        assert state.i_lower == pytest.approx(
+            literal_directed_info(policy, kernel, actions) / 2
+            - lam * state.gamma, abs=1e-12)
 
 
 def step(state):
@@ -108,6 +166,22 @@ def iterated_state(kernel, actions, n, lam, iterations):
     for _ in range(iterations):
         state = step(state)
     return state
+
+
+def log2_q_sums(state):
+    """log2 prod + T of an iterate: per step-N parent, the sum over y_N of
+    cond log2 q, which the policy update reads."""
+    with np.errstate(divide="ignore"):
+        return np.log2(state.prod) + state.T
+
+
+def log2_q_sums_of(space, q):
+    """The same sums of a dense posterior q [rows, cols], read at the live
+    entries and summed per parent."""
+    return np.bincount(space.parent,
+                       weights=space.cond[-1] * np.log2(q[live_index(space)]),
+                       minlength=space.slot[-1].size
+                       ).reshape(space.slot[-1].shape)
 
 
 def linear_policy_product(space, tables):
@@ -168,12 +242,13 @@ class TestPolicyProductCache:
         state = iterated_state(markovian_kernel, markovian_actions, n, lam, 4)
         il = state.i_lower
         iu = upper_bound(state)
-        # the posterior, lower iterate and cost rebuilt from the policy tables
+        # the posterior's sums, lower iterate and cost rebuilt from the
+        # policy tables
         space = state.space
         r_prod = linear_policy_product(space, state.r.tables)
         joint = literal_joint(state.r, markovian_kernel, markovian_actions)
         q = joint / joint.sum(axis=0)
-        np.testing.assert_allclose(state.q_live, q[live_index(space)],
+        np.testing.assert_allclose(log2_q_sums(state), log2_q_sums_of(space, q),
                                    rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(state.d, joint.sum(axis=0), rtol=0.0,
                                    atol=1e-15)
@@ -185,15 +260,17 @@ class TestPolicyProductCache:
         r = state.r
         again = update_q(space, lam, space.reachable_rows(
             CausalPolicy(r.tables, r.z_size)))
-        np.testing.assert_array_equal(again.q_live, state.q_live)
+        np.testing.assert_array_equal(again.prod, state.prod)
+        np.testing.assert_array_equal(again.T, state.T)
         assert again.i_lower == il
         assert upper_bound(again) == iu
         # an iterate is a value: its fields cannot be reassigned, and its
         # arrays cannot be written
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(state, "rows", again.rows)
-        with pytest.raises(ValueError):
-            state.q_live[0] = 0.0
+        for values in (state.prod, state.T, state.d):
+            with pytest.raises(ValueError):
+                values[0] = 0.0
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_policy_update_leaves_the_log_product_of_its_policy(
@@ -211,7 +288,7 @@ class TestPolicyProductCache:
         r_prod = linear_policy_product(space, policy.tables)
         joint = literal_joint(policy, markovian_kernel, markovian_actions)
         q = joint / joint.sum(axis=0)
-        np.testing.assert_allclose(state.q_live, q[live_index(space)],
+        np.testing.assert_allclose(log2_q_sums(state), log2_q_sums_of(space, q),
                                    rtol=0.0, atol=1e-12)
         cost = fsum_array(joint * space.cost_row[:, None]) / n
         fresh_il = weighted_log2_sum(joint, q, r_prod) / n - lam * cost
@@ -368,7 +445,9 @@ class TestTrajectoryLayout:
         assert space.n_hist == [1, 12, 144, 1728]
         assert [len(r) for r in space.reach] == [1, 6, 36, 216]
         # the live parents: 4 * 12^3, 42% of the 4^4 * 4^3 (u^4, y^3)
-        assert space.plogp_sum.shape == space.slot[-1].shape == (4, 12 ** 3)
+        state = BaaState.initial(space, 0.0)
+        assert (state.prod.shape == state.T.shape == space.slot[-1].shape
+                == (4, 12 ** 3))
 
     @pytest.mark.parametrize("channel,n", LAYOUT_CASES)
     def test_unreachable_rows_of_an_update_are_uniform(self, request, channel, n):
@@ -566,25 +645,29 @@ def sampled_priced_actions(y_size, costs):
 
 class TestStepPrice:
     """_fold prices each action at its own step. The reference prices the
-    whole block at the leaf, lam sum_i Lambda(a_i) repeated over each row's
-    live entries, and folds at lam = 0: the earlier steps' price is constant
-    on a history, so both folds pick the same tables and values."""
+    whole block at the step-N parents, lam sum_i Lambda(a_i) of each
+    parent's row u^N, and folds at lam = 0: the earlier steps' price is
+    constant on a history, so both folds pick the same tables and values."""
 
     @staticmethod
     def check(state):
         space, lam = state.space, state.lam
-        per_row = np.bincount(live_index(space)[0], minlength=space.rows)
-        price = np.repeat(lam * space.cost_row, per_row)
+        # parent (u_N, c) of row (u^{N-1}, u_N), with prefix c in u^{N-1}'s run
+        u_n, prefix = np.divmod(np.arange(space.slot[-1].size),
+                                len(space.past_law))
+        head = np.searchsorted(space.row_starts, prefix, side="right") - 1
+        price = lam * space.cost_row[head * space.u_size + u_n].reshape(
+            space.slot[-1].shape)
         fold = sampcap.baa._fold
 
-        def priced_at_the_leaf(space, leaf, lam, pick):
-            # each caller's own leaf and pick, so the reference writes into
+        def priced_at_the_parents(space, g, lam, pick):
+            # each caller's own sums and pick, so the reference writes into
             # fresh rows of its own
-            return fold(space, leaf - price, 0.0, pick)
+            return fold(space, g - price, 0.0, pick)
 
         rows, flags = update_r(state)
         i_upper = upper_bound(state)
-        with mock.patch.object(sampcap.baa, "_fold", priced_at_the_leaf):
+        with mock.patch.object(sampcap.baa, "_fold", priced_at_the_parents):
             want_rows, want_flags = update_r(state)
             want = upper_bound(state)
         np.testing.assert_allclose(rows, want_rows, rtol=0.0, atol=1e-12)
@@ -993,7 +1076,8 @@ class TestContinuation:
         assert cold.gamma == dense.gamma
         for got, want in zip(cold.rows, dense.rows, strict=True):
             np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(cold.q_live, dense.q_live)
+        np.testing.assert_array_equal(cold.prod, dense.prod)
+        np.testing.assert_array_equal(cold.T, dense.T)
         np.testing.assert_array_equal(cold.d, dense.d)
 
     @pytest.mark.parametrize("shape", [(3, 4, 3), (2, 2, 3), (2, 4, 4),

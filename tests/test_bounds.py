@@ -9,14 +9,13 @@ import pytest
 from sampcap import bounds
 from sampcap import (
     SingleLetterProblem,
-    binary_entropy,
     gallager_exponent,
     single_letter_bounds,
     time_sharing_baseline,
 )
 from sampcap.trajectory import TrajectorySpace
 
-from conftest import live_directed_info
+from conftest import binary_entropy, live_directed_info
 
 INFORMED_CAPACITY = math.log2(5.0) - 2.0          # 0.321928...
 COMMON_INPUT_CAPACITY = binary_entropy(0.25) - 0.5  # 0.311278...
@@ -380,6 +379,45 @@ class TestSimplexProjection:
         assert np.array_equal(bounds.project_to_simplex(v), [[0.0, 1.0]])
         old = sort_argmax_projection(v)
         assert old[0, 0] == pytest.approx(0.0, abs=2.3e-16)
+
+
+def per_budget_best(costs, values, gammas):
+    """The best value among the candidates within each budget, one budget
+    at a time (NaN if none)."""
+    out = np.full(len(gammas), np.nan)
+    for i, gamma in enumerate(gammas):
+        feasible = costs <= gamma + bounds.FEAS_SLACK
+        if feasible.any():
+            out[i] = values[feasible].max()
+    return out
+
+
+class TestBestFeasible:
+    def test_matches_the_per_budget_scan(self):
+        # tied costs with different values, budgets below every cost, and
+        # budgets on either side of a cost's slack boundary
+        costs = np.array([0.5, 0.2, 0.5, 0.9, 0.2, 0.7])
+        values = np.array([0.3, 0.1, 0.6, 0.4, 0.05, 0.2])
+        slack = bounds.FEAS_SLACK
+        gammas = [0.0, 0.1, 0.2, 0.2 - slack, 0.5 - 2 * slack, 0.5 - slack,
+                  0.5, 0.6, 0.9 - 2 * slack, 0.9, 1.0]
+        got = bounds._best_feasible(costs, values, gammas)
+        want = per_budget_best(costs, values, gammas)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.isnan(got), [True] * 2 + [False] * 9)
+        # one step below the boundary only the cost-0.2 pair fits
+        assert got[4] == 0.1 and got[5] == 0.6 and got[8] == 0.6
+        assert got[9] == 0.6
+
+    def test_random_candidates(self):
+        rng = np.random.default_rng(0)
+        costs = rng.integers(0, 8, 200) / 8.0
+        values = rng.random(200)
+        gammas = np.concatenate([np.linspace(-0.1, 1.1, 97),
+                                 np.unique(costs) + bounds.FEAS_SLACK,
+                                 np.unique(costs) - 2 * bounds.FEAS_SLACK])
+        np.testing.assert_array_equal(bounds._best_feasible(costs, values, gammas),
+                                      per_budget_best(costs, values, gammas))
 
 
 class TestOneAscentJob:

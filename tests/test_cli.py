@@ -15,12 +15,13 @@ import numpy as np
 import pytest
 
 from sampcap import (ActionSystem, SingleLetterProblem,
-                     binary_entropy, cli, gallager_exponent, run_baa,
+                     cli, gallager_exponent, run_baa,
                      single_letter_bounds, sweep_lambda)
 from sampcap import baa, bounds, oracle
 from sampcap.trajectory import TrajectorySpace
 
-from conftest import BSC_CONFIG_PATH, MARKOVIAN_CONFIG_PATH, load_config
+from conftest import (BSC_CONFIG_PATH, MARKOVIAN_CONFIG_PATH, binary_entropy,
+                      load_config)
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -178,8 +179,8 @@ class TestValidate:
         assert "/exponent/block_length" in capsys.readouterr().out
 
     def test_size_limit_sits_between_seven_and_eight(self):
-        # markovian: 12^N (u^N, y^N) live of the 16^N, 2.71 GiB at N = 7
-        # and 32.5 GiB at N = 8; the exponent builds one space per start
+        # markovian: 12^N (u^N, y^N) live of the 16^N, 2.35 GiB at N = 7
+        # and 28.3 GiB at N = 8; the exponent builds one space per start
         # state in turn, so it is charged the largest one
         with open(MARKOVIAN_CONFIG_PATH, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -502,7 +503,7 @@ PINNED = [
            ["/block_lengths: must be a nonempty list of positive integers"]),
     pinned("blocks-oversized", "markovian",
            {"/block_lengths": [2, 8]},
-           ["/block_lengths/1: block length 8 needs about 32.5 GiB of live "
+           ["/block_lengths/1: block length 8 needs about 28.3 GiB of live "
             "tables, above the 3 GiB limit"]),
     pinned("algorithm-not-object", "markovian",
            {"/algorithm": []},
@@ -623,7 +624,7 @@ PINNED = [
             "/exponent/rho_grid: must be a nonempty list in [0, 1]"]),
     pinned("exponent-oversized", "markovian",
            {"/exponent/block_length": 8},
-           ["/exponent/block_length: block length 8 needs about 32.5 GiB of "
+           ["/exponent/block_length: block length 8 needs about 28.3 GiB of "
             "live tables, above the 3 GiB limit"]),
     pinned("every-section", "markovian",
            {"/channel/kernel/0/1/0/0": 0.5,
@@ -1199,15 +1200,15 @@ class TestOracleCheck:
                            for label in ("uniform", "optimized")]
 
     def test_corrupted_posterior_is_caught(self, tmp_path, monkeypatch):
-        # the negative control of the posterior: raise every iterate's q to
-        # the power 1.001 where the optimizer and the oracle check build
-        # iterates, and the literal update, which recomputes q from the
-        # policy, must flag every r_update check, and nothing else
+        # the negative control of the posterior: scale every iterate's sums
+        # T of cond log2(p / d) by 1.001 where the optimizer and the oracle
+        # check build iterates, and the literal update, which recomputes q
+        # from the policy, must flag every r_update check, and nothing else
         true_update = baa.update_q
 
         def crooked_update(*args, **kwargs):
             state = true_update(*args, **kwargs)
-            return dataclasses.replace(state, q_live=state.q_live ** 1.001)
+            return dataclasses.replace(state, T=state.T * 1.001)
 
         monkeypatch.setattr(baa, "update_q", crooked_update)
         monkeypatch.setattr(cli, "update_q", crooked_update)

@@ -8,14 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sampcap import (
-    FscKernel,
-    causal_channel_prob,
-    literal_joint,
-)
+from sampcap import FscKernel, literal_joint
 from sampcap.trajectory import TrajectorySpace
 
-from conftest import make_random_kernel, uniform_policy
+from conftest import causal_channel_prob, make_random_kernel, uniform_policy
 
 
 def bsc_kernel_array(p):

@@ -21,8 +21,6 @@ from sampcap import (
     CausalPolicy,
     FscKernel,
     OracleReport,
-    binary_entropy,
-    causal_channel_prob,
     grid_capacity,
     grid_search_space,
     literal_directed_info,
@@ -41,6 +39,8 @@ from sampcap.oracle import (
 from sampcap.trajectory import TrajectorySpace
 
 from conftest import (
+    binary_entropy,
+    causal_channel_prob,
     live_directed_info,
     make_random_kernel,
     make_random_policy,

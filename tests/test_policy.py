@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 from sampcap import (
     CausalPolicy,
     FscKernel,
-    binary_entropy,
-    causal_channel_prob,
     literal_joint,
 )
 from sampcap.oracle import _history_code
 from sampcap.trajectory import TrajectorySpace
 
 from conftest import (
+    binary_entropy,
+    causal_channel_prob,
     live_directed_info,
     make_random_kernel,
     make_random_policy,
