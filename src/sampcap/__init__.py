@@ -22,7 +22,6 @@ from .baa import (
 )
 from .bounds import (
     SingleLetterProblem,
-    gallager_exponent,
     single_letter_bounds,
     time_sharing_baseline,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "TradeoffPoint",
     "TrajectorySpace",
     "default_lambda_grid",
-    "gallager_exponent",
     "grid_capacity",
     "grid_search_space",
     "literal_directed_info",

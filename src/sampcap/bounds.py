@@ -1,4 +1,4 @@
-"""Single-letter capacity bounds and the block error-exponent functional.
+"""Single-letter capacity bounds.
 
 The single-letter problems live on a stationary state distribution pi and a
 per-state channel P(y|x,s). An action a samples the state through z = f(a, s)
@@ -15,13 +15,6 @@ conditionals, which is maximized by one projected-gradient ascent from the
 uniform start. Zero-cost and unit-cost capacities use the same inner optimizer
 with the common-input and per-state-input couplings, and the time-sharing
 line between them is the baseline the sampled-feedback bounds beat.
-
-The exponent functional evaluates, for a fixed causal policy and start state,
-
-    E_N(rho) = -(1/N) log2 sum_{y^N} [ sum_{x^N,a^N} Q(x^N,a^N || z^{N-1})
-                                       P(y^N || x^N, s0)^{1/(1+rho)} ]^{1+rho},
-
-identically zero at rho = 0.
 """
 
 from __future__ import annotations
@@ -34,9 +27,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._num import (freeze, is_integer, is_number, non_finite,
-                   project_to_simplex, raise_first)
-from .trajectory import TrajectorySpace
+from ._num import (freeze, is_integer, non_finite, project_to_simplex,
+                   raise_first)
 
 DIST_TOL = 1e-12
 ASCENT_TOL = 1e-12
@@ -415,32 +407,3 @@ def time_sharing_baseline(c0: float, c1: float, gamma: float) -> float:
         raise ValueError("gamma must lie in [0, 1]")
     return (1.0 - gamma) * c0 + gamma * c1
 
-
-def exponent_violations(rho_grid) -> list[str]:
-    """The rule a grid of exponent orders breaks, if any, by JSON pointer
-    within the exponent section."""
-    if (isinstance(rho_grid, (Sequence, np.ndarray)) and len(rho_grid)
-            and all(is_number(v) and 0.0 <= v <= 1.0 for v in rho_grid)):
-        return []
-    return ["rho_grid: must be a nonempty list in [0, 1]"]
-
-
-def gallager_exponent(space: TrajectorySpace, rows, rho: float) -> float:
-    """Literal evaluation of the block exponent at order rho of the policy
-    with the given reachable rows (space.reachable_rows of a CausalPolicy,
-    space.uniform_rows), on the space's block length and start state.
-
-    Inner channel powers are taken in the log domain; the value is exactly 0
-    at rho = 0 (the bracketed sum is then the total probability mass, 1).
-    rho is checked as a one-point grid of exponent_violations.
-    """
-    raise_first(exponent_violations([rho]))
-    prod = space.policy_product(rows)
-    if rho == 0.0:
-        return 0.0
-    scaled = space.log2_p_live / (1.0 + rho)
-    np.exp2(scaled, out=scaled)
-    scaled *= prod.take(space.parent)
-    inner = np.bincount(space.col, weights=scaled, minlength=space.cols)
-    total = float(np.sum(inner ** (1.0 + rho)))
-    return -math.log2(total) / space.n

@@ -11,7 +11,6 @@ every subcommand can run.
   capacity-sweep  lambda sweep per block length -> sweep_N.csv, envelope_N.csv
   bounds          single-letter lower bounds over a budget grid -> bounds.csv
   oracle-check    brute-force cross-checks -> oracle_report.json
-  exponent        block exponent over a rho grid -> exponent.csv
 
 Exit codes: 0 success, 1 semantic config error (or failed oracle check),
 2 parse error, 3 I/O error. All numbers are emitted with 12 significant
@@ -54,8 +53,6 @@ from .bounds import (
     DEFAULT_RESOLUTION,
     SingleLetterProblem,
     curve_violations,
-    exponent_violations,
-    gallager_exponent,
     single_letter_bounds,
     time_sharing_baseline,
 )
@@ -84,16 +81,10 @@ NEAR_CAP = 0.9  # share of max_iters from which report.json flags a point
 # pre-flight memory check: a block length N is charged the bytes of its live
 # tables and a solve's arrays (TrajectorySpace.footprint), from the kernel's
 # support alone; above MAX_DENSE_BYTES it is rejected. Markovian N = 7 is
-# charged 2.35 GiB (2,411 MiB) and passes (a solve peaks at 2,352 MiB RSS,
-# the exponent at 2,373 MiB), N = 8 28.3 GiB; the limit leaves an 8 GB
-# machine room for the estimate's error.
+# charged 2.35 GiB (2,411 MiB) and passes (a solve peaks at 2,352 MiB RSS),
+# N = 8 28.3 GiB; the limit leaves an 8 GB machine room for the estimate's
+# error.
 MAX_DENSE_BYTES = 3 * 2 ** 30
-
-
-@dataclass(frozen=True)
-class ExponentSpec:
-    rho_grid: tuple[float, ...]
-    block_length: int
 
 
 @dataclass(frozen=True)
@@ -109,7 +100,6 @@ class ExperimentConfig:
     gamma_points: int
     resolution: int
     single_letter: Optional[SingleLetterProblem] = None
-    exponent: Optional[ExponentSpec] = None
 
 
 def _fmt(x: float) -> str:
@@ -180,7 +170,6 @@ ALGORITHM_FIELDS = ("epsilon", "max_iters", "lambda_grid", "gamma_points",
                     "resolution")
 SINGLE_LETTER_FIELDS = ("stationary_dist", "per_state_channel", "sampling",
                         "cost")
-EXPONENT_FIELDS = ("block_length", "rho_grid")
 
 
 def _read_channel(ch: dict, found: list[str]) -> Optional[FscKernel]:
@@ -253,29 +242,6 @@ def _read_algorithm(alg: dict, single: Optional[SingleLetterProblem],
             "lambda_grid": None if grid is None else tuple(map(float, grid))}
 
 
-def _read_exponent(ex: dict, found: list[str]) -> Optional[ExponentSpec]:
-    n, rho = ex.get("block_length"), ex.get("rho_grid")
-    found.extend(TrajectorySpace.violations(n=n))
-    found.extend(exponent_violations(rho))
-    if found:
-        return None
-    return ExponentSpec(rho_grid=tuple(float(v) for v in rho), block_length=n)
-
-
-def _check_footprint(kernel: FscKernel, actions: ActionSystem, n: int,
-                     pointer: str, violations: list[str],
-                     starts=(None,)) -> None:
-    """Reject a block length whose largest space, one per start in starts,
-    built one at a time, would need more than MAX_DENSE_BYTES."""
-    need = max(TrajectorySpace.footprint(kernel, actions, n, s0)
-               for s0 in starts)
-    if need > MAX_DENSE_BYTES:
-        violations.append(
-            f"{pointer}: block length {n} needs about {need / 2 ** 30:.3g} GiB "
-            f"of live tables, above the {MAX_DENSE_BYTES / 2 ** 30:g} GiB limit"
-        )
-
-
 def parse_config(doc) -> tuple[Optional[ExperimentConfig], list[str]]:
     """Validate a decoded JSON document; returns (config, violations)."""
     violations: list[str] = []
@@ -303,22 +269,20 @@ def parse_config(doc) -> tuple[Optional[ExperimentConfig], list[str]]:
         lambda node, found: _read_algorithm(node, single, found), violations,
         required=False, default={})
     violations.extend(single_found)
-    exponent = _parse_section(doc, "exponent", EXPONENT_FIELDS, _read_exponent,
-                              violations, required=False)
+    # reject a block length whose space would need more than MAX_DENSE_BYTES
     if kernel is not None and actions is not None:
         for k, n in enumerate(blocks or ()):
-            _check_footprint(kernel, actions, n, f"/block_lengths/{k}",
-                             violations)
-        if exponent is not None:
-            # the exponent builds one space per start state in turn
-            _check_footprint(kernel, actions, exponent.block_length,
-                             "/exponent/block_length", violations,
-                             range(kernel.state_size))
+            need = TrajectorySpace.footprint(kernel, actions, n)
+            if need > MAX_DENSE_BYTES:
+                violations.append(
+                    f"/block_lengths/{k}: block length {n} needs about "
+                    f"{need / 2 ** 30:.3g} GiB of live tables, above the "
+                    f"{MAX_DENSE_BYTES / 2 ** 30:g} GiB limit")
     if violations:
         return None, violations
     return ExperimentConfig(kernel=kernel, actions=actions,
                             block_lengths=tuple(blocks), single_letter=single,
-                            exponent=exponent, **run), []
+                            **run), []
 
 
 def _read_config(path: str):
@@ -626,26 +590,6 @@ def cmd_oracle_check(config: ExperimentConfig, out_dir: str) -> int:
     return EXIT_OK if all_passed else EXIT_SEMANTIC
 
 
-@_subcommand("exponent", "exponent")
-def cmd_exponent(config: ExperimentConfig, out_dir: str) -> int:
-    kernel, actions = config.kernel, config.actions
-    n, rho_grid = config.exponent.block_length, config.exponent.rho_grid
-    # one space per start state, each released before the next is built
-    per_start = []
-    for s0 in range(kernel.state_size):
-        space = TrajectorySpace(kernel, actions, n, s0=s0)
-        rows = space.uniform_rows()
-        per_start.append([gallager_exponent(space, rows, rho)
-                          for rho in rho_grid])
-        del space
-    lines = ["rho,s0,value"]
-    for rho, values in zip(rho_grid, zip(*per_start)):
-        for s0, value in enumerate(values):
-            lines.append(f"{_fmt(rho)},{s0},{_fmt(value)}")
-    _write(out_dir, "exponent.csv", lines)
-    return EXIT_OK
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="sampcap",
@@ -658,7 +602,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "capacity-sweep": cmd_capacity_sweep,
         "bounds": cmd_bounds,
         "oracle-check": cmd_oracle_check,
-        "exponent": cmd_exponent,
     }
     for name in commands:
         p = sub.add_parser(name)

@@ -54,9 +54,9 @@ and bytes from the kernel's support alone, before any build.
 policy_product() builds the policy product r(u^N || z^{N-1})
 at the step-N parents, per_row() sums per-parent values over each row
 u^N, and expected_cost() the average action cost; nothing else computes
-any of them. Everything here is plumbing shared by the optimizer, bounds
-and command-line modules; the brute-force oracle module deliberately
-neither imports nor computes anything with it, and enumerates its own joint.
+any of them. Everything here is plumbing shared by the optimizer and the
+command-line module; the brute-force oracle module deliberately neither
+imports nor computes anything with it, and enumerates its own joint.
 """
 
 from __future__ import annotations
@@ -73,8 +73,7 @@ from .policy import CausalPolicy
 # live-entry arrays a solve holds next to the space: update_q's joint, then
 # its leaf, besides the parent-size prod and T of two iterates (markovian
 # N = 6 at lambda 10 and 0.3: 2.37 at run_baa's tracemalloc peak); the
-# build's own peak is 2.33 above the finished space, and gallager_exponent
-# holds two live arrays and one product
+# build's own peak is 2.33 above the finished space
 SOLVE_LIVE_ARRAYS = 3
 
 
@@ -167,8 +166,11 @@ class TrajectorySpace:
 
     @staticmethod
     def violations(decoder_size: int = 1, n=1) -> list[str]:
-        """The rules a decoder alphabet size and a block length n break, by
-        JSON pointer within the actions and the exponent section."""
+        """The rules a decoder alphabet size and a block length n break.
+
+        The decoder rule's message starts with its JSON pointer within the
+        actions section; a block length that breaks its rule is reported by
+        the config for its list as a whole."""
         found = decoder_violations(decoder_size)
         if not (is_integer(n) and n >= 1):
             found.append("block_length: must be a positive integer")

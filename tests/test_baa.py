@@ -937,6 +937,30 @@ class TestSweep:
             assert np.all(np.diff(env) >= -1e-9)
             assert np.all(np.diff(env, 2) <= 1e-9)
 
+    @settings(max_examples=15)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2),
+           zero_share=st.sampled_from([0.0, 0.3]), sampled=st.booleans())
+    def test_envelope_bounds_every_iterate_on_random_channels(
+        self, seed, n, zero_share, sampled
+    ):
+        # 50 iterations leave points short of convergence; the envelope is
+        # still nondecreasing and concave (sweep_lambda builds the curve,
+        # whose checks would raise), and every tangent line lies above the
+        # rate each point's final policy achieves at its measured cost
+        rng = np.random.default_rng(seed)
+        y_size = int(rng.integers(2, 4))
+        kernel = make_random_kernel(rng, int(rng.integers(1, 4)),
+                                    int(rng.integers(2, 4)), y_size,
+                                    zero_share=zero_share)
+        actions = sampling_actions(y_size) if sampled else make_trivial_actions(y_size)
+        curve = sweep_lambda(TrajectorySpace(kernel, actions, n), max_iters=50)
+        env = curve.envelope
+        assert np.all(np.diff(env) >= 0.0)
+        assert np.all(np.diff(env, 2) <= 1e-12)
+        for p in curve.points:
+            assert (curve.envelope_at(p.gamma)
+                    >= p.i_lower + p.lam * p.gamma - 1e-12)
+
     def test_envelope_endpoint_is_the_free_value(self, markovian_sweeps):
         for curve in markovian_sweeps.values():
             free = curve.points[0]

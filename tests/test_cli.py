@@ -8,14 +8,13 @@ import json
 import math
 import re
 import warnings
-import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sampcap import (ActionSystem, SingleLetterProblem,
-                     cli, gallager_exponent, run_baa,
+                     cli, run_baa,
                      single_letter_bounds, sweep_lambda)
 from sampcap import baa, bounds, oracle
 from sampcap.trajectory import TrajectorySpace
@@ -170,27 +169,38 @@ class TestValidate:
         assert "/block_lengths/1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_oversized_exponent_block_length_is_rejected(self, tmp_path, capsys):
-        def mutate(doc):
-            doc["exponent"]["block_length"] = 8
-
-        path = write_variant(tmp_path, MARKOVIAN_CONFIG_PATH, mutate)
-        assert cli.cmd_validate(path) == cli.EXIT_SEMANTIC
-        assert "/exponent/block_length" in capsys.readouterr().out
-
     def test_size_limit_sits_between_seven_and_eight(self):
         # markovian: 12^N (u^N, y^N) live of the 16^N, 2.35 GiB at N = 7
-        # and 28.3 GiB at N = 8; the exponent builds one space per start
-        # state in turn, so it is charged the largest one
+        # and 28.3 GiB at N = 8
         with open(MARKOVIAN_CONFIG_PATH, encoding="utf-8") as fh:
             doc = json.load(fh)
-        for blocks, exponent, ok in (([2, 3], 2, True), ([7], 2, True),
-                                     ([8], 2, False), ([2], 7, True),
-                                     ([2], 8, False)):
+        for blocks, ok in (([2, 3], True), ([7], True), ([8], False),
+                           ([2, 8], False)):
             doc["block_lengths"] = blocks
-            doc["exponent"]["block_length"] = exponent
             config, violations = cli.parse_config(doc)
             assert (config is not None) == ok, violations
+
+    def test_a_stale_exponent_section_is_ignored(self, tmp_path):
+        # older configs carry an exponent section; it validates whatever
+        # its values, even a block length above the size limit, and
+        # changes no output
+        tables = []
+        for stale in (False, True):
+            def mutate(doc, stale=stale):
+                doc["block_lengths"] = [2]
+                doc["algorithm"]["lambda_grid"] = [0.0, 1.0]
+                if stale:
+                    doc["exponent"] = {"rho_grid": [0.5, 1.5],
+                                       "block_length": 8}
+
+            path = write_variant(tmp_path, MARKOVIAN_CONFIG_PATH, mutate,
+                                 name=f"stale-{stale}.json")
+            assert cli.cmd_validate(path) == cli.EXIT_OK
+            out = tmp_path / f"stale-{stale}"
+            assert cli.cmd_capacity_sweep(path, str(out)) == cli.EXIT_OK
+            tables.append([(out / name).read_bytes()
+                           for name in ("sweep_2.csv", "envelope_2.csv")])
+        assert tables[0] == tables[1]
 
     def test_missing_file(self, tmp_path, capsys):
         assert cli.cmd_validate(str(tmp_path / "nope.json")) == cli.EXIT_IO
@@ -615,30 +625,17 @@ PINNED = [
             "/single_letter/per_state_channel/1": DROP,
             "/single_letter/sampling": [[2], [0]]},
            ["/single_letter/stationary_dist: must be a probability vector"]),
-    pinned("exponent-not-object", "markovian",
-           {"/exponent": 1},
-           ["/exponent: must be an object"]),
-    pinned("exponent-values", "markovian",
-           {"/exponent/rho_grid": [0.5, 1.5], "/exponent/block_length": 0},
-           ["/exponent/block_length: must be a positive integer",
-            "/exponent/rho_grid: must be a nonempty list in [0, 1]"]),
-    pinned("exponent-oversized", "markovian",
-           {"/exponent/block_length": 8},
-           ["/exponent/block_length: block length 8 needs about 28.3 GiB of "
-            "live tables, above the 3 GiB limit"]),
     pinned("every-section", "markovian",
            {"/channel/kernel/0/1/0/0": 0.5,
             "/actions/budget": -1.0,
             "/block_lengths": [],
             "/algorithm/gamma_points": 0,
-            "/single_letter/cost/1": -1.0,
-            "/exponent/block_length": 0},
+            "/single_letter/cost/1": -1.0},
            ["/channel/kernel/0/1: row sums to 1.25, expected 1",
             "/actions/budget: must be a finite nonnegative number",
             "/block_lengths: must be a nonempty list of positive integers",
             "/algorithm/gamma_points: must be a positive integer",
-            "/single_letter/cost: costs must be nonnegative",
-            "/exponent/block_length: must be a positive integer"]),
+            "/single_letter/cost: costs must be nonnegative"]),
     pinned("root-not-object", "markovian",
            {"": [1, 2]},
            ["/: config root must be a JSON object"]),
@@ -677,10 +674,6 @@ PINNED = [
     pinned("blocks-bool", "markovian",
            {"/block_lengths": [2, True]},
            ["/block_lengths: must be a nonempty list of positive integers"]),
-    pinned("exponent-types", "markovian",
-           {"/exponent/rho_grid": "0.5", "/exponent/block_length": 2.0},
-           ["/exponent/block_length: must be a positive integer",
-            "/exponent/rho_grid: must be a nonempty list in [0, 1]"]),
 ]
 
 
@@ -706,8 +699,7 @@ ACCEPTED = [
                   "/algorithm/gamma_points": 1},
                  cli.EXIT_OK, id="one-iteration-one-budget"),
     pytest.param("markovian",
-                 {**COARSE, "/block_lengths": [1], "/exponent/block_length": 1,
-                  "/exponent/rho_grid": [0.0, 1.0]},
+                 {**COARSE, "/block_lengths": [1]},
                  cli.EXIT_OK, id="block-length-one"),
     # unknown keys are ignored, whatever their value: output_factors, and a
     # seed, which older configs carry and the benchmark still writes
@@ -719,8 +711,13 @@ ACCEPTED = [
                  id="algorithm-missing"),
     pytest.param("bsc", {"/algorithm": None}, cli.EXIT_OK,
                  id="algorithm-null"),
-    pytest.param("bsc", {"/single_letter": DROP, "/exponent": DROP},
+    pytest.param("bsc", {"/single_letter": DROP},
                  cli.EXIT_OK, id="optional-sections-missing"),
+    # an exponent section, which older configs carry, is ignored too
+    pytest.param("markovian",
+                 {**COARSE, "/exponent": {"rho_grid": [0.5, 1.5],
+                                          "block_length": 8}},
+                 cli.EXIT_OK, id="stale-exponent-section"),
 ]
 BATTERY = [pytest.param(*p.values[:2], cli.EXIT_SEMANTIC, id=p.id)
            for p in PINNED] + ACCEPTED
@@ -737,8 +734,7 @@ class TestSubcommandsRunWhatValidateAccepts:
         assert cli.main(["validate", "--config", str(path)]) == code
         if code != cli.EXIT_OK:
             return
-        for command in ("capacity-sweep", "bounds", "oracle-check",
-                        "exponent"):
+        for command in ("capacity-sweep", "bounds", "oracle-check"):
             assert cli.main([command, "--config", str(path),
                              "--out", str(tmp_path / command)]) \
                 in (cli.EXIT_OK, cli.EXIT_SEMANTIC)
@@ -754,10 +750,6 @@ def two_sided_space(doc, space):
 def single_letter_of(doc):
     return SingleLetterProblem(**{key: np.array(value) for key, value
                                   in doc["single_letter"].items()})
-
-
-def uniform_exponent(space, rho):
-    return gallager_exponent(space, space.uniform_rows(), rho)
 
 
 # a config mutation with one violation, and the library call that breaks
@@ -787,15 +779,6 @@ LIBRARY_RULES = [
                  lambda doc, space: sweep_lambda(space, [0.0],
                                                  gamma_points=10**12),
                  id="gamma-points-huge"),
-    pytest.param({"/exponent/rho_grid": [1.5]},
-                 lambda doc, space: uniform_exponent(space, 1.5),
-                 id="rho-above-one"),
-    pytest.param({"/exponent/rho_grid": [-0.5]},
-                 lambda doc, space: uniform_exponent(space, -0.5),
-                 id="rho-negative"),
-    pytest.param({"/exponent/block_length": 0},
-                 lambda doc, space: TrajectorySpace(space.kernel, space.sys, 0),
-                 id="block-length-zero"),
     pytest.param(TWO_SIDED, two_sided_space, id="decoder-two-sided"),
     pytest.param({"/algorithm/resolution": 5},
                  lambda doc, space: single_letter_bounds(
@@ -820,6 +803,18 @@ class TestLibraryMessages:
             call(doc, space)
         # the message less its section: /algorithm/max_iters: ... -> max_iters: ...
         assert str(raised.value) == message.split("/", 2)[2]
+
+    @pytest.mark.parametrize("n", [0, -1, 2.0, True])
+    def test_a_block_length_the_config_refuses_the_space_refuses(self, n):
+        # the config reports a bad entry for its list as a whole
+        config = load_config(MARKOVIAN_CONFIG_PATH)
+        with open(MARKOVIAN_CONFIG_PATH, encoding="utf-8") as fh:
+            doc = apply_edits(json.load(fh), {"/block_lengths": [2, n]})
+        assert cli.parse_config(doc)[1] == [
+            "/block_lengths: must be a nonempty list of positive integers"]
+        with pytest.raises(ValueError,
+                           match="^block_length: must be a positive integer$"):
+            TrajectorySpace(config.kernel, config.actions, n)
 
 
 class TestCapacitySweep:
@@ -972,12 +967,11 @@ class TestCapacitySweep:
                               1.0 - binary_entropy(0.25)),
         }[case]
 
-        def drop_sections(doc):
-            for key in ("single_letter", "exponent"):
-                doc.pop(key)
+        def drop_single_letter(doc):
+            doc.pop("single_letter")
             mutate(doc)
 
-        path = write_variant(tmp_path, base, drop_sections)
+        path = write_variant(tmp_path, base, drop_single_letter)
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1252,70 +1246,6 @@ class TestOracleCheck:
         assert built == list(cli.ORACLE_BLOCKS)
 
 
-class TestExponent:
-    def test_exponent_table(self, tmp_path):
-        out = tmp_path / "out"
-        assert cli.cmd_exponent(str(MARKOVIAN_CONFIG_PATH), str(out)) \
-            == cli.EXIT_OK
-        header, rows = read_rows(out / "exponent.csv")
-        assert header == ["rho", "s0", "value"]
-        assert len(rows) == 14
-        by_state = {0: [], 1: []}
-        for rho, s0, value in rows:
-            by_state[int(s0)].append((float(rho), float(value)))
-        for s0, series in by_state.items():
-            assert len(series) == 7
-            assert series[0] == (0.0, 0.0)
-            values = [v for _, v in series]
-            assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-        # the two start states are mirror images, so the exponents agree
-        for (_, v0), (_, v1) in zip(by_state[0], by_state[1]):
-            assert abs(v0 - v1) <= 1e-12
-
-    @pytest.mark.parametrize("path", [BSC_CONFIG_PATH, MARKOVIAN_CONFIG_PATH],
-                             ids=["bsc", "markovian"])
-    def test_one_trajectory_space_per_start_state(self, tmp_path, monkeypatch,
-                                                  path):
-        # reference: a fresh space per (rho, s0) query
-        config = load_config(path)
-        spec = config.exponent
-        lines = ["rho,s0,value"]
-        for rho in spec.rho_grid:
-            for s0 in range(config.kernel.state_size):
-                space = TrajectorySpace(config.kernel, config.actions,
-                                        spec.block_length, s0=s0)
-                value = gallager_exponent(space, space.uniform_rows(), rho)
-                lines.append(f"{cli._fmt(rho)},{s0},{cli._fmt(value)}")
-        import sampcap.bounds
-
-        built, alive = [], []
-
-        class Counting(TrajectorySpace):
-            def __init__(self, *args, **kwargs):
-                # the space of the previous start state is released
-                assert all(ref() is None for ref in alive)
-                built.append(kwargs.get("s0"))
-                alive.append(weakref.ref(self))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "TrajectorySpace", Counting)
-        monkeypatch.setattr(sampcap.bounds, "TrajectorySpace", Counting)
-        out = tmp_path / "out"
-        assert cli.cmd_exponent(str(path), str(out)) == cli.EXIT_OK
-        assert built == list(range(config.kernel.state_size))
-        assert (out / "exponent.csv").read_text(encoding="utf-8") \
-            == "\n".join(lines) + "\n"
-
-    def test_requires_the_exponent_section(self, tmp_path, capsys):
-        def mutate(doc):
-            del doc["exponent"]
-
-        path = write_variant(tmp_path, MARKOVIAN_CONFIG_PATH, mutate)
-        assert cli.cmd_exponent(path, str(tmp_path / "out")) \
-            == cli.EXIT_SEMANTIC
-        assert "/exponent" in capsys.readouterr().err
-
-
 class TestOutputDirectory:
     """Every subcommand that writes files creates --out before it computes
     anything, and stops at once if it cannot."""
@@ -1324,7 +1254,6 @@ class TestOutputDirectory:
         ("capacity-sweep", "sweep_lambda"),
         ("bounds", "single_letter_bounds"),
         ("oracle-check", "_oracle_reports"),
-        ("exponent", "gallager_exponent"),
     ])
     def test_an_out_under_a_regular_file_fails_before_computing(
         self, tmp_path, capsys, monkeypatch, command, computation
@@ -1348,7 +1277,6 @@ class TestWriteFailure:
         ("capacity-sweep", "report.json"),
         ("bounds", "bounds.csv"),
         ("oracle-check", "oracle_report.json"),
-        ("exponent", "exponent.csv"),
     ])
     def test_an_output_that_is_a_directory_is_a_write_failure(
         self, tmp_path, capsys, command, target
@@ -1362,11 +1290,11 @@ class TestWriteFailure:
 
 
 class TestBundledOutputs:
-    """capacity-sweep and exponent on the bundled configs reproduce the CSVs
-    under tests/data/<config>/, written by those two commands: the
-    iterations and converged columns exactly, every other value within 1e-10
-    relative (absent values, nan, stay absent); and capacity-sweep's
-    report.json, as assert_sweep_report_matches_the_committed checks it."""
+    """capacity-sweep on the bundled configs reproduces the CSVs under
+    tests/data/<config>/, written by that command: the iterations and
+    converged columns exactly, every other value within 1e-10 relative
+    (absent values, nan, stay absent); and its report.json, as
+    assert_sweep_report_matches_the_committed checks it."""
 
     EXACT = ("iterations", "converged")
 
@@ -1375,7 +1303,6 @@ class TestBundledOutputs:
     def test_outputs_match_the_committed_csvs(self, tmp_path, path):
         out = tmp_path / "out"
         assert cli.cmd_capacity_sweep(str(path), str(out)) == cli.EXIT_OK
-        assert cli.cmd_exponent(str(path), str(out)) == cli.EXIT_OK
         expected = DATA_DIR / path.stem
         names = sorted(p.name for p in expected.glob("*.csv"))
         assert names == sorted(p.name for p in out.glob("*.csv"))
@@ -1406,6 +1333,16 @@ class TestMain:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["transmogrify", "--config", "x.json"])
         assert excinfo.value.code == 2
+
+    def test_the_deleted_exponent_command_is_a_usage_error(self, capsys):
+        # older scripts may still call it; argparse refuses the choice and
+        # lists the commands that remain, before any config is read
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["exponent", "--config", str(MARKOVIAN_CONFIG_PATH)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'exponent'" in err
+        assert "oracle-check" in err
 
     def test_config_flag_is_required(self):
         with pytest.raises(SystemExit) as excinfo:

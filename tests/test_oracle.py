@@ -31,6 +31,7 @@ from sampcap import (
 )
 import sampcap.oracle
 from sampcap.baa import BaaState
+from sampcap.cli import DI_ORACLE_TOL
 from sampcap.oracle import (
     _literal_channel_prob,
     _simplex_grid_size,
@@ -104,6 +105,24 @@ class TestLiteralDirectedInfo:
             literal = literal_directed_info(policy, markovian_kernel,
                                             markovian_actions)
             assert abs(literal - live_directed_info(space, policy)) <= 1e-9
+
+    @pytest.mark.parametrize("channel", ["markovian", "random-three-state"])
+    def test_matches_the_optimizer_from_every_start_state(
+        self, markovian_kernel, markovian_actions, channel
+    ):
+        # a space built from one start state gives that state's directed
+        # information, as the definition does on the joint from s0
+        rng = np.random.default_rng(103)
+        kernel = (markovian_kernel if channel == "markovian"
+                  else make_random_kernel(rng, 3, 2, 4))
+        for s0 in range(kernel.state_size):
+            space = TrajectorySpace(kernel, markovian_actions, 2, s0=s0)
+            for _ in range(5):
+                policy = make_random_policy(rng, 2, 4, 3)
+                literal = literal_directed_info(policy, kernel,
+                                                markovian_actions, s0)
+                assert abs(literal - live_directed_info(space, policy)) \
+                    <= DI_ORACLE_TOL
 
     def test_memoryless_closed_form(self, bsc_kernel, bsc_actions):
         space = TrajectorySpace(bsc_kernel, bsc_actions, 3)
@@ -345,3 +364,8 @@ def test_the_oracle_imports_only_the_data_types():
                                          "policy"}
     # the walk does see the optimizer and the layout where they are imported
     assert {"baa", "trajectory"} <= package_imports("cli")
+
+
+def test_the_single_letter_bounds_import_only_the_numerics():
+    # the single-letter layer stands apart from the trajectory layout
+    assert package_imports("bounds") == {"bounds", "_num"}
