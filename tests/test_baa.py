@@ -531,6 +531,93 @@ class TestLiveCounts:
         actions = sampling_actions(y_size) if sampled else make_trivial_actions(y_size)
         self.check(kernel, actions, n, None if start < 0 else start % s_size)
 
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+           zero_share=st.sampled_from([0.0, 0.3, 0.6]), sampled=st.booleans())
+    def test_one_start_counts_no_more_than_the_initial_distribution(
+        self, seed, n, zero_share, sampled
+    ):
+        # the initial distribution charges every state, so its live entries
+        # at each level are the union of those of the start states
+        rng = np.random.default_rng(seed)
+        y_size = int(rng.integers(2, 4))
+        kernel = make_random_kernel(rng, int(rng.integers(1, 4)),
+                                    int(rng.integers(1, 4)), y_size,
+                                    zero_share=zero_share)
+        actions = sampling_actions(y_size) if sampled else make_trivial_actions(y_size)
+        starts = range(kernel.state_size)
+        mixed = TrajectorySpace.live_counts(kernel, actions, n)
+        per_start = [TrajectorySpace.live_counts(kernel, actions, n, s0)
+                     for s0 in starts]
+        for level, total in enumerate(mixed):
+            counts = [c[level] for c in per_start]
+            assert max(counts) <= total <= sum(counts)
+        assert (max(TrajectorySpace.footprint(kernel, actions, n, s0)
+                    for s0 in starts)
+                <= TrajectorySpace.footprint(kernel, actions, n))
+
+
+def assert_same_space(space, expected):
+    """Every table of two spaces is equal; their kernels may differ."""
+    fields = vars(expected)
+    assert vars(space).keys() == fields.keys()
+    for name, value in vars(space).items():
+        if name == "kernel":
+            continue
+        if isinstance(value, (list, np.ndarray)):
+            assert len(value) == len(fields[name]), name
+            for got, want in zip(value, fields[name]):
+                np.testing.assert_array_equal(got, want, err_msg=name)
+        else:
+            assert value == fields[name], name
+
+
+class TestPerStartSpace:
+    """A space built from one start state s0."""
+
+    @pytest.mark.parametrize("channel", ["bsc", "markovian",
+                                         "random-three-state",
+                                         "random-sparse"])
+    def test_a_point_mass_start_builds_the_space_of_that_state(
+        self, bsc_kernel, bsc_actions, markovian_kernel, markovian_actions,
+        channel
+    ):
+        # the one-state channel's only start is its initial distribution
+        rng = np.random.default_rng(109)
+        kernel, actions = {
+            "bsc": lambda: (bsc_kernel, bsc_actions),
+            "markovian": lambda: (markovian_kernel, markovian_actions),
+            "random-three-state": lambda: (make_random_kernel(rng, 3, 2, 4),
+                                           markovian_actions),
+            "random-sparse": lambda: (make_random_kernel(rng, 3, 2, 4,
+                                                         zero_share=0.6),
+                                      markovian_actions),
+        }[channel]()
+        for s0 in range(kernel.state_size):
+            point = FscKernel(kernel.kernel, kernel.start_dist(s0))
+            assert_same_space(TrajectorySpace(kernel, actions, 2, s0=s0),
+                              TrajectorySpace(point, actions, 2))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_mirrored_start_states_carry_the_same_information(
+        self, markovian_kernel, markovian_actions, n
+    ):
+        # the two-state channel is its own mirror image under s -> 1 - s,
+        # x -> 1 - x, y -> 3 - y; the sampled feedback y mod 2 flips with
+        # the state and the costs stay, so the uniform policy and the sweep
+        # from one start state match those from the other
+        k = markovian_kernel.kernel
+        np.testing.assert_array_equal(k, k[::-1, ::-1, ::-1, ::-1])
+        spaces = [TrajectorySpace(markovian_kernel, markovian_actions, n,
+                                  s0=s0) for s0 in (0, 1)]
+        uniform = [space.n * BaaState.initial(space, 0.0).i_lower
+                   for space in spaces]
+        assert uniform[0] > 0.0
+        assert abs(uniform[0] - uniform[1]) <= 1e-12
+        envelopes = [sweep_lambda(space).envelope for space in spaces]
+        np.testing.assert_allclose(envelopes[0], envelopes[1],
+                                   rtol=0.0, atol=1e-12)
+
 
 def feedback_actions(z_of_y, cost):
     """One action of the given cost whose feedback is z_of_y[y]."""

@@ -718,6 +718,16 @@ ACCEPTED = [
                  {**COARSE, "/exponent": {"rho_grid": [0.5, 1.5],
                                           "block_length": 8}},
                  cli.EXIT_OK, id="stale-exponent-section"),
+    pytest.param("markovian", {**COARSE, "/exponent": 1},
+                 cli.EXIT_OK, id="stale-exponent-not-object"),
+    pytest.param("markovian",
+                 {**COARSE, "/exponent": {"rho_grid": [-0.5],
+                                          "block_length": 0}},
+                 cli.EXIT_OK, id="stale-exponent-values"),
+    pytest.param("markovian",
+                 {**COARSE, "/exponent": {"rho_grid": "0.5",
+                                          "block_length": 2.0}},
+                 cli.EXIT_OK, id="stale-exponent-types"),
 ]
 BATTERY = [pytest.param(*p.values[:2], cli.EXIT_SEMANTIC, id=p.id)
            for p in PINNED] + ACCEPTED
@@ -1275,6 +1285,10 @@ class TestWriteFailure:
 
     @pytest.mark.parametrize("command, target", [
         ("capacity-sweep", "report.json"),
+        # the tables of each block are written as the block finishes: the
+        # first block's, and the last block's after the others are written
+        ("capacity-sweep", "sweep_1.csv"),
+        ("capacity-sweep", "envelope_3.csv"),
         ("bounds", "bounds.csv"),
         ("oracle-check", "oracle_report.json"),
     ])

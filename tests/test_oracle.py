@@ -106,15 +106,21 @@ class TestLiteralDirectedInfo:
                                             markovian_actions)
             assert abs(literal - live_directed_info(space, policy)) <= 1e-9
 
-    @pytest.mark.parametrize("channel", ["markovian", "random-three-state"])
+    @pytest.mark.parametrize("channel", ["markovian", "random-three-state",
+                                         "random-sparse"])
     def test_matches_the_optimizer_from_every_start_state(
         self, markovian_kernel, markovian_actions, channel
     ):
         # a space built from one start state gives that state's directed
-        # information, as the definition does on the joint from s0
+        # information, as the definition does on the joint from s0; on the
+        # sparse channel the start states reach different live entries
         rng = np.random.default_rng(103)
-        kernel = (markovian_kernel if channel == "markovian"
-                  else make_random_kernel(rng, 3, 2, 4))
+        kernel = {
+            "markovian": lambda: markovian_kernel,
+            "random-three-state": lambda: make_random_kernel(rng, 3, 2, 4),
+            "random-sparse": lambda: make_random_kernel(rng, 3, 2, 4,
+                                                        zero_share=0.6),
+        }[channel]()
         for s0 in range(kernel.state_size):
             space = TrajectorySpace(kernel, markovian_actions, 2, s0=s0)
             for _ in range(5):
