@@ -3,9 +3,10 @@
 
 Writes bounds.csv (budget grid, encoder and decoder lower bounds, the
 time-sharing line, and the zero/unit-cost capacities) into the output
-directory, then prints the endpoint capacities, the largest advantage of
-the encoder bound over time sharing, and the smallest budget at which the
-encoder bound reaches the unit-cost capacity within a slack.
+directory, then prints the seconds that took, the endpoint capacities, the
+largest advantage of the encoder bound over time sharing, and the smallest
+budget at which the encoder bound reaches the unit-cost capacity within a
+slack.
 
 Example:
     python3 scripts/analytic_bounds.py --config configs/markovian.json \
@@ -14,6 +15,7 @@ Example:
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +37,11 @@ def main() -> int:
                         help="saturation slack in bits")
     args = parser.parse_args()
 
+    start = time.perf_counter()
     code = cmd_bounds(args.config, args.out)
     if code != 0:
         return code
+    print(f"bounds.csv written in {time.perf_counter() - start:.3f} s")
     data = np.genfromtxt(Path(args.out) / "bounds.csv", delimiter=",", names=True)
     gammas = np.atleast_1d(data["gamma"])
     enc = np.atleast_1d(data["c_enc_lower"])

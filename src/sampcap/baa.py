@@ -37,8 +37,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._num import (freeze, fsum_array, is_integer, is_number, raise_first,
-                   read_only)
+from ._num import (fold_last, freeze, fsum_array, is_integer, is_number,
+                   raise_first, read_only)
 from .policy import CausalPolicy
 from .trajectory import TrajectorySpace
 
@@ -214,16 +214,6 @@ def _fold(space: TrajectorySpace, g: np.ndarray, lam: float,
     return f.item()
 
 
-def _reduce_last(op, a: np.ndarray) -> np.ndarray:
-    """op folded over the last axis of a, column by column: numpy's reduction
-    is several times slower over a short one and, below 8 entries, adds in
-    the same order."""
-    out = op(a[..., 0], a[..., 1]) if a.shape[-1] > 1 else a[..., 0].copy()
-    for j in range(2, a.shape[-1]):
-        op(out, a[..., j], out=out)
-    return out
-
-
 def update_r(state: BaaState) -> tuple[np.ndarray, np.ndarray]:
     """Backward policy update (steps N down to 1) for the iterate's q.
 
@@ -265,12 +255,12 @@ def update_r(state: BaaState) -> tuple[np.ndarray, np.ndarray]:
         # all -inf is flagged dead
         table, dead = rows[space.steps[i - 1]], flags[space.steps[i - 1]]
         scores /= space.denom[i - 1][:, None]
-        mx = _reduce_last(np.maximum, scores)[:, None]
+        mx = fold_last(np.maximum, scores)[:, None]
         np.logical_not(np.isfinite(mx[:, 0]), out=dead)
         np.subtract(scores, mx, out=table)
         np.exp2(table, out=table)
         table[dead] = 1.0
-        table /= _reduce_last(np.add, table)[:, None]
+        table /= fold_last(np.add, table)[:, None]
         return table
 
     _fold(space, g, state.lam, geometric_mean)
@@ -292,9 +282,9 @@ def _over_relax(previous: np.ndarray, plain: np.ndarray, relax: float,
         move = log_new - np.log2(previous)
     move[~np.isfinite(move)] = 0.0
     log_new += (relax - 1.0) * move
-    log_new -= _reduce_last(np.maximum, log_new)[:, None]
+    log_new -= fold_last(np.maximum, log_new)[:, None]
     table = np.exp2(log_new)
-    table /= _reduce_last(np.add, table)[:, None]
+    table /= fold_last(np.add, table)[:, None]
     if flagged.any():
         table[flagged] = plain[flagged]
     return read_only(table)

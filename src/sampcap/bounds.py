@@ -27,8 +27,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._num import (freeze, is_integer, non_finite, project_to_simplex,
-                   raise_first)
+from ._num import (fold_last, freeze, is_integer, non_finite,
+                   project_to_simplex, raise_first)
 
 DIST_TOL = 1e-12
 ASCENT_TOL = 1e-12
@@ -135,17 +135,19 @@ def _objective_and_grad(pi: np.ndarray, w: np.ndarray, negh: np.ndarray,
 
     mix[b, s, k] weights slice k in state s; q[b, k, x] are the slices;
     negh is `_channel_negentropy(w)`. Every product is a separate small
-    matmul per row (value too: one matrix-vector product over the batch
-    rounds differently with the batch size), so a row's result does not
-    depend on the rows that share its batch, nor on zero-weight slices
-    appended to it. Returns (value[b], grad[b, k, x]).
+    matmul per row, and the value's sum over inputs is a column fold
+    (`fold_last`) per row followed by one such matmul over the states
+    (one matrix-vector product over the batch rounds differently with the
+    batch size), so a row's result does not depend on the rows that share
+    its batch, nor on zero-weight slices appended to it.
+    Returns (value[b], grad[b, k, x]).
     """
     p_xs = mix @ q
     py = (p_xs[:, :, None, :] @ w)[:, :, 0, :]
     logpy = np.log2(np.maximum(py, 1e-300))
     # d[b, s, x] = sum_y W(y|x,s) log2(W / PY); the per-input information density
     d = negh - (logpy[:, :, None, :] @ w.transpose(0, 2, 1))[:, :, 0, :]
-    value = ((p_xs * d).sum(axis=2)[:, None, :] @ pi)[:, 0]
+    value = (fold_last(np.add, p_xs * d)[:, None, :] @ pi)[:, 0]
     grad = (pi[:, None] * mix).transpose(0, 2, 1) @ d
     return value, grad
 

@@ -65,7 +65,7 @@ from collections import Counter
 
 import numpy as np
 
-from ._num import fsum_array, is_integer, raise_first, read_only
+from ._num import fold_last, fsum_array, is_integer, raise_first, read_only
 from .actions import ActionSystem, decoder_violations
 from .fsc import FscKernel
 from .policy import CausalPolicy
@@ -124,7 +124,7 @@ class TrajectorySpace:
             self.slot.append(rank * u + np.arange(u)[:, None])
             # the live (x_i, c, y_i) of the level-(i-1) prefixes c, x-major
             block = np.einsum("cs,sxyt->xcyt", belief, kernel.kernel)
-            on_x = block.sum(axis=3)
+            on_x = fold_last(np.add, block)
             live = np.flatnonzero(on_x)
             law_x = on_x.ravel()[live]
             belief = block.reshape(-1, block.shape[3])[live] if i < n else None

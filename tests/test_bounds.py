@@ -122,6 +122,17 @@ def sort_argmax_projection(v):
     return np.maximum(v - theta, 0.0)
 
 
+def cumsum_projection(v):
+    """The simplex projection as a sort, a cumulative sum, a division and a
+    maximum over the last axis, the form the column walk replaced."""
+    v = np.asarray(v, dtype=float)
+    u = np.sort(v, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1) - 1.0
+    theta = (css / np.arange(1.0, v.shape[-1] + 1.0)).max(axis=-1,
+                                                          keepdims=True)
+    return np.maximum(v - theta, 0.0)
+
+
 def padded(mix, extra):
     """The mixture with `extra` zero-weight slices appended."""
     return np.pad(mix, ((0, 0), (0, 0), (0, extra)))
@@ -362,6 +373,22 @@ class TestSimplexProjection:
         unit = scale == 1.0
         assert unit.sum() >= 4_000
         assert np.max(np.abs(out[unit].sum(axis=-1) - 1.0)) <= 1e-15
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_column_walk_matches_the_cumulative_sum_form(self, n):
+        v = self.rows(np.random.default_rng(10 + n), n)
+        assert np.array_equal(bounds.project_to_simplex(v),
+                              cumsum_projection(v))
+
+    @pytest.mark.parametrize("x", [2, 3, 7])
+    @pytest.mark.parametrize("b", [1, bounds.ASCENT_CHUNK])
+    def test_column_walk_matches_on_ascent_batches(self, b, x):
+        # [rows, slices, inputs], as the ascent projects its candidates
+        rng = np.random.default_rng(b + x)
+        v = rng.normal(size=(b, 6, x)) * rng.exponential(size=(b, 1, 1))
+        v[:, 1] = 1.0 / x
+        assert np.array_equal(bounds.project_to_simplex(v),
+                              cumsum_projection(v))
 
     def test_batched_axes_project_row_by_row(self):
         v = np.random.default_rng(9).normal(size=(4, 5, 3))
