@@ -20,10 +20,17 @@ convergence. Each policy update is over-relaxed in the log domain and kept
 only if the lower iterate does not fall (see run_baa). Sweeping lambda
 traces the cost-capacity tradeoff, solved as one chain in ascending lambda,
 each point started from the previous one's policy; the envelope of the
-sweep's tangent lines bounds the constrained curve from above, and shifting
-it by Lambda_max/N gives the computable lower bound of the sandwich
+sweep's tangent lines lies above the constrained curve C_N(Gamma), and
+shifting it by Lambda_max/N gives the computable side of the sandwich
 
     C_N(Gamma - Lambda_max/N) <= C(Gamma) <= C_N(Gamma).
+
+The paper's upper and lower bounds coincide, and so give the capacity,
+"for the case where the probability of initial state is positive for all
+states"; the markovian config's initial_dist is [1, 0]. The shifted side
+reads the envelope, not C_N, at Gamma - Lambda_max/N, so it meets the
+left-hand term only up to the envelope's distance from C_N (up to 3.8e-4
+bits at small budgets on the markovian config, N = 2 to 4).
 
 All quantities are in bits; cost is the per-step average (1/N) sum Lambda.
 """
@@ -515,11 +522,15 @@ def sweep_lambda(space: TrajectorySpace,
 
 
 def sandwich_bounds(curve: TradeoffCurve) -> np.ndarray:
-    """The computable lower bound env(g - shift) on the curve's budgets g.
+    """The shifted side env(g - shift) of the sandwich on the curve's budgets g.
 
-    The shift is Lambda_max/N (1/N on the unit-cost scale); the bound is
-    reported absent (NaN) for budgets below the shift. The matching upper
-    bound is the curve's own envelope.
+    The shift is Lambda_max/N (1/N on the unit-cost scale); the value is
+    reported absent (NaN) for budgets below the shift. The other side is
+    the curve's own envelope. The paper's upper and lower bounds coincide,
+    and so give the capacity, when every initial state has positive
+    probability. This reads the envelope, which lies above C_N, at
+    g - shift, so it meets the paper's C_N(g - shift) only up to the
+    envelope's distance from C_N.
     """
     shift = curve.max_cost / curve.block_length
     lower = np.full_like(curve.envelope, np.nan)

@@ -9,6 +9,14 @@ one of three couplings:
   decoder       pi(s) P_{A|S}(a|s) 1{z=f(a,s)} P(x|z,a) P(y|x,s)
   backward_link pi(s) P_{A|S}(a|s) P(x|a) P(y|x,s)
 
+They differ in two facts, which COUPLINGS tabulates per mode: whether
+P(a|s) is the same in every state (the encoder's P_A), and whether the
+action itself is fed back (the backward link's z = a). So one builder
+draws P_{A|S} for all three, at expected cost sum_s pi(s) sum_a
+P(a|s) Lambda(a), and weights the input slice of (z, a), or of a alone when
+the action is fed back, by P(a|s). Only which sampled values are equal
+matters: the slices are keyed by the distinct values of f.
+
 The action distribution is searched on an exhaustive simplex grid; for a
 fixed action distribution the objective is concave in the family of input
 conditionals, which is maximized by one projected-gradient ascent from the
@@ -38,17 +46,21 @@ DEFAULT_RESOLUTION = 101
 MIN_RESOLUTION = 10
 MAX_DEFAULT_FREE_DIMS = 3
 FEAS_SLACK = 1e-12
-MODES = ("encoder", "decoder", "backward_link")
+# mode -> (P(a|s) the same in every state, the action itself fed back)
+COUPLINGS = {"encoder": (True, False), "decoder": (False, False),
+             "backward_link": (False, True)}
+MODES = tuple(COUPLINGS)
 
 
 @dataclass(frozen=True)
 class SingleLetterProblem:
     """Stationary single-letter setting: pi, per-state channel, sampling, cost.
 
-    per_state_channel is indexed [s][x][y]; sampling [a][s] -> z; cost [a].
-    The coupling is chosen per call, as one of MODES: 'encoder'
-    (state-independent P_A), 'decoder' (P_{A|S}), or 'backward_link'
-    (P_{A|S} with the action itself fed back, f(a, s) = a).
+    per_state_channel is indexed [s][x][y]; sampling [a][s] -> z, a label
+    of which only the equalities matter; cost [a]. The coupling is chosen
+    per call, as one of MODES: 'encoder' (state-independent P_A), 'decoder'
+    (P_{A|S}), or 'backward_link' (P_{A|S} with the action itself fed back,
+    f(a, s) = a).
     """
 
     stationary_dist: np.ndarray
@@ -116,10 +128,6 @@ class SingleLetterProblem:
     @property
     def action_size(self) -> int:
         return int(self.cost.shape[0])
-
-    @property
-    def feedback_size(self) -> int:
-        return int(self.sampling.max()) + 1
 
 
 def _channel_negentropy(w: np.ndarray) -> np.ndarray:
@@ -220,31 +228,6 @@ def _ascend_inputs(pi: np.ndarray, w: np.ndarray, mix: np.ndarray,
     return final_value, final_q
 
 
-def _action_mixture(prob: SingleLetterProblem, mode: str,
-                    action_dists: np.ndarray) -> np.ndarray:
-    """Slice mixture weights mix[b, s, k] for a batch of action distributions.
-
-    Encoder/decoder modes use slices k = (z, a) with weight P(a|.) when
-    z = f(a, s); backward_link uses slices k = a directly.
-    """
-    s_size = prob.state_size
-    a_size = prob.action_size
-    b = action_dists.shape[0]
-    if mode == "backward_link":
-        # action_dists[b, s, a]
-        return action_dists.copy()
-    z_size = prob.feedback_size
-    mix = np.zeros((b, s_size, z_size * a_size))
-    for a in range(a_size):
-        for s in range(s_size):
-            z = int(prob.sampling[a, s])
-            if mode == "encoder":
-                mix[:, s, z * a_size + a] = action_dists[:, a]
-            else:
-                mix[:, s, z * a_size + a] = action_dists[:, s, a]
-    return mix
-
-
 def _simplex_grid(dim: int, points_per_axis: int) -> np.ndarray:
     """All probability vectors over `dim` bins with entries on a uniform grid."""
     steps = points_per_axis - 1
@@ -256,14 +239,6 @@ def _simplex_grid(dim: int, points_per_axis: int) -> np.ndarray:
     return np.array(combos, dtype=float) / steps
 
 
-def _expected_action_cost(prob: SingleLetterProblem, mode: str,
-                          dists: np.ndarray) -> np.ndarray:
-    if mode == "encoder":
-        return dists @ prob.cost
-    per_state = dists @ prob.cost  # [b, s]
-    return per_state @ prob.stationary_dist
-
-
 def curve_violations(prob: Optional[SingleLetterProblem] = None,
                      mode: str = "encoder",
                      resolution=DEFAULT_RESOLUTION) -> list[str]:
@@ -273,8 +248,9 @@ def curve_violations(prob: Optional[SingleLetterProblem] = None,
     A problem's action-distribution grid is refused, before it is built, if
     it is larger than MAX_DEFAULT_FREE_DIMS free dimensions at the default
     resolution, so a coarser resolution admits more dimensions. A grid of
-    P_{A|S} (every mode but encoder) has |S| times the free dimensions of
-    the encoder's P_A. Raises ValueError on a mode not in MODES.
+    P_{A|S} (every mode whose COUPLINGS entry does not tie the states) has
+    |S| times the free dimensions of the encoder's P_A. Raises ValueError
+    on a mode not in MODES.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -286,26 +262,12 @@ def curve_violations(prob: Optional[SingleLetterProblem] = None,
                      "points per dimension")
     elif prob is not None:
         a = prob.action_size
-        s = 1 if mode == "encoder" else prob.state_size
+        s = 1 if COUPLINGS[mode][0] else prob.state_size
         if (math.comb(resolution + a - 2, a - 1) ** s
                 > DEFAULT_RESOLUTION ** MAX_DEFAULT_FREE_DIMS):
             found.append(f"resolution: {s * (a - 1)} free action dimensions "
                          "need a coarser resolution")
     return found
-
-
-def _candidate_actions(prob: SingleLetterProblem, mode: str,
-                       resolution: int) -> np.ndarray:
-    """The action-distribution grid of a resolution that curve_violations
-    admits."""
-    a = prob.action_size
-    rows = _simplex_grid(a, resolution)
-    if mode == "encoder":
-        return rows
-    s = prob.state_size
-    # one row per state, the last state's row varying fastest
-    combos = np.indices((len(rows),) * s).reshape(s, -1).T
-    return rows[combos]
 
 
 def _optimize_slices(prob: SingleLetterProblem,
@@ -332,26 +294,30 @@ def _optimize_slices(prob: SingleLetterProblem,
     return value, q
 
 
-def _optimize_mixtures(prob: SingleLetterProblem,
-                       mixes: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Maxima of several mixture batches of one channel, from one ascent.
-
-    The batches are padded with zero-weight slices to a common slice count
-    and stacked; each value equals the one its batch would get alone.
-    """
-    width = max(m.shape[2] for m in mixes)
-    mix = np.concatenate([np.pad(m, ((0, 0), (0, 0), (0, width - m.shape[2])))
-                          for m in mixes])
-    values, _ = _optimize_slices(prob, mix)
-    return np.split(values, np.cumsum([m.shape[0] for m in mixes])[:-1])
-
-
 def _curve_batch(prob: SingleLetterProblem, mode: str,
                  resolution: int) -> tuple[np.ndarray, np.ndarray]:
-    """Expected costs and slice mixtures of the whole action-distribution grid."""
-    candidates = _candidate_actions(prob, mode, resolution)
-    return (_expected_action_cost(prob, mode, candidates),
-            _action_mixture(prob, mode, candidates))
+    """Expected costs and slice mixtures of a coupling's action grid, a
+    resolution that curve_violations admits.
+
+    Each candidate is P_{A|S}[b, s, a]: a grid row per state, the last
+    state's row varying fastest, or one row repeated in every state where
+    the coupling ties them. The mixture is P_{A|S} itself where the action
+    is fed back (slice k = a), else P(a|s) at slice k = (z, a), z the rank
+    of f(a, s) among the distinct sampled values.
+    """
+    tied, fed_back = COUPLINGS[mode]
+    s, a = prob.state_size, prob.action_size
+    rows = _simplex_grid(a, resolution)
+    free = 1 if tied else s
+    combos = np.indices((len(rows),) * free).reshape(free, -1).T
+    dists = rows[np.broadcast_to(combos, (len(combos), s))]
+    costs = (dists @ prob.cost) @ prob.stationary_dist
+    if fed_back:
+        return costs, dists
+    labels, z = np.unique(prob.sampling, return_inverse=True)
+    mix = np.zeros((len(dists), s, labels.size * a))
+    mix[:, np.arange(s)[:, None], z.reshape(a, s).T * a + np.arange(a)] = dists
+    return costs, mix
 
 
 def _best_feasible(costs: np.ndarray, values: np.ndarray,
@@ -396,8 +362,12 @@ def single_letter_bounds(prob: SingleLetterProblem, gammas: Sequence[float],
         found += curve_violations(prob, mode, resolution)
     raise_first(found)
     batches = [_curve_batch(prob, mode, resolution) for mode in modes]
-    *values, c0, c1 = _optimize_mixtures(
-        prob, [mix for _, mix in batches] + _endpoint_mixtures(prob))
+    # pad every batch with zero-weight slices to the widest, stack, split
+    mixes = [mix for _, mix in batches] + _endpoint_mixtures(prob)
+    width = max(m.shape[2] for m in mixes)
+    values, _ = _optimize_slices(prob, np.concatenate(
+        [np.pad(m, ((0, 0), (0, 0), (0, width - m.shape[2]))) for m in mixes]))
+    *values, c0, c1 = np.split(values, np.cumsum([len(m) for m in mixes])[:-1])
     return (float(c0[0]), float(c1[0]),
             *(_best_feasible(costs, v, gammas)
               for (costs, _), v in zip(batches, values)))

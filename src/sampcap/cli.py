@@ -431,9 +431,8 @@ def cmd_capacity_sweep(config: ExperimentConfig, out_dir: str) -> int:
 @_subcommand("bounds", "single_letter")
 def cmd_bounds(config: ExperimentConfig, out_dir: str) -> int:
     prob = config.single_letter
-    max_cost = float(prob.cost.max())
-    gammas = np.linspace(0.0, max_cost if max_cost > 0 else 1.0,
-                         config.gamma_points)
+    span = float(prob.cost.max()) or 1.0  # costs are nonnegative
+    gammas = np.linspace(0.0, span, config.gamma_points)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", AscentCapWarning)
         c0, c1, enc_curve, dec_curve = single_letter_bounds(
@@ -446,7 +445,6 @@ def cmd_bounds(config: ExperimentConfig, out_dir: str) -> int:
         else:
             warnings.showwarning(record.message, record.category,
                                  record.filename, record.lineno)
-    span = max_cost if max_cost > 0 else 1.0
     lines = ["gamma,c_enc_lower,c_dec_lower,time_sharing,c0,c1"]
     infeasible = 0
     for i, g in enumerate(gammas):

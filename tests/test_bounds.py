@@ -1,5 +1,6 @@
 """Single-letter lower bounds and the time-sharing baseline."""
 
+import itertools
 import math
 import warnings
 
@@ -141,10 +142,12 @@ def padded(mix, extra):
 class TestSingleLetterLower:
     def test_zero_budget_forces_the_silent_action(self, markovian_single_letter):
         prob = markovian_single_letter
-        candidates = bounds._candidate_actions(prob, "encoder",
-                                               bounds.DEFAULT_RESOLUTION)
-        costs = bounds._expected_action_cost(prob, "encoder", candidates)
-        assert np.array_equal(candidates[costs <= bounds.FEAS_SLACK], [[1.0, 0.0]])
+        costs, mix = bounds._curve_batch(prob, "encoder",
+                                         bounds.DEFAULT_RESOLUTION)
+        # the silent action 0 samples z = 2 in both states: slice (2, 0)
+        silent = np.zeros((2, 6))
+        silent[:, 4] = 1.0
+        assert np.array_equal(mix[costs <= bounds.FEAS_SLACK], [silent])
         [value] = encoder_curve(prob, [0.0])
         assert value == pytest.approx(COMMON_INPUT_CAPACITY, abs=1e-4)
 
@@ -209,15 +212,96 @@ class TestCandidateGrid:
                                  modes=("decoder",))
 
     def test_default_resolution_admits_three_free_dimensions(self):
-        grid = bounds._candidate_actions(free_action_problem(3, 2), "decoder",
+        # one sampled symbol: the slices are the actions
+        costs, mix = bounds._curve_batch(free_action_problem(3, 2), "decoder",
                                          bounds.DEFAULT_RESOLUTION)
-        assert grid.shape == (bounds.DEFAULT_RESOLUTION ** 3, 3, 2)
+        assert costs.shape == (bounds.DEFAULT_RESOLUTION ** 3,)
+        assert mix.shape == (bounds.DEFAULT_RESOLUTION ** 3, 3, 2)
 
     def test_coarse_resolution_admits_four_free_dimensions(self):
-        grid = bounds._candidate_actions(free_action_problem(1, 5), "encoder", 11)
-        assert grid.shape == (math.comb(14, 4), 5)
-        assert np.allclose(grid.sum(axis=1), 1.0)
-        assert len(np.unique(grid, axis=0)) == len(grid)
+        _, mix = bounds._curve_batch(free_action_problem(1, 5), "encoder", 11)
+        assert mix.shape == (math.comb(14, 4), 1, 5)
+        assert np.allclose(mix.sum(axis=2), 1.0)
+        assert len(np.unique(mix, axis=0)) == len(mix)
+
+
+def reference_curve_batch(prob, mode, resolution):
+    """Expected costs and slice mixtures of a mode's action grid, written
+    out over (b, s, a) from the module docstring's couplings: the encoder
+    draws one P_A(a) for every state, the others P_{A|S}(a|s) per state with
+    the last state's row varying fastest; the backward link weights slice a,
+    the others slice (z, a) with z = f(a, s) ranked among the distinct
+    sampled values."""
+    s_size, a_size = prob.state_size, prob.action_size
+    rows = bounds._simplex_grid(a_size, resolution)
+    labels = sorted(set(prob.sampling.flat))
+    if mode == "encoder":
+        grid = [[row] * s_size for row in rows]
+    else:
+        grid = list(itertools.product(rows, repeat=s_size))
+    fed_back = mode == "backward_link"
+    width = a_size if fed_back else len(labels) * a_size
+    costs = np.zeros(len(grid))
+    mix = np.zeros((len(grid), s_size, width))
+    for b, dist in enumerate(grid):
+        for s in range(s_size):
+            for a in range(a_size):
+                if mode != "encoder":
+                    costs[b] += prob.stationary_dist[s] * dist[s][a] * prob.cost[a]
+                k = a if fed_back else (
+                    labels.index(prob.sampling[a, s]) * a_size + a)
+                mix[b, s, k] = dist[s][a]
+        if mode == "encoder":
+            costs[b] = sum(dist[0][a] * prob.cost[a] for a in range(a_size))
+    return costs, mix
+
+
+def relabeled(prob, old, new):
+    """The problem with sampled value `old` renamed `new`."""
+    return SingleLetterProblem(
+        stationary_dist=prob.stationary_dist,
+        per_state_channel=prob.per_state_channel,
+        sampling=np.where(prob.sampling == old, new, prob.sampling),
+        cost=prob.cost,
+    )
+
+
+class TestCouplingTable:
+    @pytest.fixture(params=["markovian", "random"])
+    def problem(self, request, markovian_single_letter):
+        if request.param == "random":
+            return random_three_state_problem(), 10
+        return markovian_single_letter, 11
+
+    @pytest.mark.parametrize("mode", bounds.MODES)
+    def test_curve_batch_matches_the_written_out_couplings(self, problem,
+                                                           mode):
+        prob, resolution = problem
+        costs, mix = bounds._curve_batch(prob, mode, resolution)
+        ref_costs, ref_mix = reference_curve_batch(prob, mode, resolution)
+        assert np.array_equal(mix, ref_mix)
+        np.testing.assert_allclose(costs, ref_costs, rtol=1e-15, atol=0.0)
+
+    def test_sparse_labels_give_the_same_curves_and_slices(
+        self, markovian_single_letter
+    ):
+        # {0, 1, 200} and {0, 1, 2} have the same equalities, so the same
+        # slices: the width follows the distinct values, not the largest
+        for prob, resolution in [(markovian_single_letter, 11),
+                                 (random_three_state_problem(), 10)]:
+            sparse = relabeled(prob, 2, 200)
+            assert set(sparse.sampling.flat) == {0, 1, 200}
+            for mode in bounds.MODES:
+                _, mix = bounds._curve_batch(prob, mode, resolution)
+                _, sparse_mix = bounds._curve_batch(sparse, mode, resolution)
+                assert sparse_mix.shape == mix.shape
+            gammas = np.linspace(0.0, 1.0, 11)
+            dense_job = single_letter_bounds(prob, gammas, resolution,
+                                             modes=bounds.MODES)
+            sparse_job = single_letter_bounds(sparse, gammas, resolution,
+                                              modes=bounds.MODES)
+            for want, got in zip(dense_job, sparse_job, strict=True):
+                assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestBatchedAscent:
@@ -659,7 +743,8 @@ class TestProblemValidation:
                                 cost=markovian_single_letter.cost, **arrays)
 
     def test_negative_sampling_entries_rejected(self, markovian_single_letter):
-        # a negative z would index the slice axis from its end
+        # sampled values are nonnegative labels, as in an action system's
+        # sampling table, although only their equalities matter here
         with pytest.raises(ValueError, match="sampling: entries must be "
                                              "nonnegative"):
             SingleLetterProblem(
